@@ -6,9 +6,13 @@ which stays in [0, 1] for SPD matrices and keeps the graph symmetric
 for both benchmark problems.  The splitting is a greedy first pass:
 the vertex adjacent to the most F points goes coarse next (ties to the
 lowest index), and its strong neighbors become fine.  Starting from an
-all-zero measure this sweeps a frontier outward from vertex 0.
+all-zero measure this sweeps a frontier outward from vertex 0.  The
+measures are kept in Ruge-Stueben style buckets, one min-heap of
+vertex indices per measure value, so the pass costs O(nnz log N)
+rather than one O(N) scan per C point.
 """
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,34 +152,76 @@ def cf_split(S):
     Repeatedly picks the unassigned vertex adjacent to the most strong
     F points (ties to the lowest index), makes it C and its strong
     neighbors F.  Vertices with no strong edges become C points.
+
+    The measures live in buckets, one per value.  Bucket m > 0 is a
+    min-heap of the vertex indices whose measure reached m; bucket 0 is
+    the ascending list of vertices with edges, read with a cursor since
+    nothing is ever pushed there.  When a vertex turns F, each of its
+    unassigned neighbors w gets measure[w] += 1 and is pushed into
+    bucket measure[w].  `top` is the highest bucket that may hold an
+    unassigned vertex.  Measures only grow, so no unassigned vertex
+    has a measure above `top`, and every one in bucket `top` has
+    measure exactly `top`: entries of assigned vertices are the only
+    stale ones, and they are dropped when they reach the front.  The
+    front of bucket `top` is thus the highest measure with ties to the
+    lowest index.  Each edge pushes at most once, so the pass costs
+    O(nnz log N).
     """
     adj = S.adjacency
+    if not adj.has_canonical_format:
+        adj = adj.copy()
+        adj.sum_duplicates()  # a repeated entry is one edge
     n = adj.shape[0]
-    indptr, indices = adj.indptr, adj.indices
-    degree = np.diff(indptr)
+    # memoryviews index numpy buffers as Python ints without copying
+    # them into lists (about 36 B per entry)
+    indptr = memoryview(adj.indptr)
+    indices = memoryview(adj.indices)
 
-    state = np.zeros(n, dtype=np.int8)  # 0 unassigned, 1 C, -1 F
-    isolated = degree == 0
-    state[isolated] = 1
+    is_c = np.diff(adj.indptr) == 0
+    zero_bucket = memoryview(np.flatnonzero(~is_c))
+    remaining = len(zero_bucket)
+    # a measure counts F points pointing at the vertex: at most its column count
+    max_measure = int(np.bincount(adj.indices, minlength=1).max())
+    buckets = [[] for _ in range(max_measure + 1)]
+    state = bytearray(is_c.tobytes())  # 0 unassigned, 1 C, 2 F
+    measure = memoryview(np.zeros(n, dtype=np.int64))
+    top = 0
+    cursor = 0
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    measure = np.zeros(n, dtype=np.int64)
-    measure[state != 0] = -1
-    remaining = int(np.sum(state == 0))
-    while remaining > 0:
-        v = int(np.argmax(measure))  # argmax takes the lowest tied index
+    while remaining:
+        while top:
+            heap = buckets[top]
+            while heap and state[heap[0]]:
+                heappop(heap)
+            if heap:
+                break
+            top -= 1
+        if top:
+            v = heappop(buckets[top])
+        else:
+            while state[zero_bucket[cursor]]:
+                cursor += 1
+            v = zero_bucket[cursor]
+            cursor += 1
+
         state[v] = 1
-        measure[v] = -1
         remaining -= 1
         for u in indices[indptr[v]:indptr[v + 1]]:
-            if state[u] == 0:
-                state[u] = -1
-                measure[u] = -1
-                remaining -= 1
-                nbrs = indices[indptr[u]:indptr[u + 1]]
-                live = nbrs[state[nbrs] == 0]
-                measure[live] += 1
+            if state[u]:
+                continue
+            state[u] = 2
+            remaining -= 1
+            for w in indices[indptr[u]:indptr[u + 1]]:
+                if not state[w]:
+                    m = measure[w] + 1
+                    measure[w] = m
+                    heappush(buckets[m], w)
+                    if m > top:
+                        top = m
 
-    return BlockSplit.from_c_points(n, np.flatnonzero(state == 1))
+    c_points = np.flatnonzero(np.frombuffer(state, dtype=np.uint8) == 1)
+    return BlockSplit.from_c_points(n, c_points)
 
 
 def pattern_distance_k(S, split, k):

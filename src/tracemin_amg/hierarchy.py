@@ -34,13 +34,18 @@ __all__ = [
 @dataclass
 class Level:
     """One level: its operator, interpolation to the next level (absent
-    on the coarsest), the CF splitting, and the relaxation used here."""
+    on the coarsest), the CF splitting, and the relaxation used here.
+
+    diagonal caches diag(A) for the relaxation sweeps; a level built
+    without it has its sweeps read the diagonal from A each time.
+    """
 
     A: sparse.csr_matrix
     P: sparse.csr_matrix = None
     split: object = None
     relaxation: Relaxation = None
     emin_residuals: list = None
+    diagonal: np.ndarray = None
 
 
 @dataclass
@@ -79,7 +84,7 @@ class SetupConfig:
     mode is 'weighted' or 'constrained'; tau only matters for the
     weighted route.  emin_iters defaults to pattern_degree + 3 (enough
     to fill the pattern plus a few improvement steps).  jacobi_omega
-    'auto' damps each level by 4/3 over the estimated spectral radius
+    'auto' damps each level by 1.5 over the estimated spectral radius
     of D^{-1} A.  candidates holds raw constraint vectors (default: the
     constant vector).
     """
@@ -122,11 +127,15 @@ def galerkin_product(P, A):
     return Ac
 
 
-def _level_relaxation(A, cfg):
+def _new_level(A, cfg, **fields):
+    """A level on A with its diagonal and Jacobi relaxation, both
+    computed once here."""
+    diagonal = A.diagonal()
     omega = cfg.jacobi_omega
     if omega == "auto":
-        omega = auto_jacobi_omega(A)
-    return Relaxation("jacobi", omega=float(omega), sweeps=cfg.sweeps)
+        omega = auto_jacobi_omega(A, diagonal=diagonal)
+    relaxation = Relaxation("jacobi", omega=float(omega), sweeps=cfg.sweeps)
+    return Level(A=A, relaxation=relaxation, diagonal=diagonal, **fields)
 
 
 def _split_with_retries(A, theta):
@@ -159,7 +168,7 @@ def setup(A, cfg):
         n = A.shape[0]
         last = len(levels) == cfg.max_levels - 1 or n <= cfg.max_coarse
         if last:
-            levels.append(Level(A=A, relaxation=_level_relaxation(A, cfg)))
+            levels.append(_new_level(A, cfg))
             break
 
         S, split = _split_with_retries(A, cfg.theta_strength)
@@ -173,9 +182,8 @@ def setup(A, cfg):
             interp = weighted_energymin(A, split, B, cfg.x_equivalence, cfg.tau,
                                         pattern, iters, tol=cfg.emin_tol,
                                         use_preconditioner=cfg.use_preconditioner)
-        levels.append(Level(A=A, P=interp.P, split=split,
-                            relaxation=_level_relaxation(A, cfg),
-                            emin_residuals=interp.residuals))
+        levels.append(_new_level(A, cfg, P=interp.P, split=split,
+                                 emin_residuals=interp.residuals))
         A = galerkin_product(interp.P, A)
         raw = raw[split.c_points]  # candidate injection onto the coarse grid
 
@@ -190,12 +198,12 @@ def vcycle(H, level, x, b):
     lvl = H.levels[level]
     if level == H.n_levels - 1:
         return cho_solve(H.coarsest_factorization, b)
-    x = relax_sweep(lvl.relaxation, lvl.A, x, b)
+    x = relax_sweep(lvl.relaxation, lvl.A, x, b, diagonal=lvl.diagonal)
     r = b - lvl.A @ x
     r_coarse = lvl.P.T @ r
     e_coarse = vcycle(H, level + 1, np.zeros(len(r_coarse)), r_coarse)
     x = x + lvl.P @ e_coarse
-    return relax_sweep(lvl.relaxation, lvl.A, x, b)
+    return relax_sweep(lvl.relaxation, lvl.A, x, b, diagonal=lvl.diagonal)
 
 
 def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):

@@ -73,22 +73,26 @@ class SpectralEquivalence:
         return np.diag(self.diagonal(A))
 
 
-def relax_sweep(rel, A, x, b):
+def relax_sweep(rel, A, x, b, diagonal=None):
     """Apply `rel.sweeps` relaxation passes to A x = b, returning new x.
 
     Jacobi uses M = (1/omega) diag(A); Gauss-Seidel uses the lower
     triangle of A including the diagonal, in forward ordering.
+    `diagonal` is diag(A) already computed and checked nonzero by the
+    caller (a hierarchy level caches it); when omitted it is read from
+    A and checked here.
     """
     x = np.asarray(x, dtype=np.float64).copy()
     b = np.asarray(b, dtype=np.float64)
     if x.shape[0] != A.shape[0] or b.shape[0] != A.shape[0]:
         raise ValueError("vector lengths do not match the matrix dimension")
-    diag = A.diagonal()
-    if np.any(diag == 0.0):
-        raise ValueError("matrix has a zero diagonal entry")
+    if diagonal is None:
+        diagonal = A.diagonal()
+        if np.any(diagonal == 0.0):
+            raise ValueError("matrix has a zero diagonal entry")
     if rel.kind == "jacobi":
         for _ in range(rel.sweeps):
-            x += rel.omega * (b - A @ x) / diag
+            x += rel.omega * (b - A @ x) / diagonal
     else:
         L = sparse.tril(A, k=0, format="csr")
         for _ in range(rel.sweeps):
@@ -124,15 +128,16 @@ def is_a_convergent(A, M):
     return bool(w[0] > 1e-12 * scale)
 
 
-def auto_jacobi_omega(A, coefficient=1.5):
+def auto_jacobi_omega(A, coefficient=1.5, diagonal=None):
     """Damping weight `coefficient` / rho(diag(A)^{-1} A) for smoothing.
 
     rho is estimated by power iteration on the symmetrically scaled
     operator D^{-1/2} A D^{-1/2}.  The default coefficient 1.5 balances
     damping of the highest modes against sweep strength across the
-    densifying coarse-level operators.
+    densifying coarse-level operators.  `diagonal` is diag(A) when the
+    caller already holds it.
     """
-    d = np.asarray(A.diagonal(), dtype=np.float64)
+    d = np.asarray(A.diagonal() if diagonal is None else diagonal, dtype=np.float64)
     if np.any(d <= 0.0):
         raise ValueError("matrix diagonal must be positive")
     dinv_sqrt = 1.0 / np.sqrt(d)

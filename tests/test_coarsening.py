@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import sparse
 
-from tracemin_amg.coarsening import (BlockSplit, cf_split, pattern_distance_k,
-                                     strength_graph)
+from tracemin_amg import hierarchy
+from tracemin_amg.coarsening import (BlockSplit, StrengthGraph, cf_split,
+                                     pattern_distance_k, strength_graph)
 from tracemin_amg.linalg import csr_from_triplets
 from tracemin_amg.problems import ProblemSpec, assemble
 
@@ -94,6 +98,82 @@ def test_cf_split_coarsening_ratio_band():
     split = cf_split(strength_graph(A, 0.25))
     ratio = split.n_c / split.n
     assert 0.2 <= ratio <= 0.6
+
+
+def reference_c_points(S):
+    """The original quadratic greedy pass: one argmax over all measures
+    per C point (argmax takes the lowest tied index)."""
+    adj = S.adjacency
+    n = adj.shape[0]
+    indptr, indices = adj.indptr, adj.indices
+    state = np.zeros(n, dtype=np.int8)  # 0 unassigned, 1 C, -1 F
+    state[np.diff(indptr) == 0] = 1
+    measure = np.where(state == 0, 0, -1).astype(np.int64)
+    remaining = int(np.sum(state == 0))
+    while remaining > 0:
+        v = int(np.argmax(measure))
+        state[v] = 1
+        measure[v] = -1
+        remaining -= 1
+        for u in indices[indptr[v]:indptr[v + 1]]:
+            if state[u] == 0:
+                state[u] = -1
+                measure[u] = -1
+                remaining -= 1
+                nbrs = indices[indptr[u]:indptr[u + 1]]
+                measure[nbrs[state[nbrs] == 0]] += 1
+    return np.flatnonzero(state == 1)
+
+
+@st.composite
+def symmetric_strength_graphs(draw):
+    """Symmetric graphs from empty to complete, split into two vertex
+    ranges with no edge between them (so isolated vertices and several
+    components are common), and optionally stored with unsorted columns
+    and some edges repeated."""
+    n = draw(st.integers(0, 24))
+    grades = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                           max_size=n * (n - 1) // 2))
+    density = draw(st.integers(0, 4))  # edge iff grade < density: 0 none, 4 all
+    cut = draw(st.integers(0, n))
+    iu, ju = np.triu_indices(n, k=1)
+    grades = np.array(grades, dtype=np.int64)
+    keep = (grades < density) & ((iu < cut) == (ju < cut))
+    rows = np.concatenate([iu[keep], ju[keep]])
+    cols = np.concatenate([ju[keep], iu[keep]])
+    if draw(st.booleans()):
+        # raw CSR, columns in reverse order, edges of grade 0 stored twice
+        copies = np.tile(1 + (grades[keep] == 0), 2)
+        order = np.lexsort((-cols, rows))
+        rows, cols, copies = rows[order], cols[order], copies[order]
+        rows, cols = np.repeat(rows, copies), np.repeat(cols, copies)
+        indptr = np.searchsorted(rows, np.arange(n + 1))
+        adj = sparse.csr_matrix((np.full(len(cols), 0.5), cols, indptr), shape=(n, n))
+    else:
+        adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n))
+    return StrengthGraph(adj, 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_strength_graphs())
+def test_cf_split_matches_reference_on_random_graphs(S):
+    split = cf_split(S)
+    assert np.array_equal(split.c_points, reference_c_points(S))
+
+
+def test_cf_split_matches_reference_on_every_level(monkeypatch):
+    A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
+    graphs = []
+
+    def recording_cf_split(S):
+        graphs.append(S)
+        return cf_split(S)
+
+    monkeypatch.setattr(hierarchy, "cf_split", recording_cf_split)
+    H = hierarchy.setup(A, hierarchy.SetupConfig(pattern_degree=4))
+    assert len(graphs) == H.n_levels - 1 >= 3
+    for S in graphs:
+        assert np.array_equal(cf_split(S).c_points, reference_c_points(S))
 
 
 def test_block_split_views():

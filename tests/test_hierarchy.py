@@ -190,3 +190,20 @@ def test_measure_convergence_factor_reproducible():
     cf1, hist1 = measure_convergence_factor(H, seed=7)
     cf2, hist2 = measure_convergence_factor(H, seed=7)
     assert cf1 == cf2 and hist1 == hist2
+
+
+def test_cached_diagonal_keeps_solves_bit_identical():
+    A = assemble(ProblemSpec("rotated_anisotropic", 16, epsilon=1e-3)).matrix
+    H = setup(A, SetupConfig(pattern_degree=2))
+    assert H.n_levels >= 2
+    for lvl in H.levels:
+        assert np.array_equal(lvl.diagonal, lvl.A.diagonal())
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+
+    _, cached = solve(H, b, accel="cg")
+    cached_cf = measure_convergence_factor(H, seed=5)
+    for lvl in H.levels:
+        lvl.diagonal = None  # sweeps read diag(A) from the matrix again
+    _, recomputed = solve(H, b, accel="cg")
+    assert cached == recomputed
+    assert cached_cf == measure_convergence_factor(H, seed=5)
