@@ -75,13 +75,16 @@ class BlockSplit:
     def n_f(self):
         return len(self.f_points)
 
+    def f_blocks(self, A):
+        """(A_ff, A_fc): the F rows of A, extracted once, split by column."""
+        Af = A[self.f_points]
+        return Af[:, self.f_points].tocsr(), Af[:, self.c_points].tocsr()
+
     def blocks(self, A):
         """The four block views of A in this splitting's local orderings."""
-        f, c = self.f_points, self.c_points
-        Af = A[f]
-        Ac = A[c]
-        return (Af[:, f].tocsr(), Af[:, c].tocsr(),
-                Ac[:, f].tocsr(), Ac[:, c].tocsr())
+        Ac = A[self.c_points]
+        return (*self.f_blocks(A), Ac[:, self.f_points].tocsr(),
+                Ac[:, self.c_points].tocsr())
 
     def cf_permutation(self):
         """Original indices in CF order (all F points, then all C points)."""
@@ -228,18 +231,19 @@ def pattern_distance_k(S, split, k):
     """Interpolation pattern reaching C points within k strength edges.
 
     (i, j) is allowed iff F point i is reachable from C point j by a
-    path of at most k edges in the strength graph.
+    path of at most k edges in the strength graph.  Reach is a boolean
+    SpGEMM, whose sums are logical ORs, so path counts never overflow:
+    the pattern is adj[F] @ (adj + I)^(k-1) restricted to the C columns,
+    evaluated right to left so each product has only n_c columns.
     """
     if k < 1:
         raise ValueError("pattern degree must be at least 1")
-    adj = (S.adjacency != 0).astype(np.int8).tocsr()
-    reach = adj.copy()
-    acc = adj.copy()
+    adj = (S.adjacency != 0).tocsr()
+    eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")
+    step, reach = adj + eye, eye[:, split.c_points]
     for _ in range(k - 1):
-        reach = ((reach @ adj) != 0).astype(np.int8).tocsr()
-        acc = ((acc + reach) != 0).astype(np.int8).tocsr()
-
-    block = acc[split.f_points][:, split.c_points].tocsr()
+        reach = step @ reach
+    block = adj[split.f_points] @ reach
     block.sort_indices()
     indptr = block.indptr.astype(np.int64)
     cols = block.indices.astype(np.int64)

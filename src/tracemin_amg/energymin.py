@@ -88,21 +88,12 @@ def prepare_candidates(A, raw):
     return CandidateSet(np.column_stack(cols))
 
 
-def _csr_values_at(S, rows, cols):
-    """Values of csr matrix S at the given (row, col) positions (0 where
-    no entry is stored).  Positions must be sorted by (row, col)."""
-    S.sort_indices()
-    ncols = S.shape[1]
-    s_rows = np.repeat(np.arange(S.shape[0], dtype=np.int64), np.diff(S.indptr))
-    s_keys = s_rows * ncols + S.indices
-    keys = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
-    pos = np.searchsorted(s_keys, keys)
-    out = np.zeros(len(keys))
-    inside = pos < len(s_keys)
-    hit = inside.copy()
-    hit[inside] = s_keys[pos[inside]] == keys[inside]
-    out[hit] = S.data[pos[hit]]
-    return out
+def _slot_values(S, slot_rows, cols):
+    """Values of the sparse matrix S at the pattern slots (slot_rows,
+    cols), 0 where S stores nothing.  CSR sampling reads each slot from
+    its row of S (scanning it, or bisecting when S is canonical), so S
+    may be an unsorted SpGEMM product with entries off the pattern."""
+    return np.asarray(S[slot_rows, cols]).ravel()
 
 
 class _RowConstraints:
@@ -177,6 +168,8 @@ class WeightedSystem:
     Bhat: PatternMatrix
     Dprec: PatternMatrix
     slot_rows: np.ndarray
+    Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
+    cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
 
     @property
     def BcBcT(self):
@@ -206,7 +199,7 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     """
     if not (0.0 <= tau <= 1.0):
         raise ValueError("tau must lie in [0, 1]")
-    A_ff, A_fc, _, _ = split.blocks(A)
+    A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
     x_diag = X.diagonal(A_ff)
     c2 = X.c2
@@ -227,14 +220,15 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     shape = (pattern.nf, pattern.nc)
     Dprec = PatternMatrix(shape, pattern.indptr, cols, 1.0 / denom)
 
-    bhat = -tau * _csr_values_at(A_fc.tocsr(), slot_rows, cols)
+    Bc_slots = B_c[cols]
+    cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
+    bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     if tau < 1.0:
-        bf_bc = np.einsum("ik,ik->i", B_f[slot_rows], B_c[cols])
-        bhat = bhat + c2 * (1.0 - tau) * x_diag[slot_rows] * bf_bc
+        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
     Bhat = PatternMatrix(shape, pattern.indptr, cols, bhat)
 
-    return WeightedSystem(tau, c2, A_ff.tocsr(), A_fc.tocsr(), x_diag,
-                          B_f, B_c, pattern, Bhat, Dprec, slot_rows)
+    return WeightedSystem(tau, c2, A_ff, A_fc, x_diag, B_f, B_c, pattern,
+                          Bhat, Dprec, slot_rows, Bc_slots, cand_scale)
 
 
 def apply_weighted_operator(sys, values):
@@ -244,12 +238,10 @@ def apply_weighted_operator(sys, values):
     out = np.zeros(pat.nnz)
     W = sparse.csr_matrix((values, pat.cols, pat.indptr), shape=(pat.nf, pat.nc))
     if sys.tau > 0.0:
-        S = (sys.A_ff @ W).tocsr()
-        out += sys.tau * _csr_values_at(S, sys.slot_rows, pat.cols)
+        out += sys.tau * _slot_values(sys.A_ff @ W, sys.slot_rows, pat.cols)
     if sys.tau < 1.0:
         V = W @ sys.B_c                                   # (nf, n_b)
-        vb = np.einsum("ik,ik->i", V[sys.slot_rows], sys.B_c[pat.cols])
-        out += sys.c2 * (1.0 - sys.tau) * sys.X_ff_diag[sys.slot_rows] * vb
+        out += sys.cand_scale * np.einsum("ik,ik->i", V[sys.slot_rows], sys.Bc_slots)
     return out
 
 
@@ -338,7 +330,7 @@ def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
     too short for the full constraint block hold their least-squares
     values.
     """
-    A_ff, A_fc, _, _ = split.blocks(A)
+    A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
     rows = _RowConstraints(B_c, pattern)
     counts = np.diff(pattern.indptr)
@@ -347,14 +339,13 @@ def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
     if np.any(aff_diag <= 0.0):
         raise ValueError("A_ff must have a positive diagonal")
     dinv = 1.0 / aff_diag[slot_rows]
-    afc_vals = _csr_values_at(A_fc.tocsr(), slot_rows, pattern.cols)
+    afc_vals = _slot_values(A_fc, slot_rows, pattern.cols)
 
     def energy_op(values):
         """(A_ff W) restricted to the pattern."""
         W = sparse.csr_matrix((values, pattern.cols, pattern.indptr),
                               shape=(pattern.nf, pattern.nc))
-        S = (A_ff @ W).tocsr()
-        return _csr_values_at(S, slot_rows, pattern.cols)
+        return _slot_values(A_ff @ W, slot_rows, pattern.cols)
 
     w = rows.min_norm_solution(B_f)
     r = rows.project(-(energy_op(w) + afc_vals))

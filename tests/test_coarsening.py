@@ -234,3 +234,72 @@ def test_pattern_rejects_nonpositive_degree():
     S = strength_graph(lap1d(4), 0.25)
     with pytest.raises(ValueError):
         pattern_distance_k(S, cf_split(S), 0)
+
+
+def test_pattern_keeps_pair_joined_by_256_paths():
+    # F point 0 and C point 257 share the 256 hub neighbours 1..256, so
+    # 256 paths of length 2 join them: a count that wraps to 0 in int8
+    hubs = np.arange(1, 257)
+    ends = np.concatenate([np.zeros(256, dtype=np.int64), np.full(256, 257)])
+    rows = np.concatenate([ends, np.tile(hubs, 2)])
+    cols = np.concatenate([np.tile(hubs, 2), ends])
+    adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(258, 258))
+    split = BlockSplit.from_c_points(258, [257])
+    pattern = pattern_distance_k(StrengthGraph(adj, 0.25), split, 2)
+    assert np.array_equal(pattern.cols[pattern.indptr[0]:pattern.indptr[1]], [0])
+    assert len(pattern.empty_f_rows) == 0
+
+
+def reference_pattern_rows(S, split, k):
+    """Breadth-first search from every F point: the sorted C-local
+    indices within k edges."""
+    dense = S.adjacency.toarray() != 0
+    rows = []
+    for i in split.f_points:
+        seen = np.zeros(split.n, dtype=bool)
+        seen[i] = True
+        frontier = seen.copy()
+        for _ in range(k):
+            frontier = dense[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        rows.append(split.local[seen & split.is_c])
+    return rows
+
+
+@st.composite
+def pattern_cases(draw):
+    """A random symmetric strength graph, up to two hub vertices joined
+    to any subset of it, a random CF split and a degree in 1..4."""
+    S = draw(symmetric_strength_graphs())
+    n0 = S.adjacency.shape[0]
+    n_hubs = draw(st.integers(0, 2))
+    if n_hubs:
+        base = S.adjacency.tocoo()
+        rows, cols = [base.row], [base.col]
+        for hub in range(n0, n0 + n_hubs):
+            spokes = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n0 + n_hubs,
+                                                  max_size=n0 + n_hubs)))
+            spokes = spokes[spokes != hub]
+            rows += [np.full(len(spokes), hub), spokes]
+            cols += [spokes, np.full(len(spokes), hub)]
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        n = n0 + n_hubs
+        adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n))
+        S = StrengthGraph(adj, 0.25)
+    n = S.adjacency.shape[0]
+    is_c = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    split = BlockSplit.from_c_points(n, np.flatnonzero(is_c))
+    return S, split, draw(st.integers(1, 4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pattern_cases())
+def test_pattern_matches_breadth_first_search(case):
+    S, split, k = case
+    pattern = pattern_distance_k(S, split, k)
+    expected = reference_pattern_rows(S, split, k)
+    lengths = [len(r) for r in expected]
+    assert np.array_equal(np.diff(pattern.indptr), lengths)
+    assert np.array_equal(pattern.cols, np.concatenate([np.zeros(0, np.int64)] + expected))
+    assert np.array_equal(pattern.empty_f_rows, np.flatnonzero(np.array(lengths) == 0))
+    assert pattern.cols.dtype == np.int64 and pattern.indptr.dtype == np.int64

@@ -3,14 +3,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from tracemin_amg.coarsening import BlockSplit, SparsityPattern, \
+from tracemin_amg import energymin
+from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
-from tracemin_amg.energymin import (CandidateSet, apply_weighted_operator,
+from tracemin_amg.energymin import (CandidateSet, _slot_values, apply_weighted_operator,
                                     assemble_P, build_weighted_system,
                                     constrained_energymin, initial_guess,
                                     pcg_frobenius, prepare_candidates,
                                     quadratic_value, weighted_energymin)
 from tracemin_amg.linalg import PatternMatrix, csr_from_triplets
+from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import SpectralEquivalence
 
 
@@ -425,3 +427,110 @@ def test_assemble_P_shape_mismatch():
     W = PatternMatrix((3, 2), np.array([0, 1, 1, 2]), np.array([0, 1]))
     with pytest.raises(ValueError):
         assemble_P(W, split)
+
+
+# ---------------- pattern-slot extraction ----------------
+
+def reference_values_at(S, rows, cols):
+    """The sort-and-searchsorted extraction: sort S's rows, key every
+    stored entry by row * ncols + col and look the slots up globally."""
+    S = S.tocsr()
+    S.sort_indices()
+    ncols = S.shape[1]
+    s_rows = np.repeat(np.arange(S.shape[0], dtype=np.int64), np.diff(S.indptr))
+    s_keys = s_rows * ncols + S.indices
+    keys = np.asarray(rows, dtype=np.int64) * ncols + np.asarray(cols, dtype=np.int64)
+    pos = np.searchsorted(s_keys, keys)
+    out = np.zeros(len(keys))
+    inside = pos < len(s_keys)
+    hit = inside.copy()
+    hit[inside] = s_keys[pos[inside]] == keys[inside]
+    out[hit] = S.data[pos[hit]]
+    return out
+
+
+def test_slot_values_of_unsorted_product_match_sorted_lookup():
+    rng = np.random.default_rng(11)
+    nf, nc = 40, 15
+    A_ff = sparse.random(nf, nf, density=0.2, random_state=5, format="csr") \
+        + sparse.identity(nf, format="csr")
+    # row 0 is 1 at column 1 and -1 at column 2: with W rows 1 and 2
+    # equal, every product entry of row 0 sums to an exact zero
+    A_ff = A_ff.tolil()
+    A_ff[0, :] = 0.0
+    A_ff[0, 1], A_ff[0, 2] = 1.0, -1.0
+    A_ff = A_ff.tocsr()
+    pattern = random_pattern(rng, nf, nc, fill=0.3)
+    values = rng.standard_normal(pattern.nnz)
+    W = sparse.csr_matrix((values, pattern.cols, pattern.indptr), shape=(nf, nc)).toarray()
+    W[2] = W[1]
+    W = sparse.csr_matrix(W)
+    S = A_ff @ W
+    assert not S.has_sorted_indices
+    slot_rows = np.repeat(np.arange(nf, dtype=np.int64), np.diff(pattern.indptr))
+    out = _slot_values(S, slot_rows, pattern.cols)
+    expected = reference_values_at(S.copy(), slot_rows, pattern.cols)
+    assert np.array_equal(out, expected)
+    stored = set(zip(*S.nonzero()))
+    slots = list(zip(slot_rows.tolist(), pattern.cols.tolist()))
+    hit = np.array([slot in stored for slot in slots])
+    assert len(stored - set(slots)) > 0  # entries off the pattern
+    assert not hit[slot_rows == 0].any()  # row 0's exact-zero sums are not stored
+    assert np.all(out[~hit] == 0.0) and np.all(out[hit] != 0.0)
+
+
+def reference_weighted_apply(sys, values):
+    """Lhat on the pattern by the sorted extraction, with the candidate
+    term's constants recomputed on every apply."""
+    pat = sys.pattern
+    out = np.zeros(pat.nnz)
+    W = sparse.csr_matrix((values, pat.cols, pat.indptr), shape=(pat.nf, pat.nc))
+    if sys.tau > 0.0:
+        out += sys.tau * reference_values_at(sys.A_ff @ W, sys.slot_rows, pat.cols)
+    if sys.tau < 1.0:
+        vb = np.einsum("ik,ik->i", (W @ sys.B_c)[sys.slot_rows], sys.B_c[pat.cols])
+        out += sys.c2 * (1.0 - sys.tau) * sys.X_ff_diag[sys.slot_rows] * vb
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-4, 0.5, 1.0])
+def test_weighted_apply_and_rhs_bit_identical_to_sorted_extraction(tau):
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        A, split, pattern, B, _ = random_instance(rng, int(rng.integers(10, 40)),
+                                                  n_b=2, tau=tau, fill=0.3)
+        # c2 != 1 so that the order of the candidate term's products shows
+        X = SpectralEquivalence(c2=1.7)
+        sys = build_weighted_system(A, split, B, X, tau, pattern)
+        w = rng.standard_normal(pattern.nnz)
+        assert np.array_equal(apply_weighted_operator(sys, w),
+                              reference_weighted_apply(sys, w))
+        B_f, B_c = B.split_rows(split)
+        _, A_fc, _, _ = split.blocks(A)
+        bhat = -tau * reference_values_at(A_fc, sys.slot_rows, pattern.cols)
+        if tau < 1.0:
+            bf_bc = np.einsum("ik,ik->i", B_f[sys.slot_rows], B_c[pattern.cols])
+            bhat = bhat + sys.c2 * (1.0 - tau) * sys.X_ff_diag[sys.slot_rows] * bf_bc
+        assert np.array_equal(sys.Bhat.values, bhat)
+
+
+@pytest.mark.parametrize("mode", ["constrained", "weighted"])
+def test_energymin_routes_bit_identical_to_sorted_extraction(mode, monkeypatch):
+    A = assemble(ProblemSpec("rotated_anisotropic", 24, epsilon=1e-3)).matrix
+    S = strength_graph(A, 0.4)
+    split = cf_split(S)
+    pattern = pattern_distance_k(S, split, 3)
+    B = prepare_candidates(A, np.ones(A.shape[0]))
+
+    def run():
+        if mode == "constrained":
+            return constrained_energymin(A, split, B, pattern, 6)
+        return weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4,
+                                  pattern, 6, tol=0.0)
+
+    got = run()
+    monkeypatch.setattr(energymin, "_slot_values", reference_values_at)
+    expected = run()
+    assert len(got.residuals) == 7
+    assert np.array_equal(got.residuals, expected.residuals)
+    assert np.array_equal(got.W.values, expected.W.values)

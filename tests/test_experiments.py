@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -168,3 +169,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(problem=prob, constraint_source="constant",
                          n_constraint_vectors=2)
+
+
+def test_sweep_csv_digest_is_pinned():
+    # Byte-identical sweep output for a fixed seed: setup kernels rewritten
+    # for speed must leave every CSV field unchanged.  Fields print 10
+    # significant digits, so the digest does not depend on the BLAS build.
+    cfg = ExperimentConfig(problem=ProblemSpec("oscillatory", 16, K=1e6),
+                           modes=["weighted", "constrained"], taus=[1e-1, 1e-4],
+                           emin_iters=[1, 4], seed=0)
+    text = rows_to_csv_text(run_experiment(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "07735f7b300bc4a62955cc2c8f71cc47cf82645eab559dfd5023412a44333999"

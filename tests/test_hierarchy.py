@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+from tracemin_amg import hierarchy
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
@@ -207,3 +208,50 @@ def test_cached_diagonal_keeps_solves_bit_identical():
     _, recomputed = solve(H, b, accel="cg")
     assert cached == recomputed
     assert cached_cf == measure_convergence_factor(H, seed=5)
+
+
+def reference_galerkin(P, A):
+    """P^T A P through CSC, with the skew recomputed on every call."""
+    Ac = (P.T @ (A @ P)).tocsr()
+    skew = abs(A - A.T)
+    if skew.nnz == 0 or skew.max() <= 1e-14 * abs(A).max():
+        Ac = ((Ac + Ac.T) * 0.5).tocsr()
+    Ac.sort_indices()
+    return Ac
+
+
+def assert_same_csr(X, Y):
+    assert np.array_equal(X.indptr, Y.indptr)
+    assert np.array_equal(X.indices, Y.indices)
+    assert np.array_equal(X.data, Y.data)
+
+
+def test_galerkin_bit_identical_to_csc_product_on_every_level(monkeypatch):
+    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
+    calls = []
+
+    def recording_galerkin(P, A):
+        Ac = galerkin_product(P, A)
+        calls.append((P, A, Ac))
+        return Ac
+
+    monkeypatch.setattr(hierarchy, "galerkin_product", recording_galerkin)
+    H = setup(A, SetupConfig(pattern_degree=4))
+    assert len(calls) == H.n_levels - 1 >= 3
+    for P, A_l, Ac in calls:
+        assert_same_csr(Ac, reference_galerkin(P, A_l))
+        assert (Ac != Ac.T).nnz == 0
+
+
+def test_galerkin_nonsymmetric_operator_not_symmetrized():
+    A = sparse.random(30, 30, density=0.2, random_state=6, format="csr") \
+        + sparse.identity(30, format="csr")
+    P = sparse.random(30, 9, density=0.3, random_state=7, format="csr")
+    Ac = galerkin_product(P, A)
+    expected = (P.T @ (A @ P)).tocsr()
+    expected.sort_indices()
+    assert_same_csr(Ac, expected)
+    assert_same_csr(Ac, reference_galerkin(P, A))
+    assert (Ac != Ac.T).nnz > 0
+    dense_p = P.toarray()
+    assert_allclose(Ac.toarray(), dense_p.T @ A.toarray() @ dense_p, rtol=1e-13, atol=1e-14)
