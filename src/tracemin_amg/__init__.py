@@ -12,11 +12,11 @@ from .energymin import (CandidateSet, Interpolation, WeightedSystem, assemble_P,
 from .experiments import (ConvergenceReport, ExperimentConfig,
                           adaptive_constraints, convergence_report,
                           measure_report, run_experiment)
-from .hierarchy import (Hierarchy, Level, SetupConfig, galerkin_product,
-                        measure_convergence_factor, setup, solve, vcycle)
-from .linalg import (PatternMatrix, Permutation, csr_from_triplets,
-                     dense_sym_eig, pattern_inner, perfect_shuffle,
-                     read_matrix_market, spmv, write_matrix_market)
+from .hierarchy import (Hierarchy, Level, SetupConfig, convergence_factor,
+                        galerkin_product, measure_convergence_factor, setup,
+                        solve, vcycle)
+from .linalg import (Permutation, dense_sym_eig, perfect_shuffle,
+                     read_matrix_market, write_matrix_market)
 from .problems import (Problem, ProblemSpec, assemble,
                        assemble_oscillatory, assemble_rotated_anisotropic)
 from .relaxation import (Relaxation, SpectralEquivalence, is_a_convergent,

@@ -13,7 +13,7 @@ rather than one O(N) scan per C point.
 """
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -41,8 +41,8 @@ class BlockSplit:
     """A CF partition of 0..n-1.
 
     c_points and f_points are sorted index arrays; is_c marks the side
-    of each index and `local` gives its position within its side.  The
-    split induces the block views A_ff, A_fc, A_cf, A_cc.
+    of each index and `local` gives its position within its side.
+    Interpolation reads the F rows of A through f_blocks.
     """
 
     c_points: np.ndarray
@@ -80,12 +80,6 @@ class BlockSplit:
         Af = A[self.f_points]
         return Af[:, self.f_points].tocsr(), Af[:, self.c_points].tocsr()
 
-    def blocks(self, A):
-        """The four block views of A in this splitting's local orderings."""
-        Ac = A[self.c_points]
-        return (*self.f_blocks(A), Ac[:, self.f_points].tocsr(),
-                Ac[:, self.c_points].tocsr())
-
     def cf_permutation(self):
         """Original indices in CF order (all F points, then all C points)."""
         return np.concatenate([self.f_points, self.c_points])
@@ -93,8 +87,12 @@ class BlockSplit:
 
 @dataclass(frozen=True)
 class SparsityPattern:
-    """Allowed (F-local, C-local) positions of the interpolation weights,
-    stored row-wise like a PatternMatrix layout.
+    """Allowed (F-local, C-local) positions of the interpolation weights.
+
+    Stored row-wise like CSR: F row i owns the slots indptr[i]:indptr[i+1]
+    with sorted C-local columns `cols`.  A weight block over the pattern
+    is a float64 array of slot values; slot_rows holds the row of every
+    slot, and to_csr turns slot values into the nf x nc matrix.
 
     empty_f_rows flags F points that reach no C point within the given
     graph distance; callers decide whether that is an error.
@@ -104,8 +102,18 @@ class SparsityPattern:
     nc: int
     indptr: np.ndarray
     cols: np.ndarray
-    degree: int
-    empty_f_rows: np.ndarray
+    slot_rows: np.ndarray = field(init=False, repr=False)
+    empty_f_rows: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        counts = np.diff(self.indptr)
+        object.__setattr__(self, "slot_rows",
+                           np.repeat(np.arange(self.nf, dtype=np.int64), counts))
+        object.__setattr__(self, "empty_f_rows", np.flatnonzero(counts == 0))
+
+    def to_csr(self, values):
+        """The weight block with `values` at the slots, explicit zeros kept."""
+        return sparse.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
 
     @property
     def shape(self):
@@ -245,7 +253,5 @@ def pattern_distance_k(S, split, k):
         reach = step @ reach
     block = adj[split.f_points] @ reach
     block.sort_indices()
-    indptr = block.indptr.astype(np.int64)
-    cols = block.indices.astype(np.int64)
-    empty = np.flatnonzero(np.diff(indptr) == 0)
-    return SparsityPattern(split.n_f, split.n_c, indptr, cols, k, empty)
+    return SparsityPattern(split.n_f, split.n_c, block.indptr.astype(np.int64),
+                           block.indices.astype(np.int64))

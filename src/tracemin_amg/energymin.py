@@ -2,26 +2,29 @@
 
 Two routes build the weight block W over a fixed sparsity pattern:
 
-* weighted minimization: conjugate gradients on the pattern-restricted
-  normal equations Lhat W = Bhat in the Frobenius-inner-product Hilbert
-  space, where Lhat W = tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T is a
-  weighted blend of column energy and candidate interpolation error,
-  preconditioned by a Hadamard product with the entry-wise diagonal
-  inverse of the operator;
+* weighted minimization: the pattern-restricted normal equations
+  Lhat W = Bhat, where Lhat W = tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T
+  is a weighted blend of column energy and candidate interpolation
+  error, preconditioned by a Hadamard product with the entry-wise
+  diagonal inverse of the operator;
 
 * constrained minimization: the candidate-interpolation conditions
   W B_c = B_f are enforced exactly and the column energy is minimized
-  by diagonally preconditioned CG projected onto the constraint's null
-  space row by row.
+  with a diagonal preconditioner, every direction projected onto the
+  constraint's null space row by row.
+
+Both run the one preconditioned CG, pcg_frobenius, on the slot values
+of W (the Frobenius inner product of matrices on one pattern is the dot
+product of their slot values).
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 
 from .coarsening import BlockSplit, SparsityPattern
-from .linalg import PatternMatrix
 
 __all__ = [
     "CandidateSet",
@@ -49,10 +52,6 @@ class CandidateSet:
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError("candidate set must hold at least one column")
         object.__setattr__(self, "vectors", v)
-
-    @property
-    def n_vectors(self):
-        return self.vectors.shape[1]
 
     def split_rows(self, split):
         """(B_f, B_c): candidate rows at F points and at C points."""
@@ -119,7 +118,6 @@ class _RowConstraints:
             G = np.einsum("rmk,rml->rkl", C, C)       # (R, n_b, n_b)
             Gp = np.linalg.pinv(G)
             self.groups.append((rows, slots, C, Gp))
-        self.empty_rows = np.flatnonzero(lengths == 0)
 
     def project(self, values):
         """Project slot values onto {Z : Z B_c = 0}, row by row."""
@@ -145,7 +143,7 @@ class _RowConstraints:
             b = B_f[rows]                              # (R, n_b)
             s = np.einsum("rkl,rl->rk", Gp, b)
             values[slots] = np.einsum("rmk,rk->rm", C, s)
-        for i in self.empty_rows:
+        for i in self.pattern.empty_f_rows:
             if np.abs(B_f[i]).max() > rtol * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "
                                  f"constraint target is nonzero")
@@ -165,20 +163,14 @@ class WeightedSystem:
     B_f: np.ndarray
     B_c: np.ndarray
     pattern: SparsityPattern
-    Bhat: PatternMatrix
-    Dprec: PatternMatrix
-    slot_rows: np.ndarray
+    Bhat: np.ndarray          # slot values
+    Dprec: np.ndarray         # slot values
     Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
 
     @property
     def BcBcT(self):
         return self.B_c @ self.B_c.T
-
-    def template(self):
-        """A zero pattern matrix in this system's Hilbert space."""
-        return PatternMatrix((self.pattern.nf, self.pattern.nc),
-                             self.pattern.indptr, self.pattern.cols)
 
 
 def build_weighted_system(A, split, B, X, tau, pattern):
@@ -204,9 +196,7 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     x_diag = X.diagonal(A_ff)
     c2 = X.c2
 
-    counts = np.diff(pattern.indptr)
-    slot_rows = np.repeat(np.arange(pattern.nf, dtype=np.int64), counts)
-    cols = pattern.cols
+    slot_rows, cols = pattern.slot_rows, pattern.cols
 
     aff_diag = A_ff.diagonal()
     bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
@@ -217,18 +207,14 @@ def build_weighted_system(A, split, B, X, tau, pattern):
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
 
-    shape = (pattern.nf, pattern.nc)
-    Dprec = PatternMatrix(shape, pattern.indptr, cols, 1.0 / denom)
-
     Bc_slots = B_c[cols]
     cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     if tau < 1.0:
         bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
-    Bhat = PatternMatrix(shape, pattern.indptr, cols, bhat)
 
     return WeightedSystem(tau, c2, A_ff, A_fc, x_diag, B_f, B_c, pattern,
-                          Bhat, Dprec, slot_rows, Bc_slots, cand_scale)
+                          bhat, 1.0 / denom, Bc_slots, cand_scale)
 
 
 def apply_weighted_operator(sys, values):
@@ -236,84 +222,90 @@ def apply_weighted_operator(sys, values):
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern."""
     pat = sys.pattern
     out = np.zeros(pat.nnz)
-    W = sparse.csr_matrix((values, pat.cols, pat.indptr), shape=(pat.nf, pat.nc))
+    W = pat.to_csr(values)
     if sys.tau > 0.0:
-        out += sys.tau * _slot_values(sys.A_ff @ W, sys.slot_rows, pat.cols)
+        out += sys.tau * _slot_values(sys.A_ff @ W, pat.slot_rows, pat.cols)
     if sys.tau < 1.0:
         V = W @ sys.B_c                                   # (nf, n_b)
-        out += sys.cand_scale * np.einsum("ik,ik->i", V[sys.slot_rows], sys.Bc_slots)
+        out += sys.cand_scale * np.einsum("ik,ik->i", V[pat.slot_rows], sys.Bc_slots)
     return out
 
 
-def pcg_frobenius(sys, W0, max_iters, tol, use_preconditioner=True, callback=None):
-    """Preconditioned CG on Lhat W = Bhat in the pattern Hilbert space.
+def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=None):
+    """Preconditioned CG on apply(x) = b over pattern slot values.
 
-    The preconditioner is the Hadamard product with sys.Dprec.  Stops
-    when the preconditioned residual norm falls below tol relative to
-    its initial value, or after max_iters iterations; the iteration
-    budget is the primary control since the residual does not predict
-    the quality of the resulting AMG interpolation.
+    The preconditioner is the Hadamard product with `diag`.  When
+    `project` is given (an orthogonal projection onto a subspace of slot
+    values), the residual is projected and so are the preconditioned
+    residual and every operator image, so the iterates stay on
+    x0 + subspace.  Stops when the preconditioned residual norm
+    sqrt(r . z) falls below tol relative to its initial value, or after
+    max_iters iterations; the iteration budget is the primary control
+    since the residual does not predict the quality of the resulting AMG
+    interpolation.  x0 is returned as it is when the projection leaves
+    only round-off (1e-13) of the initial residual: x0 then minimizes
+    over the subspace already, or the subspace is empty, and CG steps on
+    round-off would move x by garbage.
 
-    Returns (W, residual_history); history starts with the initial
-    residual norm.  `callback(W)` is invoked after every update.
+    Returns (x, residual_history); history starts with the initial
+    residual norm.  `callback(x)` gets a copy of every updated iterate.
     """
-    if not W0.same_pattern(sys.template()):
-        raise ValueError("W0 does not conform to the system pattern")
-    w = W0.values.copy()
-    d = sys.Dprec.values if use_preconditioner else np.ones(len(w))
-
-    r = sys.Bhat.values - apply_weighted_operator(sys, w)
-    z = d * r
+    if project is None:
+        def project(v):
+            return v
+    x = x0.copy()
+    r_full = b - apply(x)
+    r = project(r_full)
+    z = project(diag * r)
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
-    if history[0] == 0.0:
-        return W0.with_values(w), history
+    if history[0] <= 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full)))):
+        return x, history
     p = z.copy()
     target = tol * history[0]
     for k in range(max_iters):
-        Lp = apply_weighted_operator(sys, p)
+        Lp = project(apply(p))
         pLp = float(p @ Lp)
         if not np.isfinite(pLp) or pLp <= 0.0:
             raise RuntimeError(f"energy-minimization CG breakdown at iteration {k}: "
                                f"curvature {pLp}")
         alpha = rz / pLp
-        w += alpha * p
+        x += alpha * p
         r -= alpha * Lp
-        z = d * r
+        z = project(diag * r)
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             raise RuntimeError(f"energy-minimization CG breakdown at iteration {k}: "
                                f"non-finite residual")
         history.append(np.sqrt(max(rz_new, 0.0)))
         if callback is not None:
-            callback(W0.with_values(w.copy()))
+            callback(x.copy())
         if history[-1] <= target:
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return W0.with_values(w), history
+    return x, history
 
 
 def initial_guess(split, B, pattern):
     """Feasible start: spread each F row's constraint target over the
     row's pattern entries with minimum Euclidean norm."""
     B_f, B_c = B.split_rows(split)
-    rows = _RowConstraints(B_c, pattern)
-    values = rows.min_norm_solution(B_f)
-    return PatternMatrix((pattern.nf, pattern.nc), pattern.indptr, pattern.cols, values)
+    return _RowConstraints(B_c, pattern).min_norm_solution(B_f)
 
 
 def quadratic_value(sys, values):
     """The pattern-restricted quadratic 0.5 <Lhat W, W> - <W, Bhat>."""
     return 0.5 * float(values @ apply_weighted_operator(sys, values)) \
-        - float(values @ sys.Bhat.values)
+        - float(values @ sys.Bhat)
 
 
 @dataclass
 class Interpolation:
-    """An assembled interpolation operator and the W it came from."""
+    """An assembled interpolation operator and the weight block W it
+    came from (CSR on the pattern, explicit zeros kept)."""
 
-    W: PatternMatrix
+    W: sparse.csr_matrix
     split: BlockSplit
     P: sparse.csr_matrix
     residuals: list
@@ -333,49 +325,21 @@ def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
     A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
     rows = _RowConstraints(B_c, pattern)
-    counts = np.diff(pattern.indptr)
-    slot_rows = np.repeat(np.arange(pattern.nf, dtype=np.int64), counts)
     aff_diag = A_ff.diagonal()
     if np.any(aff_diag <= 0.0):
         raise ValueError("A_ff must have a positive diagonal")
-    dinv = 1.0 / aff_diag[slot_rows]
-    afc_vals = _slot_values(A_fc, slot_rows, pattern.cols)
+    dinv = 1.0 / aff_diag[pattern.slot_rows]
+    afc_vals = _slot_values(A_fc, pattern.slot_rows, pattern.cols)
 
     def energy_op(values):
         """(A_ff W) restricted to the pattern."""
-        W = sparse.csr_matrix((values, pattern.cols, pattern.indptr),
-                              shape=(pattern.nf, pattern.nc))
-        return _slot_values(A_ff @ W, slot_rows, pattern.cols)
+        return _slot_values(A_ff @ pattern.to_csr(values), pattern.slot_rows,
+                            pattern.cols)
 
-    w = rows.min_norm_solution(B_f)
-    r = rows.project(-(energy_op(w) + afc_vals))
-    z = rows.project(dinv * r)
-    rz = float(r @ z)
-    history = [np.sqrt(max(rz, 0.0))]
-    if history[0] > 0.0:
-        p = z.copy()
-        target = tol * history[0]
-        for k in range(iters):
-            Lp = rows.project(energy_op(p))
-            pLp = float(p @ Lp)
-            if not np.isfinite(pLp) or pLp <= 0.0:
-                raise RuntimeError(f"constrained CG breakdown at iteration {k}: "
-                                   f"curvature {pLp}")
-            alpha = rz / pLp
-            w += alpha * p
-            r -= alpha * Lp
-            z = rows.project(dinv * r)
-            rz_new = float(r @ z)
-            history.append(np.sqrt(max(rz_new, 0.0)))
-            if callback is not None:
-                callback(PatternMatrix((pattern.nf, pattern.nc), pattern.indptr,
-                                       pattern.cols, w.copy()))
-            if history[-1] <= target:
-                break
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-
-    W = PatternMatrix((pattern.nf, pattern.nc), pattern.indptr, pattern.cols, w)
+    w, history = pcg_frobenius(energy_op, -afc_vals,
+                               rows.min_norm_solution(B_f), dinv, iters, tol,
+                               project=rows.project, callback=callback)
+    W = pattern.to_csr(w)
     return Interpolation(W, split, assemble_P(W, split), history)
 
 
@@ -384,15 +348,18 @@ def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
     """Weighted route end to end: build the system, start from the
     constraint-spreading initial guess, run PCG, assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)
-    W0 = initial_guess(split, B, pattern)
-    W, history = pcg_frobenius(sys, W0, iters, tol,
-                               use_preconditioner=use_preconditioner)
+    w0 = initial_guess(split, B, pattern)
+    diag = sys.Dprec if use_preconditioner else np.ones(pattern.nnz)
+    w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0,
+                               diag, iters, tol)
+    W = pattern.to_csr(w)
     return Interpolation(W, split, assemble_P(W, split), history)
 
 
 def assemble_P(W, split):
-    """Assemble P from the weight block: C rows are unit vectors onto
-    their coarse position, F rows carry W, original ordering preserved."""
+    """Assemble P from the CSR weight block W: C rows are unit vectors
+    onto their coarse position, F rows carry W, original ordering
+    preserved."""
     nf, nc = W.shape
     if nf != split.n_f or nc != split.n_c:
         raise ValueError("weight block shape does not match the splitting")
@@ -400,8 +367,8 @@ def assemble_P(W, split):
     counts = np.diff(W.indptr)
     f_rows = np.repeat(split.f_points, counts)
     rows = np.concatenate([f_rows, split.c_points])
-    cols = np.concatenate([W.cols, np.arange(nc, dtype=np.int64)])
-    vals = np.concatenate([W.values, np.ones(nc)])
+    cols = np.concatenate([W.indices, np.arange(nc, dtype=np.int64)])
+    vals = np.concatenate([W.data, np.ones(nc)])
     P = sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
     P.sort_indices()
     return P

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energymin import prepare_candidates
-from .hierarchy import SetupConfig, measure_convergence_factor, setup, solve
+from .hierarchy import (SetupConfig, convergence_factor, measure_convergence_factor,
+                        setup, solve)
 from .problems import ProblemSpec, assemble
 from .relaxation import Relaxation, auto_jacobi_omega, relax_sweep
 
@@ -58,13 +59,9 @@ def convergence_report(H, residual_history, window=10):
     `window` iterations; wpd = -cc / log10(cf) for 0 < cf < 1, and is
     None (flagged divergent) otherwise.
     """
-    r = np.asarray(residual_history, dtype=np.float64)
-    if len(r) < 12:
+    if len(residual_history) < 12:
         raise ValueError("need at least 12 residuals to measure convergence")
-    if r[-window - 1] == 0.0:
-        cf = 0.0
-    else:
-        cf = float((r[-1] / r[-window - 1]) ** (1.0 / window))
+    cf = convergence_factor(residual_history, window)
     oc = float(H.operator_complexity())
     cc = float(H.cycle_complexity())
     if cf == 0.0:
@@ -74,7 +71,7 @@ def convergence_report(H, residual_history, window=10):
     else:
         wpd, converged = None, False
     return ConvergenceReport(cf=cf, oc=oc, cc=cc, wpd=wpd,
-                             iterations=len(r) - 1, converged=converged)
+                             iterations=len(residual_history) - 1, converged=converged)
 
 
 def measure_report(H, seed=0, iters=30):
@@ -103,7 +100,7 @@ def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed,
     if improvement_iters > 0:
         if n_vecs == 1:
             w = auto_jacobi_omega(A) if omega == "auto" else float(omega)
-            rel = Relaxation("jacobi", omega=w, sweeps=improvement_iters)
+            rel = Relaxation(omega=w, sweeps=improvement_iters)
             v = relax_sweep(rel, A, v, np.zeros_like(v))
         else:
             v, _ = solve(existing, np.zeros_like(v), tol=0.0,
@@ -181,7 +178,7 @@ def _setup_config(cfg, mode, tau, iters, candidates):
 def smoothed_constant(A, sweeps):
     v = np.ones(A.shape[0])
     if sweeps > 0:
-        rel = Relaxation("jacobi", omega=auto_jacobi_omega(A), sweeps=sweeps)
+        rel = Relaxation(omega=auto_jacobi_omega(A), sweeps=sweeps)
         v = relax_sweep(rel, A, v, np.zeros_like(v))
     return v[:, None]
 

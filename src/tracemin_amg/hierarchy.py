@@ -27,6 +27,7 @@ __all__ = [
     "setup",
     "vcycle",
     "solve",
+    "convergence_factor",
     "measure_convergence_factor",
 ]
 
@@ -135,7 +136,7 @@ def _new_level(A, cfg, **fields):
     omega = cfg.jacobi_omega
     if omega == "auto":
         omega = auto_jacobi_omega(A, diagonal=diagonal)
-    relaxation = Relaxation("jacobi", omega=float(omega), sweeps=cfg.sweeps)
+    relaxation = Relaxation(omega=float(omega), sweeps=cfg.sweeps)
     return Level(A=A, relaxation=relaxation, diagonal=diagonal, **fields)
 
 
@@ -214,13 +215,19 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
     preconditioned conjugate gradients with one V-cycle as the
     preconditioner.  Returns (x, residual_history) of two-norm
     residuals, starting with the initial one.  Residual growth over 10
-    consecutive iterations is reported as a warning, not raised.
+    consecutive iterations is reported as a warning, not raised.  b and
+    x0 must be vectors of length A.shape[0].
     """
     if accel not in ("stationary", "cg"):
         raise ValueError(f"unknown acceleration: {accel!r}")
     A = H.levels[0].A
+    n = A.shape[0]
     b = np.asarray(b, dtype=np.float64)
-    x = np.zeros(A.shape[0]) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    for name, v in (("b", b), ("x0", x)):
+        if v.shape != (n,):
+            raise ValueError(f"{name} has shape {v.shape}; expected a vector of "
+                             f"length {n}, the dimension of A")
 
     r = b - A @ x
     history = [float(np.linalg.norm(r))]
@@ -271,6 +278,18 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
     return x, history
 
 
+def convergence_factor(residuals, window=10):
+    """Geometric mean of the residual ratios over the last `window`
+    iterations of a residual history; 0 when the residual at the start
+    of the window is exactly 0."""
+    r = np.asarray(residuals, dtype=np.float64)
+    if len(r) < window + 1:
+        raise ValueError("not enough iterations to measure a convergence factor")
+    if r[-window - 1] == 0.0:
+        return 0.0
+    return float((r[-1] / r[-window - 1]) ** (1.0 / window))
+
+
 def measure_convergence_factor(H, seed=0, iters=30, window=10):
     """Asymptotic convergence factor of the stationary V-cycle.
 
@@ -282,10 +301,4 @@ def measure_convergence_factor(H, seed=0, iters=30, window=10):
     x0 = rng.standard_normal(H.levels[0].A.shape[0])
     _, history = solve(H, np.zeros_like(x0), tol=0.0, max_iters=iters,
                        accel="stationary", x0=x0)
-    r = np.asarray(history)
-    if len(r) < window + 1:
-        raise ValueError("not enough iterations to measure a convergence factor")
-    if r[-window - 1] == 0.0:
-        return 0.0, history
-    cf = (r[-1] / r[-window - 1]) ** (1.0 / window)
-    return float(cf), history
+    return convergence_factor(history, window), history

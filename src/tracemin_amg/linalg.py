@@ -1,11 +1,9 @@
-"""Sparse and small-dense linear-algebra kernels.
+"""Small linear-algebra kernels shared across the package.
 
-Everything downstream (assembly, coarsening, energy minimization, the
-matrix-equation solver and the dense diagnostics) is built on the
-primitives here: canonical CSR construction, pattern-constrained
-matrices with their Frobenius inner product, the perfect-shuffle
+Matrix Market input and output for the CLI, the perfect-shuffle
 permutation that exchanges row-major and column-major vectorizations,
-and a dense symmetric (generalized) eigensolver.
+a dense symmetric (generalized) eigensolver for the diagnostics, and
+the power-iteration spectral norm behind the Jacobi damping weight.
 """
 
 import numpy as np
@@ -15,14 +13,10 @@ from scipy.io import mmread, mmwrite
 from scipy.linalg import eigh
 
 __all__ = [
-    "csr_from_triplets",
-    "spmv",
     "read_matrix_market",
     "write_matrix_market",
     "Permutation",
     "perfect_shuffle",
-    "PatternMatrix",
-    "pattern_inner",
     "dense_sym_eig",
     "estimate_spectral_norm",
     "check_symmetric",
@@ -30,50 +24,6 @@ __all__ = [
 
 # relative skew above which a matrix is rejected as non-symmetric
 SYMMETRY_RTOL = 1e-12
-
-
-def csr_from_triplets(triplets, nrows, ncols):
-    """Build a canonical CSR matrix from (row, col, value) triplets.
-
-    Duplicate (row, col) pairs are summed; column indices within each
-    row come out sorted.  Explicitly stored zeros are kept.
-
-    Parameters
-    ----------
-    triplets : sequence of (int, int, float)
-        Entries to assemble.  May be empty.
-    nrows, ncols : int
-        Matrix dimensions.
-
-    Returns
-    -------
-    csr_matrix
-    """
-    trip = list(triplets)
-    if len(trip) == 0:
-        return sparse.csr_matrix((nrows, ncols))
-    rows = np.asarray([t[0] for t in trip], dtype=np.int64)
-    cols = np.asarray([t[1] for t in trip], dtype=np.int64)
-    vals = np.asarray([t[2] for t in trip], dtype=np.float64)
-    if rows.min() < 0 or rows.max() >= nrows:
-        raise ValueError("row index out of range in triplet list")
-    if cols.min() < 0 or cols.max() >= ncols:
-        raise ValueError("column index out of range in triplet list")
-    A = sparse.coo_matrix((vals, (rows, cols)), shape=(nrows, ncols)).tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
-
-
-def spmv(A, x):
-    """Sparse matrix-vector product with an explicit dimension check."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[0] != A.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: matrix is {A.shape[0]}x{A.shape[1]}, "
-            f"vector has length {x.shape[0]}"
-        )
-    return A @ x
 
 
 def read_matrix_market(path):
@@ -165,108 +115,6 @@ def perfect_shuffle(nf, nc):
     # found at slot j + i*nc of the row-major vector
     forward = (j + i * nc).reshape(-1)
     return Permutation(nf * nc, forward)
-
-
-class PatternMatrix:
-    """A real nf x nc matrix constrained to a fixed sparsity pattern.
-
-    Entries are stored row-wise: row i owns slots indptr[i]:indptr[i+1]
-    of `values`, with sorted column indices `cols`.  Entries outside
-    the pattern are identically zero.  Instances sharing the same
-    (indptr, cols) arrays live in the same Hilbert space and can be
-    combined slot-wise.
-    """
-
-    __slots__ = ("shape", "indptr", "cols", "values", "_rows")
-
-    def __init__(self, shape, indptr, cols, values=None):
-        self.shape = (int(shape[0]), int(shape[1]))
-        self.indptr = np.asarray(indptr, dtype=np.int64)
-        self.cols = np.asarray(cols, dtype=np.int64)
-        if self.indptr.shape != (self.shape[0] + 1,):
-            raise ValueError("indptr must have length nrows + 1")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.cols):
-            raise ValueError("indptr does not index the column array")
-        if len(self.cols) and (self.cols.min() < 0 or self.cols.max() >= self.shape[1]):
-            raise ValueError("pattern column index out of range")
-        if values is None:
-            values = np.zeros(len(self.cols))
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.values.shape != self.cols.shape:
-            raise ValueError("values must align with the pattern slots")
-        self._rows = None
-
-    @classmethod
-    def from_pairs(cls, shape, pairs, values=None):
-        """Build from an iterable of (row, col) pairs (deduplicated, sorted).
-
-        `values`, if given, maps (row, col) pairs to entries.
-        """
-        pairs = sorted(set((int(r), int(c)) for r, c in pairs))
-        rows = np.array([p[0] for p in pairs], dtype=np.int64)
-        cols = np.array([p[1] for p in pairs], dtype=np.int64)
-        if len(rows) and (rows.min() < 0 or rows.max() >= shape[0]):
-            raise ValueError("pattern row index out of range")
-        indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-        np.add.at(indptr[1:], rows, 1)
-        indptr = np.cumsum(indptr)
-        W = cls(shape, indptr, cols)
-        if values is not None:
-            lookup = {p: k for k, p in enumerate(pairs)}
-            for (r, c), v in values.items():
-                W.values[lookup[(int(r), int(c))]] = v
-        return W
-
-    @property
-    def nnz(self):
-        return len(self.cols)
-
-    @property
-    def row_indices(self):
-        """Row index of every slot (cached)."""
-        if self._rows is None:
-            counts = np.diff(self.indptr)
-            self._rows = np.repeat(np.arange(self.shape[0]), counts)
-        return self._rows
-
-    def same_pattern(self, other):
-        return (self.shape == other.shape
-                and np.array_equal(self.indptr, other.indptr)
-                and np.array_equal(self.cols, other.cols))
-
-    def with_values(self, values):
-        W = PatternMatrix(self.shape, self.indptr, self.cols, values)
-        W._rows = self._rows
-        return W
-
-    def copy(self):
-        return self.with_values(self.values.copy())
-
-    def to_csr(self):
-        """CSR view keeping explicit zeros (pattern structure preserved)."""
-        return sparse.csr_matrix(
-            (self.values.copy(), self.cols.copy(), self.indptr.copy()), shape=self.shape
-        )
-
-    def to_dense(self):
-        return self.to_csr().toarray()
-
-    def norm(self):
-        return float(np.linalg.norm(self.values))
-
-
-def pattern_inner(W, Z):
-    """Frobenius inner product of two pattern matrices.
-
-    Taken over the union of stored entries; entries outside a matrix's
-    pattern count as zero.
-    """
-    if W.shape != Z.shape:
-        raise ValueError("shape mismatch in pattern inner product")
-    if W.same_pattern(Z):
-        return float(np.dot(W.values, Z.values))
-    prod = W.to_csr().multiply(Z.to_csr())
-    return float(prod.sum())
 
 
 def dense_sym_eig(A, B=None):

@@ -1,8 +1,8 @@
 """Relaxation sweeps and the dense symmetrized-relaxation machinery.
 
-Jacobi and forward Gauss-Seidel sweeps operate on sparse matrices; the
-symmetrized operator M^T (M + M^T - A)^{-1} M and the A-convergence
-test are dense, desk-scale tools shared with the diagnostics module.
+Damped Jacobi sweeps operate on sparse matrices; the symmetrized
+operator M^T (M + M^T - A)^{-1} M and the A-convergence test are dense,
+desk-scale tools shared with the diagnostics module.
 """
 
 from dataclasses import dataclass
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import solve
-from scipy.sparse.linalg import spsolve_triangular
 
 from .linalg import dense_sym_eig, estimate_spectral_norm
 
@@ -26,15 +25,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Relaxation:
-    """A relaxation method: kind, damping weight and sweep count."""
+    """Damped Jacobi relaxation: damping weight and sweep count."""
 
-    kind: str
     omega: float = 1.0
     sweeps: int = 1
 
     def __post_init__(self):
-        if self.kind not in ("jacobi", "gauss_seidel"):
-            raise ValueError(f"unknown relaxation kind: {self.kind!r}")
         if self.omega <= 0.0:
             raise ValueError("omega must be positive")
         if self.sweeps < 1:
@@ -74,11 +70,9 @@ class SpectralEquivalence:
 
 
 def relax_sweep(rel, A, x, b, diagonal=None):
-    """Apply `rel.sweeps` relaxation passes to A x = b, returning new x.
+    """Apply `rel.sweeps` damped Jacobi passes to A x = b, returning new x.
 
-    Jacobi uses M = (1/omega) diag(A); Gauss-Seidel uses the lower
-    triangle of A including the diagonal, in forward ordering.
-    `diagonal` is diag(A) already computed and checked nonzero by the
+    Each pass uses M = (1/omega) diag(A).  `diagonal` is diag(A) already computed and checked nonzero by the
     caller (a hierarchy level caches it); when omitted it is read from
     A and checked here.
     """
@@ -90,13 +84,8 @@ def relax_sweep(rel, A, x, b, diagonal=None):
         diagonal = A.diagonal()
         if np.any(diagonal == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
-    if rel.kind == "jacobi":
-        for _ in range(rel.sweeps):
-            x += rel.omega * (b - A @ x) / diagonal
-    else:
-        L = sparse.tril(A, k=0, format="csr")
-        for _ in range(rel.sweeps):
-            x += spsolve_triangular(L, b - A @ x, lower=True)
+    for _ in range(rel.sweeps):
+        x += rel.omega * (b - A @ x) / diagonal
     return x
 
 

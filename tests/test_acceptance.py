@@ -11,6 +11,7 @@ check.
 
 import time
 import warnings
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -62,8 +63,7 @@ def random_pattern(rng, nf, nc, fill=0.5):
     rows = np.array(sorted(pairs))
     indptr = np.zeros(nf + 1, dtype=np.int64)
     np.add.at(indptr[1:], rows[:, 0], 1)
-    return SparsityPattern(nf, nc, np.cumsum(indptr), rows[:, 1].astype(np.int64),
-                           0, np.array([], dtype=np.int64))
+    return SparsityPattern(nf, nc, np.cumsum(indptr), rows[:, 1].astype(np.int64))
 
 
 def random_system(rng, n, tau, n_b=2):
@@ -131,15 +131,16 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         L = sys.tau * np.kron(np.eye(nc), sys.A_ff.toarray()) \
             + sys.c2 * (1 - sys.tau) * np.kron(sys.BcBcT, np.diag(sys.X_ff_diag))
         inside = np.zeros(nf * nc, dtype=bool)
-        inside[sys.pattern.cols * nf + sys.slot_rows] = True
+        inside[sys.pattern.cols * nf + sys.pattern.slot_rows] = True
         L[~inside, :] = 0.0
         L[:, ~inside] = 0.0
         L[~inside, ~inside] = 1.0
         b = np.zeros(nf * nc)
-        b[sys.pattern.cols * nf + sys.slot_rows] = sys.Bhat.values
-        expected = np.linalg.solve(L, b)[sys.pattern.cols * nf + sys.slot_rows]
-        W, _ = pcg_frobenius(sys, sys.template(), 4 * sys.pattern.nnz, 1e-14)
-        worst = max(worst, np.linalg.norm(W.values - expected)
+        b[sys.pattern.cols * nf + sys.pattern.slot_rows] = sys.Bhat
+        expected = np.linalg.solve(L, b)[sys.pattern.cols * nf + sys.pattern.slot_rows]
+        w, _ = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
+                             np.zeros(sys.pattern.nnz), sys.Dprec, 4 * sys.pattern.nnz, 1e-14)
+        worst = max(worst, np.linalg.norm(w - expected)
                     / max(np.linalg.norm(expected), 1e-30))
     elapsed = time.perf_counter() - start
     report(3, worst <= 1e-8 and elapsed < 10.0,

@@ -5,18 +5,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+from sparse_helpers import csr_from_triplets, lap1d
 from tracemin_amg import hierarchy
 from tracemin_amg.coarsening import (BlockSplit, StrengthGraph, cf_split,
                                      pattern_distance_k, strength_graph)
-from tracemin_amg.linalg import csr_from_triplets
 from tracemin_amg.problems import ProblemSpec, assemble
-
-
-def lap1d(n):
-    trips = [(i, i, 2.0) for i in range(n)]
-    trips += [(i, i + 1, -1.0) for i in range(n - 1)]
-    trips += [(i + 1, i, -1.0) for i in range(n - 1)]
-    return csr_from_triplets(trips, n, n)
 
 
 def test_strength_zero_threshold_keeps_all_offdiagonal():
@@ -179,11 +172,9 @@ def test_cf_split_matches_reference_on_every_level(monkeypatch):
 def test_block_split_views():
     A = lap1d(5)
     split = BlockSplit.from_c_points(5, [0, 2, 4])
-    A_ff, A_fc, A_cf, A_cc = split.blocks(A)
+    A_ff, A_fc = split.f_blocks(A)
     assert_allclose(A_ff.toarray(), 2 * np.eye(2))
-    assert_allclose(A_cc.toarray(), 2 * np.eye(3))
     assert_allclose(A_fc.toarray(), [[-1, -1, 0], [0, -1, -1]])
-    assert_allclose(A_cf.toarray(), A_fc.toarray().T)
 
 
 def test_pattern_distance_one_on_path():

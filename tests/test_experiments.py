@@ -7,7 +7,7 @@ import pytest
 from tracemin_amg.experiments import (CSV_HEADER, ExperimentConfig,
                                       adaptive_constraints, convergence_report,
                                       rows_to_csv_text, run_experiment)
-from tracemin_amg.hierarchy import SetupConfig, setup
+from tracemin_amg.hierarchy import SetupConfig, measure_convergence_factor, setup
 from tracemin_amg.problems import ProblemSpec, assemble
 
 
@@ -56,6 +56,13 @@ def test_report_exact_zero_residual():
     history = geometric_residuals(0.5, count=14) + [0.0]
     report = convergence_report(StubHierarchy(1.0, 3.0), history)
     assert report.cf == 0.0 and report.converged and report.wpd == 0.0
+
+
+def test_report_cf_is_the_measured_convergence_factor():
+    H = setup(assemble(ProblemSpec("rotated_anisotropic", 12, epsilon=1e-3)).matrix,
+              SetupConfig())
+    cf, history = measure_convergence_factor(H, seed=4)
+    assert convergence_report(H, history).cf == cf
 
 
 def test_adaptive_first_vector_reproducible():

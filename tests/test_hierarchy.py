@@ -1,23 +1,18 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
 
+from sparse_helpers import csr_from_triplets, lap1d
 from tracemin_amg import hierarchy
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
-from tracemin_amg.linalg import csr_from_triplets
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import symmetrized_mtilde
 from tracemin_amg.theory import two_grid_error_norm
-
-
-def lap1d(n):
-    trips = [(i, i, 2.0) for i in range(n)]
-    trips += [(i, i + 1, -1.0) for i in range(n - 1)]
-    trips += [(i + 1, i, -1.0) for i in range(n - 1)]
-    return csr_from_triplets(trips, n, n)
 
 
 def poisson2d(n):
@@ -171,6 +166,19 @@ def test_solve_rejects_unknown_acceleration():
     H = setup(lap1d(6), SetupConfig(max_coarse=10))
     with pytest.raises(ValueError):
         solve(H, np.ones(6), accel="chebyshev")
+
+
+@pytest.mark.parametrize("b_shape, x0_shape, message", [
+    ((226,), None, "b has shape (226,)"),
+    ((225,), (3,), "x0 has shape (3,)"),
+    ((225, 1), None, "b has shape (225, 1)"),
+], ids=["long-b", "short-x0", "column-b"])
+def test_solve_rejects_vectors_of_the_wrong_shape(b_shape, x0_shape, message):
+    H = setup(poisson2d(16), SetupConfig())
+    x0 = None if x0_shape is None else np.ones(x0_shape)
+    with pytest.raises(ValueError, match=re.escape(
+            f"{message}; expected a vector of length 225, the dimension of A")):
+        solve(H, np.ones(b_shape), x0=x0)
 
 
 def test_two_grid_matches_dense_error_norm():

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tracemin_amg.linalg import (PatternMatrix, Permutation, csr_from_triplets,
-                                 dense_sym_eig, pattern_inner, perfect_shuffle,
-                                 read_matrix_market, spmv, write_matrix_market)
+from sparse_helpers import csr_from_triplets
+from tracemin_amg.linalg import (Permutation, dense_sym_eig, perfect_shuffle,
+                                 read_matrix_market, write_matrix_market)
 
 
+# csr_from_triplets (sparse_helpers.py) builds the fixtures of five test
+# modules; these checks keep it canonical: sorted, duplicates summed,
+# bounds checked.
 def test_csr_from_triplets_tridiagonal():
     A = csr_from_triplets([(0, 0, 2), (0, 1, -1), (1, 0, -1), (1, 1, 2)], 2, 2)
     assert_allclose(A.toarray(), [[2, -1], [-1, 2]])
@@ -30,36 +33,6 @@ def test_csr_from_triplets_rejects_out_of_range():
         csr_from_triplets([(0, 3, 1.0)], 2, 3)
     with pytest.raises(ValueError):
         csr_from_triplets([(-1, 0, 1.0)], 2, 3)
-
-
-def test_spmv_identity():
-    I = csr_from_triplets([(i, i, 1.0) for i in range(4)], 4, 4)
-    x = np.array([1.0, -2.0, 3.0, 0.5])
-    assert_allclose(spmv(I, x), x)
-
-
-def test_spmv_laplacian_row_sums():
-    A = csr_from_triplets(
-        [(0, 0, 2), (0, 1, -1), (1, 0, -1), (1, 1, 2), (1, 2, -1), (2, 1, -1), (2, 2, 2)],
-        3, 3)
-    assert_allclose(spmv(A, np.ones(3)), [1.0, 0.0, 1.0])
-
-
-def test_spmv_matches_dense_oracle():
-    rng = np.random.default_rng(0)
-    dense = rng.standard_normal((8, 8))
-    dense[rng.random((8, 8)) < 0.5] = 0.0
-    trips = [(i, j, dense[i, j]) for i in range(8) for j in range(8) if dense[i, j]]
-    A = csr_from_triplets(trips, 8, 8)
-    x = rng.standard_normal(8)
-    expected = dense @ x
-    assert_allclose(spmv(A, x), expected, rtol=1e-14, atol=1e-14 * np.abs(expected).max())
-
-
-def test_spmv_dimension_mismatch():
-    A = csr_from_triplets([(0, 0, 1.0)], 2, 3)
-    with pytest.raises(ValueError):
-        spmv(A, np.ones(2))
 
 
 def test_matrix_market_roundtrip(tmp_path):
@@ -112,55 +85,6 @@ def test_perfect_shuffle_inverse_is_transposed_shape():
         for nc in range(1, 9):
             inv = perfect_shuffle(nf, nc).inverse()
             assert np.array_equal(inv.forward, perfect_shuffle(nc, nf).forward)
-
-
-def _random_pattern(rng, shape, density=0.4):
-    mask = rng.random(shape) < density
-    pairs = np.argwhere(mask)
-    return PatternMatrix.from_pairs(shape, [tuple(p) for p in pairs])
-
-
-def test_pattern_inner_same_pattern():
-    W = PatternMatrix.from_pairs((2, 2), [(0, 0), (1, 1)])
-    W.values[:] = [1.0, 2.0]
-    assert pattern_inner(W, W) == 5.0
-
-
-def test_pattern_inner_disjoint_patterns():
-    W = PatternMatrix.from_pairs((2, 2), [(0, 0)])
-    Z = PatternMatrix.from_pairs((2, 2), [(1, 1)])
-    W.values[:] = 3.0
-    Z.values[:] = 4.0
-    assert pattern_inner(W, Z) == 0.0
-
-
-def test_pattern_inner_matches_dense_trace():
-    rng = np.random.default_rng(4)
-    W = _random_pattern(rng, (6, 5))
-    Z = _random_pattern(rng, (6, 5))
-    W.values[:] = rng.standard_normal(W.nnz)
-    Z.values[:] = rng.standard_normal(Z.nnz)
-    expected = np.trace(Z.to_dense().T @ W.to_dense())
-    assert_allclose(pattern_inner(W, Z), expected, rtol=1e-14, atol=1e-14)
-
-
-def test_pattern_inner_is_symmetric_bilinear_positive():
-    rng = np.random.default_rng(5)
-    W = _random_pattern(rng, (7, 4))
-    W.values[:] = rng.standard_normal(W.nnz)
-    Z = W.with_values(rng.standard_normal(W.nnz))
-    U = W.with_values(rng.standard_normal(W.nnz))
-    assert pattern_inner(W, Z) == pattern_inner(Z, W)
-    lhs = pattern_inner(W.with_values(2.0 * W.values + U.values), Z)
-    assert_allclose(lhs, 2.0 * pattern_inner(W, Z) + pattern_inner(U, Z), rtol=1e-13)
-    assert pattern_inner(W, W) > 0.0
-
-
-def test_pattern_inner_shape_mismatch():
-    W = PatternMatrix.from_pairs((2, 2), [(0, 0)])
-    Z = PatternMatrix.from_pairs((3, 2), [(0, 0)])
-    with pytest.raises(ValueError):
-        pattern_inner(W, Z)
 
 
 def test_dense_sym_eig_identity():
