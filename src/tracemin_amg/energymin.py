@@ -1,16 +1,20 @@
 """Interpolation P = [W; I] by energy (trace) minimization.
 
-Two routes build the weight block W over a fixed sparsity pattern:
+There is one pattern-restricted problem, the weighted normal equations
+Lhat W = Bhat with
 
-* weighted minimization: the pattern-restricted normal equations
-  Lhat W = Bhat, where Lhat W = tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T
-  is a weighted blend of column energy and candidate interpolation
-  error, preconditioned by a Hadamard product with the entry-wise
-  diagonal inverse of the operator;
+    Lhat W = tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T,
 
-* constrained minimization: the candidate-interpolation conditions
-  W B_c = B_f are enforced exactly and the column energy is minimized
-  with a diagonal preconditioner, every direction projected onto the
+a blend of column energy and candidate interpolation error, and one
+Hadamard diagonal preconditioner, the entry-wise inverse diagonal of
+Lhat.  Both routes minimize it from the feasible start that spreads each
+row's target B_f over the row's pattern with minimum norm:
+
+* weighted minimization at the configured tau, over all pattern
+  matrices;
+
+* constrained minimization at tau = 1 (column energy alone), over the
+  pattern matrices with W B_c = B_f, every direction projected onto the
   constraint's null space row by row.
 
 Both run the one preconditioned CG, pcg_frobenius, on the slot values
@@ -24,7 +28,8 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 
-from .coarsening import BlockSplit, SparsityPattern
+from .coarsening import SparsityPattern
+from .relaxation import SpectralEquivalence
 
 __all__ = [
     "CandidateSet",
@@ -153,12 +158,13 @@ class _RowConstraints:
 @dataclass
 class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
-    Hadamard diagonal preconditioner."""
+    Hadamard diagonal preconditioner.  The candidate-term constants
+    Bc_slots and cand_scale are None at tau = 1, where the term
+    vanishes."""
 
     tau: float
     c2: float
     A_ff: sparse.csr_matrix
-    A_fc: sparse.csr_matrix
     X_ff_diag: np.ndarray
     B_f: np.ndarray
     B_c: np.ndarray
@@ -198,22 +204,22 @@ def build_weighted_system(A, split, B, X, tau, pattern):
 
     slot_rows, cols = pattern.slot_rows, pattern.cols
 
-    aff_diag = A_ff.diagonal()
-    bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
-    denom = tau * aff_diag[slot_rows] + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
+    denom = tau * A_ff.diagonal()[slot_rows]
+    bhat = -tau * _slot_values(A_fc, slot_rows, cols)
+    Bc_slots = cand_scale = None
+    if tau < 1.0:
+        bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
+        denom = denom + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
+        Bc_slots = B_c[cols]
+        cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
+        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         bad = int(np.flatnonzero(~np.isfinite(denom) | (denom <= 0.0))[0])
         raise ValueError(
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
 
-    Bc_slots = B_c[cols]
-    cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
-    bhat = -tau * _slot_values(A_fc, slot_rows, cols)
-    if tau < 1.0:
-        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
-
-    return WeightedSystem(tau, c2, A_ff, A_fc, x_diag, B_f, B_c, pattern,
+    return WeightedSystem(tau, c2, A_ff, x_diag, B_f, B_c, pattern,
                           bhat, 1.0 / denom, Bc_slots, cand_scale)
 
 
@@ -221,10 +227,11 @@ def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern."""
     pat = sys.pattern
-    out = np.zeros(pat.nnz)
     W = pat.to_csr(values)
     if sys.tau > 0.0:
-        out += sys.tau * _slot_values(sys.A_ff @ W, pat.slot_rows, pat.cols)
+        out = sys.tau * _slot_values(sys.A_ff @ W, pat.slot_rows, pat.cols)
+    else:
+        out = np.zeros(pat.nnz)
     if sys.tau < 1.0:
         V = W @ sys.B_c                                   # (nf, n_b)
         out += sys.cand_scale * np.einsum("ik,ik->i", V[pat.slot_rows], sys.Bc_slots)
@@ -288,16 +295,11 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
 
 
 def initial_guess(split, B, pattern):
-    """Feasible start: spread each F row's constraint target over the
-    row's pattern entries with minimum Euclidean norm."""
+    """The feasible start both routes use: spread each F row's
+    constraint target over the row's pattern entries with minimum
+    Euclidean norm."""
     B_f, B_c = B.split_rows(split)
     return _RowConstraints(B_c, pattern).min_norm_solution(B_f)
-
-
-def quadratic_value(sys, values):
-    """The pattern-restricted quadratic 0.5 <Lhat W, W> - <W, Bhat>."""
-    return 0.5 * float(values @ apply_weighted_operator(sys, values)) \
-        - float(values @ sys.Bhat)
 
 
 @dataclass
@@ -306,41 +308,36 @@ class Interpolation:
     came from (CSR on the pattern, explicit zeros kept)."""
 
     W: sparse.csr_matrix
-    split: BlockSplit
     P: sparse.csr_matrix
     residuals: list
+
+
+def _minimize(sys, split, iters, tol, diag, constrained, callback=None):
+    """Minimize the system's quadratic by pcg_frobenius from the feasible
+    start, on W B_c = B_f when constrained, and assemble P."""
+    rows = _RowConstraints(sys.B_c, sys.pattern)
+    w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
+                               rows.min_norm_solution(sys.B_f), diag, iters, tol,
+                               project=rows.project if constrained else None,
+                               callback=callback)
+    W = sys.pattern.to_csr(w)
+    return Interpolation(W, assemble_P(W, split), history)
 
 
 def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
     """Trace minimization with the candidate constraints enforced exactly.
 
-    Minimizes the column energy <A_ff W + A_fc, W> (equivalently
-    tr(P^T A P) up to a constant) over pattern matrices with
-    W B_c = B_f, by diagonally preconditioned CG whose directions are
-    projected row-wise onto {Z : Z B_c = 0}.  Every iterate satisfies
-    the constraint to round-off wherever the pattern admits it; rows
-    too short for the full constraint block hold their least-squares
-    values.
+    The weighted system at tau = 1, the column energy <A_ff W + A_fc, W>
+    alone (equivalently tr(P^T A P) up to a constant), minimized over
+    pattern matrices with W B_c = B_f: CG preconditioned by 1/diag(A_ff),
+    its directions projected row-wise onto {Z : Z B_c = 0}.  Every
+    iterate satisfies the constraint to round-off wherever the pattern
+    admits it; rows too short for the full constraint block hold their
+    least-squares values.
     """
-    A_ff, A_fc = split.f_blocks(A)
-    B_f, B_c = B.split_rows(split)
-    rows = _RowConstraints(B_c, pattern)
-    aff_diag = A_ff.diagonal()
-    if np.any(aff_diag <= 0.0):
-        raise ValueError("A_ff must have a positive diagonal")
-    dinv = 1.0 / aff_diag[pattern.slot_rows]
-    afc_vals = _slot_values(A_fc, pattern.slot_rows, pattern.cols)
-
-    def energy_op(values):
-        """(A_ff W) restricted to the pattern."""
-        return _slot_values(A_ff @ pattern.to_csr(values), pattern.slot_rows,
-                            pattern.cols)
-
-    w, history = pcg_frobenius(energy_op, -afc_vals,
-                               rows.min_norm_solution(B_f), dinv, iters, tol,
-                               project=rows.project, callback=callback)
-    W = pattern.to_csr(w)
-    return Interpolation(W, split, assemble_P(W, split), history)
+    sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, pattern)
+    return _minimize(sys, split, iters, tol, sys.Dprec, constrained=True,
+                     callback=callback)
 
 
 def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
@@ -348,12 +345,8 @@ def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
     """Weighted route end to end: build the system, start from the
     constraint-spreading initial guess, run PCG, assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)
-    w0 = initial_guess(split, B, pattern)
     diag = sys.Dprec if use_preconditioner else np.ones(pattern.nnz)
-    w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0,
-                               diag, iters, tol)
-    W = pattern.to_csr(w)
-    return Interpolation(W, split, assemble_P(W, split), history)
+    return _minimize(sys, split, iters, tol, diag, constrained=False)
 
 
 def assemble_P(W, split):

@@ -34,8 +34,9 @@ __all__ = [
 
 @dataclass
 class Level:
-    """One level: its operator, interpolation to the next level (absent
-    on the coarsest), the CF splitting, and the relaxation used here.
+    """One level: its operator, interpolation to the next level, the CF
+    splitting, and the relaxation used here.  The coarsest level is
+    solved directly and holds only A.
 
     diagonal caches diag(A) for the relaxation sweeps; a level built
     without it has its sweeps read the diagonal from A each time.
@@ -54,7 +55,7 @@ class Hierarchy:
     levels: list
     coarsest_factorization: object
     fine_candidates: np.ndarray
-    config: object = None
+    config: object
 
     @property
     def n_levels(self):
@@ -71,7 +72,7 @@ class Hierarchy:
         """Work of one V-cycle in fine-grid matvec units:
         (nu_pre + nu_post + 1) * nnz(A_l) / nnz(A_0), summed over levels."""
         if nu_pre is None:
-            nu_pre = self.levels[0].relaxation.sweeps
+            nu_pre = self.config.sweeps
         if nu_post is None:
             nu_post = nu_pre
         nnz0 = self.levels[0].A.nnz
@@ -129,17 +130,6 @@ def galerkin_product(P, A):
     return Ac
 
 
-def _new_level(A, cfg, **fields):
-    """A level on A with its diagonal and Jacobi relaxation, both
-    computed once here."""
-    diagonal = A.diagonal()
-    omega = cfg.jacobi_omega
-    if omega == "auto":
-        omega = auto_jacobi_omega(A, diagonal=diagonal)
-    relaxation = Relaxation(omega=float(omega), sweeps=cfg.sweeps)
-    return Level(A=A, relaxation=relaxation, diagonal=diagonal, **fields)
-
-
 def _split_with_retries(A, theta):
     """Greedy splitting, retrying with a raised threshold on stagnation."""
     for attempt in range(3):
@@ -166,13 +156,7 @@ def setup(A, cfg):
     fine_candidates = raw.copy()
 
     levels = []
-    while True:
-        n = A.shape[0]
-        last = len(levels) == cfg.max_levels - 1 or n <= cfg.max_coarse
-        if last:
-            levels.append(_new_level(A, cfg))
-            break
-
+    while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:
         S, split = _split_with_retries(A, cfg.theta_strength)
         pattern = pattern_distance_k(S, split, cfg.pattern_degree)
         B = prepare_candidates(A, raw)
@@ -184,12 +168,18 @@ def setup(A, cfg):
             interp = weighted_energymin(A, split, B, cfg.x_equivalence, cfg.tau,
                                         pattern, iters, tol=cfg.emin_tol,
                                         use_preconditioner=cfg.use_preconditioner)
-        levels.append(_new_level(A, cfg, P=interp.P, split=split,
-                                 emin_residuals=interp.residuals))
+        diagonal = A.diagonal()
+        omega = cfg.jacobi_omega
+        if omega == "auto":
+            omega = auto_jacobi_omega(A, diagonal=diagonal)
+        levels.append(Level(A=A, P=interp.P, split=split,
+                            relaxation=Relaxation(omega=float(omega), sweeps=cfg.sweeps),
+                            emin_residuals=interp.residuals, diagonal=diagonal))
         A = galerkin_product(interp.P, A)
         raw = raw[split.c_points]  # candidate injection onto the coarse grid
+    levels.append(Level(A=A))  # solved directly, never relaxed
 
-    coarse = levels[-1].A.toarray()
+    coarse = A.toarray()
     coarse = (coarse + coarse.T) / 2.0
     factorization = cho_factor(coarse)
     return Hierarchy(levels, factorization, fine_candidates, cfg)

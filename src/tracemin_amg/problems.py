@@ -17,8 +17,6 @@ from scipy import sparse
 __all__ = [
     "ProblemSpec",
     "Problem",
-    "assemble_rotated_anisotropic",
-    "assemble_oscillatory",
     "assemble",
     "full_stiffness",
 ]
@@ -159,7 +157,10 @@ def full_stiffness(spec):
     return A
 
 
-def _eliminate_boundary(spec, A_full):
+def assemble(spec):
+    """Assemble the benchmark operator `spec` describes, with its
+    Dirichlet boundary rows and columns eliminated."""
+    A_full = full_stiffness(spec)
     n = spec.n
     h = 1.0 / n
     ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
@@ -170,24 +171,3 @@ def _eliminate_boundary(spec, A_full):
     coords = np.column_stack([ix.ravel(order="F")[keep] * h,
                               iy.ravel(order="F")[keep] * h])
     return Problem(spec, A, coords, h)
-
-
-def assemble_rotated_anisotropic(spec):
-    """Assemble Problem 1 (rotated anisotropic diffusion)."""
-    if spec.kind != "rotated_anisotropic":
-        raise ValueError("spec.kind must be 'rotated_anisotropic'")
-    return _eliminate_boundary(spec, full_stiffness(spec))
-
-
-def assemble_oscillatory(spec):
-    """Assemble Problem 2 (diffusion with an oscillatory coefficient)."""
-    if spec.kind != "oscillatory":
-        raise ValueError("spec.kind must be 'oscillatory'")
-    return _eliminate_boundary(spec, full_stiffness(spec))
-
-
-def assemble(spec):
-    """Assemble whichever benchmark `spec` describes."""
-    if spec.kind == "rotated_anisotropic":
-        return assemble_rotated_anisotropic(spec)
-    return assemble_oscillatory(spec)

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 
+from tracemin_amg import cli
 from tracemin_amg.cli import main
 from tracemin_amg.linalg import read_matrix_market, write_matrix_market
 
@@ -23,6 +26,20 @@ def test_solve_reports_convergence(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "CF" in out and "WPD" in out
+
+
+def test_solve_exits_3_on_a_diverging_cycle(monkeypatch, capsys):
+    # over-damped Jacobi (omega = 3) makes the V-cycle diverge
+    real_setup = cli.setup
+    monkeypatch.setattr(cli, "setup", lambda A, cfg: real_setup(
+        A, dataclasses.replace(cfg, jacobi_omega=3.0)))
+    with pytest.warns(RuntimeWarning, match="diverging"):
+        code = main(["solve", "--problem", "rotated_anisotropic", "--n", "32",
+                     "--epsilon", "1.0"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "WPD           divergent" in captured.out
+    assert "solver diverged" in captured.err
 
 
 def test_sweep_with_config_and_overrides(tmp_path):

@@ -16,7 +16,7 @@ from tracemin_amg.energymin import (CandidateSet, _RowConstraints, _slot_values,
                                     assemble_P, build_weighted_system,
                                     constrained_energymin, initial_guess,
                                     pcg_frobenius, prepare_candidates,
-                                    quadratic_value, weighted_energymin)
+                                    weighted_energymin)
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import SpectralEquivalence
 
@@ -76,6 +76,12 @@ def run_pcg(sys, w0, max_iters, tol, use_preconditioner=True, callback=None):
     diag = sys.Dprec if use_preconditioner else np.ones(sys.pattern.nnz)
     return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0, diag,
                          max_iters, tol, callback=callback)
+
+
+def quadratic_value(sys, values):
+    """The pattern-restricted quadratic 0.5 <Lhat W, W> - <W, Bhat>."""
+    return 0.5 * float(values @ apply_weighted_operator(sys, values)) \
+        - float(values @ sys.Bhat)
 
 
 def vec_to_values(sys, w_vec):
@@ -374,6 +380,15 @@ def test_constrained_laplacian_half_half():
     A_ff, A_fc = split.f_blocks(A)
     ideal = -np.linalg.solve(A_ff.toarray(), A_fc.toarray())
     assert_allclose(interp.W.toarray(), ideal, atol=1e-12)
+
+
+def test_constrained_rejects_nonpositive_diagonal_naming_the_row():
+    A = lap1d(5).tolil()
+    A[3, 3] = 0.0  # F point 3 is F row 1
+    split = BlockSplit.from_c_points(5, [0, 2, 4])
+    pattern = pattern_distance_k(strength_graph(lap1d(5), 0.25), split, 1)
+    with pytest.raises(ValueError, match=r"not positive .*\(row 1, "):
+        constrained_energymin(A.tocsr(), split, CandidateSet(np.ones((5, 1))), pattern, 5)
 
 
 def test_weighted_route_end_to_end():

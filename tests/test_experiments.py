@@ -6,7 +6,8 @@ import pytest
 
 from tracemin_amg.experiments import (CSV_HEADER, ExperimentConfig,
                                       adaptive_constraints, convergence_report,
-                                      rows_to_csv_text, run_experiment)
+                                      measure_report, rows_to_csv_text,
+                                      run_experiment)
 from tracemin_amg.hierarchy import SetupConfig, measure_convergence_factor, setup
 from tracemin_amg.problems import ProblemSpec, assemble
 
@@ -43,6 +44,25 @@ def test_report_matches_published_workload_value():
 
 def test_report_flags_divergence():
     report = convergence_report(StubHierarchy(1.5, 4.0), geometric_residuals(1.2))
+    assert not report.converged
+    assert report.wpd is None
+
+
+def test_report_flags_divergence_stopped_after_ten_growths():
+    # solve stops after 10 consecutive growths: 11 residuals
+    report = convergence_report(StubHierarchy(1.5, 4.0), geometric_residuals(1.2, count=11))
+    assert abs(report.cf - 1.2) <= 1e-12
+    assert not report.converged
+    assert report.wpd is None
+
+
+def test_measure_report_on_a_diverging_hierarchy():
+    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1.0)).matrix
+    H = setup(A, SetupConfig(jacobi_omega=3.0))
+    with pytest.warns(RuntimeWarning, match="diverging"):
+        report = measure_report(H)
+    assert report.iterations == 10
+    assert report.cf > 1.0
     assert not report.converged
     assert report.wpd is None
 

@@ -205,8 +205,9 @@ def test_cached_diagonal_keeps_solves_bit_identical():
     A = assemble(ProblemSpec("rotated_anisotropic", 16, epsilon=1e-3)).matrix
     H = setup(A, SetupConfig(pattern_degree=2))
     assert H.n_levels >= 2
-    for lvl in H.levels:
+    for lvl in H.levels[:-1]:
         assert np.array_equal(lvl.diagonal, lvl.A.diagonal())
+    assert H.levels[-1].diagonal is None
     b = np.random.default_rng(3).standard_normal(A.shape[0])
 
     _, cached = solve(H, b, accel="cg")
@@ -216,6 +217,32 @@ def test_cached_diagonal_keeps_solves_bit_identical():
     _, recomputed = solve(H, b, accel="cg")
     assert cached == recomputed
     assert cached_cf == measure_convergence_factor(H, seed=5)
+
+
+def test_coarsest_level_builds_no_smoother(monkeypatch):
+    """The coarsest level is only solved directly: setup estimates a
+    Jacobi omega on every other level and none on the coarsest."""
+    calls = []
+    original = hierarchy.auto_jacobi_omega
+
+    def counting(A, **kwargs):
+        calls.append(A.shape[0])
+        return original(A, **kwargs)
+
+    monkeypatch.setattr(hierarchy, "auto_jacobi_omega", counting)
+    H = setup(poisson2d(16), SetupConfig(pattern_degree=2))
+    assert H.n_levels >= 3
+    assert len(calls) == H.n_levels - 1
+    assert calls == H.level_sizes()[:-1]
+    coarsest = H.levels[-1]
+    assert coarsest.relaxation is None and coarsest.diagonal is None
+
+
+def test_single_level_cycle_complexity_counts_configured_sweeps():
+    A = poisson2d(8)
+    H = setup(A, SetupConfig(max_levels=1, sweeps=3))
+    assert H.n_levels == 1
+    assert H.cycle_complexity() == 7.0
 
 
 def reference_galerkin(P, A):

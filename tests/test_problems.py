@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tracemin_amg.problems import (ProblemSpec, assemble, assemble_oscillatory,
-                                   assemble_rotated_anisotropic, full_stiffness,
+from tracemin_amg.problems import (ProblemSpec, assemble, full_stiffness,
                                    oscillatory_coefficient)
 
 
@@ -52,7 +51,7 @@ def interior_index(n, i, j):
 
 def test_isotropic_interior_stencil_is_five_point():
     n = 8
-    problem = assemble_rotated_anisotropic(ProblemSpec("rotated_anisotropic", n, epsilon=1.0, theta=0.3))
+    problem = assemble(ProblemSpec("rotated_anisotropic", n, epsilon=1.0, theta=0.3))
     A = problem.matrix.toarray()
     mid = interior_index(n, 4, 4)
     row = A[mid]
@@ -75,7 +74,7 @@ def test_isotropic_full_matrix_rows_sum_to_zero():
 
 def test_fully_anisotropic_axis_aligned_stencil():
     n = 6
-    problem = assemble_rotated_anisotropic(ProblemSpec("rotated_anisotropic", n, epsilon=0.0, theta=0.0))
+    problem = assemble(ProblemSpec("rotated_anisotropic", n, epsilon=0.0, theta=0.0))
     A = problem.matrix.toarray()
     mid = interior_index(n, 3, 3)
     row = A[mid]
@@ -87,13 +86,13 @@ def test_fully_anisotropic_axis_aligned_stencil():
 
 
 def test_oscillatory_with_unit_coefficient_matches_isotropic():
-    A1 = assemble_oscillatory(ProblemSpec("oscillatory", 5, K=1.0)).matrix
-    A2 = assemble_rotated_anisotropic(ProblemSpec("rotated_anisotropic", 5, epsilon=1.0, theta=0.0)).matrix
+    A1 = assemble(ProblemSpec("oscillatory", 5, K=1.0)).matrix
+    A2 = assemble(ProblemSpec("rotated_anisotropic", 5, epsilon=1.0, theta=0.0)).matrix
     assert_allclose(A1.toarray(), A2.toarray(), atol=1e-13)
 
 
 def test_oscillatory_positive_definite():
-    A = assemble_oscillatory(ProblemSpec("oscillatory", 8, K=1e4)).matrix.toarray()
+    A = assemble(ProblemSpec("oscillatory", 8, K=1e4)).matrix.toarray()
     w = np.linalg.eigvalsh((A + A.T) / 2)
     assert w[0] > 0.0
 
