@@ -128,33 +128,52 @@ def strength_graph(A, theta_strength):
     """Symmetrically scaled strength-of-connection graph.
 
     Edge (i, j) survives iff
-        |a_ij| / sqrt(a_ii a_jj) >= theta * max_k |a_ik| / sqrt(a_ii a_kk),
-    and the result is symmetrized by union.
+        |a_ij| / sqrt(a_ii a_jj) >= theta * max_k |a_ik| / sqrt(a_ii a_kk)
+    and the scaled value is positive, and the result is symmetrized by
+    union.  The measure is read straight from the CSR arrays of A (row
+    maxima by a segmented reduction over the nonempty rows), so A's
+    stored order does not matter; the result is canonical CSR.
     """
     if not (0.0 <= theta_strength <= 1.0):
         raise ValueError("theta_strength must lie in [0, 1]")
     A = A.tocsr()
-    n = A.shape[0]
     d = A.diagonal()
     if np.any(d <= 0.0):
         raise ValueError("strength measure requires a positive diagonal")
 
-    C = A.tocoo()
-    off = C.row != C.col
-    rows, cols = C.row[off], C.col[off]
-    vals = np.abs(C.data[off]) / np.sqrt(d[rows] * d[cols])
-    keep0 = vals > 0.0
-    rows, cols, vals = rows[keep0], cols[keep0], vals[keep0]
-
-    row_max = np.zeros(n)
-    np.maximum.at(row_max, rows, vals)
-    kept = vals >= theta_strength * row_max[rows]
-
-    S = sparse.coo_matrix((vals[kept], (rows[kept], cols[kept])), shape=(n, n)).tocsr()
+    S = _strong_couplings(A, d, theta_strength)
     # union symmetrization; overlapping entries carry the same scaled value
     S = S.maximum(S.T).tocsr()
     S.sort_indices()
     return StrengthGraph(S, theta_strength)
+
+
+def _strong_couplings(A, d, theta_strength):
+    """The one-sided strength graph of CSR A with diagonal d: the entries
+    of each row that pass the threshold, in A's stored order.  Its
+    temporaries die on return, before the union symmetrization."""
+    n = A.shape[0]
+    indptr, cols = A.indptr, A.indices
+    counts = np.diff(indptr)
+    scale = np.repeat(d, counts)  # d_i at every stored a_ij
+    scale *= d[cols]
+    np.sqrt(scale, out=scale)
+    vals = np.abs(A.data)
+    vals /= scale
+    del scale
+    vals[np.repeat(np.arange(n, dtype=cols.dtype), counts) == cols] = 0.0
+
+    row_max = np.zeros(n)
+    nonempty = counts > 0
+    starts = indptr[:-1][nonempty]
+    row_max[nonempty] = np.maximum.reduceat(vals, starts)
+    row_max *= theta_strength
+    kept = vals >= np.repeat(row_max, counts)
+    kept &= vals > 0.0
+    S_indptr = np.zeros(n + 1, dtype=indptr.dtype)
+    S_indptr[1:][nonempty] = np.add.reduceat(kept, starts, dtype=indptr.dtype)
+    np.cumsum(S_indptr, out=S_indptr)
+    return sparse.csr_matrix((vals[kept], cols[kept], S_indptr), shape=(n, n))
 
 
 def cf_split(S):

@@ -67,7 +67,9 @@ def prepare_candidates(A, raw):
     """A-orthonormalize raw candidate vectors by modified Gram-Schmidt.
 
     Raises ValueError when a vector's A-norm drops below 1e-13 after
-    orthogonalization (linearly dependent input).
+    orthogonalization: A is singular on the first candidate (for example
+    a Neumann operator that annihilates the constant), or a later one
+    depends on the earlier ones in the A-inner product.
     """
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim == 1:
@@ -85,6 +87,10 @@ def prepare_candidates(A, raw):
             for u in cols:
                 v -= (u @ (A @ v)) * u
         a_norm = np.sqrt(max(v @ (A @ v), 0.0))
+        if a_norm < 1e-13 and k == 0:
+            raise ValueError(f"A is singular on candidate 0: its A-norm is "
+                             f"{a_norm:.3e} times its 2-norm, and setup needs a "
+                             f"positive definite A")
         if a_norm < 1e-13:
             raise ValueError(f"candidate {k} is dependent on earlier candidates "
                              f"in the A-inner product")
@@ -107,6 +113,14 @@ class _RowConstraints:
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
     row i].  Rows are batched by pattern-row length so projections and
     minimum-norm solves are vectorized.
+
+    Each group keeps the pseudo-inverse of its Gram matrices C_i^T C_i,
+    shape (R, n_b, n_b).  With one candidate the Gram matrix is the
+    scalar g = sum c^2 and its pseudo-inverse is 1/g, or 0 where g == 0
+    (pinv's cutoff); only n_b >= 2 needs pinv's batched SVD.  pinv
+    returns the same bits for 1e-138 < g < 1e138; beyond that LAPACK
+    rescales the matrix and its result may miss the correctly rounded
+    1/g by up to two ulps.
     """
 
     def __init__(self, B_c, pattern):
@@ -121,7 +135,10 @@ class _RowConstraints:
             slots = pattern.indptr[rows][:, None] + np.arange(m)[None, :]
             C = B_c[pattern.cols[slots]]              # (R, m, n_b)
             G = np.einsum("rmk,rml->rkl", C, C)       # (R, n_b, n_b)
-            Gp = np.linalg.pinv(G)
+            if self.n_b == 1:
+                Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
+            else:
+                Gp = np.linalg.pinv(G)
             self.groups.append((rows, slots, C, Gp))
 
     def project(self, values):

@@ -7,6 +7,7 @@ closes the recursion.  Candidates follow the hierarchy down by
 C-point injection.  The coarsest level is factorized densely.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -17,6 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (constrained_energymin, prepare_candidates,
                         weighted_energymin)
+from .linalg import SYMMETRY_RTOL
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
 __all__ = [
@@ -29,7 +31,12 @@ __all__ = [
     "solve",
     "convergence_factor",
     "measure_convergence_factor",
+    "MAX_DENSE_COARSE_BYTES",
 ]
+
+# largest dense copy of the coarsest operator that setup will factorize:
+# 8 n^2 bytes caps the coarsest level at 11585 rows
+MAX_DENSE_COARSE_BYTES = 2**30
 
 
 @dataclass
@@ -88,7 +95,10 @@ class SetupConfig:
     to fill the pattern plus a few improvement steps).  jacobi_omega
     'auto' damps each level by 1.5 over the estimated spectral radius
     of D^{-1} A.  candidates holds raw constraint vectors (default: the
-    constant vector).
+    constant vector).  Construction rejects a field out of range with a
+    ValueError that names it: tau and theta_strength lie in [0, 1],
+    sweeps >= 1, jacobi_omega is 'auto' or positive, emin_iters is None
+    or >= 0.
     """
 
     mode: str = "constrained"
@@ -110,6 +120,18 @@ class SetupConfig:
             raise ValueError(f"unknown setup mode: {self.mode!r}")
         if self.max_coarse < 1 or self.pattern_degree < 1 or self.max_levels < 1:
             raise ValueError("max_coarse, pattern_degree and max_levels must be >= 1")
+        for name in ("tau", "theta_strength"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1]; got {getattr(self, name)!r}")
+        if self.sweeps < 1:
+            raise ValueError(f"sweeps must be >= 1; got {self.sweeps!r}")
+        omega = self.jacobi_omega
+        if not (isinstance(omega, str) and omega == "auto"
+                or isinstance(omega, numbers.Real) and omega > 0.0):
+            raise ValueError(f"jacobi_omega must be 'auto' or a positive number; "
+                             f"got {omega!r}")
+        if self.emin_iters is not None and self.emin_iters < 0:
+            raise ValueError(f"emin_iters must be None or >= 0; got {self.emin_iters!r}")
 
     def iteration_budget(self):
         return self.emin_iters if self.emin_iters is not None \
@@ -117,17 +139,42 @@ class SetupConfig:
 
 
 def galerkin_product(P, A):
-    """The coarse operator P^T A P, symmetrized against round-off skew
-    when A is symmetric.  Both products are CSR x CSR (no CSC round
-    trip); symmetry is decided by an exact A != A^T test, which averaged
-    coarse levels pass, and only then by the 1e-14 relative skew."""
+    """The coarse operator P^T A P of a symmetric A.
+
+    A must be symmetric; setup checks this once for the fine level, and
+    every coarse level it builds is exactly symmetric.  The product
+    (CSR x CSR, no CSC round trip) is averaged with its transpose to
+    remove round-off skew, so the result is exactly symmetric and comes
+    out in canonical CSR form.  Sorting the product first lets that sum
+    merge sorted rows.
+    """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
     Ac = P.T.tocsr() @ (A @ P)
-    if (A != A.T).nnz == 0 or abs(A - A.T).max() <= 1e-14 * abs(A).max():
-        Ac = ((Ac + Ac.T) * 0.5).tocsr()
     Ac.sort_indices()
-    return Ac
+    return ((Ac + Ac.T) * 0.5).tocsr()
+
+
+def _check_operator(A):
+    """Reject a fine-level matrix that setup cannot build a hierarchy for,
+    naming the cause: not square, a non-finite entry, not symmetric to
+    SYMMETRY_RTOL relative to its largest entry, or a diagonal entry
+    that is not positive."""
+    if A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be square; got shape {A.shape}")
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("A has a non-finite entry (NaN or inf)")
+    if (A != A.T).nnz:
+        skew = abs(A - A.T).max()
+        scale = abs(A).max()
+        if skew > SYMMETRY_RTOL * scale:
+            raise ValueError(f"A is not symmetric: max skew {skew:.3e} exceeds "
+                             f"{SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")
+    d = A.diagonal()
+    if np.any(d <= 0.0):
+        i = int(np.flatnonzero(d <= 0.0)[0])
+        raise ValueError(f"A has a non-positive diagonal entry: a_ii = {d[i]:g} "
+                         f"at row {i}")
 
 
 def _split_with_retries(A, theta):
@@ -145,14 +192,27 @@ def _split_with_retries(A, theta):
 
 
 def setup(A, cfg):
-    """Build a multilevel hierarchy for the SPD matrix A."""
+    """Build a multilevel hierarchy for the SPD matrix A.
+
+    A is checked once, before any level is built, and each failure
+    raises a ValueError that names its cause: A must be square, every
+    entry finite, A symmetric (exactly, or to linalg.SYMMETRY_RTOL
+    relative to its largest entry) and its diagonal positive.  The
+    candidates must be finite.  A singular A (one that annihilates the
+    first candidate) is rejected by prepare_candidates, and a coarsest
+    level whose dense factorization would need more than
+    MAX_DENSE_COARSE_BYTES is rejected before it is formed.
+    """
     A = A.tocsr()
+    _check_operator(A)
     raw = cfg.candidates
     if raw is None:
         raw = np.ones((A.shape[0], 1))
     raw = np.asarray(raw, dtype=np.float64)
     if raw.ndim == 1:
         raw = raw[:, None]
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("candidates have a non-finite entry (NaN or inf)")
     fine_candidates = raw.copy()
 
     levels = []
@@ -179,6 +239,12 @@ def setup(A, cfg):
         raw = raw[split.c_points]  # candidate injection onto the coarse grid
     levels.append(Level(A=A))  # solved directly, never relaxed
 
+    n = A.shape[0]
+    if 8 * n * n > MAX_DENSE_COARSE_BYTES:
+        raise ValueError(
+            f"coarsest level has {n} rows: its dense Cholesky factorization "
+            f"needs {8 * n * n} bytes, over the {MAX_DENSE_COARSE_BYTES}-byte limit; "
+            f"raise max_levels or lower max_coarse")
     coarse = A.toarray()
     coarse = (coarse + coarse.T) / 2.0
     factorization = cho_factor(coarse)
@@ -186,14 +252,19 @@ def setup(A, cfg):
 
 
 def vcycle(H, level, x, b):
-    """One V(1,1) cycle on the given level; returns the updated iterate."""
+    """One V(1,1) cycle on the given level; returns the updated iterate.
+
+    x None is a zero start: the first pre-smoothing sweep then needs no
+    matvec, since its residual is b itself.  The solvers and the coarse
+    corrections always start from zero.
+    """
     lvl = H.levels[level]
     if level == H.n_levels - 1:
         return cho_solve(H.coarsest_factorization, b)
     x = relax_sweep(lvl.relaxation, lvl.A, x, b, diagonal=lvl.diagonal)
     r = b - lvl.A @ x
     r_coarse = lvl.P.T @ r
-    e_coarse = vcycle(H, level + 1, np.zeros(len(r_coarse)), r_coarse)
+    e_coarse = vcycle(H, level + 1, None, r_coarse)
     x = x + lvl.P @ e_coarse
     return relax_sweep(lvl.relaxation, lvl.A, x, b, diagonal=lvl.diagonal)
 
@@ -228,7 +299,7 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
 
     if accel == "stationary":
         for _ in range(max_iters):
-            x = x + vcycle(H, 0, np.zeros(len(r)), r)
+            x = x + vcycle(H, 0, None, r)
             r = b - A @ x
             history.append(float(np.linalg.norm(r)))
             if history[-1] <= target:
@@ -240,7 +311,7 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
                 break
         return x, history
 
-    z = vcycle(H, 0, np.zeros(len(r)), r)
+    z = vcycle(H, 0, None, r)
     rz = float(r @ z)
     p = z.copy()
     for _ in range(max_iters):
@@ -261,7 +332,7 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
             warnings.warn("preconditioned CG diverging: residual grew over "
                           "10 consecutive iterations", RuntimeWarning)
             break
-        z = vcycle(H, 0, np.zeros(len(r)), r)
+        z = vcycle(H, 0, None, r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

@@ -72,19 +72,28 @@ class SpectralEquivalence:
 def relax_sweep(rel, A, x, b, diagonal=None):
     """Apply `rel.sweeps` damped Jacobi passes to A x = b, returning new x.
 
-    Each pass uses M = (1/omega) diag(A).  `diagonal` is diag(A) already computed and checked nonzero by the
+    Each pass uses M = (1/omega) diag(A).  x None starts from zero: the
+    first pass's residual is then b itself and costs no matvec.
+    `diagonal` is diag(A) already computed and checked nonzero by the
     caller (a hierarchy level caches it); when omitted it is read from
     A and checked here.
     """
-    x = np.asarray(x, dtype=np.float64).copy()
     b = np.asarray(b, dtype=np.float64)
-    if x.shape[0] != A.shape[0] or b.shape[0] != A.shape[0]:
+    n = A.shape[0]
+    if b.shape[0] != n or (x is not None and len(x) != n):
         raise ValueError("vector lengths do not match the matrix dimension")
     if diagonal is None:
         diagonal = A.diagonal()
         if np.any(diagonal == 0.0):
             raise ValueError("matrix has a zero diagonal entry")
-    for _ in range(rel.sweeps):
+    sweeps = rel.sweeps
+    if x is None:
+        x = np.zeros(n)
+        x += rel.omega * b / diagonal
+        sweeps -= 1
+    else:
+        x = np.asarray(x, dtype=np.float64).copy()
+    for _ in range(sweeps):
         x += rel.omega * (b - A @ x) / diagonal
     return x
 
@@ -130,9 +139,12 @@ def auto_jacobi_omega(A, coefficient=1.5, diagonal=None):
     if np.any(d <= 0.0):
         raise ValueError("matrix diagonal must be positive")
     dinv_sqrt = 1.0 / np.sqrt(d)
+    scaled = np.empty_like(dinv_sqrt)
 
     def matvec(v):
-        return dinv_sqrt * (A @ (dinv_sqrt * v))
+        w = A @ np.multiply(dinv_sqrt, v, out=scaled)
+        w *= dinv_sqrt
+        return w
 
     rho = estimate_spectral_norm(matvec, A.shape[0])
     if rho == 0.0:

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from tracemin_amg import cli
+from sparse_helpers import invalid_operators
+from tracemin_amg import cli, hierarchy
 from tracemin_amg.cli import main
 from tracemin_amg.linalg import read_matrix_market, write_matrix_market
 
@@ -40,6 +43,26 @@ def test_solve_exits_3_on_a_diverging_cycle(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert "WPD           divergent" in captured.out
     assert "solver diverged" in captured.err
+
+
+@pytest.mark.parametrize("case", sorted(invalid_operators()))
+def test_solve_exits_2_naming_an_invalid_operator(case, monkeypatch, capsys):
+    A, cause = invalid_operators()[case]
+    monkeypatch.setattr(cli, "assemble", lambda spec: SimpleNamespace(matrix=A))
+    assert main(["solve", "--improvement-iters", "0"]) == 2
+    assert re.search(cause, capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--tau", "1.5"], "tau must lie in [0, 1]; got 1.5"),
+    (["--iters", "-1"], "emin_iters must be None or >= 0; got -1"),
+    (["--max-levels", "1"], "coarsest level has 225 rows: its dense Cholesky "
+                            "factorization needs 405000 bytes"),
+], ids=["tau", "emin-iters", "coarsest-size"])
+def test_solve_exits_2_naming_a_bad_setting(argv, cause, monkeypatch, capsys):
+    monkeypatch.setattr(hierarchy, "MAX_DENSE_COARSE_BYTES", 8 * 100 * 100)
+    assert main(["solve", "--n", "16"] + argv) == 2
+    assert cause in capsys.readouterr().err
 
 
 def test_sweep_with_config_and_overrides(tmp_path):

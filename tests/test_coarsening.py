@@ -51,6 +51,64 @@ def test_strength_values_in_unit_interval():
     assert S.adjacency.data.max() <= 1.0 + 1e-14
 
 
+def reference_strength_graph(A, theta_strength):
+    """The COO strength graph: off-diagonal entries with a positive
+    scaled value, row maxima by np.maximum.at, union symmetrization."""
+    A = A.tocsr()
+    n = A.shape[0]
+    d = A.diagonal()
+    C = A.tocoo()
+    off = C.row != C.col
+    rows, cols = C.row[off], C.col[off]
+    vals = np.abs(C.data[off]) / np.sqrt(d[rows] * d[cols])
+    keep0 = vals > 0.0
+    rows, cols, vals = rows[keep0], cols[keep0], vals[keep0]
+    row_max = np.zeros(n)
+    np.maximum.at(row_max, rows, vals)
+    kept = vals >= theta_strength * row_max[rows]
+    S = sparse.coo_matrix((vals[kept], (rows[kept], cols[kept])), shape=(n, n)).tocsr()
+    S = S.maximum(S.T).tocsr()
+    S.sort_indices()
+    return S
+
+
+@st.composite
+def symmetric_operators(draw):
+    """Symmetric matrices with a positive diagonal whose off-diagonal
+    couplings repeat a few magnitudes (so row maxima tie), include
+    explicitly stored zeros and leave some rows with no off-diagonal
+    entry; optionally stored with each row's columns shuffled."""
+    n = draw(st.integers(0, 12))
+    iu, ju = np.triu_indices(n, k=1)
+    couplings = [None, None, 0.0, -1.0, -0.5, 0.25, -1e-3, 3.0]
+    upper = draw(st.lists(st.sampled_from(couplings), min_size=len(iu), max_size=len(iu)))
+    diag = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0, 7.0]), min_size=n, max_size=n))
+    stored = np.array([v is not None for v in upper], dtype=bool)
+    values = np.array([0.0 if v is None else v for v in upper])[stored]
+    rows = np.concatenate([np.arange(n), iu[stored], ju[stored]])
+    cols = np.concatenate([np.arange(n), ju[stored], iu[stored]])
+    vals = np.concatenate([diag, values, values])
+    order = np.lexsort((cols, rows))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        order = np.lexsort((rng.random(len(rows)), rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    A = sparse.csr_matrix((vals, cols, indptr), shape=(n, n))
+    return A, draw(st.sampled_from([0.0, 0.25, 0.4, 1.0]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_operators())
+def test_strength_matches_coo_reference(case):
+    A, theta = case
+    S = strength_graph(A, theta).adjacency
+    expected = reference_strength_graph(A, theta)
+    assert np.array_equal(S.indptr, expected.indptr)
+    assert np.array_equal(S.indices, expected.indices)
+    assert np.array_equal(S.data, expected.data)
+
+
 def test_strength_rejects_nonpositive_diagonal():
     A = csr_from_triplets([(0, 0, -1.0), (1, 1, 1.0)], 2, 2)
     with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import copy
 from functools import partial
 
 import numpy as np
@@ -103,6 +104,13 @@ def test_prepare_rejects_duplicate_vectors():
     raw = np.column_stack([np.ones(6), np.ones(6)])
     with pytest.raises(ValueError):
         prepare_candidates(A, raw)
+
+
+def test_prepare_names_a_singular_operator():
+    A = lap1d(6).tolil()
+    A[0, 0] = A[5, 5] = 1.0  # Neumann ends: A annihilates the constant
+    with pytest.raises(ValueError, match="A is singular on candidate 0"):
+        prepare_candidates(A.tocsr(), np.ones(6))
 
 
 def test_prepare_gram_matrix_identity():
@@ -320,6 +328,58 @@ def test_initial_guess_infeasible_empty_row():
     B = prepare_candidates(A, np.ones(4))
     with pytest.raises(ValueError, match="empty"):
         initial_guess(split, B, pattern)
+
+
+@st.composite
+def single_candidate_constraints(draw):
+    """A one-candidate constraint problem on a random pattern: candidate
+    rows that are zero or span magnitudes 1e-100 to 1e100, pattern rows
+    from empty to full (one-slot rows and rows whose candidate values
+    all vanish, g = 0, included), targets and slot values."""
+    nf, nc = draw(st.integers(1, 10)), draw(st.integers(1, 8))
+    magnitude = st.builds(lambda m, e: m * 10.0 ** e,
+                          st.sampled_from([-3.7, -1.0, 0.5, 2.0, 9.1]),
+                          st.integers(-100, 99))
+    B_c = np.array(draw(st.lists(st.one_of(st.just(0.0), magnitude),
+                                 min_size=nc, max_size=nc)))[:, None]
+    member = np.array(draw(st.lists(st.booleans(), min_size=nf * nc,
+                                    max_size=nf * nc))).reshape(nf, nc)
+    indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))]).astype(np.int64)
+    pattern = SparsityPattern(nf, nc, indptr, np.nonzero(member)[1].astype(np.int64))
+    B_f = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=nf, max_size=nf)))[:, None]
+    B_f[pattern.empty_f_rows] = 0.0
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=pattern.nnz,
+                                    max_size=pattern.nnz)))
+    return B_c, pattern, B_f, values
+
+
+# LAPACK's SVD rescales a matrix whose norm lies outside about
+# [6.7e-139, 1.5e138], which adds two roundings: beyond that range pinv
+# of the scalar g may miss the correctly rounded 1/g by up to two ulps
+LAPACK_UNSCALED = (6.7e-139, 1.49e138)
+
+
+@settings(max_examples=100, deadline=None)
+@given(single_candidate_constraints())
+def test_single_candidate_inverse_matches_pinv(case):
+    B_c, pattern, B_f, values = case
+    rows = _RowConstraints(B_c, pattern)
+    by_pinv = copy.copy(rows)
+    by_pinv.groups = [(r, slots, C, np.linalg.pinv(np.einsum("rmk,rml->rkl", C, C)))
+                      for r, slots, C, _ in rows.groups]
+    rescaled = False
+    for (*_, C, Gp), (*_, expected) in zip(rows.groups, by_pinv.groups):
+        g = np.einsum("rmk,rml->rkl", C, C)
+        assert Gp.shape == expected.shape == g.shape
+        assert np.array_equal(Gp, np.divide(1.0, g, out=np.zeros_like(g), where=g != 0.0))
+        inside = (g == 0.0) | ((g >= LAPACK_UNSCALED[0]) & (g <= LAPACK_UNSCALED[1]))
+        assert np.array_equal(Gp[inside], expected[inside])
+        ulp = np.spacing(Gp[~inside])
+        assert np.all(np.abs(Gp[~inside] - expected[~inside]) <= 2 * ulp)
+        rescaled |= not inside.all()
+    if not rescaled:
+        assert np.array_equal(rows.project(values), by_pinv.project(values))
+        assert np.array_equal(rows.min_norm_solution(B_f), by_pinv.min_norm_solution(B_f))
 
 
 # ---------------- constrained minimization ----------------

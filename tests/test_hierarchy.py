@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import sparse
+from scipy.linalg import cho_solve
 
-from sparse_helpers import csr_from_triplets, lap1d
+from sparse_helpers import csr_from_triplets, invalid_operators, lap1d
 from tracemin_amg import hierarchy
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
@@ -278,15 +279,86 @@ def test_galerkin_bit_identical_to_csc_product_on_every_level(monkeypatch):
         assert (Ac != Ac.T).nnz == 0
 
 
-def test_galerkin_nonsymmetric_operator_not_symmetrized():
-    A = sparse.random(30, 30, density=0.2, random_state=6, format="csr") \
-        + sparse.identity(30, format="csr")
-    P = sparse.random(30, 9, density=0.3, random_state=7, format="csr")
-    Ac = galerkin_product(P, A)
-    expected = (P.T @ (A @ P)).tocsr()
-    expected.sort_indices()
-    assert_same_csr(Ac, expected)
-    assert_same_csr(Ac, reference_galerkin(P, A))
-    assert (Ac != Ac.T).nnz > 0
-    dense_p = P.toarray()
-    assert_allclose(Ac.toarray(), dense_p.T @ A.toarray() @ dense_p, rtol=1e-13, atol=1e-14)
+@pytest.mark.parametrize("case", sorted(invalid_operators()))
+def test_setup_rejects_invalid_operator_by_name(case):
+    A, cause = invalid_operators()[case]
+    with pytest.raises(ValueError, match=cause):
+        setup(A, SetupConfig())
+
+
+def test_setup_rejects_nonfinite_candidates():
+    candidates = np.ones(120)
+    candidates[4] = np.nan
+    with pytest.raises(ValueError, match="candidates have a non-finite entry"):
+        setup(lap1d(120), SetupConfig(candidates=candidates))
+
+
+def test_setup_symmetrizes_coarse_levels_of_a_round_off_skewed_operator():
+    A = lap1d(120).tolil()
+    A[0, 1] = -1.0 - 1e-13  # skew 1e-13 is within SYMMETRY_RTOL * max|a_ij|
+    H = setup(A.tocsr(), SetupConfig(max_coarse=10))
+    assert H.n_levels >= 3
+    for lvl in H.levels[1:]:
+        assert (lvl.A != lvl.A.T).nnz == 0
+
+
+def test_setup_bounds_the_dense_coarsest_level(monkeypatch):
+    monkeypatch.setattr(hierarchy, "MAX_DENSE_COARSE_BYTES", 8 * 50 * 50)
+    setup(lap1d(50), SetupConfig(max_levels=1))  # 20000 bytes: at the limit
+    with pytest.raises(ValueError, match=re.escape(
+            "coarsest level has 51 rows: its dense Cholesky factorization needs "
+            "20808 bytes, over the 20000-byte limit")):
+        setup(lap1d(51), SetupConfig(max_levels=1))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")),
+    ("theta_strength", -0.1), ("theta_strength", 1.5),
+    ("sweeps", 0), ("jacobi_omega", 0.0), ("jacobi_omega", -1.0),
+    ("jacobi_omega", "fast"), ("emin_iters", -1),
+])
+def test_setup_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        SetupConfig(**{field: value})
+
+
+def test_setup_config_accepts_range_ends():
+    for kwargs in ({"tau": 0.0}, {"tau": 1.0}, {"theta_strength": 0.0},
+                   {"theta_strength": 1.0}, {"sweeps": 1}, {"jacobi_omega": 3},
+                   {"jacobi_omega": np.float64(0.5)}, {"emin_iters": 0}):
+        SetupConfig(**kwargs)
+
+
+def reference_vcycle(H, level, x, b):
+    """The V(1,1) cycle that computes every pre-smoothing residual,
+    including b - A x at the zero start."""
+    lvl = H.levels[level]
+    if level == H.n_levels - 1:
+        return cho_solve(H.coarsest_factorization, b)
+
+    def smooth(x):
+        x = x.copy()
+        for _ in range(lvl.relaxation.sweeps):
+            x += lvl.relaxation.omega * (b - lvl.A @ x) / lvl.diagonal
+        return x
+
+    x = smooth(np.zeros(len(b)) if x is None else x)
+    r_coarse = lvl.P.T @ (b - lvl.A @ x)
+    x = x + lvl.P @ reference_vcycle(H, level + 1, np.zeros(len(r_coarse)), r_coarse)
+    return smooth(x)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_zero_start_vcycle_bit_identical_to_reference(sweeps, monkeypatch):
+    A = assemble(ProblemSpec("rotated_anisotropic", 24, epsilon=1e-3)).matrix
+    H = setup(A, SetupConfig(pattern_degree=2, sweeps=sweeps))
+    assert H.n_levels >= 3
+    b = np.random.default_rng(4).standard_normal(A.shape[0])
+    _, cg = solve(H, b, accel="cg")
+    _, stationary = measure_convergence_factor(H, seed=9)
+    monkeypatch.setattr(hierarchy, "vcycle", reference_vcycle)
+    _, reference_cg = solve(H, b, accel="cg")
+    _, reference_stationary = measure_convergence_factor(H, seed=9)
+    assert len(cg) > 5 and len(stationary) == 31
+    assert np.array_equal(cg, reference_cg)
+    assert np.array_equal(stationary, reference_stationary)
