@@ -3,8 +3,8 @@ constrained energy (trace) minimization, plus the diagonally
 preconditioned matrix-equation solver and dense two-grid diagnostics
 that come with it."""
 
-from .coarsening import (BlockSplit, SparsityPattern, StrengthGraph, cf_split,
-                         pattern_distance_k, strength_graph)
+from .coarsening import (BlockSplit, SparsityPattern, cf_split, pattern_distance_k,
+                         strength_graph)
 from .energymin import (CandidateSet, Interpolation, WeightedSystem, assemble_P,
                         build_weighted_system, constrained_energymin,
                         initial_guess, pcg_frobenius, prepare_candidates,

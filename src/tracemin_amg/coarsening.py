@@ -19,21 +19,12 @@ import numpy as np
 from scipy import sparse
 
 __all__ = [
-    "StrengthGraph",
     "BlockSplit",
     "SparsityPattern",
     "strength_graph",
     "cf_split",
     "pattern_distance_k",
 ]
-
-
-@dataclass(frozen=True)
-class StrengthGraph:
-    """Symmetric strength adjacency (values in [0, 1], no diagonal)."""
-
-    adjacency: sparse.csr_matrix
-    theta_strength: float
 
 
 @dataclass(frozen=True)
@@ -125,14 +116,15 @@ class SparsityPattern:
 
 
 def strength_graph(A, theta_strength):
-    """Symmetrically scaled strength-of-connection graph.
+    """Symmetrically scaled strength-of-connection graph, as a symmetric
+    canonical CSR matrix with values in [0, 1] and no diagonal.
 
     Edge (i, j) survives iff
         |a_ij| / sqrt(a_ii a_jj) >= theta * max_k |a_ik| / sqrt(a_ii a_kk)
     and the scaled value is positive, and the result is symmetrized by
     union.  The measure is read straight from the CSR arrays of A (row
     maxima by a segmented reduction over the nonempty rows), so A's
-    stored order does not matter; the result is canonical CSR.
+    stored order does not matter.
     """
     if not (0.0 <= theta_strength <= 1.0):
         raise ValueError("theta_strength must lie in [0, 1]")
@@ -145,7 +137,7 @@ def strength_graph(A, theta_strength):
     # union symmetrization; overlapping entries carry the same scaled value
     S = S.maximum(S.T).tocsr()
     S.sort_indices()
-    return StrengthGraph(S, theta_strength)
+    return S
 
 
 def _strong_couplings(A, d, theta_strength):
@@ -177,7 +169,8 @@ def _strong_couplings(A, d, theta_strength):
 
 
 def cf_split(S):
-    """Greedy first-pass CF splitting of a strength graph.
+    """Greedy first-pass CF splitting of a strength graph, the symmetric
+    CSR adjacency matrix S.
 
     Repeatedly picks the unassigned vertex adjacent to the most strong
     F points (ties to the lowest index), makes it C and its strong
@@ -197,21 +190,20 @@ def cf_split(S):
     lowest index.  Each edge pushes at most once, so the pass costs
     O(nnz log N).
     """
-    adj = S.adjacency
-    if not adj.has_canonical_format:
-        adj = adj.copy()
-        adj.sum_duplicates()  # a repeated entry is one edge
-    n = adj.shape[0]
+    if not S.has_canonical_format:
+        S = S.copy()
+        S.sum_duplicates()  # a repeated entry is one edge
+    n = S.shape[0]
     # memoryviews index numpy buffers as Python ints without copying
     # them into lists (about 36 B per entry)
-    indptr = memoryview(adj.indptr)
-    indices = memoryview(adj.indices)
+    indptr = memoryview(S.indptr)
+    indices = memoryview(S.indices)
 
-    is_c = np.diff(adj.indptr) == 0
+    is_c = np.diff(S.indptr) == 0
     zero_bucket = memoryview(np.flatnonzero(~is_c))
     remaining = len(zero_bucket)
     # a measure counts F points pointing at the vertex: at most its column count
-    max_measure = int(np.bincount(adj.indices, minlength=1).max())
+    max_measure = int(np.bincount(S.indices, minlength=1).max())
     buckets = [[] for _ in range(max_measure + 1)]
     state = bytearray(is_c.tobytes())  # 0 unassigned, 1 C, 2 F
     measure = memoryview(np.zeros(n, dtype=np.int64))
@@ -265,7 +257,7 @@ def pattern_distance_k(S, split, k):
     """
     if k < 1:
         raise ValueError("pattern degree must be at least 1")
-    adj = (S.adjacency != 0).tocsr()
+    adj = (S != 0).tocsr()
     eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")
     step, reach = adj + eye, eye[:, split.c_points]
     for _ in range(k - 1):

@@ -151,13 +151,14 @@ class _RowConstraints:
             out[slots] -= np.einsum("rmk,rk->rm", C, s)
         return out
 
-    def min_norm_solution(self, B_f, rtol=1e-12):
+    def min_norm_solution(self, B_f):
         """Smallest-Euclidean-norm slot values with W B_c = B_f.
 
         Rows whose pattern cannot represent the target exactly (fewer
         slots than constraints, or locally dependent candidate rows)
         receive the minimum-norm least-squares value instead; an empty
-        row with a nonzero target is an error.
+        row whose target exceeds 1e-12 relative to max|B_f| (or 1) is
+        an error.
         """
         values = np.zeros(self.pattern.nnz)
         scale = np.abs(B_f).max() if B_f.size else 0.0
@@ -166,7 +167,7 @@ class _RowConstraints:
             s = np.einsum("rkl,rl->rk", Gp, b)
             values[slots] = np.einsum("rmk,rk->rm", C, s)
         for i in self.pattern.empty_f_rows:
-            if np.abs(B_f[i]).max() > rtol * max(scale, 1.0):
+            if np.abs(B_f[i]).max() > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "
                                  f"constraint target is nonzero")
         return values

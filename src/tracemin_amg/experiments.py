@@ -52,15 +52,16 @@ class ConvergenceReport:
     converged: bool
 
 
-def convergence_report(H, residual_history, window=10):
+def convergence_report(H, residual_history):
     """Summarize a residual history against a hierarchy's complexities.
 
     cf is the geometric mean of the residual ratios over the last
-    `window` iterations; wpd = -cc / log10(cf) for 0 < cf < 1, and is
-    None (flagged divergent) otherwise.  Needs window + 1 residuals; a
-    solve stopped after 10 consecutive growths leaves 11.
+    hierarchy.CF_WINDOW iterations; wpd = -cc / log10(cf) for 0 < cf < 1, and is
+    None (flagged divergent) otherwise.  Needs CF_WINDOW + 1 residuals,
+    as many as a solve stopped after CF_WINDOW consecutive growths
+    leaves.
     """
-    cf = convergence_factor(residual_history, window)
+    cf = convergence_factor(residual_history)
     oc = float(H.operator_complexity())
     cc = float(H.cycle_complexity())
     if cf == 0.0:
@@ -73,14 +74,13 @@ def convergence_report(H, residual_history, window=10):
                              iterations=len(residual_history) - 1, converged=converged)
 
 
-def measure_report(H, seed=0, iters=30):
+def measure_report(H, seed=0):
     """Run the stationary measurement protocol and summarize it."""
-    _, history = measure_convergence_factor(H, seed=seed, iters=iters)
+    _, history = measure_convergence_factor(H, seed=seed)
     return convergence_report(H, history)
 
 
-def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed,
-                         omega="auto"):
+def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed):
     """Grow the constraint set to n_vecs vectors, adaptively.
 
     The first vector is a seeded random vector improved by Jacobi
@@ -98,8 +98,7 @@ def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed,
     v = rng.standard_normal(A.shape[0])
     if improvement_iters > 0:
         if n_vecs == 1:
-            w = auto_jacobi_omega(A) if omega == "auto" else float(omega)
-            rel = Relaxation(omega=w, sweeps=improvement_iters)
+            rel = Relaxation(omega=auto_jacobi_omega(A), sweeps=improvement_iters)
             v = relax_sweep(rel, A, v, np.zeros_like(v))
         else:
             v, _ = solve(existing, np.zeros_like(v), tol=0.0,

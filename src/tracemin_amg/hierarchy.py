@@ -9,7 +9,7 @@ C-point injection.  The coarsest level is factorized densely.
 
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -32,11 +32,16 @@ __all__ = [
     "convergence_factor",
     "measure_convergence_factor",
     "MAX_DENSE_COARSE_BYTES",
+    "CF_WINDOW",
 ]
 
 # largest dense copy of the coarsest operator that setup will factorize:
 # 8 n^2 bytes caps the coarsest level at 11585 rows
 MAX_DENSE_COARSE_BYTES = 2**30
+# iterations a convergence factor averages over, and the run of residual
+# growths that stops a solve: a solve stopped on growth leaves exactly
+# the CF_WINDOW + 1 residuals a convergence factor needs
+CF_WINDOW = 10
 
 
 @dataclass
@@ -75,15 +80,13 @@ class Hierarchy:
         nnz0 = self.levels[0].A.nnz
         return sum(lvl.A.nnz for lvl in self.levels) / nnz0
 
-    def cycle_complexity(self, nu_pre=None, nu_post=None):
+    def cycle_complexity(self):
         """Work of one V-cycle in fine-grid matvec units:
-        (nu_pre + nu_post + 1) * nnz(A_l) / nnz(A_0), summed over levels."""
-        if nu_pre is None:
-            nu_pre = self.config.sweeps
-        if nu_post is None:
-            nu_post = nu_pre
+        (2 sweeps + 1) * nnz(A_l) / nnz(A_0), summed over levels, with
+        the configured sweeps before and after the coarse correction."""
         nnz0 = self.levels[0].A.nnz
-        return sum((nu_pre + nu_post + 1) * lvl.A.nnz for lvl in self.levels) / nnz0
+        return sum((2 * self.config.sweeps + 1) * lvl.A.nnz
+                   for lvl in self.levels) / nnz0
 
 
 @dataclass
@@ -112,7 +115,6 @@ class SetupConfig:
     candidates: np.ndarray = None
     jacobi_omega: object = "auto"
     sweeps: int = 2
-    x_equivalence: SpectralEquivalence = field(default_factory=SpectralEquivalence)
     use_preconditioner: bool = True
 
     def __post_init__(self):
@@ -177,20 +179,6 @@ def _check_operator(A):
                          f"at row {i}")
 
 
-def _split_with_retries(A, theta):
-    """Greedy splitting, retrying with a raised threshold on stagnation."""
-    for attempt in range(3):
-        S = strength_graph(A, theta)
-        split = cf_split(S)
-        if split.n_f > 0:
-            return S, split
-        if attempt < 2:
-            theta = min(1.0, theta + 0.25)
-    raise RuntimeError(
-        f"coarsening stagnated: every point became a C point at "
-        f"theta_strength={theta} after raising the threshold twice")
-
-
 def setup(A, cfg):
     """Build a multilevel hierarchy for the SPD matrix A.
 
@@ -217,7 +205,15 @@ def setup(A, cfg):
 
     levels = []
     while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:
-        S, split = _split_with_retries(A, cfg.theta_strength)
+        S = strength_graph(A, cfg.theta_strength)
+        split = cf_split(S)
+        if split.n_f == 0:
+            # every nonzero off-diagonal entry puts an edge in S (the
+            # largest of its row passes any theta <= 1), and one edge
+            # makes an F point, so no threshold could coarsen this level
+            raise RuntimeError(
+                f"coarsening stagnated on level {len(levels)}: its operator "
+                f"has no nonzero off-diagonal entry")
         pattern = pattern_distance_k(S, split, cfg.pattern_degree)
         B = prepare_candidates(A, raw)
         iters = cfg.iteration_budget()
@@ -225,7 +221,7 @@ def setup(A, cfg):
             interp = constrained_energymin(A, split, B, pattern, iters,
                                            tol=cfg.emin_tol)
         else:
-            interp = weighted_energymin(A, split, B, cfg.x_equivalence, cfg.tau,
+            interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
                                         pattern, iters, tol=cfg.emin_tol,
                                         use_preconditioner=cfg.use_preconditioner)
         diagonal = A.diagonal()
@@ -251,20 +247,20 @@ def setup(A, cfg):
     return Hierarchy(levels, factorization, fine_candidates, cfg)
 
 
-def vcycle(H, level, x, b):
-    """One V(1,1) cycle on the given level; returns the updated iterate.
+def vcycle(H, level, b):
+    """One V(1,1) cycle on the given level from a zero start; returns
+    the iterate, the preconditioner applied to b.
 
-    x None is a zero start: the first pre-smoothing sweep then needs no
-    matvec, since its residual is b itself.  The solvers and the coarse
-    corrections always start from zero.
+    The first pre-smoothing sweep needs no matvec, since its residual
+    is b itself.
     """
     lvl = H.levels[level]
     if level == H.n_levels - 1:
         return cho_solve(H.coarsest_factorization, b)
-    x = relax_sweep(lvl.relaxation, lvl.A, x, b, diagonal=lvl.diagonal)
+    x = relax_sweep(lvl.relaxation, lvl.A, None, b, diagonal=lvl.diagonal)
     r = b - lvl.A @ x
     r_coarse = lvl.P.T @ r
-    e_coarse = vcycle(H, level + 1, None, r_coarse)
+    e_coarse = vcycle(H, level + 1, r_coarse)
     x = x + lvl.P @ e_coarse
     return relax_sweep(lvl.relaxation, lvl.A, x, b, diagonal=lvl.diagonal)
 
@@ -275,8 +271,8 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
     Stationary mode iterates x <- x + Vcycle(b - A x); cg mode runs
     preconditioned conjugate gradients with one V-cycle as the
     preconditioner.  Returns (x, residual_history) of two-norm
-    residuals, starting with the initial one.  Residual growth over 10
-    consecutive iterations is reported as a warning, not raised.  b and
+    residuals, starting with the initial one.  Residual growth over
+    CF_WINDOW consecutive iterations is reported as a warning, not raised.  b and
     x0 must be vectors of length A.shape[0].
     """
     if accel not in ("stationary", "cg"):
@@ -299,19 +295,19 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
 
     if accel == "stationary":
         for _ in range(max_iters):
-            x = x + vcycle(H, 0, None, r)
+            x = x + vcycle(H, 0, r)
             r = b - A @ x
             history.append(float(np.linalg.norm(r)))
             if history[-1] <= target:
                 break
             growth = growth + 1 if history[-1] > history[-2] else 0
-            if growth >= 10:
-                warnings.warn("V-cycle iteration diverging: residual grew over "
-                              "10 consecutive iterations", RuntimeWarning)
+            if growth >= CF_WINDOW:
+                warnings.warn(f"V-cycle iteration diverging: residual grew over "
+                              f"{CF_WINDOW} consecutive iterations", RuntimeWarning)
                 break
         return x, history
 
-    z = vcycle(H, 0, None, r)
+    z = vcycle(H, 0, r)
     rz = float(r @ z)
     p = z.copy()
     for _ in range(max_iters):
@@ -328,38 +324,38 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
         if history[-1] <= target:
             break
         growth = growth + 1 if history[-1] > history[-2] else 0
-        if growth >= 10:
-            warnings.warn("preconditioned CG diverging: residual grew over "
-                          "10 consecutive iterations", RuntimeWarning)
+        if growth >= CF_WINDOW:
+            warnings.warn(f"preconditioned CG diverging: residual grew over "
+                          f"{CF_WINDOW} consecutive iterations", RuntimeWarning)
             break
-        z = vcycle(H, 0, None, r)
+        z = vcycle(H, 0, r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, history
 
 
-def convergence_factor(residuals, window=10):
-    """Geometric mean of the residual ratios over the last `window`
+def convergence_factor(residuals):
+    """Geometric mean of the residual ratios over the last CF_WINDOW
     iterations of a residual history; 0 when the residual at the start
     of the window is exactly 0."""
     r = np.asarray(residuals, dtype=np.float64)
-    if len(r) < window + 1:
+    if len(r) < CF_WINDOW + 1:
         raise ValueError("not enough iterations to measure a convergence factor")
-    if r[-window - 1] == 0.0:
+    if r[-CF_WINDOW - 1] == 0.0:
         return 0.0
-    return float((r[-1] / r[-window - 1]) ** (1.0 / window))
+    return float((r[-1] / r[-CF_WINDOW - 1]) ** (1.0 / CF_WINDOW))
 
 
-def measure_convergence_factor(H, seed=0, iters=30, window=10):
+def measure_convergence_factor(H, seed=0, iters=30):
     """Asymptotic convergence factor of the stationary V-cycle.
 
     Runs `iters` stationary iterations on A x = 0 from a seeded random
     start and returns (cf, residual_history), where cf is the geometric
-    mean of the residual ratios over the last `window` iterations.
+    mean of the residual ratios over the last CF_WINDOW iterations.
     """
     rng = np.random.default_rng(seed)
     x0 = rng.standard_normal(H.levels[0].A.shape[0])
     _, history = solve(H, np.zeros_like(x0), tol=0.0, max_iters=iters,
                        accel="stationary", x0=x0)
-    return convergence_factor(history, window), history
+    return convergence_factor(history), history

@@ -51,8 +51,9 @@ def write_matrix_market(path, A, symmetry=None):
     mmwrite(str(path), A, **kwargs)
 
 
-def check_symmetric(A, rtol=SYMMETRY_RTOL):
-    """Raise ValueError if dense A is not symmetric to relative tolerance."""
+def check_symmetric(A):
+    """Raise ValueError if dense A is not symmetric to SYMMETRY_RTOL
+    relative to its largest entry."""
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("expected a square matrix")
@@ -60,9 +61,9 @@ def check_symmetric(A, rtol=SYMMETRY_RTOL):
     if scale == 0.0:
         return A
     skew = np.abs(A - A.T).max()
-    if skew > rtol * scale:
+    if skew > SYMMETRY_RTOL * scale:
         raise ValueError(f"matrix is not symmetric: max skew {skew:.3e} "
-                         f"exceeds {rtol:.1e} * max entry {scale:.3e}")
+                         f"exceeds {SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")
     return A
 
 
@@ -142,25 +143,25 @@ def dense_sym_eig(A, B=None):
     return w, V
 
 
-def estimate_spectral_norm(matvec, n, iters=50, rtol=1e-6):
+def estimate_spectral_norm(matvec, n):
     """Spectral norm of a symmetric operator by power iteration.
 
     `matvec` maps a length-n vector to a length-n vector.  Runs at most
-    `iters` iterations, stopping early once consecutive estimates agree
-    to relative tolerance `rtol`.  Deterministic start vector.
+    50 iterations, stopping early once consecutive estimates agree to
+    relative tolerance 1e-6.  Deterministic start vector.
     """
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(50):
         w = matvec(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         lam_new = float(np.dot(v, w))
         v = w / nw
-        if lam != 0.0 and abs(lam_new - lam) <= rtol * abs(lam_new):
+        if lam != 0.0 and abs(lam_new - lam) <= 1e-6 * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new

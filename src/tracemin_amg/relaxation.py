@@ -40,21 +40,20 @@ class Relaxation:
 @dataclass(frozen=True)
 class SpectralEquivalence:
     """Choice of the operator X spectrally equivalent to the symmetrized
-    relaxation, with its equivalence constants c1 <= c2.
+    relaxation, with the upper equivalence constant c2 that weighs it.
 
     x_kind 'diag' uses diag(A); 'identity' uses the identity.  Any
     scaling of X folds into c2, which is why c2 defaults to 1.
     """
 
     x_kind: str = "diag"
-    c1: float = 1.0
     c2: float = 1.0
 
     def __post_init__(self):
         if self.x_kind not in ("diag", "identity"):
             raise ValueError(f"unknown X choice: {self.x_kind!r}")
-        if not (0.0 < self.c1 <= self.c2):
-            raise ValueError("require 0 < c1 <= c2")
+        if not self.c2 > 0.0:
+            raise ValueError("require c2 > 0")
 
     def diagonal(self, A):
         """Diagonal of X for a sparse or dense A (X is diagonal here)."""
@@ -63,10 +62,6 @@ class SpectralEquivalence:
             return np.asarray(d, dtype=np.float64).copy()
         n = A.shape[0]
         return np.ones(n)
-
-    def matrix(self, A):
-        """Dense X for the diagnostics module."""
-        return np.diag(self.diagonal(A))
 
 
 def relax_sweep(rel, A, x, b, diagonal=None):
@@ -126,14 +121,14 @@ def is_a_convergent(A, M):
     return bool(w[0] > 1e-12 * scale)
 
 
-def auto_jacobi_omega(A, coefficient=1.5, diagonal=None):
-    """Damping weight `coefficient` / rho(diag(A)^{-1} A) for smoothing.
+def auto_jacobi_omega(A, diagonal=None):
+    """Damping weight 1.5 / rho(diag(A)^{-1} A) for smoothing.
 
     rho is estimated by power iteration on the symmetrically scaled
-    operator D^{-1/2} A D^{-1/2}.  The default coefficient 1.5 balances
-    damping of the highest modes against sweep strength across the
-    densifying coarse-level operators.  `diagonal` is diag(A) when the
-    caller already holds it.
+    operator D^{-1/2} A D^{-1/2}.  The coefficient 1.5 balances damping
+    of the highest modes against sweep strength across the densifying
+    coarse-level operators.  `diagonal` is diag(A) when the caller
+    already holds it.
     """
     d = np.asarray(A.diagonal() if diagonal is None else diagonal, dtype=np.float64)
     if np.any(d <= 0.0):
@@ -149,4 +144,4 @@ def auto_jacobi_omega(A, coefficient=1.5, diagonal=None):
     rho = estimate_spectral_norm(matvec, A.shape[0])
     if rho == 0.0:
         return 1.0
-    return coefficient / rho
+    return 1.5 / rho

@@ -7,8 +7,8 @@ from scipy import sparse
 
 from sparse_helpers import csr_from_triplets, lap1d
 from tracemin_amg import hierarchy
-from tracemin_amg.coarsening import (BlockSplit, StrengthGraph, cf_split,
-                                     pattern_distance_k, strength_graph)
+from tracemin_amg.coarsening import (BlockSplit, cf_split, pattern_distance_k,
+                                     strength_graph)
 from tracemin_amg.problems import ProblemSpec, assemble
 
 
@@ -18,8 +18,8 @@ def test_strength_zero_threshold_keeps_all_offdiagonal():
     offdiag = A.copy()
     offdiag.setdiag(0.0)
     offdiag.eliminate_zeros()
-    assert S.adjacency.nnz == offdiag.nnz
-    assert np.all(S.adjacency.diagonal() == 0.0)
+    assert S.nnz == offdiag.nnz
+    assert np.all(S.diagonal() == 0.0)
 
 
 def test_strength_unit_threshold_keeps_row_maxima():
@@ -28,7 +28,7 @@ def test_strength_unit_threshold_keeps_row_maxima():
                            (0, 1, -1.0), (1, 0, -1.0),
                            (1, 2, -0.1), (2, 1, -0.1)], 3, 3)
     S = strength_graph(A, 1.0)
-    dense = S.adjacency.toarray()
+    dense = S.toarray()
     assert dense[0, 1] > 0 and dense[1, 0] > 0
     # edge (1,2) is not row 1's maximum, but it is row 2's (union symmetrization)
     assert dense[1, 2] > 0 and dense[2, 1] > 0
@@ -38,7 +38,7 @@ def test_strength_anisotropic_keeps_only_x_direction():
     n = 8
     problem = assemble(ProblemSpec("rotated_anisotropic", n, epsilon=0.001, theta=0.0))
     S = strength_graph(problem.matrix, 0.25)
-    adj = S.adjacency.tocoo()
+    adj = S.tocoo()
     for i, j in zip(adj.row, adj.col):
         # x-neighbors differ by 1 in the interior numbering (row-major by y)
         assert abs(i - j) == 1
@@ -47,8 +47,8 @@ def test_strength_anisotropic_keeps_only_x_direction():
 def test_strength_values_in_unit_interval():
     A = assemble(ProblemSpec("oscillatory", 8, K=1e3)).matrix
     S = strength_graph(A, 0.25)
-    assert S.adjacency.data.min() > 0.0
-    assert S.adjacency.data.max() <= 1.0 + 1e-14
+    assert S.data.min() > 0.0
+    assert S.data.max() <= 1.0 + 1e-14
 
 
 def reference_strength_graph(A, theta_strength):
@@ -102,7 +102,7 @@ def symmetric_operators(draw):
 @given(symmetric_operators())
 def test_strength_matches_coo_reference(case):
     A, theta = case
-    S = strength_graph(A, theta).adjacency
+    S = strength_graph(A, theta)
     expected = reference_strength_graph(A, theta)
     assert np.array_equal(S.indptr, expected.indptr)
     assert np.array_equal(S.indices, expected.indices)
@@ -151,10 +151,9 @@ def test_cf_split_coarsening_ratio_band():
     assert 0.2 <= ratio <= 0.6
 
 
-def reference_c_points(S):
+def reference_c_points(adj):
     """The original quadratic greedy pass: one argmax over all measures
     per C point (argmax takes the lowest tied index)."""
-    adj = S.adjacency
     n = adj.shape[0]
     indptr, indices = adj.indptr, adj.indices
     state = np.zeros(n, dtype=np.int8)  # 0 unassigned, 1 C, -1 F
@@ -202,7 +201,7 @@ def symmetric_strength_graphs(draw):
         adj = sparse.csr_matrix((np.full(len(cols), 0.5), cols, indptr), shape=(n, n))
     else:
         adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n))
-    return StrengthGraph(adj, 0.25)
+    return adj
 
 
 @settings(max_examples=200, deadline=None)
@@ -294,7 +293,7 @@ def test_pattern_keeps_pair_joined_by_256_paths():
     cols = np.concatenate([np.tile(hubs, 2), ends])
     adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(258, 258))
     split = BlockSplit.from_c_points(258, [257])
-    pattern = pattern_distance_k(StrengthGraph(adj, 0.25), split, 2)
+    pattern = pattern_distance_k(adj, split, 2)
     assert np.array_equal(pattern.cols[pattern.indptr[0]:pattern.indptr[1]], [0])
     assert len(pattern.empty_f_rows) == 0
 
@@ -302,7 +301,7 @@ def test_pattern_keeps_pair_joined_by_256_paths():
 def reference_pattern_rows(S, split, k):
     """Breadth-first search from every F point: the sorted C-local
     indices within k edges."""
-    dense = S.adjacency.toarray() != 0
+    dense = S.toarray() != 0
     rows = []
     for i in split.f_points:
         seen = np.zeros(split.n, dtype=bool)
@@ -320,10 +319,10 @@ def pattern_cases(draw):
     """A random symmetric strength graph, up to two hub vertices joined
     to any subset of it, a random CF split and a degree in 1..4."""
     S = draw(symmetric_strength_graphs())
-    n0 = S.adjacency.shape[0]
+    n0 = S.shape[0]
     n_hubs = draw(st.integers(0, 2))
     if n_hubs:
-        base = S.adjacency.tocoo()
+        base = S.tocoo()
         rows, cols = [base.row], [base.col]
         for hub in range(n0, n0 + n_hubs):
             spokes = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n0 + n_hubs,
@@ -333,9 +332,8 @@ def pattern_cases(draw):
             cols += [spokes, np.full(len(spokes), hub)]
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         n = n0 + n_hubs
-        adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n))
-        S = StrengthGraph(adj, 0.25)
-    n = S.adjacency.shape[0]
+        S = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n))
+    n = S.shape[0]
     is_c = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     split = BlockSplit.from_c_points(n, np.flatnonzero(is_c))
     return S, split, draw(st.integers(1, 4))

@@ -8,6 +8,7 @@ from scipy.linalg import cho_solve
 
 from sparse_helpers import csr_from_triplets, invalid_operators, lap1d
 from tracemin_amg import hierarchy
+from tracemin_amg.coarsening import strength_graph
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
@@ -77,6 +78,22 @@ def test_setup_stagnation_error():
         setup(A, SetupConfig(max_coarse=10))
 
 
+def test_setup_stagnation_names_its_cause_after_one_strength_graph(monkeypatch):
+    # a higher threshold only removes edges, so retrying cannot coarsen
+    thetas = []
+
+    def recording(A, theta_strength):
+        thetas.append(theta_strength)
+        return strength_graph(A, theta_strength)
+
+    monkeypatch.setattr(hierarchy, "strength_graph", recording)
+    A = csr_from_triplets([(i, i, 1.0) for i in range(50)], 50, 50)
+    with pytest.raises(RuntimeError, match="^coarsening stagnated on level 0: its "
+                       "operator has no nonzero off-diagonal entry$"):
+        setup(A, SetupConfig(max_coarse=10))
+    assert thetas == [0.4]
+
+
 def test_setup_galerkin_consistency():
     H = setup(poisson2d(12), SetupConfig(pattern_degree=2))
     for k in range(H.n_levels - 1):
@@ -88,7 +105,7 @@ def test_setup_galerkin_consistency():
 def test_vcycle_zero_input():
     H = setup(poisson2d(8), SetupConfig())
     n = H.levels[0].A.shape[0]
-    out = vcycle(H, 0, np.zeros(n), np.zeros(n))
+    out = vcycle(H, 0, np.zeros(n))
     assert np.all(out == 0.0)
 
 
@@ -96,7 +113,7 @@ def test_vcycle_single_level_exact():
     A = lap1d(6)
     H = setup(A, SetupConfig(max_coarse=10))
     b = np.arange(1.0, 7.0)
-    x = vcycle(H, 0, np.zeros(6), b)
+    x = vcycle(H, 0, b)
     assert_allclose(A @ x, b, atol=1e-12)
 
 
@@ -106,7 +123,7 @@ def test_vcycle_contracts_energy():
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.standard_normal(A.shape[0])
-        y = x + vcycle(H, 0, np.zeros_like(x), -(A @ x))
+        y = x + vcycle(H, 0, -(A @ x))
         assert y @ (A @ y) < x @ (A @ x)
 
 
@@ -117,7 +134,7 @@ def test_vcycle_fixed_point_at_solution():
     x_star = rng.standard_normal(A.shape[0])
     b = A @ x_star
     r = b - A @ x_star
-    x = x_star + vcycle(H, 0, np.zeros_like(x_star), r)
+    x = x_star + vcycle(H, 0, r)
     assert np.abs(x - x_star).max() <= 1e-13 * np.abs(x_star).max()
 
 
@@ -185,7 +202,7 @@ def test_solve_rejects_vectors_of_the_wrong_shape(b_shape, x0_shape, message):
 def test_two_grid_matches_dense_error_norm():
     A = assemble(ProblemSpec("rotated_anisotropic", 12, epsilon=1.0)).matrix
     H = setup(A, SetupConfig(mode="constrained", pattern_degree=2, max_levels=2))
-    cf, _ = measure_convergence_factor(H, seed=0, iters=40, window=10)
+    cf, _ = measure_convergence_factor(H, seed=0, iters=40)
     lvl = H.levels[0]
     Ad = lvl.A.toarray()
     M = np.diag(np.diag(Ad)) / lvl.relaxation.omega
@@ -329,7 +346,7 @@ def test_setup_config_accepts_range_ends():
         SetupConfig(**kwargs)
 
 
-def reference_vcycle(H, level, x, b):
+def reference_vcycle(H, level, b):
     """The V(1,1) cycle that computes every pre-smoothing residual,
     including b - A x at the zero start."""
     lvl = H.levels[level]
@@ -342,9 +359,9 @@ def reference_vcycle(H, level, x, b):
             x += lvl.relaxation.omega * (b - lvl.A @ x) / lvl.diagonal
         return x
 
-    x = smooth(np.zeros(len(b)) if x is None else x)
+    x = smooth(np.zeros(len(b)))
     r_coarse = lvl.P.T @ (b - lvl.A @ x)
-    x = x + lvl.P @ reference_vcycle(H, level + 1, np.zeros(len(r_coarse)), r_coarse)
+    x = x + lvl.P @ reference_vcycle(H, level + 1, r_coarse)
     return smooth(x)
 
 

@@ -109,7 +109,7 @@ def test_spectral_equivalence_diagonal():
     with pytest.raises(ValueError):
         SpectralEquivalence(x_kind="other")
     with pytest.raises(ValueError):
-        SpectralEquivalence(c1=2.0, c2=1.0)
+        SpectralEquivalence(c2=0.0)
 
 
 def test_auto_jacobi_omega_is_a_convergent():
