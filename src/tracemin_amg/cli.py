@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .coarsening import cf_split, strength_graph
-from .experiments import (ExperimentConfig, adaptive_constraints, measure_report,
-                          run_experiment, smoothed_constant)
+from .experiments import (ExperimentConfig, first_constraint_vector, measure_report,
+                          run_experiment)
 from .hierarchy import SetupConfig, setup
 from .linalg import read_matrix_market, write_matrix_market
 from .problems import DEFAULT_THETA, ProblemSpec, assemble
@@ -56,11 +56,8 @@ def _cmd_solve(args):
     spec = _problem_spec(args)
     problem = assemble(spec)
     A = problem.matrix
-    if args.random_candidate:
-        cands = adaptive_constraints(A, None, 1, args.improvement_iters,
-                                     args.seed).vectors
-    else:
-        cands = smoothed_constant(A, args.improvement_iters)
+    source = "random" if args.random_candidate else "constant"
+    cands = first_constraint_vector(A, source, args.improvement_iters, args.seed)
     cfg = SetupConfig(mode=args.mode, tau=args.tau,
                       pattern_degree=args.pattern_degree,
                       emin_iters=args.iters, candidates=cands,

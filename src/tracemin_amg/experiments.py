@@ -30,6 +30,7 @@ __all__ = [
     "measure_report",
     "adaptive_constraints",
     "smoothed_constant",
+    "first_constraint_vector",
     "run_experiment",
     "CSV_HEADER",
 ]
@@ -181,14 +182,21 @@ def smoothed_constant(A, sweeps):
     return v[:, None]
 
 
-def _hierarchy_for_point(A, cfg, mode, tau, iters):
-    """Build the hierarchy for one grid point, including the adaptive
-    constraint chain when the random source is configured."""
-    if cfg.constraint_source == "constant":
-        cands = smoothed_constant(A, cfg.improvement_iters)
-        return setup(A, _setup_config(cfg, mode, tau, iters, cands))
-    cands = adaptive_constraints(A, None, 1, cfg.improvement_iters, cfg.seed)
-    H = setup(A, _setup_config(cfg, mode, tau, iters, cands.vectors))
+def first_constraint_vector(A, source, improvement_iters, seed):
+    """The first constraint vector as an n x 1 array: the constant
+    smoothed by improvement_iters Jacobi sweeps (source 'constant'), or
+    the seeded random vector of the adaptive protocol (source 'random').
+    It depends on no setup option, so a sweep computes it once."""
+    if source == "constant":
+        return smoothed_constant(A, improvement_iters)
+    return adaptive_constraints(A, None, 1, improvement_iters, seed).vectors
+
+
+def _hierarchy_for_point(A, cfg, first, mode, tau, iters):
+    """Build the hierarchy for one grid point from the first constraint
+    vector, then grow the adaptive constraint chain to
+    cfg.n_constraint_vectors vectors."""
+    H = setup(A, _setup_config(cfg, mode, tau, iters, first))
     for k in range(2, cfg.n_constraint_vectors + 1):
         cands = adaptive_constraints(A, H, k, cfg.improvement_iters, cfg.seed)
         H = setup(A, _setup_config(cfg, mode, tau, iters, cands.vectors))
@@ -210,12 +218,14 @@ def run_experiment(cfg):
     CSV when an output path is set.  Deterministic under a fixed seed."""
     problem = assemble(cfg.problem)
     A = problem.matrix
+    first = first_constraint_vector(A, cfg.constraint_source,
+                                    cfg.improvement_iters, cfg.seed)
     rows = []
     for mode in cfg.modes:
         taus = cfg.taus if mode == "weighted" else [None]
         for tau in taus:
             for iters in cfg.emin_iters:
-                H = _hierarchy_for_point(A, cfg, mode, tau, iters)
+                H = _hierarchy_for_point(A, cfg, first, mode, tau, iters)
                 report = measure_report(H, seed=cfg.seed)
                 rows.append({
                     "problem": cfg.problem.kind,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from tracemin_amg import experiments
 from tracemin_amg.experiments import (CSV_HEADER, ExperimentConfig,
                                       adaptive_constraints, convergence_report,
                                       measure_report, rows_to_csv_text,
@@ -183,6 +184,33 @@ def test_random_source_config_roundtrip(tmp_path):
     rows = run_experiment(cfg)
     assert len(rows) == 1
     assert rows[0]["n_vecs"] == 2
+
+
+@pytest.mark.parametrize("source, n_vecs", [("constant", 1), ("random", 2)])
+def test_sweep_computes_the_first_constraint_vector_once(source, n_vecs, monkeypatch):
+    # the first vector depends on no grid value; a later adaptive vector
+    # is improved by each grid point's own hierarchy
+    calls = []
+    original_smooth = experiments.smoothed_constant
+    original_adaptive = experiments.adaptive_constraints
+
+    def smooth(*args):
+        calls.append("smoothed constant")
+        return original_smooth(*args)
+
+    def adaptive(A, existing, k, *args):
+        calls.append(f"adaptive vector {k}")
+        return original_adaptive(A, existing, k, *args)
+
+    monkeypatch.setattr(experiments, "smoothed_constant", smooth)
+    monkeypatch.setattr(experiments, "adaptive_constraints", adaptive)
+    cfg = ExperimentConfig(problem=ProblemSpec("rotated_anisotropic", 16, epsilon=0.5),
+                           modes=["weighted", "constrained"], taus=[1e-1, 1e-4],
+                           emin_iters=[1, 2], pattern_degree=2, constraint_source=source,
+                           n_constraint_vectors=n_vecs, improvement_iters=2, seed=3)
+    assert len(run_experiment(cfg)) == 6
+    first = "smoothed constant" if source == "constant" else "adaptive vector 1"
+    assert calls == [first] + ["adaptive vector 2"] * 6 * (n_vecs - 1)
 
 
 def test_config_validation():
