@@ -25,6 +25,14 @@ def lap1d(n):
     return csr_from_triplets(trips, n, n)
 
 
+def rand_spd_sparse(rng, n, density=0.3):
+    """G G^T + n I in CSR for a standard normal G with about `density`
+    of its entries kept."""
+    G = rng.standard_normal((n, n))
+    G[rng.random((n, n)) > density] = 0.0
+    return sparse.csr_matrix(G @ G.T + n * np.eye(n))
+
+
 def invalid_operators(n=120):
     """Matrices that setup must reject, each with a pattern of the cause
     its error names.  The 1-D Laplacians have n > 100 rows, so setup's

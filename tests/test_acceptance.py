@@ -14,8 +14,8 @@ import warnings
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
+from sparse_helpers import rand_spd_sparse
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern
 from tracemin_amg.energymin import (apply_weighted_operator, build_weighted_system,
                                     pcg_frobenius, prepare_candidates)
@@ -39,12 +39,6 @@ def report(index, ok, detail):
 def rand_spd(rng, n):
     G = rng.standard_normal((n, n))
     return G @ G.T + n * np.eye(n)
-
-
-def rand_spd_sparse(rng, n, density=0.3):
-    G = rng.standard_normal((n, n))
-    G[rng.random((n, n)) > density] = 0.0
-    return sparse.csr_matrix(G @ G.T + n * np.eye(n))
 
 
 def jacobi_m(A):

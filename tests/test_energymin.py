@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from sparse_helpers import lap1d
+from sparse_helpers import lap1d, rand_spd_sparse
 from tracemin_amg import energymin, hierarchy
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
@@ -20,13 +20,6 @@ from tracemin_amg.energymin import (CandidateSet, _RowConstraints, _slot_values,
                                     weighted_energymin)
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import SpectralEquivalence
-
-
-def rand_spd_sparse(rng, n, density=0.3):
-    G = rng.standard_normal((n, n))
-    G[rng.random((n, n)) > density] = 0.0
-    A = G @ G.T + n * np.eye(n)
-    return sparse.csr_matrix(A)
 
 
 def random_pattern(rng, nf, nc, fill=0.5):

@@ -2,11 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.linalg import cho_solve
 
-from sparse_helpers import csr_from_triplets, invalid_operators, lap1d
+from sparse_helpers import csr_from_triplets, invalid_operators, lap1d, rand_spd_sparse
 from tracemin_amg import hierarchy
 from tracemin_amg.coarsening import strength_graph
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
@@ -379,3 +381,71 @@ def test_zero_start_vcycle_bit_identical_to_reference(sweeps, monkeypatch):
     assert len(cg) > 5 and len(stationary) == 31
     assert np.array_equal(cg, reference_cg)
     assert np.array_equal(stationary, reference_stationary)
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="setup raises on a coarse level it cannot coarsen, "
+                          "though a diagonal level is solved exactly")
+def test_setup_stops_at_a_diagonal_coarse_level():
+    """Hypothesis found it: one coupling in a 6 x 6 diagonal matrix.  The
+    F point interpolates from its one C neighbor, so the 5 x 5 coarse
+    level is diagonal and larger than max_coarse; it could serve as the
+    coarsest level."""
+    A = csr_from_triplets([(i, i, 2.0) for i in range(6)] + [(0, 1, -1.0), (1, 0, -1.0)],
+                          6, 6)
+    H = setup(A, SetupConfig(pattern_degree=1, max_coarse=1, max_levels=3))
+    assert H.level_sizes() == [6, 5]
+    b = np.arange(1.0, 7.0)
+    x, _ = solve(H, b, tol=1e-12, accel="cg")
+    assert_allclose(A @ x, b, rtol=1e-10)
+
+
+@st.composite
+def small_problems(draw):
+    """A random SPD matrix with at most 40 rows or a P1 benchmark
+    operator on a mesh of at most 8 intervals, and a 2- or 3-level
+    setup configuration."""
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        A = rand_spd_sparse(rng, draw(st.integers(6, 40)),
+                            density=draw(st.sampled_from([0.1, 0.3, 1.0])))
+    else:
+        A = assemble(ProblemSpec(draw(st.sampled_from(["rotated_anisotropic", "oscillatory"])),
+                                 draw(st.integers(3, 8)),
+                                 epsilon=draw(st.sampled_from([1.0, 1e-3])),
+                                 K=draw(st.sampled_from([1.0, 1e6])))).matrix
+    cfg = SetupConfig(mode=draw(st.sampled_from(["constrained", "weighted"])),
+                      tau=draw(st.sampled_from([1e-4, 0.5])),
+                      pattern_degree=draw(st.integers(1, 3)),
+                      max_levels=draw(st.integers(2, 3)),
+                      max_coarse=draw(st.integers(1, A.shape[0] // 3)))
+    return A, cfg
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_problems())
+def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
+    """Dense oracles: the V-cycle operator, assembled column by column,
+    is symmetric and positive definite; every coarse level equals the
+    dense P^T A P, is exactly symmetric and has positive eigenvalues.
+    The one other outcome is setup's stagnation error on a level whose
+    operator is diagonal: a sparse random G can leave A, or a coarse
+    level, without any coupling (see the strict xfail
+    test_setup_stops_at_a_diagonal_coarse_level)."""
+    A, cfg = problem
+    try:
+        H = setup(A, cfg)
+    except RuntimeError as err:
+        assert "has no nonzero off-diagonal entry" in str(err)
+        return
+    assert H.n_levels >= 2
+    for fine, coarse in zip(H.levels, H.levels[1:]):
+        Ac = coarse.A.toarray()
+        dense = fine.P.toarray().T @ fine.A.toarray() @ fine.P.toarray()
+        assert np.abs(Ac - dense).max() <= 1e-12 * np.abs(dense).max()
+        assert np.array_equal(Ac, Ac.T)
+        assert np.linalg.eigvalsh(Ac)[0] > 0.0
+    n = A.shape[0]
+    B = np.column_stack([vcycle(H, 0, e) for e in np.eye(n)])
+    assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
+    assert np.linalg.eigvalsh((B + B.T) / 2.0)[0] > 0.0
