@@ -267,10 +267,13 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     sqrt(r . z) falls below tol relative to its initial value, or after
     max_iters iterations; the iteration budget is the primary control
     since the residual does not predict the quality of the resulting AMG
-    interpolation.  x0 is returned as it is when the projection leaves
-    only round-off (1e-13) of the initial residual: x0 then minimizes
-    over the subspace already, or the subspace is empty, and CG steps on
-    round-off would move x by garbage.
+    interpolation.  Round-off ends the iteration too, whatever tol: CG
+    stops once sqrt(r . z) falls to 1e-13 of the unprojected initial
+    residual's preconditioned norm, and returns x0 as it is when the
+    projection leaves no more than that.  x has then reached the
+    minimum over the subspace, or the subspace is empty, and steps on
+    round-off would take their length from round-off curvature and move
+    x by garbage.
 
     Returns (x, residual_history); history starts with the initial
     residual norm.  `callback(x)` gets a copy of every updated iterate.
@@ -284,10 +287,11 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     z = project(diag * r)
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
-    if history[0] <= 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full)))):
+    floor = 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full))))
+    if history[0] <= floor:
         return x, history
     p = z.copy()
-    target = tol * history[0]
+    target = max(tol * history[0], floor)
     for k in range(max_iters):
         Lp = project(apply(p))
         pLp = float(p @ Lp)

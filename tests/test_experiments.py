@@ -235,4 +235,4 @@ def test_sweep_csv_digest_is_pinned():
                            emin_iters=[1, 4], seed=0)
     text = rows_to_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "07735f7b300bc4a62955cc2c8f71cc47cf82645eab559dfd5023412a44333999"
+        "3a147109d3399fd92fc4dfa7c57698f7d7268a7daaf0a01bb62b09594a6bd23a"
