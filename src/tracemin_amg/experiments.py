@@ -57,10 +57,10 @@ def convergence_report(H, residual_history):
     """Summarize a residual history against a hierarchy's complexities.
 
     cf is the geometric mean of the residual ratios over the last
-    hierarchy.CF_WINDOW iterations; wpd = -cc / log10(cf) for 0 < cf < 1, and is
-    None (flagged divergent) otherwise.  Needs CF_WINDOW + 1 residuals,
-    as many as a solve stopped after CF_WINDOW consecutive growths
-    leaves.
+    hierarchy.CF_WINDOW iterations; wpd = -cc / log10(cf) for
+    0 < cf < 1, and is None (flagged divergent) otherwise.  Needs
+    CF_WINDOW + 1 residuals, as many as a solve stopped after CF_WINDOW
+    consecutive growths leaves.
     """
     cf = convergence_factor(residual_history)
     oc = float(H.operator_complexity())

@@ -272,8 +272,8 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
     preconditioned conjugate gradients with one V-cycle as the
     preconditioner.  Returns (x, residual_history) of two-norm
     residuals, starting with the initial one.  Residual growth over
-    CF_WINDOW consecutive iterations is reported as a warning, not raised.  b and
-    x0 must be vectors of length A.shape[0].
+    CF_WINDOW consecutive iterations is reported as a warning, not
+    raised.  b and x0 must be vectors of length A.shape[0].
     """
     if accel not in ("stationary", "cg"):
         raise ValueError(f"unknown acceleration: {accel!r}")

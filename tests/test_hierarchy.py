@@ -410,8 +410,8 @@ def small_problems(draw):
         A = rand_spd_sparse(rng, draw(st.integers(6, 40)),
                             density=draw(st.sampled_from([0.1, 0.3, 1.0])))
     else:
-        A = assemble(ProblemSpec(draw(st.sampled_from(["rotated_anisotropic", "oscillatory"])),
-                                 draw(st.integers(3, 8)),
+        kind = draw(st.sampled_from(["rotated_anisotropic", "oscillatory"]))
+        A = assemble(ProblemSpec(kind, draw(st.integers(3, 8)),
                                  epsilon=draw(st.sampled_from([1.0, 1e-3])),
                                  K=draw(st.sampled_from([1.0, 1e6])))).matrix
     cfg = SetupConfig(mode=draw(st.sampled_from(["constrained", "weighted"])),
@@ -440,8 +440,8 @@ def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
         return
     assert H.n_levels >= 2
     for fine, coarse in zip(H.levels, H.levels[1:]):
-        Ac = coarse.A.toarray()
-        dense = fine.P.toarray().T @ fine.A.toarray() @ fine.P.toarray()
+        Ac, P = coarse.A.toarray(), fine.P.toarray()
+        dense = P.T @ fine.A.toarray() @ P
         assert np.abs(Ac - dense).max() <= 1e-12 * np.abs(dense).max()
         assert np.array_equal(Ac, Ac.T)
         assert np.linalg.eigvalsh(Ac)[0] > 0.0
