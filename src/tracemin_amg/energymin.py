@@ -267,15 +267,12 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     sqrt(r . z) falls below tol relative to its initial value, or after
     max_iters iterations; the iteration budget is the primary control
     since the residual does not predict the quality of the resulting AMG
-    interpolation.  Round-off ends a projected iteration too, whatever
-    tol.  x0 is returned as it is when the projection leaves no more
-    than 1e-13 of the initial residual's preconditioned norm, and CG
-    stops once sqrt(r . z) falls to 1e-13 of the preconditioned norm of
-    the part the projection removed from it.  x has then reached the
-    minimum over the subspace, or the subspace is empty, and steps on
-    round-off would take their length from round-off curvature and move
-    x by garbage.  Without a projection nothing is removed, and only
-    tol and max_iters end the iteration.
+    interpolation.  A projected residual carries round-off of what the
+    projection removed, so x0 is returned as it is when no more than
+    1e-13 of the initial residual's preconditioned norm is left, and CG
+    stops once sqrt(r . z) falls to 1e-13 of the removed part's norm,
+    whatever tol: steps on round-off would take their length from
+    round-off curvature and move x by garbage.
 
     Returns (x, residual_history); history starts with the initial
     residual norm.  `callback(x)` gets a copy of every updated iterate.
@@ -291,7 +288,6 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     history = [np.sqrt(max(rz, 0.0))]
     if history[0] <= 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full)))):
         return x, history
-    # the projected residual carries round-off of the part it removed
     removed = r_full - r
     floor = 1e-13 * np.sqrt(abs(float(removed @ (diag * removed))))
     p = z.copy()

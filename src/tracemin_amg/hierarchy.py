@@ -208,9 +208,8 @@ def setup(A, cfg):
         S = strength_graph(A, cfg.theta_strength)
         split = cf_split(S)
         if split.n_f == 0:
-            # every nonzero off-diagonal entry puts an edge in S (the
-            # largest of its row passes any theta <= 1), and one edge
-            # makes an F point, so no threshold could coarsen this level
+            # a nonzero off-diagonal entry is an edge at any theta <= 1,
+            # and an edge makes an F point: no threshold can coarsen this
             raise RuntimeError(
                 f"coarsening stagnated on level {len(levels)}: its operator "
                 f"has no nonzero off-diagonal entry")
