@@ -268,10 +268,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     max_iters iterations; the iteration budget is the primary control
     since the residual does not predict the quality of the resulting AMG
     interpolation.  A projected residual carries round-off of what the
-    projection removed, so x0 is returned as it is when no more than
-    1e-13 of the initial residual's preconditioned norm is left, and CG
-    stops once sqrt(r . z) falls to 1e-13 of the removed part's norm,
-    whatever tol: steps on round-off would take their length from
+    projection removed, so x0 is returned as it is, and CG stops, once
+    sqrt(r . z) falls to 1e-13 of the removed part's preconditioned
+    norm, whatever tol: steps on round-off would take their length from
     round-off curvature and move x by garbage.
 
     Returns (x, residual_history); history starts with the initial
@@ -286,10 +285,10 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     z = project(diag * r)
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
-    if history[0] <= 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full)))):
-        return x, history
     removed = r_full - r
     floor = 1e-13 * np.sqrt(abs(float(removed @ (diag * removed))))
+    if history[0] <= floor:
+        return x, history
     p = z.copy()
     target = max(tol * history[0], floor)
     for k in range(max_iters):
