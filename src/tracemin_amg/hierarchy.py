@@ -182,9 +182,11 @@ def _check_operator(A):
 def setup(A, cfg):
     """Build a multilevel hierarchy for the SPD matrix A.
 
-    A is checked once, before any level is built, and each failure
-    raises a ValueError that names its cause: A must be square, every
-    entry finite, A symmetric (exactly, or to linalg.SYMMETRY_RTOL
+    Coarsening stops at max_levels, at a level of at most max_coarse
+    rows, or at a level with no off-diagonal entry; that level is the
+    coarsest.  A is checked once, before any level is built, and each
+    failure raises a ValueError that names its cause: A must be square,
+    every entry finite, A symmetric (exactly, or to linalg.SYMMETRY_RTOL
     relative to its largest entry) and its diagonal positive.  The
     candidates must be finite.  A singular A (one that annihilates the
     first candidate) is rejected by prepare_candidates, and a coarsest
@@ -204,15 +206,15 @@ def setup(A, cfg):
     fine_candidates = raw.copy()
 
     levels = []
+    advice = "raise max_levels or lower max_coarse"
     while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:
         S = strength_graph(A, cfg.theta_strength)
         split = cf_split(S)
         if split.n_f == 0:
-            # a nonzero off-diagonal entry is an edge at any theta <= 1,
-            # and an edge makes an F point: no threshold can coarsen this
-            raise RuntimeError(
-                f"coarsening stagnated on level {len(levels)}: its operator "
-                f"has no nonzero off-diagonal entry")
+            # any nonzero off-diagonal entry is an edge at every theta <= 1, so
+            # this operator is diagonal and its factorization solves it exactly
+            advice = f"level {len(levels)} has no off-diagonal entry left to coarsen"
+            break
         pattern = pattern_distance_k(S, split, cfg.pattern_degree)
         B = prepare_candidates(A, raw)
         iters = cfg.iteration_budget()
@@ -239,10 +241,9 @@ def setup(A, cfg):
         raise ValueError(
             f"coarsest level has {n} rows: its dense Cholesky factorization "
             f"needs {8 * n * n} bytes, over the {MAX_DENSE_COARSE_BYTES}-byte limit; "
-            f"raise max_levels or lower max_coarse")
-    coarse = A.toarray()
-    coarse = (coarse + coarse.T) / 2.0
-    factorization = cho_factor(coarse)
+            f"{advice}")
+    # cho_factor reads only the upper triangle: one dense copy, factorized in place
+    factorization = cho_factor(A.toarray(order="F"), overwrite_a=True)
     return Hierarchy(levels, factorization, fine_candidates, cfg)
 
 
@@ -336,13 +337,13 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
 
 def convergence_factor(residuals):
     """Geometric mean of the residual ratios over the last CF_WINDOW
-    iterations of a residual history; 0 when the residual at the start
-    of the window is exactly 0."""
+    iterations of a residual history; 0 for a history that ends at an
+    exactly zero residual, whatever its length (solve stops there)."""
     r = np.asarray(residuals, dtype=np.float64)
-    if len(r) < CF_WINDOW + 1:
-        raise ValueError("not enough iterations to measure a convergence factor")
-    if r[-CF_WINDOW - 1] == 0.0:
+    if r.size and r[-1] == 0.0:
         return 0.0
+    if r.size < CF_WINDOW + 1:
+        raise ValueError("not enough iterations to measure a convergence factor")
     return float((r[-1] / r[-CF_WINDOW - 1]) ** (1.0 / CF_WINDOW))
 
 
