@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -60,7 +60,8 @@ def convergence_report(H, residual_history):
     hierarchy.CF_WINDOW iterations; wpd = -cc / log10(cf) for
     0 < cf < 1, and is None (flagged divergent) otherwise.  Needs
     CF_WINDOW + 1 residuals, as many as a solve stopped after CF_WINDOW
-    consecutive growths leaves.
+    consecutive growths leaves, unless the history ends at an exact
+    zero: cf and wpd are then 0.
     """
     cf = convergence_factor(residual_history)
     oc = float(H.operator_complexity())
@@ -140,6 +141,9 @@ class ExperimentConfig:
     max_coarse: int = 100
 
     def __post_init__(self):
+        for name in ("modes", "taus", "emin_iters"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
         if any(m not in ("weighted", "constrained") for m in self.modes):
@@ -154,16 +158,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
+        """The configuration from a JSON object; an unknown or missing key,
+        in it or in its 'problem' object, raises a ValueError naming it."""
+        data = dict(_checked_keys(cls, data, "config"))
         problem = data.pop("problem")
-        if isinstance(problem, dict):
-            problem = ProblemSpec(**problem)
+        if not isinstance(problem, ProblemSpec):
+            problem = ProblemSpec(**_checked_keys(ProblemSpec, problem, "problem"))
         return cls(problem=problem, **data)
 
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _checked_keys(cls, data, name):
+    """data, checked to be a JSON object that holds only fields of the
+    dataclass cls and every field without a default."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object; got {data!r}")
+    for f in fields(cls):
+        if f.default is f.default_factory is MISSING and f.name not in data:
+            raise ValueError(f"{name} is missing key {f.name!r}")
+    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{name} has unknown key {unknown[0]!r}")
+    return data
 
 
 def _setup_config(cfg, mode, tau, iters, candidates):

@@ -31,6 +31,13 @@ def test_solve_reports_convergence(tmp_path, capsys):
     assert "CF" in out and "WPD" in out
 
 
+def test_solve_measures_an_exactly_solved_one_level_hierarchy(capsys):
+    # n = 2 leaves one unknown: the coarsest level is the whole problem
+    assert main(["solve", "--n", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "sizes [1]" in out and "CF            0.0000" in out
+
+
 def test_solve_exits_3_on_a_diverging_cycle(monkeypatch, capsys):
     # over-damped Jacobi (omega = 3) makes the V-cycle diverge
     real_setup = cli.setup
@@ -85,10 +92,23 @@ def test_sweep_with_config_and_overrides(tmp_path):
     assert len(lines) == 2  # header + the single overridden grid point
 
 
-def test_sweep_rejects_bad_config(tmp_path):
+PROBLEM = {"kind": "oscillatory", "n": 8}
+
+
+@pytest.mark.parametrize("config, cause", [
+    ({"problem": {"kind": "nope", "n": 8}}, "unknown problem kind: 'nope'"),
+    ({"problem": PROBLEM, "emin_iter": [1]}, "config has unknown key 'emin_iter'"),
+    ({"modes": ["weighted"]}, "config is missing key 'problem'"),
+    ({"problem": dict(PROBLEM, KK=3)}, "problem has unknown key 'KK'"),
+    ({"problem": "oscillatory"}, "problem must be a JSON object; got 'oscillatory'"),
+    ({"problem": PROBLEM, "emin_iters": 3}, "emin_iters must be a list; got 3"),
+], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
+        "problem-not-object", "scalar-grid"])
+def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
-    cfg_path.write_text(json.dumps({"problem": {"kind": "nope", "n": 8}}))
+    cfg_path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert f"error: {cause}" in capsys.readouterr().err
 
 
 def test_theory_subcommand(tmp_path, capsys):
