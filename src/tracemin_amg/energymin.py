@@ -142,13 +142,14 @@ class _RowConstraints:
             self.groups.append((rows, slots, C, Gp))
 
     def project(self, values):
-        """Project slot values onto {Z : Z B_c = 0}, row by row."""
-        out = values.copy()
+        """Project slot values onto {Z : Z B_c = 0}, row by row.  Every
+        slot belongs to exactly one group, so each is written once."""
+        out = np.empty_like(values)
         for _, slots, C, Gp in self.groups:
-            Z = out[slots]
+            Z = values[slots]
             t = np.einsum("rmk,rm->rk", C, Z)
             s = np.einsum("rkl,rl->rk", Gp, t)
-            out[slots] -= np.einsum("rmk,rk->rm", C, s)
+            out[slots] = Z - np.einsum("rmk,rk->rm", C, s)
         return out
 
     def min_norm_solution(self, B_f):
@@ -178,7 +179,13 @@ class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
     Hadamard diagonal preconditioner.  The candidate-term constants
     Bc_slots and cand_scale are None at tau = 1, where the term
-    vanishes."""
+    vanishes.
+
+    product_layout is the (indptr, indices) of the last product A_ff W
+    that apply_weighted_operator formed, then, once a later product had
+    the same layout, the position of each slot in its data (-1 where it
+    stores none) and the slots it misses; None before the first product.
+    """
 
     tau: float
     c2: float
@@ -191,6 +198,7 @@ class WeightedSystem:
     Dprec: np.ndarray         # slot values
     Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
+    product_layout: tuple = None
 
     @property
     def BcBcT(self):
@@ -241,13 +249,44 @@ def build_weighted_system(A, split, B, X, tau, pattern):
                           bhat, 1.0 / denom, Bc_slots, cand_scale)
 
 
+def _product_slot_values(sys, S):
+    """Slot values of the product S = A_ff W.
+
+    SpGEMM orders each output row by the structure of A_ff and the
+    pattern alone and drops only entries that sum to exactly zero, so
+    products with equal indptr and indices store the same entries in the
+    same places.  A product whose layout differs from the last one's is
+    sampled and its layout kept; once a layout repeats, the slots are
+    located in it once and every product with it reads its slot values
+    as a gather.  A product stores no duplicates and no zeros, so the
+    gather returns what sampling would: the stored entry, or 0 for a
+    slot the layout misses.
+    """
+    pat = sys.pattern
+    layout = sys.product_layout
+    if (layout is None or S.nnz == 0 or not np.array_equal(S.indptr, layout[0])
+            or not np.array_equal(S.indices, layout[1])):
+        sys.product_layout = (S.indptr, S.indices, None, None)
+        return _slot_values(S, pat.slot_rows, pat.cols)
+    if layout[2] is None:
+        # entry k of S is numbered k + 1, so a slot S misses reads 0
+        numbers = sparse.csr_matrix((np.arange(1, S.nnz + 1, dtype=S.indices.dtype),
+                                     S.indices, S.indptr), shape=S.shape)
+        found = _slot_values(numbers, pat.slot_rows, pat.cols)
+        layout = sys.product_layout = (S.indptr, S.indices, found - 1,
+                                       np.flatnonzero(found == 0))
+    values = S.data[layout[2]]
+    values[layout[3]] = 0.0
+    return values
+
+
 def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern."""
     pat = sys.pattern
     W = pat.to_csr(values)
     if sys.tau > 0.0:
-        out = sys.tau * _slot_values(sys.A_ff @ W, pat.slot_rows, pat.cols)
+        out = sys.tau * _product_slot_values(sys, sys.A_ff @ W)
     else:
         out = np.zeros(pat.nnz)
     if sys.tau < 1.0:
@@ -287,6 +326,7 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     history = [np.sqrt(max(rz, 0.0))]
     removed = r_full - r
     floor = 1e-13 * np.sqrt(abs(float(removed @ (diag * removed))))
+    del r_full, removed
     if history[0] <= floor:
         return x, history
     p = z.copy()

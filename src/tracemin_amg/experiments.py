@@ -19,7 +19,7 @@ import numpy as np
 
 from .energymin import prepare_candidates
 from .hierarchy import (SetupConfig, convergence_factor, measure_convergence_factor,
-                        setup, solve)
+                        reject_non_integers, setup, solve)
 from .problems import ProblemSpec, assemble
 from .relaxation import Relaxation, auto_jacobi_omega, relax_sweep
 
@@ -124,6 +124,7 @@ class ExperimentConfig:
     constraint_source 'constant' smooths the constant vector with
     improvement_iters Jacobi sweeps (n_constraint_vectors must be 1);
     'random' runs the adaptive protocol of seeded random vectors.
+    The counts, and each emin_iters entry, must be integers.
     """
 
     problem: ProblemSpec
@@ -144,6 +145,11 @@ class ExperimentConfig:
         for name in ("modes", "taus", "emin_iters"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
+        reject_non_integers(pattern_degree=self.pattern_degree,
+                            max_coarse=self.max_coarse, max_levels=self.max_levels,
+                            n_constraint_vectors=self.n_constraint_vectors,
+                            improvement_iters=self.improvement_iters, seed=self.seed,
+                            **{f"emin_iters[{i}]": v for i, v in enumerate(self.emin_iters)})
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
         if any(m not in ("weighted", "constrained") for m in self.modes):

@@ -4,7 +4,8 @@ Each level is coarsened by strength-of-connection and the greedy CF
 pass, interpolation is built by weighted or constrained energy
 minimization over a distance-k pattern, and the Galerkin product
 closes the recursion.  Candidates follow the hierarchy down by
-C-point injection.  The coarsest level is factorized densely.
+C-point injection.  The coarsest level is factorized densely, or, when
+it has no nonzero off-diagonal entry, solved by division.
 """
 
 import numbers
@@ -35,8 +36,8 @@ __all__ = [
     "CF_WINDOW",
 ]
 
-# largest dense copy of the coarsest operator that setup will factorize:
-# 8 n^2 bytes caps the coarsest level at 11585 rows
+# largest dense copy of a coupled coarsest operator that setup will
+# factorize: 8 n^2 bytes caps such a level at 11585 rows
 MAX_DENSE_COARSE_BYTES = 2**30
 # iterations a convergence factor averages over, and the run of residual
 # growths that stops a solve: a solve stopped on growth leaves exactly
@@ -64,6 +65,10 @@ class Level:
 
 @dataclass
 class Hierarchy:
+    """The levels, finest first.  coarsest_factorization is cho_factor's
+    (c, lower) for a coarsest level with a nonzero off-diagonal entry, or
+    the diagonal of one without."""
+
     levels: list
     coarsest_factorization: object
     fine_candidates: np.ndarray
@@ -89,6 +94,14 @@ class Hierarchy:
                    for lvl in self.levels) / nnz0
 
 
+def reject_non_integers(**counts):
+    """Raise a ValueError naming the first of the named counts that is
+    not an integer; a float or a bool is rejected even when integral."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer; got {value!r}")
+
+
 @dataclass
 class SetupConfig:
     """Knobs of the multilevel setup.
@@ -101,7 +114,8 @@ class SetupConfig:
     constant vector).  Construction rejects a field out of range with a
     ValueError that names it: tau and theta_strength lie in [0, 1],
     sweeps >= 1, jacobi_omega is 'auto' or positive, emin_iters is None
-    or >= 0.
+    or >= 0, and the counts pattern_degree, max_coarse, max_levels,
+    sweeps and emin_iters are integers.
     """
 
     mode: str = "constrained"
@@ -120,6 +134,11 @@ class SetupConfig:
     def __post_init__(self):
         if self.mode not in ("weighted", "constrained"):
             raise ValueError(f"unknown setup mode: {self.mode!r}")
+        reject_non_integers(pattern_degree=self.pattern_degree,
+                            max_coarse=self.max_coarse, max_levels=self.max_levels,
+                            sweeps=self.sweeps)
+        if self.emin_iters is not None:
+            reject_non_integers(emin_iters=self.emin_iters)
         if self.max_coarse < 1 or self.pattern_degree < 1 or self.max_levels < 1:
             raise ValueError("max_coarse, pattern_degree and max_levels must be >= 1")
         for name in ("tau", "theta_strength"):
@@ -189,9 +208,10 @@ def setup(A, cfg):
     every entry finite, A symmetric (exactly, or to linalg.SYMMETRY_RTOL
     relative to its largest entry) and its diagonal positive.  The
     candidates must be finite.  A singular A (one that annihilates the
-    first candidate) is rejected by prepare_candidates, and a coarsest
-    level whose dense factorization would need more than
-    MAX_DENSE_COARSE_BYTES is rejected before it is formed.
+    first candidate) is rejected by prepare_candidates.  A coarsest level
+    with no nonzero off-diagonal entry is solved by division by its
+    diagonal; any other is factorized densely, and rejected before it is
+    formed when that would need more than MAX_DENSE_COARSE_BYTES.
     """
     A = A.tocsr()
     _check_operator(A)
@@ -206,14 +226,12 @@ def setup(A, cfg):
     fine_candidates = raw.copy()
 
     levels = []
-    advice = "raise max_levels or lower max_coarse"
     while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:
         S = strength_graph(A, cfg.theta_strength)
         split = cf_split(S)
         if split.n_f == 0:
             # any nonzero off-diagonal entry is an edge at every theta <= 1, so
-            # this operator is diagonal and its factorization solves it exactly
-            advice = f"level {len(levels)} has no off-diagonal entry left to coarsen"
+            # this operator is diagonal and division solves it exactly
             break
         pattern = pattern_distance_k(S, split, cfg.pattern_degree)
         B = prepare_candidates(A, raw)
@@ -236,15 +254,23 @@ def setup(A, cfg):
         raw = raw[split.c_points]  # candidate injection onto the coarse grid
     levels.append(Level(A=A))  # solved directly, never relaxed
 
+    return Hierarchy(levels, _coarsest_factorization(A), fine_candidates, cfg)
+
+
+def _coarsest_factorization(A):
+    """diag(A) when A has no nonzero off-diagonal entry, else the dense
+    Cholesky factorization of A, refused over MAX_DENSE_COARSE_BYTES."""
+    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    if not np.any((A.indices != rows) & (A.data != 0.0)):
+        return A.diagonal()
     n = A.shape[0]
     if 8 * n * n > MAX_DENSE_COARSE_BYTES:
         raise ValueError(
             f"coarsest level has {n} rows: its dense Cholesky factorization "
             f"needs {8 * n * n} bytes, over the {MAX_DENSE_COARSE_BYTES}-byte limit; "
-            f"{advice}")
+            "raise max_levels or lower max_coarse")
     # cho_factor reads only the upper triangle: one dense copy, factorized in place
-    factorization = cho_factor(A.toarray(order="F"), overwrite_a=True)
-    return Hierarchy(levels, factorization, fine_candidates, cfg)
+    return cho_factor(A.toarray(order="F"), overwrite_a=True)
 
 
 def vcycle(H, level, b):
@@ -256,6 +282,8 @@ def vcycle(H, level, b):
     """
     lvl = H.levels[level]
     if level == H.n_levels - 1:
+        if isinstance(H.coarsest_factorization, np.ndarray):
+            return b / H.coarsest_factorization
         return cho_solve(H.coarsest_factorization, b)
     x = relax_sweep(lvl.relaxation, lvl.A, None, b, diagonal=lvl.diagonal)
     r = b - lvl.A @ x

@@ -102,8 +102,12 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
     ({"problem": dict(PROBLEM, KK=3)}, "problem has unknown key 'KK'"),
     ({"problem": "oscillatory"}, "problem must be a JSON object; got 'oscillatory'"),
     ({"problem": PROBLEM, "emin_iters": 3}, "emin_iters must be a list; got 3"),
+    ({"problem": PROBLEM, "emin_iters": [2, 1.5]}, "emin_iters[1] must be an integer; "
+                                                   "got 1.5"),
+    ({"problem": PROBLEM, "pattern_degree": 2.5}, "pattern_degree must be an integer; "
+                                                  "got 2.5"),
 ], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
-        "problem-not-object", "scalar-grid"])
+        "problem-not-object", "scalar-grid", "float-grid-entry", "float-count"])
 def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 from functools import partial
 
 import numpy as np
@@ -591,10 +592,114 @@ def test_energymin_routes_bit_identical_to_sorted_extraction(mode, monkeypatch):
 
     got = run()
     monkeypatch.setattr(energymin, "_slot_values", reference_values_at)
+    monkeypatch.setattr(energymin, "apply_weighted_operator", reference_weighted_apply)
     expected = run()
     assert len(got.residuals) == 7
     assert np.array_equal(got.residuals, expected.residuals)
     assert np.array_equal(got.W.data, expected.W.data)
+
+
+def exact_zero_system(rng, tau):
+    """A weighted system whose A_ff row 0 is 1 at column 1 and -1 at
+    column 2 and whose pattern rows 0, 1 and 2 share their columns: a W
+    with equal rows 1 and 2 makes every product entry of row 0 an exact
+    zero, which SpGEMM drops, so that product misses row 0's slots."""
+    A = rand_spd_sparse(rng, 60)
+    split = BlockSplit.from_c_points(60, np.sort(rng.permutation(60)[:20]))
+    rows = [np.flatnonzero(rng.random(split.n_c) < 0.3) for _ in range(split.n_f)]
+    rows = [r if len(r) else np.array([i % split.n_c]) for i, r in enumerate(rows)]
+    rows[0] = rows[2] = rows[1]
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
+    pattern = SparsityPattern(split.n_f, split.n_c, indptr, np.concatenate(rows))
+    B = prepare_candidates(A, rng.standard_normal((60, 2)))
+    sys = build_weighted_system(A, split, B, SpectralEquivalence(c2=1.7), tau, pattern)
+    A_ff = sys.A_ff.tolil()
+    A_ff[0, :] = 0.0
+    A_ff[0, 1], A_ff[0, 2] = 1.0, -1.0
+    return dataclasses.replace(sys, A_ff=A_ff.tocsr())
+
+
+@pytest.mark.parametrize("tau", [0.0, 1e-4, 1.0])
+@pytest.mark.parametrize("steps, gathers", [
+    (["generic", "generic", "equal-rows", "equal-rows", "generic", "generic"], 3),
+    (["equal-rows", "equal-rows", "equal-rows"], 2),
+    (["zero", "zero", "generic", "generic", "zero"], 1),
+], ids=["drops-exact-zeros", "misses-a-slot", "empty"])
+def test_weighted_apply_with_cached_layout_bit_identical_to_sorted_extraction(
+        steps, gathers, tau, monkeypatch):
+    rng = np.random.default_rng(13)
+    sys = exact_zero_system(rng, tau)
+    pat = sys.pattern
+    row1, row2 = (slice(pat.indptr[i], pat.indptr[i + 1]) for i in (1, 2))
+    sampled = []
+
+    def counting(S, slot_rows, cols):
+        sampled.append(S.dtype)
+        return _slot_values(S, slot_rows, cols)
+
+    monkeypatch.setattr(energymin, "_slot_values", counting)
+    for step in steps:
+        w = np.zeros(pat.nnz) if step == "zero" else rng.standard_normal(pat.nnz)
+        if step == "equal-rows":
+            w[row2] = w[row1]
+            assert (sys.A_ff @ pat.to_csr(w)).indptr[1] == 0  # row 0 stores nothing
+        got = apply_weighted_operator(sys, w)
+        assert np.array_equal(got, reference_weighted_apply(sys, w))
+    # tau = 0 forms no product; otherwise a product gathers when it repeats
+    # the layout of the one before, unless that layout is empty
+    products = len(steps) if tau > 0.0 else 0
+    assert products - sampled.count(np.float64) == (gathers if tau > 0.0 else 0)
+
+
+@pytest.mark.parametrize("mode, tau", [("constrained", 1.0), ("weighted", 0.0),
+                                       ("weighted", 1e-4), ("weighted", 1.0)])
+def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
+        mode, tau, monkeypatch):
+    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
+    systems = []
+
+    def checked(sys, values):
+        got = apply_weighted_operator(sys, values)
+        assert np.array_equal(got, reference_weighted_apply(sys, values))
+        systems.append(sys)
+        return got
+
+    monkeypatch.setattr(energymin, "apply_weighted_operator", checked)
+    H = hierarchy.setup(A, hierarchy.SetupConfig(mode=mode, tau=tau, pattern_degree=4))
+    levels = list({id(sys): sys for sys in systems}.values())
+    assert len(levels) == H.n_levels - 1 >= 2
+    assert len(systems) > 4 * len(levels)
+    # tau = 0 forms no product; otherwise every level gathered
+    assert all(sys.product_layout is None if tau == 0.0 else
+               sys.product_layout[2] is not None for sys in levels)
+
+
+@pytest.mark.parametrize("iters", [0, 1, 6])
+@pytest.mark.parametrize("mode", ["constrained", "weighted"])
+def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, monkeypatch):
+    """One level-0 minimization samples A_fc for its right-hand side and
+    its first product A_ff W, then, when a second product repeats that
+    layout, the slots' positions in it; every later product is a gather
+    (sampling every product took iters + 2 calls)."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 24, epsilon=1e-3)).matrix
+    S = strength_graph(A, 0.4)
+    split = cf_split(S)
+    pattern = pattern_distance_k(S, split, 3)
+    B = prepare_candidates(A, np.ones(A.shape[0]))
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].dtype)
+        return _slot_values(*args)
+
+    monkeypatch.setattr(energymin, "_slot_values", counting)
+    if mode == "constrained":
+        got = constrained_energymin(A, split, B, pattern, iters)
+    else:
+        got = weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4, pattern,
+                                 iters, tol=0.0)
+    assert len(got.residuals) == iters + 1
+    assert calls == [np.float64, np.float64] + ([np.int32] if iters else [])
 
 
 # ---------------- the shared CG loop ----------------

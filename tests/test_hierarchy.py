@@ -333,14 +333,16 @@ def test_setup_bounds_the_dense_coarsest_level(monkeypatch):
         setup(lap1d(51), SetupConfig(max_levels=1))
 
 
-def test_dense_limit_names_a_level_without_coupling(monkeypatch):
-    # more levels or a smaller max_coarse cannot help a diagonal level
+def test_dense_limit_spares_a_level_without_coupling(monkeypatch):
+    # a diagonal coarsest level is solved by division, with no dense copy
     monkeypatch.setattr(hierarchy, "MAX_DENSE_COARSE_BYTES", 8 * 50 * 50)
     A = csr_from_triplets([(i, i, 1.0) for i in range(51)], 51, 51)
-    with pytest.raises(ValueError, match=re.escape(
-            "needs 20808 bytes, over the 20000-byte limit; level 0 has no "
-            "off-diagonal entry left to coarsen")):
-        setup(A, SetupConfig(max_coarse=10))
+    H = setup(A, SetupConfig(max_coarse=10))
+    assert H.n_levels == 1
+    b = np.arange(1.0, 52.0)
+    x, history = solve(H, b, tol=1e-12, accel="cg")
+    assert len(history) == 2 and history[-1] == 0.0
+    assert np.array_equal(x, b)
 
 
 def test_coarsest_factorization_keeps_one_dense_copy():
@@ -362,6 +364,8 @@ def test_coarsest_factorization_keeps_one_dense_copy():
     ("theta_strength", -0.1), ("theta_strength", 1.5),
     ("sweeps", 0), ("jacobi_omega", 0.0), ("jacobi_omega", -1.0),
     ("jacobi_omega", "fast"), ("emin_iters", -1),
+    ("sweeps", 1.5), ("sweeps", True), ("pattern_degree", 2.5), ("pattern_degree", 2.0),
+    ("emin_iters", 2.5), ("max_coarse", 10.0), ("max_levels", True),
 ])
 def test_setup_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
