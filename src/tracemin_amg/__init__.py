@@ -18,8 +18,7 @@ from .hierarchy import (Hierarchy, Level, SetupConfig, convergence_factor,
 from .linalg import (Permutation, dense_sym_eig, perfect_shuffle,
                      read_matrix_market, write_matrix_market)
 from .problems import Problem, ProblemSpec, assemble
-from .relaxation import (Relaxation, SpectralEquivalence, is_a_convergent,
-                         relax_sweep, symmetrized_mtilde)
+from .relaxation import Relaxation, SpectralEquivalence, relax_sweep, symmetrized_mtilde
 from .sylvester import MatrixEquation, hadamard_diag_preconditioner, sylvester_cg
 from .theory import (TheoryReport, approximation_constants, ideal_interpolation,
                      ktg, optimal_interpolation, stability_bounds,

@@ -9,6 +9,7 @@ Market inputs).  Exit codes: 0 success, 2 configuration error,
 """
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -81,16 +82,12 @@ def _cmd_sweep(args):
         cfg = ExperimentConfig.from_json(args.config)
     else:
         cfg = ExperimentConfig(problem=_problem_spec(args))
-    if args.mode:
-        cfg.modes = [args.mode]
-    if args.tau is not None:
-        cfg.taus = [args.tau]
-    if args.iters is not None:
-        cfg.emin_iters = [args.iters]
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out:
-        cfg.output = args.out
+    overrides = {"modes": None if args.mode is None else [args.mode],
+                 "taus": None if args.tau is None else [args.tau],
+                 "emin_iters": None if args.iters is None else [args.iters],
+                 "seed": args.seed, "output": args.out or None}
+    # replace re-runs the checks of __post_init__ on the overridden config
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
     rows = run_experiment(cfg)
     print(f"ran {len(rows)} grid points" +
           (f", wrote {cfg.output}" if cfg.output else ""))

@@ -31,15 +31,14 @@ __all__ = [
 class BlockSplit:
     """A CF partition of 0..n-1.
 
-    c_points and f_points are sorted index arrays; is_c marks the side
-    of each index and `local` gives its position within its side.
-    Interpolation reads the F rows of A through f_blocks.
+    c_points and f_points are sorted index arrays and is_c marks the
+    side of each index.  Interpolation reads the F rows of A through
+    f_blocks.
     """
 
     c_points: np.ndarray
     f_points: np.ndarray
     is_c: np.ndarray
-    local: np.ndarray
 
     @classmethod
     def from_c_points(cls, n, c_points):
@@ -48,11 +47,7 @@ class BlockSplit:
             raise ValueError("C-point index out of range")
         is_c = np.zeros(n, dtype=bool)
         is_c[c] = True
-        f = np.flatnonzero(~is_c)
-        local = np.empty(n, dtype=np.int64)
-        local[c] = np.arange(len(c))
-        local[f] = np.arange(len(f))
-        return cls(c, f, is_c, local)
+        return cls(c, np.flatnonzero(~is_c), is_c)
 
     @property
     def n(self):
@@ -103,7 +98,8 @@ class SparsityPattern:
         object.__setattr__(self, "empty_f_rows", np.flatnonzero(counts == 0))
 
     def to_csr(self, values):
-        """The weight block with `values` at the slots, explicit zeros kept."""
+        """The weight block with `values` at the slots, explicit zeros kept.
+        It shares the index arrays of a pattern_distance_k pattern."""
         return sparse.csr_matrix((values, self.cols, self.indptr), shape=self.shape)
 
     @property
@@ -264,5 +260,4 @@ def pattern_distance_k(S, split, k):
         reach = step @ reach
     block = adj[split.f_points] @ reach
     block.sort_indices()
-    return SparsityPattern(split.n_f, split.n_c, block.indptr.astype(np.int64),
-                           block.indices.astype(np.int64))
+    return SparsityPattern(split.n_f, split.n_c, block.indptr, block.indices)

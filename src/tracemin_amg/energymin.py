@@ -179,7 +179,9 @@ class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
     Hadamard diagonal preconditioner.  The candidate-term constants
     Bc_slots and cand_scale are None at tau = 1, where the term
-    vanishes.
+    vanishes.  cand_scale folds in c2 and X_ff_diag, so the operator
+    reads neither; they stay for the dense oracles that form Lhat as
+    a Kronecker sum.
 
     product_layout is the (indptr, indices) of the last product A_ff W
     that apply_weighted_operator formed, then, once a later product had
@@ -199,10 +201,6 @@ class WeightedSystem:
     Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
     product_layout: tuple = None
-
-    @property
-    def BcBcT(self):
-        return self.B_c @ self.B_c.T
 
 
 def build_weighted_system(A, split, B, X, tau, pattern):
@@ -358,7 +356,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
 def initial_guess(split, B, pattern):
     """The feasible start both routes use: spread each F row's
     constraint target over the row's pattern entries with minimum
-    Euclidean norm."""
+    Euclidean norm.  The routes compute it inside _minimize; this name
+    stays because the benchmark's span tracer (perfbench/spans.py)
+    binds it and fails without it."""
     B_f, B_c = B.split_rows(split)
     return _RowConstraints(B_c, pattern).min_norm_solution(B_f)
 

@@ -49,7 +49,6 @@ class ConvergenceReport:
     oc: float
     cc: float
     wpd: float
-    iterations: int
     converged: bool
 
 
@@ -72,8 +71,7 @@ def convergence_report(H, residual_history):
         wpd, converged = float(-cc / math.log10(cf)), True
     else:
         wpd, converged = None, False
-    return ConvergenceReport(cf=cf, oc=oc, cc=cc, wpd=wpd,
-                             iterations=len(residual_history) - 1, converged=converged)
+    return ConvergenceReport(cf=cf, oc=oc, cc=cc, wpd=wpd, converged=converged)
 
 
 def measure_report(H, seed=0):
@@ -98,22 +96,16 @@ def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed):
                          f"hierarchy built from the previous vectors")
     rng = np.random.default_rng([seed, n_vecs])
     v = rng.standard_normal(A.shape[0])
-    if improvement_iters > 0:
-        if n_vecs == 1:
-            rel = Relaxation(omega=auto_jacobi_omega(A), sweeps=improvement_iters)
-            v = relax_sweep(rel, A, v, np.zeros_like(v))
-        else:
-            v, _ = solve(existing, np.zeros_like(v), tol=0.0,
-                         max_iters=improvement_iters, accel="stationary", x0=v)
     if n_vecs == 1:
-        raw = v[:, None]
-    else:
-        prev = existing.fine_candidates
-        if prev.shape[1] != n_vecs - 1:
-            raise ValueError(f"existing hierarchy holds {prev.shape[1]} "
-                             f"constraint vectors, expected {n_vecs - 1}")
-        raw = np.column_stack([prev, v])
-    return prepare_candidates(A, raw)
+        return prepare_candidates(A, _jacobi_smoothed(A, v, improvement_iters))
+    prev = existing.fine_candidates
+    if prev.shape[1] != n_vecs - 1:
+        raise ValueError(f"existing hierarchy holds {prev.shape[1]} "
+                         f"constraint vectors, expected {n_vecs - 1}")
+    if improvement_iters > 0:
+        v, _ = solve(existing, np.zeros_like(v), tol=0.0,
+                     max_iters=improvement_iters, accel="stationary", x0=v)
+    return prepare_candidates(A, np.column_stack([prev, v]))
 
 
 @dataclass
@@ -124,7 +116,9 @@ class ExperimentConfig:
     constraint_source 'constant' smooths the constant vector with
     improvement_iters Jacobi sweeps (n_constraint_vectors must be 1);
     'random' runs the adaptive protocol of seeded random vectors.
-    The counts, and each emin_iters entry, must be integers.
+    The counts, and each emin_iters entry, must be integers; every
+    other setup option is checked by building each grid point's
+    SetupConfig.
     """
 
     problem: ProblemSpec
@@ -145,15 +139,11 @@ class ExperimentConfig:
         for name in ("modes", "taus", "emin_iters"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
-        reject_non_integers(pattern_degree=self.pattern_degree,
-                            max_coarse=self.max_coarse, max_levels=self.max_levels,
-                            n_constraint_vectors=self.n_constraint_vectors,
+        reject_non_integers(n_constraint_vectors=self.n_constraint_vectors,
                             improvement_iters=self.improvement_iters, seed=self.seed,
                             **{f"emin_iters[{i}]": v for i, v in enumerate(self.emin_iters)})
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
-        if any(m not in ("weighted", "constrained") for m in self.modes):
-            raise ValueError("modes must be 'weighted' or 'constrained'")
         if "weighted" in self.modes and not self.taus:
             raise ValueError("weighted mode needs a nonempty tau grid")
         if self.constraint_source not in ("constant", "random"):
@@ -161,6 +151,16 @@ class ExperimentConfig:
         if self.constraint_source == "constant" and self.n_constraint_vectors != 1:
             raise ValueError("the smoothed-constant source provides exactly "
                              "one constraint vector")
+        for point in self.grid():
+            _setup_config(self, *point, None)
+
+    def grid(self):
+        """The (mode, tau, emin_iters) sweep points in row order; tau is
+        None in constrained mode, which has no tau grid."""
+        for mode in self.modes:
+            for tau in self.taus if mode == "weighted" else [None]:
+                for iters in self.emin_iters:
+                    yield mode, tau, iters
 
     @classmethod
     def from_dict(cls, data):
@@ -200,12 +200,16 @@ def _setup_config(cfg, mode, tau, iters, candidates):
                        candidates=candidates)
 
 
-def smoothed_constant(A, sweeps):
-    v = np.ones(A.shape[0])
+def _jacobi_smoothed(A, v, sweeps):
+    """v improved by `sweeps` damped Jacobi sweeps on A x = 0."""
     if sweeps > 0:
         rel = Relaxation(omega=auto_jacobi_omega(A), sweeps=sweeps)
         v = relax_sweep(rel, A, v, np.zeros_like(v))
-    return v[:, None]
+    return v
+
+
+def smoothed_constant(A, sweeps):
+    return _jacobi_smoothed(A, np.ones(A.shape[0]), sweeps)[:, None]
 
 
 def first_constraint_vector(A, source, improvement_iters, seed):
@@ -247,32 +251,29 @@ def run_experiment(cfg):
     first = first_constraint_vector(A, cfg.constraint_source,
                                     cfg.improvement_iters, cfg.seed)
     rows = []
-    for mode in cfg.modes:
-        taus = cfg.taus if mode == "weighted" else [None]
-        for tau in taus:
-            for iters in cfg.emin_iters:
-                H = _hierarchy_for_point(A, cfg, first, mode, tau, iters)
-                report = measure_report(H, seed=cfg.seed)
-                rows.append({
-                    "problem": cfg.problem.kind,
-                    "n": cfg.problem.n,
-                    "epsilon": cfg.problem.epsilon,
-                    "theta": cfg.problem.theta,
-                    "K": cfg.problem.K,
-                    "mode": mode,
-                    "tau": tau,
-                    "pattern_degree": cfg.pattern_degree,
-                    "emin_iters": iters,
-                    "n_vecs": cfg.n_constraint_vectors,
-                    "imp_iters": cfg.improvement_iters,
-                    "seed": cfg.seed,
-                    "levels": H.n_levels,
-                    "oc": report.oc,
-                    "cc": report.cc,
-                    "cf": report.cf,
-                    "wpd": report.wpd,
-                    "converged": report.converged,
-                })
+    for mode, tau, iters in cfg.grid():
+        H = _hierarchy_for_point(A, cfg, first, mode, tau, iters)
+        report = measure_report(H, seed=cfg.seed)
+        rows.append({
+            "problem": cfg.problem.kind,
+            "n": cfg.problem.n,
+            "epsilon": cfg.problem.epsilon,
+            "theta": cfg.problem.theta,
+            "K": cfg.problem.K,
+            "mode": mode,
+            "tau": tau,
+            "pattern_degree": cfg.pattern_degree,
+            "emin_iters": iters,
+            "n_vecs": cfg.n_constraint_vectors,
+            "imp_iters": cfg.improvement_iters,
+            "seed": cfg.seed,
+            "levels": H.n_levels,
+            "oc": report.oc,
+            "cc": report.cc,
+            "cf": report.cf,
+            "wpd": report.wpd,
+            "converged": report.converged,
+        })
     if cfg.output is not None:
         write_csv(cfg.output, rows)
     return rows

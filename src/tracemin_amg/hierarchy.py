@@ -48,12 +48,9 @@ CF_WINDOW = 10
 @dataclass
 class Level:
     """One level: its operator, interpolation to the next level, the CF
-    splitting, and the relaxation used here.  The coarsest level is
-    solved directly and holds only A.
-
-    diagonal caches diag(A) for the relaxation sweeps; a level built
-    without it has its sweeps read the diagonal from A each time.
-    """
+    splitting, the relaxation used here and diag(A), cached for the
+    relaxation sweeps.  The coarsest level is solved directly and holds
+    only A."""
 
     A: sparse.csr_matrix
     P: sparse.csr_matrix = None
@@ -112,10 +109,12 @@ class SetupConfig:
     'auto' damps each level by 1.5 over the estimated spectral radius
     of D^{-1} A.  candidates holds raw constraint vectors (default: the
     constant vector).  Construction rejects a field out of range with a
-    ValueError that names it: tau and theta_strength lie in [0, 1],
-    sweeps >= 1, jacobi_omega is 'auto' or positive, emin_iters is None
-    or >= 0, and the counts pattern_degree, max_coarse, max_levels,
-    sweeps and emin_iters are integers.
+    ValueError that names it: tau and theta_strength are real numbers
+    (not bools) in [0, 1], sweeps >= 1, jacobi_omega is 'auto' or
+    positive, emin_iters is None or >= 0, and the counts
+    pattern_degree, max_coarse, max_levels, sweeps and emin_iters are
+    integers.  This is the one place a setup option is validated; a
+    sweep checks its grid by building every point's SetupConfig.
     """
 
     mode: str = "constrained"
@@ -142,8 +141,11 @@ class SetupConfig:
         if self.max_coarse < 1 or self.pattern_degree < 1 or self.max_levels < 1:
             raise ValueError("max_coarse, pattern_degree and max_levels must be >= 1")
         for name in ("tau", "theta_strength"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1]; got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number; got {value!r}")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]; got {value!r}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1; got {self.sweeps!r}")
         omega = self.jacobi_omega

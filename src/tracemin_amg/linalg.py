@@ -85,17 +85,6 @@ class Permutation:
             raise ValueError("forward must be a bijection on 0..size-1")
         object.__setattr__(self, "forward", f)
 
-    def apply(self, x):
-        x = np.asarray(x)
-        if x.shape[0] != self.size:
-            raise ValueError("vector length does not match permutation size")
-        return x[self.forward]
-
-    def inverse(self):
-        inv = np.empty(self.size, dtype=np.int64)
-        inv[self.forward] = np.arange(self.size)
-        return Permutation(self.size, inv)
-
     def matrix(self):
         return np.eye(self.size)[self.forward]
 
@@ -105,8 +94,11 @@ def perfect_shuffle(nf, nc):
 
     For W of shape (nf, nc), let r = W.reshape(-1) (row-major) and
     c = W.reshape(-1, order='F') (column-major).  The returned Y
-    satisfies Y.apply(r) = c, and conjugation by Y swaps Kronecker
+    satisfies r[Y.forward] = c, and conjugation by Y swaps Kronecker
     factors: Y (P kron Q) Y^T = Q kron P for P (nf x nf), Q (nc x nc).
+    No solver calls it: it is kept as the subject of acceptance
+    criterion 1, the identity the Kronecker form of the weighted
+    operator rests on.
     """
     if nf < 1 or nc < 1:
         raise ValueError("factor dimensions must be at least 1")

@@ -53,16 +53,11 @@ class ProblemSpec:
 
 @dataclass
 class Problem:
-    """An assembled benchmark operator.
-
-    matrix is SPD with Dirichlet rows/columns eliminated; dof_coords
-    holds the (x, y) coordinates of each remaining unknown; h = 1/n.
-    """
+    """An assembled benchmark operator: matrix is SPD, with the
+    Dirichlet rows and columns eliminated."""
 
     spec: ProblemSpec
     matrix: sparse.csr_matrix
-    dof_coords: np.ndarray
-    h: float
 
 
 def _reference_gradients(h):
@@ -162,12 +157,9 @@ def assemble(spec):
     Dirichlet boundary rows and columns eliminated."""
     A_full = full_stiffness(spec)
     n = spec.n
-    h = 1.0 / n
     ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
     interior = ((ix > 0) & (ix < n) & (iy > 0) & (iy < n)).ravel(order="F")
     keep = np.flatnonzero(interior)
     A = A_full[keep][:, keep].tocsr()
     A.sort_indices()
-    coords = np.column_stack([ix.ravel(order="F")[keep] * h,
-                              iy.ravel(order="F")[keep] * h])
-    return Problem(spec, A, coords, h)
+    return Problem(spec, A)

@@ -1,8 +1,8 @@
-"""Relaxation sweeps and the dense symmetrized-relaxation machinery.
+"""Relaxation sweeps and the dense symmetrized relaxation.
 
 Damped Jacobi sweeps operate on sparse matrices; the symmetrized
-operator M^T (M + M^T - A)^{-1} M and the A-convergence test are dense,
-desk-scale tools shared with the diagnostics module.
+operator M^T (M + M^T - A)^{-1} M is a dense, desk-scale tool of the
+diagnostics module.
 """
 
 from dataclasses import dataclass
@@ -11,14 +11,13 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solve
 
-from .linalg import dense_sym_eig, estimate_spectral_norm
+from .linalg import estimate_spectral_norm
 
 __all__ = [
     "Relaxation",
     "SpectralEquivalence",
     "relax_sweep",
     "symmetrized_mtilde",
-    "is_a_convergent",
     "auto_jacobi_omega",
 ]
 
@@ -107,18 +106,6 @@ def symmetrized_mtilde(A, M):
     except np.linalg.LinAlgError as err:
         raise ValueError(f"M + M^T - A is singular: {err}") from err
     return M.T @ X
-
-
-def is_a_convergent(A, M):
-    """True iff M + M^T - A is SPD, i.e. relaxation with M contracts
-    the A-norm of the error."""
-    A = np.asarray(A, dtype=np.float64)
-    M = np.asarray(M, dtype=np.float64)
-    S = M + M.T - A
-    S = (S + S.T) / 2.0
-    w, _ = dense_sym_eig(S)
-    scale = np.linalg.norm(A, 2)
-    return bool(w[0] > 1e-12 * scale)
 
 
 def auto_jacobi_omega(A, diagonal=None):

@@ -145,7 +145,8 @@ def optimal_interpolation(A, M, n_c):
     A v = lambda Mt v.  The returned bound 1 - lambda_{n_c+1} is the
     attained value of two_grid_error_norm(A, M, P_opt) (equivalently,
     the squared A-norm of the propagator with relaxation on one side
-    only)."""
+    only).  No solver calls it: it is kept as the subject of acceptance
+    criterion 5, the two-grid rate no rank-n_c interpolation beats."""
     A = check_symmetric(A)
     _check_desk_scale(A)
     if not (0 < n_c < A.shape[0]):

@@ -123,7 +123,7 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         sys = random_system(rng, n, tau)
         nf, nc = sys.pattern.nf, sys.pattern.nc
         L = sys.tau * np.kron(np.eye(nc), sys.A_ff.toarray()) \
-            + sys.c2 * (1 - sys.tau) * np.kron(sys.BcBcT, np.diag(sys.X_ff_diag))
+            + sys.c2 * (1 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(sys.X_ff_diag))
         inside = np.zeros(nf * nc, dtype=bool)
         inside[sys.pattern.cols * nf + sys.pattern.slot_rows] = True
         L[~inside, :] = 0.0

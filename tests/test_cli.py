@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparse_helpers import invalid_operators
-from tracemin_amg import cli, hierarchy
+from tracemin_amg import cli, experiments, hierarchy
 from tracemin_amg.cli import main
 from tracemin_amg.linalg import read_matrix_market, write_matrix_market
 
@@ -106,12 +106,36 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
                                                    "got 1.5"),
     ({"problem": PROBLEM, "pattern_degree": 2.5}, "pattern_degree must be an integer; "
                                                   "got 2.5"),
+    ({"problem": PROBLEM, "modes": ["weighted"], "taus": ["0.1"]},
+     "tau must be a real number; got '0.1'"),
+    ({"problem": PROBLEM, "theta_strength": "0.4"},
+     "theta_strength must be a real number; got '0.4'"),
 ], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
-        "problem-not-object", "scalar-grid", "float-grid-entry", "float-count"])
+        "problem-not-object", "scalar-grid", "float-grid-entry", "float-count",
+        "string-tau", "string-theta"])
 def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(cfg_path)]) == 2
+    assert f"error: {cause}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, argv, cause", [
+    ({"modes": ["constrained"], "taus": []}, ["--mode", "weighted"],
+     "weighted mode needs a nonempty tau grid"),
+    ({}, ["--mode", "weighted", "--tau", "1.5"], "tau must lie in [0, 1]; got 1.5"),
+    ({}, ["--iters", "-1"], "emin_iters must be None or >= 0; got -1"),
+    ({"modes": ["weighted"], "taus": [0.1, True]}, [], "tau must be a real number; got True"),
+], ids=["override-empties-tau-grid", "override-tau", "override-iters", "bool-grid-entry"])
+def test_sweep_rejects_a_bad_point_before_assembly(config, argv, cause, tmp_path,
+                                                   monkeypatch, capsys):
+    def assemble(spec):
+        raise AssertionError("a sweep with an invalid grid point assembled its problem")
+
+    monkeypatch.setattr(experiments, "assemble", assemble)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(config, problem=PROBLEM)))
+    assert main(["sweep", "--config", str(cfg_path)] + argv) == 2
     assert f"error: {cause}" in capsys.readouterr().err
 
 

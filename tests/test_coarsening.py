@@ -310,7 +310,7 @@ def reference_pattern_rows(S, split, k):
         for _ in range(k):
             frontier = dense[frontier].any(axis=0) & ~seen
             seen |= frontier
-        rows.append(split.local[seen & split.is_c])
+        rows.append(np.flatnonzero(seen[split.c_points]))  # C-local indices
     return rows
 
 
@@ -349,4 +349,7 @@ def test_pattern_matches_breadth_first_search(case):
     assert np.array_equal(np.diff(pattern.indptr), lengths)
     assert np.array_equal(pattern.cols, np.concatenate([np.zeros(0, np.int64)] + expected))
     assert np.array_equal(pattern.empty_f_rows, np.flatnonzero(np.array(lengths) == 0))
-    assert pattern.cols.dtype == np.int64 and pattern.indptr.dtype == np.int64
+    # the pattern keeps the product's index arrays, so a weight block shares them
+    W = pattern.to_csr(np.zeros(pattern.nnz))
+    assert pattern.nnz == 0 or np.shares_memory(W.indices, pattern.cols)
+    assert np.shares_memory(W.indptr, pattern.indptr)

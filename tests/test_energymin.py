@@ -55,7 +55,7 @@ def dense_operator_and_rhs(sys):
     N = nf * nc
     A_ff = sys.A_ff.toarray()
     L = sys.tau * np.kron(np.eye(nc), A_ff) \
-        + sys.c2 * (1.0 - sys.tau) * np.kron(sys.BcBcT, np.diag(sys.X_ff_diag))
+        + sys.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(sys.X_ff_diag))
     inside = np.zeros(N, dtype=bool)
     inside[sys.pattern.cols * nf + sys.pattern.slot_rows] = True
     L[~inside, :] = 0.0
@@ -144,7 +144,8 @@ def test_weight_collapse_tau_zero_identity_x():
     X = SpectralEquivalence(x_kind="identity")
     sys = build_weighted_system(A, split, B, X, 0.0, pattern)
     w = rng.standard_normal(pattern.nnz)
-    expected = (pattern.to_csr(w).toarray() @ sys.BcBcT)[pattern.slot_rows, pattern.cols]
+    W_dense = pattern.to_csr(w).toarray()
+    expected = (W_dense @ (sys.B_c @ sys.B_c.T))[pattern.slot_rows, pattern.cols]
     assert_allclose(apply_weighted_operator(sys, w), expected, rtol=1e-12, atol=1e-13)
 
 

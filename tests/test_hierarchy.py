@@ -360,8 +360,8 @@ def test_coarsest_factorization_keeps_one_dense_copy():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")),
-    ("theta_strength", -0.1), ("theta_strength", 1.5),
+    ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")), ("tau", "0.1"), ("tau", True),
+    ("theta_strength", -0.1), ("theta_strength", 1.5), ("theta_strength", "0.4"),
     ("sweeps", 0), ("jacobi_omega", 0.0), ("jacobi_omega", -1.0),
     ("jacobi_omega", "fast"), ("emin_iters", -1),
     ("sweeps", 1.5), ("sweeps", True), ("pattern_degree", 2.5), ("pattern_degree", 2.0),

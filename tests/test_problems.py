@@ -145,13 +145,6 @@ def test_nnz_grows_linearly():
     assert abs(nnz_2m / nnz_m - 4.0) <= 0.4
 
 
-def test_problem_metadata():
-    p = assemble(ProblemSpec("rotated_anisotropic", 5, epsilon=1.0))
-    assert p.h == 0.2
-    assert p.dof_coords.shape == (16, 2)
-    assert_allclose(p.dof_coords[0], [0.2, 0.2])
-
-
 def test_spec_validation():
     with pytest.raises(ValueError):
         ProblemSpec("rotated_anisotropic", 1)

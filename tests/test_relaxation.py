@@ -3,14 +3,26 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sparse_helpers import csr_from_triplets, lap1d
+from tracemin_amg.linalg import dense_sym_eig
 from tracemin_amg.relaxation import (Relaxation, SpectralEquivalence,
-                                     auto_jacobi_omega, is_a_convergent,
-                                     relax_sweep, symmetrized_mtilde)
+                                     auto_jacobi_omega, relax_sweep, symmetrized_mtilde)
 
 
 def rand_spd(rng, n, shift=None):
     G = rng.standard_normal((n, n))
     return G @ G.T + (n if shift is None else shift) * np.eye(n)
+
+
+def is_a_convergent(A, M):
+    """True iff M + M^T - A is SPD, i.e. relaxation with M contracts
+    the A-norm of the error."""
+    A = np.asarray(A, dtype=np.float64)
+    M = np.asarray(M, dtype=np.float64)
+    S = M + M.T - A
+    S = (S + S.T) / 2.0
+    w, _ = dense_sym_eig(S)
+    scale = np.linalg.norm(A, 2)
+    return bool(w[0] > 1e-12 * scale)
 
 
 def test_jacobi_single_sweep_from_zero():
