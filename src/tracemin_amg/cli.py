@@ -54,18 +54,19 @@ def _cmd_assemble(args):
 
 
 def _cmd_solve(args):
-    spec = _problem_spec(args)
-    problem = assemble(spec)
-    A = problem.matrix
-    source = "random" if args.random_candidate else "constant"
-    cands = first_constraint_vector(A, source, args.improvement_iters, args.seed)
+    # checked before the problem is assembled; the candidates come after
     cfg = SetupConfig(mode=args.mode, tau=args.tau,
                       pattern_degree=args.pattern_degree,
-                      emin_iters=args.iters, candidates=cands,
-                      max_levels=args.max_levels)
-    H = setup(A, cfg)
+                      emin_iters=args.iters, max_levels=args.max_levels)
+    A = assemble(_problem_spec(args)).matrix
+    source = "random" if args.random_candidate else "constant"
+    cands = first_constraint_vector(A, source, args.improvement_iters, args.seed)
+    H = setup(A, dataclasses.replace(cfg, candidates=cands))
     report = measure_report(H, seed=args.seed)
+    nnz = [lvl.A.nnz for lvl in H.levels]
+    per_row = ", ".join(f"{k / m:.1f}" for k, m in zip(nnz, H.level_sizes()))
     print(f"levels        {H.n_levels}  sizes {H.level_sizes()}")
+    print(f"nnz           {nnz}  per row [{per_row}]")
     print(f"mode          {args.mode}" + (f"  tau {args.tau:g}" if args.mode == "weighted" else ""))
     print(f"OC            {report.oc:.4f}")
     print(f"CC            {report.cc:.4f}")

@@ -116,9 +116,9 @@ class ExperimentConfig:
     constraint_source 'constant' smooths the constant vector with
     improvement_iters Jacobi sweeps (n_constraint_vectors must be 1);
     'random' runs the adaptive protocol of seeded random vectors.
-    The counts, and each emin_iters entry, must be integers; every
-    other setup option is checked by building each grid point's
-    SetupConfig.
+    The counts, and each emin_iters entry, must be integers, with
+    n_constraint_vectors >= 1 and improvement_iters >= 0; every other
+    setup option is checked by building each grid point's SetupConfig.
     """
 
     problem: ProblemSpec
@@ -142,6 +142,12 @@ class ExperimentConfig:
         reject_non_integers(n_constraint_vectors=self.n_constraint_vectors,
                             improvement_iters=self.improvement_iters, seed=self.seed,
                             **{f"emin_iters[{i}]": v for i, v in enumerate(self.emin_iters)})
+        if self.n_constraint_vectors < 1:
+            raise ValueError(f"n_constraint_vectors must be >= 1; "
+                             f"got {self.n_constraint_vectors!r}")
+        if self.improvement_iters < 0:
+            raise ValueError(f"improvement_iters must be >= 0; "
+                             f"got {self.improvement_iters!r}")
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
         if "weighted" in self.modes and not self.taus:

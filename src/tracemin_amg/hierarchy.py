@@ -110,11 +110,12 @@ class SetupConfig:
     of D^{-1} A.  candidates holds raw constraint vectors (default: the
     constant vector).  Construction rejects a field out of range with a
     ValueError that names it: tau and theta_strength are real numbers
-    (not bools) in [0, 1], sweeps >= 1, jacobi_omega is 'auto' or
-    positive, emin_iters is None or >= 0, and the counts
-    pattern_degree, max_coarse, max_levels, sweeps and emin_iters are
-    integers.  This is the one place a setup option is validated; a
-    sweep checks its grid by building every point's SetupConfig.
+    (not bools) in [0, 1], emin_tol is a finite real number >= 0,
+    sweeps >= 1, jacobi_omega is 'auto' or positive, emin_iters is None
+    or >= 0, and the counts pattern_degree, max_coarse, max_levels,
+    sweeps and emin_iters are integers.  This is the one place a setup
+    option is validated; a sweep checks its grid by building every
+    point's SetupConfig.
     """
 
     mode: str = "constrained"
@@ -146,6 +147,10 @@ class SetupConfig:
                 raise ValueError(f"{name} must be a real number; got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]; got {value!r}")
+        tol = self.emin_tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+                or not 0.0 <= tol < np.inf:
+            raise ValueError(f"emin_tol must be a finite real number >= 0; got {tol!r}")
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1; got {self.sweeps!r}")
         omega = self.jacobi_omega
@@ -170,12 +175,28 @@ def galerkin_product(P, A):
     remove round-off skew, so the result is exactly symmetric and comes
     out in canonical CSR form.  Sorting the product first lets that sum
     merge sorted rows.
+
+    An off-diagonal entry with |a_ij| < eps sqrt(|a_ii| |a_jj|), eps =
+    2^-52 the float64 machine epsilon, is not stored: scaled by the
+    diagonal it is below the round-off already in each diagonal entry.
+    The test is symmetric in i and j, so the result stays exactly
+    symmetric.
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
     Ac = P.T.tocsr() @ (A @ P)
     Ac.sort_indices()
-    return ((Ac + Ac.T) * 0.5).tocsr()
+    Ac = ((Ac + Ac.T) * 0.5).tocsr()
+    # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
+    # diagonal entry is never below eps times itself, so it always stays
+    t = np.sqrt(np.abs(Ac.diagonal()) * np.finfo(np.float64).eps)
+    bound = np.repeat(t, np.diff(Ac.indptr))
+    bound *= t[Ac.indices]
+    negligible = np.abs(Ac.data) < bound
+    if negligible.any():
+        Ac.data[negligible] = 0.0
+        Ac.eliminate_zeros()
+    return Ac
 
 
 def _check_operator(A):

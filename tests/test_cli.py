@@ -23,12 +23,24 @@ def test_assemble_writes_matrix_market(tmp_path, capsys):
     assert "symmetric" in header
 
 
-def test_solve_reports_convergence(tmp_path, capsys):
+def test_solve_reports_convergence(monkeypatch, capsys):
+    built = []
+    real_setup = cli.setup
+
+    def recording_setup(A, cfg):
+        built.append(real_setup(A, cfg))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "setup", recording_setup)
     code = main(["solve", "--problem", "rotated_anisotropic", "--n", "16",
                  "--mode", "constrained", "--pattern-degree", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "CF" in out and "WPD" in out
+    nnz = [lvl.A.nnz for lvl in built[0].levels]
+    per_row = ", ".join(f"{lvl.A.nnz / lvl.A.shape[0]:.1f}" for lvl in built[0].levels)
+    assert len(nnz) >= 2
+    assert f"nnz           {nnz}  per row [{per_row}]" in out.splitlines()
 
 
 def test_solve_measures_an_exactly_solved_one_level_hierarchy(capsys):
@@ -60,16 +72,27 @@ def test_solve_exits_2_naming_an_invalid_operator(case, monkeypatch, capsys):
     assert re.search(cause, capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("argv, cause", [
-    (["--tau", "1.5"], "tau must lie in [0, 1]; got 1.5"),
-    (["--iters", "-1"], "emin_iters must be None or >= 0; got -1"),
+@pytest.mark.parametrize("argv, cause, assembles", [
+    (["--tau", "1.5"], "tau must lie in [0, 1]; got 1.5", False),
+    (["--iters", "-1"], "emin_iters must be None or >= 0; got -1", False),
     (["--max-levels", "1"], "coarsest level has 225 rows: its dense Cholesky "
-                            "factorization needs 405000 bytes"),
+                            "factorization needs 405000 bytes", True),
 ], ids=["tau", "emin-iters", "coarsest-size"])
-def test_solve_exits_2_naming_a_bad_setting(argv, cause, monkeypatch, capsys):
+def test_solve_exits_2_naming_a_bad_setting(argv, cause, assembles, monkeypatch, capsys):
+    """A bad option exits before the problem is assembled; a coarsest
+    level too large to factorize is found only by the setup."""
+    calls = []
+    real_assemble = cli.assemble
+
+    def counting_assemble(spec):
+        calls.append(spec)
+        return real_assemble(spec)
+
+    monkeypatch.setattr(cli, "assemble", counting_assemble)
     monkeypatch.setattr(hierarchy, "MAX_DENSE_COARSE_BYTES", 8 * 100 * 100)
     assert main(["solve", "--n", "16"] + argv) == 2
     assert cause in capsys.readouterr().err
+    assert len(calls) == assembles
 
 
 def test_sweep_with_config_and_overrides(tmp_path):
@@ -110,9 +133,13 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
      "tau must be a real number; got '0.1'"),
     ({"problem": PROBLEM, "theta_strength": "0.4"},
      "theta_strength must be a real number; got '0.4'"),
+    ({"problem": PROBLEM, "improvement_iters": -3}, "improvement_iters must be >= 0; "
+                                                    "got -3"),
+    ({"problem": PROBLEM, "constraint_source": "random", "n_constraint_vectors": 0},
+     "n_constraint_vectors must be >= 1; got 0"),
 ], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
         "problem-not-object", "scalar-grid", "float-grid-entry", "float-count",
-        "string-tau", "string-theta"])
+        "string-tau", "string-theta", "negative-improvement-iters", "no-vectors"])
 def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -237,4 +237,4 @@ def test_sweep_csv_digest_is_pinned():
                            emin_iters=[1, 4], seed=0)
     text = rows_to_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "3a147109d3399fd92fc4dfa7c57698f7d7268a7daaf0a01bb62b09594a6bd23a"
+        "c13e49752629d847d06ed7f402802594c9fd0f46f5c838f3ce90049100a14a20"

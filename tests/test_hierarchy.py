@@ -268,12 +268,33 @@ def test_single_level_cycle_complexity_counts_configured_sweeps():
     assert H.cycle_complexity() == 7.0
 
 
-def reference_galerkin(P, A):
-    """P^T A P through CSC, with the skew recomputed on every call."""
+EPS = np.finfo(np.float64).eps
+
+
+def unfiltered_galerkin(P, A):
+    """P^T A P through CSC, with the skew recomputed on every call and
+    every entry of the product stored."""
     Ac = (P.T @ (A @ P)).tocsr()
     skew = abs(A - A.T)
     if skew.nnz == 0 or skew.max() <= 1e-14 * abs(A).max():
         Ac = ((Ac + Ac.T) * 0.5).tocsr()
+    Ac.sort_indices()
+    return Ac
+
+
+def round_off_bound(Ac):
+    """eps sqrt(|a_ii a_jj|) at each stored entry of Ac, in COO order."""
+    C = Ac.tocoo()
+    d = np.abs(Ac.diagonal())
+    return C, EPS * np.sqrt(d[C.row] * d[C.col])
+
+
+def reference_galerkin(P, A):
+    """unfiltered_galerkin without the off-diagonal entries below
+    eps sqrt(|a_ii a_jj|)."""
+    C, bound = round_off_bound(unfiltered_galerkin(P, A))
+    keep = (C.row == C.col) | (np.abs(C.data) >= bound)
+    Ac = sparse.csr_matrix((C.data[keep], (C.row[keep], C.col[keep])), shape=C.shape)
     Ac.sort_indices()
     return Ac
 
@@ -284,8 +305,10 @@ def assert_same_csr(X, Y):
     assert np.array_equal(X.data, Y.data)
 
 
-def test_galerkin_bit_identical_to_csc_product_on_every_level(monkeypatch):
-    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
+def galerkin_calls(monkeypatch, A, cfg):
+    """Set up A and return (P, A_l, P^T A_l P) for every Galerkin product,
+    each checked to be exactly symmetric and bit-equal to
+    reference_galerkin."""
     calls = []
 
     def recording_galerkin(P, A):
@@ -294,11 +317,82 @@ def test_galerkin_bit_identical_to_csc_product_on_every_level(monkeypatch):
         return Ac
 
     monkeypatch.setattr(hierarchy, "galerkin_product", recording_galerkin)
-    H = setup(A, SetupConfig(pattern_degree=4))
+    H = setup(A, cfg)
     assert len(calls) == H.n_levels - 1 >= 3
     for P, A_l, Ac in calls:
         assert_same_csr(Ac, reference_galerkin(P, A_l))
         assert (Ac != Ac.T).nnz == 0
+    return calls
+
+
+def test_galerkin_bit_identical_to_csc_product_on_every_level(monkeypatch):
+    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
+    galerkin_calls(monkeypatch, A, SetupConfig(pattern_degree=4))
+
+
+OSC_CONFIG = SetupConfig(mode="weighted", tau=1e-1, pattern_degree=4)
+
+
+def test_galerkin_drops_sub_round_off_couplings_bit_identically(monkeypatch):
+    """On the oscillatory problem the degree-4 weighted P carries weights
+    far below round-off of their row's largest, so level 1 has couplings
+    below eps sqrt(a_ii a_jj); they are dropped exactly as the CSC
+    reference drops them."""
+    A = assemble(ProblemSpec("oscillatory", 32, K=1e6)).matrix
+    calls = galerkin_calls(monkeypatch, A, OSC_CONFIG)
+    P, A_0, A_1 = calls[0]
+    assert unfiltered_galerkin(P, A_0).nnz > A_1.nnz
+
+
+def test_dropping_sub_round_off_couplings_keeps_cf_and_lowers_oc(monkeypatch):
+    A = assemble(ProblemSpec("oscillatory", 32, K=1e6)).matrix
+    H = setup(A, OSC_CONFIG)
+    report = measure_report(H, seed=3)
+    monkeypatch.setattr(hierarchy, "galerkin_product", unfiltered_galerkin)
+    H_full = setup(A, OSC_CONFIG)
+    full = measure_report(H_full, seed=3)
+    assert H.level_sizes() == H_full.level_sizes()
+    assert abs(report.cf - full.cf) <= 1e-10 * full.cf
+    assert report.oc < full.oc
+
+
+@st.composite
+def spd_and_graded_interpolation(draw):
+    """A random sparse SPD matrix and a sparse P whose entries span 20
+    orders of magnitude, so that some coarse couplings fall below
+    round-off of the coarse diagonal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(4, 30))
+    nc = draw(st.integers(1, n))
+    A = rand_spd_sparse(rng, n, density=draw(st.sampled_from([0.05, 0.2, 0.5])))
+    dense_p = rng.choice([-1.0, 1.0], (n, nc)) * 10.0 ** rng.uniform(-20.0, 0.0, (n, nc))
+    dense_p[rng.random((n, nc)) > draw(st.sampled_from([0.1, 0.3, 0.6]))] = 0.0
+    return A, sparse.csr_matrix(dense_p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(spd_and_graded_interpolation())
+def test_galerkin_keeps_exactly_the_couplings_above_round_off(case):
+    """The result is exactly symmetric, keeps every diagonal entry and
+    every off-diagonal one at or above eps sqrt(|a_ii a_jj|) bit for
+    bit, and drops the rest, which lie below that bound.  Against the
+    dense P^T A P it differs by at most the bound plus the round-off of
+    forming the product, n eps (|P|^T |A| |P|)_ij."""
+    A, P = case
+    Ac = galerkin_product(P, A)
+    assert (Ac != Ac.T).nnz == 0
+    full = unfiltered_galerkin(P, A)
+    C, bound = round_off_bound(full)
+    stored = Ac.toarray()[C.row, C.col]
+    dropped = (C.row != C.col) & (np.abs(C.data) < bound)
+    assert np.all(stored[dropped] == 0.0)
+    assert np.array_equal(stored[~dropped], C.data[~dropped])
+    assert Ac.nnz == np.count_nonzero(C.data[~dropped])
+    d = np.abs(Ac.diagonal())
+    Pd = P.toarray()
+    limit = EPS * np.sqrt(np.outer(d, d)) \
+        + A.shape[0] * EPS * (abs(Pd).T @ abs(A.toarray()) @ abs(Pd))
+    assert np.all(np.abs(Ac.toarray() - Pd.T @ A.toarray() @ Pd) <= limit)
 
 
 @pytest.mark.parametrize("case", sorted(invalid_operators()))
@@ -366,6 +460,8 @@ def test_coarsest_factorization_keeps_one_dense_copy():
     ("jacobi_omega", "fast"), ("emin_iters", -1),
     ("sweeps", 1.5), ("sweeps", True), ("pattern_degree", 2.5), ("pattern_degree", 2.0),
     ("emin_iters", 2.5), ("max_coarse", 10.0), ("max_levels", True),
+    ("emin_tol", "x"), ("emin_tol", -1.0), ("emin_tol", float("nan")),
+    ("emin_tol", float("inf")), ("emin_tol", True),
 ])
 def test_setup_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=f"^{field} must"):
@@ -375,7 +471,8 @@ def test_setup_config_rejects_out_of_range_field(field, value):
 def test_setup_config_accepts_range_ends():
     for kwargs in ({"tau": 0.0}, {"tau": 1.0}, {"theta_strength": 0.0},
                    {"theta_strength": 1.0}, {"sweeps": 1}, {"jacobi_omega": 3},
-                   {"jacobi_omega": np.float64(0.5)}, {"emin_iters": 0}):
+                   {"jacobi_omega": np.float64(0.5)}, {"emin_iters": 0},
+                   {"emin_tol": 0.0}, {"emin_tol": 0}):
         SetupConfig(**kwargs)
 
 
