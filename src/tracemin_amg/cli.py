@@ -58,6 +58,7 @@ def _cmd_solve(args):
     cfg = SetupConfig(mode=args.mode, tau=args.tau,
                       pattern_degree=args.pattern_degree,
                       emin_iters=args.iters, max_levels=args.max_levels)
+    ExperimentConfig.check_protocol(args.improvement_iters, args.seed)
     A = assemble(_problem_spec(args)).matrix
     source = "random" if args.random_candidate else "constant"
     cands = first_constraint_vector(A, source, args.improvement_iters, args.seed)

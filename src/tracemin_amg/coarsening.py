@@ -78,7 +78,8 @@ class SparsityPattern:
     Stored row-wise like CSR: F row i owns the slots indptr[i]:indptr[i+1]
     with sorted C-local columns `cols`.  A weight block over the pattern
     is a float64 array of slot values; slot_rows holds the row of every
-    slot, and to_csr turns slot values into the nf x nc matrix.
+    slot (int32, like the CSR indices), and to_csr turns slot values into
+    the nf x nc matrix.
 
     empty_f_rows flags F points that reach no C point within the given
     graph distance; callers decide whether that is an error.
@@ -94,7 +95,7 @@ class SparsityPattern:
     def __post_init__(self):
         counts = np.diff(self.indptr)
         object.__setattr__(self, "slot_rows",
-                           np.repeat(np.arange(self.nf, dtype=np.int64), counts))
+                           np.repeat(np.arange(self.nf, dtype=np.int32), counts))
         object.__setattr__(self, "empty_f_rows", np.flatnonzero(counts == 0))
 
     def to_csr(self, values):

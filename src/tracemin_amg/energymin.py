@@ -22,7 +22,7 @@ of W (the Frobenius inner product of matrices on one pattern is the dot
 product of their slot values).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -106,51 +106,76 @@ def _slot_values(S, slot_rows, cols):
     return np.asarray(S[slot_rows, cols]).ravel()
 
 
+# apply_weighted_operator forms A_ff W in blocks of consecutive rows that
+# own at most this many pattern slots (a longer row is a block alone), and
+# _RowConstraints projects groups of at most this many slots
+PRODUCT_BLOCK_SLOTS = 2**17
+
+
 class _RowConstraints:
     """Per-row machinery for the conditions W B_c = B_f.
 
     Each F row i couples only the entries of its own pattern row, so the
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
     row i].  Rows are batched by pattern-row length so projections and
-    minimum-norm solves are vectorized.
+    minimum-norm solves are vectorized: `order` lists the slots of the
+    nonempty rows, shortest rows first and each length's rows in row
+    order, so slot values gathered by it hold every length's rows as one
+    contiguous (R, m) block.
 
-    Each group keeps the pseudo-inverse of its Gram matrices C_i^T C_i,
-    shape (R, n_b, n_b).  With one candidate the Gram matrix is the
-    scalar g = sum c^2 and its pseudo-inverse is 1/g, or 0 where g == 0
-    (pinv's cutoff); only n_b >= 2 needs pinv's batched SVD.  pinv
-    returns the same bits for 1e-138 < g < 1e138; beyond that LAPACK
-    rescales the matrix and its result may miss the correctly rounded
-    1/g by up to two ulps.
+    Each group (rows, slots, C, Gp) holds at most PRODUCT_BLOCK_SLOTS
+    slots of rows of one length: its rows, its range in `order`, their
+    C_i stacked, shape (R, m, n_b), and the pseudo-inverse of their Gram
+    matrices C_i^T C_i, shape (R, n_b, n_b).  With one candidate the
+    Gram matrix is the scalar g = sum c^2 and its pseudo-inverse is 1/g,
+    or 0 where g == 0 (pinv's cutoff); only n_b >= 2 needs pinv's
+    batched SVD.  pinv returns the same bits for 1e-138 < g < 1e138;
+    beyond that LAPACK rescales the matrix and its result may miss the
+    correctly rounded 1/g by up to two ulps.
     """
 
     def __init__(self, B_c, pattern):
         self.pattern = pattern
         self.n_b = B_c.shape[1]
         lengths = np.diff(pattern.indptr)
+        rows = np.argsort(lengths, kind="stable")
+        rows = rows[lengths[rows] > 0]
+        row_lengths = lengths[rows]
+        starts = np.cumsum(row_lengths) - row_lengths  # of each row in `order`
+        itype = np.int32 if pattern.nnz < 2**31 else np.int64
+        order = np.arange(pattern.nnz, dtype=itype)
+        order += np.repeat(pattern.indptr[rows] - starts, row_lengths).astype(itype)
+        self.order = order
         self.groups = []
-        for m in np.unique(lengths):
-            if m == 0:
-                continue
-            rows = np.flatnonzero(lengths == m)
-            slots = pattern.indptr[rows][:, None] + np.arange(m)[None, :]
-            C = B_c[pattern.cols[slots]]              # (R, m, n_b)
-            G = np.einsum("rmk,rml->rkl", C, C)       # (R, n_b, n_b)
-            if self.n_b == 1:
-                Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
-            else:
-                Gp = np.linalg.pinv(G)
-            self.groups.append((rows, slots, C, Gp))
+        lo = slot = 0
+        for m, count in zip(*np.unique(row_lengths, return_counts=True)):
+            m = int(m)
+            step = max(PRODUCT_BLOCK_SLOTS // m, 1)
+            for start in range(lo, lo + count, step):
+                size = min(step, lo + count - start)
+                slots = slice(slot, slot + size * m)
+                C = B_c[pattern.cols[order[slots]]].reshape(size, m, self.n_b)
+                G = np.einsum("rmk,rml->rkl", C, C)           # (R, n_b, n_b)
+                if self.n_b == 1:
+                    Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
+                else:
+                    Gp = np.linalg.pinv(G)
+                self.groups.append((rows[start:start + size], slots, C, Gp))
+                slot += size * m
+            lo += count
 
     def project(self, values):
-        """Project slot values onto {Z : Z B_c = 0}, row by row.  Every
-        slot belongs to exactly one group, so each is written once."""
-        out = np.empty_like(values)
+        """Project slot values onto {Z : Z B_c = 0}, row by row, in place;
+        returns values.  Every slot of a nonempty row belongs to exactly
+        one group."""
         for _, slots, C, Gp in self.groups:
-            Z = values[slots]
+            at = self.order[slots]
+            Z = values[at].reshape(C.shape[:2])
             t = np.einsum("rmk,rm->rk", C, Z)
             s = np.einsum("rkl,rl->rk", Gp, t)
-            out[slots] = Z - np.einsum("rmk,rk->rm", C, s)
-        return out
+            Z -= np.einsum("rmk,rk->rm", C, s)
+            values[at] = Z.ravel()
+        return values
 
     def min_norm_solution(self, B_f):
         """Smallest-Euclidean-norm slot values with W B_c = B_f.
@@ -164,9 +189,8 @@ class _RowConstraints:
         values = np.zeros(self.pattern.nnz)
         scale = np.abs(B_f).max() if B_f.size else 0.0
         for rows, slots, C, Gp in self.groups:
-            b = B_f[rows]                              # (R, n_b)
-            s = np.einsum("rkl,rl->rk", Gp, b)
-            values[slots] = np.einsum("rmk,rk->rm", C, s)
+            s = np.einsum("rkl,rl->rk", Gp, B_f[rows])
+            values[self.order[slots]] = np.einsum("rmk,rk->rm", C, s).ravel()
         for i in self.pattern.empty_f_rows:
             if np.abs(B_f[i]).max() > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "
@@ -177,15 +201,15 @@ class _RowConstraints:
 @dataclass
 class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
-    Hadamard diagonal preconditioner.  The candidate-term constants
-    Bc_slots and cand_scale are None at tau = 1, where the term
-    vanishes.  cand_scale folds in c2 and X_ff_diag, so the operator
-    reads neither; they stay for the dense oracles that form Lhat as
-    a Kronecker sum.
+    Hadamard diagonal preconditioner.  c2 and X_ff_diag enter the
+    candidate term, which vanishes at tau = 1; its per-slot constants
+    are gathered from them when it is applied.
 
-    product_layout is the (indptr, indices) of the last product A_ff W
-    that apply_weighted_operator formed, then, once a later product had
-    the same layout, the position of each slot in its data (-1 where it
+    row_blocks bounds the blocks of F rows in which A_ff W is formed,
+    each owning at most PRODUCT_BLOCK_SLOTS slots.  product_layout holds
+    one entry per block: the (indptr, indices) of the last product of
+    that block, then, once a later product had the same layout, the
+    position of each of the block's slots in its data (-1 where it
     stores none) and the slots it misses; None before the first product.
     """
 
@@ -198,9 +222,24 @@ class WeightedSystem:
     pattern: SparsityPattern
     Bhat: np.ndarray          # slot values
     Dprec: np.ndarray         # slot values
-    Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
-    cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
-    product_layout: tuple = None
+    row_blocks: list = None
+    product_layout: list = field(default=None, init=False)
+
+    def __post_init__(self):
+        if self.row_blocks is None:
+            self.row_blocks = _row_blocks(self.pattern.indptr, PRODUCT_BLOCK_SLOTS)
+        self.product_layout = [None] * (len(self.row_blocks) - 1)
+
+
+def _row_blocks(indptr, limit):
+    """Bounds of consecutive row blocks owning at most `limit` slots each,
+    a row with more slots being a block alone."""
+    bounds = [0]
+    while bounds[-1] < len(indptr) - 1:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(indptr, int(indptr[lo]) + limit, side="right")) - 1
+        bounds.append(max(hi, lo + 1))
+    return bounds
 
 
 def build_weighted_system(A, split, B, X, tau, pattern):
@@ -230,66 +269,87 @@ def build_weighted_system(A, split, B, X, tau, pattern):
 
     denom = tau * A_ff.diagonal()[slot_rows]
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
-    Bc_slots = cand_scale = None
+    del A_fc
     if tau < 1.0:
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
         denom = denom + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
-        Bc_slots = B_c[cols]
-        cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
-        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
+        bhat = bhat + _candidate_term(c2, tau, x_diag, B_c, pattern, B_f[slot_rows])
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         bad = int(np.flatnonzero(~np.isfinite(denom) | (denom <= 0.0))[0])
         raise ValueError(
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
+    np.divide(1.0, denom, out=denom)
+    return WeightedSystem(tau, c2, A_ff, x_diag, B_f, B_c, pattern, bhat, denom)
 
-    return WeightedSystem(tau, c2, A_ff, x_diag, B_f, B_c, pattern,
-                          bhat, 1.0 / denom, Bc_slots, cand_scale)
+
+def _candidate_term(c2, tau, x_diag, B_c, pattern, V_rows):
+    """c2 (1 - tau) X_ff[i] (V_i . B_c[j]) at every slot (i, j), for the
+    per-slot rows V_rows = V[slot_rows] of an nf x n_b matrix V."""
+    scale = c2 * (1.0 - tau) * x_diag[pattern.slot_rows]
+    scale *= np.einsum("ik,ik->i", V_rows, B_c[pattern.cols])
+    return scale
 
 
-def _product_slot_values(sys, S):
-    """Slot values of the product S = A_ff W.
+def _product_slot_values(sys, block, S, out):
+    """Slot values of the product block S = A_ff[lo:hi] W, written to out,
+    the block's slots.
 
     SpGEMM orders each output row by the structure of A_ff and the
     pattern alone and drops only entries that sum to exactly zero, so
     products with equal indptr and indices store the same entries in the
-    same places.  A product whose layout differs from the last one's is
-    sampled and its layout kept; once a layout repeats, the slots are
-    located in it once and every product with it reads its slot values
-    as a gather.  A product stores no duplicates and no zeros, so the
-    gather returns what sampling would: the stored entry, or 0 for a
+    same places.  A product whose layout differs from the block's last
+    one is sampled and its layout kept; once a layout repeats, the slots
+    are located in it once and every product with it reads its slot
+    values as a gather.  A product stores no duplicates and no zeros, so
+    the gather returns what sampling would: the stored entry, or 0 for a
     slot the layout misses.
     """
     pat = sys.pattern
-    layout = sys.product_layout
+    lo, hi = sys.row_blocks[block], sys.row_blocks[block + 1]
+    slots = slice(pat.indptr[lo], pat.indptr[hi])
+    layout = sys.product_layout[block]
     if (layout is None or S.nnz == 0 or not np.array_equal(S.indptr, layout[0])
             or not np.array_equal(S.indices, layout[1])):
-        sys.product_layout = (S.indptr, S.indices, None, None)
-        return _slot_values(S, pat.slot_rows, pat.cols)
+        sys.product_layout[block] = (S.indptr, S.indices, None, None)
+        out[:] = _slot_values(S, pat.slot_rows[slots] - lo, pat.cols[slots])
+        return
     if layout[2] is None:
         # entry k of S is numbered k + 1, so a slot S misses reads 0
         numbers = sparse.csr_matrix((np.arange(1, S.nnz + 1, dtype=S.indices.dtype),
                                      S.indices, S.indptr), shape=S.shape)
-        found = _slot_values(numbers, pat.slot_rows, pat.cols)
-        layout = sys.product_layout = (S.indptr, S.indices, found - 1,
-                                       np.flatnonzero(found == 0))
-    values = S.data[layout[2]]
-    values[layout[3]] = 0.0
-    return values
+        found = _slot_values(numbers, pat.slot_rows[slots] - lo, pat.cols[slots])
+        found -= 1
+        layout = sys.product_layout[block] = (S.indptr, S.indices, found,
+                                              np.flatnonzero(found < 0))
+    np.take(S.data, layout[2], out=out)
+    out[layout[3]] = 0.0
 
 
 def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
-    (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern."""
+    (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern.
+
+    A_ff W is formed in the row blocks of sys.row_blocks, so only one
+    block's product is held at a time."""
     pat = sys.pattern
     W = pat.to_csr(values)
+    out = np.zeros(pat.nnz) if sys.tau == 0.0 else np.empty(pat.nnz)
     if sys.tau > 0.0:
-        out = sys.tau * _product_slot_values(sys, sys.A_ff @ W)
-    else:
-        out = np.zeros(pat.nnz)
+        A_ff = sys.A_ff
+        for block, (lo, hi) in enumerate(zip(sys.row_blocks[:-1], sys.row_blocks[1:])):
+            a, b = A_ff.indptr[lo], A_ff.indptr[hi]
+            A_rows = sparse.csr_matrix((A_ff.data[a:b], A_ff.indices[a:b],
+                                        A_ff.indptr[lo:hi + 1] - a),
+                                       shape=(hi - lo, A_ff.shape[1]))
+            _product_slot_values(sys, block, A_rows @ W,
+                                 out[pat.indptr[lo]:pat.indptr[hi]])
+        if sys.tau != 1.0:
+            out *= sys.tau
     if sys.tau < 1.0:
         V = W @ sys.B_c                                   # (nf, n_b)
-        out += sys.cand_scale * np.einsum("ik,ik->i", V[pat.slot_rows], sys.Bc_slots)
+        out += _candidate_term(sys.c2, sys.tau, sys.X_ff_diag, sys.B_c, pat,
+                               V[pat.slot_rows])
     return out
 
 
@@ -298,9 +358,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
 
     The preconditioner is the Hadamard product with `diag`.  When
     `project` is given (an orthogonal projection onto a subspace of slot
-    values), the residual is projected and so are the preconditioned
-    residual and every operator image, so the iterates stay on
-    x0 + subspace.  Stops when the preconditioned residual norm
+    values, applied in place to its argument, which it returns), the
+    residual is projected and so are the preconditioned residual and
+    every operator image, so the iterates stay on x0 + subspace.  Stops when the preconditioned residual norm
     sqrt(r . z) falls below tol relative to its initial value, or after
     max_iters iterations; the iteration budget is the primary control
     since the residual does not predict the quality of the resulting AMG
@@ -310,24 +370,28 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     norm, whatever tol: steps on round-off would take their length from
     round-off curvature and move x by garbage.
 
-    Returns (x, residual_history); history starts with the initial
-    residual norm.  `callback(x)` gets a copy of every updated iterate.
+    x, r and p are updated in place, and each step's operator image,
+    once spent, is its work buffer; x0 and b are not modified.  Returns
+    (x, residual_history); history starts with the initial residual
+    norm.  `callback(x)` gets a copy of every updated iterate.
     """
     if project is None:
         def project(v):
             return v
     x = x0.copy()
-    r_full = b - apply(x)
-    r = project(r_full)
+    del x0  # a start passed as a temporary dies here
+    r_full = apply(x)
+    np.subtract(b, r_full, out=r_full)
+    r = project(r_full.copy())
     z = project(diag * r)
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
-    removed = r_full - r
-    floor = 1e-13 * np.sqrt(abs(float(removed @ (diag * removed))))
-    del r_full, removed
+    r_full -= r  # the part of the residual that the projection removed
+    floor = 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full))))
+    del r_full
     if history[0] <= floor:
         return x, history
-    p = z.copy()
+    p, z = z, None
     target = max(tol * history[0], floor)
     for k in range(max_iters):
         Lp = project(apply(p))
@@ -336,9 +400,12 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
             raise RuntimeError(f"energy-minimization CG breakdown at iteration {k}: "
                                f"curvature {pLp}")
         alpha = rz / pLp
-        x += alpha * p
-        r -= alpha * Lp
-        z = project(diag * r)
+        Lp *= alpha
+        r -= Lp
+        work = Lp  # the operator image is spent; its buffer is the work buffer
+        x += np.multiply(alpha, p, out=work)
+        z = project(np.multiply(diag, r, out=work))
+        del Lp, work
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             raise RuntimeError(f"energy-minimization CG breakdown at iteration {k}: "
@@ -348,7 +415,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
             callback(x.copy())
         if history[-1] <= target:
             break
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
+        z = None
         rz = rz_new
     return x, history
 
@@ -373,15 +442,19 @@ class Interpolation:
     residuals: list
 
 
-def _minimize(sys, split, iters, tol, diag, constrained, callback=None):
+def _minimize(sys, iters, tol, diag, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
-    start, on W B_c = B_f when constrained, and assemble P."""
+    start, on W B_c = B_f when constrained; returns (w, history)."""
     rows = _RowConstraints(sys.B_c, sys.pattern)
-    w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
-                               rows.min_norm_solution(sys.B_f), diag, iters, tol,
-                               project=rows.project if constrained else None,
-                               callback=callback)
-    W = sys.pattern.to_csr(w)
+    # the start is passed as a temporary, so pcg_frobenius frees it once copied
+    return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
+                         rows.min_norm_solution(sys.B_f), diag, iters, tol,
+                         project=rows.project if constrained else None,
+                         callback=callback)
+
+
+def _interpolation(split, pattern, w, history):
+    W = pattern.to_csr(w)
     return Interpolation(W, assemble_P(W, split), history)
 
 
@@ -397,8 +470,10 @@ def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
     least-squares values.
     """
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, pattern)
-    return _minimize(sys, split, iters, tol, sys.Dprec, constrained=True,
-                     callback=callback)
+    w, history = _minimize(sys, iters, tol, sys.Dprec, constrained=True,
+                           callback=callback)
+    del sys  # its arrays are not needed to assemble P
+    return _interpolation(split, pattern, w, history)
 
 
 def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
@@ -407,22 +482,31 @@ def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
     constraint-spreading initial guess, run PCG, assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)
     diag = sys.Dprec if use_preconditioner else np.ones(pattern.nnz)
-    return _minimize(sys, split, iters, tol, diag, constrained=False)
+    w, history = _minimize(sys, iters, tol, diag, constrained=False)
+    del sys, diag
+    return _interpolation(split, pattern, w, history)
 
 
 def assemble_P(W, split):
     """Assemble P from the CSR weight block W: C rows are unit vectors
-    onto their coarse position, F rows carry W, original ordering
-    preserved."""
+    onto their coarse position, F rows carry W (its explicit zeros
+    kept), original ordering preserved.  W's columns must be sorted in
+    each row, as a pattern's are."""
     nf, nc = W.shape
     if nf != split.n_f or nc != split.n_c:
         raise ValueError("weight block shape does not match the splitting")
     n = split.n
-    counts = np.diff(W.indptr)
-    f_rows = np.repeat(split.f_points, counts)
-    rows = np.concatenate([f_rows, split.c_points])
-    cols = np.concatenate([W.indices, np.arange(nc, dtype=np.int64)])
-    vals = np.concatenate([W.data, np.ones(nc)])
-    P = sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
-    P.sort_indices()
-    return P
+    counts = np.ones(n, dtype=np.int64)
+    counts[split.f_points] = np.diff(W.indptr)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    itype = np.int32 if indptr[-1] < 2**31 and nc < 2**31 else np.int64
+    indices = np.empty(indptr[-1], dtype=itype)
+    data = np.empty(indptr[-1])
+    f_slots = np.ones(indptr[-1], dtype=bool)
+    f_slots[indptr[split.c_points]] = False
+    indices[f_slots] = W.indices
+    data[f_slots] = W.data
+    indices[~f_slots] = np.arange(nc, dtype=itype)
+    data[~f_slots] = 1.0
+    return sparse.csr_matrix((data, indices, indptr.astype(itype)), shape=(n, nc))

@@ -117,8 +117,9 @@ class ExperimentConfig:
     improvement_iters Jacobi sweeps (n_constraint_vectors must be 1);
     'random' runs the adaptive protocol of seeded random vectors.
     The counts, and each emin_iters entry, must be integers, with
-    n_constraint_vectors >= 1 and improvement_iters >= 0; every other
-    setup option is checked by building each grid point's SetupConfig.
+    n_constraint_vectors >= 1 and improvement_iters and seed >= 0; every
+    other setup option is checked by building each grid point's
+    SetupConfig.
     """
 
     problem: ProblemSpec
@@ -140,14 +141,11 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
         reject_non_integers(n_constraint_vectors=self.n_constraint_vectors,
-                            improvement_iters=self.improvement_iters, seed=self.seed,
                             **{f"emin_iters[{i}]": v for i, v in enumerate(self.emin_iters)})
         if self.n_constraint_vectors < 1:
             raise ValueError(f"n_constraint_vectors must be >= 1; "
                              f"got {self.n_constraint_vectors!r}")
-        if self.improvement_iters < 0:
-            raise ValueError(f"improvement_iters must be >= 0; "
-                             f"got {self.improvement_iters!r}")
+        self.check_protocol(self.improvement_iters, self.seed)
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
         if "weighted" in self.modes and not self.taus:
@@ -159,6 +157,15 @@ class ExperimentConfig:
                              "one constraint vector")
         for point in self.grid():
             _setup_config(self, *point, None)
+
+    @staticmethod
+    def check_protocol(improvement_iters, seed):
+        """Reject an improvement_iters or seed that is not an integer
+        >= 0, naming it; `tracemin-amg solve` checks its flags with it."""
+        reject_non_integers(improvement_iters=improvement_iters, seed=seed)
+        for name, value in (("improvement_iters", improvement_iters), ("seed", seed)):
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0; got {value!r}")
 
     def grid(self):
         """The (mode, tau, emin_iters) sweep points in row order; tau is

@@ -173,8 +173,9 @@ def galerkin_product(P, A):
     every coarse level it builds is exactly symmetric.  The product
     (CSR x CSR, no CSC round trip) is averaged with its transpose to
     remove round-off skew, so the result is exactly symmetric and comes
-    out in canonical CSR form.  Sorting the product first lets that sum
-    merge sorted rows.
+    out in canonical CSR form.  Sorting the product first lets the
+    average be formed in the product's own arrays whenever the transpose
+    stores the same positions.
 
     An off-diagonal entry with |a_ij| < eps sqrt(|a_ii| |a_jj|), eps =
     2^-52 the float64 machine epsilon, is not stored: scaled by the
@@ -184,9 +185,9 @@ def galerkin_product(P, A):
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
-    Ac = P.T.tocsr() @ (A @ P)
+    Ac = P.T.tocsr() @ (A @ P)  # R and A P die once their product exists
     Ac.sort_indices()
-    Ac = ((Ac + Ac.T) * 0.5).tocsr()
+    Ac = _symmetrized(Ac)
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
     t = np.sqrt(np.abs(Ac.diagonal()) * np.finfo(np.float64).eps)
@@ -195,6 +196,26 @@ def galerkin_product(P, A):
     negligible = np.abs(Ac.data) < bound
     if negligible.any():
         Ac.data[negligible] = 0.0
+        Ac.eliminate_zeros()
+    return Ac
+
+
+def _symmetrized(Ac):
+    """((Ac + Ac.T) * 0.5).tocsr() of a sorted CSR Ac, bit for bit.
+
+    When the transpose stores the same positions, which it does unless
+    SpGEMM dropped an exactly-zero sum on one side only, the average is
+    formed in Ac's own arrays; IEEE addition commutes, so the bits agree.
+    Like the sparse sum, it stores no entry that sums to exactly zero.
+    """
+    At = Ac.T.tocsr()
+    if not (np.array_equal(At.indptr, Ac.indptr) and np.array_equal(At.indices, Ac.indices)):
+        del At
+        return ((Ac + Ac.T) * 0.5).tocsr()
+    Ac.data += At.data
+    del At
+    Ac.data *= 0.5
+    if not Ac.data.all():
         Ac.eliminate_zeros()
     return Ac
 
@@ -250,34 +271,48 @@ def setup(A, cfg):
 
     levels = []
     while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:
-        S = strength_graph(A, cfg.theta_strength)
-        split = cf_split(S)
-        if split.n_f == 0:
-            # any nonzero off-diagonal entry is an edge at every theta <= 1, so
-            # this operator is diagonal and division solves it exactly
+        level = _build_level(A, raw, cfg)
+        if level is None:
             break
-        pattern = pattern_distance_k(S, split, cfg.pattern_degree)
-        B = prepare_candidates(A, raw)
-        iters = cfg.iteration_budget()
-        if cfg.mode == "constrained":
-            interp = constrained_energymin(A, split, B, pattern, iters,
-                                           tol=cfg.emin_tol)
-        else:
-            interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
-                                        pattern, iters, tol=cfg.emin_tol,
-                                        use_preconditioner=cfg.use_preconditioner)
-        diagonal = A.diagonal()
-        omega = cfg.jacobi_omega
-        if omega == "auto":
-            omega = auto_jacobi_omega(A, diagonal=diagonal)
-        levels.append(Level(A=A, P=interp.P, split=split,
-                            relaxation=Relaxation(omega=float(omega), sweeps=cfg.sweeps),
-                            emin_residuals=interp.residuals, diagonal=diagonal))
-        A = galerkin_product(interp.P, A)
-        raw = raw[split.c_points]  # candidate injection onto the coarse grid
+        levels.append(level)
+        A = galerkin_product(level.P, A)
+        raw = raw[level.split.c_points]  # candidate injection onto the coarse grid
     levels.append(Level(A=A))  # solved directly, never relaxed
 
     return Hierarchy(levels, _coarsest_factorization(A), fine_candidates, cfg)
+
+
+def _build_level(A, raw, cfg):
+    """The level of operator A with its interpolation, or None when A has
+    nothing to coarsen.  Each intermediate dies once nothing reads it:
+    the strength graph once the pattern exists, the pattern, the
+    candidates and the weight block W once P exists, all before the
+    caller forms the Galerkin product."""
+    S = strength_graph(A, cfg.theta_strength)
+    split = cf_split(S)
+    if split.n_f == 0:
+        # any nonzero off-diagonal entry is an edge at every theta <= 1, so
+        # this operator is diagonal and division solves it exactly
+        return None
+    pattern = pattern_distance_k(S, split, cfg.pattern_degree)
+    del S
+    B = prepare_candidates(A, raw)
+    iters = cfg.iteration_budget()
+    if cfg.mode == "constrained":
+        interp = constrained_energymin(A, split, B, pattern, iters, tol=cfg.emin_tol)
+    else:
+        interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
+                                    pattern, iters, tol=cfg.emin_tol,
+                                    use_preconditioner=cfg.use_preconditioner)
+    P, residuals = interp.P, interp.residuals
+    del pattern, B, interp
+    diagonal = A.diagonal()
+    omega = cfg.jacobi_omega
+    if omega == "auto":
+        omega = auto_jacobi_omega(A, diagonal=diagonal)
+    return Level(A=A, P=P, split=split,
+                 relaxation=Relaxation(omega=float(omega), sweeps=cfg.sweeps),
+                 emin_residuals=residuals, diagonal=diagonal)
 
 
 def _coarsest_factorization(A):

@@ -18,7 +18,6 @@ __all__ = [
     "ProblemSpec",
     "Problem",
     "assemble",
-    "full_stiffness",
 ]
 
 DEFAULT_THETA = 3.0 * math.pi / 16.0
@@ -81,27 +80,6 @@ def _element_matrices(tensor, h):
     return k_lower, k_upper
 
 
-def _cell_connectivity(n):
-    """Vertex triples of all 2 n^2 triangles, nodes numbered x + y*(n+1)."""
-    stride = n + 1
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    a = (i + j * stride).ravel()
-    b = a + 1
-    c = a + 1 + stride
-    d = a + stride
-    lower = np.column_stack([a, b, c])
-    upper = np.column_stack([a, c, d])
-    return lower, upper
-
-
-def _scatter(local_mats, conn, nnodes):
-    """Accumulate per-element 3x3 blocks into a global COO matrix."""
-    rows = np.repeat(conn, 3, axis=1).ravel()
-    cols = np.tile(conn, (1, 3)).ravel()
-    vals = local_mats.reshape(len(conn), 9).ravel()
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(nnodes, nnodes))
-
-
 def diffusion_tensor(epsilon, theta):
     """Q^T diag(1, epsilon) Q for rotation angle theta."""
     c, s = math.cos(theta), math.sin(theta)
@@ -123,43 +101,78 @@ def oscillatory_coefficient(spec):
     return f.ravel(order="F")  # node id = ix + iy*(n+1)
 
 
-def full_stiffness(spec):
-    """Pre-elimination stiffness matrix over all (n+1)^2 mesh nodes."""
+# the (x, y) corners of the local nodes of a cell's lower triangle (a, b, c)
+# and upper triangle (a, c, d), as steps from the cell's corner a
+_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+# the (x, y) steps from a node to every node it shares a triangle with,
+# itself included, in ascending node order
+_STENCIL = ((-1, -1), (0, -1), (-1, 0), (0, 0), (1, 0), (0, 1), (1, 1))
+
+
+def _stencil_values(spec):
+    """Stiffness entries of every mesh node with its _STENCIL neighbours,
+    shape (n+1, n+1, 7) indexed [y, x, slot], 0 off the mesh.
+
+    Node (x, y) is local node r of the cell at (x, y) - corner_r, so an
+    entry sums one element value per triangle the two nodes share.  Each
+    family's terms are added in element order (cells x-major), and then
+    the lower family's sum to the upper's: the order, and so the bits,
+    of a COO scatter of each family followed by their sum.
+    """
     n = spec.n
     h = 1.0 / n
-    nnodes = (n + 1) ** 2
-    lower_conn, upper_conn = _cell_connectivity(n)
-
     if spec.kind == "rotated_anisotropic":
-        tensor = diffusion_tensor(spec.epsilon, spec.theta)
-        k_lower, k_upper = _element_matrices(tensor, h)
-        lower_mats = np.broadcast_to(k_lower, (len(lower_conn), 3, 3))
-        upper_mats = np.broadcast_to(k_upper, (len(upper_conn), 3, 3))
+        k_families = _element_matrices(diffusion_tensor(spec.epsilon, spec.theta), h)
+        scales = (None, None)
     else:
-        coeff = oscillatory_coefficient(spec)
-        k_lower, k_upper = _element_matrices(np.eye(2), h)
+        k_families = _element_matrices(np.eye(2), h)
+        f = oscillatory_coefficient(spec).reshape(n + 1, n + 1)  # [y, x]
         # one-point quadrature of the linearly interpolated coefficient:
         # each element is scaled by the mean of its three nodal values
-        lower_scale = coeff[lower_conn].mean(axis=1)
-        upper_scale = coeff[upper_conn].mean(axis=1)
-        lower_mats = lower_scale[:, None, None] * k_lower
-        upper_mats = upper_scale[:, None, None] * k_upper
+        scales = [np.stack([f[dy:dy + n, dx:dx + n] for dx, dy in corners],
+                           axis=-1).mean(axis=-1) for corners in _CORNERS]
+    vals = np.empty((n + 1, n + 1, len(_STENCIL)))
+    for slot, step in enumerate(_STENCIL):
+        sums = []
+        for corners, k, scale in zip(_CORNERS, k_families, scales):
+            terms = sorted(((-rx, -ry), r, c)
+                           for r, (rx, ry) in enumerate(corners)
+                           for c, (cx, cy) in enumerate(corners)
+                           if (cx - rx, cy - ry) == step)
+            family = np.zeros((n + 1, n + 1))
+            for (dx, dy), r, c in terms:
+                family[-dy:n - dy, -dx:n - dx] += k[r, c] if scale is None else scale * k[r, c]
+            sums.append(family)
+        np.add(sums[0], sums[1], out=vals[:, :, slot])
+    return vals
 
-    A = _scatter(lower_mats, lower_conn, nnodes) + _scatter(upper_mats, upper_conn, nnodes)
-    A = A.tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return A
+
+def _stencil_csr(vals, row_length):
+    """The CSR matrix of stencil values vals[y, x, slot] on a grid with
+    row_length nodes per row, numbered x + y * row_length.  A zero value
+    is not stored, as the sum of the two families' sparse matrices
+    stores no entry that sums to exactly zero."""
+    ny, nx, _ = vals.shape
+    n_rows = ny * nx
+    itype = np.int32 if len(_STENCIL) * n_rows < 2**31 else np.int64
+    offsets = np.array([dx + dy * row_length for dx, dy in _STENCIL], dtype=itype)
+    keep = vals != 0.0
+    indptr = np.zeros(n_rows + 1, dtype=itype)
+    np.cumsum(keep.sum(axis=2, dtype=itype), out=indptr[1:])
+    ids = np.arange(n_rows, dtype=itype).reshape(ny, nx, 1)
+    indices = (ids + offsets)[keep]
+    return sparse.csr_matrix((vals[keep], indices, indptr), shape=(n_rows, n_rows))
 
 
 def assemble(spec):
     """Assemble the benchmark operator `spec` describes, with its
-    Dirichlet boundary rows and columns eliminated."""
-    A_full = full_stiffness(spec)
+    Dirichlet boundary rows and columns eliminated: the stencil values of
+    the interior nodes, minus those that reach the boundary."""
     n = spec.n
-    ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    interior = ((ix > 0) & (ix < n) & (iy > 0) & (iy < n)).ravel(order="F")
-    keep = np.flatnonzero(interior)
-    A = A_full[keep][:, keep].tocsr()
-    A.sort_indices()
-    return Problem(spec, A)
+    interior = _stencil_values(spec)[1:n, 1:n]
+    for slot, (dx, dy) in enumerate(_STENCIL):
+        if dx:
+            interior[:, 0 if dx < 0 else -1, slot] = 0.0
+        if dy:
+            interior[0 if dy < 0 else -1, :, slot] = 0.0
+    return Problem(spec, _stencil_csr(interior, n - 1))

@@ -124,14 +124,17 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         nf, nc = sys.pattern.nf, sys.pattern.nc
         L = sys.tau * np.kron(np.eye(nc), sys.A_ff.toarray()) \
             + sys.c2 * (1 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(sys.X_ff_diag))
+        # column-major vec(W) position of every slot, in int64: the int32
+        # pattern indices would overflow at nf * nc >= 2^31
+        vec = sys.pattern.cols.astype(np.int64) * nf + sys.pattern.slot_rows
         inside = np.zeros(nf * nc, dtype=bool)
-        inside[sys.pattern.cols * nf + sys.pattern.slot_rows] = True
+        inside[vec] = True
         L[~inside, :] = 0.0
         L[:, ~inside] = 0.0
         L[~inside, ~inside] = 1.0
         b = np.zeros(nf * nc)
-        b[sys.pattern.cols * nf + sys.pattern.slot_rows] = sys.Bhat
-        expected = np.linalg.solve(L, b)[sys.pattern.cols * nf + sys.pattern.slot_rows]
+        b[vec] = sys.Bhat
+        expected = np.linalg.solve(L, b)[vec]
         w, _ = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
                              np.zeros(sys.pattern.nnz), sys.Dprec, 4 * sys.pattern.nnz, 1e-14)
         worst = max(worst, np.linalg.norm(w - expected)

@@ -75,9 +75,11 @@ def test_solve_exits_2_naming_an_invalid_operator(case, monkeypatch, capsys):
 @pytest.mark.parametrize("argv, cause, assembles", [
     (["--tau", "1.5"], "tau must lie in [0, 1]; got 1.5", False),
     (["--iters", "-1"], "emin_iters must be None or >= 0; got -1", False),
+    (["--improvement-iters", "-3"], "improvement_iters must be >= 0; got -3", False),
+    (["--seed", "-1"], "seed must be >= 0; got -1", False),
     (["--max-levels", "1"], "coarsest level has 225 rows: its dense Cholesky "
                             "factorization needs 405000 bytes", True),
-], ids=["tau", "emin-iters", "coarsest-size"])
+], ids=["tau", "emin-iters", "improvement-iters", "seed", "coarsest-size"])
 def test_solve_exits_2_naming_a_bad_setting(argv, cause, assembles, monkeypatch, capsys):
     """A bad option exits before the problem is assembled; a coarsest
     level too large to factorize is found only by the setup."""
@@ -137,9 +139,11 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
                                                     "got -3"),
     ({"problem": PROBLEM, "constraint_source": "random", "n_constraint_vectors": 0},
      "n_constraint_vectors must be >= 1; got 0"),
+    ({"problem": PROBLEM, "seed": -1}, "seed must be >= 0; got -1"),
 ], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
         "problem-not-object", "scalar-grid", "float-grid-entry", "float-count",
-        "string-tau", "string-theta", "negative-improvement-iters", "no-vectors"])
+        "string-tau", "string-theta", "negative-improvement-iters", "no-vectors",
+        "negative-seed"])
 def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))
@@ -153,7 +157,9 @@ def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     ({}, ["--mode", "weighted", "--tau", "1.5"], "tau must lie in [0, 1]; got 1.5"),
     ({}, ["--iters", "-1"], "emin_iters must be None or >= 0; got -1"),
     ({"modes": ["weighted"], "taus": [0.1, True]}, [], "tau must be a real number; got True"),
-], ids=["override-empties-tau-grid", "override-tau", "override-iters", "bool-grid-entry"])
+    ({}, ["--seed", "-1"], "seed must be >= 0; got -1"),
+], ids=["override-empties-tau-grid", "override-tau", "override-iters", "bool-grid-entry",
+        "override-seed"])
 def test_sweep_rejects_a_bad_point_before_assembly(config, argv, cause, tmp_path,
                                                    monkeypatch, capsys):
     def assemble(spec):

@@ -57,12 +57,12 @@ def dense_operator_and_rhs(sys):
     L = sys.tau * np.kron(np.eye(nc), A_ff) \
         + sys.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(sys.X_ff_diag))
     inside = np.zeros(N, dtype=bool)
-    inside[sys.pattern.cols * nf + sys.pattern.slot_rows] = True
+    inside[vec_positions(sys)] = True
     L[~inside, :] = 0.0
     L[:, ~inside] = 0.0
     L[~inside, ~inside] = 1.0
     b = np.zeros(N)
-    b[sys.pattern.cols * nf + sys.pattern.slot_rows] = sys.Bhat
+    b[vec_positions(sys)] = sys.Bhat
     return L, b, inside
 
 
@@ -79,8 +79,14 @@ def quadratic_value(sys, values):
         - float(values @ sys.Bhat)
 
 
+def vec_positions(sys):
+    """The column-major vec(W) position of every slot, in int64: the
+    int32 pattern indices would overflow at nf * nc >= 2^31."""
+    return sys.pattern.cols.astype(np.int64) * sys.pattern.nf + sys.pattern.slot_rows
+
+
 def vec_to_values(sys, w_vec):
-    return w_vec[sys.pattern.cols * sys.pattern.nf + sys.pattern.slot_rows]
+    return w_vec[vec_positions(sys)]
 
 
 # ---------------- candidates ----------------
@@ -360,20 +366,23 @@ def test_single_candidate_inverse_matches_pinv(case):
     B_c, pattern, B_f, values = case
     rows = _RowConstraints(B_c, pattern)
     by_pinv = copy.copy(rows)
-    by_pinv.groups = [(r, slots, C, np.linalg.pinv(np.einsum("rmk,rml->rkl", C, C)))
-                      for r, slots, C, _ in rows.groups]
+    by_pinv.groups = []
     rescaled = False
-    for (*_, C, Gp), (*_, expected) in zip(rows.groups, by_pinv.groups):
+    for group in rows.groups:
+        C, Gp = group[2:]
         g = np.einsum("rmk,rml->rkl", C, C)
-        assert Gp.shape == expected.shape == g.shape
+        expected = np.linalg.pinv(g)
+        by_pinv.groups.append(group[:3] + (expected,))
+        assert Gp.shape == expected.shape == g.shape == (len(group[0]), 1, 1)
         assert np.array_equal(Gp, np.divide(1.0, g, out=np.zeros_like(g), where=g != 0.0))
         inside = (g == 0.0) | ((g >= LAPACK_UNSCALED[0]) & (g <= LAPACK_UNSCALED[1]))
         assert np.array_equal(Gp[inside], expected[inside])
         ulp = np.spacing(Gp[~inside])
         assert np.all(np.abs(Gp[~inside] - expected[~inside]) <= 2 * ulp)
         rescaled |= not inside.all()
+    assert sorted(rows.order) == list(range(pattern.nnz))
     if not rescaled:
-        assert np.array_equal(rows.project(values), by_pinv.project(values))
+        assert np.array_equal(rows.project(values.copy()), by_pinv.project(values.copy()))
         assert np.array_equal(rows.min_norm_solution(B_f), by_pinv.min_norm_solution(B_f))
 
 
@@ -671,8 +680,54 @@ def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
     assert len(levels) == H.n_levels - 1 >= 2
     assert len(systems) > 4 * len(levels)
     # tau = 0 forms no product; otherwise every level gathered
-    assert all(sys.product_layout is None if tau == 0.0 else
-               sys.product_layout[2] is not None for sys in levels)
+    assert all(layout is None if tau == 0.0 else layout[2] is not None
+               for sys in levels for layout in sys.product_layout)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 9), max_size=30), st.integers(1, 12))
+def test_row_blocks_cover_the_rows_within_the_slot_limit(lengths, limit):
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    bounds = energymin._row_blocks(indptr, limit)
+    assert bounds[0] == 0 and bounds[-1] == len(lengths)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        assert hi > lo
+        assert indptr[hi] - indptr[lo] <= limit or hi == lo + 1
+        # greedy: the next row would not have fit
+        assert hi == len(lengths) or indptr[hi + 1] - indptr[lo] > limit
+
+
+@pytest.mark.parametrize("mode, tau", [("constrained", 1.0), ("weighted", 1e-4)])
+def test_every_apply_in_small_row_blocks_bit_identical_to_one_block(mode, tau, monkeypatch):
+    """With blocks of at most 64 slots, every apply on every level equals
+    the apply that forms A_ff W at once, and the hierarchy, whose row
+    projections run in groups of at most 64 slots too, equals the one
+    built with the default block size."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
+    cfg = hierarchy.SetupConfig(mode=mode, tau=tau, pattern_degree=4)
+    default = hierarchy.setup(A, cfg)
+    systems = []
+
+    def checked(sys, values):
+        got = apply_weighted_operator(sys, values)
+        one_block = dataclasses.replace(sys, row_blocks=[0, sys.pattern.nf])
+        assert np.array_equal(got, apply_weighted_operator(one_block, values))
+        systems.append(sys)
+        return got
+
+    monkeypatch.setattr(energymin, "PRODUCT_BLOCK_SLOTS", 64)
+    monkeypatch.setattr(energymin, "apply_weighted_operator", checked)
+    H = hierarchy.setup(A, cfg)
+    levels = list({id(sys): sys for sys in systems}.values())
+    assert len(levels) == H.n_levels - 1 >= 2
+    assert all(len(sys.row_blocks) > 3 for sys in levels)
+    assert H.n_levels == default.n_levels
+    for got, expected in zip(H.levels, default.levels):
+        for name in ("A", "P"):
+            M, E = getattr(got, name), getattr(expected, name)
+            if E is not None:
+                assert all(np.array_equal(getattr(M, k), getattr(E, k))
+                           for k in ("indptr", "indices", "data"))
 
 
 @pytest.mark.parametrize("iters", [0, 1, 6])
@@ -754,7 +809,7 @@ def reference_constrained_loop(A, split, B, pattern, iters, tol):
 
     w = rows.min_norm_solution(B_f)
     r_full = -(energy_op(w) + afc_vals)
-    r = rows.project(r_full)
+    r = rows.project(r_full.copy())
     removed = r_full - r
     removed_norm = np.sqrt(abs(float(removed @ (dinv * removed))))
     z = rows.project(dinv * r)

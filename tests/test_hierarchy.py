@@ -439,6 +439,78 @@ def test_dense_limit_spares_a_level_without_coupling(monkeypatch):
     assert np.array_equal(x, b)
 
 
+def csr_bytes(M):
+    return M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+
+
+# tracemalloc's setup peak over the hierarchy's A and P bytes measured
+# 1.60 on the case below (2.11 while setup held arrays it no longer
+# read); the bound is 1.60 + 0.1
+SETUP_FOOTPRINT_RATIO = 1.70
+
+
+def test_setup_peak_stays_near_the_hierarchy_footprint():
+    """What setup allocates at its peak, over the bytes of the finished
+    hierarchy's operators and interpolations (the fine A included,
+    though it is built before the trace starts)."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
+    tracemalloc.start()
+    try:
+        H = setup(A, SetupConfig(mode="constrained", pattern_degree=4))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = sum(csr_bytes(lvl.A) + (csr_bytes(lvl.P) if lvl.P is not None else 0)
+               for lvl in H.levels)
+    assert peak <= SETUP_FOOTPRINT_RATIO * held
+
+
+def sorted_product(P, A):
+    Ac = P.T.tocsr() @ (A @ P)
+    Ac.sort_indices()
+    return Ac
+
+
+def test_symmetrized_average_in_place_bit_identical_to_sparse_sum():
+    """A product whose transpose stores the same positions is averaged
+    in its own arrays, to the bits of ((Ac + Ac.T) * 0.5).tocsr(); an
+    entry whose average is exactly zero is dropped, as the sum drops it."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 16, epsilon=1e-3)).matrix
+    H = setup(A, SetupConfig(pattern_degree=2, max_levels=2))
+    Ac = sorted_product(H.levels[0].P, A)
+    At = Ac.T.tocsr()
+    assert np.array_equal(At.indptr, Ac.indptr) and np.array_equal(At.indices, Ac.indices)
+    assert (Ac != At).nnz > 0  # round-off skew for the average to remove
+    i = Ac.indices[Ac.indptr[0] + 1]
+    Ac[0, i], Ac[i, 0] = 0.25, -0.25  # a cancelling pair in stored positions
+    M = sorted_product(H.levels[0].P, A)
+    expected = ((M + M.T) * 0.5).tocsr()
+    data = M.data
+    got = hierarchy._symmetrized(M)
+    assert got.data is data  # formed in place
+    assert_same_csr(got, expected)
+    expected = ((Ac + Ac.T) * 0.5).tocsr()
+    assert expected.nnz == Ac.nnz - 2
+    assert_same_csr(hierarchy._symmetrized(Ac), expected)
+
+
+def test_symmetrized_average_of_a_one_sided_structure_bit_identical_to_sparse_sum():
+    """SpGEMM drops a sum that is exactly zero, so a product may store
+    m_ij but not m_ji; then the sparse sum forms the average."""
+    rng = np.random.default_rng(4)
+    X = sparse.random(30, 30, density=0.2, random_state=rng, format="lil")
+    Y = sparse.random(30, 30, density=0.2, random_state=rng, format="lil")
+    X[0, :], Y[:, 1] = 0.0, 0.0
+    X[0, 2], X[0, 3], Y[2, 1], Y[3, 1] = 1.0, 1.0, 1.0, -1.0  # m_01 = 1 - 1
+    X[1, 2], Y[2, 0] = 1.0, 1.0  # m_10 >= 1: the other entries are >= 0
+    M = X.tocsr() @ Y.tocsr()
+    M.sort_indices()
+    assert 1 not in M.indices[M.indptr[0]:M.indptr[1]]  # dropped by the product
+    assert M[1, 0] >= 1.0
+    expected = ((M + M.T) * 0.5).tocsr()
+    assert_same_csr(hierarchy._symmetrized(M), expected)
+
+
 def test_coarsest_factorization_keeps_one_dense_copy():
     """The coarsest level is factorized in place: the traced peak of a
     one-level setup stays well below two dense copies."""

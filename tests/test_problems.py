@@ -4,8 +4,77 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from tracemin_amg.problems import (ProblemSpec, assemble, full_stiffness,
-                                   oscillatory_coefficient)
+from scipy import sparse
+
+from tracemin_amg import problems
+from tracemin_amg.problems import ProblemSpec, assemble, oscillatory_coefficient
+
+
+def full_stiffness(spec):
+    """The pre-elimination stiffness matrix over all (n+1)^2 mesh nodes,
+    from the stencil sums assemble starts from."""
+    return problems._stencil_csr(problems._stencil_values(spec), spec.n + 1)
+
+
+def reference_full_stiffness(spec):
+    """The COO assembly the stencil sums replaced: each triangle family
+    scattered as an int64 COO matrix with 9 entries per element (cells
+    x-major), converted to CSR, and the two families added."""
+    n = spec.n
+    h = 1.0 / n
+    nnodes = (n + 1) ** 2
+    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    a = (i + j * (n + 1)).ravel()
+    conns = (np.column_stack([a, a + 1, a + n + 2]), np.column_stack([a, a + n + 2, a + n + 1]))
+    if spec.kind == "rotated_anisotropic":
+        tensor = problems.diffusion_tensor(spec.epsilon, spec.theta)
+        k_lower, k_upper = problems._element_matrices(tensor, h)
+        mats = [np.broadcast_to(k, (len(c), 3, 3)) for k, c in zip((k_lower, k_upper), conns)]
+    else:
+        coeff = oscillatory_coefficient(spec)
+        k_lower, k_upper = problems._element_matrices(np.eye(2), h)
+        mats = [coeff[c].mean(axis=1)[:, None, None] * k
+                for k, c in zip((k_lower, k_upper), conns)]
+
+    def scatter(local_mats, conn):
+        rows = np.repeat(conn, 3, axis=1).ravel()
+        cols = np.tile(conn, (1, 3)).ravel()
+        vals = local_mats.reshape(len(conn), 9).ravel()
+        return sparse.coo_matrix((vals, (rows, cols)), shape=(nnodes, nnodes))
+
+    A = (scatter(mats[0], conns[0]) + scatter(mats[1], conns[1])).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    return A
+
+
+def reference_assemble(spec):
+    """The reference full matrix with its boundary rows and columns
+    dropped by two fancy-index copies."""
+    n = spec.n
+    ix, iy = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    interior = ((ix > 0) & (ix < n) & (iy > 0) & (iy < n)).ravel(order="F")
+    keep = np.flatnonzero(interior)
+    A = reference_full_stiffness(spec)[keep][:, keep].tocsr()
+    A.sort_indices()
+    return A
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 64])
+@pytest.mark.parametrize("spec", [
+    dict(kind="rotated_anisotropic", epsilon=1e-3),
+    dict(kind="rotated_anisotropic", epsilon=1.0, theta=0.3),
+    dict(kind="rotated_anisotropic", epsilon=0.37, theta=1.1),
+    dict(kind="oscillatory", K=1e6),
+    dict(kind="oscillatory", K=3.7),
+], ids=["aniso", "isotropic", "aniso-theta", "osc", "osc-inexact-K"])
+def test_assembly_bit_identical_to_coo_oracle(spec, n):
+    spec = ProblemSpec(n=n, **spec)
+    for got, expected in ((full_stiffness(spec), reference_full_stiffness(spec)),
+                          (assemble(spec).matrix, reference_assemble(spec))):
+        assert got.shape == expected.shape
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
 def naive_assembly(spec):
