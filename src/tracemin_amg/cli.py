@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from .coarsening import cf_split, strength_graph
-from .experiments import (ExperimentConfig, first_constraint_vector, measure_report,
-                          run_experiment)
+from .experiments import (ExperimentConfig, _check_protocol, first_constraint_vector,
+                          measure_report, run_experiment)
 from .hierarchy import SetupConfig, setup
 from .linalg import read_matrix_market, write_matrix_market
 from .problems import DEFAULT_THETA, ProblemSpec, assemble
@@ -58,7 +58,7 @@ def _cmd_solve(args):
     cfg = SetupConfig(mode=args.mode, tau=args.tau,
                       pattern_degree=args.pattern_degree,
                       emin_iters=args.iters, max_levels=args.max_levels)
-    ExperimentConfig.check_protocol(args.improvement_iters, args.seed)
+    _check_protocol(args.improvement_iters, args.seed)
     A = assemble(_problem_spec(args)).matrix
     source = "random" if args.random_candidate else "constant"
     cands = first_constraint_vector(A, source, args.improvement_iters, args.seed)

@@ -201,12 +201,15 @@ class _RowConstraints:
 @dataclass
 class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
-    Hadamard diagonal preconditioner.  c2 and X_ff_diag enter the
-    candidate term, which vanishes at tau = 1; its per-slot constants
-    are gathered from them when it is applied.
+    Hadamard diagonal preconditioner.  The candidate-term constants
+    Bc_slots and cand_scale are None at tau = 1, where the term
+    vanishes.  cand_scale folds in c2 and X_ff_diag, so the operator
+    reads neither; they stay for the dense oracles that form Lhat as
+    a Kronecker sum.
 
-    row_blocks bounds the blocks of F rows in which A_ff W is formed,
-    each owning at most PRODUCT_BLOCK_SLOTS slots.  product_layout holds
+    row_blocks, set from the pattern when the system is built, bounds
+    the blocks of F rows in which A_ff W is formed, each owning at most
+    PRODUCT_BLOCK_SLOTS slots.  product_layout holds
     one entry per block: the (indptr, indices) of the last product of
     that block, then, once a later product had the same layout, the
     position of each of the block's slots in its data (-1 where it
@@ -222,12 +225,13 @@ class WeightedSystem:
     pattern: SparsityPattern
     Bhat: np.ndarray          # slot values
     Dprec: np.ndarray         # slot values
-    row_blocks: list = None
-    product_layout: list = field(default=None, init=False)
+    Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
+    cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
+    row_blocks: list = field(init=False)
+    product_layout: list = field(init=False)
 
     def __post_init__(self):
-        if self.row_blocks is None:
-            self.row_blocks = _row_blocks(self.pattern.indptr, PRODUCT_BLOCK_SLOTS)
+        self.row_blocks = _row_blocks(self.pattern.indptr, PRODUCT_BLOCK_SLOTS)
         self.product_layout = [None] * (len(self.row_blocks) - 1)
 
 
@@ -270,25 +274,21 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     denom = tau * A_ff.diagonal()[slot_rows]
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     del A_fc
+    Bc_slots = cand_scale = None
     if tau < 1.0:
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
         denom = denom + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
-        bhat = bhat + _candidate_term(c2, tau, x_diag, B_c, pattern, B_f[slot_rows])
+        Bc_slots = B_c[cols]
+        cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
+        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         bad = int(np.flatnonzero(~np.isfinite(denom) | (denom <= 0.0))[0])
         raise ValueError(
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
     np.divide(1.0, denom, out=denom)
-    return WeightedSystem(tau, c2, A_ff, x_diag, B_f, B_c, pattern, bhat, denom)
-
-
-def _candidate_term(c2, tau, x_diag, B_c, pattern, V_rows):
-    """c2 (1 - tau) X_ff[i] (V_i . B_c[j]) at every slot (i, j), for the
-    per-slot rows V_rows = V[slot_rows] of an nf x n_b matrix V."""
-    scale = c2 * (1.0 - tau) * x_diag[pattern.slot_rows]
-    scale *= np.einsum("ik,ik->i", V_rows, B_c[pattern.cols])
-    return scale
+    return WeightedSystem(tau, c2, A_ff, x_diag, B_f, B_c, pattern, bhat, denom,
+                          Bc_slots, cand_scale)
 
 
 def _product_slot_values(sys, block, S, out):
@@ -348,8 +348,7 @@ def apply_weighted_operator(sys, values):
             out *= sys.tau
     if sys.tau < 1.0:
         V = W @ sys.B_c                                   # (nf, n_b)
-        out += _candidate_term(sys.c2, sys.tau, sys.X_ff_diag, sys.B_c, pat,
-                               V[pat.slot_rows])
+        out += sys.cand_scale * np.einsum("ik,ik->i", V[pat.slot_rows], sys.Bc_slots)
     return out
 
 
@@ -489,24 +488,17 @@ def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
 
 def assemble_P(W, split):
     """Assemble P from the CSR weight block W: C rows are unit vectors
-    onto their coarse position, F rows carry W (its explicit zeros
-    kept), original ordering preserved.  W's columns must be sorted in
-    each row, as a pattern's are."""
+    onto their coarse position, F rows carry W, original ordering
+    preserved."""
     nf, nc = W.shape
     if nf != split.n_f or nc != split.n_c:
         raise ValueError("weight block shape does not match the splitting")
     n = split.n
-    counts = np.ones(n, dtype=np.int64)
-    counts[split.f_points] = np.diff(W.indptr)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    itype = np.int32 if indptr[-1] < 2**31 and nc < 2**31 else np.int64
-    indices = np.empty(indptr[-1], dtype=itype)
-    data = np.empty(indptr[-1])
-    f_slots = np.ones(indptr[-1], dtype=bool)
-    f_slots[indptr[split.c_points]] = False
-    indices[f_slots] = W.indices
-    data[f_slots] = W.data
-    indices[~f_slots] = np.arange(nc, dtype=itype)
-    data[~f_slots] = 1.0
-    return sparse.csr_matrix((data, indices, indptr.astype(itype)), shape=(n, nc))
+    counts = np.diff(W.indptr)
+    f_rows = np.repeat(split.f_points, counts)
+    rows = np.concatenate([f_rows, split.c_points])
+    cols = np.concatenate([W.indices, np.arange(nc, dtype=np.int64)])
+    vals = np.concatenate([W.data, np.ones(nc)])
+    P = sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
+    P.sort_indices()
+    return P

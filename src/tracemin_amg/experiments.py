@@ -108,6 +108,15 @@ def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed):
     return prepare_candidates(A, np.column_stack([prev, v]))
 
 
+def _check_protocol(improvement_iters, seed):
+    """Reject an improvement_iters or seed that is not an integer >= 0,
+    naming it; ExperimentConfig and `tracemin-amg solve` check with it."""
+    reject_non_integers(improvement_iters=improvement_iters, seed=seed)
+    for name, value in (("improvement_iters", improvement_iters), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0; got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One sweep: a problem, a mode/tau/iteration grid, and the
@@ -145,7 +154,7 @@ class ExperimentConfig:
         if self.n_constraint_vectors < 1:
             raise ValueError(f"n_constraint_vectors must be >= 1; "
                              f"got {self.n_constraint_vectors!r}")
-        self.check_protocol(self.improvement_iters, self.seed)
+        _check_protocol(self.improvement_iters, self.seed)
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
         if "weighted" in self.modes and not self.taus:
@@ -157,15 +166,6 @@ class ExperimentConfig:
                              "one constraint vector")
         for point in self.grid():
             _setup_config(self, *point, None)
-
-    @staticmethod
-    def check_protocol(improvement_iters, seed):
-        """Reject an improvement_iters or seed that is not an integer
-        >= 0, naming it; `tracemin-amg solve` checks its flags with it."""
-        reject_non_integers(improvement_iters=improvement_iters, seed=seed)
-        for name, value in (("improvement_iters", improvement_iters), ("seed", seed)):
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0; got {value!r}")
 
     def grid(self):
         """The (mode, tau, emin_iters) sweep points in row order; tau is

@@ -710,7 +710,10 @@ def test_every_apply_in_small_row_blocks_bit_identical_to_one_block(mode, tau, m
 
     def checked(sys, values):
         got = apply_weighted_operator(sys, values)
-        one_block = dataclasses.replace(sys, row_blocks=[0, sys.pattern.nf])
+        with monkeypatch.context() as one:
+            one.setattr(energymin, "PRODUCT_BLOCK_SLOTS", sys.pattern.nnz)
+            one_block = dataclasses.replace(sys)
+        assert one_block.row_blocks == [0, sys.pattern.nf]
         assert np.array_equal(got, apply_weighted_operator(one_block, values))
         systems.append(sys)
         return got
