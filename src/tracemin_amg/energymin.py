@@ -203,23 +203,19 @@ class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
     Hadamard diagonal preconditioner.  The candidate-term constants
     Bc_slots and cand_scale are None at tau = 1, where the term
-    vanishes.  cand_scale folds in c2 and X_ff_diag, so the operator
-    reads neither; they stay for the dense oracles that form Lhat as
-    a Kronecker sum.
+    vanishes.
 
     row_blocks, set from the pattern when the system is built, bounds
     the blocks of F rows in which A_ff W is formed, each owning at most
-    PRODUCT_BLOCK_SLOTS slots.  product_layout holds
-    one entry per block: the (indptr, indices) of the last product of
-    that block, then, once a later product had the same layout, the
-    position of each of the block's slots in its data (-1 where it
-    stores none) and the slots it misses; None before the first product.
+    PRODUCT_BLOCK_SLOTS slots.  product_layout holds one entry per
+    block: None before the block's first product, then the (indptr,
+    indices) of its last product, the position of each of the block's
+    slots in that product's data (-1 where it stores none) and the slots
+    it misses.
     """
 
     tau: float
-    c2: float
     A_ff: sparse.csr_matrix
-    X_ff_diag: np.ndarray
     B_f: np.ndarray
     B_c: np.ndarray
     pattern: SparsityPattern
@@ -266,9 +262,6 @@ def build_weighted_system(A, split, B, X, tau, pattern):
         raise ValueError("tau must lie in [0, 1]")
     A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
-    x_diag = X.diagonal(A_ff)
-    c2 = X.c2
-
     slot_rows, cols = pattern.slot_rows, pattern.cols
 
     denom = tau * A_ff.diagonal()[slot_rows]
@@ -276,6 +269,7 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     del A_fc
     Bc_slots = cand_scale = None
     if tau < 1.0:
+        x_diag, c2 = X.diagonal(A_ff), X.c2
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
         denom = denom + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
         Bc_slots = B_c[cols]
@@ -287,8 +281,7 @@ def build_weighted_system(A, split, B, X, tau, pattern):
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
     np.divide(1.0, denom, out=denom)
-    return WeightedSystem(tau, c2, A_ff, x_diag, B_f, B_c, pattern, bhat, denom,
-                          Bc_slots, cand_scale)
+    return WeightedSystem(tau, A_ff, B_f, B_c, pattern, bhat, denom, Bc_slots, cand_scale)
 
 
 def _product_slot_values(sys, block, S, out):
@@ -298,23 +291,17 @@ def _product_slot_values(sys, block, S, out):
     SpGEMM orders each output row by the structure of A_ff and the
     pattern alone and drops only entries that sum to exactly zero, so
     products with equal indptr and indices store the same entries in the
-    same places.  A product whose layout differs from the block's last
-    one is sampled and its layout kept; once a layout repeats, the slots
-    are located in it once and every product with it reads its slot
-    values as a gather.  A product stores no duplicates and no zeros, so
-    the gather returns what sampling would: the stored entry, or 0 for a
-    slot the layout misses.
+    same places.  The slots are located once in each layout that differs
+    from the block's last one, the first included, and every product
+    reads them as a gather; with no duplicates and no zeros stored, it
+    reads what sampling would: the stored entry, or 0 where none is.
     """
     pat = sys.pattern
     lo, hi = sys.row_blocks[block], sys.row_blocks[block + 1]
     slots = slice(pat.indptr[lo], pat.indptr[hi])
     layout = sys.product_layout[block]
-    if (layout is None or S.nnz == 0 or not np.array_equal(S.indptr, layout[0])
+    if (layout is None or not np.array_equal(S.indptr, layout[0])
             or not np.array_equal(S.indices, layout[1])):
-        sys.product_layout[block] = (S.indptr, S.indices, None, None)
-        out[:] = _slot_values(S, pat.slot_rows[slots] - lo, pat.cols[slots])
-        return
-    if layout[2] is None:
         # entry k of S is numbered k + 1, so a slot S misses reads 0
         numbers = sparse.csr_matrix((np.arange(1, S.nnz + 1, dtype=S.indices.dtype),
                                      S.indices, S.indptr), shape=S.shape)
@@ -322,7 +309,8 @@ def _product_slot_values(sys, block, S, out):
         found -= 1
         layout = sys.product_layout[block] = (S.indptr, S.indices, found,
                                               np.flatnonzero(found < 0))
-    np.take(S.data, layout[2], out=out)
+    if S.nnz:  # an empty product misses every slot
+        np.take(S.data, layout[2], out=out)
     out[layout[3]] = 0.0
 
 

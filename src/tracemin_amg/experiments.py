@@ -19,8 +19,8 @@ import numpy as np
 
 from .energymin import prepare_candidates
 from .hierarchy import (SetupConfig, convergence_factor, measure_convergence_factor,
-                        reject_non_integers, setup, solve)
-from .problems import ProblemSpec, assemble
+                        setup, solve)
+from .problems import ProblemSpec, assemble, reject_non_integers
 from .relaxation import Relaxation, auto_jacobi_omega, relax_sweep
 
 __all__ = [
@@ -126,9 +126,9 @@ class ExperimentConfig:
     improvement_iters Jacobi sweeps (n_constraint_vectors must be 1);
     'random' runs the adaptive protocol of seeded random vectors.
     The counts, and each emin_iters entry, must be integers, with
-    n_constraint_vectors >= 1 and improvement_iters and seed >= 0; every
-    other setup option is checked by building each grid point's
-    SetupConfig.
+    n_constraint_vectors >= 1 and improvement_iters and seed >= 0, and
+    output is None or a path string; every other setup option is checked
+    by building each grid point's SetupConfig.
     """
 
     problem: ProblemSpec
@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ValueError(f"n_constraint_vectors must be >= 1; "
                              f"got {self.n_constraint_vectors!r}")
         _check_protocol(self.improvement_iters, self.seed)
+        if self.output is not None and not isinstance(self.output, str):
+            raise ValueError(f"output must be None or a string; got {self.output!r}")
         if not self.modes or not self.emin_iters:
             raise ValueError("mode and iteration grids must be nonempty")
         if "weighted" in self.modes and not self.taus:

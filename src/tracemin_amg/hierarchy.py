@@ -20,6 +20,7 @@ from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (constrained_energymin, prepare_candidates,
                         weighted_energymin)
 from .linalg import SYMMETRY_RTOL
+from .problems import reject_non_integers
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
 __all__ = [
@@ -89,14 +90,6 @@ class Hierarchy:
         nnz0 = self.levels[0].A.nnz
         return sum((2 * self.config.sweeps + 1) * lvl.A.nnz
                    for lvl in self.levels) / nnz0
-
-
-def reject_non_integers(**counts):
-    """Raise a ValueError naming the first of the named counts that is
-    not an integer; a float or a bool is rejected even when integral."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer; got {value!r}")
 
 
 @dataclass

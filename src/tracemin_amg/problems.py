@@ -9,6 +9,7 @@ matrix over the (n-1)^2 interior nodes.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,14 @@ __all__ = [
 DEFAULT_THETA = 3.0 * math.pi / 16.0
 
 
+def reject_non_integers(**counts):
+    """Raise a ValueError naming the first of the named counts that is
+    not an integer; a float or a bool is rejected even when integral."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer; got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Parameters of a benchmark problem.
@@ -30,7 +39,8 @@ class ProblemSpec:
     kind is 'rotated_anisotropic' (diffusion tensor Q^T diag(1, epsilon) Q
     with rotation angle theta) or 'oscillatory' (isotropic tensor whose
     scalar coefficient alternates between 1 and K at neighboring nodes).
-    n is the number of mesh intervals per side.
+    n is the number of mesh intervals per side, an integer >= 2;
+    epsilon, theta and K are finite real numbers.
     """
 
     kind: str
@@ -42,8 +52,14 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in ("rotated_anisotropic", "oscillatory"):
             raise ValueError(f"unknown problem kind: {self.kind!r}")
+        reject_non_integers(n=self.n)
         if self.n < 2:
             raise ValueError("need at least 2 mesh intervals per side")
+        for name in ("epsilon", "theta", "K"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite real number; got {value!r}")
         if not (0.0 <= self.epsilon <= 1.0):
             raise ValueError("epsilon must lie in [0, 1]")
         if self.K <= 0.0:

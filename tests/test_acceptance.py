@@ -122,8 +122,9 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         tau = float(rng.choice([1.0, 0.6, 0.1]))
         sys = random_system(rng, n, tau)
         nf, nc = sys.pattern.nf, sys.pattern.nc
+        X = SpectralEquivalence()  # the one random_system builds with
         L = sys.tau * np.kron(np.eye(nc), sys.A_ff.toarray()) \
-            + sys.c2 * (1 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(sys.X_ff_diag))
+            + X.c2 * (1 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(sys.A_ff)))
         # column-major vec(W) position of every slot, in int64: the int32
         # pattern indices would overflow at nf * nc >= 2^31
         vec = sys.pattern.cols.astype(np.int64) * nf + sys.pattern.slot_rows

@@ -74,16 +74,20 @@ def test_every_exported_name_has_a_reader():
     trees = {path: ast.parse(path.read_text())
              for path in sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
              if path.name != "__init__.py"}
+    # each file is walked once; only a name's own module is walked again,
+    # without the name's definition
+    names_read = {path: read_names(tree.body) for path, tree in trees.items()}
     traced = {(module.__name__, attr) for module, attr, _, _ in load_spans().BINDINGS}
     unread = []
     for name in MODULES:
         module = importlib.import_module(f"tracemin_amg.{name}")
+        own = package / f"{name}.py"
         for attr in getattr(module, "__all__", []):
             if attr in UNREAD_ON_PURPOSE or (module.__name__, attr) in traced:
                 continue
-            readers = [read_names(tree.body if path != package / f"{name}.py" else
-                                  [s for s in tree.body if getattr(s, "name", None) != attr])
-                       for path, tree in trees.items()]
-            if not any(attr in names for names in readers):
+            if any(attr in names for path, names in names_read.items() if path != own):
+                continue
+            if attr not in read_names([s for s in trees[own].body
+                                       if getattr(s, "name", None) != attr]):
                 unread.append(f"{name}.{attr}")
     assert not unread, f"exported names without a reader: {unread}"

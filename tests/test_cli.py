@@ -77,9 +77,10 @@ def test_solve_exits_2_naming_an_invalid_operator(case, monkeypatch, capsys):
     (["--iters", "-1"], "emin_iters must be None or >= 0; got -1", False),
     (["--improvement-iters", "-3"], "improvement_iters must be >= 0; got -3", False),
     (["--seed", "-1"], "seed must be >= 0; got -1", False),
+    (["--K", "nan"], "K must be a finite real number; got nan", False),
     (["--max-levels", "1"], "coarsest level has 225 rows: its dense Cholesky "
                             "factorization needs 405000 bytes", True),
-], ids=["tau", "emin-iters", "improvement-iters", "seed", "coarsest-size"])
+], ids=["tau", "emin-iters", "improvement-iters", "seed", "nan-K", "coarsest-size"])
 def test_solve_exits_2_naming_a_bad_setting(argv, cause, assembles, monkeypatch, capsys):
     """A bad option exits before the problem is assembled; a coarsest
     level too large to factorize is found only by the setup."""
@@ -140,10 +141,20 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
     ({"problem": PROBLEM, "constraint_source": "random", "n_constraint_vectors": 0},
      "n_constraint_vectors must be >= 1; got 0"),
     ({"problem": PROBLEM, "seed": -1}, "seed must be >= 0; got -1"),
+    ({"problem": dict(PROBLEM, n=8.5)}, "n must be an integer; got 8.5"),
+    ({"problem": dict(PROBLEM, epsilon="0.1")},
+     "epsilon must be a finite real number; got '0.1'"),
+    ({"problem": dict(PROBLEM, theta="x")}, "theta must be a finite real number; got 'x'"),
+    ({"problem": dict(PROBLEM, theta=float("nan"))},
+     "theta must be a finite real number; got nan"),
+    ({"problem": dict(PROBLEM, K=float("nan"))}, "K must be a finite real number; got nan"),
+    ({"problem": dict(PROBLEM, K=float("inf"))}, "K must be a finite real number; got inf"),
+    ({"problem": PROBLEM, "output": 2}, "output must be None or a string; got 2"),
 ], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
         "problem-not-object", "scalar-grid", "float-grid-entry", "float-count",
         "string-tau", "string-theta", "negative-improvement-iters", "no-vectors",
-        "negative-seed"])
+        "negative-seed", "float-n", "string-epsilon", "string-problem-theta",
+        "nan-theta", "nan-K", "infinite-K", "integer-output"])
 def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))

@@ -48,14 +48,15 @@ def random_instance(rng, n, n_b=1, tau=0.5, fill=0.5):
     return A, split, pattern, B, sys
 
 
-def dense_operator_and_rhs(sys):
+def dense_operator_and_rhs(sys, X):
     """Vectorized oracle: the restricted operator as a dense matrix on
-    column-major vec(W), with unit diagonal outside the pattern."""
+    column-major vec(W), with unit diagonal outside the pattern; X is the
+    SpectralEquivalence the system was built with."""
     nf, nc = sys.pattern.nf, sys.pattern.nc
     N = nf * nc
     A_ff = sys.A_ff.toarray()
     L = sys.tau * np.kron(np.eye(nc), A_ff) \
-        + sys.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(sys.X_ff_diag))
+        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(A_ff)))
     inside = np.zeros(N, dtype=bool)
     inside[vec_positions(sys)] = True
     L[~inside, :] = 0.0
@@ -212,7 +213,7 @@ def test_pcg_matches_vectorized_dense_oracle():
         n = int(rng.integers(15, 30))
         tau = float(rng.choice([1.0, 0.5, 0.05]))
         A, split, pattern, B, sys = random_instance(rng, n, n_b=2, tau=tau)
-        L, b, inside = dense_operator_and_rhs(sys)
+        L, b, inside = dense_operator_and_rhs(sys, SpectralEquivalence())
         expected = vec_to_values(sys, np.linalg.solve(L, b))
         w, _ = run_pcg(sys, np.zeros(pattern.nnz), 4 * pattern.nnz, 1e-14)
         assert np.linalg.norm(w - expected) <= 1e-8 * max(np.linalg.norm(expected), 1.0)
@@ -551,9 +552,11 @@ def test_slot_values_of_unsorted_product_match_sorted_lookup():
     assert np.all(out[~hit] == 0.0) and np.all(out[hit] != 0.0)
 
 
-def reference_weighted_apply(sys, values):
+def reference_weighted_apply(sys, values, X, x_diag=None):
     """Lhat on the pattern by the sorted extraction, with the candidate
-    term's constants recomputed on every apply."""
+    term's constants recomputed on every apply from X, the
+    SpectralEquivalence the system was built with, and x_diag, X's
+    diagonal of the A_ff it was built from (by default sys.A_ff)."""
     pat = sys.pattern
     out = np.zeros(pat.nnz)
     W = sparse.csr_matrix((values, pat.cols, pat.indptr), shape=(pat.nf, pat.nc))
@@ -561,7 +564,9 @@ def reference_weighted_apply(sys, values):
         out += sys.tau * reference_values_at(sys.A_ff @ W, pat.slot_rows, pat.cols)
     if sys.tau < 1.0:
         vb = np.einsum("ik,ik->i", (W @ sys.B_c)[pat.slot_rows], sys.B_c[pat.cols])
-        out += sys.c2 * (1.0 - sys.tau) * sys.X_ff_diag[pat.slot_rows] * vb
+        if x_diag is None:
+            x_diag = X.diagonal(sys.A_ff)
+        out += X.c2 * (1.0 - sys.tau) * x_diag[pat.slot_rows] * vb
     return out
 
 
@@ -576,13 +581,13 @@ def test_weighted_apply_and_rhs_bit_identical_to_sorted_extraction(tau):
         sys = build_weighted_system(A, split, B, X, tau, pattern)
         w = rng.standard_normal(pattern.nnz)
         assert np.array_equal(apply_weighted_operator(sys, w),
-                              reference_weighted_apply(sys, w))
+                              reference_weighted_apply(sys, w, X))
         B_f, B_c = B.split_rows(split)
         _, A_fc = split.f_blocks(A)
         bhat = -tau * reference_values_at(A_fc, pattern.slot_rows, pattern.cols)
         if tau < 1.0:
             bf_bc = np.einsum("ik,ik->i", B_f[pattern.slot_rows], B_c[pattern.cols])
-            bhat = bhat + sys.c2 * (1.0 - tau) * sys.X_ff_diag[pattern.slot_rows] * bf_bc
+            bhat = bhat + X.c2 * (1.0 - tau) * X.diagonal(sys.A_ff)[pattern.slot_rows] * bf_bc
         assert np.array_equal(sys.Bhat, bhat)
 
 
@@ -602,7 +607,8 @@ def test_energymin_routes_bit_identical_to_sorted_extraction(mode, monkeypatch):
 
     got = run()
     monkeypatch.setattr(energymin, "_slot_values", reference_values_at)
-    monkeypatch.setattr(energymin, "apply_weighted_operator", reference_weighted_apply)
+    monkeypatch.setattr(energymin, "apply_weighted_operator",
+                        partial(reference_weighted_apply, X=SpectralEquivalence()))
     expected = run()
     assert len(got.residuals) == 7
     assert np.array_equal(got.residuals, expected.residuals)
@@ -613,7 +619,8 @@ def exact_zero_system(rng, tau):
     """A weighted system whose A_ff row 0 is 1 at column 1 and -1 at
     column 2 and whose pattern rows 0, 1 and 2 share their columns: a W
     with equal rows 1 and 2 makes every product entry of row 0 an exact
-    zero, which SpGEMM drops, so that product misses row 0's slots."""
+    zero, which SpGEMM drops, so that product misses row 0's slots.
+    Returns the system and its reference apply."""
     A = rand_spd_sparse(rng, 60)
     split = BlockSplit.from_c_points(60, np.sort(rng.permutation(60)[:20]))
     rows = [np.flatnonzero(rng.random(split.n_c) < 0.3) for _ in range(split.n_f)]
@@ -622,29 +629,32 @@ def exact_zero_system(rng, tau):
     indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
     pattern = SparsityPattern(split.n_f, split.n_c, indptr, np.concatenate(rows))
     B = prepare_candidates(A, rng.standard_normal((60, 2)))
-    sys = build_weighted_system(A, split, B, SpectralEquivalence(c2=1.7), tau, pattern)
+    X = SpectralEquivalence(c2=1.7)
+    sys = build_weighted_system(A, split, B, X, tau, pattern)
+    reference = partial(reference_weighted_apply, X=X, x_diag=X.diagonal(sys.A_ff))
     A_ff = sys.A_ff.tolil()
     A_ff[0, :] = 0.0
     A_ff[0, 1], A_ff[0, 2] = 1.0, -1.0
-    return dataclasses.replace(sys, A_ff=A_ff.tocsr())
+    return dataclasses.replace(sys, A_ff=A_ff.tocsr()), reference
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-4, 1.0])
-@pytest.mark.parametrize("steps, gathers", [
-    (["generic", "generic", "equal-rows", "equal-rows", "generic", "generic"], 3),
-    (["equal-rows", "equal-rows", "equal-rows"], 2),
-    (["zero", "zero", "generic", "generic", "zero"], 1),
-], ids=["drops-exact-zeros", "misses-a-slot", "empty"])
+@pytest.mark.parametrize("steps, locates", [
+    (["generic", "generic", "equal-rows", "equal-rows", "generic", "generic"], [0, 2, 4]),
+    (["equal-rows", "equal-rows", "equal-rows"], [0]),
+    (["zero", "zero", "generic", "generic", "zero"], [0, 2, 4]),
+    (["equal-rows", "generic", "generic", "generic"], [0, 1]),
+], ids=["drops-exact-zeros", "misses-a-slot", "empty", "changes-twice"])
 def test_weighted_apply_with_cached_layout_bit_identical_to_sorted_extraction(
-        steps, gathers, tau, monkeypatch):
+        steps, locates, tau, monkeypatch):
     rng = np.random.default_rng(13)
-    sys = exact_zero_system(rng, tau)
+    sys, reference = exact_zero_system(rng, tau)
     pat = sys.pattern
     row1, row2 = (slice(pat.indptr[i], pat.indptr[i + 1]) for i in (1, 2))
-    sampled = []
+    calls = []  # per step, the dtype of each matrix sampled
 
     def counting(S, slot_rows, cols):
-        sampled.append(S.dtype)
+        calls[-1].append(S.dtype)
         return _slot_values(S, slot_rows, cols)
 
     monkeypatch.setattr(energymin, "_slot_values", counting)
@@ -653,12 +663,14 @@ def test_weighted_apply_with_cached_layout_bit_identical_to_sorted_extraction(
         if step == "equal-rows":
             w[row2] = w[row1]
             assert (sys.A_ff @ pat.to_csr(w)).indptr[1] == 0  # row 0 stores nothing
+        calls.append([])
         got = apply_weighted_operator(sys, w)
-        assert np.array_equal(got, reference_weighted_apply(sys, w))
-    # tau = 0 forms no product; otherwise a product gathers when it repeats
-    # the layout of the one before, unless that layout is empty
-    products = len(steps) if tau > 0.0 else 0
-    assert products - sampled.count(np.float64) == (gathers if tau > 0.0 else 0)
+        assert np.array_equal(got, reference(sys, w))
+    # tau = 0 forms no product; otherwise a product whose layout differs
+    # from the one before, the first included, has its slots located, and
+    # no product is sampled for its values
+    assert calls == [[np.int32] if tau > 0.0 and i in locates else []
+                     for i in range(len(steps))]
 
 
 @pytest.mark.parametrize("mode, tau", [("constrained", 1.0), ("weighted", 0.0),
@@ -670,7 +682,8 @@ def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
 
     def checked(sys, values):
         got = apply_weighted_operator(sys, values)
-        assert np.array_equal(got, reference_weighted_apply(sys, values))
+        assert np.array_equal(got, reference_weighted_apply(sys, values,
+                                                            SpectralEquivalence()))
         systems.append(sys)
         return got
 
@@ -679,8 +692,8 @@ def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
     levels = list({id(sys): sys for sys in systems}.values())
     assert len(levels) == H.n_levels - 1 >= 2
     assert len(systems) > 4 * len(levels)
-    # tau = 0 forms no product; otherwise every level gathered
-    assert all(layout is None if tau == 0.0 else layout[2] is not None
+    # tau = 0 forms no product; otherwise every block located its slots
+    assert all((layout is None) == (tau == 0.0)
                for sys in levels for layout in sys.product_layout)
 
 
@@ -736,10 +749,9 @@ def test_every_apply_in_small_row_blocks_bit_identical_to_one_block(mode, tau, m
 @pytest.mark.parametrize("iters", [0, 1, 6])
 @pytest.mark.parametrize("mode", ["constrained", "weighted"])
 def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, monkeypatch):
-    """One level-0 minimization samples A_fc for its right-hand side and
-    its first product A_ff W, then, when a second product repeats that
-    layout, the slots' positions in it; every later product is a gather
-    (sampling every product took iters + 2 calls)."""
+    """One level-0 minimization samples A_fc's values for its right-hand
+    side and locates the slots in its first product A_ff W; every later
+    product repeats that layout and is a gather."""
     A = assemble(ProblemSpec("rotated_anisotropic", 24, epsilon=1e-3)).matrix
     S = strength_graph(A, 0.4)
     split = cf_split(S)
@@ -758,7 +770,7 @@ def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, mo
         got = weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4, pattern,
                                  iters, tol=0.0)
     assert len(got.residuals) == iters + 1
-    assert calls == [np.float64, np.float64] + ([np.int32] if iters else [])
+    assert calls == [np.float64, np.int32]
 
 
 # ---------------- the shared CG loop ----------------
