@@ -100,14 +100,13 @@ def _cmd_sweep(args):
 
 
 def _cmd_theory(args):
-    A = read_matrix_market(args.matrix)
-    if hasattr(A, "toarray"):
-        A_sparse, A = A, A.toarray()
-    else:
+    A_sparse = read_matrix_market(args.matrix)
+    if not hasattr(A_sparse, "toarray"):
         raise ValueError("theory expects a sparse coordinate Matrix Market file")
-    if A.shape[0] > DESK_SCALE_LIMIT:
+    if A_sparse.shape[0] > DESK_SCALE_LIMIT:
         raise ValueError(f"theory diagnostics are capped at n = {DESK_SCALE_LIMIT}")
-    split = cf_split(strength_graph(A_sparse.tocsr(), args.theta_strength))
+    A = A_sparse.toarray()
+    split = cf_split(strength_graph(A_sparse, args.theta_strength))
     P = ideal_interpolation(A, split)
     M = np.diag(np.diag(A))  # one Jacobi sweep as the reference relaxation
     report = full_report(A, M, SpectralEquivalence(), split, P)

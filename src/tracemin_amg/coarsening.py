@@ -2,14 +2,15 @@
 patterns.
 
 The strength measure is the symmetric scaling |a_ij| / sqrt(a_ii a_jj),
-which stays in [0, 1] for SPD matrices and keeps the graph symmetric
-for both benchmark problems.  The splitting is a greedy first pass:
-the vertex adjacent to the most F points goes coarse next (ties to the
-lowest index), and its strong neighbors become fine.  Starting from an
-all-zero measure this sweeps a frontier outward from vertex 0.  The
-measures are kept in Ruge-Stueben style buckets, one min-heap of
-vertex indices per measure value, so the pass costs O(nnz log N)
-rather than one O(N) scan per C point.
+which stays in [0, 1] for SPD matrices; it only selects the strong
+edges, and the graph is their symmetric boolean adjacency.  The
+splitting is a greedy first pass: the vertex adjacent to the most F
+points goes coarse next (ties to the lowest index), and its strong
+neighbors become fine.  Starting from an all-zero measure this sweeps
+a frontier outward from vertex 0.  The measures are kept in
+Ruge-Stueben style buckets, one min-heap of vertex indices per measure
+value, so the pass costs O(nnz log N) rather than one O(N) scan per C
+point.
 """
 
 import heapq
@@ -29,16 +30,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BlockSplit:
-    """A CF partition of 0..n-1.
-
-    c_points and f_points are sorted index arrays and is_c marks the
-    side of each index.  Interpolation reads the F rows of A through
-    f_blocks.
+    """A CF partition of 0..n-1 into the sorted index arrays c_points
+    and f_points.  Interpolation reads the F rows of A through f_blocks.
     """
 
     c_points: np.ndarray
     f_points: np.ndarray
-    is_c: np.ndarray
 
     @classmethod
     def from_c_points(cls, n, c_points):
@@ -47,11 +44,11 @@ class BlockSplit:
             raise ValueError("C-point index out of range")
         is_c = np.zeros(n, dtype=bool)
         is_c[c] = True
-        return cls(c, np.flatnonzero(~is_c), is_c)
+        return cls(c, np.flatnonzero(~is_c))
 
     @property
     def n(self):
-        return len(self.is_c)
+        return self.n_c + self.n_f
 
     @property
     def n_c(self):
@@ -114,7 +111,7 @@ class SparsityPattern:
 
 def strength_graph(A, theta_strength):
     """Symmetrically scaled strength-of-connection graph, as a symmetric
-    canonical CSR matrix with values in [0, 1] and no diagonal.
+    canonical CSR adjacency with boolean data and no diagonal.
 
     Edge (i, j) survives iff
         |a_ij| / sqrt(a_ii a_jj) >= theta * max_k |a_ik| / sqrt(a_ii a_kk)
@@ -131,16 +128,15 @@ def strength_graph(A, theta_strength):
         raise ValueError("strength measure requires a positive diagonal")
 
     S = _strong_couplings(A, d, theta_strength)
-    # union symmetrization; overlapping entries carry the same scaled value
-    S = S.maximum(S.T).tocsr()
+    S = S.maximum(S.T).tocsr()  # union symmetrization
     S.sort_indices()
     return S
 
 
 def _strong_couplings(A, d, theta_strength):
     """The one-sided strength graph of CSR A with diagonal d: the entries
-    of each row that pass the threshold, in A's stored order.  Its
-    temporaries die on return, before the union symmetrization."""
+    of each row that pass the threshold, in A's stored order, as boolean
+    data.  The scaled values die on return, before the union."""
     n = A.shape[0]
     indptr, cols = A.indptr, A.indices
     counts = np.diff(indptr)
@@ -162,7 +158,8 @@ def _strong_couplings(A, d, theta_strength):
     S_indptr = np.zeros(n + 1, dtype=indptr.dtype)
     S_indptr[1:][nonempty] = np.add.reduceat(kept, starts, dtype=indptr.dtype)
     np.cumsum(S_indptr, out=S_indptr)
-    return sparse.csr_matrix((vals[kept], cols[kept], S_indptr), shape=(n, n))
+    return sparse.csr_matrix((np.ones(S_indptr[-1], dtype=bool), cols[kept], S_indptr),
+                             shape=(n, n))
 
 
 def cf_split(S):
@@ -239,8 +236,8 @@ def cf_split(S):
                     if m > top:
                         top = m
 
-    c_points = np.flatnonzero(np.frombuffer(state, dtype=np.uint8) == 1)
-    return BlockSplit.from_c_points(n, c_points)
+    state = np.frombuffer(state, dtype=np.uint8)
+    return BlockSplit(np.flatnonzero(state == 1), np.flatnonzero(state == 2))
 
 
 def pattern_distance_k(S, split, k):
@@ -250,11 +247,12 @@ def pattern_distance_k(S, split, k):
     path of at most k edges in the strength graph.  Reach is a boolean
     SpGEMM, whose sums are logical ORs, so path counts never overflow:
     the pattern is adj[F] @ (adj + I)^(k-1) restricted to the C columns,
-    evaluated right to left so each product has only n_c columns.
+    evaluated right to left so each product has only n_c columns.  A
+    float S is read as boolean: a stored zero is no edge.
     """
     if k < 1:
         raise ValueError("pattern degree must be at least 1")
-    adj = (S != 0).tocsr()
+    adj = S.tocsr().astype(bool, copy=False)
     eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")
     step, reach = adj + eye, eye[:, split.c_points]
     for _ in range(k - 1):

@@ -41,14 +41,17 @@ def write_matrix_market(path, A, symmetry=None):
     """Write a matrix in Matrix Market format (1-based coordinate file).
 
     `symmetry` may be 'general' or 'symmetric'; by default it is
-    detected from the matrix itself.
+    detected from the matrix itself.  The file is opened here, so a path
+    that cannot be written raises OSError (mmwrite given a path in a
+    missing directory writes nothing and raises nothing).
     """
     if sparse.issparse(A):
         A = A.tocoo()
     kwargs = {}
     if symmetry is not None:
         kwargs["symmetry"] = symmetry
-    mmwrite(str(path), A, **kwargs)
+    with open(path, "wb") as target:
+        mmwrite(target, A, **kwargs)
 
 
 def check_symmetric(A):

@@ -71,7 +71,6 @@ class Problem:
     """An assembled benchmark operator: matrix is SPD, with the
     Dirichlet rows and columns eliminated."""
 
-    spec: ProblemSpec
     matrix: sparse.csr_matrix
 
 
@@ -191,4 +190,4 @@ def assemble(spec):
             interior[:, 0 if dx < 0 else -1, slot] = 0.0
         if dy:
             interior[0 if dy < 0 else -1, :, slot] = 0.0
-    return Problem(spec, _stencil_csr(interior, n - 1))
+    return Problem(_stencil_csr(interior, n - 1))

@@ -9,9 +9,13 @@ definite in the Frobenius inner product (e.g. A, B, C, D SPD); only the
 preconditioner itself is meaningful for general data.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .problems import reject_non_integers
 
 __all__ = [
     "MatrixEquation",
@@ -71,17 +75,23 @@ def hadamard_diag_preconditioner(eq):
     return 1.0 / denom
 
 
-def sylvester_cg(eq, max_iters=500, tol=1e-10, use_preconditioner=True):
+def sylvester_cg(eq, max_iters=500, tol=1e-10):
     """CG in the Frobenius inner product for A W B + C W D = F.
 
     Preconditioned by the Hadamard product with the diagonal of the
     equation operator.  Residual history records the true relative
     Frobenius residual ||A W B + C W D - F||_F / ||F||_F.  Aborts with
     a diagnostic when nonpositive curvature reveals an indefinite
-    operator.
+    operator.  max_iters is an integer >= 0 and tol a finite real
+    number >= 0.
     """
-    D = hadamard_diag_preconditioner(eq) if use_preconditioner \
-        else np.ones(eq.shape)
+    reject_non_integers(max_iters=max_iters)
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0; got {max_iters}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
+            or not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite real number >= 0; got {tol!r}")
+    D = hadamard_diag_preconditioner(eq)
     norm_f = np.linalg.norm(eq.F)
     W = np.zeros(eq.shape)
     if norm_f == 0.0:

@@ -1,10 +1,15 @@
-"""The public surface: every exported name exists and has a reader, the
-package imports only exported names, and every name the benchmark
-tracer wraps (perfbench/spans.py) is still bound and callable."""
+"""The public surface: every exported name exists and has a reader,
+every defaulted parameter of an exported function has a caller, every
+field of an exported dataclass has a reader, the package imports only
+exported names, and every name the benchmark tracer wraps
+(perfbench/spans.py) is still bound and callable."""
 
 import ast
+import dataclasses
+import functools
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -19,6 +24,42 @@ UNREAD_ON_PURPOSE = {
     "perfect_shuffle": "the subject of acceptance criterion 1",
     "optimal_interpolation": "the subject of acceptance criterion 5",
 }
+# fields of exported dataclasses that only their own class body reads,
+# each kept on purpose
+FIELDS_UNREAD_ON_PURPOSE = {
+    "SparsityPattern.nf": "the pattern's row count, read through its shape",
+    "SparsityPattern.nc": "the pattern's column count, read through its shape",
+    "ExperimentConfig.modes": "the sweep's modes, read by the config's own grid",
+    "Permutation.forward": "the permutation itself, read through its matrix",
+    "SpectralEquivalence.x_kind": "set only by tests, on purpose (ROADMAP aim 2)",
+    **{f"TheoryReport.{name}": "printed by its __str__, the output of `tracemin-amg theory`"
+       for name in ("etg_norm", "ktg", "kappa_s", "c2_meas", "pr_energy",
+                    "trace_schur", "trace_plain", "beta_wap", "beta_sap")},
+}
+PACKAGE = ROOT / "src" / "tracemin_amg"
+
+
+@functools.cache
+def parsed_files():
+    """Each library, benchmark and test file, parsed once."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "tests").glob("*.py"))
+    return {path: ast.parse(path.read_text()) for path in paths}
+
+
+def library_and_benchmark_files():
+    """The parsed files that count as readers: the library without the
+    package's re-export, and the benchmark."""
+    return {path: tree for path, tree in parsed_files().items()
+            if path.parent != ROOT / "tests" and path != PACKAGE / "__init__.py"}
+
+
+def exported_objects():
+    """(module name, exported name, object) for every name in an __all__."""
+    for name in MODULES:
+        module = importlib.import_module(f"tracemin_amg.{name}")
+        for attr in getattr(module, "__all__", []):
+            yield name, attr, getattr(module, attr)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -70,24 +111,95 @@ def test_every_exported_name_has_a_reader():
     the benchmark outside its own definition, is wrapped by the
     benchmark tracer, or is kept on purpose (UNREAD_ON_PURPOSE).  Tests
     do not count as readers, and neither does the package's re-export."""
-    package = ROOT / "src" / "tracemin_amg"
-    trees = {path: ast.parse(path.read_text())
-             for path in sorted(package.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-             if path.name != "__init__.py"}
+    trees = library_and_benchmark_files()
     # each file is walked once; only a name's own module is walked again,
     # without the name's definition
     names_read = {path: read_names(tree.body) for path, tree in trees.items()}
     traced = {(module.__name__, attr) for module, attr, _, _ in load_spans().BINDINGS}
     unread = []
-    for name in MODULES:
-        module = importlib.import_module(f"tracemin_amg.{name}")
-        own = package / f"{name}.py"
-        for attr in getattr(module, "__all__", []):
-            if attr in UNREAD_ON_PURPOSE or (module.__name__, attr) in traced:
-                continue
-            if any(attr in names for path, names in names_read.items() if path != own):
-                continue
-            if attr not in read_names([s for s in trees[own].body
-                                       if getattr(s, "name", None) != attr]):
-                unread.append(f"{name}.{attr}")
+    for name, attr, _ in exported_objects():
+        if attr in UNREAD_ON_PURPOSE or (f"tracemin_amg.{name}", attr) in traced:
+            continue
+        own = PACKAGE / f"{name}.py"
+        if any(attr in names for path, names in names_read.items() if path != own):
+            continue
+        if attr not in read_names([s for s in trees[own].body
+                                   if getattr(s, "name", None) != attr]):
+            unread.append(f"{name}.{attr}")
     assert not unread, f"exported names without a reader: {unread}"
+
+
+def defaulted_parameters(function, bound):
+    """(name, position) of each parameter of `function` that has a default;
+    position counts the call's positional arguments (the bound self or
+    cls excluded) and is None for a keyword-only parameter."""
+    params = list(inspect.signature(function).parameters.values())[bound:]
+    for position, param in enumerate(params):
+        if param.default is not param.empty:
+            keyword_only = param.kind is param.KEYWORD_ONLY
+            yield param.name, None if keyword_only else position
+
+
+def exported_functions():
+    """(qualified name, called name, function, bound arguments) for each
+    exported function and each method defined on an exported class."""
+    for module, attr, obj in exported_objects():
+        if inspect.isfunction(obj):
+            yield f"{module}.{attr}", attr, obj, 0
+        elif inspect.isclass(obj):
+            for method_name, method in vars(obj).items():
+                function = getattr(method, "__func__", method)  # static or class method
+                if inspect.isfunction(function) and not method_name.startswith("__"):
+                    bound = 0 if isinstance(method, staticmethod) else 1
+                    yield f"{module}.{attr}.{method_name}", method_name, function, bound
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """Each parameter with a default, of an exported function or of a
+    method of an exported class, is passed by some call in the library,
+    the benchmark or the tests, by keyword or by position.  A call is
+    matched by the called name, as the reader test matches names."""
+    calls = {}
+    for tree in parsed_files().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = node.func.id if isinstance(node.func, ast.Name) else \
+                    node.func.attr if isinstance(node.func, ast.Attribute) else None
+                calls.setdefault(called, []).append(node)
+    unset = []
+    for qualified, called, function, bound in exported_functions():
+        for param, position in defaulted_parameters(function, bound):
+            if not any(any(k.arg == param for k in call.keywords)
+                       or (position is not None and len(call.args) > position)
+                       for call in calls.get(called, [])):
+                unset.append(f"{qualified}({param})")
+    assert not unset, f"defaulted parameters that no call passes: {unset}"
+
+
+def read_attributes(nodes):
+    """Every name read as an attribute in the nodes."""
+    return {node.attr for root in nodes for node in ast.walk(root)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_dataclass_field_has_a_reader():
+    """Each field of an exported dataclass is read as an attribute by the
+    library or the benchmark outside its own class body, or is kept on
+    purpose (FIELDS_UNREAD_ON_PURPOSE).  Tests do not count as readers."""
+    trees = library_and_benchmark_files()
+    attributes_read = {path: read_attributes(tree.body) for path, tree in trees.items()}
+    unread = []
+    for module, attr, obj in exported_objects():
+        if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+            continue
+        own = PACKAGE / f"{module}.py"
+        outside_class = read_attributes([s for s in trees[own].body
+                                         if getattr(s, "name", None) != attr])
+        for field in dataclasses.fields(obj):
+            qualified = f"{attr}.{field.name}"
+            if qualified in FIELDS_UNREAD_ON_PURPOSE or field.name in outside_class:
+                continue
+            if not any(field.name in names for path, names in attributes_read.items()
+                       if path != own):
+                unread.append(f"{module}.{qualified}")
+    assert not unread, f"dataclass fields without a reader: {unread}"

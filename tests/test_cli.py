@@ -200,6 +200,53 @@ def test_theory_rejects_large_matrix(tmp_path):
     assert main(["theory", "--matrix", str(out)]) == 2
 
 
+def test_theory_refuses_an_oversize_matrix_before_densifying(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "big.mtx"
+    assert main(["assemble", "--n", "24", "--out", str(out)]) == 0  # 529 rows
+
+    def read_without_densifying(path):
+        A = read_matrix_market(path)
+
+        def refuse():
+            raise MemoryError("theory densified an oversize matrix")
+
+        A.toarray = refuse
+        return A
+
+    monkeypatch.setattr(cli, "read_matrix_market", read_without_densifying)
+    assert main(["theory", "--matrix", str(out)]) == 2
+    assert "theory diagnostics are capped at n = 500" in capsys.readouterr().err
+
+
+def write_sylvester_rhs(tmp_path):
+    path = tmp_path / "F.mtx"
+    write_matrix_market(path, np.ones((3, 2)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["assemble", "sylvester"])
+def test_unwritable_out_exits_2_naming_the_path(command, tmp_path, capsys):
+    """A path under a missing directory is an error, not a file reported
+    as written."""
+    target = tmp_path / "missing" / "out.mtx"
+    argv = ["assemble", "--n", "4"] if command == "assemble" else \
+        ["sylvester", "--F", str(write_sylvester_rhs(tmp_path))]
+    assert main(argv + ["--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert str(target) in captured.err and "wrote" not in captured.out
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("argv, cause", [
+    (["--tol", "-1"], "tol must be a finite real number >= 0; got -1.0"),
+    (["--tol", "nan"], "tol must be a finite real number >= 0; got nan"),
+    (["--max-iters", "-3"], "max_iters must be >= 0; got -3"),
+], ids=["negative-tol", "nan-tol", "negative-max-iters"])
+def test_sylvester_exits_2_naming_a_bad_setting(argv, cause, tmp_path, capsys):
+    assert main(["sylvester", "--F", str(write_sylvester_rhs(tmp_path))] + argv) == 2
+    assert f"error: {cause}" in capsys.readouterr().err
+
+
 def test_sylvester_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     G = rng.standard_normal((5, 5))

@@ -44,11 +44,16 @@ def test_strength_anisotropic_keeps_only_x_direction():
         assert abs(i - j) == 1
 
 
-def test_strength_values_in_unit_interval():
+def test_strength_graph_is_a_symmetric_boolean_adjacency():
     A = assemble(ProblemSpec("oscillatory", 8, K=1e3)).matrix
     S = strength_graph(A, 0.25)
-    assert S.data.min() > 0.0
-    assert S.data.max() <= 1.0 + 1e-14
+    assert S.format == "csr" and S.dtype == bool and S.has_canonical_format
+    assert S.nnz > 0 and S.data.all()
+    assert not S.diagonal().any()
+    T = S.T.tocsr()
+    T.sort_indices()
+    assert np.array_equal(S.indptr, T.indptr)
+    assert np.array_equal(S.indices, T.indices)
 
 
 def reference_strength_graph(A, theta_strength):
@@ -106,7 +111,7 @@ def test_strength_matches_coo_reference(case):
     expected = reference_strength_graph(A, theta)
     assert np.array_equal(S.indptr, expected.indptr)
     assert np.array_equal(S.indices, expected.indices)
-    assert np.array_equal(S.data, expected.data)
+    assert S.dtype == bool and S.data.all()
 
 
 def test_strength_rejects_nonpositive_diagonal():
@@ -209,6 +214,11 @@ def symmetric_strength_graphs(draw):
 def test_cf_split_matches_reference_on_random_graphs(S):
     split = cf_split(S)
     assert np.array_equal(split.c_points, reference_c_points(S))
+    # the split is built from the pass's state, as from_c_points builds it
+    expected = BlockSplit.from_c_points(S.shape[0], split.c_points)
+    for got, want in [(split.c_points, expected.c_points), (split.f_points, expected.f_points)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert split.n == S.shape[0]
 
 
 def test_cf_split_matches_reference_on_every_level(monkeypatch):
@@ -296,6 +306,18 @@ def test_pattern_keeps_pair_joined_by_256_paths():
     pattern = pattern_distance_k(adj, split, 2)
     assert np.array_equal(pattern.cols[pattern.indptr[0]:pattern.indptr[1]], [0])
     assert len(pattern.empty_f_rows) == 0
+
+
+def test_pattern_reads_a_stored_zero_as_no_edge():
+    # a float graph from a library caller: the stored zero between 1 and 2
+    # is no edge, so F point 1 reaches C point 2 only through 3
+    trips = [(0, 1, 0.5), (1, 0, 0.5), (1, 2, 0.0), (2, 1, 0.0),
+             (1, 3, 0.5), (3, 1, 0.5), (2, 3, 0.5), (3, 2, 0.5)]
+    S = csr_from_triplets(trips, 4, 4)
+    split = BlockSplit.from_c_points(4, [0, 2])
+    for k, reached in [(1, [0]), (2, [0, 1])]:
+        pattern = pattern_distance_k(S, split, k)
+        assert np.array_equal(pattern.cols[pattern.indptr[0]:pattern.indptr[1]], reached)
 
 
 def reference_pattern_rows(S, split, k):

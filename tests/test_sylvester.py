@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -117,3 +119,19 @@ def test_indefinite_operator_aborts():
 def test_shape_validation():
     with pytest.raises(ValueError):
         MatrixEquation(np.eye(3), np.eye(2), np.eye(3), np.eye(2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kwargs, cause", [
+    ({"tol": -1.0}, "tol must be a finite real number >= 0; got -1.0"),
+    ({"tol": float("nan")}, "tol must be a finite real number >= 0; got nan"),
+    ({"tol": float("inf")}, "tol must be a finite real number >= 0; got inf"),
+    ({"tol": "1e-8"}, "tol must be a finite real number >= 0; got '1e-8'"),
+    ({"max_iters": -3}, "max_iters must be >= 0; got -3"),
+    ({"max_iters": 5.0}, "max_iters must be an integer; got 5.0"),
+    ({"max_iters": True}, "max_iters must be an integer; got True"),
+], ids=["negative-tol", "nan-tol", "inf-tol", "string-tol", "negative-iters",
+        "float-iters", "bool-iters"])
+def test_rejects_a_bad_tol_or_max_iters_by_name(kwargs, cause):
+    eq = MatrixEquation.sylvester(np.eye(2), np.eye(2), np.ones((2, 2)))
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        sylvester_cg(eq, **kwargs)
