@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from .coarsening import cf_split, strength_graph
-from .experiments import (ExperimentConfig, _check_protocol, first_constraint_vector,
-                          measure_report, run_experiment)
+from .experiments import (ExperimentConfig, first_constraint_vector, measure_report,
+                          run_experiment)
 from .hierarchy import SetupConfig, setup
 from .linalg import read_matrix_market, write_matrix_market
-from .problems import DEFAULT_THETA, ProblemSpec, assemble
+from .problems import DEFAULT_THETA, ProblemSpec, assemble, check_count
 from .relaxation import SpectralEquivalence
 from .sylvester import MatrixEquation, sylvester_cg
 from .theory import DESK_SCALE_LIMIT, full_report, ideal_interpolation
@@ -58,7 +58,8 @@ def _cmd_solve(args):
     cfg = SetupConfig(mode=args.mode, tau=args.tau,
                       pattern_degree=args.pattern_degree,
                       emin_iters=args.iters, max_levels=args.max_levels)
-    _check_protocol(args.improvement_iters, args.seed)
+    check_count("improvement_iters", args.improvement_iters)
+    check_count("seed", args.seed)
     A = assemble(_problem_spec(args)).matrix
     source = "random" if args.random_candidate else "constant"
     cands = first_constraint_vector(A, source, args.improvement_iters, args.seed)

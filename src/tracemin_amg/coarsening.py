@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .problems import check_count, check_real
+
 __all__ = [
     "BlockSplit",
     "SparsityPattern",
@@ -120,8 +122,7 @@ def strength_graph(A, theta_strength):
     maxima by a segmented reduction over the nonempty rows), so A's
     stored order does not matter.
     """
-    if not (0.0 <= theta_strength <= 1.0):
-        raise ValueError("theta_strength must lie in [0, 1]")
+    check_real("theta_strength", theta_strength, 0.0, 1.0)
     A = A.tocsr()
     d = A.diagonal()
     if np.any(d <= 0.0):
@@ -162,13 +163,28 @@ def _strong_couplings(A, d, theta_strength):
                              shape=(n, n))
 
 
+def _adjacency(S):
+    """The graph S as a canonical boolean CSR adjacency: duplicate entries
+    are summed, and a stored zero, or entries that sum to zero, are no
+    edge.  strength_graph's output already is one and is returned as it
+    is, uncopied."""
+    S = S.tocsr()
+    if S.dtype != bool or not S.has_canonical_format or not S.data.all():
+        S = S.copy()
+        S.sum_duplicates()
+        S.eliminate_zeros()
+        S = S.astype(bool)
+    return S
+
+
 def cf_split(S):
     """Greedy first-pass CF splitting of a strength graph, the symmetric
     CSR adjacency matrix S.
 
     Repeatedly picks the unassigned vertex adjacent to the most strong
     F points (ties to the lowest index), makes it C and its strong
-    neighbors F.  Vertices with no strong edges become C points.
+    neighbors F.  Vertices with no strong edges become C points.  S is
+    read as pattern_distance_k reads it (see _adjacency).
 
     The measures live in buckets, one per value.  Bucket m > 0 is a
     min-heap of the vertex indices whose measure reached m; bucket 0 is
@@ -184,9 +200,7 @@ def cf_split(S):
     lowest index.  Each edge pushes at most once, so the pass costs
     O(nnz log N).
     """
-    if not S.has_canonical_format:
-        S = S.copy()
-        S.sum_duplicates()  # a repeated entry is one edge
+    S = _adjacency(S)
     n = S.shape[0]
     # memoryviews index numpy buffers as Python ints without copying
     # them into lists (about 36 B per entry)
@@ -247,12 +261,11 @@ def pattern_distance_k(S, split, k):
     path of at most k edges in the strength graph.  Reach is a boolean
     SpGEMM, whose sums are logical ORs, so path counts never overflow:
     the pattern is adj[F] @ (adj + I)^(k-1) restricted to the C columns,
-    evaluated right to left so each product has only n_c columns.  A
-    float S is read as boolean: a stored zero is no edge.
+    evaluated right to left so each product has only n_c columns.  S is
+    read as cf_split reads it (see _adjacency).
     """
-    if k < 1:
-        raise ValueError("pattern degree must be at least 1")
-    adj = S.tocsr().astype(bool, copy=False)
+    check_count("k", k, minimum=1)
+    adj = _adjacency(S)
     eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")
     step, reach = adj + eye, eye[:, split.c_points]
     for _ in range(k - 1):

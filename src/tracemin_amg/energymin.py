@@ -29,6 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .coarsening import SparsityPattern
+from .problems import check_real
 from .relaxation import SpectralEquivalence
 
 __all__ = [
@@ -258,8 +259,7 @@ def build_weighted_system(A, split, B, X, tau, pattern):
         interpolation accuracy.
     pattern : SparsityPattern
     """
-    if not (0.0 <= tau <= 1.0):
-        raise ValueError("tau must lie in [0, 1]")
+    check_real("tau", tau, 0.0, 1.0)
     A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
     slot_rows, cols = pattern.slot_rows, pattern.cols

@@ -20,7 +20,7 @@ import numpy as np
 from .energymin import prepare_candidates
 from .hierarchy import (SetupConfig, convergence_factor, measure_convergence_factor,
                         setup, solve)
-from .problems import ProblemSpec, assemble, reject_non_integers
+from .problems import ProblemSpec, assemble, check_count
 from .relaxation import Relaxation, auto_jacobi_omega, relax_sweep
 
 __all__ = [
@@ -80,41 +80,24 @@ def measure_report(H, seed=0):
     return convergence_report(H, history)
 
 
-def adaptive_constraints(A, existing, n_vecs, improvement_iters, seed):
-    """Grow the constraint set to n_vecs vectors, adaptively.
+def adaptive_constraints(A, existing, improvement_iters, seed):
+    """Grow the constraint set by one vector, adaptively.
 
-    The first vector is a seeded random vector improved by Jacobi
-    sweeps on A x = 0; each later vector is a fresh seeded random
-    vector improved by V-cycles of the hierarchy built from the
-    previous constraints (`existing`), after which the caller rebuilds
-    the hierarchy.  Returns the A-orthonormalized candidate set.
+    The new vector k, one past the vectors the hierarchy `existing` was
+    built from (1 when existing is None), is a random vector from the
+    seed [seed, k].  The first is improved by Jacobi sweeps on A x = 0,
+    a later one by V-cycles of `existing`, after which the caller
+    rebuilds the hierarchy.  Returns the A-orthonormalized candidate
+    set: the vectors `existing` was built from, then the new one.
     """
-    if n_vecs < 1:
-        raise ValueError("need at least one constraint vector")
-    if n_vecs >= 2 and existing is None:
-        raise ValueError(f"constraint vector {n_vecs} requested without a "
-                         f"hierarchy built from the previous vectors")
-    rng = np.random.default_rng([seed, n_vecs])
-    v = rng.standard_normal(A.shape[0])
-    if n_vecs == 1:
+    k = 1 if existing is None else existing.fine_candidates.shape[1] + 1
+    v = np.random.default_rng([seed, k]).standard_normal(A.shape[0])
+    if existing is None:
         return prepare_candidates(A, _jacobi_smoothed(A, v, improvement_iters))
-    prev = existing.fine_candidates
-    if prev.shape[1] != n_vecs - 1:
-        raise ValueError(f"existing hierarchy holds {prev.shape[1]} "
-                         f"constraint vectors, expected {n_vecs - 1}")
     if improvement_iters > 0:
         v, _ = solve(existing, np.zeros_like(v), tol=0.0,
                      max_iters=improvement_iters, accel="stationary", x0=v)
-    return prepare_candidates(A, np.column_stack([prev, v]))
-
-
-def _check_protocol(improvement_iters, seed):
-    """Reject an improvement_iters or seed that is not an integer >= 0,
-    naming it; ExperimentConfig and `tracemin-amg solve` check with it."""
-    reject_non_integers(improvement_iters=improvement_iters, seed=seed)
-    for name, value in (("improvement_iters", improvement_iters), ("seed", seed)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0; got {value!r}")
+    return prepare_candidates(A, np.column_stack([existing.fine_candidates, v]))
 
 
 @dataclass
@@ -126,7 +109,7 @@ class ExperimentConfig:
     improvement_iters Jacobi sweeps (n_constraint_vectors must be 1);
     'random' runs the adaptive protocol of seeded random vectors.
     The counts, and each emin_iters entry, must be integers, with
-    n_constraint_vectors >= 1 and improvement_iters and seed >= 0, and
+    n_constraint_vectors >= 1 and the others >= 0, and
     output is None or a path string; every other setup option is checked
     by building each grid point's SetupConfig.
     """
@@ -149,12 +132,11 @@ class ExperimentConfig:
         for name in ("modes", "taus", "emin_iters"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list; got {getattr(self, name)!r}")
-        reject_non_integers(n_constraint_vectors=self.n_constraint_vectors,
-                            **{f"emin_iters[{i}]": v for i, v in enumerate(self.emin_iters)})
-        if self.n_constraint_vectors < 1:
-            raise ValueError(f"n_constraint_vectors must be >= 1; "
-                             f"got {self.n_constraint_vectors!r}")
-        _check_protocol(self.improvement_iters, self.seed)
+        check_count("n_constraint_vectors", self.n_constraint_vectors, minimum=1)
+        for i, iters in enumerate(self.emin_iters):
+            check_count(f"emin_iters[{i}]", iters)
+        check_count("improvement_iters", self.improvement_iters)
+        check_count("seed", self.seed)
         if self.output is not None and not isinstance(self.output, str):
             raise ValueError(f"output must be None or a string; got {self.output!r}")
         if not self.modes or not self.emin_iters:
@@ -234,7 +216,7 @@ def first_constraint_vector(A, source, improvement_iters, seed):
     It depends on no setup option, so a sweep computes it once."""
     if source == "constant":
         return smoothed_constant(A, improvement_iters)
-    return adaptive_constraints(A, None, 1, improvement_iters, seed).vectors
+    return adaptive_constraints(A, None, improvement_iters, seed).vectors
 
 
 def _hierarchy_for_point(A, cfg, first, mode, tau, iters):
@@ -242,8 +224,8 @@ def _hierarchy_for_point(A, cfg, first, mode, tau, iters):
     vector, then grow the adaptive constraint chain to
     cfg.n_constraint_vectors vectors."""
     H = setup(A, _setup_config(cfg, mode, tau, iters, first))
-    for k in range(2, cfg.n_constraint_vectors + 1):
-        cands = adaptive_constraints(A, H, k, cfg.improvement_iters, cfg.seed)
+    for _ in range(cfg.n_constraint_vectors - 1):
+        cands = adaptive_constraints(A, H, cfg.improvement_iters, cfg.seed)
         H = setup(A, _setup_config(cfg, mode, tau, iters, cands.vectors))
     return H
 

@@ -8,7 +8,6 @@ C-point injection.  The coarsest level is factorized densely, or, when
 it has no nonzero off-diagonal entry, solved by division.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (constrained_energymin, prepare_candidates,
                         weighted_energymin)
 from .linalg import SYMMETRY_RTOL
-from .problems import reject_non_integers
+from .problems import check_count, check_real
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
 __all__ = [
@@ -102,13 +101,13 @@ class SetupConfig:
     'auto' damps each level by 1.5 over the estimated spectral radius
     of D^{-1} A.  candidates holds raw constraint vectors (default: the
     constant vector).  Construction rejects a field out of range with a
-    ValueError that names it: tau and theta_strength are real numbers
-    (not bools) in [0, 1], emin_tol is a finite real number >= 0,
-    sweeps >= 1, jacobi_omega is 'auto' or positive, emin_iters is None
-    or >= 0, and the counts pattern_degree, max_coarse, max_levels,
-    sweeps and emin_iters are integers.  This is the one place a setup
-    option is validated; a sweep checks its grid by building every
-    point's SetupConfig.
+    ValueError that names it: tau and theta_strength are finite real
+    numbers (not bools) in [0, 1], emin_tol is a finite real number >= 0,
+    jacobi_omega is 'auto' or a finite real number > 0, the counts
+    pattern_degree, max_coarse, max_levels and sweeps are integers (not
+    bools or floats) >= 1, and emin_iters is None or an integer >= 0.
+    This is the one place a setup option is validated; a sweep checks
+    its grid by building every point's SetupConfig.
     """
 
     mode: str = "constrained"
@@ -127,32 +126,18 @@ class SetupConfig:
     def __post_init__(self):
         if self.mode not in ("weighted", "constrained"):
             raise ValueError(f"unknown setup mode: {self.mode!r}")
-        reject_non_integers(pattern_degree=self.pattern_degree,
-                            max_coarse=self.max_coarse, max_levels=self.max_levels,
-                            sweeps=self.sweeps)
+        for name in ("pattern_degree", "max_coarse", "max_levels", "sweeps"):
+            check_count(name, getattr(self, name), minimum=1)
         if self.emin_iters is not None:
-            reject_non_integers(emin_iters=self.emin_iters)
-        if self.max_coarse < 1 or self.pattern_degree < 1 or self.max_levels < 1:
-            raise ValueError("max_coarse, pattern_degree and max_levels must be >= 1")
+            check_count("emin_iters", self.emin_iters)
         for name in ("tau", "theta_strength"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a real number; got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]; got {value!r}")
-        tol = self.emin_tol
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
-                or not 0.0 <= tol < np.inf:
-            raise ValueError(f"emin_tol must be a finite real number >= 0; got {tol!r}")
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1; got {self.sweeps!r}")
+            check_real(name, getattr(self, name), 0.0, 1.0)
+        check_real("emin_tol", self.emin_tol, low=0.0)
         omega = self.jacobi_omega
-        if not (isinstance(omega, str) and omega == "auto"
-                or isinstance(omega, numbers.Real) and omega > 0.0):
-            raise ValueError(f"jacobi_omega must be 'auto' or a positive number; "
-                             f"got {omega!r}")
-        if self.emin_iters is not None and self.emin_iters < 0:
-            raise ValueError(f"emin_iters must be None or >= 0; got {self.emin_iters!r}")
+        if not (isinstance(omega, str) and omega == "auto"):
+            check_real("jacobi_omega", omega)
+            if omega <= 0.0:
+                raise ValueError(f"jacobi_omega must be > 0; got {omega!r}")
 
     def iteration_budget(self):
         return self.emin_iters if self.emin_iters is not None \
@@ -352,10 +337,13 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
     preconditioner.  Returns (x, residual_history) of two-norm
     residuals, starting with the initial one.  Residual growth over
     CF_WINDOW consecutive iterations is reported as a warning, not
-    raised.  b and x0 must be vectors of length A.shape[0].
+    raised.  tol is a finite real number >= 0, max_iters an integer
+    >= 0, and b and x0 finite vectors of length A.shape[0].
     """
     if accel not in ("stationary", "cg"):
         raise ValueError(f"unknown acceleration: {accel!r}")
+    check_real("tol", tol, low=0.0)
+    check_count("max_iters", max_iters)
     A = H.levels[0].A
     n = A.shape[0]
     b = np.asarray(b, dtype=np.float64)
@@ -364,6 +352,8 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
         if v.shape != (n,):
             raise ValueError(f"{name} has shape {v.shape}; expected a vector of "
                              f"length {n}, the dimension of A")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
 
     r = b - A @ x
     history = [float(np.linalg.norm(r))]

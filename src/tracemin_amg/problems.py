@@ -24,12 +24,24 @@ __all__ = [
 DEFAULT_THETA = 3.0 * math.pi / 16.0
 
 
-def reject_non_integers(**counts):
-    """Raise a ValueError naming the first of the named counts that is
-    not an integer; a float or a bool is rejected even when integral."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer; got {value!r}")
+def check_count(name, value, minimum=0):
+    """Raise a ValueError naming `name` unless value is an integer (not a
+    bool, not an integral float) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}; got {value!r}")
+
+
+def check_real(name, value, low=-math.inf, high=math.inf):
+    """Raise a ValueError naming `name` unless value is a finite real
+    number (not a bool) in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number; got {value!r}")
+    if not low <= value <= high:
+        bound = f"be >= {low:g}" if high == math.inf else f"lie in [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must {bound}; got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +52,8 @@ class ProblemSpec:
     with rotation angle theta) or 'oscillatory' (isotropic tensor whose
     scalar coefficient alternates between 1 and K at neighboring nodes).
     n is the number of mesh intervals per side, an integer >= 2;
-    epsilon, theta and K are finite real numbers.
+    epsilon, theta and K are finite real numbers, with epsilon in [0, 1]
+    and K > 0.
     """
 
     kind: str
@@ -52,18 +65,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in ("rotated_anisotropic", "oscillatory"):
             raise ValueError(f"unknown problem kind: {self.kind!r}")
-        reject_non_integers(n=self.n)
-        if self.n < 2:
-            raise ValueError("need at least 2 mesh intervals per side")
-        for name in ("epsilon", "theta", "K"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite real number; got {value!r}")
-        if not (0.0 <= self.epsilon <= 1.0):
-            raise ValueError("epsilon must lie in [0, 1]")
+        check_count("n", self.n, minimum=2)
+        check_real("epsilon", self.epsilon, 0.0, 1.0)
+        check_real("theta", self.theta)
+        check_real("K", self.K)
         if self.K <= 0.0:
-            raise ValueError("oscillation magnitude K must be positive")
+            raise ValueError(f"K must be > 0; got {self.K!r}")
 
 
 @dataclass

@@ -12,6 +12,7 @@ from scipy import sparse
 from scipy.linalg import solve
 
 from .linalg import estimate_spectral_norm
+from .problems import check_count, check_real
 
 __all__ = [
     "Relaxation",
@@ -24,16 +25,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Relaxation:
-    """Damped Jacobi relaxation: damping weight and sweep count."""
+    """Damped Jacobi relaxation: damping weight, a finite real number
+    > 0, and sweep count, an integer >= 1."""
 
     omega: float = 1.0
     sweeps: int = 1
 
     def __post_init__(self):
+        check_real("omega", self.omega)
         if self.omega <= 0.0:
-            raise ValueError("omega must be positive")
-        if self.sweeps < 1:
-            raise ValueError("need at least one sweep")
+            raise ValueError(f"omega must be > 0; got {self.omega!r}")
+        check_count("sweeps", self.sweeps, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -51,8 +53,9 @@ class SpectralEquivalence:
     def __post_init__(self):
         if self.x_kind not in ("diag", "identity"):
             raise ValueError(f"unknown X choice: {self.x_kind!r}")
-        if not self.c2 > 0.0:
-            raise ValueError("require c2 > 0")
+        check_real("c2", self.c2)
+        if self.c2 <= 0.0:
+            raise ValueError(f"c2 must be > 0; got {self.c2!r}")
 
     def diagonal(self, A):
         """Diagonal of X for a sparse or dense A (X is diagonal here)."""

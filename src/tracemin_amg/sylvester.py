@@ -9,13 +9,11 @@ definite in the Frobenius inner product (e.g. A, B, C, D SPD); only the
 preconditioner itself is meaningful for general data.
 """
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import reject_non_integers
+from .problems import check_count, check_real
 
 __all__ = [
     "MatrixEquation",
@@ -85,12 +83,8 @@ def sylvester_cg(eq, max_iters=500, tol=1e-10):
     operator.  max_iters is an integer >= 0 and tol a finite real
     number >= 0.
     """
-    reject_non_integers(max_iters=max_iters)
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0; got {max_iters}")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) \
-            or not 0.0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite real number >= 0; got {tol!r}")
+    check_count("max_iters", max_iters)
+    check_real("tol", tol, low=0.0)
     D = hadamard_diag_preconditioner(eq)
     norm_f = np.linalg.norm(eq.F)
     W = np.zeros(eq.shape)

@@ -270,7 +270,7 @@ def test_criterion_11_preconditioner_benefit():
     wins = 0
     for seed in range(10):
         wpd = {}
-        cands = adaptive_constraints(A, None, 1, 10, seed=seed)
+        cands = adaptive_constraints(A, None, 10, seed=seed)
         for pre in (True, False):
             cfg = SetupConfig(mode="weighted", tau=1e-7, pattern_degree=3,
                               emin_iters=8, emin_tol=0.0, use_preconditioner=pre,
@@ -289,11 +289,11 @@ def test_criterion_12_adaptivity_trend():
     A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=0.001)).matrix
 
     def chain(n_vecs, imp, max_levels):
-        cands = adaptive_constraints(A, None, 1, imp, seed=0)
+        cands = adaptive_constraints(A, None, imp, seed=0)
         cf, H = measured_cf(A, "constrained", 0.0, 4, theta=0.25,
                             max_levels=max_levels, candidates=cands.vectors)
-        for k in range(2, n_vecs + 1):
-            cands = adaptive_constraints(A, H, k, imp, seed=0)
+        for _ in range(n_vecs - 1):
+            cands = adaptive_constraints(A, H, imp, seed=0)
             cf, H = measured_cf(A, "constrained", 0.0, 4, theta=0.25,
                                 max_levels=max_levels, candidates=cands.vectors)
         return cf

@@ -80,23 +80,35 @@ def test_package_imports_only_exported_names():
                 f"tracemin_amg imports {node.module}.{alias.name}, not in its __all__"
 
 
-def test_traced_bindings_resolve():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert spans.BINDINGS
-    for module, attr, _, _ in spans.BINDINGS:
-        assert callable(getattr(module, attr, None)), \
-            f"{module.__name__}.{attr} is traced by the benchmark but not bound"
-
-
 def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans",
                                                   ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     return spans
+
+
+def test_traced_bindings_resolve():
+    bindings = load_spans().BINDINGS
+    assert bindings
+    for module, attr, _, _ in bindings:
+        assert callable(getattr(module, attr, None)), \
+            f"{module.__name__}.{attr} is traced by the benchmark but not bound"
+
+
+def test_only_the_setting_checks_import_numbers():
+    """problems.check_count and problems.check_real own the integer and
+    real-number rules; no other library module tests a setting's type
+    against the numbers ABCs itself."""
+    def imports_numbers(tree):
+        return any(isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+                   for node in ast.walk(tree))
+
+    importers = [path.name for path, tree in parsed_files().items()
+                 if path.parent == PACKAGE and path.name != "problems.py"
+                 and imports_numbers(tree)]
+    assert not importers, f"modules that import numbers: {importers}"
 
 
 def read_names(nodes):

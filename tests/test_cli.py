@@ -74,7 +74,7 @@ def test_solve_exits_2_naming_an_invalid_operator(case, monkeypatch, capsys):
 
 @pytest.mark.parametrize("argv, cause, assembles", [
     (["--tau", "1.5"], "tau must lie in [0, 1]; got 1.5", False),
-    (["--iters", "-1"], "emin_iters must be None or >= 0; got -1", False),
+    (["--iters", "-1"], "emin_iters must be >= 0; got -1", False),
     (["--improvement-iters", "-3"], "improvement_iters must be >= 0; got -3", False),
     (["--seed", "-1"], "seed must be >= 0; got -1", False),
     (["--K", "nan"], "K must be a finite real number; got nan", False),
@@ -133,9 +133,9 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
     ({"problem": PROBLEM, "pattern_degree": 2.5}, "pattern_degree must be an integer; "
                                                   "got 2.5"),
     ({"problem": PROBLEM, "modes": ["weighted"], "taus": ["0.1"]},
-     "tau must be a real number; got '0.1'"),
+     "tau must be a finite real number; got '0.1'"),
     ({"problem": PROBLEM, "theta_strength": "0.4"},
-     "theta_strength must be a real number; got '0.4'"),
+     "theta_strength must be a finite real number; got '0.4'"),
     ({"problem": PROBLEM, "improvement_iters": -3}, "improvement_iters must be >= 0; "
                                                     "got -3"),
     ({"problem": PROBLEM, "constraint_source": "random", "n_constraint_vectors": 0},
@@ -166,8 +166,9 @@ def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     ({"modes": ["constrained"], "taus": []}, ["--mode", "weighted"],
      "weighted mode needs a nonempty tau grid"),
     ({}, ["--mode", "weighted", "--tau", "1.5"], "tau must lie in [0, 1]; got 1.5"),
-    ({}, ["--iters", "-1"], "emin_iters must be None or >= 0; got -1"),
-    ({"modes": ["weighted"], "taus": [0.1, True]}, [], "tau must be a real number; got True"),
+    ({}, ["--iters", "-1"], "emin_iters[0] must be >= 0; got -1"),
+    ({"modes": ["weighted"], "taus": [0.1, True]}, [],
+     "tau must be a finite real number; got True"),
     ({}, ["--seed", "-1"], "seed must be >= 0; got -1"),
 ], ids=["override-empties-tau-grid", "override-tau", "override-iters", "bool-grid-entry",
         "override-seed"])
@@ -238,8 +239,8 @@ def test_unwritable_out_exits_2_naming_the_path(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, cause", [
-    (["--tol", "-1"], "tol must be a finite real number >= 0; got -1.0"),
-    (["--tol", "nan"], "tol must be a finite real number >= 0; got nan"),
+    (["--tol", "-1"], "tol must be >= 0; got -1.0"),
+    (["--tol", "nan"], "tol must be a finite real number; got nan"),
     (["--max-iters", "-3"], "max_iters must be >= 0; got -3"),
 ], ids=["negative-tol", "nan-tol", "negative-max-iters"])
 def test_sylvester_exits_2_naming_a_bad_setting(argv, cause, tmp_path, capsys):

@@ -320,6 +320,18 @@ def test_pattern_reads_a_stored_zero_as_no_edge():
         assert np.array_equal(pattern.cols[pattern.indptr[0]:pattern.indptr[1]], reached)
 
 
+@pytest.mark.parametrize("S", [
+    csr_from_triplets([(0, 1, 0.0), (1, 0, 0.0)], 2, 2),
+    sparse.csr_matrix(([0.5, -0.5, 0.5, -0.5], [1, 1, 0, 0], [0, 2, 4]), shape=(2, 2)),
+], ids=["stored-zeros", "cancelling-duplicates"])
+def test_cf_split_and_pattern_read_a_zero_edge_alike(S):
+    """A stored zero, or duplicates that sum to zero, is no edge for
+    either: both vertices are C, and an F point 1 reaches no C point."""
+    assert np.array_equal(cf_split(S).c_points, [0, 1])
+    pattern = pattern_distance_k(S, BlockSplit.from_c_points(2, [0]), 1)
+    assert np.array_equal(pattern.empty_f_rows, [0])
+
+
 def reference_pattern_rows(S, split, k):
     """Breadth-first search from every F point: the sorted C-local
     indices within k edges."""

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tracemin_amg import experiments
+from tracemin_amg.energymin import prepare_candidates
 from tracemin_amg.experiments import (CSV_HEADER, ExperimentConfig,
                                       adaptive_constraints, convergence_report,
                                       measure_report, rows_to_csv_text,
@@ -90,8 +91,8 @@ def test_report_cf_is_the_measured_convergence_factor():
 
 def test_adaptive_first_vector_reproducible():
     A = assemble(ProblemSpec("rotated_anisotropic", 12, epsilon=1.0)).matrix
-    c1 = adaptive_constraints(A, None, 1, 0, seed=42)
-    c2 = adaptive_constraints(A, None, 1, 0, seed=42)
+    c1 = adaptive_constraints(A, None, 0, seed=42)
+    c2 = adaptive_constraints(A, None, 0, seed=42)
     assert np.array_equal(c1.vectors, c2.vectors)
     norm = c1.vectors[:, 0] @ (A @ c1.vectors[:, 0])
     assert abs(norm - 1.0) <= 1e-12
@@ -100,22 +101,27 @@ def test_adaptive_first_vector_reproducible():
 def test_adaptive_improvement_lowers_rayleigh_quotient():
     A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1.0)).matrix
     def rq(k):
-        v = adaptive_constraints(A, None, 1, k, seed=3).vectors[:, 0]
+        v = adaptive_constraints(A, None, k, seed=3).vectors[:, 0]
         return (v @ (A @ v)) / (v @ v)
     assert rq(25) < rq(2)
 
 
-def test_adaptive_second_vector_requires_hierarchy():
+def test_adaptive_vector_number_follows_the_existing_hierarchy():
+    # vector k is drawn from the seed [seed, k], k one past the vectors
+    # the existing hierarchy was built from
     A = assemble(ProblemSpec("rotated_anisotropic", 8, epsilon=1.0)).matrix
-    with pytest.raises(ValueError, match="hierarchy"):
-        adaptive_constraints(A, None, 2, 3, seed=0)
+    c1 = adaptive_constraints(A, None, 0, seed=5)
+    c2 = adaptive_constraints(A, setup(A, SetupConfig(candidates=c1.vectors)), 0, seed=5)
+    v = np.random.default_rng([5, 2]).standard_normal(A.shape[0])
+    expected = prepare_candidates(A, np.column_stack([c1.vectors, v]))
+    assert np.array_equal(c2.vectors, expected.vectors)
 
 
 def test_adaptive_chain_extends_candidates():
     A = assemble(ProblemSpec("rotated_anisotropic", 12, epsilon=1.0)).matrix
-    c1 = adaptive_constraints(A, None, 1, 2, seed=0)
+    c1 = adaptive_constraints(A, None, 2, seed=0)
     H = setup(A, SetupConfig(candidates=c1.vectors))
-    c2 = adaptive_constraints(A, H, 2, 2, seed=0)
+    c2 = adaptive_constraints(A, H, 2, seed=0)
     assert c2.vectors.shape[1] == 2
     gram = c2.vectors.T @ (A @ c2.vectors)
     assert np.abs(gram - np.eye(2)).max() <= 1e-10
@@ -200,9 +206,10 @@ def test_sweep_computes_the_first_constraint_vector_once(source, n_vecs, monkeyp
         calls.append("smoothed constant")
         return original_smooth(*args)
 
-    def adaptive(A, existing, k, *args):
+    def adaptive(A, existing, *args):
+        k = 1 if existing is None else existing.fine_candidates.shape[1] + 1
         calls.append(f"adaptive vector {k}")
-        return original_adaptive(A, existing, k, *args)
+        return original_adaptive(A, existing, *args)
 
     monkeypatch.setattr(experiments, "smoothed_constant", smooth)
     monkeypatch.setattr(experiments, "adaptive_constraints", adaptive)

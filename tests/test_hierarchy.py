@@ -204,6 +204,56 @@ def test_solve_rejects_vectors_of_the_wrong_shape(b_shape, x0_shape, message):
         solve(H, np.ones(b_shape), x0=x0)
 
 
+def oscillatory8_hierarchy():
+    A = assemble(ProblemSpec("oscillatory", 8)).matrix
+    return A, setup(A, SetupConfig(max_coarse=10))
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": -1.0, "accel": "cg"}, "tol must be >= 0; got -1.0"),
+    ({"tol": float("nan"), "accel": "cg"}, "tol must be a finite real number; got nan"),
+    ({"max_iters": 2.5}, "max_iters must be an integer; got 2.5"),
+    ({"max_iters": -1}, "max_iters must be >= 0; got -1"),
+    ({"b": np.where(np.arange(49) == 3, np.nan, 1.0), "accel": "cg"},
+     "b has a non-finite entry (NaN or inf)"),
+    ({"x0": np.full(49, np.inf)}, "x0 has a non-finite entry (NaN or inf)"),
+], ids=["negative-tol", "nan-tol", "float-max-iters", "negative-max-iters", "nan-b",
+        "inf-x0"])
+def test_solve_rejects_a_bad_argument_by_name(kwargs, message):
+    """A bad tolerance, budget, right-hand side or start is refused
+    before the first cycle, not met by a CG warning, a TypeError or a
+    cho_solve error."""
+    _, H = oscillatory8_hierarchy()
+    kwargs = {"b": np.ones(49), **kwargs}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(H, **kwargs)
+
+
+def test_cg_warns_when_the_preconditioner_loses_definiteness(monkeypatch):
+    # a zero preconditioner makes the first search direction zero
+    A, H = oscillatory8_hierarchy()
+    monkeypatch.setattr(hierarchy, "vcycle", lambda H, level, r: np.zeros_like(r))
+    b = np.ones(A.shape[0])
+    with pytest.warns(RuntimeWarning, match="preconditioned CG lost positive definiteness"):
+        x, history = solve(H, b, accel="cg")
+    assert np.all(x == 0.0) and history == [np.linalg.norm(b)]
+
+
+def test_cg_warns_when_the_residual_keeps_growing(monkeypatch):
+    # I + K with K skew keeps r^T z = |r|^2 > 0 and p^T A p > 0, but the
+    # nonsymmetric preconditioner breaks CG's orthogonality: the
+    # residual grows from the first step on
+    A, H = oscillatory8_hierarchy()
+    G = np.random.default_rng(0).standard_normal(A.shape)
+    M = np.eye(A.shape[0]) + G - G.T
+    monkeypatch.setattr(hierarchy, "vcycle", lambda H, level, r: M @ r)
+    with pytest.warns(RuntimeWarning, match=f"preconditioned CG diverging: residual "
+                                            f"grew over {hierarchy.CF_WINDOW}"):
+        _, history = solve(H, np.ones(A.shape[0]), tol=0.0, accel="cg")
+    assert len(history) == hierarchy.CF_WINDOW + 1
+    assert all(a < b for a, b in zip(history, history[1:]))
+
+
 def test_two_grid_matches_dense_error_norm():
     A = assemble(ProblemSpec("rotated_anisotropic", 12, epsilon=1.0)).matrix
     H = setup(A, SetupConfig(mode="constrained", pattern_degree=2, max_levels=2))
@@ -529,7 +579,8 @@ def test_coarsest_factorization_keeps_one_dense_copy():
     ("tau", -0.1), ("tau", 1.5), ("tau", float("nan")), ("tau", "0.1"), ("tau", True),
     ("theta_strength", -0.1), ("theta_strength", 1.5), ("theta_strength", "0.4"),
     ("sweeps", 0), ("jacobi_omega", 0.0), ("jacobi_omega", -1.0),
-    ("jacobi_omega", "fast"), ("emin_iters", -1),
+    ("jacobi_omega", "fast"), ("jacobi_omega", float("inf")), ("jacobi_omega", True),
+    ("emin_iters", -1),
     ("sweeps", 1.5), ("sweeps", True), ("pattern_degree", 2.5), ("pattern_degree", 2.0),
     ("emin_iters", 2.5), ("max_coarse", 10.0), ("max_levels", True),
     ("emin_tol", "x"), ("emin_tol", -1.0), ("emin_tol", float("nan")),

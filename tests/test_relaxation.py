@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -46,11 +48,16 @@ def test_relax_sweep_rejects_zero_diagonal():
         relax_sweep(Relaxation(), A, np.zeros(2), np.ones(2))
 
 
-def test_relaxation_validation():
-    with pytest.raises(ValueError):
-        Relaxation(omega=0.0)
-    with pytest.raises(ValueError):
-        Relaxation(sweeps=0)
+@pytest.mark.parametrize("kwargs, message", [
+    ({"omega": 0.0}, "omega must be > 0; got 0.0"),
+    ({"omega": float("inf")}, "omega must be a finite real number; got inf"),
+    ({"omega": True}, "omega must be a finite real number; got True"),
+    ({"sweeps": 0}, "sweeps must be >= 1; got 0"),
+    ({"sweeps": 1.5}, "sweeps must be an integer; got 1.5"),
+], ids=["zero-omega", "inf-omega", "bool-omega", "zero-sweeps", "float-sweeps"])
+def test_relaxation_validation(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Relaxation(**kwargs)
 
 
 def test_mtilde_equals_a_for_exact_relaxation():

@@ -122,10 +122,10 @@ def test_shape_validation():
 
 
 @pytest.mark.parametrize("kwargs, cause", [
-    ({"tol": -1.0}, "tol must be a finite real number >= 0; got -1.0"),
-    ({"tol": float("nan")}, "tol must be a finite real number >= 0; got nan"),
-    ({"tol": float("inf")}, "tol must be a finite real number >= 0; got inf"),
-    ({"tol": "1e-8"}, "tol must be a finite real number >= 0; got '1e-8'"),
+    ({"tol": -1.0}, "tol must be >= 0; got -1.0"),
+    ({"tol": float("nan")}, "tol must be a finite real number; got nan"),
+    ({"tol": float("inf")}, "tol must be a finite real number; got inf"),
+    ({"tol": "1e-8"}, "tol must be a finite real number; got '1e-8'"),
     ({"max_iters": -3}, "max_iters must be >= 0; got -3"),
     ({"max_iters": 5.0}, "max_iters must be an integer; got 5.0"),
     ({"max_iters": True}, "max_iters must be an integer; got True"),
