@@ -22,7 +22,7 @@ from .linalg import read_matrix_market, write_matrix_market
 from .problems import DEFAULT_THETA, ProblemSpec, assemble, check_count
 from .relaxation import SpectralEquivalence
 from .sylvester import MatrixEquation, sylvester_cg
-from .theory import DESK_SCALE_LIMIT, full_report, ideal_interpolation
+from .theory import check_desk_operator, full_report, ideal_interpolation
 
 CONFIG_ERROR = 2
 DIVERGENCE_ERROR = 3
@@ -104,8 +104,7 @@ def _cmd_theory(args):
     A_sparse = read_matrix_market(args.matrix)
     if not hasattr(A_sparse, "toarray"):
         raise ValueError("theory expects a sparse coordinate Matrix Market file")
-    if A_sparse.shape[0] > DESK_SCALE_LIMIT:
-        raise ValueError(f"theory diagnostics are capped at n = {DESK_SCALE_LIMIT}")
+    check_desk_operator(A_sparse)  # before the dense copy
     A = A_sparse.toarray()
     split = cf_split(strength_graph(A_sparse, args.theta_strength))
     P = ideal_interpolation(A, split)

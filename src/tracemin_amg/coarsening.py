@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .linalg import check_positive_diagonal, real_csr
 from .problems import check_count, check_real
 
 __all__ = [
@@ -123,10 +124,9 @@ def strength_graph(A, theta_strength):
     stored order does not matter.
     """
     check_real("theta_strength", theta_strength, 0.0, 1.0)
-    A = A.tocsr()
+    A = real_csr(A)
     d = A.diagonal()
-    if np.any(d <= 0.0):
-        raise ValueError("strength measure requires a positive diagonal")
+    check_positive_diagonal(d)
 
     S = _strong_couplings(A, d, theta_strength)
     S = S.maximum(S.T).tocsr()  # union symmetrization

@@ -64,19 +64,29 @@ class CandidateSet:
         return self.vectors[split.f_points], self.vectors[split.c_points]
 
 
+def candidate_block(raw, n):
+    """raw as a finite float64 (n, k) array, k >= 1, maybe a view of raw:
+    None is the constant vector, a 1-D raw one column.  A wrong shape or
+    a non-finite entry raises a ValueError that names it."""
+    block = np.ones((n, 1)) if raw is None else np.asarray(raw, dtype=np.float64)
+    block = block[:, None] if block.ndim == 1 else block
+    if block.ndim != 2 or block.shape[0] != n or block.shape[1] < 1:
+        raise ValueError(f"candidates have shape {np.shape(raw)}; expected ({n},) "
+                         f"or ({n}, k) with k >= 1")
+    if not np.all(np.isfinite(block)):
+        raise ValueError("candidates have a non-finite entry (NaN or inf)")
+    return block
+
+
 def prepare_candidates(A, raw):
     """A-orthonormalize raw candidate vectors by modified Gram-Schmidt.
 
-    Raises ValueError when a vector's A-norm drops below 1e-13 after
-    orthogonalization: A is singular on the first candidate (for example
-    a Neumann operator that annihilates the constant), or a later one
-    depends on the earlier ones in the A-inner product.
+    Raises ValueError when raw fails candidate_block or a vector's A-norm
+    drops below 1e-13 after orthogonalization: A is singular on the first
+    candidate (say a Neumann operator, which annihilates the constant),
+    or a later one depends on the earlier ones in the A-inner product.
     """
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 1:
-        raw = raw[:, None]
-    if raw.shape[0] != A.shape[0]:
-        raise ValueError("candidate length does not match the matrix dimension")
+    raw = candidate_block(raw, A.shape[0])
     cols = []
     for k in range(raw.shape[1]):
         v = raw[:, k].copy()

@@ -16,9 +16,9 @@ from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
 from .coarsening import cf_split, pattern_distance_k, strength_graph
-from .energymin import (constrained_energymin, prepare_candidates,
+from .energymin import (candidate_block, constrained_energymin, prepare_candidates,
                         weighted_energymin)
-from .linalg import SYMMETRY_RTOL
+from .linalg import check_positive_diagonal, check_symmetric, real_csr
 from .problems import check_count, check_real
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
@@ -106,8 +106,9 @@ class SetupConfig:
     jacobi_omega is 'auto' or a finite real number > 0, the counts
     pattern_degree, max_coarse, max_levels and sweeps are integers (not
     bools or floats) >= 1, and emin_iters is None or an integer >= 0.
-    This is the one place a setup option is validated; a sweep checks
-    its grid by building every point's SetupConfig.
+    This is the one place a setup option is validated but candidates,
+    which setup checks against A's size; a sweep checks its grid by
+    building every point's SetupConfig.
     """
 
     mode: str = "constrained"
@@ -198,54 +199,26 @@ def _symmetrized(Ac):
     return Ac
 
 
-def _check_operator(A):
-    """Reject a fine-level matrix that setup cannot build a hierarchy for,
-    naming the cause: not square, a non-finite entry, not symmetric to
-    SYMMETRY_RTOL relative to its largest entry, or a diagonal entry
-    that is not positive."""
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"A must be square; got shape {A.shape}")
-    if not np.all(np.isfinite(A.data)):
-        raise ValueError("A has a non-finite entry (NaN or inf)")
-    if (A != A.T).nnz:
-        skew = abs(A - A.T).max()
-        scale = abs(A).max()
-        if skew > SYMMETRY_RTOL * scale:
-            raise ValueError(f"A is not symmetric: max skew {skew:.3e} exceeds "
-                             f"{SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")
-    d = A.diagonal()
-    if np.any(d <= 0.0):
-        i = int(np.flatnonzero(d <= 0.0)[0])
-        raise ValueError(f"A has a non-positive diagonal entry: a_ii = {d[i]:g} "
-                         f"at row {i}")
-
-
 def setup(A, cfg):
     """Build a multilevel hierarchy for the SPD matrix A.
 
     Coarsening stops at max_levels, at a level of at most max_coarse
     rows, or at a level with no off-diagonal entry; that level is the
-    coarsest.  A is checked once, before any level is built, and each
-    failure raises a ValueError that names its cause: A must be square,
-    every entry finite, A symmetric (exactly, or to linalg.SYMMETRY_RTOL
-    relative to its largest entry) and its diagonal positive.  The
-    candidates must be finite.  A singular A (one that annihilates the
-    first candidate) is rejected by prepare_candidates.  A coarsest level
-    with no nonzero off-diagonal entry is solved by division by its
-    diagonal; any other is factorized densely, and rejected before it is
-    formed when that would need more than MAX_DENSE_COARSE_BYTES.
+    coarsest.  Before any level is built, A must be real (it is read as
+    float64), finite, square, symmetric and of positive diagonal, and
+    the candidates finite and of A's size; each failure is a ValueError
+    that names its cause.  prepare_candidates rejects a singular A (one
+    that annihilates the first candidate).  A coarsest level with no
+    nonzero off-diagonal entry is solved by division by its diagonal;
+    any other is factorized densely, and rejected before it is formed
+    when that would need more than MAX_DENSE_COARSE_BYTES.
     """
-    A = A.tocsr()
-    _check_operator(A)
-    raw = cfg.candidates
-    if raw is None:
-        raw = np.ones((A.shape[0], 1))
-    raw = np.asarray(raw, dtype=np.float64)
-    if raw.ndim == 1:
-        raw = raw[:, None]
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("candidates have a non-finite entry (NaN or inf)")
-    fine_candidates = raw.copy()
+    A = real_csr(A)
+    if not np.all(np.isfinite(A.data)):
+        raise ValueError("A has a non-finite entry (NaN or inf)")
+    check_symmetric(A)
+    check_positive_diagonal(A.diagonal())
+    raw = fine_candidates = candidate_block(cfg.candidates, A.shape[0]).copy()
 
     levels = []
     while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:

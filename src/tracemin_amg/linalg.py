@@ -2,8 +2,8 @@
 
 Matrix Market input and output for the CLI, the perfect-shuffle
 permutation that exchanges row-major and column-major vectorizations,
-a dense symmetric (generalized) eigensolver for the diagnostics, and
-the power-iteration spectral norm behind the Jacobi damping weight.
+a dense symmetric (generalized) eigensolver, the power-iteration
+spectral norm behind the Jacobi damping weight, and the operator checks.
 """
 
 import numpy as np
@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from scipy import sparse
 from scipy.io import mmread, mmwrite
 from scipy.linalg import eigh
+
+from .problems import check_count
 
 __all__ = [
     "read_matrix_market",
@@ -27,14 +29,23 @@ SYMMETRY_RTOL = 1e-12
 
 
 def read_matrix_market(path):
-    """Read a Matrix Market coordinate file into canonical CSR."""
+    """Read a real Matrix Market file as float64, coordinate as canonical CSR."""
     A = mmread(path)
+    if np.iscomplexobj(A):
+        raise ValueError(f"{path} is a complex-field Matrix Market file; expected a real one")
     if sparse.issparse(A):
-        A = A.tocsr()
+        A = real_csr(A)
         A.sum_duplicates()
         A.sort_indices()
         return A
     return np.asarray(A, dtype=np.float64)
+
+
+def real_csr(A):
+    """Sparse A as float64 CSR (A itself if it is one); refuses complex A."""
+    if np.iscomplexobj(A):
+        raise ValueError(f"A is complex ({A.dtype}); expected a real matrix")
+    return A.tocsr().astype(np.float64, copy=False)
 
 
 def write_matrix_market(path, A, symmetry=None):
@@ -55,19 +66,26 @@ def write_matrix_market(path, A, symmetry=None):
 
 
 def check_symmetric(A):
-    """Raise ValueError if dense A is not symmetric to SYMMETRY_RTOL
-    relative to its largest entry."""
-    A = np.asarray(A, dtype=np.float64)
+    """Raise ValueError unless A, dense or sparse, is square and symmetric to
+    SYMMETRY_RTOL of its largest entry.  Returns A (dense A as a float64 array)."""
+    if not sparse.issparse(A):
+        A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = np.abs(A).max()
-    if scale == 0.0:
-        return A
-    skew = np.abs(A - A.T).max()
-    if skew > SYMMETRY_RTOL * scale:
-        raise ValueError(f"matrix is not symmetric: max skew {skew:.3e} "
-                         f"exceeds {SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")
+        raise ValueError(f"matrix must be square; got shape {A.shape}")
+    skew = abs(A - A.T).max() if A.shape[0] else 0.0
+    if skew > 0.0:
+        scale = abs(A).max()
+        if skew > SYMMETRY_RTOL * scale:
+            raise ValueError(f"matrix is not symmetric: max skew {skew:.3e} "
+                             f"exceeds {SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")
     return A
+
+
+def check_positive_diagonal(d):
+    """Raise a ValueError naming the first non-positive entry of diag(A) = d."""
+    if np.any(d <= 0.0):
+        i = int(np.flatnonzero(d <= 0.0)[0])
+        raise ValueError(f"non-positive diagonal entry: a_ii = {d[i]:g} at row {i}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +121,8 @@ def perfect_shuffle(nf, nc):
     criterion 1, the identity the Kronecker form of the weighted
     operator rests on.
     """
-    if nf < 1 or nc < 1:
-        raise ValueError("factor dimensions must be at least 1")
+    check_count("nf", nf, minimum=1)
+    check_count("nc", nc, minimum=1)
     i = np.arange(nf)[None, :]            # fine index
     j = np.arange(nc)[:, None]            # coarse index
     # slot i + j*nf of the column-major vector holds entry (i, j),

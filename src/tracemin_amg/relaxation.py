@@ -11,7 +11,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import solve
 
-from .linalg import estimate_spectral_norm
+from .linalg import check_positive_diagonal, estimate_spectral_norm
 from .problems import check_count, check_real
 
 __all__ = [
@@ -69,16 +69,18 @@ class SpectralEquivalence:
 def relax_sweep(rel, A, x, b, diagonal=None):
     """Apply `rel.sweeps` damped Jacobi passes to A x = b, returning new x.
 
-    Each pass uses M = (1/omega) diag(A).  x None starts from zero: the
-    first pass's residual is then b itself and costs no matvec.
-    `diagonal` is diag(A) already computed and checked nonzero by the
-    caller (a hierarchy level caches it); when omitted it is read from
-    A and checked here.
+    Each pass uses M = (1/omega) diag(A); b and x are vectors of length
+    A.shape[0].  x None starts from zero: the first pass's residual is
+    then b itself and costs no matvec.  `diagonal` is diag(A) already
+    computed and checked nonzero by the caller (a hierarchy level caches
+    it); when omitted it is read from A and checked here.
     """
     b = np.asarray(b, dtype=np.float64)
     n = A.shape[0]
-    if b.shape[0] != n or (x is not None and len(x) != n):
-        raise ValueError("vector lengths do not match the matrix dimension")
+    for name, v in (("b", b), ("x", x)):
+        if v is not None and np.shape(v) != (n,):
+            raise ValueError(f"{name} has shape {np.shape(v)}; expected a vector of "
+                             f"length {n}, the dimension of A")
     if diagonal is None:
         diagonal = A.diagonal()
         if np.any(diagonal == 0.0):
@@ -121,8 +123,7 @@ def auto_jacobi_omega(A, diagonal=None):
     already holds it.
     """
     d = np.asarray(A.diagonal() if diagonal is None else diagonal, dtype=np.float64)
-    if np.any(d <= 0.0):
-        raise ValueError("matrix diagonal must be positive")
+    check_positive_diagonal(d)
     dinv_sqrt = 1.0 / np.sqrt(d)
     scaled = np.empty_like(dinv_sqrt)
 

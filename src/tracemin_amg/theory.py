@@ -66,10 +66,13 @@ class TheoryReport:
         return "\n".join(lines)
 
 
-def _check_desk_scale(A):
+def check_desk_operator(A):
+    """check_symmetric(A), or a ValueError if A has over DESK_SCALE_LIMIT rows."""
+    A = check_symmetric(A)
     if A.shape[0] > DESK_SCALE_LIMIT:
         raise ValueError(f"dense diagnostics are capped at n = {DESK_SCALE_LIMIT}; "
                          f"got n = {A.shape[0]}")
+    return A
 
 
 def _sqrt_and_inv_sqrt(A):
@@ -98,8 +101,7 @@ def two_grid_error_norm(A, M, P):
     """A-norm of the two-grid error propagator
     E_TG = (I - M^{-T} A)(I - pi_A)(I - M^{-1} A),
     computed as the largest singular value of A^{1/2} E_TG A^{-1/2}."""
-    A = check_symmetric(A)
-    _check_desk_scale(A)
+    A = check_desk_operator(A)
     P = _check_full_rank(P)
     M = np.asarray(M, dtype=np.float64)
     n = A.shape[0]
@@ -113,8 +115,7 @@ def ktg(A, M, P):
     """The sharp two-grid constant: the largest generalized eigenvalue of
     Mt (I - pi_Mt) against A, where Mt is the symmetrized relaxation.
     Satisfies ||E_TG||_A = 1 - 1/K_TG."""
-    A = check_symmetric(A)
-    _check_desk_scale(A)
+    A = check_desk_operator(A)
     P = _check_full_rank(P)
     if P.shape[1] >= A.shape[0]:
         raise ValueError("range(P) is the whole space; K_TG is degenerate")
@@ -147,8 +148,7 @@ def optimal_interpolation(A, M, n_c):
     the squared A-norm of the propagator with relaxation on one side
     only).  No solver calls it: it is kept as the subject of acceptance
     criterion 5, the two-grid rate no rank-n_c interpolation beats."""
-    A = check_symmetric(A)
-    _check_desk_scale(A)
+    A = check_desk_operator(A)
     if not (0 < n_c < A.shape[0]):
         raise ValueError("need 0 < n_c < n")
     Mt = symmetrized_mtilde(A, np.asarray(M, dtype=np.float64))
@@ -166,8 +166,7 @@ def stability_bounds(A, X, split, P):
     X_s^{-1} A_s on the fine block.  Verifies the chain
     ||PR||_A^2 <= tr(P^T A P R A^{-1} R^T) <= ||A^{-1}|| tr(P^T A P).
     """
-    A = check_symmetric(A)
-    _check_desk_scale(A)
+    A = check_desk_operator(A)
     P = _check_full_rank(P)
     perm = split.cf_permutation()
     Ap = A[np.ix_(perm, perm)]
@@ -213,8 +212,7 @@ def approximation_constants(A, P):
     beta_sap is the strong constant ||A|| max_v ||(I-pi_A)v||_A^2 / ||A v||^2,
     whose level-independence drives V-cycle optimality.
     """
-    A = check_symmetric(A)
-    _check_desk_scale(A)
+    A = check_desk_operator(A)
     P = _check_full_rank(P)
     n = A.shape[0]
     I = np.eye(n)

@@ -37,8 +37,8 @@ def invalid_operators(n=120):
     """Matrices that setup must reject, each with a pattern of the cause
     its error names.  The 1-D Laplacians have n > 100 rows, so setup's
     default max_coarse lets the singular one reach its first level."""
-    def edited(entries):
-        A = lap1d(n).tolil()
+    def edited(entries, dtype=np.float64):
+        A = lap1d(n).astype(dtype).tolil()
         for (i, j), value in entries.items():
             A[i, j] = value
         return A.tocsr()
@@ -53,6 +53,8 @@ def invalid_operators(n=120):
                           "non-positive diagonal entry: a_ii = 0 at row 5"),
         "negative-diagonal": (edited({(7, 7): -2.0}),
                               "non-positive diagonal entry: a_ii = -2 at row 7"),
+        "complex-hermitian": (edited({(0, 1): -1 + 1j, (1, 0): -1 - 1j}, complex),
+                              r"A is complex \(complex128\)"),
         "neumann": (edited({(0, 0): 1.0, (n - 1, n - 1): 1.0}),
                     "singular on candidate 0"),
     }

@@ -1,8 +1,9 @@
 """The public surface: every exported name exists and has a reader,
 every defaulted parameter of an exported function has a caller, every
-field of an exported dataclass has a reader, the package imports only
-exported names, and every name the benchmark tracer wraps
-(perfbench/spans.py) is still bound and callable."""
+field of an exported dataclass and every method and property of an
+exported class has a reader, the package imports only exported names,
+and every name the benchmark tracer wraps (perfbench/spans.py) is still
+bound and callable."""
 
 import ast
 import dataclasses
@@ -35,6 +36,14 @@ FIELDS_UNREAD_ON_PURPOSE = {
     **{f"TheoryReport.{name}": "printed by its __str__, the output of `tracemin-amg theory`"
        for name in ("etg_norm", "ktg", "kappa_s", "c2_meas", "pr_energy",
                     "trace_schur", "trace_plain", "beta_wap", "beta_sap")},
+}
+# methods and properties of exported classes that only tests read, each
+# kept on purpose (names are matched alone, so Problem.matrix already
+# reads as a reader of Permutation.matrix)
+METHODS_UNREAD_ON_PURPOSE = {
+    "BlockSplit.from_c_points": "how the tests build splits",
+    "MatrixEquation.sylvester": "the paper's Sylvester form of the operator",
+    "Permutation.matrix": "the subject of acceptance criterion 1",
 }
 PACKAGE = ROOT / "src" / "tracemin_amg"
 
@@ -194,24 +203,52 @@ def read_attributes(nodes):
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def unread_members(members, kept, class_body_reads):
+    """Each (module, class, member) that the library and the benchmark
+    never read as an attribute, and that `kept` does not keep on
+    purpose, as module.class.member.  Reads in the class's own body
+    count only when class_body_reads is true, and never those in the
+    member's own definition."""
+    trees = library_and_benchmark_files()
+    attributes_read = {path: read_attributes(tree.body) for path, tree in trees.items()}
+    unread = []
+    for module, cls, member in members:
+        own = PACKAGE / f"{module}.py"
+        own_reads = read_attributes(
+            [s for s in trees[own].body if getattr(s, "name", None) != cls]
+            + [t for s in trees[own].body if class_body_reads and getattr(s, "name", None) == cls
+               for t in s.body if getattr(t, "name", None) != member])
+        if f"{cls}.{member}" in kept or member in own_reads:
+            continue
+        if not any(member in names for path, names in attributes_read.items() if path != own):
+            unread.append(f"{module}.{cls}.{member}")
+    return unread
+
+
 def test_every_dataclass_field_has_a_reader():
     """Each field of an exported dataclass is read as an attribute by the
     library or the benchmark outside its own class body, or is kept on
     purpose (FIELDS_UNREAD_ON_PURPOSE).  Tests do not count as readers."""
-    trees = library_and_benchmark_files()
-    attributes_read = {path: read_attributes(tree.body) for path, tree in trees.items()}
-    unread = []
-    for module, attr, obj in exported_objects():
-        if not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
-            continue
-        own = PACKAGE / f"{module}.py"
-        outside_class = read_attributes([s for s in trees[own].body
-                                         if getattr(s, "name", None) != attr])
-        for field in dataclasses.fields(obj):
-            qualified = f"{attr}.{field.name}"
-            if qualified in FIELDS_UNREAD_ON_PURPOSE or field.name in outside_class:
-                continue
-            if not any(field.name in names for path, names in attributes_read.items()
-                       if path != own):
-                unread.append(f"{module}.{qualified}")
+    unread = unread_members([(module, attr, field.name)
+                             for module, attr, obj in exported_objects()
+                             if inspect.isclass(obj) and dataclasses.is_dataclass(obj)
+                             for field in dataclasses.fields(obj)],
+                            FIELDS_UNREAD_ON_PURPOSE, class_body_reads=False)
     assert not unread, f"dataclass fields without a reader: {unread}"
+
+
+def test_every_method_and_property_has_a_reader():
+    """Each public method and property of an exported class is read as an
+    attribute by the library or the benchmark outside its own definition
+    (another method of its class counts), or is kept on purpose
+    (METHODS_UNREAD_ON_PURPOSE).  Tests do not count as readers."""
+    def is_member(value):
+        return isinstance(value, property) or inspect.isfunction(getattr(value, "__func__", value))
+
+    members = [(module, attr, name)
+               for module, attr, obj in exported_objects() if inspect.isclass(obj)
+               for name, value in vars(obj).items()
+               if not name.startswith("_") and is_member(value)]
+    assert set(METHODS_UNREAD_ON_PURPOSE) <= {f"{cls}.{name}" for _, cls, name in members}
+    unread = unread_members(members, METHODS_UNREAD_ON_PURPOSE, class_body_reads=True)
+    assert not unread, f"methods and properties without a reader: {unread}"

@@ -194,6 +194,26 @@ def test_theory_subcommand(tmp_path, capsys):
     assert "K_TG" in text and "beta_sap" in text
 
 
+# a 3x3 tridiag(-1, 2, -1), lower triangle only, in an integer and a complex field
+TRIDIAGONAL_MTX = {
+    "integer": "3 3 5\n1 1 2\n2 1 -1\n2 2 2\n3 2 -1\n3 3 2\n",
+    "complex": "3 3 5\n1 1 2 0\n2 1 -1 0\n2 2 2 0\n3 2 -1 0\n3 3 2 0\n",
+}
+
+
+@pytest.mark.parametrize("field, code", [("integer", 0), ("complex", 2)])
+def test_theory_reads_an_integer_field_and_refuses_a_complex_one(field, code, tmp_path, capsys):
+    path = tmp_path / f"{field}.mtx"
+    path.write_text(f"%%MatrixMarket matrix coordinate {field} symmetric\n"
+                    + TRIDIAGONAL_MTX[field])
+    assert main(["theory", "--matrix", str(path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "n = 3" in captured.out
+    else:
+        assert "complex-field Matrix Market file" in captured.err
+
+
 def test_theory_rejects_large_matrix(tmp_path):
     out = tmp_path / "big.mtx"
     main(["assemble", "--problem", "rotated_anisotropic", "--n", "32",
@@ -216,7 +236,7 @@ def test_theory_refuses_an_oversize_matrix_before_densifying(tmp_path, monkeypat
 
     monkeypatch.setattr(cli, "read_matrix_market", read_without_densifying)
     assert main(["theory", "--matrix", str(out)]) == 2
-    assert "theory diagnostics are capped at n = 500" in capsys.readouterr().err
+    assert "dense diagnostics are capped at n = 500; got n = 529" in capsys.readouterr().err
 
 
 def write_sylvester_rhs(tmp_path):

@@ -13,12 +13,13 @@ from scipy.linalg import cho_solve
 from sparse_helpers import csr_from_triplets, invalid_operators, lap1d, rand_spd_sparse
 from tracemin_amg import hierarchy
 from tracemin_amg.coarsening import strength_graph
+from tracemin_amg.energymin import prepare_candidates
 from tracemin_amg.experiments import measure_report
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
 from tracemin_amg.problems import ProblemSpec, assemble
-from tracemin_amg.relaxation import symmetrized_mtilde
+from tracemin_amg.relaxation import auto_jacobi_omega, symmetrized_mtilde
 from tracemin_amg.theory import two_grid_error_norm
 
 
@@ -445,11 +446,49 @@ def test_galerkin_keeps_exactly_the_couplings_above_round_off(case):
     assert np.all(np.abs(Ac.toarray() - Pd.T @ A.toarray() @ Pd) <= limit)
 
 
-@pytest.mark.parametrize("case", sorted(invalid_operators()))
-def test_setup_rejects_invalid_operator_by_name(case):
+OPERATOR_CHECKS = {"setup": lambda A: setup(A, SetupConfig()),
+                   "strength_graph": lambda A: strength_graph(A, 0.25),
+                   "auto_jacobi_omega": auto_jacobi_omega}
+# setup sees every invalid operator; the diagonal ones also reach the
+# other two owners of the positive-diagonal rule, with the same message,
+# and the complex one the other caller of linalg.real_csr
+CHECKED_OPERATORS = [(case, "setup") for case in sorted(invalid_operators())] + [
+    (case, check) for case in ("negative-diagonal", "zero-diagonal")
+    for check in ("strength_graph", "auto_jacobi_omega")] + [
+    ("complex-hermitian", "strength_graph")]
+
+
+@pytest.mark.parametrize("case, check", CHECKED_OPERATORS, ids=[
+    case if check == "setup" else f"{case}-{check}" for case, check in CHECKED_OPERATORS])
+def test_setup_rejects_invalid_operator_by_name(case, check):
     A, cause = invalid_operators()[case]
     with pytest.raises(ValueError, match=cause):
-        setup(A, SetupConfig())
+        OPERATOR_CHECKS[check](A)
+
+
+def test_setup_reads_an_integer_matrix_as_float64():
+    A = sparse.csr_matrix([[2, -1], [-1, 2]])
+    H = setup(A, SetupConfig(max_coarse=1))
+    assert H.level_sizes() == [2, 1]
+    assert H.levels[0].A.dtype == np.float64
+    assert strength_graph(A, 0.25).nnz == 2
+
+
+@pytest.mark.parametrize("shape", [(120, 0), (120, 1, 1), (119,)],
+                         ids=["no-column", "three-dimensional", "short"])
+def test_candidates_of_the_wrong_shape_are_named(shape):
+    pattern = re.escape(f"candidates have shape {shape}")
+    with pytest.raises(ValueError, match=pattern):
+        setup(lap1d(120), SetupConfig(candidates=np.ones(shape)))
+    with pytest.raises(ValueError, match=pattern):
+        prepare_candidates(lap1d(120), np.ones(shape))
+
+
+def test_setup_keeps_its_own_copy_of_the_candidates():
+    candidates = np.ones(120)
+    H = setup(lap1d(120), SetupConfig(candidates=candidates))
+    candidates[0] = 2.0
+    assert np.all(H.fine_candidates == 1.0)
 
 
 def test_setup_rejects_nonfinite_candidates():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from scipy import sparse
+
 from sparse_helpers import csr_from_triplets
-from tracemin_amg.linalg import (Permutation, dense_sym_eig, perfect_shuffle,
-                                 read_matrix_market, write_matrix_market)
+from tracemin_amg.linalg import (Permutation, check_symmetric, dense_sym_eig,
+                                 perfect_shuffle, read_matrix_market, write_matrix_market)
 
 
 # csr_from_triplets (sparse_helpers.py) builds the fixtures of five test
@@ -52,6 +54,29 @@ def test_matrix_market_roundtrip(tmp_path):
 def test_permutation_validates_bijection():
     with pytest.raises(ValueError):
         Permutation(3, np.array([0, 0, 2]))
+
+
+@pytest.mark.parametrize("nf", [2.5, True])
+def test_perfect_shuffle_names_a_dimension_that_is_not_an_integer(nf):
+    with pytest.raises(ValueError, match=f"nf must be an integer; got {nf}"):
+        perfect_shuffle(nf, 2)
+
+
+@pytest.mark.parametrize("form", [np.asarray, sparse.csr_matrix])
+def test_check_symmetric_takes_dense_and_sparse_alike(form):
+    with pytest.raises(ValueError, match=r"must be square; got shape \(2, 3\)"):
+        check_symmetric(form(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="not symmetric: max skew 5.000e-01"):
+        check_symmetric(form([[2.0, -1.0], [-0.5, 2.0]]))
+    check_symmetric(form([[2.0, -1.0], [-1.0 - 1e-13, 2.0]]))  # within SYMMETRY_RTOL
+
+
+def test_read_matrix_market_returns_float64(tmp_path):
+    path = tmp_path / "int.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n2 2 4\n")
+    A = read_matrix_market(path)
+    assert A.dtype == np.float64
+    assert_allclose(A.toarray(), [[3.0, 0.0], [0.0, 4.0]])
 
 
 def test_perfect_shuffle_degenerate_is_identity():

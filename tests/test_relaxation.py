@@ -42,6 +42,16 @@ def test_relaxation_fixed_point():
     assert_allclose(x, x_exact, atol=1e-14)
 
 
+@pytest.mark.parametrize("x, b, message", [
+    (np.zeros(3), np.ones(4), "b has shape (4,); expected a vector of length 3, "
+                              "the dimension of A"),
+    (np.zeros((3, 1)), np.ones(3), "x has shape (3, 1); expected a vector of length 3"),
+], ids=["b", "x"])
+def test_relax_sweep_names_a_vector_of_the_wrong_shape(x, b, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        relax_sweep(Relaxation(), lap1d(3), x, b)
+
+
 def test_relax_sweep_rejects_zero_diagonal():
     A = csr_from_triplets([(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0), (0, 0, 0.0)], 2, 2)
     with pytest.raises(ValueError):
