@@ -117,9 +117,9 @@ def _slot_values(S, slot_rows, cols):
     return np.asarray(S[slot_rows, cols]).ravel()
 
 
-# apply_weighted_operator forms A_ff W in blocks of consecutive rows that
-# own at most this many pattern slots (a longer row is a block alone), and
-# _RowConstraints projects groups of at most this many slots
+# apply_weighted_operator forms A_ff W, and _RowConstraints sums over
+# each row's slots, in blocks of consecutive rows that own at most this
+# many pattern slots (a longer row is a block alone)
 PRODUCT_BLOCK_SLOTS = 2**17
 
 
@@ -128,80 +128,62 @@ class _RowConstraints:
 
     Each F row i couples only the entries of its own pattern row, so the
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
-    row i].  Rows are batched by pattern-row length so projections and
-    minimum-norm solves are vectorized: `order` lists the slots of the
-    nonempty rows, shortest rows first and each length's rows in row
-    order, so slot values gathered by it hold every length's rows as one
-    contiguous (R, m) block.
-
-    Each group (rows, slots, C, Gp) holds at most PRODUCT_BLOCK_SLOTS
-    slots of rows of one length: its rows, its range in `order`, their
-    C_i stacked, shape (R, m, n_b), and the pseudo-inverse of their Gram
-    matrices C_i^T C_i, shape (R, n_b, n_b).  With one candidate the
-    Gram matrix is the scalar g = sum c^2 and its pseudo-inverse is 1/g,
-    or 0 where g == 0 (pinv's cutoff); only n_b >= 2 needs pinv's
-    batched SVD.  pinv returns the same bits for 1e-138 < g < 1e138;
-    beyond that LAPACK rescales the matrix and its result may miss the
-    correctly rounded 1/g by up to two ulps.
+    row i].  C holds one candidate row per slot; every sum over a row's
+    slots is a segmented reduction from the row's first slot, taken in
+    the row blocks of apply_weighted_operator, so no temporary outgrows
+    a block.  Each block (slots, rows, starts, Gp) holds its slot range,
+    its nonempty rows, their first slots relative to the range and the
+    pseudo-inverses of their Gram matrices C_i^T C_i, shape (R, n_b,
+    n_b).  With one candidate the Gram matrix is the scalar g = sum c^2
+    and its pseudo-inverse is 1/g, or 0 where g == 0 (pinv's cutoff);
+    only n_b >= 2 needs pinv's batched SVD.  pinv returns the same bits
+    for 1e-138 < g < 1e138; beyond that LAPACK rescales the matrix and
+    its result may miss the correctly rounded 1/g by up to two ulps.
     """
 
     def __init__(self, B_c, pattern):
         self.pattern = pattern
-        self.n_b = B_c.shape[1]
-        lengths = np.diff(pattern.indptr)
-        rows = np.argsort(lengths, kind="stable")
-        rows = rows[lengths[rows] > 0]
-        row_lengths = lengths[rows]
-        starts = np.cumsum(row_lengths) - row_lengths  # of each row in `order`
-        itype = np.int32 if pattern.nnz < 2**31 else np.int64
-        order = np.arange(pattern.nnz, dtype=itype)
-        order += np.repeat(pattern.indptr[rows] - starts, row_lengths).astype(itype)
-        self.order = order
-        self.groups = []
-        lo = slot = 0
-        for m, count in zip(*np.unique(row_lengths, return_counts=True)):
-            m = int(m)
-            step = max(PRODUCT_BLOCK_SLOTS // m, 1)
-            for start in range(lo, lo + count, step):
-                size = min(step, lo + count - start)
-                slots = slice(slot, slot + size * m)
-                C = B_c[pattern.cols[order[slots]]].reshape(size, m, self.n_b)
-                G = np.einsum("rmk,rml->rkl", C, C)           # (R, n_b, n_b)
-                if self.n_b == 1:
-                    Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
-                else:
-                    Gp = np.linalg.pinv(G)
-                self.groups.append((rows[start:start + size], slots, C, Gp))
-                slot += size * m
-            lo += count
+        self.C = B_c[pattern.cols]                        # (nnz, n_b)
+        indptr, self.blocks = pattern.indptr, []
+        bounds = _row_blocks(indptr, PRODUCT_BLOCK_SLOTS)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
+            slots = slice(int(indptr[lo]), int(indptr[hi]))
+            starts = indptr[rows] - indptr[lo]
+            C = self.C[slots]
+            G = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
+            if B_c.shape[1] == 1:
+                Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
+            else:
+                Gp = np.linalg.pinv(G)
+            self.blocks.append((slots, rows, starts, Gp))
+
+    @staticmethod
+    def _spread(C, starts, s):
+        """The slot values C_i s_i of one block's rows."""
+        counts = np.diff(starts, append=len(C))
+        return np.einsum("sk,sk->s", C, np.repeat(s, counts, axis=0))
 
     def project(self, values):
         """Project slot values onto {Z : Z B_c = 0}, row by row, in place;
-        returns values.  Every slot of a nonempty row belongs to exactly
-        one group."""
-        for _, slots, C, Gp in self.groups:
-            at = self.order[slots]
-            Z = values[at].reshape(C.shape[:2])
-            t = np.einsum("rmk,rm->rk", C, Z)
-            s = np.einsum("rkl,rl->rk", Gp, t)
-            Z -= np.einsum("rmk,rk->rm", C, s)
-            values[at] = Z.ravel()
+        returns values."""
+        for slots, _, starts, Gp in self.blocks:
+            C, Z = self.C[slots], values[slots]
+            t = np.add.reduceat(C * Z[:, None], starts, axis=0)  # C_i^T z_i
+            Z -= self._spread(C, starts, np.einsum("rkl,rl->rk", Gp, t))
         return values
 
     def min_norm_solution(self, B_f):
-        """Smallest-Euclidean-norm slot values with W B_c = B_f.
-
-        Rows whose pattern cannot represent the target exactly (fewer
-        slots than constraints, or locally dependent candidate rows)
-        receive the minimum-norm least-squares value instead; an empty
-        row whose target exceeds 1e-12 relative to max|B_f| (or 1) is
-        an error.
-        """
+        """Smallest-Euclidean-norm slot values with W B_c = B_f: a row whose
+        pattern cannot represent its target exactly (fewer slots than
+        constraints, or locally dependent candidate rows) gets the
+        minimum-norm least-squares value; an empty row whose target
+        exceeds 1e-12 relative to max|B_f| (or 1) is an error."""
         values = np.zeros(self.pattern.nnz)
         scale = np.abs(B_f).max() if B_f.size else 0.0
-        for rows, slots, C, Gp in self.groups:
+        for slots, rows, starts, Gp in self.blocks:
             s = np.einsum("rkl,rl->rk", Gp, B_f[rows])
-            values[self.order[slots]] = np.einsum("rmk,rk->rm", C, s).ravel()
+            values[slots] = self._spread(self.C[slots], starts, s)
         for i in self.pattern.empty_f_rows:
             if np.abs(B_f[i]).max() > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "

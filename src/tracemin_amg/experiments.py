@@ -242,7 +242,18 @@ def _fmt(value):
 
 def run_experiment(cfg):
     """Run the configured sweep; returns the row dicts and writes the
-    CSV when an output path is set.  Deterministic under a fixed seed."""
+    CSV when an output path is set.  Deterministic under a fixed seed.
+    The output file is opened (and truncated) before the problem is
+    assembled, so a path that cannot be written fails first."""
+    if cfg.output is None:
+        return _sweep_rows(cfg)
+    with open(cfg.output, "w", newline="") as fh:
+        rows = _sweep_rows(cfg)
+        fh.write(rows_to_csv_text(rows))
+    return rows
+
+
+def _sweep_rows(cfg):
     problem = assemble(cfg.problem)
     A = problem.matrix
     first = first_constraint_vector(A, cfg.constraint_source,
@@ -271,8 +282,6 @@ def run_experiment(cfg):
             "wpd": report.wpd,
             "converged": report.converged,
         })
-    if cfg.output is not None:
-        write_csv(cfg.output, rows)
     return rows
 
 
@@ -283,9 +292,3 @@ def rows_to_csv_text(rows):
     for row in rows:
         writer.writerow([_fmt(row[key]) for key in CSV_HEADER])
     return buf.getvalue()
-
-
-def write_csv(path, rows):
-    text = rows_to_csv_text(rows)
-    with open(path, "w", newline="") as fh:
-        fh.write(text)

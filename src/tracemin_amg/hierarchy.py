@@ -214,8 +214,6 @@ def setup(A, cfg):
     when that would need more than MAX_DENSE_COARSE_BYTES.
     """
     A = real_csr(A)
-    if not np.all(np.isfinite(A.data)):
-        raise ValueError("A has a non-finite entry (NaN or inf)")
     check_symmetric(A)
     check_positive_diagonal(A.diagonal())
     raw = fine_candidates = candidate_block(cfg.candidates, A.shape[0]).copy()

@@ -66,12 +66,18 @@ def write_matrix_market(path, A, symmetry=None):
 
 
 def check_symmetric(A):
-    """Raise ValueError unless A, dense or sparse, is square and symmetric to
-    SYMMETRY_RTOL of its largest entry.  Returns A (dense A as a float64 array)."""
+    """Raise ValueError unless A, dense or sparse, is square, finite and
+    symmetric to SYMMETRY_RTOL of its largest entry; a non-finite entry is
+    named with its position.  Returns A (dense A as a float64 array)."""
     if not sparse.issparse(A):
         A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square; got shape {A.shape}")
+    if not np.all(np.isfinite(A.tocsr().data if sparse.issparse(A) else A)):
+        rows, cols, values = sparse.find(A)
+        k = np.flatnonzero(~np.isfinite(values))[0]
+        raise ValueError(f"matrix has a non-finite entry {values[k]} "
+                         f"at ({rows[k]}, {cols[k]})")
     skew = abs(A - A.T).max() if A.shape[0] else 0.0
     if skew > 0.0:
         scale = abs(A).max()

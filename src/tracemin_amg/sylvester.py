@@ -34,8 +34,12 @@ class MatrixEquation:
 
     def __post_init__(self):
         for name in ("A", "B", "C", "D", "F"):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=np.float64))
+            M = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(M)):
+                raise ValueError(f"{name} has a non-finite entry (NaN or inf)")
+            object.__setattr__(self, name, M)
+        if self.F.ndim != 2:
+            raise ValueError(f"F must be a 2-D array; got shape {self.F.shape}")
         n, m = self.F.shape
         if self.A.shape != (n, n) or self.C.shape != (n, n):
             raise ValueError("A and C must be square and match F's row count")
@@ -45,8 +49,7 @@ class MatrixEquation:
     @classmethod
     def sylvester(cls, A, D, F):
         """A W + W D = F."""
-        n, m = np.asarray(F).shape
-        return cls(A, np.eye(m), np.eye(n), D, F)
+        return cls(A, np.eye(len(D)), np.eye(len(A)), D, F)
 
     @property
     def shape(self):

@@ -214,6 +214,14 @@ def test_theory_reads_an_integer_field_and_refuses_a_complex_one(field, code, tm
         assert "complex-field Matrix Market file" in captured.err
 
 
+def test_theory_exits_2_naming_a_non_finite_entry(tmp_path, capsys):
+    path = tmp_path / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    + TRIDIAGONAL_MTX["integer"].replace("2 2 2", "2 2 nan"))
+    assert main(["theory", "--matrix", str(path)]) == 2
+    assert "error: matrix has a non-finite entry nan at (1, 1)" in capsys.readouterr().err
+
+
 def test_theory_rejects_large_matrix(tmp_path):
     out = tmp_path / "big.mtx"
     main(["assemble", "--problem", "rotated_anisotropic", "--n", "32",
@@ -268,6 +276,13 @@ def test_sylvester_exits_2_naming_a_bad_setting(argv, cause, tmp_path, capsys):
     assert f"error: {cause}" in capsys.readouterr().err
 
 
+def test_sylvester_exits_2_naming_a_non_finite_rhs(tmp_path, capsys):
+    path = tmp_path / "F.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n1\nnan\n3\n4\n")
+    assert main(["sylvester", "--F", str(path)]) == 2
+    assert "error: F has a non-finite entry (NaN or inf)" in capsys.readouterr().err
+
+
 def test_sylvester_subcommand(tmp_path, capsys):
     rng = np.random.default_rng(0)
     G = rng.standard_normal((5, 5))
@@ -299,3 +314,13 @@ def test_sylvester_reports_nonconvergence(tmp_path):
     code = main(["sylvester", "--A", str(pa), "--D", str(pa), "--F", str(pf),
                  "--max-iters", "0", "--tol", "1e-12"])
     assert code == 3
+
+
+def test_sweep_checks_its_output_before_assembly(tmp_path, monkeypatch, capsys):
+    """An output path that cannot be written fails before the grid runs."""
+    calls = []
+    monkeypatch.setattr(experiments, "assemble", calls.append)
+    target = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--problem", "oscillatory", "--n", "8", "--out", str(target)]) == 2
+    assert str(target) in capsys.readouterr().err
+    assert calls == []

@@ -367,24 +367,74 @@ def test_single_candidate_inverse_matches_pinv(case):
     B_c, pattern, B_f, values = case
     rows = _RowConstraints(B_c, pattern)
     by_pinv = copy.copy(rows)
-    by_pinv.groups = []
+    by_pinv.blocks = []
     rescaled = False
-    for group in rows.groups:
-        C, Gp = group[2:]
-        g = np.einsum("rmk,rml->rkl", C, C)
+    for block in rows.blocks:
+        slots, nonempty, starts, Gp = block
+        C = rows.C[slots]
+        g = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
         expected = np.linalg.pinv(g)
-        by_pinv.groups.append(group[:3] + (expected,))
-        assert Gp.shape == expected.shape == g.shape == (len(group[0]), 1, 1)
+        by_pinv.blocks.append(block[:3] + (expected,))
+        assert Gp.shape == expected.shape == g.shape == (len(nonempty), 1, 1)
         assert np.array_equal(Gp, np.divide(1.0, g, out=np.zeros_like(g), where=g != 0.0))
         inside = (g == 0.0) | ((g >= LAPACK_UNSCALED[0]) & (g <= LAPACK_UNSCALED[1]))
         assert np.array_equal(Gp[inside], expected[inside])
         ulp = np.spacing(Gp[~inside])
         assert np.all(np.abs(Gp[~inside] - expected[~inside]) <= 2 * ulp)
         rescaled |= not inside.all()
-    assert sorted(rows.order) == list(range(pattern.nnz))
+    covered = [s for block in rows.blocks for s in range(block[0].start, block[0].stop)]
+    assert covered == list(range(pattern.nnz))
     if not rescaled:
         assert np.array_equal(rows.project(values.copy()), by_pinv.project(values.copy()))
         assert np.array_equal(rows.min_norm_solution(B_f), by_pinv.min_norm_solution(B_f))
+
+
+@st.composite
+def row_constraints(draw):
+    """A constraint problem with n_b in {1, 2, 3} on a random pattern with
+    empty rows.  Candidate entries are small integers, so every Gram
+    matrix is formed exactly and its nonzero eigenvalues stay far above
+    pinv's cutoff; locally dependent and too-short rows occur."""
+    nf, nc, n_b = draw(st.integers(1, 10)), draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    B_c = np.array(draw(st.lists(st.integers(-3, 3), min_size=nc * n_b,
+                                 max_size=nc * n_b)), dtype=np.float64).reshape(nc, n_b)
+    member = np.array(draw(st.lists(st.booleans(), min_size=nf * nc,
+                                    max_size=nf * nc))).reshape(nf, nc)
+    indptr = np.concatenate([[0], np.cumsum(member.sum(axis=1))]).astype(np.int32)
+    pattern = SparsityPattern(nf, nc, indptr, np.nonzero(member)[1].astype(np.int32))
+    B_f = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=nf * n_b,
+                                 max_size=nf * n_b))).reshape(nf, n_b)
+    B_f[pattern.empty_f_rows] = 0.0
+    values = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=pattern.nnz,
+                                    max_size=pattern.nnz)))
+    return B_c, pattern, B_f, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_constraints(), st.integers(1, 6))
+def test_row_sums_match_dense_rows_and_ignore_the_blocking(case, limit):
+    """project and min_norm_solution equal a dense per-row oracle, pinv
+    of each C_i, to round-off, and give the same bits in blocks of at
+    most `limit` slots as in one block."""
+    B_c, pattern, B_f, values = case
+    projected, start = values.copy(), np.zeros(pattern.nnz)
+    for i in range(pattern.nf):
+        s = slice(pattern.indptr[i], pattern.indptr[i + 1])
+        C_i = B_c[pattern.cols[s]]
+        projected[s] -= C_i @ (np.linalg.pinv(C_i) @ values[s])
+        start[s] = np.linalg.pinv(C_i.T) @ B_f[i]
+    got = {}
+    for slots in (pattern.nnz + 1, limit):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energymin, "PRODUCT_BLOCK_SLOTS", slots)
+            rows = _RowConstraints(B_c, pattern)
+        assert len(rows.blocks) <= 1 or slots == limit
+        got[slots] = rows.project(values.copy()), rows.min_norm_solution(B_f)
+    scale = max(np.abs(values).max(initial=1.0), np.abs(B_f).max(initial=1.0))
+    assert_allclose(got[limit][0], projected, rtol=0, atol=1e-9 * scale)
+    assert_allclose(got[limit][1], start, rtol=0, atol=1e-9 * scale)
+    for a, b in zip(got[limit], got[pattern.nnz + 1]):
+        assert np.array_equal(a, b)
 
 
 # ---------------- constrained minimization ----------------

@@ -18,9 +18,10 @@ from tracemin_amg.experiments import measure_report
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
+from tracemin_amg.linalg import check_symmetric
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import auto_jacobi_omega, symmetrized_mtilde
-from tracemin_amg.theory import two_grid_error_norm
+from tracemin_amg.theory import ktg, two_grid_error_norm
 
 
 def poisson2d(n):
@@ -448,14 +449,18 @@ def test_galerkin_keeps_exactly_the_couplings_above_round_off(case):
 
 OPERATOR_CHECKS = {"setup": lambda A: setup(A, SetupConfig()),
                    "strength_graph": lambda A: strength_graph(A, 0.25),
-                   "auto_jacobi_omega": auto_jacobi_omega}
+                   "auto_jacobi_omega": auto_jacobi_omega,
+                   "check_symmetric": check_symmetric,
+                   "ktg": lambda A: ktg(A, np.eye(A.shape[0]), np.ones((A.shape[0], 1)))}
 # setup sees every invalid operator; the diagonal ones also reach the
 # other two owners of the positive-diagonal rule, with the same message,
-# and the complex one the other caller of linalg.real_csr
+# the complex one the other caller of linalg.real_csr, and the non-finite
+# ones the owner of the finiteness rule and a caller of it outside setup
 CHECKED_OPERATORS = [(case, "setup") for case in sorted(invalid_operators())] + [
     (case, check) for case in ("negative-diagonal", "zero-diagonal")
     for check in ("strength_graph", "auto_jacobi_omega")] + [
-    ("complex-hermitian", "strength_graph")]
+    ("complex-hermitian", "strength_graph")] + [
+    (case, check) for case in ("nan", "inf") for check in ("check_symmetric", "ktg")]
 
 
 @pytest.mark.parametrize("case, check", CHECKED_OPERATORS, ids=[

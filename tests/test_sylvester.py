@@ -121,6 +121,24 @@ def test_shape_validation():
         MatrixEquation(np.eye(3), np.eye(2), np.eye(3), np.eye(2), np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "F"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_rejects_a_non_finite_entry_by_name(name, value):
+    data = {"A": np.eye(2), "B": np.eye(3), "C": np.eye(2), "D": np.eye(3),
+            "F": np.ones((2, 3))}
+    data[name][1, 0] = value
+    with pytest.raises(ValueError, match=f"{name} has a non-finite entry"):
+        MatrixEquation(**data)
+
+
+def test_rejects_an_rhs_that_is_not_2d():
+    cause = re.escape("F must be a 2-D array; got shape (2,)")
+    with pytest.raises(ValueError, match=cause):
+        MatrixEquation(np.eye(2), np.eye(1), np.eye(2), np.eye(1), F=np.ones(2))
+    with pytest.raises(ValueError, match=cause):
+        MatrixEquation.sylvester(np.eye(2), np.eye(1), np.ones(2))
+
+
 @pytest.mark.parametrize("kwargs, cause", [
     ({"tol": -1.0}, "tol must be >= 0; got -1.0"),
     ({"tol": float("nan")}, "tol must be a finite real number; got nan"),
