@@ -120,7 +120,7 @@ def _slot_values(S, slot_rows, cols):
 # apply_weighted_operator forms A_ff W, and _RowConstraints sums over
 # each row's slots, in blocks of consecutive rows that own at most this
 # many pattern slots (a longer row is a block alone)
-PRODUCT_BLOCK_SLOTS = 2**17
+PRODUCT_BLOCK_SLOTS = 2**14
 
 
 class _RowConstraints:
@@ -204,7 +204,8 @@ class WeightedSystem:
     block: None before the block's first product, then the (indptr,
     indices) of its last product, the position of each of the block's
     slots in that product's data (-1 where it stores none) and the slots
-    it misses.
+    it misses.  Minimization hands Bhat over to the CG, which frees it
+    once the initial residual exists; the system then holds None.
     """
 
     tau: float
@@ -361,6 +362,7 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     del x0  # a start passed as a temporary dies here
     r_full = apply(x)
     np.subtract(b, r_full, out=r_full)
+    del b  # and so does a right-hand side
     r = project(r_full.copy())
     z = project(diag * r)
     rz = float(r @ z)
@@ -421,12 +423,20 @@ class Interpolation:
     residuals: list
 
 
+def _hand_over_rhs(sys):
+    """sys.Bhat, which sys then no longer holds: passed as a temporary,
+    it dies once pcg_frobenius has the initial residual."""
+    bhat, sys.Bhat = sys.Bhat, None
+    return bhat
+
+
 def _minimize(sys, iters, tol, diag, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
     start, on W B_c = B_f when constrained; returns (w, history)."""
     rows = _RowConstraints(sys.B_c, sys.pattern)
-    # the start is passed as a temporary, so pcg_frobenius frees it once copied
-    return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
+    # the right-hand side and the start are passed as temporaries, so
+    # pcg_frobenius frees them once the initial residual exists
+    return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
                          rows.min_norm_solution(sys.B_f), diag, iters, tol,
                          project=rows.project if constrained else None,
                          callback=callback)

@@ -2,10 +2,16 @@
 
 Each level is coarsened by strength-of-connection and the greedy CF
 pass, interpolation is built by weighted or constrained energy
-minimization over a distance-k pattern, and the Galerkin product
-closes the recursion.  Candidates follow the hierarchy down by
-C-point injection.  The coarsest level is factorized densely, or, when
-it has no nonzero off-diagonal entry, solved by division.
+minimization over a distance-k pattern, and a sparsified Galerkin
+product closes the recursion.  Candidates follow the hierarchy down by
+C-point injection.  With one candidate b, the coarse operator is not
+the exact P^T A P: an off-diagonal coupling small against both of its
+diagonals, |a_ij| b_j/b_i <= NON_GALERKIN_THETA a_ii and |a_ij| b_i/b_j
+<= NON_GALERKIN_THETA a_jj where b_i b_j > 0, is dropped and lumped
+onto the two diagonals so that A_c b is kept (the non-Galerkin coarse
+grids of Falgout & Schroder, SISC 2014).  The coarsest level is
+factorized densely, or, when it has no nonzero off-diagonal entry,
+solved by division.
 """
 
 import warnings
@@ -43,6 +49,9 @@ MAX_DENSE_COARSE_BYTES = 2**30
 # growths that stops a solve: a solve stopped on growth leaves exactly
 # the CF_WINDOW + 1 residuals a convergence factor needs
 CF_WINDOW = 10
+# a coarse coupling this small against both of its diagonals, each
+# scaled by the candidate, is lumped onto them (galerkin_product)
+NON_GALERKIN_THETA = 1e-4
 
 
 @dataclass
@@ -145,8 +154,8 @@ class SetupConfig:
             else self.pattern_degree + 3
 
 
-def galerkin_product(P, A):
-    """The coarse operator P^T A P of a symmetric A.
+def galerkin_product(P, A, b=None):
+    """The coarse operator of a symmetric A: P^T A P, sparsified.
 
     A must be symmetric; setup checks this once for the fine level, and
     every coarse level it builds is exactly symmetric.  The product
@@ -159,24 +168,69 @@ def galerkin_product(P, A):
     An off-diagonal entry with |a_ij| < eps sqrt(|a_ii| |a_jj|), eps =
     2^-52 the float64 machine epsilon, is not stored: scaled by the
     diagonal it is below the round-off already in each diagonal entry.
-    The test is symmetric in i and j, so the result stays exactly
-    symmetric.
+
+    Given b, the coarse candidate (a vector of P's column count), the
+    result is no longer the exact product.  Every other off-diagonal
+    entry with b_i b_j > 0, |a_ij| b_j/b_i <= theta a_ii and |a_ij|
+    b_i/b_j <= theta a_jj, theta = NON_GALERKIN_THETA, is dropped too and
+    lumped onto the diagonals, a_ij b_j/b_i onto a_ii and a_ij b_i/b_j
+    onto a_jj, so the result times b equals P^T A P b to round-off.  The
+    two conditions bound a dropped entry by theta sqrt(a_ii a_jj) of the
+    product's diagonals.  Both rules are symmetric in i and j, so the
+    result stays exactly symmetric.
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
+    if b is not None:
+        b = np.asarray(b, dtype=np.float64)
+        if b.shape != (P.shape[1],):
+            raise ValueError(f"b has shape {b.shape}; expected a vector of length "
+                             f"{P.shape[1]}, the column count of P")
     Ac = P.T.tocsr() @ (A @ P)  # R and A P die once their product exists
     Ac.sort_indices()
     Ac = _symmetrized(Ac)
+    d = Ac.diagonal()
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
-    t = np.sqrt(np.abs(Ac.diagonal()) * np.finfo(np.float64).eps)
+    t = np.sqrt(np.abs(d) * np.finfo(np.float64).eps)
     bound = np.repeat(t, np.diff(Ac.indptr))
     bound *= t[Ac.indices]
     negligible = np.abs(Ac.data) < bound
+    del bound
+    if b is not None:
+        _lump(Ac, d, b, negligible)
     if negligible.any():
         Ac.data[negligible] = 0.0
         Ac.eliminate_zeros()
     return Ac
+
+
+def _lump(Ac, d, b, drop):
+    """Lump onto the diagonal of the canonical, exactly symmetric Ac the
+    entries that the candidate rule of galerkin_product drops, and mark
+    them in drop, which already marks the entries dropped at round-off.
+
+    One side of the rule at entry (i, j) is q_ij = |a_ij| b_j / (theta
+    a_ii b_i) in (0, 1], which holds only where b_i b_j > 0 and a_ii > 0;
+    the other is q_ji, formed from the same two factors, so (i, j) and
+    (j, i) are marked alike.  Besides drop it holds one bool and one
+    float per entry, and a vector operation's temporary."""
+    counts = np.diff(Ac.indptr)
+    r = np.divide(1.0, NON_GALERKIN_THETA * d * b, out=np.zeros_like(d),
+                  where=(d > 0.0) & (b != 0.0))
+    lump = ~drop
+    for row_factor, col_factor in ((r, b), (b, r)):
+        q = np.repeat(row_factor, counts)
+        q *= col_factor[Ac.indices]
+        q *= np.abs(Ac.data)
+        lump &= (q > 0.0) & (q <= 1.0)
+        del q
+    moved = sparse.csr_matrix((Ac.data * lump, Ac.indices, Ac.indptr), shape=Ac.shape) @ b
+    drop |= lump
+    del lump
+    rows = np.flatnonzero(moved)
+    # each such row lumps an entry, so it has b_i != 0 and a stored a_ii > 0
+    Ac[rows, rows] = d[rows] + moved[rows] / b[rows]
 
 
 def _symmetrized(Ac):
@@ -224,8 +278,9 @@ def setup(A, cfg):
         if level is None:
             break
         levels.append(level)
-        A = galerkin_product(level.P, A)
         raw = raw[level.split.c_points]  # candidate injection onto the coarse grid
+        # lumping keeps one candidate; with more, only round-off is dropped
+        A = galerkin_product(level.P, A, raw[:, 0] if raw.shape[1] == 1 else None)
     levels.append(Level(A=A))  # solved directly, never relaxed
 
     return Hierarchy(levels, _coarsest_factorization(A), fine_candidates, cfg)

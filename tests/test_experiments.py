@@ -244,4 +244,4 @@ def test_sweep_csv_digest_is_pinned():
                            emin_iters=[1, 4], seed=0)
     text = rows_to_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "c13e49752629d847d06ed7f402802594c9fd0f46f5c838f3ce90049100a14a20"
+        "8a39483ea860e79bc99b6fca3e0ccdf951ce0e3364779f613cf8875c70375eb0"

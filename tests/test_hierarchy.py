@@ -11,7 +11,7 @@ from scipy import sparse
 from scipy.linalg import cho_solve
 
 from sparse_helpers import csr_from_triplets, invalid_operators, lap1d, rand_spd_sparse
-from tracemin_amg import hierarchy
+from tracemin_amg import energymin, hierarchy
 from tracemin_amg.coarsening import strength_graph
 from tracemin_amg.energymin import prepare_candidates
 from tracemin_amg.experiments import measure_report
@@ -59,6 +59,9 @@ def test_galerkin_matches_dense_oracle():
 def test_galerkin_shape_mismatch():
     with pytest.raises(ValueError):
         galerkin_product(sparse.identity(3, format="csr"), lap1d(4))
+    with pytest.raises(ValueError, match=re.escape(
+            "b has shape (4,); expected a vector of length 3, the column count of P")):
+        galerkin_product(sparse.csr_matrix(np.eye(4)[:, :3]), lap1d(4), np.ones(4))
 
 
 def test_setup_small_matrix_single_level():
@@ -323,9 +326,10 @@ def test_single_level_cycle_complexity_counts_configured_sweeps():
 EPS = np.finfo(np.float64).eps
 
 
-def unfiltered_galerkin(P, A):
+def unfiltered_galerkin(P, A, b=None):
     """P^T A P through CSC, with the skew recomputed on every call and
-    every entry of the product stored."""
+    every entry of the product stored; b, setup's coarse candidate, is
+    not read."""
     Ac = (P.T @ (A @ P)).tocsr()
     skew = abs(A - A.T)
     if skew.nnz == 0 or skew.max() <= 1e-14 * abs(A).max():
@@ -357,14 +361,20 @@ def assert_same_csr(X, Y):
     assert np.array_equal(X.data, Y.data)
 
 
+def round_off_galerkin(P, A, b):
+    """galerkin_product with no candidate: the round-off rule alone, the
+    one setup applies with two or more candidates."""
+    return galerkin_product(P, A)
+
+
 def galerkin_calls(monkeypatch, A, cfg):
-    """Set up A and return (P, A_l, P^T A_l P) for every Galerkin product,
-    each checked to be exactly symmetric and bit-equal to
-    reference_galerkin."""
+    """Set up A with the round-off rule alone and return (P, A_l, P^T A_l
+    P) for every Galerkin product, each checked to be exactly symmetric
+    and bit-equal to reference_galerkin."""
     calls = []
 
-    def recording_galerkin(P, A):
-        Ac = galerkin_product(P, A)
+    def recording_galerkin(P, A, b):
+        Ac = round_off_galerkin(P, A, b)
         calls.append((P, A, Ac))
         return Ac
 
@@ -398,6 +408,7 @@ def test_galerkin_drops_sub_round_off_couplings_bit_identically(monkeypatch):
 
 def test_dropping_sub_round_off_couplings_keeps_cf_and_lowers_oc(monkeypatch):
     A = assemble(ProblemSpec("oscillatory", 32, K=1e6)).matrix
+    monkeypatch.setattr(hierarchy, "galerkin_product", round_off_galerkin)
     H = setup(A, OSC_CONFIG)
     report = measure_report(H, seed=3)
     monkeypatch.setattr(hierarchy, "galerkin_product", unfiltered_galerkin)
@@ -406,6 +417,74 @@ def test_dropping_sub_round_off_couplings_keeps_cf_and_lowers_oc(monkeypatch):
     assert H.level_sizes() == H_full.level_sizes()
     assert abs(report.cf - full.cf) <= 1e-10 * full.cf
     assert report.oc < full.oc
+
+
+def two_candidate_problem():
+    """Rotated anisotropic n=64 with the constant and a ramp as candidates."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
+    ramp = np.linspace(-1.0, 1.0, A.shape[0])
+    return A, np.column_stack([np.ones_like(ramp), ramp])
+
+
+@pytest.mark.parametrize("cfg", [SetupConfig(pattern_degree=4),
+                                 SetupConfig(mode="weighted", tau=1e-1, pattern_degree=4)],
+                         ids=["constrained", "weighted"])
+def test_two_candidate_setup_keeps_the_round_off_hierarchy_bit_for_bit(cfg, monkeypatch):
+    """Lumping keeps one candidate, so with two setup passes no candidate
+    to galerkin_product and drops only round-off couplings.  Its
+    hierarchy equals, bit for bit, one built by the CSC reference of
+    that rule with energy minimization in row blocks of 2^17 slots: the
+    rule and the block size the non-Galerkin coarse levels came with."""
+    A, candidates = two_candidate_problem()
+    cfg = dataclasses.replace(cfg, candidates=candidates)
+    passed = []
+
+    def recording_galerkin(P, A, b):
+        passed.append(b)
+        return galerkin_product(P, A, b)
+
+    monkeypatch.setattr(hierarchy, "galerkin_product", recording_galerkin)
+    H = setup(A, cfg)
+    assert len(passed) == H.n_levels - 1 >= 3 and all(b is None for b in passed)
+    nc = H.levels[0].P.shape[1]
+    assert H.levels[0].P.nnz - nc > 2**14  # level 0's slots span several blocks
+    monkeypatch.setattr(hierarchy, "galerkin_product",
+                        lambda P, A, b: reference_galerkin(P, A))
+    monkeypatch.setattr(energymin, "PRODUCT_BLOCK_SLOTS", 2**17)
+    reference = setup(A, cfg)
+    assert H.level_sizes() == reference.level_sizes()
+    for lvl, ref in zip(H.levels, reference.levels):
+        assert_same_csr(lvl.A, ref.A)
+        if lvl.P is not None:
+            assert_same_csr(lvl.P, ref.P)
+
+
+def test_lumping_keeps_a_coupling_of_a_near_zero_candidate_entry():
+    """b_2 is tiny beside its neighbours.  The weak couplings a_02 and
+    a_24 lie below theta sqrt(a_ii a_jj), but lumped onto a_22 each would
+    add a_2j b_j / b_2, about -10, and leave a_22 negative, as a rule that
+    asks only that and b_i b_j > 0 did.  The rule bounds both sides, so
+    they stay, and so does a_57, where b_5 b_7 < 0; the other weak
+    couplings are lumped, every diagonal stays positive, A_c stays SPD
+    and A_c b = A b."""
+    n, weak = 8, -1e-5
+    entries = [(i, i, 2.0 - 2.0 * weak) for i in range(n)]
+    entries += [(i, i + 1, -1.0) for i in range(n - 1)]
+    entries += [(i, i + 2, weak) for i in range(n - 2)]
+    entries += [(j, i, v) for i, j, v in entries if i != j]
+    A = csr_from_triplets(entries, n, n)
+    b = np.linspace(1.0, 2.0, n)
+    b[2], b[7] = 1e-6, -1.5
+    Ac = galerkin_product(sparse.identity(n, format="csr"), A, b)
+    for i, j in ((0, 2), (2, 4), (5, 7)):
+        assert Ac[i, j] == Ac[j, i] == weak
+    for i, j in ((1, 3), (3, 5), (4, 6)):
+        assert Ac[i, j] == Ac[j, i] == 0.0
+    assert Ac.nnz == A.nnz - 2 * 3
+    assert (Ac != Ac.T).nnz == 0
+    assert np.all(Ac.diagonal() > 0.0)
+    assert np.linalg.eigvalsh(Ac.toarray())[0] > 0.0
+    assert_allclose(Ac @ b, A @ b, rtol=0.0, atol=1e-14)
 
 
 @st.composite
@@ -539,7 +618,9 @@ def csr_bytes(M):
 
 # tracemalloc's setup peak over the hierarchy's A and P bytes measured
 # 1.60 on the case below (2.11 while setup held arrays it no longer
-# read); the bound is 1.60 + 0.1
+# read); the bound is 1.60 + 0.1.  Lumped coarse levels shrank the
+# hierarchy 3.88 -> 2.78 MB, and smaller row blocks and the early free
+# of Bhat took the peak 5.94 -> 4.38 MB, a ratio of 1.58
 SETUP_FOOTPRINT_RATIO = 1.70
 
 
@@ -696,7 +777,7 @@ def test_setup_stops_at_a_diagonal_coarse_level():
 def small_problems(draw):
     """A random SPD matrix with at most 40 rows or a P1 benchmark
     operator on a mesh of at most 8 intervals, and a 2- or 3-level
-    setup configuration."""
+    setup configuration with the constant or a random normal candidate."""
     if draw(st.booleans()):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         A = rand_spd_sparse(rng, draw(st.integers(6, 40)),
@@ -706,11 +787,16 @@ def small_problems(draw):
         A = assemble(ProblemSpec(kind, draw(st.integers(3, 8)),
                                  epsilon=draw(st.sampled_from([1.0, 1e-3])),
                                  K=draw(st.sampled_from([1.0, 1e6])))).matrix
+    candidates = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        candidates = rng.standard_normal(A.shape[0])
     cfg = SetupConfig(mode=draw(st.sampled_from(["constrained", "weighted"])),
                       tau=draw(st.sampled_from([1e-4, 0.5])),
                       pattern_degree=draw(st.integers(1, 3)),
                       max_levels=draw(st.integers(2, 3)),
-                      max_coarse=draw(st.integers(1, A.shape[0] // 3)))
+                      max_coarse=draw(st.integers(1, A.shape[0] // 3)),
+                      candidates=candidates)
     return A, cfg
 
 
@@ -718,21 +804,35 @@ def small_problems(draw):
 @given(small_problems())
 def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
     """Dense oracles: the V-cycle operator, assembled column by column,
-    is symmetric and positive definite; every coarse level equals the
-    dense P^T A P, is exactly symmetric and has positive eigenvalues.
-    A sparse random G can leave a level without any coupling; coarsening
-    may stop early only there, so such a coarsest level is diagonal."""
+    is symmetric and positive definite.  Every coarse level is exactly
+    symmetric, has positive eigenvalues and keeps the candidate: A_c b
+    equals the dense (P^T A P) b to round-off, b the injected candidate.
+    It differs from P^T A P off the diagonal only where it stores no
+    entry, and no such entry exceeds theta sqrt(a_ii a_jj) of P^T A P,
+    both up to the round-off of forming the product, n eps (|P|^T |A|
+    |P|)_ij.  A sparse random G can leave a level without any coupling;
+    coarsening may stop early only there, so such a coarsest level is
+    diagonal."""
     A, cfg = problem
     H = setup(A, cfg)
     coarsest = H.levels[-1].A
     if H.n_levels < cfg.max_levels and coarsest.shape[0] > cfg.max_coarse:
         assert (coarsest - sparse.diags(coarsest.diagonal())).count_nonzero() == 0
+    b = H.fine_candidates[:, 0]
     for fine, coarse in zip(H.levels, H.levels[1:]):
-        Ac, P = coarse.A.toarray(), fine.P.toarray()
-        dense = P.T @ fine.A.toarray() @ P
-        assert np.abs(Ac - dense).max() <= 1e-12 * np.abs(dense).max()
+        b = b[fine.split.c_points]
+        Ac, P, Af = coarse.A.toarray(), fine.P.toarray(), fine.A.toarray()
+        dense = P.T @ Af @ P
+        round_off = Af.shape[0] * EPS * (abs(P).T @ abs(Af) @ abs(P))
         assert np.array_equal(Ac, Ac.T)
         assert np.linalg.eigvalsh(Ac)[0] > 0.0
+        assert np.all(np.abs(Ac @ b - dense @ b) <= 1e-12 * (abs(dense) @ abs(b)))
+        off = ~np.eye(len(b), dtype=bool)
+        dropped = off & (Ac == 0.0)
+        d = np.diag(dense)
+        assert np.all(np.abs(Ac - dense)[off & ~dropped] <= round_off[off & ~dropped])
+        assert np.all((np.abs(dense) - hierarchy.NON_GALERKIN_THETA
+                       * np.sqrt(np.outer(d, d)))[dropped] <= round_off[dropped])
     n = A.shape[0]
     B = np.column_stack([vcycle(H, 0, e) for e in np.eye(n)])
     assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
@@ -744,10 +844,14 @@ def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
 def test_two_grid_contraction_matches_the_dense_oracle(problem):
     """With two levels and one sweep, the V-cycle's error propagator
     E = I - B A, with B assembled from vcycle columns, has the A-norm of
-    the dense two-grid propagator with Jacobi M = diag(A) / omega.  A
-    draw without coupling is one level, solved exactly: E = 0."""
+    the dense two-grid propagator with Jacobi M = diag(A) / omega.  That
+    propagator solves P^T A P on the coarse level, so the setup drops only
+    round-off couplings.  A draw without coupling is one level, solved
+    exactly: E = 0."""
     A, cfg = problem
-    H = setup(A, dataclasses.replace(cfg, max_levels=2, sweeps=1))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hierarchy, "galerkin_product", round_off_galerkin)
+        H = setup(A, dataclasses.replace(cfg, max_levels=2, sweeps=1))
     Ad = A.toarray()
     n = Ad.shape[0]
     B = np.column_stack([vcycle(H, 0, e) for e in np.eye(n)])
