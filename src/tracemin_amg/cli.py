@@ -74,6 +74,7 @@ def _cmd_solve(args):
     print(f"CC            {report.cc:.4f}")
     print(f"CF            {report.cf:.4f}")
     print(f"WPD           {report.wpd:.4f}" if report.wpd is not None else "WPD           divergent")
+    print(f"emin iters    {[len(lvl.emin_residuals) - 1 for lvl in H.levels[:-1]]}")
     if not report.converged:
         print("solver diverged", file=sys.stderr)
         return DIVERGENCE_ERROR
@@ -156,7 +157,8 @@ def build_parser():
     p.add_argument("--mode", default="constrained", choices=["weighted", "constrained"])
     p.add_argument("--tau", type=float, default=1e-4)
     p.add_argument("--iters", type=int, default=None,
-                   help="energy-minimization iterations (default: degree + 3)")
+                   help="energy-minimization iterations (default: degree + 1 "
+                        "constrained, degree + 3 weighted)")
     p.add_argument("--pattern-degree", type=int, default=2)
     p.add_argument("--max-levels", type=int, default=25)
     p.add_argument("--improvement-iters", type=int, default=5)

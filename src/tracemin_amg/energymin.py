@@ -355,21 +355,23 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     (x, residual_history); history starts with the initial residual
     norm.  `callback(x)` gets a copy of every updated iterate.
     """
+    x = x0.copy()
+    del x0  # a start passed as a temporary dies here
+    r = apply(x)
+    np.subtract(b, r, out=r)
+    del b  # and so does a right-hand side
     if project is None:
         def project(v):
             return v
-    x = x0.copy()
-    del x0  # a start passed as a temporary dies here
-    r_full = apply(x)
-    np.subtract(b, r_full, out=r_full)
-    del b  # and so does a right-hand side
-    r = project(r_full.copy())
+        floor = 0.0  # nothing is removed
+    else:
+        r_full, r = r, project(r.copy())
+        r_full -= r  # the part of the residual that the projection removed
+        floor = 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full))))
+        del r_full
     z = project(diag * r)
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
-    r_full -= r  # the part of the residual that the projection removed
-    floor = 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full))))
-    del r_full
     if history[0] <= floor:
         return x, history
     p, z = z, None

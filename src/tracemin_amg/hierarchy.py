@@ -105,8 +105,11 @@ class SetupConfig:
     """Knobs of the multilevel setup.
 
     mode is 'weighted' or 'constrained'; tau only matters for the
-    weighted route.  emin_iters defaults to pattern_degree + 3 (enough
-    to fill the pattern plus a few improvement steps).  jacobi_omega
+    weighted route.  emin_iters defaults to pattern_degree + 1 in
+    constrained mode (enough to fill the pattern plus one improvement
+    step; the cycle's convergence factor levels off while the
+    minimization residual keeps falling) and to pattern_degree + 3 in
+    weighted mode, which at tau 1e-4 needs its extra steps.  jacobi_omega
     'auto' damps each level by 1.5 over the estimated spectral radius
     of D^{-1} A.  candidates holds raw constraint vectors (default: the
     constant vector).  Construction rejects a field out of range with a
@@ -150,8 +153,9 @@ class SetupConfig:
                 raise ValueError(f"jacobi_omega must be > 0; got {omega!r}")
 
     def iteration_budget(self):
-        return self.emin_iters if self.emin_iters is not None \
-            else self.pattern_degree + 3
+        if self.emin_iters is not None:
+            return self.emin_iters
+        return self.pattern_degree + (1 if self.mode == "constrained" else 3)
 
 
 def galerkin_product(P, A, b=None):

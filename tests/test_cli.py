@@ -48,6 +48,18 @@ def test_solve_measures_an_exactly_solved_one_level_hierarchy(capsys):
     assert main(["solve", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "sizes [1]" in out and "CF            0.0000" in out
+    assert "emin iters    []" in out.splitlines()
+
+
+@pytest.mark.parametrize("flags, budget", [([], 5), (["--iters", "7"], 7)],
+                         ids=["default", "explicit"])
+def test_solve_reports_the_minimization_iterations_of_each_level(flags, budget, capsys):
+    assert main(["solve", "--n", "16", "--pattern-degree", "4"] + flags) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("emin iters    ")]
+    assert len(lines) == 1
+    iters = json.loads(lines[0].removeprefix("emin iters    "))
+    assert len(iters) >= 2 and min(iters) >= 0 and max(iters) == budget
 
 
 def test_solve_exits_3_on_a_diverging_cycle(monkeypatch, capsys):

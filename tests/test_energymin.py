@@ -259,6 +259,27 @@ def test_pcg_preconditioner_neutral_for_constant_diagonal():
         assert_allclose(a, b, rtol=1e-13, atol=1e-13)
 
 
+def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
+    """project=None, the weighted route, starts from the residual itself
+    with a round-off floor of 0; an identity projection removes nothing
+    and must give the same iterates and history."""
+    rng = np.random.default_rng(10)
+    A, split, pattern, B, sys = random_instance(rng, 30, n_b=2, tau=1e-4)
+    w0 = initial_guess(split, B, pattern)
+    runs = []
+    for project in (None, lambda v: v):
+        iterates = []
+        w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0,
+                                   sys.Dprec, 12, 0.0, project=project,
+                                   callback=iterates.append)
+        runs.append((w, history, iterates))
+    (w, history, iterates), (w_id, history_id, iterates_id) = runs
+    assert len(history) == 13
+    assert history == history_id
+    assert np.array_equal(w, w_id)
+    assert all(np.array_equal(a, b) for a, b in zip(iterates, iterates_id, strict=True))
+
+
 def test_weight_limit_consistency():
     rng = np.random.default_rng(10)
     n = 14

@@ -14,7 +14,7 @@ from sparse_helpers import csr_from_triplets, invalid_operators, lap1d, rand_spd
 from tracemin_amg import energymin, hierarchy
 from tracemin_amg.coarsening import strength_graph
 from tracemin_amg.energymin import prepare_candidates
-from tracemin_amg.experiments import measure_report
+from tracemin_amg.experiments import measure_report, smoothed_constant
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
@@ -722,6 +722,34 @@ def test_setup_config_accepts_range_ends():
                    {"jacobi_omega": np.float64(0.5)}, {"emin_iters": 0},
                    {"emin_tol": 0.0}, {"emin_tol": 0}):
         SetupConfig(**kwargs)
+
+
+@pytest.mark.parametrize("mode, extra", [("constrained", 1), ("weighted", 3)])
+def test_iteration_budget_defaults_by_mode_and_an_explicit_value_wins(mode, extra):
+    for degree in (1, 2, 4):
+        cfg = SetupConfig(mode=mode, pattern_degree=degree)
+        assert cfg.iteration_budget() == degree + extra
+        for iters in (0, 1, degree + 3, 9):
+            assert dataclasses.replace(cfg, emin_iters=iters).iteration_budget() == iters
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("spec", [ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3),
+                                  ProblemSpec("oscillatory", 32, K=1e6)],
+                         ids=["anisotropic", "oscillatory"])
+def test_default_constrained_budget_costs_at_most_one_pcg_iteration(spec, degree):
+    """The default budget, pattern_degree + 1, against pattern_degree + 3
+    on the smoothed constant as the benchmark builds it: the cheaper
+    budget costs PCG to 1e-8 at most one iteration."""
+    A = assemble(spec).matrix
+    cfg = SetupConfig(pattern_degree=degree, candidates=smoothed_constant(A, 5))
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+
+    def pcg_iterations(iters):
+        H = setup(A, dataclasses.replace(cfg, emin_iters=iters))
+        return len(solve(H, b, tol=1e-8, accel="cg")[1]) - 1
+
+    assert pcg_iterations(None) <= pcg_iterations(degree + 3) + 1
 
 
 def reference_vcycle(H, level, b):
