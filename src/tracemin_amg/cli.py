@@ -75,6 +75,8 @@ def _cmd_solve(args):
     print(f"CF            {report.cf:.4f}")
     print(f"WPD           {report.wpd:.4f}" if report.wpd is not None else "WPD           divergent")
     print(f"emin iters    {[len(lvl.emin_residuals) - 1 for lvl in H.levels[:-1]]}")
+    omegas = ", ".join(f"{lvl.relaxation.omega:.4f}" for lvl in H.levels[:-1])
+    print(f"omega         [{omegas}]")
     if not report.converged:
         print("solver diverged", file=sys.stderr)
         return DIVERGENCE_ERROR

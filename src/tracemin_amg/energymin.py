@@ -436,11 +436,14 @@ def _minimize(sys, iters, tol, diag, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
     start, on W B_c = B_f when constrained; returns (w, history)."""
     rows = _RowConstraints(sys.B_c, sys.pattern)
-    # the right-hand side and the start are passed as temporaries, so
-    # pcg_frobenius frees them once the initial residual exists
+    project = rows.project if constrained else None
+    start = [rows.min_norm_solution(sys.B_f)]
+    del rows  # unconstrained, nothing but the start needed them
+    # the right-hand side and the start (popped, so no name holds it) are
+    # passed as temporaries: pcg_frobenius frees them once the initial
+    # residual exists
     return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
-                         rows.min_norm_solution(sys.B_f), diag, iters, tol,
-                         project=rows.project if constrained else None,
+                         start.pop(), diag, iters, tol, project=project,
                          callback=callback)
 
 

@@ -110,12 +110,15 @@ class SetupConfig:
     step; the cycle's convergence factor levels off while the
     minimization residual keeps falling) and to pattern_degree + 3 in
     weighted mode, which at tau 1e-4 needs its extra steps.  jacobi_omega
-    'auto' damps each level by 1.5 over the estimated spectral radius
-    of D^{-1} A.  candidates holds raw constraint vectors (default: the
-    constant vector).  Construction rejects a field out of range with a
-    ValueError that names it: tau and theta_strength are finite real
-    numbers (not bools) in [0, 1], emin_tol is a finite real number >= 0,
-    jacobi_omega is 'auto' or a finite real number > 0, the counts
+    'auto' damps each level by relaxation.auto_jacobi_omega: c / rho_k,
+    with c = relaxation.OMEGA_COEFFICIENT (1.5) and rho_k the Rayleigh
+    quotient of D^{-1} A after linalg.POWER_STEPS (10) power steps, a
+    lower bound on its spectral radius.  candidates holds raw constraint
+    vectors (default: the constant vector).  Construction rejects a
+    field out of range with a ValueError that names it: tau and
+    theta_strength are finite real numbers (not bools) in [0, 1],
+    emin_tol is a finite real number >= 0, jacobi_omega is 'auto' or a
+    finite real number > 0, the counts
     pattern_degree, max_coarse, max_levels and sweeps are integers (not
     bools or floats) >= 1, and emin_iters is None or an integer >= 0.
     This is the one place a setup option is validated but candidates,

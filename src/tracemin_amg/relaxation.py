@@ -14,6 +14,9 @@ from scipy.linalg import solve
 from .linalg import check_positive_diagonal, estimate_spectral_norm
 from .problems import check_count, check_real
 
+# auto_jacobi_omega's numerator: omega times the estimated rho
+OMEGA_COEFFICIENT = 1.5
+
 __all__ = [
     "Relaxation",
     "SpectralEquivalence",
@@ -114,11 +117,16 @@ def symmetrized_mtilde(A, M):
 
 
 def auto_jacobi_omega(A, diagonal=None):
-    """Damping weight 1.5 / rho(diag(A)^{-1} A) for smoothing.
+    """Damping weight OMEGA_COEFFICIENT / rho_k for smoothing.
 
-    rho is estimated by power iteration on the symmetrically scaled
-    operator D^{-1/2} A D^{-1/2}.  The coefficient 1.5 balances damping
-    of the highest modes against sweep strength across the densifying
+    rho_k is linalg.estimate_spectral_norm of the symmetrically scaled
+    operator D^{-1/2} A D^{-1/2}, the Rayleigh quotient after
+    linalg.POWER_STEPS (10) power steps: a lower bound on
+    rho(diag(A)^{-1} A), a few percent below it, so the weight sits a
+    little above 1.5 / rho.  That larger omega is what the cycle gains
+    from; a converged rho lowers omega and costs more work per digit.
+    The coefficient OMEGA_COEFFICIENT (1.5) balances damping of the
+    highest modes against sweep strength across the densifying
     coarse-level operators.  `diagonal` is diag(A) when the caller
     already holds it.
     """
@@ -135,4 +143,4 @@ def auto_jacobi_omega(A, diagonal=None):
     rho = estimate_spectral_norm(matvec, A.shape[0])
     if rho == 0.0:
         return 1.0
-    return 1.5 / rho
+    return OMEGA_COEFFICIENT / rho

@@ -49,6 +49,7 @@ def test_solve_measures_an_exactly_solved_one_level_hierarchy(capsys):
     out = capsys.readouterr().out
     assert "sizes [1]" in out and "CF            0.0000" in out
     assert "emin iters    []" in out.splitlines()
+    assert "omega         []" in out.splitlines()
 
 
 @pytest.mark.parametrize("flags, budget", [([], 5), (["--iters", "7"], 7)],
@@ -60,6 +61,25 @@ def test_solve_reports_the_minimization_iterations_of_each_level(flags, budget, 
     assert len(lines) == 1
     iters = json.loads(lines[0].removeprefix("emin iters    "))
     assert len(iters) >= 2 and min(iters) >= 0 and max(iters) == budget
+
+
+def test_solve_reports_the_jacobi_omega_of_each_relaxed_level(monkeypatch, capsys):
+    built = []
+    real_setup = cli.setup
+
+    def recording_setup(A, cfg):
+        built.append(real_setup(A, cfg))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "setup", recording_setup)
+    assert main(["solve", "--problem", "oscillatory", "--n", "32", "--K", "1e6"]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("omega ")]
+    assert len(lines) == 1
+    omegas = json.loads(lines[0].removeprefix("omega "))
+    relaxed = built[0].levels[:-1]  # the coarsest level is solved directly
+    assert len(relaxed) >= 2
+    assert omegas == [round(lvl.relaxation.omega, 4) for lvl in relaxed]
 
 
 def test_solve_exits_3_on_a_diverging_cycle(monkeypatch, capsys):

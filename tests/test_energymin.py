@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import weakref
 from functools import partial
 
 import numpy as np
@@ -534,6 +535,32 @@ def test_weighted_route_end_to_end():
                                 iters=40, tol=1e-12)
     assert interp.P.shape == (18, split.n_c)
     assert len(interp.residuals) >= 2
+
+
+@pytest.mark.parametrize("route", ["weighted", "constrained"])
+def test_row_constraints_outlive_the_start_only_to_project(route, monkeypatch):
+    """The weighted route reads the row constraints only for its start,
+    so they die before the CG; the constrained route's projection holds
+    them through it."""
+    rows, alive = [], []
+
+    class Recorded(_RowConstraints):
+        def __init__(self, *args):
+            super().__init__(*args)
+            rows.append(weakref.ref(self))
+
+    def recording_pcg(*args, **kwargs):
+        alive.append(rows[-1]() is not None)
+        return pcg_frobenius(*args, **kwargs)
+
+    monkeypatch.setattr(energymin, "_RowConstraints", Recorded)
+    monkeypatch.setattr(energymin, "pcg_frobenius", recording_pcg)
+    A, split, pattern, B, _ = random_instance(np.random.default_rng(14), 18)
+    if route == "weighted":
+        weighted_energymin(A, split, B, SpectralEquivalence(), 0.5, pattern, iters=3)
+    else:
+        constrained_energymin(A, split, B, pattern, 3)
+    assert alive == [route == "constrained"]
 
 
 # ---------------- assembly ----------------

@@ -244,4 +244,4 @@ def test_sweep_csv_digest_is_pinned():
                            emin_iters=[1, 4], seed=0)
     text = rows_to_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "8a39483ea860e79bc99b6fca3e0ccdf951ce0e3364779f613cf8875c70375eb0"
+        "7c3e8a9ff220f708161d30fa5c5d93f315f267002a8f4d758dfd04ec4ed053fc"

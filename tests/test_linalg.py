@@ -4,9 +4,11 @@ from numpy.testing import assert_allclose
 
 from scipy import sparse
 
-from sparse_helpers import csr_from_triplets
+from sparse_helpers import csr_from_triplets, lap1d
 from tracemin_amg.linalg import (Permutation, check_symmetric, dense_sym_eig,
-                                 perfect_shuffle, read_matrix_market, write_matrix_market)
+                                 estimate_spectral_norm, perfect_shuffle,
+                                 read_matrix_market, write_matrix_market)
+from tracemin_amg.problems import ProblemSpec, assemble
 
 
 # csr_from_triplets (sparse_helpers.py) builds the fixtures of five test
@@ -156,3 +158,44 @@ def test_dense_sym_eig_rejects_indefinite_b():
     B = np.diag([1.0, -1.0, 1.0])
     with pytest.raises(ValueError):
         dense_sym_eig(A, B)
+
+
+def jacobi_scaled(A):
+    """D^{-1/2} A D^{-1/2} as a dense array, the operator behind the
+    smoother weight."""
+    d = 1.0 / np.sqrt(A.diagonal())
+    return A.toarray() * np.outer(d, d)
+
+
+def spectral_norm_cases():
+    G = np.random.default_rng(8).standard_normal((60, 60))
+    return {"lap1d-20": lap1d(20).toarray(), "lap1d-200": lap1d(200).toarray(),
+            "random-spd": G @ G.T,
+            "aniso-32": jacobi_scaled(assemble(ProblemSpec(
+                "rotated_anisotropic", 32, epsilon=1e-3)).matrix),
+            "osc-32": jacobi_scaled(assemble(ProblemSpec("oscillatory", 32, K=1e6)).matrix)}
+
+
+# the fraction of rho below which the estimate of a positive semidefinite
+# operator may not fall; these cases measure 0.93 to 0.97
+SPECTRAL_NORM_FRACTION = 0.85
+
+
+@pytest.mark.parametrize("case", sorted(spectral_norm_cases()))
+def test_estimate_spectral_norm_is_a_close_lower_bound(case):
+    """The estimate is a Rayleigh quotient, never above rho, and after
+    POWER_STEPS power steps it is within 15% of rho on these operators."""
+    M = spectral_norm_cases()[case]
+    rho = np.abs(np.linalg.eigvalsh(M)).max()
+    estimate = estimate_spectral_norm(lambda v: M @ v, M.shape[0])
+    assert SPECTRAL_NORM_FRACTION * rho <= estimate <= rho * (1 + 1e-12)
+
+
+def test_estimate_spectral_norm_of_indefinite_and_zero_operators():
+    # |v^T M v| <= rho for any unit v, but eigenvalues of both signs can
+    # cancel in it, so an indefinite operator gets the bound alone
+    G = np.random.default_rng(9).standard_normal((60, 60))
+    M = G + G.T
+    assert 0.0 < estimate_spectral_norm(lambda v: M @ v, 60) <= np.abs(
+        np.linalg.eigvalsh(M)).max() * (1 + 1e-12)
+    assert estimate_spectral_norm(np.zeros_like, 5) == 0.0

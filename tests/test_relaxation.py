@@ -5,8 +5,11 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sparse_helpers import csr_from_triplets, lap1d
+from tracemin_amg.experiments import smoothed_constant
+from tracemin_amg.hierarchy import SetupConfig, setup
 from tracemin_amg.linalg import dense_sym_eig
-from tracemin_amg.relaxation import (Relaxation, SpectralEquivalence,
+from tracemin_amg.problems import ProblemSpec, assemble
+from tracemin_amg.relaxation import (OMEGA_COEFFICIENT, Relaxation, SpectralEquivalence,
                                      auto_jacobi_omega, relax_sweep, symmetrized_mtilde)
 
 
@@ -146,3 +149,22 @@ def test_auto_jacobi_omega_is_a_convergent():
     omega = auto_jacobi_omega(A)
     M = np.diag(np.asarray(A.diagonal())) / omega
     assert is_a_convergent(A.toarray(), M)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+@pytest.mark.parametrize("spec", [ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3),
+                                  ProblemSpec("oscillatory", 32, K=1e6)],
+                         ids=["aniso", "osc"])
+def test_auto_jacobi_omega_is_safe_on_every_level(spec, degree):
+    """omega rho(D^{-1} A) < 2 on every relaxed level of a constrained
+    hierarchy, so each Jacobi sweep contracts the A-norm of the error;
+    and omega >= OMEGA_COEFFICIENT / rho, since the estimate is a lower
+    bound on rho.  rho is the dense eigvalsh of D^{-1/2} A D^{-1/2}."""
+    A = assemble(spec).matrix
+    H = setup(A, SetupConfig(pattern_degree=degree, candidates=smoothed_constant(A, 5)))
+    assert H.n_levels >= 3
+    for lvl in H.levels[:-1]:
+        d = 1.0 / np.sqrt(lvl.A.diagonal())
+        rho = np.linalg.eigvalsh(lvl.A.toarray() * np.outer(d, d))[-1]
+        assert lvl.relaxation.omega == auto_jacobi_omega(lvl.A)
+        assert OMEGA_COEFFICIENT * (1 - 1e-12) <= lvl.relaxation.omega * rho < 2.0
