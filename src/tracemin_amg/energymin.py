@@ -117,22 +117,24 @@ def _slot_values(S, slot_rows, cols):
     return np.asarray(S[slot_rows, cols]).ravel()
 
 
-# apply_weighted_operator forms A_ff W, and _RowConstraints sums over
-# each row's slots, in blocks of consecutive rows that own at most this
-# many pattern slots (a longer row is a block alone)
+# apply_weighted_operator forms both of its terms, and _RowConstraints
+# sums over each row's slots, in blocks of consecutive rows that own at
+# most this many pattern slots (a longer row is a block alone)
 PRODUCT_BLOCK_SLOTS = 2**14
 
 
 class _RowConstraints:
-    """Per-row machinery for the conditions W B_c = B_f.
+    """Per-row machinery for the conditions W B_c = B_f, and the one
+    blocking of the slot space.
 
     Each F row i couples only the entries of its own pattern row, so the
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
     row i].  C holds one candidate row per slot; every sum over a row's
     slots is a segmented reduction from the row's first slot, taken in
-    the row blocks of apply_weighted_operator, so no temporary outgrows
-    a block.  Each block (slots, rows, starts, Gp) holds its slot range,
-    its nonempty rows, their first slots relative to the range and the
+    the row blocks that apply_weighted_operator forms its terms in, so
+    no temporary outgrows a block.  Each block (lo, hi, slots, rows,
+    starts, Gp) holds its bounds of F rows, its slot range, its nonempty
+    rows, their first slots relative to the range and the
     pseudo-inverses of their Gram matrices C_i^T C_i, shape (R, n_b,
     n_b).  With one candidate the Gram matrix is the scalar g = sum c^2
     and its pseudo-inverse is 1/g, or 0 where g == 0 (pinv's cutoff);
@@ -156,7 +158,7 @@ class _RowConstraints:
                 Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
             else:
                 Gp = np.linalg.pinv(G)
-            self.blocks.append((slots, rows, starts, Gp))
+            self.blocks.append((lo, hi, slots, rows, starts, Gp))
 
     @staticmethod
     def _spread(C, starts, s):
@@ -167,7 +169,7 @@ class _RowConstraints:
     def project(self, values):
         """Project slot values onto {Z : Z B_c = 0}, row by row, in place;
         returns values."""
-        for slots, _, starts, Gp in self.blocks:
+        for _, _, slots, _, starts, Gp in self.blocks:
             C, Z = self.C[slots], values[slots]
             t = np.add.reduceat(C * Z[:, None], starts, axis=0)  # C_i^T z_i
             Z -= self._spread(C, starts, np.einsum("rkl,rl->rk", Gp, t))
@@ -181,7 +183,7 @@ class _RowConstraints:
         exceeds 1e-12 relative to max|B_f| (or 1) is an error."""
         values = np.zeros(self.pattern.nnz)
         scale = np.abs(B_f).max() if B_f.size else 0.0
-        for slots, rows, starts, Gp in self.blocks:
+        for _, _, slots, rows, starts, Gp in self.blocks:
             s = np.einsum("rkl,rl->rk", Gp, B_f[rows])
             values[slots] = self._spread(self.C[slots], starts, s)
         for i in self.pattern.empty_f_rows:
@@ -194,18 +196,18 @@ class _RowConstraints:
 @dataclass
 class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
-    Hadamard diagonal preconditioner.  The candidate-term constants
-    Bc_slots and cand_scale are None at tau = 1, where the term
-    vanishes.
+    Hadamard diagonal preconditioner.  cand_scale is None at tau = 1,
+    where the candidate term vanishes.
 
-    row_blocks, set from the pattern when the system is built, bounds
-    the blocks of F rows in which A_ff W is formed, each owning at most
-    PRODUCT_BLOCK_SLOTS slots.  product_layout holds one entry per
-    block: None before the block's first product, then the (indptr,
-    indices) of its last product, the position of each of the block's
-    slots in that product's data (-1 where it stores none) and the slots
-    it misses.  Minimization hands Bhat over to the CG, which frees it
-    once the initial residual exists; the system then holds None.
+    rows, the row constraints W B_c = B_f, owns the row blocks of the
+    slot space and its candidate rows B_c[cols]: both routes start from
+    its minimum-norm solution, the constrained one projects on it, and
+    the operator forms both terms in its blocks.  product_layout holds
+    one entry per block: None before the block's first product, then
+    the (indptr, indices) of its last product, the position of each of
+    the block's slots in that product's data (-1 where it stores none)
+    and the slots it misses.  Minimization hands Bhat over to the CG,
+    which frees it once the initial residual exists; then it is None.
     """
 
     tau: float
@@ -215,14 +217,12 @@ class WeightedSystem:
     pattern: SparsityPattern
     Bhat: np.ndarray          # slot values
     Dprec: np.ndarray         # slot values
-    Bc_slots: np.ndarray      # B_c[cols], one candidate row per slot
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
-    row_blocks: list = field(init=False)
+    rows: _RowConstraints
     product_layout: list = field(init=False)
 
     def __post_init__(self):
-        self.row_blocks = _row_blocks(self.pattern.indptr, PRODUCT_BLOCK_SLOTS)
-        self.product_layout = [None] * (len(self.row_blocks) - 1)
+        self.product_layout = [None] * len(self.rows.blocks)
 
 
 def _row_blocks(indptr, limit):
@@ -256,30 +256,30 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
     slot_rows, cols = pattern.slot_rows, pattern.cols
+    rows = _RowConstraints(B_c, pattern)
 
     denom = tau * A_ff.diagonal()[slot_rows]
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     del A_fc
-    Bc_slots = cand_scale = None
+    cand_scale = None
     if tau < 1.0:
         x_diag, c2 = X.diagonal(A_ff), X.c2
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
         denom = denom + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
-        Bc_slots = B_c[cols]
         cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
-        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], Bc_slots)
+        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], rows.C)
     if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
         bad = int(np.flatnonzero(~np.isfinite(denom) | (denom <= 0.0))[0])
         raise ValueError(
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
     np.divide(1.0, denom, out=denom)
-    return WeightedSystem(tau, A_ff, B_f, B_c, pattern, bhat, denom, Bc_slots, cand_scale)
+    return WeightedSystem(tau, A_ff, B_f, B_c, pattern, bhat, denom, cand_scale, rows)
 
 
 def _product_slot_values(sys, block, S, out):
-    """Slot values of the product block S = A_ff[lo:hi] W, written to out,
-    the block's slots.
+    """Slot values of the product S = A_ff[lo:hi] W of row block `block`
+    of sys.rows, written to out, the block's slots.
 
     SpGEMM orders each output row by the structure of A_ff and the
     pattern alone and drops only entries that sum to exactly zero, so
@@ -290,8 +290,7 @@ def _product_slot_values(sys, block, S, out):
     reads what sampling would: the stored entry, or 0 where none is.
     """
     pat = sys.pattern
-    lo, hi = sys.row_blocks[block], sys.row_blocks[block + 1]
-    slots = slice(pat.indptr[lo], pat.indptr[hi])
+    lo, _, slots = sys.rows.blocks[block][:3]
     layout = sys.product_layout[block]
     if (layout is None or not np.array_equal(S.indptr, layout[0])
             or not np.array_equal(S.indices, layout[1])):
@@ -311,25 +310,26 @@ def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern.
 
-    A_ff W is formed in the row blocks of sys.row_blocks, so only one
-    block's product is held at a time."""
-    pat = sys.pattern
+    Both terms are formed in the row blocks of sys.rows, so only one
+    block's product A_ff[lo:hi] W and candidate-term temporaries are
+    held at a time; V = W B_c (nf x n_b) is formed once."""
+    pat, rows, tau, A_ff = sys.pattern, sys.rows, sys.tau, sys.A_ff
     W = pat.to_csr(values)
-    out = np.zeros(pat.nnz) if sys.tau == 0.0 else np.empty(pat.nnz)
-    if sys.tau > 0.0:
-        A_ff = sys.A_ff
-        for block, (lo, hi) in enumerate(zip(sys.row_blocks[:-1], sys.row_blocks[1:])):
+    out = np.zeros(pat.nnz) if tau == 0.0 else np.empty(pat.nnz)
+    V = W @ sys.B_c if tau < 1.0 else None             # (nf, n_b)
+    for block, (lo, hi, slots, *_) in enumerate(rows.blocks):
+        part = out[slots]
+        if tau > 0.0:
             a, b = A_ff.indptr[lo], A_ff.indptr[hi]
             A_rows = sparse.csr_matrix((A_ff.data[a:b], A_ff.indices[a:b],
                                         A_ff.indptr[lo:hi + 1] - a),
                                        shape=(hi - lo, A_ff.shape[1]))
-            _product_slot_values(sys, block, A_rows @ W,
-                                 out[pat.indptr[lo]:pat.indptr[hi]])
-        if sys.tau != 1.0:
-            out *= sys.tau
-    if sys.tau < 1.0:
-        V = W @ sys.B_c                                   # (nf, n_b)
-        out += sys.cand_scale * np.einsum("ik,ik->i", V[pat.slot_rows], sys.Bc_slots)
+            _product_slot_values(sys, block, A_rows @ W, part)
+            if tau != 1.0:
+                part *= tau
+        if V is not None:
+            part += sys.cand_scale[slots] * np.einsum(
+                "ik,ik->i", V[pat.slot_rows[slots]], rows.C[slots])
     return out
 
 
@@ -408,9 +408,10 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
 def initial_guess(split, B, pattern):
     """The feasible start both routes use: spread each F row's
     constraint target over the row's pattern entries with minimum
-    Euclidean norm.  The routes compute it inside _minimize; this name
-    stays because the benchmark's span tracer (perfbench/spans.py)
-    binds it and fails without it."""
+    Euclidean norm.  The routes read it from their system's row
+    constraints (WeightedSystem.rows) inside _minimize; this name stays
+    because the benchmark's span tracer (perfbench/spans.py) binds it
+    and fails without it."""
     B_f, B_c = B.split_rows(split)
     return _RowConstraints(B_c, pattern).min_norm_solution(B_f)
 
@@ -434,16 +435,12 @@ def _hand_over_rhs(sys):
 
 def _minimize(sys, iters, tol, diag, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
-    start, on W B_c = B_f when constrained; returns (w, history)."""
-    rows = _RowConstraints(sys.B_c, sys.pattern)
-    project = rows.project if constrained else None
-    start = [rows.min_norm_solution(sys.B_f)]
-    del rows  # unconstrained, nothing but the start needed them
-    # the right-hand side and the start (popped, so no name holds it) are
-    # passed as temporaries: pcg_frobenius frees them once the initial
-    # residual exists
+    start, on W B_c = B_f when constrained; returns (w, history).  The
+    right-hand side and the start are passed as temporaries:
+    pcg_frobenius frees them once the initial residual exists."""
     return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
-                         start.pop(), diag, iters, tol, project=project,
+                         sys.rows.min_norm_solution(sys.B_f), diag, iters, tol,
+                         project=sys.rows.project if constrained else None,
                          callback=callback)
 
 

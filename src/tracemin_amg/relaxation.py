@@ -75,8 +75,8 @@ def relax_sweep(rel, A, x, b, diagonal=None):
     Each pass uses M = (1/omega) diag(A); b and x are vectors of length
     A.shape[0].  x None starts from zero: the first pass's residual is
     then b itself and costs no matvec.  `diagonal` is diag(A) already
-    computed and checked nonzero by the caller (a hierarchy level caches
-    it); when omitted it is read from A and checked here.
+    computed and checked positive by the caller (a hierarchy level
+    caches it); when omitted it is read from A and checked here.
     """
     b = np.asarray(b, dtype=np.float64)
     n = A.shape[0]
@@ -86,8 +86,7 @@ def relax_sweep(rel, A, x, b, diagonal=None):
                              f"length {n}, the dimension of A")
     if diagonal is None:
         diagonal = A.diagonal()
-        if np.any(diagonal == 0.0):
-            raise ValueError("matrix has a zero diagonal entry")
+        check_positive_diagonal(diagonal)
     sweeps = rel.sweeps
     if x is None:
         x = np.zeros(n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparse_helpers import csr_from_triplets, lap1d
+from sparse_helpers import invalid_operators, lap1d
 from tracemin_amg.experiments import smoothed_constant
 from tracemin_amg.hierarchy import SetupConfig, setup
 from tracemin_amg.linalg import dense_sym_eig
@@ -56,9 +56,11 @@ def test_relax_sweep_names_a_vector_of_the_wrong_shape(x, b, message):
 
 
 def test_relax_sweep_rejects_zero_diagonal():
-    A = csr_from_triplets([(0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0), (0, 0, 0.0)], 2, 2)
-    with pytest.raises(ValueError):
-        relax_sweep(Relaxation(), A, np.zeros(2), np.ones(2))
+    """A zero or a negative diagonal entry is named as setup names it."""
+    for case in ("zero-diagonal", "negative-diagonal"):
+        A, cause = invalid_operators()[case]
+        with pytest.raises(ValueError, match=cause):
+            relax_sweep(Relaxation(), A, np.zeros(A.shape[0]), np.ones(A.shape[0]))
 
 
 @pytest.mark.parametrize("kwargs, message", [
