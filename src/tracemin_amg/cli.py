@@ -4,8 +4,8 @@ Subcommands: assemble (emit a benchmark matrix in Matrix Market form),
 solve (build one hierarchy and report convergence), sweep (run a
 configured experiment grid to CSV), theory (dense diagnostics of a
 Matrix Market matrix), sylvester (solve A W B + C W D = F from Matrix
-Market inputs).  Exit codes: 0 success, 2 configuration error,
-3 solver divergence.
+Market inputs); flags default to the library's dataclass fields.
+Exit codes: 0 success, 2 configuration error, 3 solver divergence.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .experiments import (ExperimentConfig, first_constraint_vector, measure_rep
                           run_experiment)
 from .hierarchy import SetupConfig, setup
 from .linalg import read_matrix_market, write_matrix_market
-from .problems import DEFAULT_THETA, ProblemSpec, assemble, check_count
+from .problems import ProblemSpec, assemble, check_count
 from .relaxation import SpectralEquivalence
 from .sylvester import MatrixEquation, sylvester_cg
 from .theory import check_desk_operator, full_report, ideal_interpolation
@@ -32,10 +32,10 @@ def _add_problem_args(parser):
     parser.add_argument("--problem", default="rotated_anisotropic",
                         choices=["rotated_anisotropic", "oscillatory"])
     parser.add_argument("--n", type=int, default=32, help="mesh intervals per side")
-    parser.add_argument("--epsilon", type=float, default=1.0)
-    parser.add_argument("--theta", type=float, default=DEFAULT_THETA,
+    parser.add_argument("--epsilon", type=float, default=ProblemSpec.epsilon)
+    parser.add_argument("--theta", type=float, default=ProblemSpec.theta,
                         help="anisotropy rotation angle (radians)")
-    parser.add_argument("--K", type=float, default=1.0,
+    parser.add_argument("--K", type=float, default=ProblemSpec.K,
                         help="oscillation magnitude for the oscillatory problem")
 
 
@@ -156,17 +156,17 @@ def build_parser():
 
     p = sub.add_parser("solve", help="build one hierarchy and report convergence")
     _add_problem_args(p)
-    p.add_argument("--mode", default="constrained", choices=["weighted", "constrained"])
-    p.add_argument("--tau", type=float, default=1e-4)
-    p.add_argument("--iters", type=int, default=None,
+    p.add_argument("--mode", default=SetupConfig.mode, choices=["weighted", "constrained"])
+    p.add_argument("--tau", type=float, default=SetupConfig.tau)
+    p.add_argument("--iters", type=int, default=SetupConfig.emin_iters,
                    help="energy-minimization iterations (default: degree + 1 "
                         "constrained, degree + 3 weighted)")
-    p.add_argument("--pattern-degree", type=int, default=2)
-    p.add_argument("--max-levels", type=int, default=25)
-    p.add_argument("--improvement-iters", type=int, default=5)
+    p.add_argument("--pattern-degree", type=int, default=SetupConfig.pattern_degree)
+    p.add_argument("--max-levels", type=int, default=SetupConfig.max_levels)
+    p.add_argument("--improvement-iters", type=int, default=ExperimentConfig.improvement_iters)
     p.add_argument("--random-candidate", action="store_true",
                    help="use a seeded random constraint vector instead of the constant")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="run an experiment grid, emit CSV")

@@ -78,13 +78,18 @@ def candidate_block(raw, n):
     return block
 
 
+SINGULAR_RTOL = 1e-6  # prepare_candidates' singularity and dependence threshold
+
+
 def prepare_candidates(A, raw):
     """A-orthonormalize raw candidate vectors by modified Gram-Schmidt.
 
-    Raises ValueError when raw fails candidate_block or a vector's A-norm
-    drops below 1e-13 after orthogonalization: A is singular on the first
-    candidate (say a Neumann operator, which annihilates the constant),
-    or a later one depends on the earlier ones in the A-inner product.
+    Raises ValueError when raw fails candidate_block, when A is singular
+    on a candidate v of unit 2-norm, say a Neumann operator on the
+    constant (||v||_A not above SINGULAR_RTOL sqrt(max_i a_ii), which
+    tops the round-off m sqrt(u max_i a_ii) of a null vector, m the
+    longest row and u = 2^-53), or when a later one depends on the
+    earlier ones (A-orthogonalization leaves at most SINGULAR_RTOL of it).
     """
     raw = candidate_block(raw, A.shape[0])
     cols = []
@@ -94,15 +99,18 @@ def prepare_candidates(A, raw):
         if nv == 0.0:
             raise ValueError(f"candidate {k} is zero")
         v /= nv
+        a_norm = np.sqrt(max(v @ (A @ v), 0.0))
+        floor = SINGULAR_RTOL * np.sqrt(A.diagonal().max())
+        if not a_norm > floor:
+            raise ValueError(f"A is singular on candidate {k}: its A-norm is {a_norm:.3e} "
+                             f"times its 2-norm, not above {SINGULAR_RTOL:g} sqrt(max a_ii) "
+                             f"= {floor:.3e}, and setup needs a positive definite A")
+        floor = SINGULAR_RTOL * a_norm
         for _ in range(2):  # re-orthogonalize for robustness
             for u in cols:
                 v -= (u @ (A @ v)) * u
-        a_norm = np.sqrt(max(v @ (A @ v), 0.0))
-        if a_norm < 1e-13 and k == 0:
-            raise ValueError(f"A is singular on candidate 0: its A-norm is "
-                             f"{a_norm:.3e} times its 2-norm, and setup needs a "
-                             f"positive definite A")
-        if a_norm < 1e-13:
+        a_norm = np.sqrt(max(v @ (A @ v), 0.0)) if cols else a_norm
+        if not a_norm > floor:
             raise ValueError(f"candidate {k} is dependent on earlier candidates "
                              f"in the A-inner product")
         cols.append(v / a_norm)
@@ -449,7 +457,7 @@ def _interpolation(split, pattern, w, history):
     return Interpolation(W, assemble_P(W, split), history)
 
 
-def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
+def constrained_energymin(A, split, B, pattern, iters, tol, callback=None):
     """Trace minimization with the candidate constraints enforced exactly.
 
     The weighted system at tau = 1, the column energy <A_ff W + A_fc, W>
@@ -467,8 +475,7 @@ def constrained_energymin(A, split, B, pattern, iters, tol=0.0, callback=None):
     return _interpolation(split, pattern, w, history)
 
 
-def weighted_energymin(A, split, B, X, tau, pattern, iters, tol=1e-10,
-                       use_preconditioner=True):
+def weighted_energymin(A, split, B, X, tau, pattern, iters, tol, use_preconditioner):
     """Weighted route end to end: build the system, start from the
     constraint-spreading initial guess, run PCG, assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)

@@ -110,8 +110,8 @@ class ExperimentConfig:
     'random' runs the adaptive protocol of seeded random vectors.
     The counts, and each emin_iters entry, must be integers, with
     n_constraint_vectors >= 1 and the others >= 0, and
-    output is None or a path string; every other setup option is checked
-    by building each grid point's SetupConfig.
+    output is None or a path string; every other setup option is
+    SetupConfig's, checked by building each grid point's SetupConfig.
     """
 
     problem: ProblemSpec
@@ -124,9 +124,6 @@ class ExperimentConfig:
     seed: int = 0
     output: str = None
     constraint_source: str = "constant"
-    theta_strength: float = 0.4
-    max_levels: int = 25
-    max_coarse: int = 100
 
     def __post_init__(self):
         for name in ("modes", "taus", "emin_iters"):
@@ -192,9 +189,7 @@ def _checked_keys(cls, data, name):
 def _setup_config(cfg, mode, tau, iters, candidates):
     return SetupConfig(mode=mode, tau=0.0 if tau is None else tau,
                        pattern_degree=cfg.pattern_degree, emin_iters=iters,
-                       emin_tol=0.0, theta_strength=cfg.theta_strength,
-                       max_coarse=cfg.max_coarse, max_levels=cfg.max_levels,
-                       candidates=candidates)
+                       emin_tol=0.0, candidates=candidates)
 
 
 def _jacobi_smoothed(A, v, sweeps):

@@ -25,7 +25,7 @@ from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (candidate_block, constrained_energymin, prepare_candidates,
                         weighted_energymin)
 from .linalg import check_positive_diagonal, check_symmetric, real_csr
-from .problems import check_count, check_real
+from .problems import check_count, check_positive, check_real
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
 __all__ = [
@@ -149,11 +149,8 @@ class SetupConfig:
         for name in ("tau", "theta_strength"):
             check_real(name, getattr(self, name), 0.0, 1.0)
         check_real("emin_tol", self.emin_tol, low=0.0)
-        omega = self.jacobi_omega
-        if not (isinstance(omega, str) and omega == "auto"):
-            check_real("jacobi_omega", omega)
-            if omega <= 0.0:
-                raise ValueError(f"jacobi_omega must be > 0; got {omega!r}")
+        if not (isinstance(self.jacobi_omega, str) and self.jacobi_omega == "auto"):
+            check_positive("jacobi_omega", self.jacobi_omega)
 
     def iteration_budget(self):
         if self.emin_iters is not None:
@@ -268,11 +265,12 @@ def setup(A, cfg):
     coarsest.  Before any level is built, A must be real (it is read as
     float64), finite, square, symmetric and of positive diagonal, and
     the candidates finite and of A's size; each failure is a ValueError
-    that names its cause.  prepare_candidates rejects a singular A (one
-    that annihilates the first candidate).  A coarsest level with no
-    nonzero off-diagonal entry is solved by division by its diagonal;
-    any other is factorized densely, and rejected before it is formed
-    when that would need more than MAX_DENSE_COARSE_BYTES.
+    that names its cause.  prepare_candidates rejects a singular A, one
+    that maps the first candidate to round-off of A's own scale.  A
+    coarsest level with no nonzero off-diagonal entry is solved by
+    division by its diagonal; any other is factorized densely, and
+    rejected before it is formed when that would need more than
+    MAX_DENSE_COARSE_BYTES.
     """
     A = real_csr(A)
     check_symmetric(A)

@@ -21,9 +21,6 @@ __all__ = [
     "assemble",
 ]
 
-DEFAULT_THETA = 3.0 * math.pi / 16.0
-
-
 def check_count(name, value, minimum=0):
     """Raise a ValueError naming `name` unless value is an integer (not a
     bool, not an integral float) of at least `minimum`."""
@@ -44,6 +41,13 @@ def check_real(name, value, low=-math.inf, high=math.inf):
         raise ValueError(f"{name} must {bound}; got {value!r}")
 
 
+def check_positive(name, value):
+    """check_real(name, value), and a ValueError naming `name` unless value > 0."""
+    check_real(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name} must be > 0; got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Parameters of a benchmark problem.
@@ -59,7 +63,7 @@ class ProblemSpec:
     kind: str
     n: int
     epsilon: float = 1.0
-    theta: float = DEFAULT_THETA
+    theta: float = 3.0 * math.pi / 16.0
     K: float = 1.0
 
     def __post_init__(self):
@@ -68,9 +72,7 @@ class ProblemSpec:
         check_count("n", self.n, minimum=2)
         check_real("epsilon", self.epsilon, 0.0, 1.0)
         check_real("theta", self.theta)
-        check_real("K", self.K)
-        if self.K <= 0.0:
-            raise ValueError(f"K must be > 0; got {self.K!r}")
+        check_positive("K", self.K)
 
 
 @dataclass

@@ -12,7 +12,7 @@ from scipy import sparse
 from scipy.linalg import solve
 
 from .linalg import check_positive_diagonal, estimate_spectral_norm
-from .problems import check_count, check_real
+from .problems import check_count, check_positive
 
 # auto_jacobi_omega's numerator: omega times the estimated rho
 OMEGA_COEFFICIENT = 1.5
@@ -35,9 +35,7 @@ class Relaxation:
     sweeps: int = 1
 
     def __post_init__(self):
-        check_real("omega", self.omega)
-        if self.omega <= 0.0:
-            raise ValueError(f"omega must be > 0; got {self.omega!r}")
+        check_positive("omega", self.omega)
         check_count("sweeps", self.sweeps, minimum=1)
 
 
@@ -56,9 +54,7 @@ class SpectralEquivalence:
     def __post_init__(self):
         if self.x_kind not in ("diag", "identity"):
             raise ValueError(f"unknown X choice: {self.x_kind!r}")
-        check_real("c2", self.c2)
-        if self.c2 <= 0.0:
-            raise ValueError(f"c2 must be > 0; got {self.c2!r}")
+        check_positive("c2", self.c2)
 
     def diagonal(self, A):
         """Diagonal of X for a sparse or dense A (X is diagonal here)."""

@@ -1,9 +1,10 @@
 """The public surface: every exported name exists and has a reader,
 every defaulted parameter of an exported function has a caller, every
-field of an exported dataclass and every method and property of an
-exported class has a reader, the package imports only exported names,
-and every name the benchmark tracer wraps (perfbench/spans.py) is still
-bound and callable."""
+defaulted field of an exported dataclass has a setter, every field of an
+exported dataclass and every method and property of an exported class
+has a reader, the CLI's defaults are the dataclasses' own, the package
+imports only exported names, and every name the benchmark tracer wraps
+(perfbench/spans.py) is still bound and callable."""
 
 import ast
 import dataclasses
@@ -17,6 +18,10 @@ from pathlib import Path
 import pytest
 
 import tracemin_amg
+from tracemin_amg.cli import build_parser
+from tracemin_amg.experiments import ExperimentConfig
+from tracemin_amg.hierarchy import SetupConfig
+from tracemin_amg.problems import ProblemSpec
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tracemin_amg.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +42,11 @@ FIELDS_UNREAD_ON_PURPOSE = {
        for name in ("etg_norm", "ktg", "kappa_s", "c2_meas", "pr_energy",
                     "trace_schur", "trace_plain", "beta_wap", "beta_sap")},
 }
+# defaulted fields of exported dataclasses that no call and no sweep JSON
+# sets, each kept on purpose
+FIELDS_UNSET_ON_PURPOSE = {
+    f"TheoryReport.{name}": "assigned by theory.full_report after construction"
+    for name in ("etg_norm", "ktg", "beta_wap", "beta_sap")}
 # methods and properties of exported classes that only tests read, each
 # kept on purpose (names are matched alone, so Problem.matrix already
 # reads as a reader of Permutation.matrix)
@@ -252,3 +262,80 @@ def test_every_method_and_property_has_a_reader():
     assert set(METHODS_UNREAD_ON_PURPOSE) <= {f"{cls}.{name}" for _, cls, name in members}
     unread = unread_members(members, METHODS_UNREAD_ON_PURPOSE, class_body_reads=True)
     assert not unread, f"methods and properties without a reader: {unread}"
+
+
+def exported_dataclasses():
+    return {attr: obj for _, attr, obj in exported_objects()
+            if inspect.isclass(obj) and dataclasses.is_dataclass(obj)}
+
+
+def set_fields(classes):
+    """(class, field) for every field that a call or sweep JSON in the
+    library, the benchmark or the tests sets: passed by keyword or by
+    position to a call of the class, by keyword to a dataclasses.replace
+    call whose keywords are all fields of the class, or a key of a dict
+    literal that also holds the key 'problem' (a sweep JSON) for a class
+    with a problem field."""
+    init_fields = {name: [f.name for f in dataclasses.fields(cls) if f.init]
+                   for name, cls in classes.items()}
+    found = set()
+    for tree in parsed_files().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                keywords = {k.arg for k in node.keywords} - {None}
+                if called in init_fields:
+                    names = init_fields[called]
+                    found |= {(called, f) for f in keywords | set(names[:len(node.args)])}
+                elif called == "replace" and (isinstance(func, ast.Name) or
+                                              getattr(func.value, "id", None) == "dataclasses"):
+                    found |= {(cls, f) for cls, names in init_fields.items()
+                              if keywords <= set(names) for f in keywords}
+            elif isinstance(node, ast.Dict):
+                keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+                if "problem" in keys:
+                    found |= {(cls, f) for cls, names in init_fields.items()
+                              if "problem" in names for f in keys & set(names)}
+    return found
+
+
+def test_every_defaulted_dataclass_field_is_set():
+    """Each defaulted field of an exported dataclass is set by some call or
+    sweep JSON in the library, the benchmark or the tests (set_fields), or
+    is kept on purpose (FIELDS_UNSET_ON_PURPOSE): a default that nothing
+    overrides is a restated constant, not a setting."""
+    classes = exported_dataclasses()
+    found = set_fields(classes)
+    unset = [f"{name}.{f.name}" for name, cls in classes.items()
+             for f in dataclasses.fields(cls)
+             if f.init and (f.default is not dataclasses.MISSING
+                            or f.default_factory is not dataclasses.MISSING)
+             and (name, f.name) not in found
+             and f"{name}.{f.name}" not in FIELDS_UNSET_ON_PURPOSE]
+    assert not unset, f"defaulted dataclass fields that nothing sets: {unset}"
+    stale = [kept for kept in FIELDS_UNSET_ON_PURPOSE if tuple(kept.split(".")) in found]
+    assert not stale, f"kept on purpose but set: {stale}"
+
+
+PROBLEM_FLAGS = {"epsilon": (ProblemSpec, "epsilon"), "theta": (ProblemSpec, "theta"),
+                 "K": (ProblemSpec, "K")}
+SOLVE_FLAGS = {"mode": (SetupConfig, "mode"), "tau": (SetupConfig, "tau"),
+               "iters": (SetupConfig, "emin_iters"),
+               "pattern_degree": (SetupConfig, "pattern_degree"),
+               "max_levels": (SetupConfig, "max_levels"),
+               "improvement_iters": (ExperimentConfig, "improvement_iters"),
+               "seed": (ExperimentConfig, "seed"), **PROBLEM_FLAGS}
+
+
+@pytest.mark.parametrize("argv, flags", [(["solve"], SOLVE_FLAGS),
+                                         (["assemble", "--out", "x"], PROBLEM_FLAGS)],
+                         ids=["solve", "assemble"])
+def test_cli_defaults_are_the_dataclass_defaults(argv, flags):
+    """The CLI restates no setting: each flag's default is its field's."""
+    args = vars(build_parser().parse_args(argv))
+    for dest, (cls, name) in flags.items():
+        default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+        assert args[dest] == default, f"--{dest} defaults to {args[dest]!r}, " \
+                                      f"{cls.__name__}.{name} to {default!r}"

@@ -166,8 +166,7 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
                                                   "got 2.5"),
     ({"problem": PROBLEM, "modes": ["weighted"], "taus": ["0.1"]},
      "tau must be a finite real number; got '0.1'"),
-    ({"problem": PROBLEM, "theta_strength": "0.4"},
-     "theta_strength must be a finite real number; got '0.4'"),
+    ({"problem": PROBLEM, "theta_strength": "0.4"}, "config has unknown key 'theta_strength'"),
     ({"problem": PROBLEM, "improvement_iters": -3}, "improvement_iters must be >= 0; "
                                                     "got -3"),
     ({"problem": PROBLEM, "constraint_source": "random", "n_constraint_vectors": 0},

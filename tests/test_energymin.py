@@ -527,14 +527,15 @@ def test_constrained_rejects_nonpositive_diagonal_naming_the_row():
     split = BlockSplit.from_c_points(5, [0, 2, 4])
     pattern = pattern_distance_k(strength_graph(lap1d(5), 0.25), split, 1)
     with pytest.raises(ValueError, match=r"not positive .*\(row 1, "):
-        constrained_energymin(A.tocsr(), split, CandidateSet(np.ones((5, 1))), pattern, 5)
+        constrained_energymin(A.tocsr(), split, CandidateSet(np.ones((5, 1))), pattern, 5,
+                              tol=0.0)
 
 
 def test_weighted_route_end_to_end():
     rng = np.random.default_rng(14)
     A, split, pattern, B, _ = random_instance(rng, 18, tau=0.5)
     interp = weighted_energymin(A, split, B, SpectralEquivalence(), 0.5, pattern,
-                                iters=40, tol=1e-12)
+                                iters=40, tol=1e-12, use_preconditioner=True)
     assert interp.P.shape == (18, split.n_c)
     assert len(interp.residuals) >= 2
 
@@ -675,9 +676,9 @@ def test_energymin_routes_bit_identical_to_sorted_extraction(mode, monkeypatch):
 
     def run():
         if mode == "constrained":
-            return constrained_energymin(A, split, B, pattern, 6)
+            return constrained_energymin(A, split, B, pattern, 6, tol=0.0)
         return weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4,
-                                  pattern, 6, tol=0.0)
+                                  pattern, 6, tol=0.0, use_preconditioner=True)
 
     got = run()
     monkeypatch.setattr(energymin, "_slot_values", reference_values_at)
@@ -876,10 +877,10 @@ def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, mo
 
     monkeypatch.setattr(energymin, "_slot_values", counting)
     if mode == "constrained":
-        got = constrained_energymin(A, split, B, pattern, iters)
+        got = constrained_energymin(A, split, B, pattern, iters, tol=0.0)
     else:
         got = weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4, pattern,
-                                 iters, tol=0.0)
+                                 iters, tol=0.0, use_preconditioner=True)
     assert len(got.residuals) == iters + 1
     assert calls == [np.float64, np.int32]
 

@@ -550,6 +550,31 @@ def test_setup_rejects_invalid_operator_by_name(case, check):
         OPERATOR_CHECKS[check](A)
 
 
+def test_setup_of_a_scaled_operator_keeps_its_hierarchy():
+    """Singularity is judged against A's own scale, so s A builds A's
+    levels and interpolation however small or large s is."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
+    H = setup(A, SetupConfig())
+    for s in (1e-30, 1e30):
+        scaled = setup(s * A, SetupConfig())
+        assert scaled.n_levels == H.n_levels
+        for lvl, got in zip(H.levels[:-1], scaled.levels[:-1]):
+            assert abs(got.P - lvl.P).max() <= 1e-12 * abs(lvl.P).max()
+
+
+def test_setup_refuses_a_round_off_singular_operator():
+    """A Neumann operator in floating point maps the constant to round-off
+    of its diagonal, not to zero; at every scale it is refused."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 16, epsilon=1e-3)).matrix.tolil()
+    A.setdiag(0.0)
+    A = A.tocsr()
+    A.setdiag(-np.asarray(A.sum(axis=1)).ravel())
+    assert 0.0 < np.abs(A @ np.ones(A.shape[0])).max() < 1e-15
+    for s in (1.0, 3.0, 1e6):
+        with pytest.raises(ValueError, match="A is singular on candidate 0"):
+            setup(s * A, SetupConfig())
+
+
 def test_setup_reads_an_integer_matrix_as_float64():
     A = sparse.csr_matrix([[2, -1], [-1, 2]])
     H = setup(A, SetupConfig(max_coarse=1))
