@@ -28,20 +28,31 @@ CONFIG_ERROR = 2
 DIVERGENCE_ERROR = 3
 
 
-def _add_problem_args(parser):
-    parser.add_argument("--problem", default="rotated_anisotropic",
+# the problem of assemble, solve and a sweep with no --config
+DEFAULT_PROBLEM = ProblemSpec("rotated_anisotropic", n=32)
+
+
+def _add_problem_args(parser, defaults=DEFAULT_PROBLEM):
+    """The problem flags, each stored under its ProblemSpec field and
+    defaulting to that field of `defaults`; with defaults None, a flag
+    that is not given reads None."""
+    default = {f.name: getattr(defaults, f.name, None) for f in dataclasses.fields(ProblemSpec)}
+    parser.add_argument("--problem", dest="kind", default=default["kind"],
                         choices=["rotated_anisotropic", "oscillatory"])
-    parser.add_argument("--n", type=int, default=32, help="mesh intervals per side")
-    parser.add_argument("--epsilon", type=float, default=ProblemSpec.epsilon)
-    parser.add_argument("--theta", type=float, default=ProblemSpec.theta,
+    parser.add_argument("--n", type=int, default=default["n"], help="mesh intervals per side")
+    parser.add_argument("--epsilon", type=float, default=default["epsilon"])
+    parser.add_argument("--theta", type=float, default=default["theta"],
                         help="anisotropy rotation angle (radians)")
-    parser.add_argument("--K", type=float, default=ProblemSpec.K,
+    parser.add_argument("--K", type=float, default=default["K"],
                         help="oscillation magnitude for the oscillatory problem")
 
 
-def _problem_spec(args):
-    return ProblemSpec(kind=args.problem, n=args.n, epsilon=args.epsilon,
-                       theta=args.theta, K=args.K)
+def _problem_spec(args, base=DEFAULT_PROBLEM):
+    """base with each problem flag that is not None in place of its
+    field; replace re-runs the checks of ProblemSpec."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(ProblemSpec)
+             if getattr(args, f.name) is not None}
+    return dataclasses.replace(base, **given)
 
 
 def _cmd_assemble(args):
@@ -87,8 +98,9 @@ def _cmd_sweep(args):
     if args.config:
         cfg = ExperimentConfig.from_json(args.config)
     else:
-        cfg = ExperimentConfig(problem=_problem_spec(args))
-    overrides = {"modes": None if args.mode is None else [args.mode],
+        cfg = ExperimentConfig(problem=DEFAULT_PROBLEM)
+    overrides = {"problem": _problem_spec(args, cfg.problem),
+                 "modes": None if args.mode is None else [args.mode],
                  "taus": None if args.tau is None else [args.tau],
                  "emin_iters": None if args.iters is None else [args.iters],
                  "seed": args.seed, "output": args.out or None}
@@ -170,8 +182,9 @@ def build_parser():
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("sweep", help="run an experiment grid, emit CSV")
-    _add_problem_args(p)
-    p.add_argument("--config", help="JSON file with ExperimentConfig fields")
+    _add_problem_args(p, defaults=None)  # a flag not given keeps the config's value
+    p.add_argument("--config", help="JSON file with ExperimentConfig fields; "
+                                    "a problem flag replaces that field of its problem")
     p.add_argument("--mode", choices=["weighted", "constrained"])
     p.add_argument("--tau", type=float)
     p.add_argument("--iters", type=int)

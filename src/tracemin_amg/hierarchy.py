@@ -363,13 +363,14 @@ def vcycle(H, level, b):
 def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
     """Solve A x = b with the hierarchy, stationary or CG-accelerated.
 
-    Stationary mode iterates x <- x + Vcycle(b - A x); cg mode runs
-    preconditioned conjugate gradients with one V-cycle as the
-    preconditioner.  Returns (x, residual_history) of two-norm
-    residuals, starting with the initial one.  Residual growth over
-    CF_WINDOW consecutive iterations is reported as a warning, not
-    raised.  tol is a finite real number >= 0, max_iters an integer
-    >= 0, and b and x0 finite vectors of length A.shape[0].
+    Each iteration applies one V-cycle, z = Vcycle(r): stationary mode
+    steps x <- x + z, and cg mode folds z into the search direction of
+    preconditioned conjugate gradients, so no V-cycle follows its last
+    iteration.  Returns (x, residual_history) of two-norm residuals,
+    starting with the initial one.  Residual growth over CF_WINDOW
+    consecutive iterations is reported as a warning, not raised.  tol is
+    a finite real number >= 0, max_iters an integer >= 0, and b and x0
+    finite vectors of length A.shape[0].
     """
     if accel not in ("stationary", "cg"):
         raise ValueError(f"unknown acceleration: {accel!r}")
@@ -392,46 +393,34 @@ def solve(H, b, tol=1e-8, max_iters=100, accel="stationary", x0=None):
         return x, history
     target = tol * history[0]
     growth = 0
+    p = rz = None  # the CG search direction and its r^T z
 
-    if accel == "stationary":
-        for _ in range(max_iters):
-            x = x + vcycle(H, 0, r)
-            r = b - A @ x
-            history.append(float(np.linalg.norm(r)))
-            if history[-1] <= target:
-                break
-            growth = growth + 1 if history[-1] > history[-2] else 0
-            if growth >= CF_WINDOW:
-                warnings.warn(f"V-cycle iteration diverging: residual grew over "
-                              f"{CF_WINDOW} consecutive iterations", RuntimeWarning)
-                break
-        return x, history
-
-    z = vcycle(H, 0, r)
-    rz = float(r @ z)
-    p = z.copy()
     for _ in range(max_iters):
-        Ap = A @ p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0 or not np.isfinite(pAp):
-            warnings.warn("preconditioned CG lost positive definiteness",
-                          RuntimeWarning)
-            break
-        alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        z = vcycle(H, 0, r)
+        if accel == "stationary":
+            x = x + z
+            r = b - A @ x
+        else:
+            rz_old, rz = rz, float(r @ z)
+            p = z if p is None else z + (rz / rz_old) * p
+            Ap = A @ p
+            pAp = float(p @ Ap)
+            if pAp <= 0.0 or not np.isfinite(pAp):
+                warnings.warn("preconditioned CG lost positive definiteness",
+                              RuntimeWarning)
+                break
+            alpha = rz / pAp
+            x += alpha * p
+            r -= alpha * Ap
         history.append(float(np.linalg.norm(r)))
         if history[-1] <= target:
             break
         growth = growth + 1 if history[-1] > history[-2] else 0
         if growth >= CF_WINDOW:
-            warnings.warn(f"preconditioned CG diverging: residual grew over "
+            driver = "V-cycle iteration" if accel == "stationary" else "preconditioned CG"
+            warnings.warn(f"{driver} diverging: residual grew over "
                           f"{CF_WINDOW} consecutive iterations", RuntimeWarning)
             break
-        z = vcycle(H, 0, r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     return x, history
 
 

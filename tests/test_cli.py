@@ -143,11 +143,14 @@ def test_sweep_with_config_and_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = tmp_path / "rows.csv"
-    code = main(["sweep", "--config", str(cfg_path), "--iters", "2",
-                 "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().strip().split("\n")
-    assert len(lines) == 2  # header + the single overridden grid point
+    for flags, problem in [([], "rotated_anisotropic,10,"),
+                           (["--problem", "oscillatory", "--n", "8"], "oscillatory,8,")]:
+        code = main(["sweep", "--config", str(cfg_path), "--iters", "2",
+                     "--out", str(out)] + flags)
+        assert code == 0
+        lines = out.read_text().strip().split("\n")
+        assert len(lines) == 2  # header + the single overridden grid point
+        assert lines[1].startswith(problem)  # a problem flag overrides the file's
 
 
 PROBLEM = {"kind": "oscillatory", "n": 8}

@@ -972,7 +972,7 @@ def assert_route_matches_reference(mode, args, kwargs, got, round_off_stop=False
     steps = len(got.residuals) - 1
     if mode == "constrained":
         A, split, B, pattern, iters = args
-        tol = kwargs.get("tol", 0.0)
+        tol = kwargs["tol"]
         w, history, removed_norm = reference_constrained_loop(A, split, B, pattern,
                                                               iters, tol)
         if steps < len(history) - 1:
@@ -983,8 +983,8 @@ def assert_route_matches_reference(mode, args, kwargs, got, round_off_stop=False
         A, split, B, X, tau, pattern, iters = args
         sys = build_weighted_system(A, split, B, X, tau, pattern)
         w, history = reference_pcg_frobenius(
-            sys, initial_guess(split, B, pattern), iters, kwargs.get("tol", 1e-10),
-            kwargs.get("use_preconditioner", True))
+            sys, initial_guess(split, B, pattern), iters, kwargs["tol"],
+            kwargs["use_preconditioner"])
     assert got.residuals == history[:steps + 1]
     assert np.array_equal(got.W.data, w)
     assert np.array_equal(got.W.indices, pattern.cols)

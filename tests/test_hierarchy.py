@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,120 @@ def test_cg_warns_when_the_residual_keeps_growing(monkeypatch):
         _, history = solve(H, np.ones(A.shape[0]), tol=0.0, accel="cg")
     assert len(history) == hierarchy.CF_WINDOW + 1
     assert all(a < b for a, b in zip(history, history[1:]))
+
+
+SOLVE_PROBLEMS = {"aniso": ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3),
+                  "osc": ProblemSpec("oscillatory", 32, K=1e6)}
+
+
+@pytest.fixture(scope="module")
+def solve_hierarchies():
+    """(A, H) of each SOLVE_PROBLEMS entry, with the automatic Jacobi
+    weight and with omega 3.0, which makes both drivers diverge."""
+    built = {}
+    for name, spec in SOLVE_PROBLEMS.items():
+        A = assemble(spec).matrix
+        for omega in ("auto", 3.0):
+            built[name, omega] = A, setup(A, SetupConfig(jacobi_omega=omega))
+    return built
+
+
+def reference_solve(H, b, tol, max_iters, accel):
+    """solve's two drivers as two loops, each with its own V-cycle call
+    and stop rule: the bit reference of the one loop."""
+    A = H.levels[0].A
+    x = np.zeros(A.shape[0])
+    r = b - A @ x
+    history = [float(np.linalg.norm(r))]
+    target = tol * history[0]
+    growth = 0
+    if accel == "stationary":
+        for _ in range(max_iters):
+            x = x + hierarchy.vcycle(H, 0, r)
+            r = b - A @ x
+            history.append(float(np.linalg.norm(r)))
+            if history[-1] <= target:
+                break
+            growth = growth + 1 if history[-1] > history[-2] else 0
+            if growth >= hierarchy.CF_WINDOW:
+                warnings.warn(f"V-cycle iteration diverging: residual grew over "
+                              f"{hierarchy.CF_WINDOW} consecutive iterations", RuntimeWarning)
+                break
+        return x, history
+    z = hierarchy.vcycle(H, 0, r)
+    rz = float(r @ z)
+    p = z.copy()
+    for _ in range(max_iters):
+        Ap = A @ p
+        pAp = float(p @ Ap)
+        if pAp <= 0.0 or not np.isfinite(pAp):
+            warnings.warn("preconditioned CG lost positive definiteness", RuntimeWarning)
+            break
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        history.append(float(np.linalg.norm(r)))
+        if history[-1] <= target:
+            break
+        growth = growth + 1 if history[-1] > history[-2] else 0
+        if growth >= hierarchy.CF_WINDOW:
+            warnings.warn(f"preconditioned CG diverging: residual grew over "
+                          f"{hierarchy.CF_WINDOW} consecutive iterations", RuntimeWarning)
+            break
+        z = hierarchy.vcycle(H, 0, r)
+        rz_new = float(r @ z)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
+    return x, history
+
+
+DIVERGING = {"stationary": "V-cycle iteration diverging", "cg": "preconditioned CG diverging"}
+
+
+@pytest.mark.parametrize("accel", ["stationary", "cg"])
+@pytest.mark.parametrize("problem", sorted(SOLVE_PROBLEMS))
+@pytest.mark.parametrize("omega, max_iters", [("auto", 100), ("auto", 3), (3.0, 100)],
+                         ids=["to-tol", "max-iters-3", "diverging"])
+def test_solve_is_bit_identical_to_the_two_loop_drivers(solve_hierarchies, problem, accel,
+                                                        omega, max_iters):
+    A, H = solve_hierarchies[problem, omega]
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    kwargs = {"b": b, "tol": 1e-8, "max_iters": max_iters, "accel": accel}
+    if omega == "auto":
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, history = solve(H, **kwargs)
+            x_ref, history_ref = reference_solve(H, **kwargs)
+    else:
+        message = f"{DIVERGING[accel]}: residual grew over {hierarchy.CF_WINDOW} consecutive"
+        with pytest.warns(RuntimeWarning, match=message):
+            x, history = solve(H, **kwargs)
+        with pytest.warns(RuntimeWarning, match=message):
+            x_ref, history_ref = reference_solve(H, **kwargs)
+    assert history == history_ref
+    assert x.tobytes() == x_ref.tobytes()
+
+
+@pytest.mark.parametrize("accel", ["stationary", "cg"])
+@pytest.mark.parametrize("max_iters", [100, 1, 5], ids=["to-tol", "max-iters-1", "max-iters-5"])
+def test_solve_applies_one_fine_vcycle_per_iteration(solve_hierarchies, monkeypatch,
+                                                     accel, max_iters):
+    """A solve of k iterations applies k fine-level V-cycles, a CG solve
+    that max_iters ends included: none follows the last iteration."""
+    A, H = solve_hierarchies["aniso", "auto"]
+    levels = []
+    vcycle = hierarchy.vcycle
+
+    def counted(H, level, b):
+        levels.append(level)
+        return vcycle(H, level, b)
+
+    monkeypatch.setattr(hierarchy, "vcycle", counted)
+    _, history = solve(H, np.random.default_rng(3).standard_normal(A.shape[0]),
+                       tol=1e-8, max_iters=max_iters, accel=accel)
+    iterations = len(history) - 1
+    assert iterations == max_iters or history[-1] <= 1e-8 * history[0]
+    assert levels.count(0) == iterations
 
 
 def test_two_grid_matches_dense_error_norm():
