@@ -27,8 +27,12 @@ from functools import partial
 
 import numpy as np
 from scipy import sparse
+# the kernel behind CSR fancy indexing S[rows, cols], called without that
+# indexing's validation (see _slot_values)
+from scipy.sparse._sparsetools import csr_sample_values
 
 from .coarsening import SparsityPattern
+from .linalg import row_blocks
 from .problems import check_real
 from .relaxation import SpectralEquivalence
 
@@ -39,6 +43,7 @@ __all__ = [
     "prepare_candidates",
     "build_weighted_system",
     "apply_weighted_operator",
+    "apply_preconditioner",
     "pcg_frobenius",
     "initial_guess",
     "constrained_energymin",
@@ -118,11 +123,21 @@ def prepare_candidates(A, raw):
 
 
 def _slot_values(S, slot_rows, cols):
-    """Values of the sparse matrix S at the pattern slots (slot_rows,
-    cols), 0 where S stores nothing.  CSR sampling reads each slot from
-    its row of S (scanning it, or bisecting when S is canonical), so S
-    may be an unsorted SpGEMM product with entries off the pattern."""
-    return np.asarray(S[slot_rows, cols]).ravel()
+    """Values of the CSR matrix S at the pattern slots (slot_rows, cols),
+    as a 1-D array of S's dtype, 0 where S stores nothing.  CSR sampling
+    reads each slot from its row of S (scanning it, or bisecting when S
+    is canonical), so S may be an unsorted SpGEMM product with entries
+    off the pattern.  It is the kernel of S[slot_rows, cols], with the
+    same bits, called without that indexing's bound scans and index
+    conversions and its np.matrix result: the slots must lie inside S,
+    as a pattern's do, and index arrays already of S's index dtype
+    (int32 like a pattern's) are read in place."""
+    idx = S.indices.dtype
+    rows, cols = np.asarray(slot_rows, dtype=idx), np.asarray(cols, dtype=idx)
+    out = np.empty(len(rows), dtype=S.dtype)
+    csr_sample_values(S.shape[0], S.shape[1], S.indptr, S.indices, S.data,
+                      len(rows), rows, cols, out)
+    return out
 
 
 # apply_weighted_operator forms both of its terms, and _RowConstraints
@@ -137,12 +152,13 @@ class _RowConstraints:
 
     Each F row i couples only the entries of its own pattern row, so the
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
-    row i].  C holds one candidate row per slot; every sum over a row's
-    slots is a segmented reduction from the row's first slot, taken in
-    the row blocks that apply_weighted_operator forms its terms in, so
-    no temporary outgrows a block.  Each block (lo, hi, slots, rows,
-    starts, Gp) holds its bounds of F rows, its slot range, its nonempty
-    rows, their first slots relative to the range and the
+    row i].  No candidate row per slot is held: candidate_rows gathers
+    B_c[cols] for one row block when it is needed.  Every sum over a
+    row's slots is a segmented reduction from the row's first slot,
+    taken in the row blocks that apply_weighted_operator forms its terms
+    in, so no temporary outgrows a block.  Each block (lo, hi, slots,
+    rows, starts, Gp) holds its bounds of F rows, its slot range, its
+    nonempty rows, their first slots relative to the range and the
     pseudo-inverses of their Gram matrices C_i^T C_i, shape (R, n_b,
     n_b).  With one candidate the Gram matrix is the scalar g = sum c^2
     and its pseudo-inverse is 1/g, or 0 where g == 0 (pinv's cutoff);
@@ -152,21 +168,24 @@ class _RowConstraints:
     """
 
     def __init__(self, B_c, pattern):
-        self.pattern = pattern
-        self.C = B_c[pattern.cols]                        # (nnz, n_b)
+        self.pattern, self.B_c = pattern, B_c
         indptr, self.blocks = pattern.indptr, []
-        bounds = _row_blocks(indptr, PRODUCT_BLOCK_SLOTS)
+        bounds = row_blocks(indptr, PRODUCT_BLOCK_SLOTS)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
             slots = slice(int(indptr[lo]), int(indptr[hi]))
             starts = indptr[rows] - indptr[lo]
-            C = self.C[slots]
+            C = self.candidate_rows(slots)
             G = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
             if B_c.shape[1] == 1:
                 Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
             else:
                 Gp = np.linalg.pinv(G)
             self.blocks.append((lo, hi, slots, rows, starts, Gp))
+
+    def candidate_rows(self, slots):
+        """B_c[cols] at a range of slots: one candidate row per slot."""
+        return self.B_c[self.pattern.cols[slots]]
 
     @staticmethod
     def _spread(C, starts, s):
@@ -178,7 +197,7 @@ class _RowConstraints:
         """Project slot values onto {Z : Z B_c = 0}, row by row, in place;
         returns values."""
         for _, _, slots, _, starts, Gp in self.blocks:
-            C, Z = self.C[slots], values[slots]
+            C, Z = self.candidate_rows(slots), values[slots]
             t = np.add.reduceat(C * Z[:, None], starts, axis=0)  # C_i^T z_i
             Z -= self._spread(C, starts, np.einsum("rkl,rl->rk", Gp, t))
         return values
@@ -193,7 +212,7 @@ class _RowConstraints:
         scale = np.abs(B_f).max() if B_f.size else 0.0
         for _, _, slots, rows, starts, Gp in self.blocks:
             s = np.einsum("rkl,rl->rk", Gp, B_f[rows])
-            values[slots] = self._spread(self.C[slots], starts, s)
+            values[slots] = self._spread(self.candidate_rows(slots), starts, s)
         for i in self.pattern.empty_f_rows:
             if np.abs(B_f[i]).max() > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "
@@ -205,12 +224,17 @@ class _RowConstraints:
 class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
     Hadamard diagonal preconditioner.  cand_scale is None at tau = 1,
-    where the candidate term vanishes.
+    where the candidate term vanishes.  Dprec is the preconditioner's
+    diagonal, the entry-wise inverse diagonal of Lhat: per slot below
+    tau = 1, and at tau = 1, where it is 1/diag(A_ff) of each slot's
+    row, per F row (nf values), which apply_preconditioner spreads over
+    each row block's slots, so no slot vector of it is held.
 
     rows, the row constraints W B_c = B_f, owns the row blocks of the
-    slot space and its candidate rows B_c[cols]: both routes start from
-    its minimum-norm solution, the constrained one projects on it, and
-    the operator forms both terms in its blocks.  product_layout holds
+    slot space and gathers the candidate rows B_c[cols] of one block at
+    a time: both routes start from its minimum-norm solution, the
+    constrained one projects on it, and the operator forms both terms,
+    and apply_preconditioner its product, in its blocks.  product_layout holds
     one entry per block: None before the block's first product, then
     the (indptr, indices) of its last product, the position of each of
     the block's slots in that product's data (-1 where it stores none)
@@ -224,24 +248,13 @@ class WeightedSystem:
     B_c: np.ndarray
     pattern: SparsityPattern
     Bhat: np.ndarray          # slot values
-    Dprec: np.ndarray         # slot values
+    Dprec: np.ndarray         # slot values; F-row values at tau = 1
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
     rows: _RowConstraints
     product_layout: list = field(init=False)
 
     def __post_init__(self):
         self.product_layout = [None] * len(self.rows.blocks)
-
-
-def _row_blocks(indptr, limit):
-    """Bounds of consecutive row blocks owning at most `limit` slots each,
-    a row with more slots being a block alone."""
-    bounds = [0]
-    while bounds[-1] < len(indptr) - 1:
-        lo = bounds[-1]
-        hi = int(np.searchsorted(indptr, int(indptr[lo]) + limit, side="right")) - 1
-        bounds.append(max(hi, lo + 1))
-    return bounds
 
 
 def build_weighted_system(A, split, B, X, tau, pattern):
@@ -266,18 +279,21 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     slot_rows, cols = pattern.slot_rows, pattern.cols
     rows = _RowConstraints(B_c, pattern)
 
-    denom = tau * A_ff.diagonal()[slot_rows]
+    denom = A_ff.diagonal()  # per F row at tau = 1 (WeightedSystem.Dprec)
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     del A_fc
     cand_scale = None
     if tau < 1.0:
         x_diag, c2 = X.diagonal(A_ff), X.c2
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
-        denom = denom + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
+        denom = tau * denom[slot_rows] + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
         cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
-        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], rows.C)
-    if np.any(~np.isfinite(denom)) or np.any(denom <= 0.0):
-        bad = int(np.flatnonzero(~np.isfinite(denom) | (denom <= 0.0))[0])
+        bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], B_c[cols])
+    degenerate = ~np.isfinite(denom) | (denom <= 0.0)
+    if tau == 1.0 and degenerate.any():
+        degenerate = degenerate[slot_rows]  # only a row that owns a slot counts
+    if degenerate.any():
+        bad = int(np.flatnonzero(degenerate)[0])
         raise ValueError(
             f"degenerate weight: preconditioner denominator is not positive at "
             f"pattern slot {bad} (row {int(slot_rows[bad])}, col {int(cols[bad])})")
@@ -337,14 +353,30 @@ def apply_weighted_operator(sys, values):
                 part *= tau
         if V is not None:
             part += sys.cand_scale[slots] * np.einsum(
-                "ik,ik->i", V[pat.slot_rows[slots]], rows.C[slots])
+                "ik,ik->i", V[pat.slot_rows[slots]], rows.candidate_rows(slots))
     return out
 
 
-def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=None):
+def apply_preconditioner(sys, values, out):
+    """The Hadamard product Dprec * values at the slots, written to out
+    (a slot vector, which may be values) and returned; at tau = 1 each
+    row block's F-row values of Dprec are repeated over its slots."""
+    if sys.tau < 1.0:
+        return np.multiply(sys.Dprec, values, out=out)
+    indptr = sys.pattern.indptr
+    for lo, hi, slots, *_ in sys.rows.blocks:
+        np.multiply(np.repeat(sys.Dprec[lo:hi], np.diff(indptr[lo:hi + 1])),
+                    values[slots], out=out[slots])
+    return out
+
+
+def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
+                  callback=None):
     """Preconditioned CG on apply(x) = b over pattern slot values.
 
-    The preconditioner is the Hadamard product with `diag`.  When
+    precondition(v, out) writes the preconditioned slot values v to the
+    slot vector out and returns it: a Hadamard diagonal, such as
+    partial(apply_preconditioner, sys) or partial(np.multiply, diag).  When
     `project` is given (an orthogonal projection onto a subspace of slot
     values, applied in place to its argument, which it returns), the
     residual is projected and so are the preconditioned residual and
@@ -375,9 +407,10 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
     else:
         r_full, r = r, project(r.copy())
         r_full -= r  # the part of the residual that the projection removed
-        floor = 1e-13 * np.sqrt(abs(float(r_full @ (diag * r_full))))
-        del r_full
-    z = project(diag * r)
+        z = precondition(r_full, np.empty_like(r_full))
+        floor = 1e-13 * np.sqrt(abs(float(r_full @ z)))
+        del r_full, z
+    z = project(precondition(r, np.empty_like(r)))
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
     if history[0] <= floor:
@@ -395,7 +428,7 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, tol, project=None, callback=Non
         r -= Lp
         work = Lp  # the operator image is spent; its buffer is the work buffer
         x += np.multiply(alpha, p, out=work)
-        z = project(np.multiply(diag, r, out=work))
+        z = project(precondition(r, work))
         del Lp, work
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
@@ -441,13 +474,13 @@ def _hand_over_rhs(sys):
     return bhat
 
 
-def _minimize(sys, iters, tol, diag, constrained, callback=None):
+def _minimize(sys, iters, tol, precondition, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
     start, on W B_c = B_f when constrained; returns (w, history).  The
     right-hand side and the start are passed as temporaries:
     pcg_frobenius frees them once the initial residual exists."""
     return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
-                         sys.rows.min_norm_solution(sys.B_f), diag, iters, tol,
+                         sys.rows.min_norm_solution(sys.B_f), precondition, iters, tol,
                          project=sys.rows.project if constrained else None,
                          callback=callback)
 
@@ -463,14 +496,15 @@ def constrained_energymin(A, split, B, pattern, iters, tol, callback=None):
     The weighted system at tau = 1, the column energy <A_ff W + A_fc, W>
     alone (equivalently tr(P^T A P) up to a constant), minimized over
     pattern matrices with W B_c = B_f: CG preconditioned by 1/diag(A_ff),
-    its directions projected row-wise onto {Z : Z B_c = 0}.  Every
-    iterate satisfies the constraint to round-off wherever the pattern
-    admits it; rows too short for the full constraint block hold their
-    least-squares values.
+    held per row and spread over each row block's slots
+    (apply_preconditioner), its directions projected row-wise onto
+    {Z : Z B_c = 0}.  Every iterate satisfies the constraint to round-off
+    wherever the pattern admits it; rows too short for the full
+    constraint block hold their least-squares values.
     """
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, pattern)
-    w, history = _minimize(sys, iters, tol, sys.Dprec, constrained=True,
-                           callback=callback)
+    w, history = _minimize(sys, iters, tol, partial(apply_preconditioner, sys),
+                           constrained=True, callback=callback)
     del sys  # its arrays are not needed to assemble P
     return _interpolation(split, pattern, w, history)
 
@@ -479,25 +513,32 @@ def weighted_energymin(A, split, B, X, tau, pattern, iters, tol, use_preconditio
     """Weighted route end to end: build the system, start from the
     constraint-spreading initial guess, run PCG, assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)
-    diag = sys.Dprec if use_preconditioner else np.ones(pattern.nnz)
-    w, history = _minimize(sys, iters, tol, diag, constrained=False)
-    del sys, diag
+    precondition = (partial(apply_preconditioner, sys) if use_preconditioner
+                    else partial(np.multiply, np.ones(pattern.nnz)))
+    w, history = _minimize(sys, iters, tol, precondition, constrained=False)
+    del sys, precondition
     return _interpolation(split, pattern, w, history)
 
 
 def assemble_P(W, split):
     """Assemble P from the CSR weight block W: C rows are unit vectors
-    onto their coarse position, F rows carry W, original ordering
-    preserved."""
+    onto their coarse position, F rows carry W (explicit zeros kept),
+    original ordering preserved; canonical CSR.
+
+    The split's index arrays are sorted, so P's F rows hold W's rows in
+    W's order, and C point c_j, with j C points and c_j - j F points
+    before it, is one entry inserted before W's row c_j - j: P's arrays
+    are W's with the C entries inserted, and its indptr comes from the
+    row counts, with no per-entry row or column array."""
     nf, nc = W.shape
     if nf != split.n_f or nc != split.n_c:
         raise ValueError("weight block shape does not match the splitting")
-    n = split.n
-    counts = np.diff(W.indptr)
-    f_rows = np.repeat(split.f_points, counts)
-    rows = np.concatenate([f_rows, split.c_points])
-    cols = np.concatenate([W.indices, np.arange(nc, dtype=np.int64)])
-    vals = np.concatenate([W.data, np.ones(nc)])
-    P = sparse.coo_matrix((vals, (rows, cols)), shape=(n, nc)).tocsr()
+    counts = np.ones(split.n, dtype=np.int64)
+    counts[split.f_points] = np.diff(W.indptr)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    before = W.indptr[split.c_points - np.arange(nc)]
+    P = sparse.csr_matrix((np.insert(W.data, before, 1.0),
+                           np.insert(W.indices, before, np.arange(nc)), indptr),
+                          shape=(split.n, nc))
     P.sort_indices()
     return P

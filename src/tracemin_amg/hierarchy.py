@@ -24,7 +24,7 @@ from scipy.linalg import cho_factor, cho_solve
 from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (candidate_block, constrained_energymin, prepare_candidates,
                         weighted_energymin)
-from .linalg import check_positive_diagonal, check_symmetric, real_csr
+from .linalg import check_positive_diagonal, check_symmetric, real_csr, row_blocks
 from .problems import check_count, check_positive, check_real
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
@@ -51,18 +51,22 @@ MAX_DENSE_COARSE_BYTES = 2**30
 CF_WINDOW = 10
 # a coarse coupling this small against both of its diagonals, each
 # scaled by the candidate, is lumped onto them (galerkin_product)
-NON_GALERKIN_THETA = 1e-4
+NON_GALERKIN_THETA = 5e-4
+# galerkin_product tests the coarse entries for dropping in row blocks
+# of at most this many stored entries, so its temporaries stay small
+GALERKIN_BLOCK_ENTRIES = 2**14
 
 
 @dataclass
 class Level:
     """One level: its operator, interpolation to the next level, the CF
     splitting, the relaxation used here and diag(A), cached for the
-    relaxation sweeps.  The coarsest level is solved directly and holds
-    only A."""
+    relaxation sweeps.  P is stored in CSC, so the restriction P.T is a
+    CSR view of it that neither the cycle nor galerkin_product copies.
+    The coarsest level is solved directly and holds only A."""
 
     A: sparse.csr_matrix
-    P: sparse.csr_matrix = None
+    P: sparse.csc_matrix = None
     split: object = None
     relaxation: Relaxation = None
     emin_residuals: list = None
@@ -113,7 +117,9 @@ class SetupConfig:
     'auto' damps each level by relaxation.auto_jacobi_omega: c / rho_k,
     with c = relaxation.OMEGA_COEFFICIENT (1.5) and rho_k the Rayleigh
     quotient of D^{-1} A after linalg.POWER_STEPS (10) power steps, a
-    lower bound on its spectral radius.  candidates holds raw constraint
+    lower bound on its spectral radius, capped at
+    relaxation.OMEGA_CAP (1.8) / theta_k, theta_k the Ritz value of the
+    same steps, so omega rho stays below 2.  candidates holds raw constraint
     vectors (default: the constant vector).  Construction rejects a
     field out of range with a ValueError that names it: tau and
     theta_strength are finite real numbers (not bools) in [0, 1],
@@ -162,12 +168,15 @@ def galerkin_product(P, A, b=None):
     """The coarse operator of a symmetric A: P^T A P, sparsified.
 
     A must be symmetric; setup checks this once for the fine level, and
-    every coarse level it builds is exactly symmetric.  The product
-    (CSR x CSR, no CSC round trip) is averaged with its transpose to
-    remove round-off skew, so the result is exactly symmetric and comes
-    out in canonical CSR form.  Sorting the product first lets the
-    average be formed in the product's own arrays whenever the transpose
-    stores the same positions.
+    every coarse level it builds is exactly symmetric.  The product is
+    R (A P), both CSR x CSR; R = P^T is read as CSR, which for a CSC P,
+    as setup stores it, is a view, so no copy of P is held through the
+    product (A @ P reads a temporary CSR copy of a CSC P).  The product
+    is averaged with its transpose to remove round-off skew, so the
+    result is exactly symmetric and comes out in canonical CSR form.
+    Sorting the product first lets the average be formed in the
+    product's own arrays whenever the transpose stores the same
+    positions.
 
     An off-diagonal entry with |a_ij| < eps sqrt(|a_ii| |a_jj|), eps =
     2^-52 the float64 machine epsilon, is not stored: scaled by the
@@ -181,7 +190,9 @@ def galerkin_product(P, A, b=None):
     onto a_jj, so the result times b equals P^T A P b to round-off.  The
     two conditions bound a dropped entry by theta sqrt(a_ii a_jj) of the
     product's diagonals.  Both rules are symmetric in i and j, so the
-    result stays exactly symmetric.
+    result stays exactly symmetric.  Both tests run in row blocks of at
+    most GALERKIN_BLOCK_ENTRIES stored entries: besides the product they
+    hold one bool per entry and the diagonal's vectors.
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
@@ -190,51 +201,63 @@ def galerkin_product(P, A, b=None):
         if b.shape != (P.shape[1],):
             raise ValueError(f"b has shape {b.shape}; expected a vector of length "
                              f"{P.shape[1]}, the column count of P")
-    Ac = P.T.tocsr() @ (A @ P)  # R and A P die once their product exists
+    Ac = P.T.tocsr() @ (A @ P)  # A P dies once the product exists
     Ac.sort_indices()
     Ac = _symmetrized(Ac)
     d = Ac.diagonal()
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
     t = np.sqrt(np.abs(d) * np.finfo(np.float64).eps)
-    bound = np.repeat(t, np.diff(Ac.indptr))
-    bound *= t[Ac.indices]
-    negligible = np.abs(Ac.data) < bound
-    del bound
+    r = None if b is None else np.divide(1.0, NON_GALERKIN_THETA * d * b,
+                                         out=np.zeros_like(d),
+                                         where=(d > 0.0) & (b != 0.0))
+    drop = np.empty(Ac.nnz, dtype=bool)
+    moved = None if b is None else np.zeros_like(d)
+    bounds = row_blocks(Ac.indptr, GALERKIN_BLOCK_ENTRIES)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first, last = Ac.indptr[lo], Ac.indptr[hi]
+        block = sparse.csr_matrix((Ac.data[first:last], Ac.indices[first:last],
+                                   Ac.indptr[lo:hi + 1] - first),
+                                  shape=(hi - lo, Ac.shape[1]))
+        bound = np.repeat(t[lo:hi], np.diff(block.indptr))
+        bound *= t[block.indices]
+        np.less(np.abs(block.data), bound, out=drop[first:last])
+        if b is not None:
+            moved[lo:hi] = _lump(block, lo, r, b, drop[first:last])
     if b is not None:
-        _lump(Ac, d, b, negligible)
-    if negligible.any():
-        Ac.data[negligible] = 0.0
+        rows = np.flatnonzero(moved)
+        # each such row lumps an entry, so it has b_i != 0 and a stored a_ii > 0
+        Ac[rows, rows] = d[rows] + moved[rows] / b[rows]
+    if drop.any():
+        Ac.data[drop] = 0.0
         Ac.eliminate_zeros()
     return Ac
 
 
-def _lump(Ac, d, b, drop):
-    """Lump onto the diagonal of the canonical, exactly symmetric Ac the
-    entries that the candidate rule of galerkin_product drops, and mark
-    them in drop, which already marks the entries dropped at round-off.
+def _lump(block, lo, r, b, drop):
+    """The candidate rule of galerkin_product on a row block of the
+    canonical, exactly symmetric Ac, rows lo onward: marks in drop, the
+    block's mask of entries already dropped at round-off, the entries it
+    lumps, and returns what each row lumps onto its diagonal, the sum of
+    its lumped a_ij b_j, to be divided by b_i.
 
     One side of the rule at entry (i, j) is q_ij = |a_ij| b_j / (theta
-    a_ii b_i) in (0, 1], which holds only where b_i b_j > 0 and a_ii > 0;
-    the other is q_ji, formed from the same two factors, so (i, j) and
-    (j, i) are marked alike.  Besides drop it holds one bool and one
-    float per entry, and a vector operation's temporary."""
-    counts = np.diff(Ac.indptr)
-    r = np.divide(1.0, NON_GALERKIN_THETA * d * b, out=np.zeros_like(d),
-                  where=(d > 0.0) & (b != 0.0))
+    a_ii b_i) = |a_ij| r_i b_j in (0, 1], r = 1 / (theta d b), or 0 where
+    b_i = 0 or a_ii <= 0, so it holds only where b_i b_j > 0 and a_ii >
+    0; the other is q_ji, formed from the same two factors, so (i, j)
+    and (j, i) are marked alike."""
+    counts = np.diff(block.indptr)
     lump = ~drop
     for row_factor, col_factor in ((r, b), (b, r)):
-        q = np.repeat(row_factor, counts)
-        q *= col_factor[Ac.indices]
-        q *= np.abs(Ac.data)
+        q = np.repeat(row_factor[lo:lo + len(counts)], counts)
+        q *= col_factor[block.indices]
+        q *= np.abs(block.data)
         lump &= (q > 0.0) & (q <= 1.0)
         del q
-    moved = sparse.csr_matrix((Ac.data * lump, Ac.indices, Ac.indptr), shape=Ac.shape) @ b
+    moved = sparse.csr_matrix((block.data * lump, block.indices, block.indptr),
+                              shape=block.shape) @ b
     drop |= lump
-    del lump
-    rows = np.flatnonzero(moved)
-    # each such row lumps an entry, so it has b_i != 0 and a stored a_ii > 0
-    Ac[rows, rows] = d[rows] + moved[rows] / b[rows]
+    return moved
 
 
 def _symmetrized(Ac):
@@ -315,6 +338,7 @@ def _build_level(A, raw, cfg):
                                     use_preconditioner=cfg.use_preconditioner)
     P, residuals = interp.P, interp.residuals
     del pattern, B, interp
+    P = P.tocsc()  # the restriction P.T is then a CSR view (Level)
     diagonal = A.diagonal()
     omega = cfg.jacobi_omega
     if omega == "auto":

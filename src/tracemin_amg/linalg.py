@@ -29,6 +29,10 @@ SYMMETRY_RTOL = 1e-12
 # power steps of estimate_spectral_norm: the smoother weight's rho (see
 # relaxation.auto_jacobi_omega) is the Rayleigh quotient after this many
 POWER_STEPS = 10
+# estimate_spectral_norm's Ritz value drops the Krylov directions whose
+# Gram eigenvalue is below this fraction of the largest: the moments hold
+# about 20 eps of round-off, which such a direction would amplify
+RITZ_RTOL = 1e-12
 
 
 def read_matrix_market(path):
@@ -88,6 +92,18 @@ def check_symmetric(A):
             raise ValueError(f"matrix is not symmetric: max skew {skew:.3e} "
                              f"exceeds {SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")
     return A
+
+
+def row_blocks(indptr, limit):
+    """Bounds of consecutive row blocks of a CSR-like indptr that own at
+    most `limit` entries each, a row with more entries being a block
+    alone."""
+    bounds = [0]
+    while bounds[-1] < len(indptr) - 1:
+        lo = bounds[-1]
+        hi = int(np.searchsorted(indptr, int(indptr[lo]) + limit, side="right")) - 1
+        bounds.append(max(hi, lo + 1))
+    return bounds
 
 
 def check_positive_diagonal(d):
@@ -167,21 +183,53 @@ def dense_sym_eig(A, B=None):
 
 def estimate_spectral_norm(matvec, n):
     """Spectral norm of a symmetric operator, estimated from below by
-    POWER_STEPS steps of power iteration.
+    POWER_STEPS = k steps of power iteration; returns (rho_k, theta_k).
 
-    `matvec` maps a length-n vector to a length-n vector.  The estimate
-    is |v^T A v| for the unit vector v of the last step, a Rayleigh
-    quotient, so it never exceeds the norm.  Deterministic start vector.
+    `matvec` maps a length-n vector to a length-n vector.  rho_k is
+    |v^T A v| for the unit vector v of the last step, a Rayleigh
+    quotient, so it never exceeds the norm.  theta_k, from the same
+    matvecs, is the largest |Ritz value| of A on the Krylov space
+    span{v0, A v0, ..., A^(k-1) v0} the steps pass through, which
+    Lanczos would reach in k steps: also a lower bound, and much closer
+    to the norm when the power steps converge slowly.  Both are 0 for
+    an operator that maps a step's vector to zero.  Deterministic start
+    vector.
     """
     rng = np.random.default_rng(12345)
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    quotients, growths = [], []
     for _ in range(POWER_STEPS):
         w = matvec(v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
-            return 0.0
+            return 0.0, 0.0
         lam = float(np.dot(v, w))
+        quotients.append(lam)
+        growths.append(float(nw))
         v = w / nw
-    return abs(lam)
+    return abs(lam), _krylov_ritz(quotients, growths)
+
+
+def _krylov_ritz(quotients, growths):
+    """The largest |Ritz value| of A on span{x_0, ..., x_(k-1)}, x_j =
+    A^j v0, from the Rayleigh quotients q_j and growths g_j = |A v_j| of
+    k power steps (v_j = x_j / |x_j|).  The moments mu_i = v0^T A^i v0
+    are mu_(2j+1) = mu_(2j) q_j and mu_(2j+2) = mu_(2j) g_j^2, so the
+    space's Gram matrix is the Hankel matrix [mu_(i+j)] and A's
+    projection [mu_(i+j+1)]; mu_i is scaled by s^-i, s = g_(k-1), which
+    scales the basis alone.  Gram eigen-directions below RITZ_RTOL of
+    the largest are dropped."""
+    k, s = len(quotients), growths[-1]
+    mu = np.empty(2 * k + 1)
+    mu[0] = 1.0
+    for j, (q, g) in enumerate(zip(quotients, growths)):
+        mu[2 * j + 1] = mu[2 * j] * (q / s)
+        mu[2 * j + 2] = mu[2 * j] * (g / s) ** 2
+    hankel = np.add.outer(np.arange(k), np.arange(k))
+    lam, E = np.linalg.eigh(mu[hankel])
+    kept = lam > RITZ_RTOL * lam[-1]
+    E = E[:, kept] / np.sqrt(lam[kept])  # an orthonormal basis of the kept space
+    T = E.T @ mu[hankel + 1] @ E
+    return s * float(np.abs(np.linalg.eigvalsh((T + T.T) / 2.0)).max())

@@ -16,6 +16,9 @@ from .problems import check_count, check_positive
 
 # auto_jacobi_omega's numerator: omega times the estimated rho
 OMEGA_COEFFICIENT = 1.5
+# and the most that omega times the Ritz estimate of rho may reach: a
+# Jacobi sweep contracts the error's A-norm only while omega rho < 2
+OMEGA_CAP = 1.8
 
 __all__ = [
     "Relaxation",
@@ -112,18 +115,26 @@ def symmetrized_mtilde(A, M):
 
 
 def auto_jacobi_omega(A, diagonal=None):
-    """Damping weight OMEGA_COEFFICIENT / rho_k for smoothing.
+    """Damping weight OMEGA_COEFFICIENT / rho_k for smoothing, capped at
+    OMEGA_CAP / theta_k.
 
-    rho_k is linalg.estimate_spectral_norm of the symmetrically scaled
-    operator D^{-1/2} A D^{-1/2}, the Rayleigh quotient after
-    linalg.POWER_STEPS (10) power steps: a lower bound on
-    rho(diag(A)^{-1} A), a few percent below it, so the weight sits a
-    little above 1.5 / rho.  That larger omega is what the cycle gains
-    from; a converged rho lowers omega and costs more work per digit.
-    The coefficient OMEGA_COEFFICIENT (1.5) balances damping of the
-    highest modes against sweep strength across the densifying
-    coarse-level operators.  `diagonal` is diag(A) when the caller
-    already holds it.
+    rho_k and theta_k are linalg.estimate_spectral_norm of the
+    symmetrically scaled operator D^{-1/2} A D^{-1/2}.  rho_k, the
+    Rayleigh quotient after linalg.POWER_STEPS (10) power steps, is a
+    lower bound on rho(diag(A)^{-1} A), usually a few percent below it,
+    so the weight sits a little above 1.5 / rho.  That larger omega is
+    what the cycle gains from; a converged rho lowers omega and costs
+    more work per digit.  The coefficient OMEGA_COEFFICIENT (1.5)
+    balances damping of the highest modes against sweep strength across
+    the densifying coarse-level operators.  But from a start that
+    converges slowly rho_k can sit a quarter or more below rho, and
+    omega rho then passes 2: the sweep amplifies the highest modes and
+    the V-cycle is an indefinite preconditioner.  theta_k, the Ritz
+    value of the same power steps' Krylov space, is much closer to rho,
+    so the cap OMEGA_CAP (1.8) / theta_k holds omega rho below 2 there;
+    it binds only where omega theta_k would pass 1.8, and where it does
+    not the weight is 1.5 / rho_k to the bit.  `diagonal` is diag(A)
+    when the caller already holds it.
     """
     d = np.asarray(A.diagonal() if diagonal is None else diagonal, dtype=np.float64)
     check_positive_diagonal(d)
@@ -135,7 +146,7 @@ def auto_jacobi_omega(A, diagonal=None):
         w *= dinv_sqrt
         return w
 
-    rho = estimate_spectral_norm(matvec, A.shape[0])
+    rho, ritz = estimate_spectral_norm(matvec, A.shape[0])
     if rho == 0.0:
         return 1.0
-    return OMEGA_COEFFICIENT / rho
+    return min(OMEGA_COEFFICIENT / rho, OMEGA_CAP / ritz)

@@ -17,8 +17,9 @@ import numpy as np
 
 from sparse_helpers import rand_spd_sparse
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern
-from tracemin_amg.energymin import (apply_weighted_operator, build_weighted_system,
-                                    pcg_frobenius, prepare_candidates)
+from tracemin_amg.energymin import (apply_preconditioner, apply_weighted_operator,
+                                    build_weighted_system, pcg_frobenius,
+                                    prepare_candidates)
 from tracemin_amg.experiments import adaptive_constraints
 from tracemin_amg.hierarchy import (SetupConfig, measure_convergence_factor, setup)
 from tracemin_amg.linalg import perfect_shuffle
@@ -137,7 +138,8 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         b[vec] = sys.Bhat
         expected = np.linalg.solve(L, b)[vec]
         w, _ = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
-                             np.zeros(sys.pattern.nnz), sys.Dprec, 4 * sys.pattern.nnz, 1e-14)
+                             np.zeros(sys.pattern.nnz), partial(apply_preconditioner, sys),
+                             4 * sys.pattern.nnz, 1e-14)
         worst = max(worst, np.linalg.norm(w - expected)
                     / max(np.linalg.norm(expected), 1e-30))
     elapsed = time.perf_counter() - start

@@ -11,11 +11,11 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from sparse_helpers import lap1d, rand_spd_sparse
-from tracemin_amg import energymin, hierarchy
+from tracemin_amg import energymin, hierarchy, linalg
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
 from tracemin_amg.energymin import (CandidateSet, _RowConstraints, _slot_values,
-                                    apply_weighted_operator,
+                                    apply_preconditioner, apply_weighted_operator,
                                     assemble_P, build_weighted_system,
                                     constrained_energymin, initial_guess,
                                     pcg_frobenius, prepare_candidates,
@@ -70,8 +70,9 @@ def dense_operator_and_rhs(sys, X):
 
 def run_pcg(sys, w0, max_iters, tol, use_preconditioner=True, callback=None):
     """pcg_frobenius on a weighted system, as weighted_energymin runs it."""
-    diag = sys.Dprec if use_preconditioner else np.ones(sys.pattern.nnz)
-    return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0, diag,
+    precondition = (partial(apply_preconditioner, sys) if use_preconditioner
+                    else partial(np.multiply, np.ones(sys.pattern.nnz)))
+    return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0, precondition,
                          max_iters, tol, callback=callback)
 
 
@@ -138,8 +139,10 @@ def test_weight_collapse_tau_one():
     # Bhat = -A_fc on the pattern
     assert_allclose(sys.Bhat, -A_fc.toarray()[pattern.slot_rows, pattern.cols],
                     rtol=1e-14, atol=1e-14)
-    # Dprec = 1 / diag(A_ff) per row
-    assert_allclose(sys.Dprec, 1.0 / A_ff.diagonal()[pattern.slot_rows], rtol=1e-14)
+    # Dprec = 1 / diag(A_ff), held per F row and spread over each row's slots
+    assert_allclose(sys.Dprec, 1.0 / A_ff.diagonal(), rtol=1e-14)
+    assert np.array_equal(apply_preconditioner(sys, w, np.empty_like(w)),
+                          sys.Dprec[pattern.slot_rows] * w)
 
 
 def test_weight_collapse_tau_zero_identity_x():
@@ -271,8 +274,8 @@ def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
     for project in (None, lambda v: v):
         iterates = []
         w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0,
-                                   sys.Dprec, 12, 0.0, project=project,
-                                   callback=iterates.append)
+                                   partial(apply_preconditioner, sys), 12, 0.0,
+                                   project=project, callback=iterates.append)
         runs.append((w, history, iterates))
     (w, history, iterates), (w_id, history_id, iterates_id) = runs
     assert len(history) == 13
@@ -393,7 +396,7 @@ def test_single_candidate_inverse_matches_pinv(case):
     rescaled = False
     for block in rows.blocks:
         _, _, slots, nonempty, starts, Gp = block
-        C = rows.C[slots]
+        C = rows.candidate_rows(slots)
         g = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
         expected = np.linalg.pinv(g)
         by_pinv.blocks.append(block[:5] + (expected,))
@@ -568,6 +571,33 @@ def test_assemble_P_matches_dense_permutation_oracle():
     expected[split.f_points] = W.toarray()
     expected[split.c_points] = np.eye(split.n_c)
     assert_allclose(P, expected)
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_assemble_P_allocates_no_per_entry_index_arrays(degree):
+    """Level 0 of rotated anisotropic n=64: besides P, assembly holds one
+    bool per entry (np.insert's mask) and a few vectors per row, no COO
+    row and column arrays (the COO route held 40 bytes per entry beyond
+    P); W's explicit zeros stay, and P is canonical."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
+    S = strength_graph(A, 0.4)
+    split = cf_split(S)
+    pattern = pattern_distance_k(S, split, degree)
+    values = np.random.default_rng(0).standard_normal(pattern.nnz)
+    values[::7] = 0.0
+    W = pattern.to_csr(values)
+    tracemalloc.start()
+    try:
+        P = assemble_P(W, split)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= P.data.nbytes + P.indices.nbytes + P.indptr.nbytes + P.nnz + 32 * split.n
+    assert P.has_canonical_format and P.nnz == W.nnz + split.n_c
+    expected = np.zeros((split.n, split.n_c))
+    expected[split.f_points] = W.toarray()
+    expected[split.c_points] = np.eye(split.n_c)
+    assert np.array_equal(P.toarray(), expected)
 
 
 def test_assemble_P_shape_mismatch():
@@ -776,7 +806,7 @@ def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
 @given(st.lists(st.integers(0, 9), max_size=30), st.integers(1, 12))
 def test_row_blocks_cover_the_rows_within_the_slot_limit(lengths, limit):
     indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
-    bounds = energymin._row_blocks(indptr, limit)
+    bounds = linalg.row_blocks(indptr, limit)
     assert bounds[0] == 0 and bounds[-1] == len(lengths)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         assert hi > lo
@@ -845,7 +875,7 @@ def test_apply_holds_no_temporary_beyond_a_row_block(tau, monkeypatch):
     pattern = pattern_distance_k(S, split, 2)
     B = prepare_candidates(A, np.ones(A.shape[0]))
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), tau, pattern)
-    assert len(energymin._row_blocks(pattern.indptr, 256)) > 50
+    assert len(linalg.row_blocks(pattern.indptr, 256)) > 50
     rng = np.random.default_rng(0)
     apply_weighted_operator(sys, rng.standard_normal(pattern.nnz))  # locates the layouts
     w = rng.standard_normal(pattern.nnz)
@@ -891,7 +921,9 @@ def reference_pcg_frobenius(sys, w0, max_iters, tol, use_preconditioner=True):
     """Reference: a weighted-only preconditioned CG on slot values, with
     no projection; pcg_frobenius must reproduce it bit for bit."""
     w = w0.copy()
-    d = sys.Dprec if use_preconditioner else np.ones(len(w))
+    # Dprec is per F row at tau = 1 and per slot below it
+    d = sys.Dprec if sys.tau < 1.0 else sys.Dprec[sys.pattern.slot_rows]
+    d = d if use_preconditioner else np.ones(len(w))
     r = sys.Bhat - apply_weighted_operator(sys, w)
     z = d * r
     rz = float(r @ z)

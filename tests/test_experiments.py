@@ -244,4 +244,4 @@ def test_sweep_csv_digest_is_pinned():
                            emin_iters=[1, 4], seed=0)
     text = rows_to_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "7c3e8a9ff220f708161d30fa5c5d93f315f267002a8f4d758dfd04ec4ed053fc"
+        "e59182d270d81905012317de4f1ba986330cd84d861cbe28d5a548d20b70915e"

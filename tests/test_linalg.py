@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from sparse_helpers import csr_from_triplets, lap1d
-from tracemin_amg.linalg import (Permutation, check_symmetric, dense_sym_eig,
+from tracemin_amg.linalg import (POWER_STEPS, Permutation, check_symmetric, dense_sym_eig,
                                  estimate_spectral_norm, perfect_shuffle,
                                  read_matrix_market, write_matrix_market)
 from tracemin_amg.problems import ProblemSpec, assemble
@@ -179,16 +179,42 @@ def spectral_norm_cases():
 # the fraction of rho below which the estimate of a positive semidefinite
 # operator may not fall; these cases measure 0.93 to 0.97
 SPECTRAL_NORM_FRACTION = 0.85
+# and the Ritz estimate's, which these cases measure at 0.983 to 1
+RITZ_FRACTION = 0.97
 
 
 @pytest.mark.parametrize("case", sorted(spectral_norm_cases()))
 def test_estimate_spectral_norm_is_a_close_lower_bound(case):
     """The estimate is a Rayleigh quotient, never above rho, and after
-    POWER_STEPS power steps it is within 15% of rho on these operators."""
+    POWER_STEPS power steps it is within 15% of rho on these operators.
+    The Ritz value of the steps' Krylov space is at least the estimate,
+    whose last vector lies in that space, and within 3% of rho."""
     M = spectral_norm_cases()[case]
     rho = np.abs(np.linalg.eigvalsh(M)).max()
-    estimate = estimate_spectral_norm(lambda v: M @ v, M.shape[0])
+    estimate, ritz = estimate_spectral_norm(lambda v: M @ v, M.shape[0])
     assert SPECTRAL_NORM_FRACTION * rho <= estimate <= rho * (1 + 1e-12)
+    assert max(estimate, RITZ_FRACTION * rho) <= ritz * (1 + 1e-9)
+    assert ritz <= rho * (1 + 1e-9)
+
+
+def test_ritz_estimate_is_the_krylov_projection_top():
+    """On an operator with a three-dimensional space the power steps'
+    Krylov space is the whole space, so the Ritz value is rho, while the
+    Rayleigh quotient is still below it.  On a diagonal operator with a
+    slowly converging top, the Ritz value is the largest eigenvalue of
+    the operator projected on the Krylov space, formed here by a dense
+    QR of its basis, to the 0.2% that the dropped Gram directions cost,
+    and above the Rayleigh quotient by far more."""
+    M = np.diag([3.0, 1.0, 0.5])
+    estimate, ritz = estimate_spectral_norm(lambda v: M @ v, 3)
+    assert estimate < 3.0 and ritz == pytest.approx(3.0, rel=1e-9)
+    d = np.linspace(0.0, 1.0, 200)
+    v = np.random.default_rng(12345).standard_normal(200)
+    Q, _ = np.linalg.qr(np.column_stack([d ** j * v for j in range(POWER_STEPS)]))
+    projected = np.linalg.eigvalsh(Q.T @ (d[:, None] * Q))[-1]
+    estimate, ritz = estimate_spectral_norm(lambda x: d * x, 200)
+    assert 0.997 * projected <= ritz <= projected * (1 + 1e-9)
+    assert estimate < 0.97 * ritz
 
 
 def test_estimate_spectral_norm_of_indefinite_and_zero_operators():
@@ -196,6 +222,8 @@ def test_estimate_spectral_norm_of_indefinite_and_zero_operators():
     # cancel in it, so an indefinite operator gets the bound alone
     G = np.random.default_rng(9).standard_normal((60, 60))
     M = G + G.T
-    assert 0.0 < estimate_spectral_norm(lambda v: M @ v, 60) <= np.abs(
-        np.linalg.eigvalsh(M)).max() * (1 + 1e-12)
-    assert estimate_spectral_norm(np.zeros_like, 5) == 0.0
+    estimate, ritz = estimate_spectral_norm(lambda v: M @ v, 60)
+    rho = np.abs(np.linalg.eigvalsh(M)).max()
+    assert 0.0 < estimate <= rho * (1 + 1e-12)
+    assert estimate <= ritz * (1 + 1e-9) and ritz <= rho * (1 + 1e-9)
+    assert estimate_spectral_norm(np.zeros_like, 5) == (0.0, 0.0)
