@@ -4,12 +4,14 @@ Subcommands: assemble (emit a benchmark matrix in Matrix Market form),
 solve (build one hierarchy and report convergence), sweep (run a
 configured experiment grid to CSV), theory (dense diagnostics of a
 Matrix Market matrix), sylvester (solve A W B + C W D = F from Matrix
-Market inputs); flags default to the library's dataclass fields.
+Market inputs); flags default to the library's dataclass fields and,
+for sylvester, to sylvester_cg's parameters.
 Exit codes: 0 success, 2 configuration error, 3 solver divergence.
 """
 
 import argparse
 import dataclasses
+import inspect
 import sys
 
 import numpy as np
@@ -204,8 +206,9 @@ def build_parser():
     p.add_argument("--D")
     p.add_argument("--F", required=True)
     p.add_argument("--out")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iters", type=int, default=500)
+    cg = inspect.signature(sylvester_cg).parameters
+    p.add_argument("--tol", type=float, default=cg["tol"].default)
+    p.add_argument("--max-iters", type=int, default=cg["max_iters"].default)
     p.set_defaults(func=_cmd_sylvester)
 
     return parser

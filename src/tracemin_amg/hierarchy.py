@@ -52,7 +52,7 @@ CF_WINDOW = 10
 # a coarse coupling this small against both of its diagonals, each
 # scaled by the candidate, is lumped onto them (galerkin_product)
 NON_GALERKIN_THETA = 5e-4
-# galerkin_product tests the coarse entries for dropping in row blocks
+# galerkin_product decides the coarse entries in one pass over row blocks
 # of at most this many stored entries, so its temporaries stay small
 GALERKIN_BLOCK_ENTRIES = 2**14
 
@@ -190,9 +190,12 @@ def galerkin_product(P, A, b=None):
     onto a_jj, so the result times b equals P^T A P b to round-off.  The
     two conditions bound a dropped entry by theta sqrt(a_ii a_jj) of the
     product's diagonals.  Both rules are symmetric in i and j, so the
-    result stays exactly symmetric.  Both tests run in row blocks of at
-    most GALERKIN_BLOCK_ENTRIES stored entries: besides the product they
-    hold one bool per entry and the diagonal's vectors.
+    result stays exactly symmetric.  One pass over row blocks of at most
+    GALERKIN_BLOCK_ENTRIES stored entries decides every entry: it reads
+    |a_ij| once, applies both rules, sums each row's lumped a_ij b_j,
+    writes a_ii + sum / b_i into the stored diagonal of a row whose sum is
+    nonzero and zeroes the dropped entries in place.  Besides the product
+    it holds the diagonal's vectors and a few arrays of one block.
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
@@ -208,56 +211,39 @@ def galerkin_product(P, A, b=None):
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
     t = np.sqrt(np.abs(d) * np.finfo(np.float64).eps)
+    # q_ij = |a_ij| b_j / (theta a_ii b_i) = |a_ij| r_i b_j, or 0 where
+    # b_i = 0 or a_ii <= 0, so q_ij in (0, 1] needs b_i b_j > 0 and a_ii > 0
     r = None if b is None else np.divide(1.0, NON_GALERKIN_THETA * d * b,
                                          out=np.zeros_like(d),
                                          where=(d > 0.0) & (b != 0.0))
-    drop = np.empty(Ac.nnz, dtype=bool)
-    moved = None if b is None else np.zeros_like(d)
+    dropped = False
     bounds = row_blocks(Ac.indptr, GALERKIN_BLOCK_ENTRIES)
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         first, last = Ac.indptr[lo], Ac.indptr[hi]
-        block = sparse.csr_matrix((Ac.data[first:last], Ac.indices[first:last],
-                                   Ac.indptr[lo:hi + 1] - first),
-                                  shape=(hi - lo, Ac.shape[1]))
-        bound = np.repeat(t[lo:hi], np.diff(block.indptr))
-        bound *= t[block.indices]
-        np.less(np.abs(block.data), bound, out=drop[first:last])
+        rows = np.repeat(np.arange(lo, hi), np.diff(Ac.indptr[lo:hi + 1]))
+        cols, data = Ac.indices[first:last], Ac.data[first:last]  # views
+        size = np.abs(data)
+        drop = size < t[rows] * t[cols]
         if b is not None:
-            moved[lo:hi] = _lump(block, lo, r, b, drop[first:last])
-    if b is not None:
-        rows = np.flatnonzero(moved)
-        # each such row lumps an entry, so it has b_i != 0 and a stored a_ii > 0
-        Ac[rows, rows] = d[rows] + moved[rows] / b[rows]
-    if drop.any():
-        Ac.data[drop] = 0.0
+            # q_ij and q_ji from the same two factors mark (i, j) and (j, i) alike
+            lump = ~drop
+            for row_factor, col_factor in ((r, b), (b, r)):
+                q = row_factor[rows] * col_factor[cols]
+                q *= size
+                lump &= (q > 0.0) & (q <= 1.0)
+            # bincount adds each row's a_ij b_j sequentially, in entry order
+            moved = np.bincount(rows[lump] - lo, weights=data[lump] * b[cols[lump]],
+                                minlength=hi - lo)
+            # a row lumps a nonzero sum only with b_i != 0 and a stored a_ii > 0
+            diagonal = (rows == cols) & (moved[rows - lo] != 0.0)
+            i = rows[diagonal]
+            data[diagonal] = d[i] + moved[i - lo] / b[i]
+            drop |= lump
+        data[drop] = 0.0
+        dropped = dropped or bool(drop.any())
+    if dropped:
         Ac.eliminate_zeros()
     return Ac
-
-
-def _lump(block, lo, r, b, drop):
-    """The candidate rule of galerkin_product on a row block of the
-    canonical, exactly symmetric Ac, rows lo onward: marks in drop, the
-    block's mask of entries already dropped at round-off, the entries it
-    lumps, and returns what each row lumps onto its diagonal, the sum of
-    its lumped a_ij b_j, to be divided by b_i.
-
-    One side of the rule at entry (i, j) is q_ij = |a_ij| b_j / (theta
-    a_ii b_i) = |a_ij| r_i b_j in (0, 1], r = 1 / (theta d b), or 0 where
-    b_i = 0 or a_ii <= 0, so it holds only where b_i b_j > 0 and a_ii >
-    0; the other is q_ji, formed from the same two factors, so (i, j)
-    and (j, i) are marked alike."""
-    counts = np.diff(block.indptr)
-    lump = ~drop
-    for row_factor, col_factor in ((r, b), (b, r)):
-        q = np.repeat(row_factor[lo:lo + len(counts)], counts)
-        q *= col_factor[block.indices]
-        q *= np.abs(block.data)
-        lump &= (q > 0.0) & (q <= 1.0)
-        del q
-    moved = sparse.csr_matrix((block.data * lump, block.indices, block.indptr),
-                              shape=block.shape) @ b
-    drop |= lump
-    return moved
 
 
 def _symmetrized(Ac):

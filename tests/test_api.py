@@ -22,6 +22,7 @@ from tracemin_amg.cli import build_parser
 from tracemin_amg.experiments import ExperimentConfig
 from tracemin_amg.hierarchy import SetupConfig
 from tracemin_amg.problems import ProblemSpec
+from tracemin_amg.sylvester import sylvester_cg
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tracemin_amg.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -329,13 +330,26 @@ SOLVE_FLAGS = {"mode": (SetupConfig, "mode"), "tau": (SetupConfig, "tau"),
                "seed": (ExperimentConfig, "seed"), **PROBLEM_FLAGS}
 
 
+SYLVESTER_FLAGS = {"tol": (sylvester_cg, "tol"), "max_iters": (sylvester_cg, "max_iters")}
+
+
+def library_default(owner, name):
+    """The default of field `name` of a dataclass, or of parameter `name`
+    of a function."""
+    if dataclasses.is_dataclass(owner):
+        return {f.name: f.default for f in dataclasses.fields(owner)}[name]
+    return inspect.signature(owner).parameters[name].default
+
+
 @pytest.mark.parametrize("argv, flags", [(["solve"], SOLVE_FLAGS),
-                                         (["assemble", "--out", "x"], PROBLEM_FLAGS)],
-                         ids=["solve", "assemble"])
+                                         (["assemble", "--out", "x"], PROBLEM_FLAGS),
+                                         (["sylvester", "--F", "x"], SYLVESTER_FLAGS)],
+                         ids=["solve", "assemble", "sylvester"])
 def test_cli_defaults_are_the_dataclass_defaults(argv, flags):
-    """The CLI restates no setting: each flag's default is its field's."""
+    """The CLI restates no setting: each flag's default is its field's,
+    or, for sylvester, its parameter's in sylvester_cg."""
     args = vars(build_parser().parse_args(argv))
-    for dest, (cls, name) in flags.items():
-        default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
+    for dest, (owner, name) in flags.items():
+        default = library_default(owner, name)
         assert args[dest] == default, f"--{dest} defaults to {args[dest]!r}, " \
-                                      f"{cls.__name__}.{name} to {default!r}"
+                                      f"{owner.__name__}.{name} to {default!r}"

@@ -20,7 +20,7 @@ from tracemin_amg.experiments import measure_report, smoothed_constant
 from tracemin_amg.hierarchy import (SetupConfig, galerkin_product,
                                     measure_convergence_factor, setup, solve,
                                     vcycle)
-from tracemin_amg.linalg import check_symmetric
+from tracemin_amg.linalg import check_symmetric, row_blocks
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import auto_jacobi_omega, symmetrized_mtilde
 from tracemin_amg.theory import ktg, two_grid_error_norm
@@ -601,6 +601,156 @@ def test_lumping_keeps_a_coupling_of_a_near_zero_candidate_entry():
     assert np.all(Ac.diagonal() > 0.0)
     assert np.linalg.eigvalsh(Ac.toarray())[0] > 0.0
     assert_allclose(Ac @ b, A @ b, rtol=0.0, atol=1e-14)
+
+
+def two_pass_galerkin(P, A, b=None):
+    """The bit reference of galerkin_product's drop and lump rules, in
+    two passes: per row block, the round-off mask, then the candidate
+    rule through a masked CSR copy of the block and one SpMV into an
+    n_c-long vector of lumped sums, then one CSR assignment of the
+    diagonal and one of the dropped entries."""
+    Ac = P.T.tocsr() @ (A @ P)
+    Ac.sort_indices()
+    Ac = hierarchy._symmetrized(Ac)
+    d = Ac.diagonal()
+    t = np.sqrt(np.abs(d) * EPS)
+    r = None if b is None else np.divide(1.0, hierarchy.NON_GALERKIN_THETA * d * b,
+                                         out=np.zeros_like(d),
+                                         where=(d > 0.0) & (b != 0.0))
+    drop = np.empty(Ac.nnz, dtype=bool)
+    moved = None if b is None else np.zeros_like(d)
+    bounds = row_blocks(Ac.indptr, hierarchy.GALERKIN_BLOCK_ENTRIES)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first, last = Ac.indptr[lo], Ac.indptr[hi]
+        block = sparse.csr_matrix((Ac.data[first:last], Ac.indices[first:last],
+                                   Ac.indptr[lo:hi + 1] - first),
+                                  shape=(hi - lo, Ac.shape[1]))
+        counts = np.diff(block.indptr)
+        bound = np.repeat(t[lo:hi], counts)
+        bound *= t[block.indices]
+        np.less(np.abs(block.data), bound, out=drop[first:last])
+        if b is None:
+            continue
+        lump = ~drop[first:last]
+        for row_factor, col_factor in ((r, b), (b, r)):
+            q = np.repeat(row_factor[lo:hi], counts)
+            q *= col_factor[block.indices]
+            q *= np.abs(block.data)
+            lump &= (q > 0.0) & (q <= 1.0)
+        moved[lo:hi] = sparse.csr_matrix((block.data * lump, block.indices, block.indptr),
+                                         shape=block.shape) @ b
+        drop[first:last] |= lump
+    if b is not None:
+        rows = np.flatnonzero(moved)
+        Ac[rows, rows] = d[rows] + moved[rows] / b[rows]
+    if drop.any():
+        Ac.data[drop] = 0.0
+        Ac.eliminate_zeros()
+    return Ac
+
+
+def graded_problem(seed, n=40, nc=15):
+    """A random sparse SPD A and a sparse P whose entries span 20 orders
+    of magnitude, so the coarse product has couplings below round-off of
+    its diagonals, couplings below theta of them and larger ones."""
+    rng = np.random.default_rng(seed)
+    A = rand_spd_sparse(rng, n, density=0.02)
+    dense_p = rng.choice([-1.0, 1.0], (n, nc)) * 10.0 ** rng.uniform(-20.0, 0.0, (n, nc))
+    dense_p[rng.random((n, nc)) > 0.3] = 0.0
+    return A, sparse.csr_matrix(dense_p), rng
+
+
+def graded_candidate(kind, rng, nc):
+    """A coarse candidate of one sign pattern, or None."""
+    if kind is None:
+        return None
+    b = rng.uniform(0.5, 2.0, nc)
+    if kind == "negative":
+        b = -b
+    elif kind == "mixed":
+        b[rng.random(nc) < 0.3] *= -1.0
+    elif kind == "zeros":
+        b[rng.random(nc) < 0.3] = 0.0
+    return b
+
+
+B_KINDS = ["positive", "negative", "mixed", "zeros", None]
+
+
+@pytest.mark.parametrize("theta", [hierarchy.NON_GALERKIN_THETA, 0.5],
+                         ids=["theta", "large-theta"])
+@pytest.mark.parametrize("kind", B_KINDS, ids=str)
+def test_galerkin_is_bit_identical_to_the_two_pass_rule(kind, theta, monkeypatch):
+    """On random graded problems and candidates of every sign pattern, the
+    one-pass rule stores the same entries, bit for bit, as the two-pass
+    reference; over the seeds both rules drop entries and, with b, lumps
+    move diagonals.  At theta 0.5 a row's lumps are of its diagonal's
+    size, so the order of their sum and the division by b_i show in the
+    bits of the diagonal; at NON_GALERKIN_THETA they are below its last
+    bits."""
+    monkeypatch.setattr(hierarchy, "NON_GALERKIN_THETA", theta)
+    round_off = lumped = 0
+    for seed in range(20):
+        A, P, rng = graded_problem(seed)
+        b = graded_candidate(kind, rng, P.shape[1])
+        Ac = galerkin_product(P, A, b)
+        assert_same_csr(Ac, two_pass_galerkin(P, A, b))
+        full = two_pass_galerkin(P, A)
+        round_off += unfiltered_galerkin(P, A).nnz - full.nnz
+        lumped += full.nnz - Ac.nnz
+    assert round_off > 0
+    assert (lumped > 0) == (kind is not None)
+
+
+@pytest.mark.parametrize("kind", B_KINDS, ids=str)
+def test_galerkin_blocks_of_a_few_entries_keep_the_bits(kind, monkeypatch):
+    """With blocks of at most 4 entries every row of more than 4 stored
+    entries is a block by itself; the result equals the two-pass
+    reference at that block size and the one-pass rule at the default."""
+    cases = []
+    for seed in range(5):
+        A, P, rng = graded_problem(seed)
+        b = graded_candidate(kind, rng, P.shape[1])
+        cases.append((P, A, b, galerkin_product(P, A, b)))
+    monkeypatch.setattr(hierarchy, "GALERKIN_BLOCK_ENTRIES", 4)
+    for P, A, b, default in cases:
+        Ac = galerkin_product(P, A, b)
+        assert np.diff(Ac.indptr).max() > 4
+        assert_same_csr(Ac, two_pass_galerkin(P, A, b))
+        assert_same_csr(Ac, default)
+
+
+def test_galerkin_decides_a_boundary_coupling_as_the_two_pass_rule(monkeypatch):
+    """b_1 = 1 + 24/997 and this a_01 put q_01 one ulp above 1 in the
+    rule's order, (r_0 b_1) |a_01|, and at exactly 1 in the order r_0
+    (b_1 |a_01|): a_01 is kept, as the two-pass reference keeps it."""
+    monkeypatch.setattr(hierarchy, "NON_GALERKIN_THETA", 5e-4)
+    a, b = 0.0009764936336924585, np.array([1.0, 1.0 + 24 / 997])
+    r_0 = 1.0 / (5e-4 * 2.0 * b[0])
+    assert (r_0 * b[1]) * a > 1.0 == r_0 * (b[1] * a)
+    A = sparse.csr_matrix(np.array([[2.0, a], [a, 1e3]]))
+    P = sparse.identity(2, format="csr")
+    Ac = galerkin_product(P, A, b)
+    assert_same_csr(Ac, two_pass_galerkin(P, A, b))
+    assert_same_csr(Ac, A)
+
+
+def test_galerkin_row_whose_lumps_cancel_keeps_its_diagonal():
+    """Row 0 lumps w b_1 and -w b_2, which cancel to exactly 0: its
+    diagonal is left as it is, both couplings are still dropped, and
+    rows 1 and 2 each take their one lump, 2 + w and 2 - w."""
+    n, w = 4, 1e-5
+    entries = [(i, i, 2.0) for i in range(n)] + [(2, 3, -1.0), (3, 2, -1.0)]
+    entries += [(0, 1, w), (1, 0, w), (0, 2, -w), (2, 0, -w)]
+    A = csr_from_triplets(entries, n, n)
+    b = np.ones(n)
+    P = sparse.identity(n, format="csr")
+    Ac = galerkin_product(P, A, b)
+    assert_same_csr(Ac, two_pass_galerkin(P, A, b))
+    assert Ac.nnz == n + 2
+    assert Ac[0, 1] == Ac[0, 2] == 0.0
+    assert Ac.diagonal().tolist() == [2.0, 2.0 + w, 2.0 - w, 2.0]
+    assert_allclose(Ac @ b, A @ b, rtol=0.0, atol=1e-15)
 
 
 @st.composite
