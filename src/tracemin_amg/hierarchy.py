@@ -77,12 +77,13 @@ class Level:
 class Hierarchy:
     """The levels, finest first.  coarsest_factorization is cho_factor's
     (c, lower) for a coarsest level with a nonzero off-diagonal entry, or
-    the diagonal of one without."""
+    the diagonal of one without; sweeps is the number of relaxation
+    sweeps before and after each coarse correction."""
 
     levels: list
     coarsest_factorization: object
     fine_candidates: np.ndarray
-    config: object
+    sweeps: int
 
     @property
     def n_levels(self):
@@ -100,7 +101,7 @@ class Hierarchy:
         (2 sweeps + 1) * nnz(A_l) / nnz(A_0), summed over levels, with
         the configured sweeps before and after the coarse correction."""
         nnz0 = self.levels[0].A.nnz
-        return sum((2 * self.config.sweeps + 1) * lvl.A.nnz
+        return sum((2 * self.sweeps + 1) * lvl.A.nnz
                    for lvl in self.levels) / nnz0
 
 
@@ -279,7 +280,10 @@ def setup(A, cfg):
     coarsest level with no nonzero off-diagonal entry is solved by
     division by its diagonal; any other is factorized densely, and
     rejected before it is formed when that would need more than
-    MAX_DENSE_COARSE_BYTES.
+    MAX_DENSE_COARSE_BYTES.  A level whose operator turns out not to be
+    positive definite, as lumping can leave a coarse one, is a ValueError
+    that names the level: the breakdown of its energy minimization, or a
+    non-positive diagonal entry or failed factorization of the coarsest.
     """
     A = real_csr(A)
     check_symmetric(A)
@@ -288,7 +292,7 @@ def setup(A, cfg):
 
     levels = []
     while len(levels) < cfg.max_levels - 1 and A.shape[0] > cfg.max_coarse:
-        level = _build_level(A, raw, cfg)
+        level = _build_level(A, raw, cfg, len(levels))
         if level is None:
             break
         levels.append(level)
@@ -297,12 +301,13 @@ def setup(A, cfg):
         A = galerkin_product(level.P, A, raw[:, 0] if raw.shape[1] == 1 else None)
     levels.append(Level(A=A))  # solved directly, never relaxed
 
-    return Hierarchy(levels, _coarsest_factorization(A), fine_candidates, cfg)
+    return Hierarchy(levels, _coarsest_factorization(A, len(levels) - 1), fine_candidates,
+                     cfg.sweeps)
 
 
-def _build_level(A, raw, cfg):
-    """The level of operator A with its interpolation, or None when A has
-    nothing to coarsen.  Each intermediate dies once nothing reads it:
+def _build_level(A, raw, cfg, index):
+    """Level `index`, of operator A, with its interpolation, or None when A
+    has nothing to coarsen.  Each intermediate dies once nothing reads it:
     the strength graph once the pattern exists, the pattern, the
     candidates and the weight block W once P exists, all before the
     caller forms the Galerkin product."""
@@ -316,12 +321,16 @@ def _build_level(A, raw, cfg):
     del S
     B = prepare_candidates(A, raw)
     iters = cfg.iteration_budget()
-    if cfg.mode == "constrained":
-        interp = constrained_energymin(A, split, B, pattern, iters, tol=cfg.emin_tol)
-    else:
-        interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
-                                    pattern, iters, tol=cfg.emin_tol,
-                                    use_preconditioner=cfg.use_preconditioner)
+    try:
+        if cfg.mode == "constrained":
+            interp = constrained_energymin(A, split, B, pattern, iters, tol=cfg.emin_tol)
+        else:
+            interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
+                                        pattern, iters, tol=cfg.emin_tol,
+                                        use_preconditioner=cfg.use_preconditioner)
+    except RuntimeError as err:  # the minimization's CG breakdown
+        raise ValueError(f"level {index} ({A.shape[0]} rows): operator is not positive "
+                         f"definite: {err}") from err
     P, residuals = interp.P, interp.residuals
     del pattern, B, interp
     P = P.tocsc()  # the restriction P.T is then a CSR view (Level)
@@ -334,20 +343,27 @@ def _build_level(A, raw, cfg):
                  emin_residuals=residuals, diagonal=diagonal)
 
 
-def _coarsest_factorization(A):
-    """diag(A) when A has no nonzero off-diagonal entry, else the dense
-    Cholesky factorization of A, refused over MAX_DENSE_COARSE_BYTES."""
-    rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-    if not np.any((A.indices != rows) & (A.data != 0.0)):
-        return A.diagonal()
+def _coarsest_factorization(A, index):
+    """diag(A) when A, level `index`, has no nonzero off-diagonal entry,
+    else the dense Cholesky factorization of A, refused over
+    MAX_DENSE_COARSE_BYTES.  A non-positive diagonal entry or a failed
+    factorization is a ValueError that names the level."""
     n = A.shape[0]
-    if 8 * n * n > MAX_DENSE_COARSE_BYTES:
+    rows = np.repeat(np.arange(n), np.diff(A.indptr))
+    coupled = np.any((A.indices != rows) & (A.data != 0.0))
+    if coupled and 8 * n * n > MAX_DENSE_COARSE_BYTES:
         raise ValueError(
             f"coarsest level has {n} rows: its dense Cholesky factorization "
             f"needs {8 * n * n} bytes, over the {MAX_DENSE_COARSE_BYTES}-byte limit; "
             "raise max_levels or lower max_coarse")
-    # cho_factor reads only the upper triangle: one dense copy, factorized in place
-    return cho_factor(A.toarray(order="F"), overwrite_a=True)
+    diagonal = A.diagonal()
+    try:
+        check_positive_diagonal(diagonal)
+        # cho_factor reads only the upper triangle: one dense copy, factorized in place
+        return cho_factor(A.toarray(order="F"), overwrite_a=True) if coupled else diagonal
+    except ValueError as err:  # LinAlgError is a ValueError
+        raise ValueError(f"coarsest level {index} ({n} rows): operator is not positive "
+                         f"definite: {err}") from err
 
 
 def vcycle(H, level, b):

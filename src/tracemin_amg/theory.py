@@ -10,7 +10,7 @@ n up to a few hundred; it doubles as the oracle layer for the sparse
 solver's tests and as a diagnostic CLI surface.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.linalg import solve
@@ -32,38 +32,29 @@ __all__ = [
 DESK_SCALE_LIMIT = 500
 
 
+def _labelled(label):
+    """A report field, None until computed, printed under `label`."""
+    return field(default=None, metadata={"label": label})
+
+
 @dataclass
 class TheoryReport:
-    """Measured two-grid quantities; fields are None until computed."""
+    """Measured two-grid quantities; fields are None until computed.
+    Printed one computed field a line, in field order, under its label."""
 
-    etg_norm: float = None
-    ktg: float = None
-    kappa_s: float = None
-    c2_meas: float = None
-    pr_energy: float = None
-    trace_schur: float = None
-    trace_plain: float = None
-    beta_wap: float = None
-    beta_sap: float = None
+    etg_norm: float = _labelled("||E_TG||_A")
+    ktg: float = _labelled("K_TG")
+    kappa_s: float = _labelled("lambda_min(Xs\\As)")
+    c2_meas: float = _labelled("lambda_max(Xs\\As)")
+    pr_energy: float = _labelled("||PR||_A^2")
+    trace_schur: float = _labelled("tr(PtAP RAinvRt)")
+    trace_plain: float = _labelled("||Ainv|| tr(PtAP)")
+    beta_wap: float = _labelled("beta_wap")
+    beta_sap: float = _labelled("beta_sap")
 
     def __str__(self):
-        lines = []
-        names = [
-            ("etg_norm", "||E_TG||_A        "),
-            ("ktg", "K_TG              "),
-            ("kappa_s", "lambda_min(Xs\\As) "),
-            ("c2_meas", "lambda_max(Xs\\As) "),
-            ("pr_energy", "||PR||_A^2        "),
-            ("trace_schur", "tr(PtAP RAinvRt)  "),
-            ("trace_plain", "||Ainv|| tr(PtAP) "),
-            ("beta_wap", "beta_wap          "),
-            ("beta_sap", "beta_sap          "),
-        ]
-        for attr, label in names:
-            val = getattr(self, attr)
-            if val is not None:
-                lines.append(f"{label} {val: .12e}")
-        return "\n".join(lines)
+        return "\n".join(f"{f.metadata['label']:18} {value: .12e}" for f in fields(self)
+                         if (value := getattr(self, f.name)) is not None)
 
 
 def check_desk_operator(A):
@@ -234,13 +225,13 @@ def approximation_constants(A, P):
 
 
 def full_report(A, M, X, split, P):
-    """All diagnostics for one (A, M, P) triple with P in CF ordering."""
-    report = stability_bounds(A, X, split, P)
+    """All diagnostics for one (A, M, P) triple with P in CF ordering;
+    ktg stays None when P spans the space."""
+    bounds = stability_bounds(A, X, split, P)
     perm = split.cf_permutation()
     Ap = A[np.ix_(perm, perm)]
     Mp = np.asarray(M, dtype=np.float64)[np.ix_(perm, perm)]
-    report.etg_norm = two_grid_error_norm(Ap, Mp, P)
-    if P.shape[1] < A.shape[0]:
-        report.ktg = ktg(Ap, Mp, P)
-    report.beta_wap, report.beta_sap = approximation_constants(Ap, P)
-    return report
+    beta_wap, beta_sap = approximation_constants(Ap, P)
+    return replace(bounds, etg_norm=two_grid_error_norm(Ap, Mp, P),
+                   ktg=ktg(Ap, Mp, P) if P.shape[1] < A.shape[0] else None,
+                   beta_wap=beta_wap, beta_sap=beta_sap)

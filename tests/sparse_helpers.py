@@ -1,7 +1,9 @@
-"""Small sparse matrices shared by the test modules."""
+"""Small matrices, patterns and dense oracles shared by the test modules."""
 
 import numpy as np
 from scipy import sparse
+
+from tracemin_amg.coarsening import SparsityPattern
 
 
 def csr_from_triplets(triplets, nrows, ncols):
@@ -31,6 +33,60 @@ def rand_spd_sparse(rng, n, density=0.3):
     G = rng.standard_normal((n, n))
     G[rng.random((n, n)) > density] = 0.0
     return sparse.csr_matrix(G @ G.T + n * np.eye(n))
+
+
+def rand_spd(rng, n, shift=None):
+    """The dense G G^T + shift I for a standard normal n x n G; shift
+    defaults to n."""
+    G = rng.standard_normal((n, n))
+    return G @ G.T + (n if shift is None else shift) * np.eye(n)
+
+
+def jacobi_m(A):
+    """A diagonal relaxation of the dense A scaled to be A-convergent."""
+    D = np.diag(np.diag(A))
+    rho = np.abs(np.linalg.eigvals(np.linalg.solve(D, A))).max()
+    return D * rho
+
+
+def random_pattern(rng, nf, nc, fill=0.5):
+    """Random pattern with at least one entry per row."""
+    pairs = set()
+    for i in range(nf):
+        cols = np.flatnonzero(rng.random(nc) < fill)
+        if len(cols) == 0:
+            cols = [int(rng.integers(nc))]
+        pairs.update((i, int(j)) for j in cols)
+    rows = np.array(sorted(pairs))
+    indptr = np.zeros(nf + 1, dtype=np.int64)
+    np.add.at(indptr[1:], rows[:, 0], 1)
+    return SparsityPattern(nf, nc, np.cumsum(indptr), rows[:, 1].astype(np.int64))
+
+
+def vec_positions(sys):
+    """The column-major vec(W) position of every slot of a weighted system,
+    in int64: the int32 pattern indices would overflow at nf * nc >= 2^31."""
+    return sys.pattern.cols.astype(np.int64) * sys.pattern.nf + sys.pattern.slot_rows
+
+
+def dense_operator_and_rhs(sys, X):
+    """Vectorized oracle: the restricted operator of a weighted system as
+    a dense matrix on column-major vec(W), with unit diagonal outside the
+    pattern, its right-hand side and the mask of the pattern; X is the
+    SpectralEquivalence the system was built with."""
+    nf, nc = sys.pattern.nf, sys.pattern.nc
+    N = nf * nc
+    A_ff = sys.A_ff.toarray()
+    L = sys.tau * np.kron(np.eye(nc), A_ff) \
+        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(A_ff)))
+    inside = np.zeros(N, dtype=bool)
+    inside[vec_positions(sys)] = True
+    L[~inside, :] = 0.0
+    L[:, ~inside] = 0.0
+    L[~inside, ~inside] = 1.0
+    b = np.zeros(N)
+    b[vec_positions(sys)] = sys.Bhat
+    return L, b, inside
 
 
 def invalid_operators(n=120):

@@ -15,8 +15,9 @@ from functools import partial
 
 import numpy as np
 
-from sparse_helpers import rand_spd_sparse
-from tracemin_amg.coarsening import BlockSplit, SparsityPattern
+from sparse_helpers import (dense_operator_and_rhs, jacobi_m, rand_spd, rand_spd_sparse,
+                            random_pattern, vec_positions)
+from tracemin_amg.coarsening import BlockSplit
 from tracemin_amg.energymin import (apply_preconditioner, apply_weighted_operator,
                                     build_weighted_system, pcg_frobenius,
                                     prepare_candidates)
@@ -35,30 +36,6 @@ warnings.filterwarnings("ignore", category=RuntimeWarning)
 def report(index, ok, detail):
     print(f"\n[criterion {index:2d}] {'PASS' if ok else 'FAIL'}  {detail}")
     assert ok, f"criterion {index}: {detail}"
-
-
-def rand_spd(rng, n):
-    G = rng.standard_normal((n, n))
-    return G @ G.T + n * np.eye(n)
-
-
-def jacobi_m(A):
-    D = np.diag(np.diag(A))
-    rho = np.abs(np.linalg.eigvals(np.linalg.solve(D, A))).max()
-    return D * rho
-
-
-def random_pattern(rng, nf, nc, fill=0.5):
-    pairs = set()
-    for i in range(nf):
-        cols = np.flatnonzero(rng.random(nc) < fill)
-        if len(cols) == 0:
-            cols = [int(rng.integers(nc))]
-        pairs.update((i, int(j)) for j in cols)
-    rows = np.array(sorted(pairs))
-    indptr = np.zeros(nf + 1, dtype=np.int64)
-    np.add.at(indptr[1:], rows[:, 0], 1)
-    return SparsityPattern(nf, nc, np.cumsum(indptr), rows[:, 1].astype(np.int64))
 
 
 def random_system(rng, n, tau, n_b=2):
@@ -122,21 +99,9 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         n = int(rng.integers(20, 76))            # n_f <= 50
         tau = float(rng.choice([1.0, 0.6, 0.1]))
         sys = random_system(rng, n, tau)
-        nf, nc = sys.pattern.nf, sys.pattern.nc
-        X = SpectralEquivalence()  # the one random_system builds with
-        L = sys.tau * np.kron(np.eye(nc), sys.A_ff.toarray()) \
-            + X.c2 * (1 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(sys.A_ff)))
-        # column-major vec(W) position of every slot, in int64: the int32
-        # pattern indices would overflow at nf * nc >= 2^31
-        vec = sys.pattern.cols.astype(np.int64) * nf + sys.pattern.slot_rows
-        inside = np.zeros(nf * nc, dtype=bool)
-        inside[vec] = True
-        L[~inside, :] = 0.0
-        L[:, ~inside] = 0.0
-        L[~inside, ~inside] = 1.0
-        b = np.zeros(nf * nc)
-        b[vec] = sys.Bhat
-        expected = np.linalg.solve(L, b)[vec]
+        # SpectralEquivalence() is the X random_system builds with
+        L, b, _ = dense_operator_and_rhs(sys, SpectralEquivalence())
+        expected = np.linalg.solve(L, b)[vec_positions(sys)]
         w, _ = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
                              np.zeros(sys.pattern.nnz), partial(apply_preconditioner, sys),
                              4 * sys.pattern.nnz, 1e-14)

@@ -23,6 +23,7 @@ from tracemin_amg.experiments import ExperimentConfig
 from tracemin_amg.hierarchy import SetupConfig
 from tracemin_amg.problems import ProblemSpec
 from tracemin_amg.sylvester import sylvester_cg
+from tracemin_amg.theory import TheoryReport
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(tracemin_amg.__path__))
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,15 +40,9 @@ FIELDS_UNREAD_ON_PURPOSE = {
     "ExperimentConfig.modes": "the sweep's modes, read by the config's own grid",
     "Permutation.forward": "the permutation itself, read through its matrix",
     "SpectralEquivalence.x_kind": "set only by tests, on purpose (ROADMAP aim 2)",
-    **{f"TheoryReport.{name}": "printed by its __str__, the output of `tracemin-amg theory`"
-       for name in ("etg_norm", "ktg", "kappa_s", "c2_meas", "pr_energy",
-                    "trace_schur", "trace_plain", "beta_wap", "beta_sap")},
+    **{f"TheoryReport.{f.name}": "printed by its __str__, the output of `tracemin-amg theory`"
+       for f in dataclasses.fields(TheoryReport)},
 }
-# defaulted fields of exported dataclasses that no call and no sweep JSON
-# sets, each kept on purpose
-FIELDS_UNSET_ON_PURPOSE = {
-    f"TheoryReport.{name}": "assigned by theory.full_report after construction"
-    for name in ("etg_norm", "ktg", "beta_wap", "beta_sap")}
 # methods and properties of exported classes that only tests read, each
 # kept on purpose (names are matched alone, so Problem.matrix already
 # reads as a reader of Permutation.matrix)
@@ -304,20 +299,16 @@ def set_fields(classes):
 
 def test_every_defaulted_dataclass_field_is_set():
     """Each defaulted field of an exported dataclass is set by some call or
-    sweep JSON in the library, the benchmark or the tests (set_fields), or
-    is kept on purpose (FIELDS_UNSET_ON_PURPOSE): a default that nothing
-    overrides is a restated constant, not a setting."""
+    sweep JSON in the library, the benchmark or the tests (set_fields): a
+    default that nothing overrides is a restated constant, not a setting."""
     classes = exported_dataclasses()
     found = set_fields(classes)
     unset = [f"{name}.{f.name}" for name, cls in classes.items()
              for f in dataclasses.fields(cls)
              if f.init and (f.default is not dataclasses.MISSING
                             or f.default_factory is not dataclasses.MISSING)
-             and (name, f.name) not in found
-             and f"{name}.{f.name}" not in FIELDS_UNSET_ON_PURPOSE]
+             and (name, f.name) not in found]
     assert not unset, f"defaulted dataclass fields that nothing sets: {unset}"
-    stale = [kept for kept in FIELDS_UNSET_ON_PURPOSE if tuple(kept.split(".")) in found]
-    assert not stale, f"kept on purpose but set: {stale}"
 
 
 PROBLEM_FLAGS = {"epsilon": (ProblemSpec, "epsilon"), "theta": (ProblemSpec, "theta"),

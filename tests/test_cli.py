@@ -358,3 +358,15 @@ def test_sweep_checks_its_output_before_assembly(tmp_path, monkeypatch, capsys):
     assert main(["sweep", "--problem", "oscillatory", "--n", "8", "--out", str(target)]) == 2
     assert str(target) in capsys.readouterr().err
     assert calls == []
+
+
+def test_indefinite_coarse_level_is_a_configuration_error(monkeypatch, capsys):
+    """A minimization breakdown on an indefinite coarse level (lumping at
+    theta = 2e-3, down to 10 rows) exits 2 with the level named, not with
+    a traceback."""
+    monkeypatch.setattr(hierarchy, "NON_GALERKIN_THETA", 2e-3)
+    monkeypatch.setattr(cli, "setup", lambda A, cfg: hierarchy.setup(
+        A, dataclasses.replace(cfg, max_coarse=10)))
+    assert main(["solve", "--n", "64", "--epsilon", "1e-3", "--pattern-degree", "4"]) == 2
+    assert re.match(r"error: level \d+ \(\d+ rows\): operator is not positive definite: "
+                    r"energy-minimization CG breakdown", capsys.readouterr().err)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from sparse_helpers import lap1d, rand_spd_sparse
+from sparse_helpers import (dense_operator_and_rhs, lap1d, rand_spd_sparse, random_pattern,
+                            vec_positions)
 from tracemin_amg import energymin, hierarchy, linalg
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
@@ -24,20 +25,6 @@ from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import SpectralEquivalence
 
 
-def random_pattern(rng, nf, nc, fill=0.5):
-    """Random pattern with at least one entry per row."""
-    pairs = set()
-    for i in range(nf):
-        cols = np.flatnonzero(rng.random(nc) < fill)
-        if len(cols) == 0:
-            cols = [int(rng.integers(nc))]
-        pairs.update((i, int(j)) for j in cols)
-    rows = np.array(sorted(pairs))
-    indptr = np.zeros(nf + 1, dtype=np.int64)
-    np.add.at(indptr[1:], rows[:, 0], 1)
-    return SparsityPattern(nf, nc, np.cumsum(indptr), rows[:, 1].astype(np.int64))
-
-
 def random_instance(rng, n, n_b=1, tau=0.5, fill=0.5):
     A = rand_spd_sparse(rng, n)
     perm = rng.permutation(n)
@@ -47,25 +34,6 @@ def random_instance(rng, n, n_b=1, tau=0.5, fill=0.5):
     B = prepare_candidates(A, rng.standard_normal((n, n_b)))
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), tau, pattern)
     return A, split, pattern, B, sys
-
-
-def dense_operator_and_rhs(sys, X):
-    """Vectorized oracle: the restricted operator as a dense matrix on
-    column-major vec(W), with unit diagonal outside the pattern; X is the
-    SpectralEquivalence the system was built with."""
-    nf, nc = sys.pattern.nf, sys.pattern.nc
-    N = nf * nc
-    A_ff = sys.A_ff.toarray()
-    L = sys.tau * np.kron(np.eye(nc), A_ff) \
-        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(A_ff)))
-    inside = np.zeros(N, dtype=bool)
-    inside[vec_positions(sys)] = True
-    L[~inside, :] = 0.0
-    L[:, ~inside] = 0.0
-    L[~inside, ~inside] = 1.0
-    b = np.zeros(N)
-    b[vec_positions(sys)] = sys.Bhat
-    return L, b, inside
 
 
 def run_pcg(sys, w0, max_iters, tol, use_preconditioner=True, callback=None):
@@ -80,12 +48,6 @@ def quadratic_value(sys, values):
     """The pattern-restricted quadratic 0.5 <Lhat W, W> - <W, Bhat>."""
     return 0.5 * float(values @ apply_weighted_operator(sys, values)) \
         - float(values @ sys.Bhat)
-
-
-def vec_positions(sys):
-    """The column-major vec(W) position of every slot, in int64: the
-    int32 pattern indices would overflow at nf * nc >= 2^31."""
-    return sys.pattern.cols.astype(np.int64) * sys.pattern.nf + sys.pattern.slot_rows
 
 
 def vec_to_values(sys, w_vec):

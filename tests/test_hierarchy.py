@@ -432,6 +432,33 @@ def test_coarsest_level_builds_no_smoother(monkeypatch):
     assert coarsest.relaxation is None and coarsest.diagonal is None
 
 
+@pytest.mark.parametrize("max_levels, message", [
+    (25, r"^level \d+ \(\d+ rows\): operator is not positive definite: "
+         r"energy-minimization CG breakdown at iteration \d+: curvature -"),
+    (2, r"^coarsest level 1 \(\d+ rows\): operator is not positive definite: "
+        r".*leading minor"),
+], ids=["minimization", "coarsest"])
+def test_indefinite_coarse_level_is_named(monkeypatch, max_levels, message):
+    """Lumping at theta = 2e-3, four times NON_GALERKIN_THETA, leaves coarse
+    levels of this problem indefinite.  The minimization that breaks down
+    on one, or the factorization of the coarsest, is a ValueError that
+    names the level and its row count."""
+    monkeypatch.setattr(hierarchy, "NON_GALERKIN_THETA", 2e-3)
+    A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
+    with pytest.raises(ValueError, match=message):
+        setup(A, SetupConfig(pattern_degree=4, max_coarse=10, max_levels=max_levels))
+
+
+def test_uncoupled_coarsest_level_checks_its_diagonal():
+    """A coarsest level without off-diagonal entries is solved by division,
+    so its diagonal is checked before it is held."""
+    A = csr_from_triplets([(0, 0, 2.0), (1, 1, -0.5), (2, 2, 1.0)], 3, 3)
+    with pytest.raises(ValueError, match=r"^coarsest level 4 \(3 rows\): operator is not "
+                                         r"positive definite: non-positive diagonal entry: "
+                                         r"a_ii = -0.5 at row 1$"):
+        hierarchy._coarsest_factorization(A, 4)
+
+
 def test_single_level_cycle_complexity_counts_configured_sweeps():
     A = poisson2d(8)
     H = setup(A, SetupConfig(max_levels=1, sweeps=3))

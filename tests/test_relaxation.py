@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sparse_helpers import invalid_operators, lap1d
+from sparse_helpers import invalid_operators, lap1d, rand_spd
 from tracemin_amg.experiments import smoothed_constant
 from tracemin_amg.hierarchy import SetupConfig, setup
 from tracemin_amg.linalg import dense_sym_eig
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import (OMEGA_COEFFICIENT, Relaxation, SpectralEquivalence,
                                      auto_jacobi_omega, relax_sweep, symmetrized_mtilde)
-
-
-def rand_spd(rng, n, shift=None):
-    G = rng.standard_normal((n, n))
-    return G @ G.T + (n if shift is None else shift) * np.eye(n)
 
 
 def is_a_convergent(A, M):

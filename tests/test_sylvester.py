@@ -4,14 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sparse_helpers import rand_spd
 from tracemin_amg.linalg import perfect_shuffle
 from tracemin_amg.sylvester import (MatrixEquation, hadamard_diag_preconditioner,
                                     sylvester_cg)
-
-
-def rand_spd(rng, n):
-    G = rng.standard_normal((n, n))
-    return G @ G.T + n * np.eye(n)
 
 
 def test_preconditioner_formula_instantiation():

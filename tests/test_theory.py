@@ -1,25 +1,17 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from sparse_helpers import jacobi_m, rand_spd
 from tracemin_amg.coarsening import BlockSplit
 from tracemin_amg.relaxation import SpectralEquivalence, symmetrized_mtilde
-from tracemin_amg.theory import (approximation_constants, full_report,
+from tracemin_amg.theory import (TheoryReport, approximation_constants, full_report,
                                  ideal_interpolation, ktg,
                                  optimal_interpolation, stability_bounds,
                                  two_grid_error_norm)
-
-
-def rand_spd(rng, n):
-    G = rng.standard_normal((n, n))
-    return G @ G.T + n * np.eye(n)
-
-
-def jacobi_m(A):
-    """A diagonal relaxation scaled to be A-convergent."""
-    D = np.diag(np.diag(A))
-    rho = np.abs(np.linalg.eigvals(np.linalg.solve(D, A))).max()
-    return D * rho
 
 
 def lap1d(n):
@@ -276,7 +268,21 @@ def test_full_report_populates_all_fields():
     P = ideal_interpolation(A, split)
     M = jacobi_m(A)
     report = full_report(A, M, SpectralEquivalence(), split, P)
-    for field in ("etg_norm", "ktg", "kappa_s", "c2_meas", "pr_energy",
-                  "trace_schur", "trace_plain", "beta_wap", "beta_sap"):
-        assert getattr(report, field) is not None
-    assert "K_TG" in str(report)
+    fields = dataclasses.fields(TheoryReport)
+    assert len(fields) == 9
+    lines = str(report).split("\n")
+    assert len(lines) == len(fields)
+    for field, line in zip(fields, lines):
+        assert getattr(report, field.name) is not None
+        assert re.fullmatch(r".{18} [ -][0-9]\.[0-9]{12}e[+-][0-9]{2}", line)
+        assert line.startswith(field.metadata["label"])
+
+
+def test_report_prints_only_computed_fields_and_needs_a_label_for_each():
+    assert str(TheoryReport()) == ""
+    assert str(TheoryReport(ktg=2.0, beta_sap=-0.5)) == \
+        "K_TG                2.000000000000e+00\nbeta_sap           -5.000000000000e-01"
+    unlabelled = dataclasses.make_dataclass("Unlabelled", [("extra", float, None)],
+                                            bases=(TheoryReport,))
+    with pytest.raises(KeyError, match="label"):
+        str(unlabelled(extra=1.0))
