@@ -27,9 +27,6 @@ from functools import partial
 
 import numpy as np
 from scipy import sparse
-# the kernel behind CSR fancy indexing S[rows, cols], called without that
-# indexing's validation (see _slot_values)
-from scipy.sparse._sparsetools import csr_sample_values
 
 from .coarsening import SparsityPattern
 from .linalg import row_blocks
@@ -127,17 +124,10 @@ def _slot_values(S, slot_rows, cols):
     as a 1-D array of S's dtype, 0 where S stores nothing.  CSR sampling
     reads each slot from its row of S (scanning it, or bisecting when S
     is canonical), so S may be an unsorted SpGEMM product with entries
-    off the pattern.  It is the kernel of S[slot_rows, cols], with the
-    same bits, called without that indexing's bound scans and index
-    conversions and its np.matrix result: the slots must lie inside S,
-    as a pattern's do, and index arrays already of S's index dtype
-    (int32 like a pattern's) are read in place."""
-    idx = S.indices.dtype
-    rows, cols = np.asarray(slot_rows, dtype=idx), np.asarray(cols, dtype=idx)
-    out = np.empty(len(rows), dtype=S.dtype)
-    csr_sample_values(S.shape[0], S.shape[1], S.indptr, S.indices, S.data,
-                      len(rows), rows, cols, out)
-    return out
+    off the pattern; a slot outside S raises IndexError."""
+    if len(slot_rows) == 0:  # SciPy returns an empty sparse matrix here
+        return np.zeros(0, S.dtype)
+    return np.asarray(S[slot_rows, cols]).ravel()
 
 
 # apply_weighted_operator forms both of its terms, and _RowConstraints

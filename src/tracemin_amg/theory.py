@@ -154,7 +154,8 @@ def stability_bounds(A, X, split, P):
     Computes ||PR||_A^2, the Frobenius bound tr(P^T A P (R A^{-1} R^T))
     (the cc block of A^{-1} is the inverse Schur complement), the
     cruder ||A^{-1}|| tr(P^T A P), and the extreme eigenvalues of
-    X_s^{-1} A_s on the fine block.  Verifies the chain
+    X_s^{-1} A_s on the fine block (None when the split has no F
+    point).  Verifies the chain
     ||PR||_A^2 <= tr(P^T A P R A^{-1} R^T) <= ||A^{-1}|| tr(P^T A P).
     """
     A = check_desk_operator(A)
@@ -178,11 +179,13 @@ def stability_bounds(A, X, split, P):
     w_ainv, _ = dense_sym_eig((Ainv + Ainv.T) / 2.0)
     trace_plain = float(w_ainv[-1] * np.trace(PtAP))
 
-    A_s = Ap[:nf, :nf]
-    x_perm = X.diagonal(A)[perm]
-    X_s = np.diag(x_perm[:nf])
-    w_s, _ = dense_sym_eig(A_s, X_s)
-    kappa_s, c2_meas = float(w_s[0]), float(w_s[-1])
+    kappa_s = c2_meas = None  # no F block when every point is C
+    if nf:
+        A_s = Ap[:nf, :nf]
+        x_perm = X.diagonal(A)[perm]
+        X_s = np.diag(x_perm[:nf])
+        w_s, _ = dense_sym_eig(A_s, X_s)
+        kappa_s, c2_meas = float(w_s[0]), float(w_s[-1])
 
     slack = 1e-10 * max(trace_plain, 1.0)
     if not (pr_energy <= trace_schur + slack and trace_schur <= trace_plain + slack):
@@ -226,7 +229,8 @@ def approximation_constants(A, P):
 
 def full_report(A, M, X, split, P):
     """All diagnostics for one (A, M, P) triple with P in CF ordering;
-    ktg stays None when P spans the space."""
+    ktg stays None when P spans the space, and kappa_s and c2_meas when
+    the split has no F point."""
     bounds = stability_bounds(A, X, split, P)
     perm = split.cf_permutation()
     Ap = A[np.ix_(perm, perm)]

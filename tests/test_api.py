@@ -126,6 +126,29 @@ def test_only_the_setting_checks_import_numbers():
     assert not importers, f"modules that import numbers: {importers}"
 
 
+def private_imports(tree):
+    """Each absolute import in the tree that names a module, or a name in
+    a module, with a dotted component starting with '_' (__future__
+    aside), as the dotted name."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module != "__future__":
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    return [name for name in names if any(part.startswith("_") for part in name.split("."))]
+
+
+def test_the_package_imports_no_private_module():
+    """The library reads its dependencies through their public names only:
+    a private module may move or change between releases of an unpinned
+    dependency."""
+    found = {path.name: names for path, tree in parsed_files().items()
+             if path.parent == PACKAGE and (names := private_imports(tree))}
+    assert not found, f"private imports: {found}"
+
+
 def read_names(nodes):
     """Every name read, as a bare name or as an attribute, in the nodes."""
     return {node.id if isinstance(node, ast.Name) else node.attr

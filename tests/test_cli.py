@@ -174,6 +174,8 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
                                                     "got -3"),
     ({"problem": PROBLEM, "constraint_source": "random", "n_constraint_vectors": 0},
      "n_constraint_vectors must be >= 1; got 0"),
+    ({"problem": PROBLEM, "constraint_source": "adaptive"},
+     "constraint_source must be 'constant' or 'random'"),
     ({"problem": PROBLEM, "seed": -1}, "seed must be >= 0; got -1"),
     ({"problem": dict(PROBLEM, n=8.5)}, "n must be an integer; got 8.5"),
     ({"problem": dict(PROBLEM, epsilon="0.1")},
@@ -187,8 +189,8 @@ PROBLEM = {"kind": "oscillatory", "n": 8}
 ], ids=["unknown-kind", "unknown-key", "missing-problem", "unknown-problem-key",
         "problem-not-object", "scalar-grid", "float-grid-entry", "float-count",
         "string-tau", "string-theta", "negative-improvement-iters", "no-vectors",
-        "negative-seed", "float-n", "string-epsilon", "string-problem-theta",
-        "nan-theta", "nan-K", "infinite-K", "integer-output"])
+        "unknown-constraint-source", "negative-seed", "float-n", "string-epsilon",
+        "string-problem-theta", "nan-theta", "nan-K", "infinite-K", "integer-output"])
 def test_sweep_rejects_bad_config(config, cause, tmp_path, capsys):
     cfg_path = tmp_path / "bad.json"
     cfg_path.write_text(json.dumps(config))
@@ -246,6 +248,30 @@ def test_theory_reads_an_integer_field_and_refuses_a_complex_one(field, code, tm
         assert "n = 3" in captured.out
     else:
         assert "complex-field Matrix Market file" in captured.err
+
+
+def test_theory_reports_a_matrix_with_no_strong_coupling(tmp_path, capsys):
+    """A diagonal matrix splits into C points alone: the report leaves out
+    K_TG and the F-block eigenvalues and prints the other six fields."""
+    path = tmp_path / "diag.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n3 3 3\n"
+                    "1 1 2\n2 2 2\n3 3 2\n")
+    assert main(["theory", "--matrix", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "n = 3, n_c = 3 (ideal interpolation, Jacobi M)"
+    assert [line[:18].rstrip() for line in lines[1:]] == [
+        "||E_TG||_A", "||PR||_A^2", "tr(PtAP RAinvRt)", "||Ainv|| tr(PtAP)",
+        "beta_wap", "beta_sap"]
+    assert all(re.fullmatch(r".{18} [ -][0-9]\.[0-9]{12}e[+-][0-9]{2}", line)
+               for line in lines[1:])
+
+
+def test_theory_refuses_an_array_format_file(tmp_path, capsys):
+    path = tmp_path / "dense.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 2\n2\n-1\n-1\n2\n")
+    assert main(["theory", "--matrix", str(path)]) == 2
+    assert "error: theory expects a sparse coordinate Matrix Market file" \
+        in capsys.readouterr().err
 
 
 def test_theory_exits_2_naming_a_non_finite_entry(tmp_path, capsys):
@@ -348,6 +374,17 @@ def test_sylvester_reports_nonconvergence(tmp_path):
     code = main(["sylvester", "--A", str(pa), "--D", str(pa), "--F", str(pf),
                  "--max-iters", "0", "--tol", "1e-12"])
     assert code == 3
+
+
+def test_sweep_exits_3_when_a_grid_point_diverges(monkeypatch, capsys):
+    """No small sweep diverges, so the grid's rows are stubbed: one row
+    that did not converge makes the exit status 3."""
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda cfg: [{"converged": True}, {"converged": False}])
+    assert main(["sweep", "--n", "8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "ran 2 grid points\n"
+    assert "at least one grid point diverged" in captured.err
 
 
 def test_sweep_checks_its_output_before_assembly(tmp_path, monkeypatch, capsys):

@@ -900,6 +900,15 @@ def test_setup_rejects_nonfinite_candidates():
         setup(lap1d(120), SetupConfig(candidates=candidates))
 
 
+def test_a_zero_candidate_is_refused_by_its_column():
+    candidates = np.column_stack([np.ones(120), np.zeros(120)])
+    for raw, k in ((np.zeros(120), 0), (candidates, 1)):
+        with pytest.raises(ValueError, match=f"candidate {k} is zero"):
+            prepare_candidates(lap1d(120), raw)
+        with pytest.raises(ValueError, match=f"candidate {k} is zero"):
+            setup(lap1d(120), SetupConfig(candidates=raw))
+
+
 def test_setup_symmetrizes_coarse_levels_of_a_round_off_skewed_operator():
     A = lap1d(120).tolil()
     A[0, 1] = -1.0 - 1e-13  # skew 1e-13 is within SYMMETRY_RTOL * max|a_ij|

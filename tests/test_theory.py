@@ -171,6 +171,20 @@ def test_stability_bounds_diagonal_matrix():
     assert abs(report.pr_energy - 1.0) <= 1e-12
 
 
+def test_a_split_with_no_f_point_leaves_the_f_block_unmeasured():
+    """With every point C (a diagonal matrix has no strong coupling),
+    kappa_s and c2_meas stay None, as ktg does when P spans the space."""
+    A = 2.0 * np.eye(3)
+    split = BlockSplit.from_c_points(3, [0, 1, 2])
+    P = ideal_interpolation(A, split)
+    report = full_report(A, jacobi_m(A), SpectralEquivalence(), split, P)
+    assert report.kappa_s is None and report.c2_meas is None and report.ktg is None
+    assert abs(report.etg_norm) <= 1e-12
+    assert_allclose([report.pr_energy, report.trace_schur, report.trace_plain],
+                    [1.0, 3.0, 3.0], rtol=1e-12)
+    assert report.beta_wap == 0.0 and report.beta_sap == 0.0
+
+
 def test_stability_bounds_chain_nonnegative_slack():
     rng = np.random.default_rng(13)
     for _ in range(10):
