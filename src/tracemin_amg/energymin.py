@@ -29,7 +29,7 @@ import numpy as np
 from scipy import sparse
 
 from .coarsening import SparsityPattern
-from .linalg import row_blocks
+from .linalg import check_positive_diagonal, row_blocks
 from .problems import check_real
 from .relaxation import SpectralEquivalence
 
@@ -86,13 +86,15 @@ SINGULAR_RTOL = 1e-6  # prepare_candidates' singularity and dependence threshold
 def prepare_candidates(A, raw):
     """A-orthonormalize raw candidate vectors by modified Gram-Schmidt.
 
-    Raises ValueError when raw fails candidate_block, when A is singular
-    on a candidate v of unit 2-norm, say a Neumann operator on the
-    constant (||v||_A not above SINGULAR_RTOL sqrt(max_i a_ii), which
-    tops the round-off m sqrt(u max_i a_ii) of a null vector, m the
-    longest row and u = 2^-53), or when a later one depends on the
-    earlier ones (A-orthogonalization leaves at most SINGULAR_RTOL of it).
+    Raises ValueError when A has a non-positive diagonal entry, when raw
+    fails candidate_block, when A is singular on a candidate v of unit
+    2-norm, say a Neumann operator on the constant (||v||_A not above
+    SINGULAR_RTOL sqrt(max_i a_ii), which tops the round-off
+    m sqrt(u max_i a_ii) of a null vector, m the longest row and
+    u = 2^-53), or when a later one depends on the earlier ones
+    (A-orthogonalization leaves at most SINGULAR_RTOL of it).
     """
+    check_positive_diagonal(A.diagonal())
     raw = candidate_block(raw, A.shape[0])
     cols = []
     for k in range(raw.shape[1]):
@@ -374,11 +376,11 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
     sqrt(r . z) falls below tol relative to its initial value, or after
     max_iters iterations; the iteration budget is the primary control
     since the residual does not predict the quality of the resulting AMG
-    interpolation.  A projected residual carries round-off of what the
-    projection removed, so x0 is returned as it is, and CG stops, once
-    sqrt(r . z) falls to 1e-13 of the removed part's preconditioned
-    norm, whatever tol: steps on round-off would take their length from
-    round-off curvature and move x by garbage.
+    interpolation.  The residual carries round-off of b, or when
+    projected of the part the projection removed, so x0 is returned as
+    it is, and CG stops, once sqrt(r . z) falls to 1e-13 of that
+    source's preconditioned norm, whatever tol: steps on round-off would
+    take their length from round-off curvature and move x by garbage.
 
     x, r and p are updated in place, and each step's operator image,
     once spent, is its work buffer; x0 and b are not modified.  Returns
@@ -389,18 +391,16 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
     del x0  # a start passed as a temporary dies here
     r = apply(x)
     np.subtract(b, r, out=r)
-    del b  # and so does a right-hand side
     if project is None:
         def project(v):
             return v
-        floor = 0.0  # nothing is removed
     else:
-        r_full, r = r, project(r.copy())
-        r_full -= r  # the part of the residual that the projection removed
-        z = precondition(r_full, np.empty_like(r_full))
-        floor = 1e-13 * np.sqrt(abs(float(r_full @ z)))
-        del r_full, z
-    z = project(precondition(r, np.empty_like(r)))
+        b = r.copy()  # projected, the round-off comes from what is removed
+        b -= project(r)
+    z = precondition(b, np.empty_like(b))
+    floor = 1e-13 * np.sqrt(abs(float(b @ z)))
+    del b  # a right-hand side passed as a temporary dies here too
+    z = project(precondition(r, z))
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
     if history[0] <= floor:

@@ -189,7 +189,7 @@ def _checked_keys(cls, data, name):
 def _setup_config(cfg, mode, tau, iters, candidates):
     return SetupConfig(mode=mode, tau=0.0 if tau is None else tau,
                        pattern_degree=cfg.pattern_degree, emin_iters=iters,
-                       emin_tol=0.0, candidates=candidates)
+                       candidates=candidates)
 
 
 def _jacobi_smoothed(A, v, sweeps):

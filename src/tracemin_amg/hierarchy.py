@@ -109,35 +109,33 @@ class Hierarchy:
 class SetupConfig:
     """Knobs of the multilevel setup.
 
-    mode is 'weighted' or 'constrained'; tau only matters for the
-    weighted route.  emin_iters defaults to pattern_degree + 1 in
-    constrained mode (enough to fill the pattern plus one improvement
-    step; the cycle's convergence factor levels off while the
-    minimization residual keeps falling) and to pattern_degree + 3 in
-    weighted mode, which at tau 1e-4 needs its extra steps.  jacobi_omega
-    'auto' damps each level by relaxation.auto_jacobi_omega: c / rho_k,
-    with c = relaxation.OMEGA_COEFFICIENT (1.5) and rho_k the Rayleigh
-    quotient of D^{-1} A after linalg.POWER_STEPS (10) power steps, a
-    lower bound on its spectral radius, capped at
-    relaxation.OMEGA_CAP (1.8) / theta_k, theta_k the Ritz value of the
-    same steps, so omega rho stays below 2.  candidates holds raw constraint
-    vectors (default: the constant vector).  Construction rejects a
-    field out of range with a ValueError that names it: tau and
-    theta_strength are finite real numbers (not bools) in [0, 1],
-    emin_tol is a finite real number >= 0, jacobi_omega is 'auto' or a
-    finite real number > 0, the counts
-    pattern_degree, max_coarse, max_levels and sweeps are integers (not
-    bools or floats) >= 1, and emin_iters is None or an integer >= 0.
-    This is the one place a setup option is validated but candidates,
-    which setup checks against A's size; a sweep checks its grid by
-    building every point's SetupConfig.
+    mode is 'weighted' or 'constrained'; tau only matters for the weighted
+    route.  emin_iters defaults to pattern_degree + 1 in constrained mode
+    (enough to fill the pattern plus one improvement step; the cycle's
+    convergence factor levels off while the minimization residual keeps
+    falling) and to pattern_degree + 3 in weighted mode, which at tau 1e-4
+    needs its extra steps; each level runs it out unless CG reaches
+    round-off (energymin.pcg_frobenius, one floor for both routes).
+    jacobi_omega 'auto' damps each level by relaxation.auto_jacobi_omega:
+    c / rho_k, with c = relaxation.OMEGA_COEFFICIENT (1.5) and rho_k the
+    Rayleigh quotient of D^{-1} A after linalg.POWER_STEPS (10) power steps,
+    a lower bound on its spectral radius, capped at relaxation.OMEGA_CAP
+    (1.8) / theta_k, theta_k the Ritz value of the same steps, so omega rho
+    stays below 2.  candidates holds raw constraint vectors (default: the
+    constant vector).  Construction rejects a field out of range with a
+    ValueError that names it: tau and theta_strength are finite real numbers
+    (not bools) in [0, 1], jacobi_omega is 'auto' or a finite real number
+    > 0, the counts pattern_degree, max_coarse, max_levels and sweeps are
+    integers (not bools or floats) >= 1, and emin_iters is None or an
+    integer >= 0.  This is the one place a setup option is validated but
+    candidates, which setup checks against A's size; a sweep checks its grid
+    by building every point's SetupConfig.
     """
 
     mode: str = "constrained"
     tau: float = 1e-4
     pattern_degree: int = 2
     emin_iters: int = None
-    emin_tol: float = 1e-10
     theta_strength: float = 0.4
     max_coarse: int = 100
     max_levels: int = 25
@@ -155,7 +153,6 @@ class SetupConfig:
             check_count("emin_iters", self.emin_iters)
         for name in ("tau", "theta_strength"):
             check_real(name, getattr(self, name), 0.0, 1.0)
-        check_real("emin_tol", self.emin_tol, low=0.0)
         if not (isinstance(self.jacobi_omega, str) and self.jacobi_omega == "auto"):
             check_positive("jacobi_omega", self.jacobi_omega)
 
@@ -280,10 +277,9 @@ def setup(A, cfg):
     coarsest level with no nonzero off-diagonal entry is solved by
     division by its diagonal; any other is factorized densely, and
     rejected before it is formed when that would need more than
-    MAX_DENSE_COARSE_BYTES.  A level whose operator turns out not to be
-    positive definite, as lumping can leave a coarse one, is a ValueError
-    that names the level: the breakdown of its energy minimization, or a
-    non-positive diagonal entry or failed factorization of the coarsest.
+    MAX_DENSE_COARSE_BYTES.  A failure on a coarse level, such as one
+    that lumping left indefinite, is a ValueError that names the level,
+    and so is the minimization's breakdown on level 0 (_build_level).
     """
     A = real_csr(A)
     check_symmetric(A)
@@ -311,26 +307,30 @@ def _build_level(A, raw, cfg, index):
     the strength graph once the pattern exists, the pattern, the
     candidates and the weight block W once P exists, all before the
     caller forms the Galerkin product."""
-    S = strength_graph(A, cfg.theta_strength)
-    split = cf_split(S)
-    if split.n_f == 0:
-        # any nonzero off-diagonal entry is an edge at every theta <= 1, so
-        # this operator is diagonal and division solves it exactly
-        return None
-    pattern = pattern_distance_k(S, split, cfg.pattern_degree)
-    del S
-    B = prepare_candidates(A, raw)
-    iters = cfg.iteration_budget()
+    where = f"level {index} ({A.shape[0]} rows)"
     try:
+        S = strength_graph(A, cfg.theta_strength)
+        split = cf_split(S)
+        if split.n_f == 0:
+            # any nonzero off-diagonal entry is an edge at every theta <= 1, so
+            # this operator is diagonal and division solves it exactly
+            return None
+        pattern = pattern_distance_k(S, split, cfg.pattern_degree)
+        del S
+        B = prepare_candidates(A, raw)
+        iters = cfg.iteration_budget()
         if cfg.mode == "constrained":
-            interp = constrained_energymin(A, split, B, pattern, iters, tol=cfg.emin_tol)
+            interp = constrained_energymin(A, split, B, pattern, iters, tol=0.0)
         else:
             interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
-                                        pattern, iters, tol=cfg.emin_tol,
+                                        pattern, iters, tol=0.0,
                                         use_preconditioner=cfg.use_preconditioner)
     except RuntimeError as err:  # the minimization's CG breakdown
-        raise ValueError(f"level {index} ({A.shape[0]} rows): operator is not positive "
-                         f"definite: {err}") from err
+        raise ValueError(f"{where}: operator is not positive definite: {err}") from err
+    except ValueError as err:
+        if index == 0:
+            raise  # the caller's own operator and candidates
+        raise ValueError(f"{where}: {err}") from err
     P, residuals = interp.P, interp.residuals
     del pattern, B, interp
     P = P.tocsc()  # the restriction P.T is then a CSR view (Level)

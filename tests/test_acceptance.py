@@ -49,8 +49,7 @@ def random_system(rng, n, tau, n_b=2):
 def measured_cf(A, mode, tau, degree, iters=None, theta=0.4, max_levels=25,
                 candidates=None, seed=0):
     cfg = SetupConfig(mode=mode, tau=tau, pattern_degree=degree, emin_iters=iters,
-                      emin_tol=0.0, theta_strength=theta, max_levels=max_levels,
-                      candidates=candidates)
+                      theta_strength=theta, max_levels=max_levels, candidates=candidates)
     H = setup(A, cfg)
     cf, _ = measure_convergence_factor(H, seed=seed)
     return cf, H
@@ -240,7 +239,7 @@ def test_criterion_11_preconditioner_benefit():
         cands = adaptive_constraints(A, None, 10, seed=seed)
         for pre in (True, False):
             cfg = SetupConfig(mode="weighted", tau=1e-7, pattern_degree=3,
-                              emin_iters=8, emin_tol=0.0, use_preconditioner=pre,
+                              emin_iters=8, use_preconditioner=pre,
                               candidates=cands.vectors)
             H = setup(A, cfg)
             cf, _ = measure_convergence_factor(H, seed=seed)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from sparse_helpers import (dense_operator_and_rhs, lap1d, rand_spd_sparse, random_pattern,
-                            vec_positions)
+from sparse_helpers import (dense_operator_and_rhs, lap1d, rand_spd, rand_spd_sparse,
+                            random_pattern, vec_positions)
 from tracemin_amg import energymin, hierarchy, linalg
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
@@ -76,6 +76,15 @@ def test_prepare_names_a_singular_operator():
     A[0, 0] = A[5, 5] = 1.0  # Neumann ends: A annihilates the constant
     with pytest.raises(ValueError, match="A is singular on candidate 0"):
         prepare_candidates(A.tocsr(), np.ones(6))
+
+
+def test_prepare_names_a_non_positive_diagonal_entry():
+    """The diagonal is checked before any candidate is read, with the one
+    message setup and strength_graph give, and so before sqrt(max a_ii)."""
+    for diagonal, entry in (([2.0, -1.0], "-1 at row 1"), ([2.0, 0.0], "0 at row 1"),
+                            ([-1.0, -1.0], "-1 at row 0")):
+        with pytest.raises(ValueError, match=f"^non-positive diagonal entry: a_ii = {entry}$"):
+            prepare_candidates(sparse.diags(diagonal).tocsr(), np.ones(2))
 
 
 def test_prepare_gram_matrix_identity():
@@ -226,9 +235,10 @@ def test_pcg_preconditioner_neutral_for_constant_diagonal():
 
 
 def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
-    """project=None, the weighted route, starts from the residual itself
-    with a round-off floor of 0; an identity projection removes nothing
-    and must give the same iterates and history."""
+    """project=None, the weighted route, starts from the residual itself;
+    an identity projection removes nothing, so only its round-off floor
+    differs (0 against 1e-13 of Bhat's preconditioned norm), and with
+    neither reached it must give the same iterates and history."""
     rng = np.random.default_rng(10)
     A, split, pattern, B, sys = random_instance(rng, 30, n_b=2, tau=1e-4)
     w0 = initial_guess(split, B, pattern)
@@ -244,6 +254,21 @@ def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
     assert history == history_id
     assert np.array_equal(w, w_id)
     assert all(np.array_equal(a, b) for a, b in zip(iterates, iterates_id, strict=True))
+
+
+def test_pcg_without_projection_returns_an_exact_start_as_it_is():
+    """Unprojected, the residual's round-off comes from b: a start that
+    solves the system to round-off is returned unchanged, with a
+    one-entry history, at tol 0."""
+    rng = np.random.default_rng(12)
+    M = rand_spd(rng, 20)
+    b = rng.standard_normal(20)
+    x0 = np.linalg.solve(M, b)
+    assert np.any(b - M @ x0 != 0.0)  # round-off, not an exact zero
+    x, history = pcg_frobenius(lambda v: M @ v, b, x0,
+                               partial(np.multiply, 1.0 / np.diag(M)), 10, 0.0)
+    assert len(history) == 1
+    assert np.array_equal(x, x0)
 
 
 def test_weight_limit_consistency():
@@ -758,7 +783,12 @@ def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
     H = hierarchy.setup(A, hierarchy.SetupConfig(mode=mode, tau=tau, pattern_degree=4))
     levels = list({id(sys): sys for sys in systems}.values())
     assert len(levels) == H.n_levels - 1 >= 2
-    assert len(systems) > 4 * len(levels)
+    # at tau = 0 the start's residual is round-off, so every level stops
+    # at its start after the one apply that forms it
+    if tau == 0.0:
+        assert len(systems) == len(levels)
+    else:
+        assert len(systems) > 4 * len(levels)
     # tau = 0 forms no product; otherwise every block located its slots
     assert all((layout is None) == (tau == 0.0)
                for sys in levels for layout in sys.product_layout)
@@ -881,17 +911,19 @@ def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, mo
 
 def reference_pcg_frobenius(sys, w0, max_iters, tol, use_preconditioner=True):
     """Reference: a weighted-only preconditioned CG on slot values, with
-    no projection; pcg_frobenius must reproduce it bit for bit."""
+    no projection; pcg_frobenius must reproduce it bit for bit.  Also
+    returns the preconditioned norm of the right-hand side."""
     w = w0.copy()
     # Dprec is per F row at tau = 1 and per slot below it
     d = sys.Dprec if sys.tau < 1.0 else sys.Dprec[sys.pattern.slot_rows]
     d = d if use_preconditioner else np.ones(len(w))
+    bhat_norm = np.sqrt(abs(float(sys.Bhat @ (d * sys.Bhat))))
     r = sys.Bhat - apply_weighted_operator(sys, w)
     z = d * r
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
     if history[0] == 0.0:
-        return w, history
+        return w, history, bhat_norm
     p = z.copy()
     target = tol * history[0]
     for _ in range(max_iters):
@@ -907,7 +939,7 @@ def reference_pcg_frobenius(sys, w0, max_iters, tol, use_preconditioner=True):
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return w, history
+    return w, history, bhat_norm
 
 
 def reference_constrained_loop(A, split, B, pattern, iters, tol):
@@ -959,26 +991,29 @@ def assert_route_matches_reference(mode, args, kwargs, got, round_off_stop=False
     """W and the residual history of one route call, bit for bit, against
     the reference loop, which has no round-off stop.
 
-    With round_off_stop, a constrained call may stop before the reference
-    does, but only at a residual within 1e-13 of the preconditioned norm
-    of what the projection removed; its history is then a prefix of the
+    With round_off_stop, a call may stop before the reference does, but
+    only at a residual within 1e-13 of the preconditioned norm of the
+    round-off's source: what the projection removed (constrained) or the
+    right-hand side (weighted); its history is then a prefix of the
     reference's, and W equals the reference's cut to the same steps."""
     steps = len(got.residuals) - 1
     if mode == "constrained":
         A, split, B, pattern, iters = args
-        tol = kwargs["tol"]
-        w, history, removed_norm = reference_constrained_loop(A, split, B, pattern,
-                                                              iters, tol)
-        if steps < len(history) - 1:
-            assert round_off_stop
-            assert got.residuals[-1] <= 1e-13 * removed_norm
-            w, _, _ = reference_constrained_loop(A, split, B, pattern, steps, tol)
+
+        def reference(iters):
+            return reference_constrained_loop(A, split, B, pattern, iters, kwargs["tol"])
     else:
         A, split, B, X, tau, pattern, iters = args
-        sys = build_weighted_system(A, split, B, X, tau, pattern)
-        w, history = reference_pcg_frobenius(
-            sys, initial_guess(split, B, pattern), iters, kwargs["tol"],
-            kwargs["use_preconditioner"])
+
+        def reference(iters):
+            sys = build_weighted_system(A, split, B, X, tau, pattern)
+            return reference_pcg_frobenius(sys, initial_guess(split, B, pattern), iters,
+                                           kwargs["tol"], kwargs["use_preconditioner"])
+    w, history, source_norm = reference(iters)
+    if steps < len(history) - 1:
+        assert round_off_stop
+        assert got.residuals[-1] <= 1e-13 * source_norm
+        w, _, _ = reference(steps)
     assert got.residuals == history[:steps + 1]
     assert np.array_equal(got.W.data, w)
     assert np.array_equal(got.W.indices, pattern.cols)
@@ -1024,7 +1059,7 @@ def test_routes_bit_identical_to_reference_loops_on_random_instances(n_b):
         kwargs = {"tol": tol, "use_preconditioner": trial % 3 != 0}
         args = (A, split, B, X, tau, pattern, iters)
         got = weighted_energymin(*args, **kwargs)
-        assert_route_matches_reference("weighted", args, kwargs, got)
+        assert_route_matches_reference("weighted", args, kwargs, got, round_off_stop=True)
         early += len(got.residuals) < iters + 1
     assert stepped >= 4 and early >= 2 and (short >= 2 or n_b == 1)
 
@@ -1055,7 +1090,7 @@ def assert_non_increasing(values):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_energymin_problems())
 def test_shared_loop_decreases_objective_and_keeps_constraint(problem):
-    """Both routes at the setup's default tolerance emin_tol=1e-10; the
+    """Both routes at tol=1e-10, the convergence oracle's tolerance; the
     budget, one step per slot, covers every search direction.  A row's
     minimum-norm solve goes through the Gram matrix C_i^T C_i, so the
     constraint holds to 1e-10 or to 100 eps cond(C_i)^2, whichever is
@@ -1118,15 +1153,15 @@ def test_cg_stops_at_round_off_without_raising_the_objective():
                                   ProblemSpec("oscillatory", 48, K=1e6)],
                          ids=["anisotropic", "oscillatory"])
 def test_two_candidate_setup_at_zero_tolerance_completes(spec):
-    """Constrained, the constant and a linear ramp, degree 1, emin_tol=0
-    as a sweep sets it: level 1's residual reaches round-off after one
-    step, and stepping on from there ended in a negative-curvature
-    breakdown."""
+    """Constrained, the constant and a linear ramp, degree 1, nine
+    iterations at setup's zero tolerance: level 1's residual reaches
+    round-off after one step, and stepping on from there ended in a
+    negative-curvature breakdown."""
     A = assemble(spec).matrix
     n = A.shape[0]
     candidates = np.column_stack([np.ones(n), np.linspace(0.0, 1.0, n)])
-    H = hierarchy.setup(A, hierarchy.SetupConfig(pattern_degree=1, emin_tol=0.0,
-                                                 emin_iters=9, candidates=candidates))
+    H = hierarchy.setup(A, hierarchy.SetupConfig(pattern_degree=1, emin_iters=9,
+                                                 candidates=candidates))
     assert H.n_levels == 4
     cf, _ = hierarchy.measure_convergence_factor(H)
     assert cf < 0.4

@@ -222,6 +222,32 @@ def test_sweep_computes_the_first_constraint_vector_once(source, n_vecs, monkeyp
     assert calls == [first] + ["adaptive vector 2"] * 6 * (n_vecs - 1)
 
 
+def test_sweep_point_builds_the_hierarchy_setup_builds():
+    """A sweep point and a direct setup with the same settings build one
+    hierarchy, bit for bit: oscillatory n=32, K=1e6, weighted, tau 1e-4,
+    degree 2, 5 iterations, the smoothed constant.  Level 0 stops at
+    round-off after 4 of its 5 iterations in both."""
+    spec = ProblemSpec("oscillatory", 32, K=1e6)
+    A = assemble(spec).matrix
+    cfg = ExperimentConfig(spec, modes=["weighted"], taus=[1e-4], emin_iters=[5],
+                           pattern_degree=2)
+    first = experiments.smoothed_constant(A, cfg.improvement_iters)
+    swept = experiments._hierarchy_for_point(A, cfg, first, "weighted", 1e-4, 5)
+    direct = setup(A, SetupConfig(mode="weighted", tau=1e-4, pattern_degree=2,
+                                  emin_iters=5, candidates=first))
+    for H in (swept, direct):
+        assert len(H.levels[0].emin_residuals) - 1 == 4
+    assert swept.n_levels == direct.n_levels
+    for got, expected in zip(swept.levels, direct.levels):
+        assert got.emin_residuals == expected.emin_residuals
+        for M, N in ((got.A, expected.A), (got.P, expected.P)):
+            if N is None:
+                assert M is None
+                continue
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(M, attr), getattr(N, attr))
+
+
 def test_config_validation():
     prob = ProblemSpec("rotated_anisotropic", 8)
     with pytest.raises(ValueError):
