@@ -362,8 +362,7 @@ def apply_preconditioner(sys, values, out):
     return out
 
 
-def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
-                  callback=None):
+def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=None):
     """Preconditioned CG on apply(x) = b over pattern slot values.
 
     precondition(v, out) writes the preconditioned slot values v to the
@@ -372,15 +371,15 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
     `project` is given (an orthogonal projection onto a subspace of slot
     values, applied in place to its argument, which it returns), the
     residual is projected and so are the preconditioned residual and
-    every operator image, so the iterates stay on x0 + subspace.  Stops when the preconditioned residual norm
-    sqrt(r . z) falls below tol relative to its initial value, or after
-    max_iters iterations; the iteration budget is the primary control
-    since the residual does not predict the quality of the resulting AMG
-    interpolation.  The residual carries round-off of b, or when
-    projected of the part the projection removed, so x0 is returned as
-    it is, and CG stops, once sqrt(r . z) falls to 1e-13 of that
-    source's preconditioned norm, whatever tol: steps on round-off would
-    take their length from round-off curvature and move x by garbage.
+    every operator image, so the iterates stay on x0 + subspace.  There is
+    no tolerance: CG runs max_iters iterations, the budget being the
+    control since the residual does not predict the quality of the AMG
+    interpolation, and stops early only at round-off.  The residual
+    carries round-off of b, or when projected of the part the projection
+    removed, so x0 is returned as it is, and CG stops, once the
+    preconditioned residual norm sqrt(r . z) falls to 1e-13 of that
+    source's preconditioned norm: steps on round-off would take their
+    length from round-off curvature and move x by garbage.
 
     x, r and p are updated in place, and each step's operator image,
     once spent, is its work buffer; x0 and b are not modified.  Returns
@@ -403,11 +402,10 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
     z = project(precondition(r, z))
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
-    if history[0] <= floor:
-        return x, history
     p, z = z, None
-    target = max(tol * history[0], floor)
     for k in range(max_iters):
+        if history[-1] <= floor:
+            break
         Lp = project(apply(p))
         pLp = float(p @ Lp)
         if not np.isfinite(pLp) or pLp <= 0.0:
@@ -427,8 +425,6 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, tol, project=None,
         history.append(np.sqrt(max(rz_new, 0.0)))
         if callback is not None:
             callback(x.copy())
-        if history[-1] <= target:
-            break
         p *= rz_new / rz
         p += z
         z = None
@@ -464,13 +460,14 @@ def _hand_over_rhs(sys):
     return bhat
 
 
-def _minimize(sys, iters, tol, precondition, constrained, callback=None):
+def _minimize(sys, iters, precondition, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
-    start, on W B_c = B_f when constrained; returns (w, history).  The
-    right-hand side and the start are passed as temporaries:
+    start, on W B_c = B_f when constrained; returns (w, history).  No
+    tolerance: iters CG iterations, fewer only at pcg_frobenius' round-off
+    floor.  The right-hand side and the start are passed as temporaries:
     pcg_frobenius frees them once the initial residual exists."""
     return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
-                         sys.rows.min_norm_solution(sys.B_f), precondition, iters, tol,
+                         sys.rows.min_norm_solution(sys.B_f), precondition, iters,
                          project=sys.rows.project if constrained else None,
                          callback=callback)
 
@@ -480,7 +477,7 @@ def _interpolation(split, pattern, w, history):
     return Interpolation(W, assemble_P(W, split), history)
 
 
-def constrained_energymin(A, split, B, pattern, iters, tol, callback=None):
+def constrained_energymin(A, split, B, pattern, iters, callback=None):
     """Trace minimization with the candidate constraints enforced exactly.
 
     The weighted system at tau = 1, the column energy <A_ff W + A_fc, W>
@@ -493,19 +490,20 @@ def constrained_energymin(A, split, B, pattern, iters, tol, callback=None):
     constraint block hold their least-squares values.
     """
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, pattern)
-    w, history = _minimize(sys, iters, tol, partial(apply_preconditioner, sys),
+    w, history = _minimize(sys, iters, partial(apply_preconditioner, sys),
                            constrained=True, callback=callback)
     del sys  # its arrays are not needed to assemble P
     return _interpolation(split, pattern, w, history)
 
 
-def weighted_energymin(A, split, B, X, tau, pattern, iters, tol, use_preconditioner):
+def weighted_energymin(A, split, B, X, tau, pattern, iters, use_preconditioner):
     """Weighted route end to end: build the system, start from the
-    constraint-spreading initial guess, run PCG, assemble P."""
+    constraint-spreading initial guess, run PCG for iters iterations (no
+    tolerance; fewer only at pcg_frobenius' round-off floor), assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)
     precondition = (partial(apply_preconditioner, sys) if use_preconditioner
                     else partial(np.multiply, np.ones(pattern.nnz)))
-    w, history = _minimize(sys, iters, tol, precondition, constrained=False)
+    w, history = _minimize(sys, iters, precondition, constrained=False)
     del sys, precondition
     return _interpolation(split, pattern, w, history)
 

@@ -320,10 +320,10 @@ def _build_level(A, raw, cfg, index):
         B = prepare_candidates(A, raw)
         iters = cfg.iteration_budget()
         if cfg.mode == "constrained":
-            interp = constrained_energymin(A, split, B, pattern, iters, tol=0.0)
+            interp = constrained_energymin(A, split, B, pattern, iters)
         else:
             interp = weighted_energymin(A, split, B, SpectralEquivalence(), cfg.tau,
-                                        pattern, iters, tol=0.0,
+                                        pattern, iters,
                                         use_preconditioner=cfg.use_preconditioner)
     except RuntimeError as err:  # the minimization's CG breakdown
         raise ValueError(f"{where}: operator is not positive definite: {err}") from err

@@ -103,7 +103,7 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         expected = np.linalg.solve(L, b)[vec_positions(sys)]
         w, _ = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
                              np.zeros(sys.pattern.nnz), partial(apply_preconditioner, sys),
-                             4 * sys.pattern.nnz, 1e-14)
+                             4 * sys.pattern.nnz)
         worst = max(worst, np.linalg.norm(w - expected)
                     / max(np.linalg.norm(expected), 1e-30))
     elapsed = time.perf_counter() - start

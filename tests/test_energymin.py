@@ -36,12 +36,12 @@ def random_instance(rng, n, n_b=1, tau=0.5, fill=0.5):
     return A, split, pattern, B, sys
 
 
-def run_pcg(sys, w0, max_iters, tol, use_preconditioner=True, callback=None):
+def run_pcg(sys, w0, max_iters, use_preconditioner=True, callback=None):
     """pcg_frobenius on a weighted system, as weighted_energymin runs it."""
     precondition = (partial(apply_preconditioner, sys) if use_preconditioner
                     else partial(np.multiply, np.ones(sys.pattern.nnz)))
     return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0, precondition,
-                         max_iters, tol, callback=callback)
+                         max_iters, callback=callback)
 
 
 def quadratic_value(sys, values):
@@ -163,7 +163,7 @@ def test_pcg_zero_rhs_zero_iterations():
     rng = np.random.default_rng(4)
     A, split, pattern, B, sys = random_instance(rng, 12, tau=1.0)
     sys.Bhat[:] = 0.0
-    w, history = run_pcg(sys, np.zeros(pattern.nnz), 50, 1e-12)
+    w, history = run_pcg(sys, np.zeros(pattern.nnz), 50)
     assert history == [0.0]
     assert np.all(w == 0.0)
 
@@ -176,7 +176,7 @@ def test_pcg_full_pattern_tau_one_gives_ideal_weights():
     full = random_pattern(rng, split.n_f, split.n_c, fill=1.1)
     B = prepare_candidates(A, np.ones(n))
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, full)
-    w, _ = run_pcg(sys, np.zeros(full.nnz), 500, 1e-14)
+    w, _ = run_pcg(sys, np.zeros(full.nnz), 500)
     A_ff, A_fc = split.f_blocks(A)
     ideal = -np.linalg.solve(A_ff.toarray(), A_fc.toarray())
     assert_allclose(full.to_csr(w).toarray(), ideal, rtol=1e-8, atol=1e-10)
@@ -190,15 +190,15 @@ def test_pcg_matches_vectorized_dense_oracle():
         A, split, pattern, B, sys = random_instance(rng, n, n_b=2, tau=tau)
         L, b, inside = dense_operator_and_rhs(sys, SpectralEquivalence())
         expected = vec_to_values(sys, np.linalg.solve(L, b))
-        w, _ = run_pcg(sys, np.zeros(pattern.nnz), 4 * pattern.nnz, 1e-14)
+        w, _ = run_pcg(sys, np.zeros(pattern.nnz), 4 * pattern.nnz)
         assert np.linalg.norm(w - expected) <= 1e-8 * max(np.linalg.norm(expected), 1.0)
 
 
 def test_pcg_unique_solution_from_any_start():
     rng = np.random.default_rng(7)
     A, split, pattern, B, sys = random_instance(rng, 18, tau=0.5)
-    wa, _ = run_pcg(sys, np.zeros(pattern.nnz), 4 * pattern.nnz, 1e-14)
-    wb, _ = run_pcg(sys, rng.standard_normal(pattern.nnz), 4 * pattern.nnz, 1e-14)
+    wa, _ = run_pcg(sys, np.zeros(pattern.nnz), 4 * pattern.nnz)
+    wb, _ = run_pcg(sys, rng.standard_normal(pattern.nnz), 4 * pattern.nnz)
     assert np.linalg.norm(wa - wb) <= 1e-8 * np.linalg.norm(wa)
 
 
@@ -206,7 +206,7 @@ def test_pcg_quadratic_monotone():
     rng = np.random.default_rng(8)
     A, split, pattern, B, sys = random_instance(rng, 20, tau=0.5)
     values = []
-    run_pcg(sys, np.zeros(pattern.nnz), 30, 0.0,
+    run_pcg(sys, np.zeros(pattern.nnz), 30,
             callback=lambda w: values.append(quadratic_value(sys, w)))
     values = np.asarray(values)
     assert np.all(np.diff(values) <= 1e-12 * np.abs(values[:-1]) + 1e-13)
@@ -228,8 +228,8 @@ def test_pcg_preconditioner_neutral_for_constant_diagonal():
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, pattern)
     snaps_pre, snaps_raw = [], []
     w0 = np.zeros(pattern.nnz)
-    run_pcg(sys, w0, 6, 0.0, use_preconditioner=True, callback=snaps_pre.append)
-    run_pcg(sys, w0, 6, 0.0, use_preconditioner=False, callback=snaps_raw.append)
+    run_pcg(sys, w0, 6, use_preconditioner=True, callback=snaps_pre.append)
+    run_pcg(sys, w0, 6, use_preconditioner=False, callback=snaps_raw.append)
     for a, b in zip(snaps_pre, snaps_raw):
         assert_allclose(a, b, rtol=1e-13, atol=1e-13)
 
@@ -246,7 +246,7 @@ def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
     for project in (None, lambda v: v):
         iterates = []
         w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0,
-                                   partial(apply_preconditioner, sys), 12, 0.0,
+                                   partial(apply_preconditioner, sys), 12,
                                    project=project, callback=iterates.append)
         runs.append((w, history, iterates))
     (w, history, iterates), (w_id, history_id, iterates_id) = runs
@@ -259,14 +259,14 @@ def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
 def test_pcg_without_projection_returns_an_exact_start_as_it_is():
     """Unprojected, the residual's round-off comes from b: a start that
     solves the system to round-off is returned unchanged, with a
-    one-entry history, at tol 0."""
+    one-entry history."""
     rng = np.random.default_rng(12)
     M = rand_spd(rng, 20)
     b = rng.standard_normal(20)
     x0 = np.linalg.solve(M, b)
     assert np.any(b - M @ x0 != 0.0)  # round-off, not an exact zero
     x, history = pcg_frobenius(lambda v: M @ v, b, x0,
-                               partial(np.multiply, 1.0 / np.diag(M)), 10, 0.0)
+                               partial(np.multiply, 1.0 / np.diag(M)), 10)
     assert len(history) == 1
     assert np.array_equal(x, x0)
 
@@ -281,13 +281,13 @@ def test_weight_limit_consistency():
     X = SpectralEquivalence()
     # tau -> 1: ideal weights
     sys = build_weighted_system(A, split, B, X, 1.0 - 1e-12, full)
-    w, _ = run_pcg(sys, initial_guess(split, B, full), 500, 1e-14)
+    w, _ = run_pcg(sys, initial_guess(split, B, full), 500)
     A_ff, A_fc = split.f_blocks(A)
     ideal = -np.linalg.solve(A_ff.toarray(), A_fc.toarray())
     assert np.abs(full.to_csr(w).toarray() - ideal).max() <= 1e-5
     # tau -> 0: the candidate constraint holds on every row
     sys0 = build_weighted_system(A, split, B, X, 1e-12, full)
-    w0, _ = run_pcg(sys0, initial_guess(split, B, full), 200, 1e-13)
+    w0, _ = run_pcg(sys0, initial_guess(split, B, full), 200)
     B_f, B_c = B.split_rows(split)
     assert np.abs(full.to_csr(w0) @ B_c - B_f).max() <= 1e-6
 
@@ -462,7 +462,7 @@ def test_constrained_unit_row_sums_every_iterate():
     B = prepare_candidates(A, np.ones(n))
     B_f, B_c = B.split_rows(split)
     seen = []
-    constrained_energymin(A, split, B, pattern, 12, tol=0.0,
+    constrained_energymin(A, split, B, pattern, 12,
                           callback=lambda w: seen.append(pattern.to_csr(w) @ B_c - B_f))
     assert len(seen) > 0
     for violation in seen:
@@ -493,7 +493,7 @@ def test_constrained_matches_kkt_oracle_full_pattern():
     split = BlockSplit.from_c_points(n, np.arange(0, n, 3))
     full = random_pattern(rng, split.n_f, split.n_c, fill=1.1)
     B = prepare_candidates(A, rng.standard_normal(n))
-    interp = constrained_energymin(A, split, B, full, 600, tol=1e-15)
+    interp = constrained_energymin(A, split, B, full, 600)
     expected = kkt_oracle(A, split, B, full)
     assert np.abs(interp.W.toarray() - expected).max() <= 1e-8 * np.abs(expected).max()
 
@@ -503,7 +503,7 @@ def test_constrained_laplacian_half_half():
     split = BlockSplit.from_c_points(5, [0, 2, 4])
     pattern = pattern_distance_k(strength_graph(A, 0.25), split, 1)
     B = prepare_candidates(A, np.ones(5))
-    interp = constrained_energymin(A, split, B, pattern, 10, tol=0.0)
+    interp = constrained_energymin(A, split, B, pattern, 10)
     assert_allclose(interp.W.data, [0.5, 0.5, 0.5, 0.5], atol=1e-12)
     # these are the ideal weights here (A_ff diagonal)
     A_ff, A_fc = split.f_blocks(A)
@@ -517,15 +517,14 @@ def test_constrained_rejects_nonpositive_diagonal_naming_the_row():
     split = BlockSplit.from_c_points(5, [0, 2, 4])
     pattern = pattern_distance_k(strength_graph(lap1d(5), 0.25), split, 1)
     with pytest.raises(ValueError, match=r"not positive .*\(row 1, "):
-        constrained_energymin(A.tocsr(), split, CandidateSet(np.ones((5, 1))), pattern, 5,
-                              tol=0.0)
+        constrained_energymin(A.tocsr(), split, CandidateSet(np.ones((5, 1))), pattern, 5)
 
 
 def test_weighted_route_end_to_end():
     rng = np.random.default_rng(14)
     A, split, pattern, B, _ = random_instance(rng, 18, tau=0.5)
     interp = weighted_energymin(A, split, B, SpectralEquivalence(), 0.5, pattern,
-                                iters=40, tol=1e-12, use_preconditioner=True)
+                                iters=40, use_preconditioner=True)
     assert interp.P.shape == (18, split.n_c)
     assert len(interp.residuals) >= 2
 
@@ -543,7 +542,7 @@ def test_assemble_P_propagates_constant():
     split = BlockSplit.from_c_points(5, [0, 2, 4])
     pattern = pattern_distance_k(strength_graph(A, 0.25), split, 1)
     B = prepare_candidates(A, np.ones(5))
-    interp = constrained_energymin(A, split, B, pattern, 5, tol=0.0)
+    interp = constrained_energymin(A, split, B, pattern, 5)
     assert_allclose(interp.P @ np.ones(3), np.ones(5), atol=1e-12)
 
 
@@ -693,9 +692,9 @@ def test_energymin_routes_bit_identical_to_sorted_extraction(mode, monkeypatch):
 
     def run():
         if mode == "constrained":
-            return constrained_energymin(A, split, B, pattern, 6, tol=0.0)
+            return constrained_energymin(A, split, B, pattern, 6)
         return weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4,
-                                  pattern, 6, tol=0.0, use_preconditioner=True)
+                                  pattern, 6, use_preconditioner=True)
 
     got = run()
     monkeypatch.setattr(energymin, "_slot_values", reference_values_at)
@@ -899,17 +898,17 @@ def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, mo
 
     monkeypatch.setattr(energymin, "_slot_values", counting)
     if mode == "constrained":
-        got = constrained_energymin(A, split, B, pattern, iters, tol=0.0)
+        got = constrained_energymin(A, split, B, pattern, iters)
     else:
         got = weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4, pattern,
-                                 iters, tol=0.0, use_preconditioner=True)
+                                 iters, use_preconditioner=True)
     assert len(got.residuals) == iters + 1
     assert calls == [np.float64, np.int32]
 
 
 # ---------------- the shared CG loop ----------------
 
-def reference_pcg_frobenius(sys, w0, max_iters, tol, use_preconditioner=True):
+def reference_pcg_frobenius(sys, w0, max_iters, use_preconditioner=True):
     """Reference: a weighted-only preconditioned CG on slot values, with
     no projection; pcg_frobenius must reproduce it bit for bit.  Also
     returns the preconditioned norm of the right-hand side."""
@@ -925,7 +924,6 @@ def reference_pcg_frobenius(sys, w0, max_iters, tol, use_preconditioner=True):
     if history[0] == 0.0:
         return w, history, bhat_norm
     p = z.copy()
-    target = tol * history[0]
     for _ in range(max_iters):
         Lp = apply_weighted_operator(sys, p)
         pLp = float(p @ Lp)
@@ -935,14 +933,14 @@ def reference_pcg_frobenius(sys, w0, max_iters, tol, use_preconditioner=True):
         z = d * r
         rz_new = float(r @ z)
         history.append(np.sqrt(max(rz_new, 0.0)))
-        if history[-1] <= target:
+        if history[-1] == 0.0:
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
     return w, history, bhat_norm
 
 
-def reference_constrained_loop(A, split, B, pattern, iters, tol):
+def reference_constrained_loop(A, split, B, pattern, iters):
     """Reference: a constrained-only projected CG on slot values that
     starts from the residual -(A_ff W0 + A_fc); pcg_frobenius, which
     starts from (-A_fc) - A_ff W0, must reproduce it bit for bit.  Also
@@ -970,7 +968,6 @@ def reference_constrained_loop(A, split, B, pattern, iters, tol):
     history = [np.sqrt(max(rz, 0.0))]
     if history[0] > 0.0:
         p = z.copy()
-        target = tol * history[0]
         for _ in range(iters):
             Lp = rows.project(energy_op(p))
             pLp = float(p @ Lp)
@@ -980,7 +977,7 @@ def reference_constrained_loop(A, split, B, pattern, iters, tol):
             z = rows.project(dinv * r)
             rz_new = float(r @ z)
             history.append(np.sqrt(max(rz_new, 0.0)))
-            if history[-1] <= target:
+            if history[-1] == 0.0:
                 break
             p = z + (rz_new / rz) * p
             rz = rz_new
@@ -1001,14 +998,14 @@ def assert_route_matches_reference(mode, args, kwargs, got, round_off_stop=False
         A, split, B, pattern, iters = args
 
         def reference(iters):
-            return reference_constrained_loop(A, split, B, pattern, iters, kwargs["tol"])
+            return reference_constrained_loop(A, split, B, pattern, iters)
     else:
         A, split, B, X, tau, pattern, iters = args
 
         def reference(iters):
             sys = build_weighted_system(A, split, B, X, tau, pattern)
             return reference_pcg_frobenius(sys, initial_guess(split, B, pattern), iters,
-                                           kwargs["tol"], kwargs["use_preconditioner"])
+                                           kwargs["use_preconditioner"])
     w, history, source_norm = reference(iters)
     if steps < len(history) - 1:
         assert round_off_stop
@@ -1047,16 +1044,16 @@ def test_routes_bit_identical_to_reference_loops_on_random_instances(n_b):
         A, split, pattern, B, _ = random_instance(rng, int(rng.integers(15, 30)),
                                                   n_b=n_b, fill=(0.3, 0.6)[trial % 2])
         short += np.any(np.diff(pattern.indptr) < n_b)
-        tol = (0.0, 0.0, 1e-2, 1e-2)[trial % 4]
         iters = int(rng.integers(2, 12))
+        if trial % 4 >= 2:  # CG exhausts its search space and stops at round-off
+            iters = pattern.nnz + 1
         args = (A, split, B, pattern, iters)
-        got = constrained_energymin(*args, tol=tol)
-        assert_route_matches_reference("constrained", args, {"tol": tol}, got,
-                                       round_off_stop=True)
+        got = constrained_energymin(*args)
+        assert_route_matches_reference("constrained", args, {}, got, round_off_stop=True)
         stepped += len(got.residuals) > 1
         early += 1 < len(got.residuals) < iters + 1
         tau = float(rng.choice([1e-4, 0.5, 1.0]))
-        kwargs = {"tol": tol, "use_preconditioner": trial % 3 != 0}
+        kwargs = {"use_preconditioner": trial % 3 != 0}
         args = (A, split, B, X, tau, pattern, iters)
         got = weighted_energymin(*args, **kwargs)
         assert_route_matches_reference("weighted", args, kwargs, got, round_off_stop=True)
@@ -1090,19 +1087,19 @@ def assert_non_increasing(values):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(small_energymin_problems())
 def test_shared_loop_decreases_objective_and_keeps_constraint(problem):
-    """Both routes at tol=1e-10, the convergence oracle's tolerance; the
-    budget, one step per slot, covers every search direction.  A row's
+    """Both routes with a budget of one step per slot, which covers every
+    search direction, so CG may run on to its round-off stop.  A row's
     minimum-norm solve goes through the Gram matrix C_i^T C_i, so the
     constraint holds to 1e-10 or to 100 eps cond(C_i)^2, whichever is
     larger.  Derandomized: about one random draw in 15000 with two
     candidates trips the defect that
     test_ill_conditioned_row_keeps_its_constraint shows."""
     A, split, pattern, B, tau = problem
-    iters, tol = pattern.nnz, 1e-10
+    iters = pattern.nnz
 
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), tau, pattern)
     values = []
-    run_pcg(sys, initial_guess(split, B, pattern), iters, tol,
+    run_pcg(sys, initial_guess(split, B, pattern), iters,
             callback=lambda w: values.append(quadratic_value(sys, w)))
     assert_non_increasing(values)
 
@@ -1123,12 +1120,12 @@ def test_shared_loop_decreases_objective_and_keeps_constraint(problem):
         energies.append(0.5 * np.sum((A_ff @ W) * W) + np.sum(A_fc * W))
         assert np.all(np.abs(W[held] @ B_c - B_f[held]) <= bound)
 
-    constrained_energymin(A, split, B, pattern, iters, tol=tol, callback=check)
+    constrained_energymin(A, split, B, pattern, iters, callback=check)
     assert_non_increasing(energies)
 
 
 def test_cg_stops_at_round_off_without_raising_the_objective():
-    """Oscillatory K=1e6, level 0, degree 4, tol=0: the projected
+    """Oscillatory K=1e6, level 0, degree 4, nine iterations: the projected
     residual is round-off after one step, and steps after it would
     raise the constrained objective."""
     A = assemble(ProblemSpec("oscillatory", 48, K=1e6)).matrix
@@ -1144,7 +1141,7 @@ def test_cg_stops_at_round_off_without_raising_the_objective():
         Ew = _slot_values(A_ff @ pattern.to_csr(w), pattern.slot_rows, pattern.cols)
         energies.append(0.5 * (w @ Ew) + afc_vals @ w)
 
-    interp = constrained_energymin(A, split, B, pattern, 9, tol=0.0, callback=record)
+    interp = constrained_energymin(A, split, B, pattern, 9, callback=record)
     assert len(interp.residuals) < 10
     assert_non_increasing(energies)
 
@@ -1154,7 +1151,7 @@ def test_cg_stops_at_round_off_without_raising_the_objective():
                          ids=["anisotropic", "oscillatory"])
 def test_two_candidate_setup_at_zero_tolerance_completes(spec):
     """Constrained, the constant and a linear ramp, degree 1, nine
-    iterations at setup's zero tolerance: level 1's residual reaches
+    iterations with no tolerance: level 1's residual reaches
     round-off after one step, and stepping on from there ended in a
     negative-curvature breakdown."""
     A = assemble(spec).matrix
@@ -1183,7 +1180,7 @@ def test_ill_conditioned_row_keeps_its_constraint():
     B_f, B_c = B.split_rows(split)
     C = B_c[pattern.cols[pattern.indptr[0]:pattern.indptr[1]]]
     bound = 100 * np.finfo(float).eps * np.linalg.cond(C) ** 2 * np.abs(B_f).max()
-    interp = constrained_energymin(A, split, B, pattern, pattern.nnz, tol=1e-10)
+    interp = constrained_energymin(A, split, B, pattern, pattern.nnz)
     assert np.abs(interp.W.toarray()[0] @ B_c - B_f[0]).max() <= bound
 
 
@@ -1199,6 +1196,6 @@ def test_projected_start_at_round_off_takes_no_step():
                               rng.integers(0, split.n_c, split.n_f))
     B = prepare_candidates(A, rng.standard_normal(n))
     w0 = initial_guess(split, B, pattern)
-    interp = constrained_energymin(A, split, B, pattern, 10, tol=0.0)
+    interp = constrained_energymin(A, split, B, pattern, 10)
     assert len(interp.residuals) == 1
     assert np.array_equal(interp.W.data, w0)

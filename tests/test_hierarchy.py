@@ -1169,6 +1169,31 @@ def test_default_constrained_budget_costs_at_most_one_pcg_iteration(spec, degree
     assert pcg_iterations(None) <= pcg_iterations(degree + 3) + 1
 
 
+WORK_COUNT_PROBLEMS = {"aniso": ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3),
+                       "osc": ProblemSpec("oscillatory", 64, K=1e6)}
+
+
+@pytest.mark.parametrize("problem, mode, degree, cg_iters, w_slots, pcg_iters", [
+    ("aniso", "constrained", 2, [3, 3, 3, 3], [15376, 1285, 1865, 770], 15),
+    ("aniso", "weighted", 4, [7, 7, 7, 7], [52093, 2493, 10004, 1227], 55),
+    ("osc", "constrained", 2, [0, 3, 3, 3], [7812, 7626, 1910, 471], 8),
+    ("osc", "weighted", 4, [3, 7, 7, 7], [30500, 25550, 5919, 1109], 7),
+], ids=["aniso-constrained-2", "aniso-weighted-4", "osc-constrained-2", "osc-weighted-4"])
+def test_setup_and_solve_work_counts_are_pinned(problem, mode, degree, cg_iters, w_slots,
+                                                pcg_iters):
+    """The work of one setup and solve at n=64, default candidate and tau,
+    counted rather than timed, so it gates on any machine: per level the
+    minimization's CG iterations and the slots of W (P's entries beyond
+    the C points' unit rows), per setup the PCG iterations to 1e-8.  A
+    change that moves a count says so and why."""
+    A = assemble(WORK_COUNT_PROBLEMS[problem]).matrix
+    H = setup(A, SetupConfig(mode=mode, pattern_degree=degree))
+    assert [len(lvl.emin_residuals) - 1 for lvl in H.levels[:-1]] == cg_iters
+    assert [lvl.P.nnz - lvl.P.shape[1] for lvl in H.levels[:-1]] == w_slots
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    assert len(solve(H, b, tol=1e-8, accel="cg")[1]) - 1 == pcg_iters
+
+
 def reference_vcycle(H, level, b):
     """The V(1,1) cycle that computes every pre-smoothing residual,
     including b - A x at the zero start."""
