@@ -16,6 +16,7 @@ import sys
 
 import numpy as np
 
+from . import kernels
 from .coarsening import cf_split, strength_graph
 from .experiments import (ExperimentConfig, first_constraint_vector, measure_report,
                           run_experiment)
@@ -83,6 +84,7 @@ def _cmd_solve(args):
     print(f"levels        {H.n_levels}  sizes {H.level_sizes()}")
     print(f"nnz           {nnz}  per row [{per_row}]")
     print(f"mode          {args.mode}" + (f"  tau {args.tau:g}" if args.mode == "weighted" else ""))
+    print(f"kernels       {kernels.backend()}")  # the path that built the hierarchy
     print(f"OC            {report.oc:.4f}")
     print(f"CC            {report.cc:.4f}")
     print(f"CF            {report.cf:.4f}")

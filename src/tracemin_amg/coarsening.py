@@ -7,10 +7,12 @@ edges, and the graph is their symmetric boolean adjacency.  The
 splitting is a greedy first pass: the vertex adjacent to the most F
 points goes coarse next (ties to the lowest index), and its strong
 neighbors become fine.  Starting from an all-zero measure this sweeps
-a frontier outward from vertex 0.  The measures are kept in
-Ruge-Stueben style buckets, one min-heap of vertex indices per measure
-value, so the pass costs O(nnz log N) rather than one O(N) scan per C
-point.
+a frontier outward from vertex 0.  The pass keeps the measures in a
+priority queue, so it costs O(nnz log N) rather than one O(N) scan per
+C point.  It runs as a compiled kernel (kernels.greedy_split, one binary
+heap with lazy deletion) where one can be built, and otherwise in
+Python (Ruge-Stueben style buckets, one min-heap of vertex indices per
+measure value); both give the same split.
 """
 
 import heapq
@@ -19,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from . import kernels
 from .linalg import check_positive_diagonal, real_csr
 from .problems import check_count, check_real
 
@@ -76,10 +79,10 @@ class SparsityPattern:
     """Allowed (F-local, C-local) positions of the interpolation weights.
 
     Stored row-wise like CSR: F row i owns the slots indptr[i]:indptr[i+1]
-    with sorted C-local columns `cols`.  A weight block over the pattern
-    is a float64 array of slot values; slot_rows holds the row of every
-    slot (int32, like the CSR indices), and to_csr turns slot values into
-    the nf x nc matrix.
+    with sorted, distinct C-local columns `cols`.  A weight block over the
+    pattern is a float64 array of slot values; slot_rows holds the row of
+    every slot (int32, like the CSR indices), and to_csr turns slot values
+    into the nf x nc matrix.
 
     empty_f_rows flags F points that reach no C point within the given
     graph distance; callers decide whether that is an error.
@@ -184,7 +187,20 @@ def cf_split(S):
     Repeatedly picks the unassigned vertex adjacent to the most strong
     F points (ties to the lowest index), makes it C and its strong
     neighbors F.  Vertices with no strong edges become C points.  S is
-    read as pattern_distance_k reads it (see _adjacency).
+    read as pattern_distance_k reads it (see _adjacency).  The pass is
+    the compiled kernels.greedy_split where it can run, and _greedy_pass
+    otherwise; both give the same split.
+    """
+    S = _adjacency(S)
+    state = (np.diff(S.indptr) == 0).astype(np.uint8)  # 0 unassigned, 1 C, 2 F
+    if kernels.greedy_split(S, state) is None:
+        _greedy_pass(S, state)
+    return BlockSplit(np.flatnonzero(state == 1), np.flatnonzero(state == 2))
+
+
+def _greedy_pass(S, state):
+    """cf_split's pass in Python, in place on state, and the bit
+    reference of kernels.greedy_split.
 
     The measures live in buckets, one per value.  Bucket m > 0 is a
     min-heap of the vertex indices whose measure reached m; bucket 0 is
@@ -200,20 +216,17 @@ def cf_split(S):
     lowest index.  Each edge pushes at most once, so the pass costs
     O(nnz log N).
     """
-    S = _adjacency(S)
     n = S.shape[0]
     # memoryviews index numpy buffers as Python ints without copying
     # them into lists (about 36 B per entry)
     indptr = memoryview(S.indptr)
     indices = memoryview(S.indices)
-
-    is_c = np.diff(S.indptr) == 0
-    zero_bucket = memoryview(np.flatnonzero(~is_c))
+    zero_bucket = memoryview(np.flatnonzero(state == 0))
     remaining = len(zero_bucket)
     # a measure counts F points pointing at the vertex: at most its column count
     max_measure = int(np.bincount(S.indices, minlength=1).max())
     buckets = [[] for _ in range(max_measure + 1)]
-    state = bytearray(is_c.tobytes())  # 0 unassigned, 1 C, 2 F
+    flags = bytearray(state.tobytes())  # indexes faster than the array
     measure = memoryview(np.zeros(n, dtype=np.int64))
     top = 0
     cursor = 0
@@ -222,7 +235,7 @@ def cf_split(S):
     while remaining:
         while top:
             heap = buckets[top]
-            while heap and state[heap[0]]:
+            while heap and flags[heap[0]]:
                 heappop(heap)
             if heap:
                 break
@@ -230,28 +243,26 @@ def cf_split(S):
         if top:
             v = heappop(buckets[top])
         else:
-            while state[zero_bucket[cursor]]:
+            while flags[zero_bucket[cursor]]:
                 cursor += 1
             v = zero_bucket[cursor]
             cursor += 1
 
-        state[v] = 1
+        flags[v] = 1
         remaining -= 1
         for u in indices[indptr[v]:indptr[v + 1]]:
-            if state[u]:
+            if flags[u]:
                 continue
-            state[u] = 2
+            flags[u] = 2
             remaining -= 1
             for w in indices[indptr[u]:indptr[u + 1]]:
-                if not state[w]:
+                if not flags[w]:
                     m = measure[w] + 1
                     measure[w] = m
                     heappush(buckets[m], w)
                     if m > top:
                         top = m
-
-    state = np.frombuffer(state, dtype=np.uint8)
-    return BlockSplit(np.flatnonzero(state == 1), np.flatnonzero(state == 2))
+    state[:] = np.frombuffer(flags, dtype=np.uint8)
 
 
 def pattern_distance_k(S, split, k):

@@ -22,12 +22,13 @@ of W (the Frobenius inner product of matrices on one pattern is the dot
 product of their slot values).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy import sparse
 
+from . import kernels
 from .coarsening import SparsityPattern
 from .linalg import check_positive_diagonal, row_blocks
 from .problems import check_real
@@ -226,12 +227,9 @@ class WeightedSystem:
     slot space and gathers the candidate rows B_c[cols] of one block at
     a time: both routes start from its minimum-norm solution, the
     constrained one projects on it, and the operator forms both terms,
-    and apply_preconditioner its product, in its blocks.  product_layout holds
-    one entry per block: None before the block's first product, then
-    the (indptr, indices) of its last product, the position of each of
-    the block's slots in that product's data (-1 where it stores none)
-    and the slots it misses.  Minimization hands Bhat over to the CG,
-    which frees it once the initial residual exists; then it is None.
+    and apply_preconditioner its product, in its blocks.  Minimization
+    hands Bhat over to the CG, which frees it once the initial residual
+    exists; then it is None.
     """
 
     tau: float
@@ -243,10 +241,6 @@ class WeightedSystem:
     Dprec: np.ndarray         # slot values; F-row values at tau = 1
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
     rows: _RowConstraints
-    product_layout: list = field(init=False)
-
-    def __post_init__(self):
-        self.product_layout = [None] * len(self.rows.blocks)
 
 
 def build_weighted_system(A, split, B, X, tau, pattern):
@@ -293,56 +287,32 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     return WeightedSystem(tau, A_ff, B_f, B_c, pattern, bhat, denom, cand_scale, rows)
 
 
-def _product_slot_values(sys, block, S, out):
-    """Slot values of the product S = A_ff[lo:hi] W of row block `block`
-    of sys.rows, written to out, the block's slots.
-
-    SpGEMM orders each output row by the structure of A_ff and the
-    pattern alone and drops only entries that sum to exactly zero, so
-    products with equal indptr and indices store the same entries in the
-    same places.  The slots are located once in each layout that differs
-    from the block's last one, the first included, and every product
-    reads them as a gather; with no duplicates and no zeros stored, it
-    reads what sampling would: the stored entry, or 0 where none is.
-    """
-    pat = sys.pattern
-    lo, _, slots = sys.rows.blocks[block][:3]
-    layout = sys.product_layout[block]
-    if (layout is None or not np.array_equal(S.indptr, layout[0])
-            or not np.array_equal(S.indices, layout[1])):
-        # entry k of S is numbered k + 1, so a slot S misses reads 0
-        numbers = sparse.csr_matrix((np.arange(1, S.nnz + 1, dtype=S.indices.dtype),
-                                     S.indices, S.indptr), shape=S.shape)
-        found = _slot_values(numbers, pat.slot_rows[slots] - lo, pat.cols[slots])
-        found -= 1
-        layout = sys.product_layout[block] = (S.indptr, S.indices, found,
-                                              np.flatnonzero(found < 0))
-    if S.nnz:  # an empty product misses every slot
-        np.take(S.data, layout[2], out=out)
-    out[layout[3]] = 0.0
-
-
 def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern.
 
     Both terms are formed in the row blocks of sys.rows, so only one
-    block's product A_ff[lo:hi] W and candidate-term temporaries are
-    held at a time; V = W B_c (nf x n_b) is formed once."""
+    block's temporaries are held at a time; V = W B_c (nf x n_b) is
+    formed once.  A_ff W at the slots is kernels.masked_product where
+    the kernel can run, which sums each slot as SpGEMM does and forms
+    no product; otherwise each block's product A_ff[lo:hi] W is formed
+    and sampled at the block's slots, which is the kernel's bit
+    reference."""
     pat, rows, tau, A_ff = sys.pattern, sys.rows, sys.tau, sys.A_ff
     W = pat.to_csr(values)
     out = np.zeros(pat.nnz) if tau == 0.0 else np.empty(pat.nnz)
+    sampled = tau > 0.0 and kernels.masked_product(A_ff, pat, values, out) is None
     V = W @ sys.B_c if tau < 1.0 else None             # (nf, n_b)
-    for block, (lo, hi, slots, *_) in enumerate(rows.blocks):
+    for lo, hi, slots, *_ in rows.blocks:
         part = out[slots]
-        if tau > 0.0:
+        if sampled:
             a, b = A_ff.indptr[lo], A_ff.indptr[hi]
             A_rows = sparse.csr_matrix((A_ff.data[a:b], A_ff.indices[a:b],
                                         A_ff.indptr[lo:hi + 1] - a),
                                        shape=(hi - lo, A_ff.shape[1]))
-            _product_slot_values(sys, block, A_rows @ W, part)
-            if tau != 1.0:
-                part *= tau
+            part[:] = _slot_values(A_rows @ W, pat.slot_rows[slots] - lo, pat.cols[slots])
+        if 0.0 < tau < 1.0:
+            part *= tau
         if V is not None:
             part += sys.cand_scale[slots] * np.einsum(
                 "ik,ik->i", V[pat.slot_rows[slots]], rows.candidate_rows(slots))
@@ -381,10 +351,11 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=
     source's preconditioned norm: steps on round-off would take their
     length from round-off curvature and move x by garbage.
 
-    x, r and p are updated in place, and each step's operator image,
-    once spent, is its work buffer; x0 and b are not modified.  Returns
-    (x, residual_history); history starts with the initial residual
-    norm.  `callback(x)` gets a copy of every updated iterate.
+    x, r and p are updated in place, p only when a step follows, and
+    each step's operator image, once spent, is its work buffer; x0 and b
+    are not modified.  Returns (x, residual_history); history starts
+    with the initial residual norm.  `callback(x)` gets a copy of every
+    updated iterate.
     """
     x = x0.copy()
     del x0  # a start passed as a temporary dies here
@@ -406,6 +377,11 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=
     for k in range(max_iters):
         if history[-1] <= floor:
             break
+        if k:  # the last step's z turns p into this step's direction
+            p *= rz_new / rz
+            p += z
+            z = None
+            rz = rz_new
         Lp = project(apply(p))
         pLp = float(p @ Lp)
         if not np.isfinite(pLp) or pLp <= 0.0:
@@ -425,10 +401,6 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=
         history.append(np.sqrt(max(rz_new, 0.0)))
         if callback is not None:
             callback(x.copy())
-        p *= rz_new / rz
-        p += z
-        z = None
-        rz = rz_new
     return x, history
 
 

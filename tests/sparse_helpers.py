@@ -1,9 +1,31 @@
 """Small matrices, patterns and dense oracles shared by the test modules."""
 
+import contextlib
+
 import numpy as np
+import pytest
 from scipy import sparse
 
+from tracemin_amg import kernels
 from tracemin_amg.coarsening import SparsityPattern
+
+
+@contextlib.contextmanager
+def python_path():
+    """The library's Python path inside the block: the kernel loader
+    reports no kernel, so cf_split and apply_weighted_operator run their
+    bit references."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "library", lambda: None)
+        yield
+
+
+def both_paths():
+    """(compiled, context manager) of the compiled path, the kernels as
+    the loader finds them (compiled is False, and the path the Python
+    one, where none can be built), and of the Python path."""
+    return [(kernels.library() is not None, contextlib.nullcontext()),
+            (False, python_path())]
 
 
 def csr_from_triplets(triplets, nrows, ncols):
@@ -50,7 +72,9 @@ def jacobi_m(A):
 
 
 def random_pattern(rng, nf, nc, fill=0.5):
-    """Random pattern with at least one entry per row."""
+    """Random pattern with at least one entry per row, with int32 index
+    arrays as pattern_distance_k builds them (the compiled kernels read
+    int32 indices alone)."""
     pairs = set()
     for i in range(nf):
         cols = np.flatnonzero(rng.random(nc) < fill)
@@ -58,9 +82,10 @@ def random_pattern(rng, nf, nc, fill=0.5):
             cols = [int(rng.integers(nc))]
         pairs.update((i, int(j)) for j in cols)
     rows = np.array(sorted(pairs))
-    indptr = np.zeros(nf + 1, dtype=np.int64)
+    indptr = np.zeros(nf + 1, dtype=np.int32)
     np.add.at(indptr[1:], rows[:, 0], 1)
-    return SparsityPattern(nf, nc, np.cumsum(indptr), rows[:, 1].astype(np.int64))
+    return SparsityPattern(nf, nc, np.cumsum(indptr, dtype=np.int32),
+                           rows[:, 1].astype(np.int32))
 
 
 def vec_positions(sys):

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sparse_helpers import invalid_operators
+from sparse_helpers import both_paths, invalid_operators
 from tracemin_amg import cli, experiments, hierarchy
 from tracemin_amg.cli import main
 from tracemin_amg.linalg import read_matrix_market, write_matrix_market
@@ -50,6 +50,22 @@ def test_solve_measures_an_exactly_solved_one_level_hierarchy(capsys):
     assert "sizes [1]" in out and "CF            0.0000" in out
     assert "emin iters    []" in out.splitlines()
     assert "omega         []" in out.splitlines()
+
+
+@pytest.mark.parametrize("mode", ["constrained", "weighted"])
+def test_solve_reports_the_kernel_path_and_else_the_same_bytes(mode, capsys):
+    """The report names the path that built the hierarchy, and both paths
+    build the same one: the reports differ in that line alone."""
+    argv = ["solve", "--problem", "oscillatory", "--n", "32", "--K", "1e6", "--mode", mode]
+    reports = []
+    for compiled, path in both_paths():
+        with path:
+            assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        named = [line for line in lines if line.startswith("kernels")]
+        assert named == [f"kernels       {'compiled' if compiled else 'python'}"]
+        reports.append([line for line in lines if not line.startswith("kernels")])
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("flags, budget", [([], 5), (["--iters", "7"], 7)],

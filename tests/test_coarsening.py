@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from sparse_helpers import csr_from_triplets, lap1d
+from sparse_helpers import both_paths, csr_from_triplets, lap1d
 from tracemin_amg import hierarchy
 from tracemin_amg.coarsening import (BlockSplit, cf_split, pattern_distance_k,
                                      strength_graph)
@@ -212,13 +212,19 @@ def symmetric_strength_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(symmetric_strength_graphs())
 def test_cf_split_matches_reference_on_random_graphs(S):
-    split = cf_split(S)
-    assert np.array_equal(split.c_points, reference_c_points(S))
-    # the split is built from the pass's state, as from_c_points builds it
-    expected = BlockSplit.from_c_points(S.shape[0], split.c_points)
-    for got, want in [(split.c_points, expected.c_points), (split.f_points, expected.f_points)]:
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert split.n == S.shape[0]
+    """The compiled pass and the Python pass split every graph as the
+    quadratic reference does."""
+    c_points = reference_c_points(S)
+    for _, path in both_paths():
+        with path:
+            split = cf_split(S)
+        assert np.array_equal(split.c_points, c_points)
+        # the split is built from the pass's state, as from_c_points builds it
+        expected = BlockSplit.from_c_points(S.shape[0], split.c_points)
+        for got, want in [(split.c_points, expected.c_points),
+                          (split.f_points, expected.f_points)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert split.n == S.shape[0]
 
 
 def test_cf_split_matches_reference_on_every_level(monkeypatch):
@@ -233,7 +239,9 @@ def test_cf_split_matches_reference_on_every_level(monkeypatch):
     H = hierarchy.setup(A, hierarchy.SetupConfig(pattern_degree=4))
     assert len(graphs) == H.n_levels - 1 >= 3
     for S in graphs:
-        assert np.array_equal(cf_split(S).c_points, reference_c_points(S))
+        for _, path in both_paths():
+            with path:
+                assert np.array_equal(cf_split(S).c_points, reference_c_points(S))
 
 
 def test_block_split_views():

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import sparse
 
-from sparse_helpers import (dense_operator_and_rhs, lap1d, rand_spd, rand_spd_sparse,
-                            random_pattern, vec_positions)
+from sparse_helpers import (both_paths, dense_operator_and_rhs, lap1d, rand_spd,
+                            rand_spd_sparse, random_pattern, vec_positions)
 from tracemin_amg import energymin, hierarchy, linalg
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
@@ -696,14 +696,18 @@ def test_energymin_routes_bit_identical_to_sorted_extraction(mode, monkeypatch):
         return weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4,
                                   pattern, 6, use_preconditioner=True)
 
-    got = run()
+    got = []
+    for _, path in both_paths():
+        with path:
+            got.append(run())
     monkeypatch.setattr(energymin, "_slot_values", reference_values_at)
     monkeypatch.setattr(energymin, "apply_weighted_operator",
                         partial(reference_weighted_apply, X=SpectralEquivalence()))
     expected = run()
-    assert len(got.residuals) == 7
-    assert np.array_equal(got.residuals, expected.residuals)
-    assert np.array_equal(got.W.data, expected.W.data)
+    for result in got:
+        assert len(result.residuals) == 7
+        assert np.array_equal(result.residuals, expected.residuals)
+        assert np.array_equal(result.W.data, expected.W.data)
 
 
 def exact_zero_system(rng, tau):
@@ -711,14 +715,16 @@ def exact_zero_system(rng, tau):
     column 2 and whose pattern rows 0, 1 and 2 share their columns: a W
     with equal rows 1 and 2 makes every product entry of row 0 an exact
     zero, which SpGEMM drops, so that product misses row 0's slots.
+    The pattern's index arrays are int32, as the kernels read them.
     Returns the system and its reference apply."""
     A = rand_spd_sparse(rng, 60)
     split = BlockSplit.from_c_points(60, np.sort(rng.permutation(60)[:20]))
     rows = [np.flatnonzero(rng.random(split.n_c) < 0.3) for _ in range(split.n_f)]
     rows = [r if len(r) else np.array([i % split.n_c]) for i, r in enumerate(rows)]
     rows[0] = rows[2] = rows[1]
-    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])])
-    pattern = SparsityPattern(split.n_f, split.n_c, indptr, np.concatenate(rows))
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int32)
+    pattern = SparsityPattern(split.n_f, split.n_c, indptr,
+                              np.concatenate(rows).astype(np.int32))
     B = prepare_candidates(A, rng.standard_normal((60, 2)))
     X = SpectralEquivalence(c2=1.7)
     sys = build_weighted_system(A, split, B, X, tau, pattern)
@@ -729,15 +735,25 @@ def exact_zero_system(rng, tau):
     return dataclasses.replace(sys, A_ff=A_ff.tocsr()), reference
 
 
+def products_sampled_per_apply(sys, compiled):
+    """The products one apply samples: none where the kernel runs or at
+    tau = 0, else one per row block."""
+    return 0 if compiled or sys.tau == 0.0 else len(sys.rows.blocks)
+
+
 @pytest.mark.parametrize("tau", [0.0, 1e-4, 1.0])
-@pytest.mark.parametrize("steps, locates", [
-    (["generic", "generic", "equal-rows", "equal-rows", "generic", "generic"], [0, 2, 4]),
-    (["equal-rows", "equal-rows", "equal-rows"], [0]),
-    (["zero", "zero", "generic", "generic", "zero"], [0, 2, 4]),
-    (["equal-rows", "generic", "generic", "generic"], [0, 1]),
+@pytest.mark.parametrize("steps", [
+    ["generic", "generic", "equal-rows", "equal-rows", "generic", "generic"],
+    ["equal-rows", "equal-rows", "equal-rows"],
+    ["zero", "zero", "generic", "generic", "zero"],
+    ["equal-rows", "generic", "generic", "generic"],
 ], ids=["drops-exact-zeros", "misses-a-slot", "empty", "changes-twice"])
 def test_weighted_apply_with_cached_layout_bit_identical_to_sorted_extraction(
-        steps, locates, tau, monkeypatch):
+        steps, tau, monkeypatch):
+    """Applies whose products change layout from step to step (exact-zero
+    sums dropped, slots missed, an empty product) equal the sorted
+    extraction on both paths; the compiled path samples no product, the
+    Python path each block's product once per apply."""
     rng = np.random.default_rng(13)
     sys, reference = exact_zero_system(rng, tau)
     pat = sys.pattern
@@ -749,48 +765,60 @@ def test_weighted_apply_with_cached_layout_bit_identical_to_sorted_extraction(
         return _slot_values(S, slot_rows, cols)
 
     monkeypatch.setattr(energymin, "_slot_values", counting)
-    for step in steps:
-        w = np.zeros(pat.nnz) if step == "zero" else rng.standard_normal(pat.nnz)
-        if step == "equal-rows":
-            w[row2] = w[row1]
-            assert (sys.A_ff @ pat.to_csr(w)).indptr[1] == 0  # row 0 stores nothing
-        calls.append([])
-        got = apply_weighted_operator(sys, w)
-        assert np.array_equal(got, reference(sys, w))
-    # tau = 0 forms no product; otherwise a product whose layout differs
-    # from the one before, the first included, has its slots located, and
-    # no product is sampled for its values
-    assert calls == [[np.int32] if tau > 0.0 and i in locates else []
-                     for i in range(len(steps))]
+    for compiled, path in both_paths():
+        calls.clear()
+        with path:
+            for step in steps:
+                w = np.zeros(pat.nnz) if step == "zero" else rng.standard_normal(pat.nnz)
+                if step == "equal-rows":
+                    w[row2] = w[row1]
+                    assert (sys.A_ff @ pat.to_csr(w)).indptr[1] == 0  # row 0 stores nothing
+                calls.append([])
+                got = apply_weighted_operator(sys, w)
+                assert np.array_equal(got, reference(sys, w))
+        sampled = products_sampled_per_apply(sys, compiled)
+        assert calls == [[np.float64] * sampled] * len(steps)
 
 
 @pytest.mark.parametrize("mode, tau", [("constrained", 1.0), ("weighted", 0.0),
                                        ("weighted", 1e-4), ("weighted", 1.0)])
 def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
         mode, tau, monkeypatch):
+    """On both paths every apply of a setup equals the sampling oracle to
+    the bit, and samples the products products_sampled_per_apply names."""
     A = assemble(ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3)).matrix
-    systems = []
+    sampled = []  # the count of the apply in progress, if any
+
+    def counting(S, slot_rows, cols):
+        if sampled:
+            sampled[-1] += 1
+        return _slot_values(S, slot_rows, cols)
 
     def checked(sys, values):
+        sampled.append(0)
         got = apply_weighted_operator(sys, values)
+        systems.append((sys, sampled.pop()))
         assert np.array_equal(got, reference_weighted_apply(sys, values,
                                                             SpectralEquivalence()))
-        systems.append(sys)
         return got
 
     monkeypatch.setattr(energymin, "apply_weighted_operator", checked)
-    H = hierarchy.setup(A, hierarchy.SetupConfig(mode=mode, tau=tau, pattern_degree=4))
-    levels = list({id(sys): sys for sys in systems}.values())
-    assert len(levels) == H.n_levels - 1 >= 2
-    # at tau = 0 the start's residual is round-off, so every level stops
-    # at its start after the one apply that forms it
-    if tau == 0.0:
-        assert len(systems) == len(levels)
-    else:
-        assert len(systems) > 4 * len(levels)
-    # tau = 0 forms no product; otherwise every block located its slots
-    assert all((layout is None) == (tau == 0.0)
-               for sys in levels for layout in sys.product_layout)
+    for compiled, path in both_paths():
+        systems = []
+        with path, monkeypatch.context() as patch:
+            patch.setattr(energymin, "_slot_values", counting)
+            H = hierarchy.setup(A, hierarchy.SetupConfig(mode=mode, tau=tau,
+                                                         pattern_degree=4))
+        levels = list({id(sys): sys for sys, _ in systems}.values())
+        assert len(levels) == H.n_levels - 1 >= 2
+        # at tau = 0 the start's residual is round-off, so every level
+        # stops at its start after the one apply that forms it
+        if tau == 0.0:
+            assert len(systems) == len(levels)
+        else:
+            assert len(systems) > 4 * len(levels)
+        assert all(count == products_sampled_per_apply(sys, compiled)
+                   for sys, count in systems)
 
 
 @settings(max_examples=50, deadline=None)
@@ -857,8 +885,8 @@ APPLY_PEAK_SLOT_VECTORS = 1.5
 
 @pytest.mark.parametrize("tau", [0.0, 1e-4, 1.0])
 def test_apply_holds_no_temporary_beyond_a_row_block(tau, monkeypatch):
-    """Once the product layouts are located, one apply allocates its
-    output and beyond it only W, V = W B_c and block-sized temporaries."""
+    """One apply allocates its output and beyond it only W, V = W B_c
+    and block-sized temporaries, on both paths."""
     monkeypatch.setattr(energymin, "PRODUCT_BLOCK_SLOTS", 256)
     A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
     S = strength_graph(A, 0.4)
@@ -867,28 +895,31 @@ def test_apply_holds_no_temporary_beyond_a_row_block(tau, monkeypatch):
     B = prepare_candidates(A, np.ones(A.shape[0]))
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), tau, pattern)
     assert len(linalg.row_blocks(pattern.indptr, 256)) > 50
-    rng = np.random.default_rng(0)
-    apply_weighted_operator(sys, rng.standard_normal(pattern.nnz))  # locates the layouts
-    w = rng.standard_normal(pattern.nnz)
-    tracemalloc.start()
-    try:
-        apply_weighted_operator(sys, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= APPLY_PEAK_SLOT_VECTORS * w.nbytes
+    w = np.random.default_rng(0).standard_normal(pattern.nnz)
+    for _, path in both_paths():
+        with path:
+            apply_weighted_operator(sys, w)  # the kernels are loaded before tracing
+            tracemalloc.start()
+            try:
+                apply_weighted_operator(sys, w)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= APPLY_PEAK_SLOT_VECTORS * w.nbytes
 
 
 @pytest.mark.parametrize("iters", [0, 1, 6])
 @pytest.mark.parametrize("mode", ["constrained", "weighted"])
 def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, monkeypatch):
     """One level-0 minimization samples A_fc's values for its right-hand
-    side and locates the slots in its first product A_ff W; every later
-    product repeats that layout and is a gather."""
+    side.  On the compiled path that is the one matrix it samples: no
+    product A_ff W is formed.  The Python path samples the product of
+    each of its iters + 1 applies (one row block here)."""
     A = assemble(ProblemSpec("rotated_anisotropic", 24, epsilon=1e-3)).matrix
     S = strength_graph(A, 0.4)
     split = cf_split(S)
     pattern = pattern_distance_k(S, split, 3)
+    assert linalg.row_blocks(pattern.indptr, energymin.PRODUCT_BLOCK_SLOTS) == [0, split.n_f]
     B = prepare_candidates(A, np.ones(A.shape[0]))
     calls = []
 
@@ -897,13 +928,16 @@ def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, mo
         return _slot_values(*args)
 
     monkeypatch.setattr(energymin, "_slot_values", counting)
-    if mode == "constrained":
-        got = constrained_energymin(A, split, B, pattern, iters)
-    else:
-        got = weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4, pattern,
-                                 iters, use_preconditioner=True)
-    assert len(got.residuals) == iters + 1
-    assert calls == [np.float64, np.int32]
+    for compiled, path in both_paths():
+        calls.clear()
+        with path:
+            if mode == "constrained":
+                got = constrained_energymin(A, split, B, pattern, iters)
+            else:
+                got = weighted_energymin(A, split, B, SpectralEquivalence(), 1e-4, pattern,
+                                         iters, use_preconditioner=True)
+        assert len(got.residuals) == iters + 1
+        assert calls == [np.float64] * (1 if compiled else iters + 2)
 
 
 # ---------------- the shared CG loop ----------------

@@ -12,7 +12,8 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.linalg import cho_solve
 
-from sparse_helpers import csr_from_triplets, invalid_operators, lap1d, rand_spd_sparse
+from sparse_helpers import (csr_from_triplets, invalid_operators, lap1d, python_path,
+                            rand_spd_sparse)
 from tracemin_amg import energymin, hierarchy
 from tracemin_amg.coarsening import cf_split, strength_graph
 from tracemin_amg.energymin import prepare_candidates
@@ -1173,12 +1174,15 @@ WORK_COUNT_PROBLEMS = {"aniso": ProblemSpec("rotated_anisotropic", 64, epsilon=1
                        "osc": ProblemSpec("oscillatory", 64, K=1e6)}
 
 
-@pytest.mark.parametrize("problem, mode, degree, cg_iters, w_slots, pcg_iters", [
+WORK_COUNTS = pytest.mark.parametrize("problem, mode, degree, cg_iters, w_slots, pcg_iters", [
     ("aniso", "constrained", 2, [3, 3, 3, 3], [15376, 1285, 1865, 770], 15),
     ("aniso", "weighted", 4, [7, 7, 7, 7], [52093, 2493, 10004, 1227], 55),
     ("osc", "constrained", 2, [0, 3, 3, 3], [7812, 7626, 1910, 471], 8),
     ("osc", "weighted", 4, [3, 7, 7, 7], [30500, 25550, 5919, 1109], 7),
 ], ids=["aniso-constrained-2", "aniso-weighted-4", "osc-constrained-2", "osc-weighted-4"])
+
+
+@WORK_COUNTS
 def test_setup_and_solve_work_counts_are_pinned(problem, mode, degree, cg_iters, w_slots,
                                                 pcg_iters):
     """The work of one setup and solve at n=64, default candidate and tau,
@@ -1192,6 +1196,15 @@ def test_setup_and_solve_work_counts_are_pinned(problem, mode, degree, cg_iters,
     assert [lvl.P.nnz - lvl.P.shape[1] for lvl in H.levels[:-1]] == w_slots
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     assert len(solve(H, b, tol=1e-8, accel="cg")[1]) - 1 == pcg_iters
+
+
+@WORK_COUNTS
+def test_work_counts_are_pinned_on_the_python_path(problem, mode, degree, cg_iters,
+                                                   w_slots, pcg_iters):
+    """The same counts where the kernel loader reports no kernel."""
+    with python_path():
+        test_setup_and_solve_work_counts_are_pinned(problem, mode, degree, cg_iters,
+                                                    w_slots, pcg_iters)
 
 
 def reference_vcycle(H, level, b):
