@@ -58,18 +58,14 @@ def test_no_compiler_is_the_python_path_without_a_warning(fresh_loader, tmp_path
     assert not fresh_loader.exists() or not any(fresh_loader.iterdir())
 
 
-def test_an_unwritable_cache_is_the_python_path(tmp_path, monkeypatch):
+def test_an_unwritable_cache_is_the_python_path(fresh_loader, tmp_path, monkeypatch):
     # a regular file where the cache directory's parent should be
     blocker = tmp_path / "not-a-directory"
     blocker.write_text("")
     monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-    kernels.library.cache_clear()
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert kernels.library() is None
-    finally:
-        kernels.library.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.library() is None
 
 
 def test_int64_indices_leave_the_kernels_to_the_python_path():
