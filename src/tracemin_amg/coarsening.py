@@ -7,12 +7,14 @@ edges, and the graph is their symmetric boolean adjacency.  The
 splitting is a greedy first pass: the vertex adjacent to the most F
 points goes coarse next (ties to the lowest index), and its strong
 neighbors become fine.  Starting from an all-zero measure this sweeps
-a frontier outward from vertex 0.  The pass keeps the measures in a
-priority queue, so it costs O(nnz log N) rather than one O(N) scan per
-C point.  It runs as a compiled kernel (kernels.greedy_split, one binary
-heap with lazy deletion) where one can be built, and otherwise in
-Python (Ruge-Stueben style buckets, one min-heap of vertex indices per
-measure value); both give the same split.
+a frontier outward from vertex 0.  One binary heap holds the measures:
+a vertex w whose measure reaches m is pushed with the key w - m n, so
+the smallest key is the highest measure, ties to the lowest index.
+Measures only grow, so a popped key of an assigned vertex is stale and
+dropped; with the heap empty, a forward cursor finds the lowest vertex
+of measure 0.  Each edge pushes one key at most: O(nnz log N), not one
+O(N) scan per C point.  The pass is kernels.greedy_split where it can
+be compiled, else _greedy_pass, the same loop in Python.
 """
 
 import heapq
@@ -187,9 +189,9 @@ def cf_split(S):
     Repeatedly picks the unassigned vertex adjacent to the most strong
     F points (ties to the lowest index), makes it C and its strong
     neighbors F.  Vertices with no strong edges become C points.  S is
-    read as pattern_distance_k reads it (see _adjacency).  The pass is
-    the compiled kernels.greedy_split where it can run, and _greedy_pass
-    otherwise; both give the same split.
+    read as pattern_distance_k reads it (see _adjacency).  The pass (see
+    the module docstring) is the compiled kernels.greedy_split where it
+    can run, and _greedy_pass, its bit reference, otherwise.
     """
     S = _adjacency(S)
     state = (np.diff(S.indptr) == 0).astype(np.uint8)  # 0 unassigned, 1 C, 2 F
@@ -199,55 +201,23 @@ def cf_split(S):
 
 
 def _greedy_pass(S, state):
-    """cf_split's pass in Python, in place on state, and the bit
-    reference of kernels.greedy_split.
-
-    The measures live in buckets, one per value.  Bucket m > 0 is a
-    min-heap of the vertex indices whose measure reached m; bucket 0 is
-    the ascending list of vertices with edges, read with a cursor since
-    nothing is ever pushed there.  When a vertex turns F, each of its
-    unassigned neighbors w gets measure[w] += 1 and is pushed into
-    bucket measure[w].  `top` is the highest bucket that may hold an
-    unassigned vertex.  Measures only grow, so no unassigned vertex
-    has a measure above `top`, and every one in bucket `top` has
-    measure exactly `top`: entries of assigned vertices are the only
-    stale ones, and they are dropped when they reach the front.  The
-    front of bucket `top` is thus the highest measure with ties to the
-    lowest index.  Each edge pushes at most once, so the pass costs
-    O(nnz log N).
-    """
+    """cf_split's pass in place on state: kernels.greedy_split's loop in Python."""
     n = S.shape[0]
-    # memoryviews index numpy buffers as Python ints without copying
-    # them into lists (about 36 B per entry)
-    indptr = memoryview(S.indptr)
-    indices = memoryview(S.indices)
-    zero_bucket = memoryview(np.flatnonzero(state == 0))
-    remaining = len(zero_bucket)
-    # a measure counts F points pointing at the vertex: at most its column count
-    max_measure = int(np.bincount(S.indices, minlength=1).max())
-    buckets = [[] for _ in range(max_measure + 1)]
+    # memoryviews index numpy buffers as Python ints without copying them
+    indptr, indices = memoryview(S.indptr), memoryview(S.indices)
     flags = bytearray(state.tobytes())  # indexes faster than the array
-    measure = memoryview(np.zeros(n, dtype=np.int64))
-    top = 0
-    cursor = 0
+    measure = [0] * n
+    heap, cursor, remaining = [], 0, flags.count(0)
     heappush, heappop = heapq.heappush, heapq.heappop
-
     while remaining:
-        while top:
-            heap = buckets[top]
-            while heap and flags[heap[0]]:
-                heappop(heap)
-            if heap:
-                break
-            top -= 1
-        if top:
-            v = heappop(buckets[top])
+        while heap and flags[heap[0] % n]:
+            heappop(heap)  # the stale key of an assigned vertex
+        if heap:
+            v = heappop(heap) % n
         else:
-            while flags[zero_bucket[cursor]]:
+            while flags[cursor]:
                 cursor += 1
-            v = zero_bucket[cursor]
-            cursor += 1
-
+            v = cursor
         flags[v] = 1
         remaining -= 1
         for u in indices[indptr[v]:indptr[v + 1]]:
@@ -259,9 +229,7 @@ def _greedy_pass(S, state):
                 if not flags[w]:
                     m = measure[w] + 1
                     measure[w] = m
-                    heappush(buckets[m], w)
-                    if m > top:
-                        top = m
+                    heappush(heap, w - m * n)
     state[:] = np.frombuffer(flags, dtype=np.uint8)
 
 

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from sparse_helpers import both_paths, csr_from_triplets, lap1d
-from tracemin_amg import hierarchy
+from tracemin_amg import hierarchy, kernels
 from tracemin_amg.coarsening import (BlockSplit, cf_split, pattern_distance_k,
                                      strength_graph)
 from tracemin_amg.problems import ProblemSpec, assemble
@@ -184,8 +184,9 @@ def reference_c_points(adj):
 def symmetric_strength_graphs(draw):
     """Symmetric graphs from empty to complete, split into two vertex
     ranges with no edge between them (so isolated vertices and several
-    components are common), and optionally stored with unsorted columns
-    and some edges repeated."""
+    components are common), stored as canonical CSR, with unsorted
+    columns and some edges repeated, or as a canonical boolean adjacency
+    with int64 index arrays, which only the Python pass reads."""
     n = draw(st.integers(0, 24))
     grades = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
                            max_size=n * (n - 1) // 2))
@@ -196,7 +197,8 @@ def symmetric_strength_graphs(draw):
     keep = (grades < density) & ((iu < cut) == (ju < cut))
     rows = np.concatenate([iu[keep], ju[keep]])
     cols = np.concatenate([ju[keep], iu[keep]])
-    if draw(st.booleans()):
+    layout = draw(st.sampled_from(["canonical", "raw", "int64"]))
+    if layout == "raw":
         # raw CSR, columns in reverse order, edges of grade 0 stored twice
         copies = np.tile(1 + (grades[keep] == 0), 2)
         order = np.lexsort((-cols, rows))
@@ -206,6 +208,10 @@ def symmetric_strength_graphs(draw):
         adj = sparse.csr_matrix((np.full(len(cols), 0.5), cols, indptr), shape=(n, n))
     else:
         adj = sparse.csr_matrix((np.full(len(rows), 0.5), (rows, cols)), shape=(n, n))
+    if layout == "int64":
+        # set after construction, which would cast the indices to int32
+        adj = adj.astype(bool)
+        adj.indptr, adj.indices = adj.indptr.astype(np.int64), adj.indices.astype(np.int64)
     return adj
 
 
@@ -213,8 +219,12 @@ def symmetric_strength_graphs(draw):
 @given(symmetric_strength_graphs())
 def test_cf_split_matches_reference_on_random_graphs(S):
     """The compiled pass and the Python pass split every graph as the
-    quadratic reference does."""
+    quadratic reference does.  The kernel declines int64 indices, so on
+    those graphs both paths run the Python pass."""
     c_points = reference_c_points(S)
+    if S.indices.dtype == np.int64:
+        state = np.zeros(S.shape[0], dtype=np.uint8)
+        assert kernels.greedy_split(S, state) is None and not state.any()
     for _, path in both_paths():
         with path:
             split = cf_split(S)

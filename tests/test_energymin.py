@@ -748,8 +748,7 @@ def products_sampled_per_apply(sys, compiled):
     ["zero", "zero", "generic", "generic", "zero"],
     ["equal-rows", "generic", "generic", "generic"],
 ], ids=["drops-exact-zeros", "misses-a-slot", "empty", "changes-twice"])
-def test_weighted_apply_with_cached_layout_bit_identical_to_sorted_extraction(
-        steps, tau, monkeypatch):
+def test_weighted_apply_bit_identical_as_layouts_change(steps, tau, monkeypatch):
     """Applies whose products change layout from step to step (exact-zero
     sums dropped, slots missed, an empty product) equal the sorted
     extraction on both paths; the compiled path samples no product, the
@@ -910,7 +909,7 @@ def test_apply_holds_no_temporary_beyond_a_row_block(tau, monkeypatch):
 
 @pytest.mark.parametrize("iters", [0, 1, 6])
 @pytest.mark.parametrize("mode", ["constrained", "weighted"])
-def test_level_zero_minimization_samples_its_first_product_alone(mode, iters, monkeypatch):
+def test_level_zero_minimization_sampling_on_both_paths(mode, iters, monkeypatch):
     """One level-0 minimization samples A_fc's values for its right-hand
     side.  On the compiled path that is the one matrix it samples: no
     product A_ff W is formed.  The Python path samples the product of
