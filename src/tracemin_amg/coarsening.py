@@ -203,7 +203,8 @@ def cf_split(S):
 def _greedy_pass(S, state):
     """cf_split's pass in place on state: kernels.greedy_split's loop in Python."""
     n = S.shape[0]
-    # memoryviews index numpy buffers as Python ints without copying them
+    # memoryviews index numpy buffers as Python ints without copying
+    # them into lists (about 36 B per entry)
     indptr, indices = memoryview(S.indptr), memoryview(S.indices)
     flags = bytearray(state.tobytes())  # indexes faster than the array
     measure = [0] * n

@@ -1293,10 +1293,11 @@ def small_problems(draw):
 def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
     """Dense oracles: the V-cycle operator, assembled column by column,
     is symmetric and positive definite.  Every coarse level is exactly
-    symmetric, is positive definite (judged on D^-1/2 A_c D^-1/2, a
-    congruence, so that a diagonal spanning many orders leaves no
-    round-off at its norm) and keeps the candidate: A_c b
-    equals the dense (P^T A P) b to round-off, b the injected candidate.
+    symmetric and positive definite, judged on D^-1/2 A_c D^-1/2 (a
+    congruence; the eigenvalues of A_c itself carry round-off of its
+    norm, which a diagonal spanning many orders makes large), and keeps
+    the candidate: A_c b equals the dense (P^T A P) b to round-off, b the
+    injected candidate.
     It differs from P^T A P off the diagonal only where it stores no
     entry, and no such entry exceeds theta sqrt(a_ii a_jj) of P^T A P,
     both up to the round-off of forming the product, n eps (|P|^T |A|
