@@ -95,7 +95,8 @@ def prepare_candidates(A, raw):
     u = 2^-53), or when a later one depends on the earlier ones
     (A-orthogonalization leaves at most SINGULAR_RTOL of it).
     """
-    check_positive_diagonal(A.diagonal())
+    diag = A.diagonal()
+    check_positive_diagonal(diag)
     raw = candidate_block(raw, A.shape[0])
     cols = []
     for k in range(raw.shape[1]):
@@ -105,7 +106,7 @@ def prepare_candidates(A, raw):
             raise ValueError(f"candidate {k} is zero")
         v /= nv
         a_norm = np.sqrt(max(v @ (A @ v), 0.0))
-        floor = SINGULAR_RTOL * np.sqrt(A.diagonal().max())
+        floor = SINGULAR_RTOL * np.sqrt(diag.max())
         if not a_norm > floor:
             raise ValueError(f"A is singular on candidate {k}: its A-norm is {a_norm:.3e} "
                              f"times its 2-norm, not above {SINGULAR_RTOL:g} sqrt(max a_ii) "
@@ -133,9 +134,9 @@ def _slot_values(S, slot_rows, cols):
     return np.asarray(S[slot_rows, cols]).ravel()
 
 
-# apply_weighted_operator forms both of its terms, and _RowConstraints
-# sums over each row's slots, in blocks of consecutive rows that own at
-# most this many pattern slots (a longer row is a block alone)
+# _RowConstraints' row sums, the candidate term of apply_weighted_operator
+# and the Python path's A_ff W are formed in blocks of consecutive rows that
+# own at most this many pattern slots (a longer row is a block alone)
 PRODUCT_BLOCK_SLOTS = 2**14
 
 
@@ -148,8 +149,8 @@ class _RowConstraints:
     row i].  No candidate row per slot is held: candidate_rows gathers
     B_c[cols] for one row block when it is needed.  Every sum over a
     row's slots is a segmented reduction from the row's first slot,
-    taken in the row blocks that apply_weighted_operator forms its terms
-    in, so no temporary outgrows a block.  Each block (lo, hi, slots,
+    taken in the row blocks of apply_weighted_operator's candidate term,
+    so no temporary outgrows a block.  Each block (lo, hi, slots,
     rows, starts, Gp) holds its bounds of F rows, its slot range, its
     nonempty rows, their first slots relative to the range and the
     pseudo-inverses of their Gram matrices C_i^T C_i, shape (R, n_b,
@@ -226,10 +227,10 @@ class WeightedSystem:
     rows, the row constraints W B_c = B_f, owns the row blocks of the
     slot space and gathers the candidate rows B_c[cols] of one block at
     a time: both routes start from its minimum-norm solution, the
-    constrained one projects on it, and the operator forms both terms,
-    and apply_preconditioner its product, in its blocks.  Minimization
-    hands Bhat over to the CG, which frees it once the initial residual
-    exists; then it is None.
+    constrained one projects on it, and the operator's candidate term
+    (and the Python path's A_ff W) and apply_preconditioner's product
+    are formed in its blocks.  Minimization hands Bhat over to the CG,
+    which frees it once the initial residual exists; then it is None.
     """
 
     tau: float
@@ -291,13 +292,12 @@ def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern.
 
-    Both terms are formed in the row blocks of sys.rows, so only one
-    block's temporaries are held at a time; V = W B_c (nf x n_b) is
-    formed once.  A_ff W at the slots is kernels.masked_product where
-    the kernel can run, which sums each slot as SpGEMM does and forms
-    no product; otherwise each block's product A_ff[lo:hi] W is formed
-    and sampled at the block's slots, which is the kernel's bit
-    reference."""
+    A_ff W at the slots is one kernels.masked_product call over all
+    slots where the kernel can run; it sums each slot as SpGEMM does and
+    forms no product.  Otherwise each row block of sys.rows forms and
+    samples A_ff[lo:hi] W at its slots, the kernel's bit reference.  The
+    candidate term is formed block by block, with V = W B_c (nf x n_b)
+    formed once, so only one block's temporaries are held at a time."""
     pat, rows, tau, A_ff = sys.pattern, sys.rows, sys.tau, sys.A_ff
     W = pat.to_csr(values)
     out = np.zeros(pat.nnz) if tau == 0.0 else np.empty(pat.nnz)

@@ -1,4 +1,4 @@
-"""Compiled kernels for the setup's two slowest phases, built on first use.
+"""The compiled CF split and masked slot product, built on first use.
 
 kernels.c ships beside this module.  The first call of library() in a
 process compiles it with the system C compiler (`cc -O2

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import re
@@ -52,8 +53,11 @@ def test_solve_measures_an_exactly_solved_one_level_hierarchy(capsys):
     assert "omega         []" in out.splitlines()
 
 
-@pytest.mark.parametrize("mode", ["constrained", "weighted"])
-def test_solve_reports_the_kernel_path_and_else_the_same_bytes(mode, capsys):
+@pytest.mark.parametrize("mode, mode_line", [
+    ("constrained", "mode          constrained"),
+    ("weighted", "mode          weighted  tau 0.0001"),  # with no --tau, SetupConfig's
+], ids=["constrained", "weighted"])
+def test_solve_reports_the_kernel_path_and_else_the_same_bytes(mode, mode_line, capsys):
     """The report names the path that built the hierarchy, and both paths
     build the same one: the reports differ in that line alone."""
     argv = ["solve", "--problem", "oscillatory", "--n", "32", "--K", "1e6", "--mode", mode]
@@ -64,19 +68,27 @@ def test_solve_reports_the_kernel_path_and_else_the_same_bytes(mode, capsys):
         lines = capsys.readouterr().out.splitlines()
         named = [line for line in lines if line.startswith("kernels")]
         assert named == [f"kernels       {'compiled' if compiled else 'python'}"]
+        assert [line for line in lines if line.startswith("mode ")] == [mode_line]
         reports.append([line for line in lines if not line.startswith("kernels")])
     assert reports[0] == reports[1]
 
 
-@pytest.mark.parametrize("flags, budget", [([], 5), (["--iters", "7"], 7)],
-                         ids=["default", "explicit"])
-def test_solve_reports_the_minimization_iterations_of_each_level(flags, budget, capsys):
-    assert main(["solve", "--n", "16", "--pattern-degree", "4"] + flags) == 0
+@pytest.mark.parametrize("argv, iters", [
+    (["--n", "16", "--pattern-degree", "4"], [1, 5]),
+    (["--n", "16", "--pattern-degree", "4", "--iters", "7"], [1, 7]),
+    (["--n", "32"], [1, 3, 3]),
+    (["--n", "32", "--mode", "weighted"], [5, 5, 5]),
+    (["--n", "16", "--mode", "weighted", "--tau", "0"], [0, 0]),
+], ids=["default", "explicit", "constrained-roundoff", "weighted-budget", "tau-0"])
+def test_solve_reports_the_minimization_iterations_of_each_level(argv, iters, capsys):
+    """The minimization has no tolerance: each level runs its budget
+    (degree + 1 constrained, degree + 3 weighted, or --iters) and stops
+    early only at round-off, as level 0 does on the constrained route.
+    At tau 0 every level's start is already at round-off."""
+    assert main(["solve"] + argv) == 0
     lines = [line for line in capsys.readouterr().out.splitlines()
              if line.startswith("emin iters    ")]
-    assert len(lines) == 1
-    iters = json.loads(lines[0].removeprefix("emin iters    "))
-    assert len(iters) >= 2 and min(iters) >= 0 and max(iters) == budget
+    assert lines == [f"emin iters    {iters}"]
 
 
 def test_solve_reports_the_jacobi_omega_of_each_relaxed_level(monkeypatch, capsys):
@@ -166,6 +178,7 @@ def test_sweep_with_config_and_overrides(tmp_path):
         assert code == 0
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 2  # header + the single overridden grid point
+        assert next(csv.reader(lines)) == experiments.CSV_HEADER
         assert lines[1].startswith(problem)  # a problem flag overrides the file's
 
 
@@ -246,6 +259,9 @@ def test_theory_subcommand(tmp_path, capsys):
     assert "K_TG" in text and "beta_sap" in text
 
 
+# one field of the theory report: its 18-column label, then its value
+REPORT_FIELD = re.compile(r".{18} [ -][0-9]\.[0-9]{12}e[+-][0-9]{2}")
+
 # a 3x3 tridiag(-1, 2, -1), lower triangle only, in an integer and a complex field
 TRIDIAGONAL_MTX = {
     "integer": "3 3 5\n1 1 2\n2 1 -1\n2 2 2\n3 2 -1\n3 3 2\n",
@@ -260,8 +276,10 @@ def test_theory_reads_an_integer_field_and_refuses_a_complex_one(field, code, tm
                     + TRIDIAGONAL_MTX[field])
     assert main(["theory", "--matrix", str(path)]) == code
     captured = capsys.readouterr()
-    if code == 0:
-        assert "n = 3" in captured.out
+    if code == 0:  # a header, then nine fields of an 18-column label and a value
+        lines = captured.out.splitlines()
+        assert lines[0] == "n = 3, n_c = 2 (ideal interpolation, Jacobi M)"
+        assert len(lines) == 10 and all(REPORT_FIELD.fullmatch(line) for line in lines[1:])
     else:
         assert "complex-field Matrix Market file" in captured.err
 
@@ -278,8 +296,7 @@ def test_theory_reports_a_matrix_with_no_strong_coupling(tmp_path, capsys):
     assert [line[:18].rstrip() for line in lines[1:]] == [
         "||E_TG||_A", "||PR||_A^2", "tr(PtAP RAinvRt)", "||Ainv|| tr(PtAP)",
         "beta_wap", "beta_sap"]
-    assert all(re.fullmatch(r".{18} [ -][0-9]\.[0-9]{12}e[+-][0-9]{2}", line)
-               for line in lines[1:])
+    assert all(REPORT_FIELD.fullmatch(line) for line in lines[1:])
 
 
 def test_theory_refuses_an_array_format_file(tmp_path, capsys):
@@ -339,6 +356,8 @@ def test_unwritable_out_exits_2_naming_the_path(command, tmp_path, capsys):
     assert main(argv + ["--out", str(target)]) == 2
     captured = capsys.readouterr()
     assert str(target) in captured.err and "wrote" not in captured.out
+    if command == "sylvester":  # it solved at sylvester_cg's defaults before the write
+        assert captured.out.startswith("relative residual ")
     assert not target.parent.exists()
 
 
