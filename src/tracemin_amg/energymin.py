@@ -41,7 +41,6 @@ __all__ = [
     "prepare_candidates",
     "build_weighted_system",
     "apply_weighted_operator",
-    "apply_preconditioner",
     "pcg_frobenius",
     "initial_guess",
     "constrained_energymin",
@@ -219,18 +218,15 @@ class WeightedSystem:
     """The pattern-restricted weighted operator, right-hand side and
     Hadamard diagonal preconditioner.  cand_scale is None at tau = 1,
     where the candidate term vanishes.  Dprec is the preconditioner's
-    diagonal, the entry-wise inverse diagonal of Lhat: per slot below
-    tau = 1, and at tau = 1, where it is 1/diag(A_ff) of each slot's
-    row, per F row (nf values), which apply_preconditioner spreads over
-    each row block's slots, so no slot vector of it is held.
+    diagonal, the entry-wise inverse diagonal of Lhat, one value per slot.
 
     rows, the row constraints W B_c = B_f, owns the row blocks of the
     slot space and gathers the candidate rows B_c[cols] of one block at
     a time: both routes start from its minimum-norm solution, the
     constrained one projects on it, and the operator's candidate term
-    (and the Python path's A_ff W) and apply_preconditioner's product
-    are formed in its blocks.  Minimization hands Bhat over to the CG,
-    which frees it once the initial residual exists; then it is None.
+    (and the Python path's A_ff W) is formed in its blocks.  Minimization
+    hands Bhat over to the CG, which frees it once the initial residual
+    exists; then it is None.
     """
 
     tau: float
@@ -239,7 +235,7 @@ class WeightedSystem:
     B_c: np.ndarray
     pattern: SparsityPattern
     Bhat: np.ndarray          # slot values
-    Dprec: np.ndarray         # slot values; F-row values at tau = 1
+    Dprec: np.ndarray         # slot values
     cand_scale: np.ndarray    # c2 (1 - tau) X_ff[slot_rows]
     rows: _RowConstraints
 
@@ -266,19 +262,18 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     slot_rows, cols = pattern.slot_rows, pattern.cols
     rows = _RowConstraints(B_c, pattern)
 
-    denom = A_ff.diagonal()  # per F row at tau = 1 (WeightedSystem.Dprec)
+    denom = A_ff.diagonal()[slot_rows]
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     del A_fc
     cand_scale = None
     if tau < 1.0:
         x_diag, c2 = X.diagonal(A_ff), X.c2
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
-        denom = tau * denom[slot_rows] + c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
+        denom *= tau
+        denom += c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
         cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
         bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], B_c[cols])
     degenerate = ~np.isfinite(denom) | (denom <= 0.0)
-    if tau == 1.0 and degenerate.any():
-        degenerate = degenerate[slot_rows]  # only a row that owns a slot counts
     if degenerate.any():
         bad = int(np.flatnonzero(degenerate)[0])
         raise ValueError(
@@ -319,25 +314,10 @@ def apply_weighted_operator(sys, values):
     return out
 
 
-def apply_preconditioner(sys, values, out):
-    """The Hadamard product Dprec * values at the slots, written to out
-    (a slot vector, which may be values) and returned; at tau = 1 each
-    row block's F-row values of Dprec are repeated over its slots."""
-    if sys.tau < 1.0:
-        return np.multiply(sys.Dprec, values, out=out)
-    indptr = sys.pattern.indptr
-    for lo, hi, slots, *_ in sys.rows.blocks:
-        np.multiply(np.repeat(sys.Dprec[lo:hi], np.diff(indptr[lo:hi + 1])),
-                    values[slots], out=out[slots])
-    return out
-
-
-def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=None):
+def pcg_frobenius(apply, b, x0, diag, max_iters, project=None, callback=None):
     """Preconditioned CG on apply(x) = b over pattern slot values.
 
-    precondition(v, out) writes the preconditioned slot values v to the
-    slot vector out and returns it: a Hadamard diagonal, such as
-    partial(apply_preconditioner, sys) or partial(np.multiply, diag).  When
+    The preconditioner is the Hadamard product with `diag`.  When
     `project` is given (an orthogonal projection onto a subspace of slot
     values, applied in place to its argument, which it returns), the
     residual is projected and so are the preconditioned residual and
@@ -367,10 +347,10 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=
     else:
         b = r.copy()  # projected, the round-off comes from what is removed
         b -= project(r)
-    z = precondition(b, np.empty_like(b))
+    z = np.multiply(diag, b)
     floor = 1e-13 * np.sqrt(abs(float(b @ z)))
     del b  # a right-hand side passed as a temporary dies here too
-    z = project(precondition(r, z))
+    z = project(np.multiply(diag, r, out=z))
     rz = float(r @ z)
     history = [np.sqrt(max(rz, 0.0))]
     p, z = z, None
@@ -392,7 +372,7 @@ def pcg_frobenius(apply, b, x0, precondition, max_iters, project=None, callback=
         r -= Lp
         work = Lp  # the operator image is spent; its buffer is the work buffer
         x += np.multiply(alpha, p, out=work)
-        z = project(precondition(r, work))
+        z = project(np.multiply(diag, r, out=work))
         del Lp, work
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
@@ -432,14 +412,14 @@ def _hand_over_rhs(sys):
     return bhat
 
 
-def _minimize(sys, iters, precondition, constrained, callback=None):
+def _minimize(sys, iters, diag, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
     start, on W B_c = B_f when constrained; returns (w, history).  No
     tolerance: iters CG iterations, fewer only at pcg_frobenius' round-off
     floor.  The right-hand side and the start are passed as temporaries:
     pcg_frobenius frees them once the initial residual exists."""
     return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
-                         sys.rows.min_norm_solution(sys.B_f), precondition, iters,
+                         sys.rows.min_norm_solution(sys.B_f), diag, iters,
                          project=sys.rows.project if constrained else None,
                          callback=callback)
 
@@ -454,16 +434,14 @@ def constrained_energymin(A, split, B, pattern, iters, callback=None):
 
     The weighted system at tau = 1, the column energy <A_ff W + A_fc, W>
     alone (equivalently tr(P^T A P) up to a constant), minimized over
-    pattern matrices with W B_c = B_f: CG preconditioned by 1/diag(A_ff),
-    held per row and spread over each row block's slots
-    (apply_preconditioner), its directions projected row-wise onto
+    pattern matrices with W B_c = B_f: CG preconditioned by 1/diag(A_ff)
+    at each slot's row, its directions projected row-wise onto
     {Z : Z B_c = 0}.  Every iterate satisfies the constraint to round-off
     wherever the pattern admits it; rows too short for the full
     constraint block hold their least-squares values.
     """
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, pattern)
-    w, history = _minimize(sys, iters, partial(apply_preconditioner, sys),
-                           constrained=True, callback=callback)
+    w, history = _minimize(sys, iters, sys.Dprec, constrained=True, callback=callback)
     del sys  # its arrays are not needed to assemble P
     return _interpolation(split, pattern, w, history)
 
@@ -473,10 +451,9 @@ def weighted_energymin(A, split, B, X, tau, pattern, iters, use_preconditioner):
     constraint-spreading initial guess, run PCG for iters iterations (no
     tolerance; fewer only at pcg_frobenius' round-off floor), assemble P."""
     sys = build_weighted_system(A, split, B, X, tau, pattern)
-    precondition = (partial(apply_preconditioner, sys) if use_preconditioner
-                    else partial(np.multiply, np.ones(pattern.nnz)))
-    w, history = _minimize(sys, iters, precondition, constrained=False)
-    del sys, precondition
+    diag = sys.Dprec if use_preconditioner else np.ones(pattern.nnz)
+    w, history = _minimize(sys, iters, diag, constrained=False)
+    del sys, diag
     return _interpolation(split, pattern, w, history)
 
 

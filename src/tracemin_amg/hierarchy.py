@@ -54,7 +54,7 @@ CF_WINDOW = 10
 NON_GALERKIN_THETA = 5e-4
 # galerkin_product decides the coarse entries in one pass over row blocks
 # of at most this many stored entries, so its temporaries stay small
-GALERKIN_BLOCK_ENTRIES = 2**14
+GALERKIN_BLOCK_ENTRIES = 2**13
 
 
 @dataclass
@@ -180,7 +180,7 @@ def galerkin_product(P, A, b=None):
     2^-52 the float64 machine epsilon, is not stored: scaled by the
     diagonal it is below the round-off already in each diagonal entry.
 
-    Given b, the coarse candidate (a vector of P's column count), the
+    Given b, the coarse candidate (a finite vector of P's column count), the
     result is no longer the exact product.  Every other off-diagonal
     entry with b_i b_j > 0, |a_ij| b_j/b_i <= theta a_ii and |a_ij|
     b_i/b_j <= theta a_jj, theta = NON_GALERKIN_THETA, is dropped too and
@@ -202,6 +202,8 @@ def galerkin_product(P, A, b=None):
         if b.shape != (P.shape[1],):
             raise ValueError(f"b has shape {b.shape}; expected a vector of length "
                              f"{P.shape[1]}, the column count of P")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("b has a non-finite entry (NaN or inf)")
     Ac = P.T.tocsr() @ (A @ P)  # A P dies once the product exists
     Ac.sort_indices()
     Ac = _symmetrized(Ac)

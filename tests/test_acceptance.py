@@ -18,9 +18,8 @@ import numpy as np
 from sparse_helpers import (dense_operator_and_rhs, jacobi_m, rand_spd, rand_spd_sparse,
                             random_pattern, vec_positions)
 from tracemin_amg.coarsening import BlockSplit
-from tracemin_amg.energymin import (apply_preconditioner, apply_weighted_operator,
-                                    build_weighted_system, pcg_frobenius,
-                                    prepare_candidates)
+from tracemin_amg.energymin import (apply_weighted_operator, build_weighted_system,
+                                    pcg_frobenius, prepare_candidates)
 from tracemin_amg.experiments import adaptive_constraints
 from tracemin_amg.hierarchy import (SetupConfig, measure_convergence_factor, setup)
 from tracemin_amg.linalg import perfect_shuffle
@@ -102,8 +101,7 @@ def test_criterion_03_pcg_matches_vectorized_dense_solve():
         L, b, _ = dense_operator_and_rhs(sys, SpectralEquivalence())
         expected = np.linalg.solve(L, b)[vec_positions(sys)]
         w, _ = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat,
-                             np.zeros(sys.pattern.nnz), partial(apply_preconditioner, sys),
-                             4 * sys.pattern.nnz)
+                             np.zeros(sys.pattern.nnz), sys.Dprec, 4 * sys.pattern.nnz)
         worst = max(worst, np.linalg.norm(w - expected)
                     / max(np.linalg.norm(expected), 1e-30))
     elapsed = time.perf_counter() - start

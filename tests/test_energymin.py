@@ -16,10 +16,9 @@ from tracemin_amg import energymin, hierarchy, linalg
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern, cf_split, \
     pattern_distance_k, strength_graph
 from tracemin_amg.energymin import (CandidateSet, _RowConstraints, _slot_values,
-                                    apply_preconditioner, apply_weighted_operator,
-                                    assemble_P, build_weighted_system,
-                                    constrained_energymin, initial_guess,
-                                    pcg_frobenius, prepare_candidates,
+                                    apply_weighted_operator, assemble_P,
+                                    build_weighted_system, constrained_energymin,
+                                    initial_guess, pcg_frobenius, prepare_candidates,
                                     weighted_energymin)
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import SpectralEquivalence
@@ -38,9 +37,8 @@ def random_instance(rng, n, n_b=1, tau=0.5, fill=0.5):
 
 def run_pcg(sys, w0, max_iters, use_preconditioner=True, callback=None):
     """pcg_frobenius on a weighted system, as weighted_energymin runs it."""
-    precondition = (partial(apply_preconditioner, sys) if use_preconditioner
-                    else partial(np.multiply, np.ones(sys.pattern.nnz)))
-    return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0, precondition,
+    diag = sys.Dprec if use_preconditioner else np.ones(sys.pattern.nnz)
+    return pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0, diag,
                          max_iters, callback=callback)
 
 
@@ -110,10 +108,8 @@ def test_weight_collapse_tau_one():
     # Bhat = -A_fc on the pattern
     assert_allclose(sys.Bhat, -A_fc.toarray()[pattern.slot_rows, pattern.cols],
                     rtol=1e-14, atol=1e-14)
-    # Dprec = 1 / diag(A_ff), held per F row and spread over each row's slots
-    assert_allclose(sys.Dprec, 1.0 / A_ff.diagonal(), rtol=1e-14)
-    assert np.array_equal(apply_preconditioner(sys, w, np.empty_like(w)),
-                          sys.Dprec[pattern.slot_rows] * w)
+    # Dprec = 1 / diag(A_ff) at each slot's row, one value per slot
+    assert np.array_equal(sys.Dprec, 1.0 / A_ff.diagonal()[pattern.slot_rows])
 
 
 def test_weight_collapse_tau_zero_identity_x():
@@ -246,8 +242,8 @@ def test_pcg_without_projection_equals_an_identity_projection_bit_for_bit():
     for project in (None, lambda v: v):
         iterates = []
         w, history = pcg_frobenius(partial(apply_weighted_operator, sys), sys.Bhat, w0,
-                                   partial(apply_preconditioner, sys), 12,
-                                   project=project, callback=iterates.append)
+                                   sys.Dprec, 12, project=project,
+                                   callback=iterates.append)
         runs.append((w, history, iterates))
     (w, history, iterates), (w_id, history_id, iterates_id) = runs
     assert len(history) == 13
@@ -265,8 +261,7 @@ def test_pcg_without_projection_returns_an_exact_start_as_it_is():
     b = rng.standard_normal(20)
     x0 = np.linalg.solve(M, b)
     assert np.any(b - M @ x0 != 0.0)  # round-off, not an exact zero
-    x, history = pcg_frobenius(lambda v: M @ v, b, x0,
-                               partial(np.multiply, 1.0 / np.diag(M)), 10)
+    x, history = pcg_frobenius(lambda v: M @ v, b, x0, 1.0 / np.diag(M), 10)
     assert len(history) == 1
     assert np.array_equal(x, x0)
 
@@ -946,9 +941,7 @@ def reference_pcg_frobenius(sys, w0, max_iters, use_preconditioner=True):
     no projection; pcg_frobenius must reproduce it bit for bit.  Also
     returns the preconditioned norm of the right-hand side."""
     w = w0.copy()
-    # Dprec is per F row at tau = 1 and per slot below it
-    d = sys.Dprec if sys.tau < 1.0 else sys.Dprec[sys.pattern.slot_rows]
-    d = d if use_preconditioner else np.ones(len(w))
+    d = sys.Dprec if use_preconditioner else np.ones(len(w))
     bhat_norm = np.sqrt(abs(float(sys.Bhat @ (d * sys.Bhat))))
     r = sys.Bhat - apply_weighted_operator(sys, w)
     z = d * r
