@@ -6,7 +6,8 @@ configured experiment grid to CSV), theory (dense diagnostics of a
 Matrix Market matrix), sylvester (solve A W B + C W D = F from Matrix
 Market inputs); flags default to the library's dataclass fields and,
 for sylvester, to sylvester_cg's parameters.
-Exit codes: 0 success, 2 configuration error, 3 solver divergence.
+Exit codes: 0 success, 2 configuration error, 3 solver divergence or
+breakdown.
 """
 
 import argparse
@@ -224,6 +225,9 @@ def main(argv=None):
     except (ValueError, OSError) as err:  # JSONDecodeError is a ValueError
         print(f"error: {err}", file=sys.stderr)
         return CONFIG_ERROR
+    except RuntimeError as err:  # a solver broke down, say on an indefinite operator
+        print(f"error: {err}", file=sys.stderr)
+        return DIVERGENCE_ERROR
 
 
 if __name__ == "__main__":

@@ -172,8 +172,19 @@ def _adjacency(S):
     """The graph S as a canonical boolean CSR adjacency: duplicate entries
     are summed, and a stored zero, or entries that sum to zero, are no
     edge.  strength_graph's output already is one and is returned as it
-    is, uncopied."""
+    is, uncopied.  SciPy builds a CSR matrix whose arrays point outside
+    themselves, and the passes would then index out of bounds, so a graph
+    that is not square, whose row pointers fall, or that stores a column
+    index outside [0, n) raises a ValueError that names it."""
     S = S.tocsr()
+    n, indices = S.shape[0], S.indices
+    if S.shape[1] != n:
+        raise ValueError(f"graph must be square; got shape {S.shape}")
+    if np.any(np.diff(S.indptr) < 0):
+        raise ValueError("graph's CSR row pointers fall: indptr is not non-decreasing")
+    if indices.size and (indices.min() < 0 or indices.max() >= n):
+        bad = indices[(indices < 0) | (indices >= n)][0]
+        raise ValueError(f"graph stores column index {bad} outside [0, {n})")
     if S.dtype != bool or not S.has_canonical_format or not S.data.all():
         S = S.copy()
         S.sum_duplicates()

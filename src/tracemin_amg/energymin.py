@@ -149,15 +149,16 @@ class _RowConstraints:
     B_c[cols] for one row block when it is needed.  Every sum over a
     row's slots is a segmented reduction from the row's first slot,
     taken in the row blocks of apply_weighted_operator's candidate term,
-    so no temporary outgrows a block.  Each block (lo, hi, slots,
-    rows, starts, Gp) holds its bounds of F rows, its slot range, its
-    nonempty rows, their first slots relative to the range and the
-    pseudo-inverses of their Gram matrices C_i^T C_i, shape (R, n_b,
-    n_b).  With one candidate the Gram matrix is the scalar g = sum c^2
-    and its pseudo-inverse is 1/g, or 0 where g == 0 (pinv's cutoff);
-    only n_b >= 2 needs pinv's batched SVD.  pinv returns the same bits
-    for 1e-138 < g < 1e138; beyond that LAPACK rescales the matrix and
-    its result may miss the correctly rounded 1/g by up to two ulps.
+    so no temporary outgrows a block.  Each block (lo, hi, slots, rows,
+    starts, counts, Gp) holds its bounds of F rows, its slot range, its
+    nonempty rows, their first slots relative to the range, their slot
+    counts and the pseudo-inverses of their Gram matrices C_i^T C_i,
+    shape (R, n_b, n_b).  With one candidate the Gram matrix is the
+    scalar g = sum c^2 and its pseudo-inverse is 1/g, or 0 where g == 0
+    (pinv's cutoff); only n_b >= 2 needs pinv's batched SVD.  pinv
+    returns the same bits for 1e-138 < g < 1e138; beyond that LAPACK
+    rescales the matrix and its result may miss the correctly rounded
+    1/g by up to two ulps.
     """
 
     def __init__(self, B_c, pattern):
@@ -167,32 +168,27 @@ class _RowConstraints:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
             slots = slice(int(indptr[lo]), int(indptr[hi]))
-            starts = indptr[rows] - indptr[lo]
+            starts, counts = indptr[rows] - indptr[lo], indptr[rows + 1] - indptr[rows]
             C = self.candidate_rows(slots)
             G = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
             if B_c.shape[1] == 1:
                 Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
             else:
                 Gp = np.linalg.pinv(G)
-            self.blocks.append((lo, hi, slots, rows, starts, Gp))
+            self.blocks.append((lo, hi, slots, rows, starts, counts, Gp))
 
     def candidate_rows(self, slots):
         """B_c[cols] at a range of slots: one candidate row per slot."""
         return self.B_c[self.pattern.cols[slots]]
 
-    @staticmethod
-    def _spread(C, starts, s):
-        """The slot values C_i s_i of one block's rows."""
-        counts = np.diff(starts, append=len(C))
-        return np.einsum("sk,sk->s", C, np.repeat(s, counts, axis=0))
-
     def project(self, values):
         """Project slot values onto {Z : Z B_c = 0}, row by row, in place;
         returns values."""
-        for _, _, slots, _, starts, Gp in self.blocks:
+        for _, _, slots, _, starts, counts, Gp in self.blocks:
             C, Z = self.candidate_rows(slots), values[slots]
             t = np.add.reduceat(C * Z[:, None], starts, axis=0)  # C_i^T z_i
-            Z -= self._spread(C, starts, np.einsum("rkl,rl->rk", Gp, t))
+            s = np.repeat(np.einsum("rkl,rl->rk", Gp, t), counts, axis=0)
+            Z -= np.einsum("sk,sk->s", C, s)  # C_i s_i at row i's slots
         return values
 
     def min_norm_solution(self, B_f):
@@ -203,9 +199,9 @@ class _RowConstraints:
         exceeds 1e-12 relative to max|B_f| (or 1) is an error."""
         values = np.zeros(self.pattern.nnz)
         scale = np.abs(B_f).max() if B_f.size else 0.0
-        for _, _, slots, rows, starts, Gp in self.blocks:
-            s = np.einsum("rkl,rl->rk", Gp, B_f[rows])
-            values[slots] = self._spread(self.candidate_rows(slots), starts, s)
+        for _, _, slots, rows, _, counts, Gp in self.blocks:
+            s = np.repeat(np.einsum("rkl,rl->rk", Gp, B_f[rows]), counts, axis=0)
+            values[slots] = np.einsum("sk,sk->s", self.candidate_rows(slots), s)
         for i in self.pattern.empty_f_rows:
             if np.abs(B_f[i]).max() > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "
@@ -262,16 +258,17 @@ def build_weighted_system(A, split, B, X, tau, pattern):
     slot_rows, cols = pattern.slot_rows, pattern.cols
     rows = _RowConstraints(B_c, pattern)
 
-    denom = A_ff.diagonal()[slot_rows]
+    d_ff = A_ff.diagonal()
+    denom = d_ff[slot_rows]
     bhat = -tau * _slot_values(A_fc, slot_rows, cols)
     del A_fc
     cand_scale = None
     if tau < 1.0:
-        x_diag, c2 = X.diagonal(A_ff), X.c2
+        x_s, c2 = X.diagonal(d_ff)[slot_rows], X.c2  # X_ff at each slot's row
         bc_sq = np.einsum("jk,jk->j", B_c, B_c)  # (B_c B_c^T)_jj
         denom *= tau
-        denom += c2 * (1.0 - tau) * bc_sq[cols] * x_diag[slot_rows]
-        cand_scale = c2 * (1.0 - tau) * x_diag[slot_rows]
+        denom += c2 * (1.0 - tau) * bc_sq[cols] * x_s
+        cand_scale = c2 * (1.0 - tau) * x_s
         bhat = bhat + cand_scale * np.einsum("ik,ik->i", B_f[slot_rows], B_c[cols])
     degenerate = ~np.isfinite(denom) | (denom <= 0.0)
     if degenerate.any():
@@ -405,20 +402,14 @@ class Interpolation:
     residuals: list
 
 
-def _hand_over_rhs(sys):
-    """sys.Bhat, which sys then no longer holds: passed as a temporary,
-    it dies once pcg_frobenius has the initial residual."""
-    bhat, sys.Bhat = sys.Bhat, None
-    return bhat
-
-
 def _minimize(sys, iters, diag, constrained, callback=None):
     """Minimize the system's quadratic by pcg_frobenius from the feasible
     start, on W B_c = B_f when constrained; returns (w, history).  No
     tolerance: iters CG iterations, fewer only at pcg_frobenius' round-off
-    floor.  The right-hand side and the start are passed as temporaries:
-    pcg_frobenius frees them once the initial residual exists."""
-    return pcg_frobenius(partial(apply_weighted_operator, sys), _hand_over_rhs(sys),
+    floor.  The right-hand side and the start are passed as temporaries,
+    sys giving Bhat up, so pcg_frobenius frees them at the initial residual."""
+    box, sys.Bhat = [sys.Bhat], None
+    return pcg_frobenius(partial(apply_weighted_operator, sys), box.pop(),
                          sys.rows.min_norm_solution(sys.B_f), diag, iters,
                          project=sys.rows.project if constrained else None,
                          callback=callback)

@@ -75,7 +75,9 @@ def convergence_report(H, residual_history):
 
 
 def measure_report(H, seed=0):
-    """Run the stationary measurement protocol and summarize it."""
+    """Run the stationary measurement protocol and summarize it; seed is
+    an integer >= 0."""
+    check_count("seed", seed)
     _, history = measure_convergence_factor(H, seed=seed)
     return convergence_report(H, history)
 
@@ -89,7 +91,10 @@ def adaptive_constraints(A, existing, improvement_iters, seed):
     a later one by V-cycles of `existing`, after which the caller
     rebuilds the hierarchy.  Returns the A-orthonormalized candidate
     set: the vectors `existing` was built from, then the new one.
+    improvement_iters and seed are integers >= 0.
     """
+    check_count("improvement_iters", improvement_iters)
+    check_count("seed", seed)
     k = 1 if existing is None else existing.fine_candidates.shape[1] + 1
     v = np.random.default_rng([seed, k]).standard_normal(A.shape[0])
     if existing is None:
@@ -140,8 +145,7 @@ class ExperimentConfig:
             raise ValueError("mode and iteration grids must be nonempty")
         if "weighted" in self.modes and not self.taus:
             raise ValueError("weighted mode needs a nonempty tau grid")
-        if self.constraint_source not in ("constant", "random"):
-            raise ValueError("constraint_source must be 'constant' or 'random'")
+        _check_source("constraint_source", self.constraint_source)
         if self.constraint_source == "constant" and self.n_constraint_vectors != 1:
             raise ValueError("the smoothed-constant source provides exactly "
                              "one constraint vector")
@@ -186,6 +190,12 @@ def _checked_keys(cls, data, name):
     return data
 
 
+def _check_source(name, source):
+    """Raise a ValueError naming `name` unless source is 'constant' or 'random'."""
+    if source not in ("constant", "random"):
+        raise ValueError(f"{name} must be 'constant' or 'random'; got {source!r}")
+
+
 def _setup_config(cfg, mode, tau, iters, candidates):
     return SetupConfig(mode=mode, tau=0.0 if tau is None else tau,
                        pattern_degree=cfg.pattern_degree, emin_iters=iters,
@@ -201,6 +211,9 @@ def _jacobi_smoothed(A, v, sweeps):
 
 
 def smoothed_constant(A, sweeps):
+    """The constant vector smoothed by `sweeps` (an integer >= 0) damped
+    Jacobi sweeps on A x = 0, as an n x 1 array."""
+    check_count("sweeps", sweeps)
     return _jacobi_smoothed(A, np.ones(A.shape[0]), sweeps)[:, None]
 
 
@@ -208,7 +221,11 @@ def first_constraint_vector(A, source, improvement_iters, seed):
     """The first constraint vector as an n x 1 array: the constant
     smoothed by improvement_iters Jacobi sweeps (source 'constant'), or
     the seeded random vector of the adaptive protocol (source 'random').
-    It depends on no setup option, so a sweep computes it once."""
+    It depends on no setup option, so a sweep computes it once.
+    improvement_iters and seed are integers >= 0."""
+    _check_source("source", source)
+    check_count("improvement_iters", improvement_iters)
+    check_count("seed", seed)
     if source == "constant":
         return smoothed_constant(A, improvement_iters)
     return adaptive_constraints(A, None, improvement_iters, seed).vectors

@@ -49,10 +49,18 @@ def read_matrix_market(path):
 
 
 def real_csr(A):
-    """Sparse A as float64 CSR (A itself if it is one); refuses complex A."""
+    """Sparse A, or a dense 2-D array, as float64 CSR (A itself if it is
+    one); refuses complex A."""
+    if sparse.issparse(A):
+        A = A.tocsr()
+    else:
+        A = np.asarray(A)
+        if A.ndim != 2:
+            raise ValueError(f"A must be a matrix; got an array of shape {A.shape}")
+        A = sparse.csr_matrix(A)
     if np.iscomplexobj(A):
         raise ValueError(f"A is complex ({A.dtype}); expected a real matrix")
-    return A.tocsr().astype(np.float64, copy=False)
+    return A.astype(np.float64, copy=False)
 
 
 def write_matrix_market(path, A, symmetry=None):

@@ -8,7 +8,6 @@ diagnostics module.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import solve
 
 from .linalg import check_positive_diagonal, estimate_spectral_norm
@@ -59,13 +58,11 @@ class SpectralEquivalence:
             raise ValueError(f"unknown X choice: {self.x_kind!r}")
         check_positive("c2", self.c2)
 
-    def diagonal(self, A):
-        """Diagonal of X for a sparse or dense A (X is diagonal here)."""
+    def diagonal(self, a_diag):
+        """X's diagonal (X is diagonal here) as a new array, from A's diagonal."""
         if self.x_kind == "diag":
-            d = A.diagonal() if sparse.issparse(A) else np.diag(np.asarray(A))
-            return np.asarray(d, dtype=np.float64).copy()
-        n = A.shape[0]
-        return np.ones(n)
+            return np.array(a_diag, dtype=np.float64)
+        return np.ones(len(a_diag))
 
 
 def relax_sweep(rel, A, x, b, diagonal=None):

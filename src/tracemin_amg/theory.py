@@ -182,7 +182,7 @@ def stability_bounds(A, X, split, P):
     kappa_s = c2_meas = None  # no F block when every point is C
     if nf:
         A_s = Ap[:nf, :nf]
-        x_perm = X.diagonal(A)[perm]
+        x_perm = X.diagonal(A.diagonal())[perm]
         X_s = np.diag(x_perm[:nf])
         w_s, _ = dense_sym_eig(A_s, X_s)
         kappa_s, c2_meas = float(w_s[0]), float(w_s[-1])

@@ -28,6 +28,27 @@ def both_paths():
             (False, python_path())]
 
 
+def malformed_graphs():
+    """Graphs that SciPy builds, with no full format check, although their
+    CSR arrays point outside themselves, each with a pattern of the
+    ValueError that refuses it.  The index 10^9 lies far past every array
+    of the split: the compiled pass would read and write there."""
+    def graph(indices, indptr, shape):
+        return sparse.csr_matrix((np.ones(len(indices), dtype=bool),
+                                  np.array(indices, dtype=np.int32),
+                                  np.array(indptr, dtype=np.int32)), shape=shape)
+
+    return {
+        "index-past-n": (graph([1, 10**9], [0, 2, 2, 2], (3, 3)),
+                         r"column index 1000000000 outside \[0, 3\)"),
+        "negative-index": (graph([-1, 1], [0, 2, 2, 2], (3, 3)),
+                           r"column index -1 outside \[0, 3\)"),
+        "falling-row-pointers": (graph([1, 0], [0, 2, 1, 2], (3, 3)), "row pointers fall"),
+        "not-square": (graph([2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], (5, 7)),
+                       r"must be square; got shape \(5, 7\)"),
+    }
+
+
 def csr_from_triplets(triplets, nrows, ncols):
     """Canonical CSR from (row, col, value) triplets: duplicates summed,
     column indices sorted, explicitly stored zeros kept."""
@@ -103,7 +124,7 @@ def dense_operator_and_rhs(sys, X):
     N = nf * nc
     A_ff = sys.A_ff.toarray()
     L = sys.tau * np.kron(np.eye(nc), A_ff) \
-        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(A_ff)))
+        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(A_ff.diagonal())))
     inside = np.zeros(N, dtype=bool)
     inside[vec_positions(sys)] = True
     L[~inside, :] = 0.0

@@ -411,6 +411,20 @@ def test_sylvester_reports_nonconvergence(tmp_path):
     assert code == 3
 
 
+def test_sylvester_exits_3_naming_an_indefinite_operator(tmp_path, capsys):
+    """An A with eigenvalues of both signs makes sylvester_cg meet
+    nonpositive curvature: a solver breakdown, exit 3 with its message,
+    not a traceback."""
+    pa, pf = tmp_path / "A.mtx", tmp_path / "F.mtx"
+    write_matrix_market(pa, np.diag([1.0, -1.0]))
+    write_matrix_market(pf, np.array([[0.0], [1.0]]))
+    assert main(["sylvester", "--A", str(pa), "--F", str(pf)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: matrix-equation CG aborted at iteration 0: "
+                                   "nonpositive curvature")
+
+
 def test_sweep_exits_3_when_a_grid_point_diverges(monkeypatch, capsys):
     """No small sweep diverges, so the grid's rows are stubbed: one row
     that did not converge makes the exit status 3."""

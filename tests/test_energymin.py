@@ -22,6 +22,7 @@ from tracemin_amg.energymin import (CandidateSet, _RowConstraints, _slot_values,
                                     weighted_energymin)
 from tracemin_amg.problems import ProblemSpec, assemble
 from tracemin_amg.relaxation import SpectralEquivalence
+from tracemin_amg.sylvester import MatrixEquation, hadamard_diag_preconditioner
 
 
 def random_instance(rng, n, n_b=1, tau=0.5, fill=0.5):
@@ -377,11 +378,11 @@ def test_single_candidate_inverse_matches_pinv(case):
     by_pinv.blocks = []
     rescaled = False
     for block in rows.blocks:
-        _, _, slots, nonempty, starts, Gp = block
+        _, _, slots, nonempty, starts, _, Gp = block
         C = rows.candidate_rows(slots)
         g = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
         expected = np.linalg.pinv(g)
-        by_pinv.blocks.append(block[:5] + (expected,))
+        by_pinv.blocks.append(block[:-1] + (expected,))
         assert Gp.shape == expected.shape == g.shape == (len(nonempty), 1, 1)
         assert np.array_equal(Gp, np.divide(1.0, g, out=np.zeros_like(g), where=g != 0.0))
         inside = (g == 0.0) | ((g >= LAPACK_UNSCALED[0]) & (g <= LAPACK_UNSCALED[1]))
@@ -651,9 +652,34 @@ def reference_weighted_apply(sys, values, X, x_diag=None):
     if sys.tau < 1.0:
         vb = np.einsum("ik,ik->i", (W @ sys.B_c)[pat.slot_rows], sys.B_c[pat.cols])
         if x_diag is None:
-            x_diag = X.diagonal(sys.A_ff)
+            x_diag = X.diagonal(sys.A_ff.diagonal())
         out += X.c2 * (1.0 - sys.tau) * x_diag[pat.slot_rows] * vb
     return out
+
+
+@pytest.mark.parametrize("n_b", [1, 2])
+@pytest.mark.parametrize("x_kind", ["diag", "identity"])
+@pytest.mark.parametrize("tau", [1e-4, 0.5, 1.0])
+def test_preconditioner_is_the_matrix_equations_at_the_slots(tau, x_kind, n_b):
+    """Lhat W = tau A_ff W I + c2 (1 - tau) X_ff W B_c B_c^T is a matrix
+    equation restricted to the pattern, so Dprec is that equation's
+    Hadamard diagonal preconditioner at the slots.  The two associate the
+    candidate term's products differently, and BLAS may fuse the multiply
+    and add of the Gram diagonal (B_c B_c^T)_jj: with u = eps / 2, each
+    side's term is within 4u of the exact one, and the sum and the
+    reciprocal add u each, so they lie within 12u = 6 eps (4 ulps is the
+    most seen)."""
+    rng = np.random.default_rng(36)
+    X = SpectralEquivalence(x_kind=x_kind, c2=1.7)
+    for _ in range(10):
+        A, split, pattern, B, _ = random_instance(rng, int(rng.integers(10, 40)), n_b=n_b)
+        sys = build_weighted_system(A, split, B, X, tau, pattern)
+        A_ff, (nf, nc) = sys.A_ff.toarray(), pattern.shape
+        X_ff = np.diag(np.diag(A_ff)) if x_kind == "diag" else np.eye(nf)
+        eq = MatrixEquation(tau * A_ff, np.eye(nc), X.c2 * (1.0 - tau) * X_ff,
+                            sys.B_c @ sys.B_c.T, np.zeros((nf, nc)))
+        expected = hadamard_diag_preconditioner(eq)[pattern.slot_rows, pattern.cols]
+        assert_allclose(sys.Dprec, expected, rtol=6 * np.finfo(float).eps, atol=0.0)
 
 
 @pytest.mark.parametrize("tau", [0.0, 1e-4, 0.5, 1.0])
@@ -673,7 +699,8 @@ def test_weighted_apply_and_rhs_bit_identical_to_sorted_extraction(tau):
         bhat = -tau * reference_values_at(A_fc, pattern.slot_rows, pattern.cols)
         if tau < 1.0:
             bf_bc = np.einsum("ik,ik->i", B_f[pattern.slot_rows], B_c[pattern.cols])
-            bhat = bhat + X.c2 * (1.0 - tau) * X.diagonal(sys.A_ff)[pattern.slot_rows] * bf_bc
+            x_s = X.diagonal(sys.A_ff.diagonal())[pattern.slot_rows]
+            bhat = bhat + X.c2 * (1.0 - tau) * x_s * bf_bc
         assert np.array_equal(sys.Bhat, bhat)
 
 
@@ -723,7 +750,7 @@ def exact_zero_system(rng, tau):
     B = prepare_candidates(A, rng.standard_normal((60, 2)))
     X = SpectralEquivalence(c2=1.7)
     sys = build_weighted_system(A, split, B, X, tau, pattern)
-    reference = partial(reference_weighted_apply, X=X, x_diag=X.diagonal(sys.A_ff))
+    reference = partial(reference_weighted_apply, X=X, x_diag=X.diagonal(sys.A_ff.diagonal()))
     A_ff = sys.A_ff.tolil()
     A_ff[0, :] = 0.0
     A_ff[0, 1], A_ff[0, 2] = 1.0, -1.0

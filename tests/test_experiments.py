@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -125,6 +126,34 @@ def test_adaptive_chain_extends_candidates():
     assert c2.vectors.shape[1] == 2
     gram = c2.vectors.T @ (A @ c2.vectors)
     assert np.abs(gram - np.eye(2)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda A, H: experiments.first_constraint_vector(A, "rand", 1, 0),
+     "source must be 'constant' or 'random'; got 'rand'"),
+    (lambda A, H: experiments.first_constraint_vector(A, "constant", -1, 0),
+     "improvement_iters must be >= 0; got -1"),
+    (lambda A, H: experiments.first_constraint_vector(A, "random", 1, -1),
+     "seed must be >= 0; got -1"),
+    (lambda A, H: experiments.smoothed_constant(A, -2), "sweeps must be >= 0; got -2"),
+    (lambda A, H: experiments.smoothed_constant(A, 1.0), "sweeps must be an integer; got 1.0"),
+    (lambda A, H: adaptive_constraints(A, H, -1, 0), "improvement_iters must be >= 0; got -1"),
+    (lambda A, H: adaptive_constraints(A, H, 1.5, 0),
+     "improvement_iters must be an integer; got 1.5"),
+    (lambda A, H: adaptive_constraints(A, H, 1, -1), "seed must be >= 0; got -1"),
+    (lambda A, H: adaptive_constraints(A, None, 1, -1), "seed must be >= 0; got -1"),
+    (lambda A, H: measure_report(H, seed=-1), "seed must be >= 0; got -1"),
+], ids=["unknown-source", "first-negative-iters", "first-negative-seed",
+        "smoothed-negative", "smoothed-float", "adaptive-negative-iters",
+        "adaptive-float-iters", "adaptive-negative-seed", "adaptive-first-negative-seed",
+        "report-negative-seed"])
+def test_helpers_refuse_a_bad_value_by_name(call, message):
+    """The exported helpers check their counts, seeds and source at entry,
+    by the rules ExperimentConfig applies, and name the value."""
+    A = assemble(ProblemSpec("rotated_anisotropic", n=8)).matrix
+    H = setup(A, SetupConfig())
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(A, H)
 
 
 def test_run_experiment_grid_size():

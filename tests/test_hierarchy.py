@@ -924,6 +924,32 @@ def test_setup_refuses_a_round_off_singular_operator():
             setup(s * A, SetupConfig())
 
 
+def test_dense_operator_builds_the_sparse_operators_hierarchy():
+    """linalg.real_csr reads a dense 2-D array as float64 CSR, so setup and
+    strength_graph build from A.toarray() what they build from A, to the
+    bit, and still refuse a complex or a 1-D array by name."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 24, epsilon=1e-3)).matrix
+    assert np.all(A.data != 0.0)  # the dense form keeps every stored entry
+    cfg = SetupConfig(pattern_degree=2)
+    H, dense = setup(A, cfg), setup(A.toarray(), cfg)
+    assert H.n_levels == dense.n_levels >= 3
+    for lvl, got in zip(H.levels, dense.levels):
+        for name in ("A", "P"):
+            want, have = getattr(lvl, name), getattr(got, name)
+            assert (want is None) == (have is None)
+            if want is not None:
+                for field in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(want, field), getattr(have, field))
+        assert lvl.emin_residuals == got.emin_residuals
+    for field in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(strength_graph(A, 0.25), field),
+                              getattr(strength_graph(A.toarray(), 0.25), field))
+    with pytest.raises(ValueError, match=r"A is complex \(complex128\)"):
+        setup(A.toarray() + 0j, cfg)
+    with pytest.raises(ValueError, match=r"A must be a matrix; got an array of shape \(4,\)"):
+        strength_graph(np.ones(4), 0.25)
+
+
 def test_setup_reads_an_integer_matrix_as_float64():
     A = sparse.csr_matrix([[2, -1], [-1, 2]])
     H = setup(A, SetupConfig(max_coarse=1))
