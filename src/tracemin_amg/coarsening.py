@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from . import kernels
-from .linalg import check_positive_diagonal, real_csr
+from .linalg import check_compressed, check_positive_diagonal, real_csr
 from .problems import check_count, check_real
 
 __all__ = [
@@ -172,19 +172,13 @@ def _adjacency(S):
     """The graph S as a canonical boolean CSR adjacency: duplicate entries
     are summed, and a stored zero, or entries that sum to zero, are no
     edge.  strength_graph's output already is one and is returned as it
-    is, uncopied.  SciPy builds a CSR matrix whose arrays point outside
-    themselves, and the passes would then index out of bounds, so a graph
-    that is not square, whose row pointers fall, or that stores a column
-    index outside [0, n) raises a ValueError that names it."""
-    S = S.tocsr()
-    n, indices = S.shape[0], S.indices
-    if S.shape[1] != n:
+    is, uncopied.  A graph that is not square, or that fails
+    linalg.check_compressed (an index outside [0, n), say), raises a
+    ValueError that names it before the conversion or a pass reads it."""
+    if S.shape[0] != S.shape[1]:
         raise ValueError(f"graph must be square; got shape {S.shape}")
-    if np.any(np.diff(S.indptr) < 0):
-        raise ValueError("graph's CSR row pointers fall: indptr is not non-decreasing")
-    if indices.size and (indices.min() < 0 or indices.max() >= n):
-        bad = indices[(indices < 0) | (indices >= n)][0]
-        raise ValueError(f"graph stores column index {bad} outside [0, {n})")
+    check_compressed(S, "graph")
+    S = S.tocsr()
     if S.dtype != bool or not S.has_canonical_format or not S.data.all():
         S = S.copy()
         S.sum_duplicates()

@@ -272,10 +272,11 @@ def setup(A, cfg):
     Coarsening stops at max_levels, at a level of at most max_coarse
     rows, or at a level with no off-diagonal entry; that level is the
     coarsest.  Before any level is built, A, sparse or a dense 2-D
-    array, must be real (it is read as float64 CSR), finite, square, symmetric and of positive diagonal, and
-    the candidates finite and of A's size; each failure is a ValueError
-    that names its cause.  prepare_candidates rejects a singular A, one
-    that maps the first candidate to round-off of A's own scale.  A
+    array, must be real (it is read as float64 CSR), finite, square,
+    symmetric and of positive diagonal, and the candidates finite and of
+    A's size; each failure is a ValueError that names its cause.
+    prepare_candidates rejects a singular A, one that maps the first
+    candidate to round-off of A's own scale.  A
     coarsest level with no nonzero off-diagonal entry is solved by
     division by its diagonal; any other is factorized densely, and
     rejected before it is formed when that would need more than

@@ -48,10 +48,28 @@ def read_matrix_market(path):
     return np.asarray(A, dtype=np.float64)
 
 
+def check_compressed(M, name):
+    """Raise a ValueError naming `name` unless a CSR or CSC M keeps to its
+    own arrays: index pointers that never fall and indices in [0, the
+    minor dimension).  SciPy builds such a matrix without a full format
+    check, and its conversions and the compiled kernels would then read
+    and write out of bounds; any other format passes."""
+    if M.format not in ("csr", "csc"):
+        return
+    minor, indices = M.shape[0 if M.format == "csc" else 1], M.indices
+    if np.any(np.diff(M.indptr) < 0):
+        raise ValueError(f"{name}'s index pointers fall: indptr is not non-decreasing")
+    if indices.size and (indices.min() < 0 or indices.max() >= minor):
+        bad = indices[(indices < 0) | (indices >= minor)][0]
+        raise ValueError(f"{name} stores index {bad} outside [0, {minor})")
+
+
 def real_csr(A):
     """Sparse A, or a dense 2-D array, as float64 CSR (A itself if it is
-    one); refuses complex A."""
+    one); refuses complex A and a CSR or CSC A that fails
+    check_compressed."""
     if sparse.issparse(A):
+        check_compressed(A, "A")
         A = A.tocsr()
     else:
         A = np.asarray(A)

@@ -1,11 +1,16 @@
 """Small matrices, patterns and dense oracles shared by the test modules."""
 
 import contextlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+import tracemin_amg
 from tracemin_amg import kernels
 from tracemin_amg.coarsening import SparsityPattern
 
@@ -28,22 +33,34 @@ def both_paths():
             (False, python_path())]
 
 
+def run_isolated(script):
+    """Run `script` in a fresh interpreter that imports this checkout's
+    package and these helpers, for calls that may fault: a crash then
+    ends the subprocess, not the suite.  Returns the CompletedProcess."""
+    paths = [Path(tracemin_amg.__file__).parents[1], Path(__file__).parent]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 def malformed_graphs():
     """Graphs that SciPy builds, with no full format check, although their
-    CSR arrays point outside themselves, each with a pattern of the
-    ValueError that refuses it.  The index 10^9 lies far past every array
-    of the split: the compiled pass would read and write there."""
-    def graph(indices, indptr, shape):
-        return sparse.csr_matrix((np.ones(len(indices), dtype=bool),
-                                  np.array(indices, dtype=np.int32),
-                                  np.array(indptr, dtype=np.int32)), shape=shape)
+    CSR or CSC arrays point outside themselves, each with a pattern of
+    the ValueError that refuses it.  The index 10^9 lies far past every
+    array: the compiled pass, or SciPy's conversion of the CSC graph to
+    CSR, would read and write there."""
+    def graph(indices, indptr, shape, layout=sparse.csr_matrix):
+        return layout((np.ones(len(indices), dtype=bool), np.array(indices, dtype=np.int32),
+                       np.array(indptr, dtype=np.int32)), shape=shape)
 
     return {
         "index-past-n": (graph([1, 10**9], [0, 2, 2, 2], (3, 3)),
-                         r"column index 1000000000 outside \[0, 3\)"),
+                         r"index 1000000000 outside \[0, 3\)"),
+        "csc-index-past-n": (graph([1, 10**9], [0, 2, 2, 2], (3, 3), sparse.csc_matrix),
+                             r"index 1000000000 outside \[0, 3\)"),
         "negative-index": (graph([-1, 1], [0, 2, 2, 2], (3, 3)),
-                           r"column index -1 outside \[0, 3\)"),
-        "falling-row-pointers": (graph([1, 0], [0, 2, 1, 2], (3, 3)), "row pointers fall"),
+                           r"index -1 outside \[0, 3\)"),
+        "falling-pointers": (graph([1, 0], [0, 2, 1, 2], (3, 3)), "index pointers fall"),
         "not-square": (graph([2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], (5, 7)),
                        r"must be square; got shape \(5, 7\)"),
     }
@@ -123,8 +140,9 @@ def dense_operator_and_rhs(sys, X):
     nf, nc = sys.pattern.nf, sys.pattern.nc
     N = nf * nc
     A_ff = sys.A_ff.toarray()
+    X_ff = np.diag(X.diagonal(A_ff.diagonal()))
     L = sys.tau * np.kron(np.eye(nc), A_ff) \
-        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, np.diag(X.diagonal(A_ff.diagonal())))
+        + X.c2 * (1.0 - sys.tau) * np.kron(sys.B_c @ sys.B_c.T, X_ff)
     inside = np.zeros(N, dtype=bool)
     inside[vec_positions(sys)] = True
     L[~inside, :] = 0.0

@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,8 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from sparse_helpers import (both_paths, csr_from_triplets, lap1d, malformed_graphs,
-                            python_path)
-import tracemin_amg
+                            run_isolated)
 from tracemin_amg import hierarchy, kernels
 from tracemin_amg.coarsening import (BlockSplit, cf_split, pattern_distance_k,
                                      strength_graph)
@@ -357,45 +351,40 @@ def test_cf_split_and_pattern_read_a_zero_edge_alike(S):
     assert np.array_equal(pattern.empty_f_rows, [0])
 
 
-@pytest.mark.parametrize("name", sorted(malformed_graphs()))
-def test_malformed_graph_is_refused_by_name(name):
-    """cf_split's Python pass and pattern_distance_k read the graph through
-    one check, which names what is wrong with it; unchecked, the pass
-    raised a bare IndexError and the pattern SciPy's shape error."""
-    S, message = malformed_graphs()[name]
-    with python_path(), pytest.raises(ValueError, match=message):
-        cf_split(S)
-    with pytest.raises(ValueError, match=message):
-        pattern_distance_k(S, BlockSplit.from_c_points(S.shape[0], [0]), 2)
-
-
-SPLIT_MALFORMED_GRAPHS = """
+READ_MALFORMED_GRAPHS = """
 import re
-from sparse_helpers import malformed_graphs
-from tracemin_amg import kernels
-from tracemin_amg.coarsening import cf_split
-print(kernels.backend())
+from sparse_helpers import malformed_graphs, python_path
+from tracemin_amg.coarsening import BlockSplit, cf_split, pattern_distance_k
+
+def python_split(S):
+    with python_path():
+        return cf_split(S)
+
+calls = {"split": cf_split, "python-split": python_split,
+         "pattern": lambda S: pattern_distance_k(S, BlockSplit.from_c_points(S.shape[0], [0]), 2)}
 for name, (S, message) in sorted(malformed_graphs().items()):
-    try:
-        cf_split(S)
-        print(name, "split")
-    except Exception as err:
-        print(name, type(err).__name__, bool(re.search(message, str(err))))
+    for call, read in calls.items():
+        try:
+            read(S)
+            print(name, call, "returned", flush=True)
+        except Exception as err:
+            print(name, call, type(err).__name__, bool(re.search(message, str(err))),
+                  flush=True)
 """
 
 
-def test_split_refuses_malformed_graphs_before_the_kernel_runs():
-    """The compiled pass reads and writes through the graph's indices, so
-    a malformed graph must be refused before it runs.  The splits run in a
-    subprocess on the path this process takes: unchecked, the kernel
-    faulted (SIGSEGV) or corrupted the heap, which would end the suite."""
-    paths = [Path(tracemin_amg.__file__).parents[1], Path(__file__).parent]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
-    done = subprocess.run([sys.executable, "-c", SPLIT_MALFORMED_GRAPHS], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [kernels.backend()] + [
-        f"{name} ValueError True" for name in sorted(malformed_graphs())]
+def test_malformed_graphs_are_refused_by_name_before_they_are_read():
+    """cf_split, on the path this process takes and on the Python path,
+    and pattern_distance_k read the graph through one check, which names
+    what is wrong with it.  The calls run in a subprocess: unchecked, the
+    compiled pass and SciPy's CSC-to-CSR conversion faulted (SIGSEGV) or
+    corrupted the heap, which would end the suite, and the Python pass
+    raised a bare IndexError and the pattern SciPy's shape error."""
+    done = run_isolated(READ_MALFORMED_GRAPHS)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        f"{name} {call} ValueError True" for name in sorted(malformed_graphs())
+        for call in ("split", "python-split", "pattern")]
 
 
 def reference_pattern_rows(S, split, k):

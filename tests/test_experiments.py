@@ -136,7 +136,6 @@ def test_adaptive_chain_extends_candidates():
     (lambda A, H: experiments.first_constraint_vector(A, "random", 1, -1),
      "seed must be >= 0; got -1"),
     (lambda A, H: experiments.smoothed_constant(A, -2), "sweeps must be >= 0; got -2"),
-    (lambda A, H: experiments.smoothed_constant(A, 1.0), "sweeps must be an integer; got 1.0"),
     (lambda A, H: adaptive_constraints(A, H, -1, 0), "improvement_iters must be >= 0; got -1"),
     (lambda A, H: adaptive_constraints(A, H, 1.5, 0),
      "improvement_iters must be an integer; got 1.5"),
@@ -144,7 +143,7 @@ def test_adaptive_chain_extends_candidates():
     (lambda A, H: adaptive_constraints(A, None, 1, -1), "seed must be >= 0; got -1"),
     (lambda A, H: measure_report(H, seed=-1), "seed must be >= 0; got -1"),
 ], ids=["unknown-source", "first-negative-iters", "first-negative-seed",
-        "smoothed-negative", "smoothed-float", "adaptive-negative-iters",
+        "smoothed-negative", "adaptive-negative-iters",
         "adaptive-float-iters", "adaptive-negative-seed", "adaptive-first-negative-seed",
         "report-negative-seed"])
 def test_helpers_refuse_a_bad_value_by_name(call, message):

@@ -13,7 +13,7 @@ from scipy import sparse
 from scipy.linalg import cho_solve
 
 from sparse_helpers import (csr_from_triplets, invalid_operators, lap1d, python_path,
-                            rand_spd_sparse)
+                            rand_spd_sparse, run_isolated)
 from tracemin_amg import energymin, hierarchy
 from tracemin_amg.coarsening import cf_split, strength_graph
 from tracemin_amg.energymin import prepare_candidates
@@ -948,6 +948,48 @@ def test_dense_operator_builds_the_sparse_operators_hierarchy():
         setup(A.toarray() + 0j, cfg)
     with pytest.raises(ValueError, match=r"A must be a matrix; got an array of shape \(4,\)"):
         strength_graph(np.ones(4), 0.25)
+
+
+READ_MALFORMED_OPERATORS = """
+import numpy as np
+from scipy import sparse
+from tracemin_amg.coarsening import strength_graph
+from tracemin_amg.hierarchy import SetupConfig, setup
+
+def operator(layout, index, shape):
+    major = shape[0] if layout is sparse.csr_matrix else shape[1]
+    indptr = [0, 2, 3] + [4] * (major - 2)
+    return layout((np.array([2.0, -1.0, 2.0, 2.0]), np.array([0, index, 1, 2], dtype=np.int32),
+                   np.array(indptr, dtype=np.int32)), shape=shape)
+
+# the wide CSC operator's index 4 lies inside its 5 columns but past its 3 rows
+cases = {"csr": operator(sparse.csr_matrix, 10**9, (3, 3)),
+         "csc": operator(sparse.csc_matrix, 10**9, (3, 3)),
+         "csc-wide": operator(sparse.csc_matrix, 4, (3, 5))}
+calls = {"setup": lambda A: setup(A, SetupConfig(max_coarse=1)),
+         "strength_graph": lambda A: strength_graph(A, 0.25)}
+for name, A in cases.items():
+    for call, read in calls.items():
+        try:
+            read(A)
+            print(name, call, "returned", flush=True)
+        except Exception as err:
+            print(name, call, type(err).__name__, err, flush=True)
+"""
+
+
+def test_malformed_operator_is_refused_by_name_before_it_is_read():
+    """linalg.real_csr checks a CSR or CSC operator's arrays before it
+    converts or reads them (linalg.check_compressed): an index past the
+    minor dimension, which for CSC is the row count, is refused by name.
+    In a subprocess: unchecked, SciPy's own conversions and products read
+    and wrote out of bounds, and setup faulted (SIGSEGV)."""
+    done = run_isolated(READ_MALFORMED_OPERATORS)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        f"{name} {call} ValueError A stores index {index} outside [0, 3)"
+        for name, index in (("csr", 10**9), ("csc", 10**9), ("csc-wide", 4))
+        for call in ("setup", "strength_graph")]
 
 
 def test_setup_reads_an_integer_matrix_as_float64():
