@@ -6,12 +6,15 @@ minimization over a distance-k pattern, and a sparsified Galerkin
 product closes the recursion.  Candidates follow the hierarchy down by
 C-point injection.  With one candidate b, the coarse operator is not
 the exact P^T A P: an off-diagonal coupling small against both of its
-diagonals, |a_ij| b_j/b_i <= NON_GALERKIN_THETA a_ii and |a_ij| b_i/b_j
-<= NON_GALERKIN_THETA a_jj where b_i b_j > 0, is dropped and lumped
-onto the two diagonals so that A_c b is kept (the non-Galerkin coarse
-grids of Falgout & Schroder, SISC 2014).  The coarsest level is
-factorized densely, or, when it has no nonzero off-diagonal entry,
-solved by division.
+diagonals, |a_ij| b_j/b_i <= theta a_ii and |a_ij| b_i/b_j <= theta
+a_jj where b_i b_j > 0, is dropped and lumped onto the two diagonals so
+that A_c b is kept (the non-Galerkin coarse grids of Falgout &
+Schroder, SISC 2014).  theta is NON_GALERKIN_THETA, or, for a negative
+coupling of a product that is weakly diagonally dominant once scaled by
+b, the larger NON_GALERKIN_THETA_NEGATIVE: lumping such a coupling keeps
+that dominance, so the level stays positive semidefinite
+(galerkin_product).  The coarsest level is factorized densely, or, when
+it has no nonzero off-diagonal entry, solved by division.
 """
 
 import warnings
@@ -50,8 +53,12 @@ MAX_DENSE_COARSE_BYTES = 2**30
 # the CF_WINDOW + 1 residuals a convergence factor needs
 CF_WINDOW = 10
 # a coarse coupling this small against both of its diagonals, each
-# scaled by the candidate, is lumped onto them (galerkin_product)
+# scaled by the candidate, is lumped onto them (galerkin_product); a
+# negative one of a product that b-scaled diagonal dominance certifies is
+# lumped up to the second threshold, a factor 5 below the first value
+# (1e-2) that costs PCG iterations on the oscillatory problem
 NON_GALERKIN_THETA = 5e-4
+NON_GALERKIN_THETA_NEGATIVE = 2e-3
 # galerkin_product decides the coarse entries in one pass over row blocks
 # of at most this many stored entries, so its temporaries stay small
 GALERKIN_BLOCK_ENTRIES = 2**13
@@ -188,12 +195,30 @@ def galerkin_product(P, A, b=None):
     onto a_jj, so the result times b equals P^T A P b to round-off.  The
     two conditions bound a dropped entry by theta sqrt(a_ii a_jj) of the
     product's diagonals.  Both rules are symmetric in i and j, so the
-    result stays exactly symmetric.  One pass over row blocks of at most
-    GALERKIN_BLOCK_ENTRIES stored entries decides every entry: it reads
-    |a_ij| once, applies both rules, sums each row's lumped a_ij b_j,
-    writes a_ii + sum / b_i into the stored diagonal of a row whose sum is
-    nonzero and zeroes the dropped entries in place.  Besides the product
-    it holds the diagonal's vectors and a few arrays of one block.
+    result stays exactly symmetric.
+
+    A product is certified when every b_i != 0 and every row has slack
+    s_i = a_ii |b_i| - sum_{j != i} |a_ij| |b_j| >= 0: the b-scaled
+    product B = diag(b) A_c diag(b) is weakly diagonally dominant.  On a
+    certified product a negative coupling is lumped at theta =
+    NON_GALERKIN_THETA_NEGATIVE instead; positive ones keep
+    NON_GALERKIN_THETA, and an uncertified product runs the rule above
+    unchanged.  This is safe: lumping (i, j) changes B by
+    b_i a_ij b_j (e_i - e_j)(e_i - e_j)^T, which leaves s_i and s_j as
+    they are for a_ij < 0 (b_i b_j > 0) and raises them for a_ij > 0, and
+    dropping a round-off entry raises them too.  So the lumped B is
+    still weakly dominant with a diagonal >= 0, hence positive
+    semidefinite by Gershgorin, and so is the lumped A_c, congruent to
+    it, at any threshold for negative couplings.
+
+    One pass over row blocks of at most GALERKIN_BLOCK_ENTRIES stored
+    entries checks the certificate, stopping at the first block with a
+    negative slack; a second pass over the same blocks decides every
+    entry: it reads |a_ij| once, applies both rules, sums each row's
+    lumped a_ij b_j, writes a_ii + sum / b_i into the stored diagonal of a
+    row whose sum is nonzero and zeroes the dropped entries in place.
+    Besides the product it holds the diagonal's vectors and a few arrays
+    of one block.
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
@@ -211,24 +236,33 @@ def galerkin_product(P, A, b=None):
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
     t = np.sqrt(np.abs(d) * np.finfo(np.float64).eps)
-    # q_ij = |a_ij| b_j / (theta a_ii b_i) = |a_ij| r_i b_j, or 0 where
-    # b_i = 0 or a_ii <= 0, so q_ij in (0, 1] needs b_i b_j > 0 and a_ii > 0
-    r = None if b is None else np.divide(1.0, NON_GALERKIN_THETA * d * b,
-                                         out=np.zeros_like(d),
-                                         where=(d > 0.0) & (b != 0.0))
-    dropped = False
     bounds = row_blocks(Ac.indptr, GALERKIN_BLOCK_ENTRIES)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        first, last = Ac.indptr[lo], Ac.indptr[hi]
-        rows = np.repeat(np.arange(lo, hi), np.diff(Ac.indptr[lo:hi + 1]))
-        cols, data = Ac.indices[first:last], Ac.data[first:last]  # views
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    # q_ij = |a_ij| b_j / (theta a_ii b_i) = |a_ij| r_i b_j, or 0 where
+    # b_i = 0 or a_ii <= 0, so q_ij in (0, 1] needs b_i b_j > 0 and a_ii > 0;
+    # r_neg is r at the negative couplings' theta, None unless certified
+    r = r_neg = None
+    if b is not None:
+        def reciprocal(theta):
+            return np.divide(1.0, theta * d * b, out=np.zeros_like(d),
+                             where=(d > 0.0) & (b != 0.0))
+        r = reciprocal(NON_GALERKIN_THETA)
+        if _b_dominant(Ac, d, b, blocks):
+            r_neg = reciprocal(NON_GALERKIN_THETA_NEGATIVE)
+    dropped = False
+    for lo, hi in blocks:
+        rows, cols, data = _block(Ac, lo, hi)
         size = np.abs(data)
         drop = size < t[rows] * t[cols]
         if b is not None:
+            r_rows, r_cols = r[rows], r[cols]
+            if r_neg is not None:
+                negative = data < 0.0
+                r_rows[negative] = r_neg[rows[negative]]
+                r_cols[negative] = r_neg[cols[negative]]
             # q_ij and q_ji from the same two factors mark (i, j) and (j, i) alike
             lump = ~drop
-            for row_factor, col_factor in ((r, b), (b, r)):
-                q = row_factor[rows] * col_factor[cols]
+            for q in (r_rows * b[cols], b[rows] * r_cols):
                 q *= size
                 lump &= (q > 0.0) & (q <= 1.0)
             # bincount adds each row's a_ij b_j sequentially, in entry order
@@ -244,6 +278,31 @@ def galerkin_product(P, A, b=None):
     if dropped:
         Ac.eliminate_zeros()
     return Ac
+
+
+def _block(Ac, lo, hi):
+    """Row indices, and views of the column indices and values, of the
+    stored entries of rows lo to hi - 1 of a CSR Ac."""
+    first, last = Ac.indptr[lo], Ac.indptr[hi]
+    rows = np.repeat(np.arange(lo, hi), np.diff(Ac.indptr[lo:hi + 1]))
+    return rows, Ac.indices[first:last], Ac.data[first:last]
+
+
+def _b_dominant(Ac, d, b, blocks):
+    """Whether every b_i != 0 and every row of Ac, of diagonal d, has
+    a_ii |b_i| >= sum_{j != i} |a_ij| |b_j|; stops at the first block
+    that has a row without."""
+    if not b.all():
+        return False
+    size_b = np.abs(b)
+    for lo, hi in blocks:
+        rows, cols, data = _block(Ac, lo, hi)
+        off = rows != cols
+        mass = np.bincount(rows[off] - lo, weights=np.abs(data[off]) * size_b[cols[off]],
+                           minlength=hi - lo)
+        if np.any(d[lo:hi] * size_b[lo:hi] < mass):
+            return False
+    return True
 
 
 def _symmetrized(Ac):

@@ -298,4 +298,4 @@ def test_sweep_csv_digest_is_pinned():
                            emin_iters=[1, 4], seed=0)
     text = rows_to_csv_text(run_experiment(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "e59182d270d81905012317de4f1ba986330cd84d861cbe28d5a548d20b70915e"
+        "96d68d3e4f9bda65f32a9611317ccc644350079f7f41dae4ec5ff8deeb89f389"

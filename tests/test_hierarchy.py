@@ -686,20 +686,35 @@ def test_lumping_keeps_a_coupling_of_a_near_zero_candidate_entry():
     assert_allclose(Ac @ b, A @ b, rtol=0.0, atol=1e-14)
 
 
+def b_scaled_slack(Ac, b):
+    """s_i = a_ii |b_i| - sum_{j != i} |a_ij| |b_j| of a CSR Ac, through
+    one SpMV of its off-diagonal magnitudes."""
+    off = abs(Ac - sparse.diags(Ac.diagonal())).tocsr()
+    return Ac.diagonal() * abs(b) - off @ abs(b)
+
+
 def two_pass_galerkin(P, A, b=None):
     """The bit reference of galerkin_product's drop and lump rules, in
     two passes: per row block, the round-off mask, then the candidate
     rule through a masked CSR copy of the block and one SpMV into an
     n_c-long vector of lumped sums, then one CSR assignment of the
-    diagonal and one of the dropped entries."""
+    diagonal and one of the dropped entries.  A product whose b-scaled
+    slack is >= 0 on every row, with every b_i != 0, lumps its negative
+    couplings at NON_GALERKIN_THETA_NEGATIVE."""
     Ac = P.T.tocsr() @ (A @ P)
     Ac.sort_indices()
     Ac = hierarchy._symmetrized(Ac)
     d = Ac.diagonal()
     t = np.sqrt(np.abs(d) * EPS)
-    r = None if b is None else np.divide(1.0, hierarchy.NON_GALERKIN_THETA * d * b,
-                                         out=np.zeros_like(d),
-                                         where=(d > 0.0) & (b != 0.0))
+
+    def reciprocal(theta):
+        return np.divide(1.0, theta * d * b, out=np.zeros_like(d),
+                         where=(d > 0.0) & (b != 0.0))
+    r = r_neg = None
+    if b is not None:
+        r = reciprocal(hierarchy.NON_GALERKIN_THETA)
+        if np.all(b != 0.0) and np.all(b_scaled_slack(Ac, b) >= 0.0):
+            r_neg = reciprocal(hierarchy.NON_GALERKIN_THETA_NEGATIVE)
     drop = np.empty(Ac.nnz, dtype=bool)
     moved = None if b is None else np.zeros_like(d)
     bounds = row_blocks(Ac.indptr, hierarchy.GALERKIN_BLOCK_ENTRIES)
@@ -718,6 +733,10 @@ def two_pass_galerkin(P, A, b=None):
         for row_factor, col_factor in ((r, b), (b, r)):
             q = np.repeat(row_factor[lo:hi], counts)
             q *= col_factor[block.indices]
+            if r_neg is not None:  # a negative coupling's q at its own theta
+                neg_row, neg_col = (r_neg, b) if row_factor is r else (b, r_neg)
+                q_neg = np.repeat(neg_row[lo:hi], counts) * neg_col[block.indices]
+                q = np.where(block.data < 0.0, q_neg, q)
             q *= np.abs(block.data)
             lump &= (q > 0.0) & (q <= 1.0)
         moved[lo:hi] = sparse.csr_matrix((block.data * lump, block.indices, block.indptr),
@@ -873,6 +892,70 @@ def test_galerkin_keeps_exactly_the_couplings_above_round_off(case):
     limit = EPS * np.sqrt(np.outer(d, d)) \
         + A.shape[0] * EPS * (abs(Pd).T @ abs(A.toarray()) @ abs(Pd))
     assert np.all(np.abs(Ac.toarray() - Pd.T @ A.toarray() @ Pd) <= limit)
+
+
+@st.composite
+def b_dominant_products(draw):
+    """A random sparse symmetric A, its couplings of both signs spanning
+    six orders of magnitude, a candidate b of mixed sign and a positive
+    diagonal that makes diag(b) A diag(b) weakly diagonally dominant: row
+    i has slack a_ii |b_i| - sum_{j != i} |a_ij| |b_j| of 2^-20, 10^-2 or
+    1 times that sum.  With `broken`, one row's diagonal is halved past
+    its sum, or one b_i is zero, and the product is not certified."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 30))
+    upper = sparse.random(n, n, density=draw(st.sampled_from([0.1, 0.3, 1.0])),
+                          random_state=rng, format="coo",
+                          data_rvs=lambda k: rng.choice([-1.0, 1.0], k)
+                          * 10.0 ** rng.uniform(-6.0, 0.0, k))
+    upper = sparse.triu(upper, k=1)
+    C = (upper + upper.T).tocsr()
+    b = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-1.0, 1.0, n)
+    mass = abs(C) @ abs(b)
+    diagonal = np.where(mass > 0.0, mass, 1.0) \
+        * (1.0 + rng.choice([2.0**-20, 1e-2, 1.0], n)) / abs(b)
+    broken = draw(st.sampled_from([None, "diagonal", "zero"]))
+    k = draw(st.integers(0, n - 1))
+    if broken == "diagonal" and mass[k] > 0.0:
+        diagonal[k] = 0.5 * mass[k] / abs(b[k])
+    elif broken == "zero":
+        b[k] = 0.0
+    else:
+        broken = None
+    return (C + sparse.diags(diagonal)).tocsr(), b, broken is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(b_dominant_products())
+def test_certified_lumping_keeps_a_dominant_product_semidefinite(case):
+    """Lumping a negative coupling keeps the b-scaled slack of both rows,
+    so a product that is weakly dominant once scaled by b stays positive
+    semidefinite at any threshold for its negative couplings; it keeps
+    A_c b = A b, and the result is the two-pass reference's bit for bit.
+    A product that is not certified lumps by NON_GALERKIN_THETA alone: its
+    bits do not depend on NON_GALERKIN_THETA_NEGATIVE."""
+    A, b, dominant = case
+    identity = sparse.identity(A.shape[0], format="csr")
+    results = []
+    certified = []
+    with pytest.MonkeyPatch.context() as mp:
+        b_dominant = hierarchy._b_dominant
+        mp.setattr(hierarchy, "_b_dominant",
+                   lambda *args: certified.append(b_dominant(*args)) or certified[-1])
+        for theta in (hierarchy.NON_GALERKIN_THETA, 2e-3, 0.1, 1.0):
+            mp.setattr(hierarchy, "NON_GALERKIN_THETA_NEGATIVE", theta)
+            Ac = galerkin_product(identity, A, b)
+            assert_same_csr(Ac, two_pass_galerkin(identity, A, b))
+            results.append(Ac)
+    assert certified == [dominant] * 4
+    norm = abs(A).sum(axis=1).max()
+    for Ac in results:
+        assert (Ac != Ac.T).nnz == 0
+        assert_allclose(Ac @ b, A @ b, rtol=0.0, atol=1e-13 * (abs(A) @ abs(b)).max())
+        if dominant:
+            assert np.linalg.eigvalsh(Ac.toarray())[0] >= -1e-13 * norm
+        else:
+            assert_same_csr(Ac, results[0])
 
 
 OPERATOR_CHECKS = {"setup": lambda A: setup(A, SetupConfig()),
@@ -1264,7 +1347,7 @@ WORK_COUNTS = pytest.mark.parametrize("problem, mode, degree, cg_iters, w_slots,
     ("aniso", "constrained", 2, [3, 3, 3, 3], [15376, 1285, 1865, 770], 15),
     ("aniso", "weighted", 4, [7, 7, 7, 7], [52093, 2493, 10004, 1227], 55),
     ("osc", "constrained", 2, [0, 3, 3, 3], [7812, 7626, 1910, 471], 8),
-    ("osc", "weighted", 4, [3, 7, 7, 7], [30500, 25550, 5919, 1109], 7),
+    ("osc", "weighted", 4, [3, 7, 7, 7], [30500, 25550, 5919, 1165], 7),
 ], ids=["aniso-constrained-2", "aniso-weighted-4", "osc-constrained-2", "osc-weighted-4"])
 
 
@@ -1386,8 +1469,10 @@ def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
     injected candidate.
     It differs from P^T A P off the diagonal only where it stores no
     entry, and no such entry exceeds theta sqrt(a_ii a_jj) of P^T A P,
-    both up to the round-off of forming the product, n eps (|P|^T |A|
-    |P|)_ij.  A sparse random G can leave a level without any coupling;
+    theta = NON_GALERKIN_THETA, or NON_GALERKIN_THETA_NEGATIVE for a
+    negative one where P^T A P is weakly diagonally dominant once scaled
+    by b, all up to the round-off of forming the product, n eps (|P|^T
+    |A| |P|)_ij.  A sparse random G can leave a level without any coupling;
     coarsening may stop early only there, so such a coarsest level is
     diagonal."""
     A, cfg = problem
@@ -1410,8 +1495,12 @@ def test_vcycle_is_an_spd_preconditioner_and_galerkin_levels_spd(problem):
         dropped = off & (Ac == 0.0)
         d = np.diag(dense)
         assert np.all(np.abs(Ac - dense)[off & ~dropped] <= round_off[off & ~dropped])
-        assert np.all((np.abs(dense) - hierarchy.NON_GALERKIN_THETA
-                       * np.sqrt(np.outer(d, d)))[dropped] <= round_off[dropped])
+        slack = d * abs(b) - (abs(dense) * off) @ abs(b)
+        certified = np.all(b != 0.0) and np.all(slack >= -(round_off @ abs(b)))
+        theta = np.where(certified & (dense < 0.0), hierarchy.NON_GALERKIN_THETA_NEGATIVE,
+                         hierarchy.NON_GALERKIN_THETA)
+        assert np.all((np.abs(dense) - theta * np.sqrt(np.outer(d, d)))[dropped]
+                      <= round_off[dropped])
     n = A.shape[0]
     B = np.column_stack([vcycle(H, 0, e) for e in np.eye(n)])
     assert np.abs(B - B.T).max() <= 1e-12 * np.abs(B).max()
@@ -1440,21 +1529,33 @@ def test_smoother_weight_keeps_the_vcycle_positive_definite():
 
 @pytest.mark.parametrize("factor", [1, 2])
 @pytest.mark.parametrize("degree", [2, 4])
-@pytest.mark.parametrize("spec", [ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3),
-                                  ProblemSpec("oscillatory", 64, K=1e6)],
-                         ids=["aniso", "osc"])
-def test_lumped_levels_stay_positive_definite_at_twice_theta(spec, degree, factor,
+@pytest.mark.parametrize("spec, mode", [
+    (ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3), "constrained"),
+    (ProblemSpec("oscillatory", 64, K=1e6), "constrained"),
+    (ProblemSpec("oscillatory", 64, K=1e6), "weighted"),
+], ids=["aniso", "osc", "osc-weighted"])
+def test_lumped_levels_stay_positive_definite_at_twice_theta(spec, mode, degree, factor,
                                                              monkeypatch):
-    """Margin of NON_GALERKIN_THETA: at theta and at 2 theta every coarse
-    level of the benchmark's setup (constrained, the smoothed constant)
-    has a dense Cholesky factorization, and V-cycle PCG reaches 1e-8.  At
-    2e-3 (4 theta) rotated anisotropic n=256, degree 4 stops in setup on
-    an indefinite level 5."""
-    monkeypatch.setattr(hierarchy, "NON_GALERKIN_THETA",
-                        factor * hierarchy.NON_GALERKIN_THETA)
+    """Margin of both lumping thresholds: at NON_GALERKIN_THETA and
+    NON_GALERKIN_THETA_NEGATIVE, and at twice both, every coarse level of
+    the benchmark's setup (the smoothed constant; weighted at the default
+    tau 1e-4) has a dense Cholesky factorization, and V-cycle PCG reaches
+    1e-8.  On osc the certificate holds on some products, so their
+    negative couplings are lumped at the second threshold; on aniso it
+    holds on none.  At theta = 2e-3 (4 NON_GALERKIN_THETA) for both
+    signs, rotated anisotropic n=256, degree 4 stops in setup on an
+    indefinite level 5."""
+    for name in ("NON_GALERKIN_THETA", "NON_GALERKIN_THETA_NEGATIVE"):
+        monkeypatch.setattr(hierarchy, name, factor * getattr(hierarchy, name))
+    certified = []
+    b_dominant = hierarchy._b_dominant
+    monkeypatch.setattr(hierarchy, "_b_dominant",
+                        lambda *args: certified.append(b_dominant(*args)) or certified[-1])
     A = assemble(spec).matrix
-    H = setup(A, SetupConfig(pattern_degree=degree, candidates=smoothed_constant(A, 5)))
+    H = setup(A, SetupConfig(mode=mode, pattern_degree=degree,
+                             candidates=smoothed_constant(A, 5)))
     assert H.n_levels >= 3
+    assert any(certified) == (spec.kind == "oscillatory")
     for lvl in H.levels[1:]:
         np.linalg.cholesky(lvl.A.toarray())
     b = np.random.default_rng(3).standard_normal(A.shape[0])
