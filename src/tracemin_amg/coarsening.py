@@ -14,7 +14,9 @@ Measures only grow, so a popped key of an assigned vertex is stale and
 dropped; with the heap empty, a forward cursor finds the lowest vertex
 of measure 0.  Each edge pushes one key at most: O(nnz log N), not one
 O(N) scan per C point.  The pass is kernels.greedy_split where it can
-be compiled, else _greedy_pass, the same loop in Python.
+be compiled, else _greedy_pass, the same loop in Python.  The strength
+graph's one-sided pass and the pattern have compiled kernels too, each
+with its NumPy/SciPy code as bit reference and fallback.
 """
 
 import heapq
@@ -142,7 +144,18 @@ def strength_graph(A, theta_strength):
 def _strong_couplings(A, d, theta_strength):
     """The one-sided strength graph of CSR A with diagonal d: the entries
     of each row that pass the threshold, in A's stored order, as boolean
-    data.  The scaled values die on return, before the union."""
+    data.  The pass is kernels.strong_couplings where it can run, which
+    holds no per-entry value, else _strong_pass, its bit reference."""
+    n = A.shape[0]
+    arrays = kernels.strong_couplings(A, d, theta_strength)
+    S_indptr, S_cols = _strong_pass(A, d, theta_strength) if arrays is None else arrays
+    return sparse.csr_matrix((np.ones(len(S_cols), dtype=bool), S_cols, S_indptr),
+                             shape=(n, n))
+
+
+def _strong_pass(A, d, theta_strength):
+    """_strong_couplings' (indptr, indices) in NumPy: the scaled values
+    and their repeated row maxima die on return, before the union."""
     n = A.shape[0]
     indptr, cols = A.indptr, A.indices
     counts = np.diff(indptr)
@@ -164,8 +177,7 @@ def _strong_couplings(A, d, theta_strength):
     S_indptr = np.zeros(n + 1, dtype=indptr.dtype)
     S_indptr[1:][nonempty] = np.add.reduceat(kept, starts, dtype=indptr.dtype)
     np.cumsum(S_indptr, out=S_indptr)
-    return sparse.csr_matrix((np.ones(S_indptr[-1], dtype=bool), cols[kept], S_indptr),
-                             shape=(n, n))
+    return S_indptr, cols[kept]
 
 
 def _adjacency(S):
@@ -243,18 +255,23 @@ def pattern_distance_k(S, split, k):
     """Interpolation pattern reaching C points within k strength edges.
 
     (i, j) is allowed iff F point i is reachable from C point j by a
-    path of at most k edges in the strength graph.  Reach is a boolean
-    SpGEMM, whose sums are logical ORs, so path counts never overflow:
-    the pattern is adj[F] @ (adj + I)^(k-1) restricted to the C columns,
-    evaluated right to left so each product has only n_c columns.  S is
-    read as cf_split reads it (see _adjacency).
+    path of at most k edges in the strength graph.  The compiled
+    kernels.distance_k_pattern searches breadth first from each F point
+    to depth k.  Its bit reference, and the path where it cannot run, is
+    a boolean SpGEMM, whose sums are logical ORs, so path counts never
+    overflow: the pattern is adj[F] @ (adj + I)^(k-1) restricted to the C
+    columns, evaluated right to left so each product has only n_c
+    columns.  S is read as cf_split reads it (see _adjacency).
     """
     check_count("k", k, minimum=1)
     adj = _adjacency(S)
-    eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")
-    step, reach = adj + eye, eye[:, split.c_points]
-    for _ in range(k - 1):
-        reach = step @ reach
-    block = adj[split.f_points] @ reach
-    block.sort_indices()
-    return SparsityPattern(split.n_f, split.n_c, block.indptr, block.indices)
+    arrays = kernels.distance_k_pattern(adj, split, k)
+    if arrays is None:
+        eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")
+        step, reach = adj + eye, eye[:, split.c_points]
+        for _ in range(k - 1):
+            reach = step @ reach
+        block = adj[split.f_points] @ reach
+        block.sort_indices()
+        arrays = block.indptr, block.indices
+    return SparsityPattern(split.n_f, split.n_c, *arrays)

@@ -284,27 +284,33 @@ def apply_weighted_operator(sys, values):
     """Apply Lhat to pattern slot values:
     (tau A_ff W + c2 (1 - tau) X_ff W B_c B_c^T) restricted to the pattern.
 
-    A_ff W at the slots is one kernels.masked_product call over all
-    slots where the kernel can run; it sums each slot as SpGEMM does and
-    forms no product.  Otherwise each row block of sys.rows forms and
-    samples A_ff[lo:hi] W at its slots, the kernel's bit reference.  The
-    candidate term is formed block by block, with V = W B_c (nf x n_b)
-    formed once, so only one block's temporaries are held at a time."""
+    Where the kernel can run, one kernels.masked_product call over all
+    slots forms tau A_ff W, summing each slot as SpGEMM does and forming
+    no product, and with one candidate the candidate term too.  Otherwise
+    each row block of sys.rows forms and samples A_ff[lo:hi] W at its
+    slots, the kernel's bit reference.  The candidate term of several
+    candidates, and of the Python path, is formed block by block, with
+    V = W B_c (nf x n_b) formed once, so only one block's temporaries are
+    held at a time."""
     pat, rows, tau, A_ff = sys.pattern, sys.rows, sys.tau, sys.A_ff
-    W = pat.to_csr(values)
     out = np.zeros(pat.nnz) if tau == 0.0 else np.empty(pat.nnz)
-    sampled = tau > 0.0 and kernels.masked_product(A_ff, pat, values, out) is None
+    one = sys.cand_scale is not None and sys.B_c.shape[1] == 1
+    candidate = (sys.cand_scale, sys.B_c[:, 0]) if one else ()
+    compiled = kernels.masked_product(A_ff, pat, values, out, tau, *candidate) is not None
+    if compiled and (one or tau == 1.0):
+        return out
+    W = pat.to_csr(values)
     V = W @ sys.B_c if tau < 1.0 else None             # (nf, n_b)
     for lo, hi, slots, *_ in rows.blocks:
         part = out[slots]
-        if sampled:
+        if not compiled and tau > 0.0:
             a, b = A_ff.indptr[lo], A_ff.indptr[hi]
             A_rows = sparse.csr_matrix((A_ff.data[a:b], A_ff.indices[a:b],
                                         A_ff.indptr[lo:hi + 1] - a),
                                        shape=(hi - lo, A_ff.shape[1]))
             part[:] = _slot_values(A_rows @ W, pat.slot_rows[slots] - lo, pat.cols[slots])
-        if 0.0 < tau < 1.0:
-            part *= tau
+            if tau < 1.0:
+                part *= tau
         if V is not None:
             part += sys.cand_scale[slots] * np.einsum(
                 "ik,ik->i", V[pat.slot_rows[slots]], rows.candidate_rows(slots))

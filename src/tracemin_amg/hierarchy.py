@@ -24,6 +24,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve
 
+from . import kernels
 from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (candidate_block, constrained_energymin, prepare_candidates,
                         weighted_energymin)
@@ -211,14 +212,19 @@ def galerkin_product(P, A, b=None):
     semidefinite by Gershgorin, and so is the lumped A_c, congruent to
     it, at any threshold for negative couplings.
 
-    One pass over row blocks of at most GALERKIN_BLOCK_ENTRIES stored
-    entries checks the certificate, stopping at the first block with a
-    negative slack; a second pass over the same blocks decides every
-    entry: it reads |a_ij| once, applies both rules, sums each row's
-    lumped a_ij b_j, writes a_ii + sum / b_i into the stored diagonal of a
-    row whose sum is nonzero and zeroes the dropped entries in place.
-    Besides the product it holds the diagonal's vectors and a few arrays
-    of one block.
+    After the two SpGEMMs, which stay SciPy's, the compiled
+    kernels.symmetrize averages the product in place, pairing each entry
+    with its mirror by one cursor per row, and kernels.drop_and_lump
+    checks the certificate and decides every entry in one row loop.
+    Their bit reference, and the path where they cannot run, is
+    _symmetrized and _drop_and_lump: one pass over row blocks of at most
+    GALERKIN_BLOCK_ENTRIES stored entries checks the certificate,
+    stopping at the first block with a negative slack; a second pass over
+    the same blocks decides every entry: it reads |a_ij| once, applies
+    both rules, sums each row's lumped a_ij b_j, writes a_ii + sum / b_i
+    into the stored diagonal of a row whose sum is nonzero and zeroes the
+    dropped entries in place.  Besides the product either path holds the
+    diagonal's vectors, and the NumPy path a few arrays of one block.
     """
     if P.shape[0] != A.shape[0] or A.shape[0] != A.shape[1]:
         raise ValueError("shapes do not conform for P^T A P")
@@ -231,24 +237,38 @@ def galerkin_product(P, A, b=None):
             raise ValueError("b has a non-finite entry (NaN or inf)")
     Ac = P.T.tocsr() @ (A @ P)  # A P dies once the product exists
     Ac.sort_indices()
-    Ac = _symmetrized(Ac)
+    if kernels.symmetrize(Ac) is None:
+        Ac = _symmetrized(Ac)
     d = Ac.diagonal()
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
     t = np.sqrt(np.abs(d) * np.finfo(np.float64).eps)
-    bounds = row_blocks(Ac.indptr, GALERKIN_BLOCK_ENTRIES)
-    blocks = list(zip(bounds[:-1], bounds[1:]))
     # q_ij = |a_ij| b_j / (theta a_ii b_i) = |a_ij| r_i b_j, or 0 where
     # b_i = 0 or a_ii <= 0, so q_ij in (0, 1] needs b_i b_j > 0 and a_ii > 0;
-    # r_neg is r at the negative couplings' theta, None unless certified
+    # r_neg is r at the negative couplings' theta, read only if certified
     r = r_neg = None
     if b is not None:
-        def reciprocal(theta):
-            return np.divide(1.0, theta * d * b, out=np.zeros_like(d),
-                             where=(d > 0.0) & (b != 0.0))
-        r = reciprocal(NON_GALERKIN_THETA)
-        if _b_dominant(Ac, d, b, blocks):
-            r_neg = reciprocal(NON_GALERKIN_THETA_NEGATIVE)
+        r, r_neg = (np.divide(1.0, theta * d * b, out=np.zeros_like(d),
+                              where=(d > 0.0) & (b != 0.0))
+                    for theta in (NON_GALERKIN_THETA, NON_GALERKIN_THETA_NEGATIVE))
+    dropped = kernels.drop_and_lump(Ac, d, t, b, r, r_neg)
+    if dropped is None:
+        dropped = _drop_and_lump(Ac, d, t, b, r, r_neg)
+    if dropped:
+        Ac.eliminate_zeros()
+    return Ac
+
+
+def _drop_and_lump(Ac, d, t, b, r, r_neg):
+    """galerkin_product's pass over row blocks, the bit reference of
+    kernels.drop_and_lump: certify Ac (r_neg is dropped unless
+    _b_dominant holds), then zero every dropped and lumped entry of Ac in
+    place and lump onto the diagonals; returns whether any entry was
+    zeroed."""
+    bounds = row_blocks(Ac.indptr, GALERKIN_BLOCK_ENTRIES)
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    if r_neg is not None and not _b_dominant(Ac, d, b, blocks):
+        r_neg = None
     dropped = False
     for lo, hi in blocks:
         rows, cols, data = _block(Ac, lo, hi)
@@ -275,9 +295,7 @@ def galerkin_product(P, A, b=None):
             drop |= lump
         data[drop] = 0.0
         dropped = dropped or bool(drop.any())
-    if dropped:
-        Ac.eliminate_zeros()
-    return Ac
+    return dropped
 
 
 def _block(Ac, lo, hi):

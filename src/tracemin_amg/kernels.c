@@ -1,14 +1,52 @@
-/* Compiled kernels of the setup's two slowest phases.
+/* Compiled kernels of the setup's NumPy and Python passes.
  *
  * kernels.py compiles this file with -ffp-contract=off, so no product is
  * fused into an addition and every sum rounds as the NumPy/SciPy path
  * it replaces does.  The Python code beside each caller is the bit
- * reference: coarsening.cf_split's greedy pass and the sampled SpGEMM
- * product of energymin.apply_weighted_operator.  Index arrays are
- * int32, as SciPy stores them below 2^31 entries.
+ * reference: coarsening._strong_couplings' one-sided pass, cf_split's
+ * greedy pass and pattern_distance_k's boolean SpGEMMs,
+ * energymin.apply_weighted_operator's sampled product and one-candidate
+ * term, and hierarchy.galerkin_product's symmetrization, dominance
+ * certificate and drop-and-lump loop.  Index arrays are int32, as SciPy
+ * stores them below 2^31 entries.
  */
 
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+
+/* Strength of connection, one-sided: for each row i of the n x n CSR A
+ * (indptr, indices, data) with diagonal d, the entries a_ij, j != i,
+ * whose scaled value v_ij = |a_ij| / sqrt(d_i d_j) passes
+ * v_ij >= theta max_k v_ik and v_ij > 0, in A's stored order, written to
+ * (s_ptr, s_idx); s_idx has room for every stored entry.  The row
+ * maximum is taken as np.maximum.reduceat takes it, a NaN included, and
+ * a diagonal entry scales to 0.0.
+ */
+void strong_couplings(int64_t n, const int32_t *indptr, const int32_t *indices,
+                      const double *data, const double *d, double theta,
+                      int32_t *s_ptr, int32_t *s_idx)
+{
+    int32_t pos = 0;
+    s_ptr[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double m = 0.0;
+        for (int32_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
+            int32_t j = indices[jj];
+            double v = j == i ? 0.0 : fabs(data[jj]) / sqrt(d[i] * d[j]);
+            if (jj == indptr[i] || isnan(v) || v > m)
+                m = isnan(m) ? m : v;
+        }
+        m *= theta;
+        for (int32_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
+            int32_t j = indices[jj];
+            double v = j == i ? 0.0 : fabs(data[jj]) / sqrt(d[i] * d[j]);
+            if (v >= m && v > 0.0)
+                s_idx[pos++] = j;
+        }
+        s_ptr[i + 1] = pos;
+    }
+}
 
 /* Binary min-heap of int64 keys in heap[0:size]. */
 static void heap_push(int64_t *heap, int64_t size, int64_t key)
@@ -102,39 +140,246 @@ void greedy_split(int64_t n, const int32_t *indptr, const int32_t *indices,
     }
 }
 
-/* (A W) at W's own slots: out[s] for each of W's slots s, numbered as
- * W's entries.  A is the n_rows x n_rows CSR (a_ptr, a_idx, a_val), its
- * columns W's rows; W is the CSR (w_ptr, w_idx, w_val) with no repeated
- * column in a row.  Gustavson's row loop: marker[k] is the slot of column k in the
+static int compare_int32(const void *a, const void *b)
+{
+    int32_t x = *(const int32_t *)a, y = *(const int32_t *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sort values[0:count] ascending: by insertion for a short row, else qsort. */
+static void sort_int32(int32_t *values, int64_t count)
+{
+    if (count > 32) {
+        qsort(values, (size_t)count, sizeof *values, compare_int32);
+        return;
+    }
+    for (int64_t a = 1; a < count; a++) {
+        int32_t key = values[a];
+        int64_t b = a;
+        for (; b > 0 && values[b - 1] > key; b--)
+            values[b] = values[b - 1];
+        values[b] = key;
+    }
+}
+
+/* The distance-k interpolation pattern over the adjacency (indptr,
+ * indices): row r lists, sorted, the C-local index c_index[w] of every C
+ * point w (c_index[w] >= 0; -1 at an F point) that a breadth-first search
+ * from F point f_points[r] reaches within k edges.
+ *
+ * Rows row, row + 1, ... are written to (out_ptr, out_cols), out_ptr[row]
+ * set on entry and out_cols of room `capacity`, until all n_f rows are
+ * written or a row would not fit; returns the first row not written.
+ * mark holds, per vertex, the last row that visited it (-1 on the first
+ * call; a row that did not fit leaves no mark), queue room for every
+ * vertex.
+ */
+int64_t distance_k_rows(int64_t k, const int32_t *indptr, const int32_t *indices,
+                        const int32_t *c_index, int64_t n_f, const int64_t *f_points,
+                        int64_t row, int32_t *mark, int32_t *queue,
+                        int32_t *out_ptr, int32_t *out_cols, int64_t capacity)
+{
+    for (; row < n_f; row++) {
+        int32_t stamp = (int32_t)row;
+        int64_t head = 0, tail = 0, first = out_ptr[row], pos = first;
+        mark[f_points[row]] = stamp;
+        queue[tail++] = (int32_t)f_points[row];
+        for (int64_t depth = 0; depth < k && head < tail; depth++) {
+            for (int64_t end = tail; head < end; head++) {
+                int32_t v = queue[head];
+                for (int32_t jj = indptr[v]; jj < indptr[v + 1]; jj++) {
+                    int32_t w = indices[jj];
+                    if (mark[w] == stamp)
+                        continue;
+                    mark[w] = stamp;
+                    queue[tail++] = w;
+                    if (c_index[w] < 0)
+                        continue;
+                    if (pos == capacity) {
+                        for (int64_t q = 0; q < tail; q++)
+                            mark[queue[q]] = -1;
+                        return row;
+                    }
+                    out_cols[pos++] = c_index[w];
+                }
+            }
+        }
+        sort_int32(out_cols + first, pos - first);
+        out_ptr[row + 1] = (int32_t)pos;
+    }
+    return row;
+}
+
+/* The weighted operator at W's own slots: out[s] for each of W's slots
+ * s, numbered as W's entries, is
+ *
+ *     tau (A W)_s + cand_scale[s] V_i b_c[k],   V = W b_c,
+ *
+ * for slot s = (i, k).  A is the n_rows x n_rows CSR (a_ptr, a_idx,
+ * a_val), its columns W's rows; W is the CSR (w_ptr, w_idx, w_val) with
+ * no repeated column in a row.  (A W) is formed only for tau > 0 and
+ * multiplied by tau only for 0 < tau < 1; with cand_scale NULL there is
+ * no candidate term, and b_c and v are not read.
+ *
+ * Gustavson's row loop: marker[k] is the slot of column k in the
  * current row, or -1 (marker holds -1 at every column on entry and on
  * return).  Each slot sums a_ij w_jk from 0.0 in A's stored order of j,
  * as SciPy's csr_matmat sums the entry (i, k) of the product, so a slot
  * reads the product's stored entry to the bit, and 0.0 where the
- * product stores none (no term, or terms that sum to zero).
+ * product stores none (no term, or terms that sum to zero).  V_i sums
+ * w_ik b_c[k] from 0.0 in W's order, as SciPy's W @ b_c does.  The
+ * Python path's einsum forms 0.0 + V_i b_c[k], turning a -0.0 into +0.0;
+ * here that sign cannot show, since a slot's value before the term is
+ * never -0.0 (each sum starts from +0.0), so adding either zero keeps it.
  */
 void masked_product(int64_t n_rows,
                     const int32_t *a_ptr, const int32_t *a_idx, const double *a_val,
                     const int32_t *w_ptr, const int32_t *w_idx, const double *w_val,
-                    int32_t *marker, double *out)
+                    int32_t *marker, double tau, const double *cand_scale,
+                    const double *b_c, double *v, double *out)
 {
+    if (cand_scale)
+        for (int64_t i = 0; i < n_rows; i++) {
+            double sum = 0.0;
+            for (int32_t s = w_ptr[i]; s < w_ptr[i + 1]; s++)
+                sum += w_val[s] * b_c[w_idx[s]];
+            v[i] = sum;
+        }
     for (int64_t i = 0; i < n_rows; i++) {
         int32_t first = w_ptr[i], last = w_ptr[i + 1];
         if (first == last)
             continue;
-        for (int32_t s = first; s < last; s++) {
-            marker[w_idx[s]] = s;
+        for (int32_t s = first; s < last; s++)
             out[s] = 0.0;
-        }
-        for (int32_t jj = a_ptr[i]; jj < a_ptr[i + 1]; jj++) {
-            int32_t j = a_idx[jj];
-            double v = a_val[jj];
-            for (int32_t kk = w_ptr[j]; kk < w_ptr[j + 1]; kk++) {
-                int32_t s = marker[w_idx[kk]];
-                if (s >= 0)
-                    out[s] += v * w_val[kk];
+        if (tau > 0.0) {
+            for (int32_t s = first; s < last; s++)
+                marker[w_idx[s]] = s;
+            for (int32_t jj = a_ptr[i]; jj < a_ptr[i + 1]; jj++) {
+                int32_t j = a_idx[jj];
+                double a = a_val[jj];
+                for (int32_t kk = w_ptr[j]; kk < w_ptr[j + 1]; kk++) {
+                    int32_t s = marker[w_idx[kk]];
+                    if (s >= 0)
+                        out[s] += a * w_val[kk];
+                }
+            }
+            for (int32_t s = first; s < last; s++) {
+                marker[w_idx[s]] = -1;
+                if (tau < 1.0)
+                    out[s] *= tau;
             }
         }
-        for (int32_t s = first; s < last; s++)
-            marker[w_idx[s]] = -1;
+        if (cand_scale)
+            for (int32_t s = first; s < last; s++)
+                out[s] += cand_scale[s] * (v[i] * b_c[w_idx[s]]);
     }
+}
+
+/* The symmetric average ((Ac + Ac^T) * 0.5) of the n x n CSR Ac with
+ * sorted rows, in place, where Ac^T stores the same positions.  Row j's
+ * entries above the diagonal are paired, in column order, with the
+ * entries (i, j), i > j, met row by row, through one forward cursor per
+ * row (cursor, room for n).  Returns 0, Ac untouched, where the pattern
+ * is not symmetric; else 1, or 2 where an average is exactly zero (the
+ * caller then drops the zeros, as the sparse sum stores none).
+ */
+int symmetrize(int64_t n, const int32_t *indptr, const int32_t *indices, double *data,
+               int32_t *cursor)
+{
+    for (int pass = 0;; pass++) {
+        int zero = 0;
+        for (int64_t j = 0; j < n; j++) {
+            int32_t jj = indptr[j];
+            while (jj < indptr[j + 1] && indices[jj] <= j)
+                jj++;
+            cursor[j] = jj;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            int32_t jj = indptr[i];
+            for (; jj < indptr[i + 1] && indices[jj] < i; jj++) {
+                int32_t j = indices[jj], p = cursor[j]++;
+                if (pass == 0) {
+                    if (p == indptr[j + 1] || indices[p] != i)
+                        return 0;
+                } else {
+                    data[jj] = data[p] = (data[jj] + data[p]) * 0.5;
+                    zero |= data[jj] == 0.0;
+                }
+            }
+            if (pass == 1 && jj < indptr[i + 1] && indices[jj] == i) {
+                data[jj] = (data[jj] + data[jj]) * 0.5;
+                zero |= data[jj] == 0.0;
+            }
+        }
+        if (pass == 1)
+            return 1 + zero;
+        for (int64_t j = 0; j < n; j++)
+            if (cursor[j] != indptr[j + 1])
+                return 0;
+    }
+}
+
+/* Whether b-scaled diagonal dominance certifies the CSR Ac of diagonal
+ * d: every b_i != 0 and every row has d_i |b_i| >= sum_{j != i} |a_ij|
+ * |b_j|, summed from 0.0 in stored order (hierarchy._b_dominant).
+ */
+static int b_dominant(int64_t n, const int32_t *indptr, const int32_t *indices,
+                      const double *data, const double *d, const double *b)
+{
+    for (int64_t i = 0; i < n; i++)
+        if (b[i] == 0.0)
+            return 0;
+    for (int64_t i = 0; i < n; i++) {
+        double mass = 0.0;
+        for (int32_t jj = indptr[i]; jj < indptr[i + 1]; jj++)
+            if (indices[jj] != i)
+                mass += fabs(data[jj]) * fabs(b[indices[jj]]);
+        if (d[i] * fabs(b[i]) < mass)
+            return 0;
+    }
+    return 1;
+}
+
+/* hierarchy.galerkin_product's drop-and-lump rule, in one row loop over
+ * the n x n CSR Ac of diagonal d, in place.  An entry is dropped where
+ * |a_ij| < t_i t_j.  Given b (else b, r and r_neg are NULL), an entry not
+ * dropped is lumped where q = (r_i b_j) |a_ij| and (b_i r_j) |a_ij| both
+ * lie in (0, 1], r read from r_neg for a_ij < 0 on a product that
+ * b_dominant certifies (r_neg not NULL); each row sums its lumped a_ij b_j
+ * from 0.0 in stored order, and a nonzero sum `moved` sets the row's
+ * stored diagonal, if kept, to d_i + moved / b_i.  Dropped and lumped
+ * entries are set to 0.0.  Returns their count.
+ */
+int64_t drop_and_lump(int64_t n, const int32_t *indptr, const int32_t *indices,
+                      double *data, const double *d, const double *t, const double *b,
+                      const double *r, const double *r_neg)
+{
+    int64_t zeroed = 0;
+    if (b && r_neg && !b_dominant(n, indptr, indices, data, d, b))
+        r_neg = NULL;
+    for (int64_t i = 0; i < n; i++) {
+        double moved = 0.0;
+        int32_t diagonal = -1;
+        for (int32_t jj = indptr[i]; jj < indptr[i + 1]; jj++) {
+            int32_t j = indices[jj];
+            double a = data[jj], size = fabs(a);
+            int drop = size < t[i] * t[j], lump = 0;
+            if (b && !drop) {
+                const double *rr = r_neg && a < 0.0 ? r_neg : r;
+                double q_ij = rr[i] * b[j] * size, q_ji = b[i] * rr[j] * size;
+                lump = q_ij > 0.0 && q_ij <= 1.0 && q_ji > 0.0 && q_ji <= 1.0;
+                if (lump)
+                    moved += a * b[j];
+            }
+            if (drop || lump) {
+                data[jj] = 0.0;
+                zeroed++;
+            } else if (j == i) {
+                diagonal = jj;
+            }
+        }
+        if (moved != 0.0 && diagonal >= 0)
+            data[diagonal] = d[i] + moved / b[i];
+    }
+    return zeroed;
 }

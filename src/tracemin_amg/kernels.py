@@ -1,4 +1,11 @@
-"""The compiled CF split and masked slot product, built on first use.
+"""The compiled passes of the setup, built on first use.
+
+Six kernels stand in for NumPy/Python passes, in the order setup runs
+them: the one-sided strength graph (coarsening._strong_couplings), the
+greedy CF split (cf_split), the distance-k pattern (pattern_distance_k),
+the weighted operator at the pattern slots with its one-candidate term
+(energymin.apply_weighted_operator), and the Galerkin product's
+symmetrization and drop-and-lump pass (hierarchy.galerkin_product).
 
 kernels.c ships beside this module.  The first call of library() in a
 process compiles it with the system C compiler (`cc -O2
@@ -14,8 +21,8 @@ library that cannot be read, compiled or loaded, library() returns None
 and every caller quietly runs its NumPy/Python path, which is the bit
 reference of the kernel it stands in for.  backend() names the path
 setup takes.  The wrappers below return None where their kernel cannot
-run (no library, or an index array that is not int32); the caller then
-takes its own path.
+run (no library, or an index array that is not int32, say); the caller
+then takes its own path, and the wrapper leaves its outputs untouched.
 """
 
 import ctypes
@@ -29,7 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["library", "backend", "greedy_split", "masked_product"]
+__all__ = ["library", "backend", "strong_couplings", "greedy_split", "distance_k_pattern",
+           "masked_product", "symmetrize", "drop_and_lump"]
 
 SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -37,15 +45,28 @@ FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _INDEX = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
 _INDEX_OUT = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS,WRITEABLE")
 _VALUES = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-_SIGNATURES = {
-    "greedy_split": [ctypes.c_int64, _INDEX, _INDEX,
-                     np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE"),
-                     _INDEX_OUT,
-                     np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")],
-    "masked_product": [ctypes.c_int64, _INDEX, _INDEX, _VALUES,
-                       _INDEX, _INDEX, _VALUES, _INDEX_OUT,
-                       np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")],
+_VALUES_OUT = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+_OPTIONAL = ctypes.c_void_p  # an array's address, or None for NULL
+_SIGNATURES = {  # name: (restype, argtypes)
+    "strong_couplings": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES,
+                                ctypes.c_double, _INDEX_OUT, _INDEX_OUT]),
+    "greedy_split": (None, [ctypes.c_int64, _INDEX, _INDEX,
+                            np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS,WRITEABLE"),
+                            _INDEX_OUT,
+                            np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE")]),
+    "distance_k_rows": (ctypes.c_int64, [
+        ctypes.c_int64, _INDEX, _INDEX, _INDEX, ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), ctypes.c_int64,
+        _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, ctypes.c_int64]),
+    "masked_product": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES,
+                              _INDEX, _INDEX, _VALUES, _INDEX_OUT, ctypes.c_double,
+                              _OPTIONAL, _OPTIONAL, _OPTIONAL, _VALUES_OUT]),
+    "symmetrize": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES_OUT, _INDEX_OUT]),
+    "drop_and_lump": (ctypes.c_int64, [ctypes.c_int64, _INDEX, _INDEX, _VALUES_OUT,
+                                       _VALUES, _VALUES, _OPTIONAL, _OPTIONAL, _OPTIONAL]),
 }
+# the kernels number entries in int32, as SciPy's int32 index arrays do
+_MAX_ENTRIES = np.iinfo(np.int32).max
 
 
 def _cache_dir():
@@ -96,9 +117,9 @@ def library():
         lib = ctypes.CDLL(str(target))
     except OSError:
         return None
-    for name, argtypes in _SIGNATURES.items():
+    for name, (restype, argtypes) in _SIGNATURES.items():
         function = getattr(lib, name)
-        function.argtypes, function.restype = argtypes, None
+        function.argtypes, function.restype = argtypes, restype
     return lib
 
 
@@ -110,6 +131,38 @@ def backend():
 
 def _int32(*arrays):
     return all(a.dtype == np.int32 for a in arrays)
+
+
+def _address(*arrays):
+    """Each float64 array as its contiguous copy's address, None as NULL;
+    returns (addresses, arrays): the caller holds the arrays through the
+    call, since an address keeps nothing alive."""
+    arrays = [None if a is None else np.ascontiguousarray(a, dtype=np.float64)
+              for a in arrays]
+    return [None if a is None else a.ctypes.data for a in arrays], arrays
+
+
+def _square_float_csr(M):
+    """Whether the CSR M is square with int32 indices and float64 data."""
+    return (M.shape[0] == M.shape[1] and _int32(M.indptr, M.indices)
+            and M.data.dtype == np.float64)
+
+
+def strong_couplings(A, d, theta):
+    """The one-sided strength graph of coarsening._strong_couplings of the
+    square CSR A with diagonal d at threshold theta, as its int32 (indptr,
+    indices); None where the kernel cannot run."""
+    lib = library()
+    if lib is None or not _square_float_csr(A):
+        return None
+    n = A.shape[0]
+    if d.shape != (n,):
+        raise ValueError(f"strong_couplings: a diagonal of shape {d.shape} for a "
+                         f"{n} x {n} matrix")
+    indptr, indices = np.empty(n + 1, dtype=np.int32), np.empty(A.nnz, dtype=np.int32)
+    lib.strong_couplings(n, A.indptr, A.indices, A.data,
+                         np.ascontiguousarray(d, dtype=np.float64), theta, indptr, indices)
+    return indptr, indices[:indptr[-1]]
 
 
 def greedy_split(S, state):
@@ -126,21 +179,102 @@ def greedy_split(S, state):
     return state
 
 
-def masked_product(A, pattern, values, out):
-    """(A W) at W's own slots, W the pattern with `values`, written to the
-    slot vector out and returned, bit for bit what sampling the SpGEMM
-    product A @ W at the slots reads; None with out untouched where the
-    kernel cannot run.  A is square CSR over the pattern's rows."""
+def distance_k_pattern(adj, split, k):
+    """The rows of coarsening.pattern_distance_k over the canonical
+    adjacency adj, as int32 (indptr, cols), each row's C-local columns
+    sorted; None where the kernel cannot run, or where a split index lies
+    outside the graph (the SciPy path then raises)."""
     lib = library()
-    if (lib is None or not _int32(A.indptr, A.indices, pattern.indptr, pattern.cols)
-            or A.data.dtype != np.float64):
+    n = adj.shape[0]
+    f, c = split.f_points, split.c_points
+    if (lib is None or not _int32(adj.indptr, adj.indices)
+            or any(len(p) and (p.min() < 0 or p.max() >= n) for p in (f, c))):
+        return None
+    c_index = np.full(n, -1, dtype=np.int32)
+    c_index[c] = np.arange(len(c), dtype=np.int32)
+    f = np.ascontiguousarray(f, dtype=np.int64)
+    indptr = np.zeros(len(f) + 1, dtype=np.int32)
+    cols = np.empty(min(max(adj.nnz, 1), _MAX_ENTRIES), dtype=np.int32)
+    mark, queue = np.full(n, -1, dtype=np.int32), np.empty(n, dtype=np.int32)
+    row = 0
+    # a row that does not fit is left unwritten: grow cols and go on from it
+    while (row := lib.distance_k_rows(k, adj.indptr, adj.indices, c_index, len(f), f, row,
+                                      mark, queue, indptr, cols, len(cols))) < len(f):
+        if len(cols) == _MAX_ENTRIES:
+            return None
+        grown = np.empty(min(2 * len(cols), _MAX_ENTRIES), dtype=np.int32)
+        grown[:indptr[row]] = cols[:indptr[row]]
+        cols = grown
+    return indptr, cols[:indptr[-1]].copy()
+
+
+def masked_product(A, pattern, values, out, tau=1.0, cand_scale=None, b_c=None):
+    """The weighted operator of energymin.apply_weighted_operator at W's
+    own slots, W the pattern with `values`, written to the slot vector out
+    and returned: tau (A W), bit for bit what sampling the SpGEMM product
+    A @ W at the slots reads times tau (formed only for tau > 0, and
+    multiplied only for tau < 1), plus, given the one-candidate term's
+    cand_scale (a slot vector) and b_c (the candidate at the pattern's
+    columns), cand_scale V_i b_c[k] at each slot (i, k), V = W b_c.
+    None with out untouched where the kernel cannot run.  A is square CSR
+    over the pattern's rows."""
+    lib = library()
+    if (lib is None or not _square_float_csr(A)
+            or not _int32(pattern.indptr, pattern.cols)):
         return None
     nf, nc = pattern.shape
     if A.shape != (nf, nf) or values.shape != (pattern.nnz,) or out.shape != values.shape:
         raise ValueError(f"masked_product: A {A.shape}, {len(values)} values and "
                          f"{len(out)} outputs do not fit a {nf} x {nc} pattern "
                          f"of {pattern.nnz} slots")
+    if (cand_scale is None) != (b_c is None) or (
+            b_c is not None and (cand_scale.shape != out.shape or b_c.shape != (nc,))):
+        raise ValueError("masked_product: the candidate term needs cand_scale, one value "
+                         "per slot, and b_c, one value per pattern column")
+    addresses, held = _address(cand_scale, b_c, None if b_c is None else np.empty(nf))
     lib.masked_product(nf, A.indptr, A.indices, A.data, pattern.indptr, pattern.cols,
                        np.ascontiguousarray(values, dtype=np.float64),
-                       np.full(nc, -1, dtype=np.int32), out)
+                       np.full(nc, -1, dtype=np.int32), tau, *addresses, out)
     return out
+
+
+def symmetrize(Ac):
+    """((Ac + Ac.T) * 0.5) of the square CSR Ac, its indices sorted, in
+    place, bit for bit hierarchy._symmetrized's, exactly zero averages
+    dropped; returns Ac, or None with Ac untouched where the kernel cannot
+    run or Ac's pattern is not symmetric."""
+    lib = library()
+    if lib is None or not _square_float_csr(Ac):
+        return None
+    if not Ac.has_sorted_indices:
+        raise ValueError("symmetrize: the product's indices are not sorted")
+    status = lib.symmetrize(Ac.shape[0], Ac.indptr, Ac.indices, Ac.data,
+                            np.empty(Ac.shape[0], dtype=np.int32))
+    if status == 0:
+        return None
+    if status == 2:
+        Ac.eliminate_zeros()
+    return Ac
+
+
+def drop_and_lump(Ac, d, t, b, r, r_neg):
+    """hierarchy.galerkin_product's drop-and-lump pass in place on the
+    square CSR Ac, a SciPy product, of diagonal d, with round-off bounds
+    t and, given the candidate b (else b, r and r_neg are None), its
+    lumping factors r, and r_neg for negative couplings, used where the
+    kernel's own b-scaled dominance check certifies Ac: bit for bit
+    hierarchy._drop_and_lump.  Dropped and lumped entries are set to 0.0
+    and stay stored.  Returns whether any was; None with Ac untouched
+    where the kernel cannot run."""
+    lib = library()
+    if lib is None or not _square_float_csr(Ac):
+        return None
+    n = Ac.shape[0]
+    vectors = [v for v in (d, t, b, r, r_neg) if v is not None]
+    if any(v.shape != (n,) for v in vectors) or len(vectors) not in (2, 5):
+        raise ValueError(f"drop_and_lump: d, t and, given b, r and r_neg must be "
+                         f"vectors of length {n}")
+    addresses, held = _address(b, r, r_neg)
+    return lib.drop_and_lump(n, Ac.indptr, Ac.indices, Ac.data,
+                             np.ascontiguousarray(d, dtype=np.float64),
+                             np.ascontiguousarray(t, dtype=np.float64), *addresses) > 0

@@ -12,9 +12,9 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 from scipy.linalg import cho_solve
 
-from sparse_helpers import (csr_from_triplets, invalid_operators, lap1d, python_path,
-                            rand_spd_sparse, run_isolated)
-from tracemin_amg import energymin, hierarchy
+from sparse_helpers import (both_paths, csr_from_triplets, invalid_operators, lap1d,
+                            python_path, rand_spd_sparse, run_isolated)
+from tracemin_amg import energymin, hierarchy, kernels
 from tracemin_amg.coarsening import cf_split, strength_graph
 from tracemin_amg.energymin import prepare_candidates
 from tracemin_amg.experiments import measure_report, smoothed_constant
@@ -937,17 +937,19 @@ def test_certified_lumping_keeps_a_dominant_product_semidefinite(case):
     A, b, dominant = case
     identity = sparse.identity(A.shape[0], format="csr")
     results = []
-    certified = []
-    with pytest.MonkeyPatch.context() as mp:
-        b_dominant = hierarchy._b_dominant
-        mp.setattr(hierarchy, "_b_dominant",
-                   lambda *args: certified.append(b_dominant(*args)) or certified[-1])
-        for theta in (hierarchy.NON_GALERKIN_THETA, 2e-3, 0.1, 1.0):
-            mp.setattr(hierarchy, "NON_GALERKIN_THETA_NEGATIVE", theta)
-            Ac = galerkin_product(identity, A, b)
-            assert_same_csr(Ac, two_pass_galerkin(identity, A, b))
-            results.append(Ac)
-    assert certified == [dominant] * 4
+    certified = []  # the Python path's verdicts; the kernel certifies in C
+    paths = both_paths()
+    for _, path in paths:
+        with path, pytest.MonkeyPatch.context() as mp:
+            b_dominant = hierarchy._b_dominant
+            mp.setattr(hierarchy, "_b_dominant",
+                       lambda *args: certified.append(b_dominant(*args)) or certified[-1])
+            for theta in (hierarchy.NON_GALERKIN_THETA, 2e-3, 0.1, 1.0):
+                mp.setattr(hierarchy, "NON_GALERKIN_THETA_NEGATIVE", theta)
+                Ac = galerkin_product(identity, A, b)
+                assert_same_csr(Ac, two_pass_galerkin(identity, A, b))
+                results.append(Ac)
+    assert certified == [dominant] * 4 * sum(not compiled for compiled, _ in paths)
     norm = abs(A).sum(axis=1).max()
     for Ac in results:
         assert (Ac != Ac.T).nnz == 0
@@ -1248,15 +1250,20 @@ def test_symmetrized_average_in_place_bit_identical_to_sparse_sum():
     assert (Ac != At).nnz > 0  # round-off skew for the average to remove
     i = Ac.indices[Ac.indptr[0] + 1]
     Ac[0, i], Ac[i, 0] = 0.25, -0.25  # a cancelling pair in stored positions
-    M = sorted_product(H.levels[0].P, A)
-    expected = ((M + M.T) * 0.5).tocsr()
-    data = M.data
-    got = hierarchy._symmetrized(M)
-    assert got.data is data  # formed in place
-    assert_same_csr(got, expected)
-    expected = ((Ac + Ac.T) * 0.5).tocsr()
-    assert expected.nnz == Ac.nnz - 2
-    assert_same_csr(hierarchy._symmetrized(Ac), expected)
+    compiled = kernels.library() is not None
+    for symmetrize in (hierarchy._symmetrized, kernels.symmetrize):
+        M = sorted_product(H.levels[0].P, A)
+        expected = ((M + M.T) * 0.5).tocsr()
+        data = M.data
+        got = symmetrize(M)
+        if got is None:  # the kernel, where it cannot run
+            assert not compiled
+            continue
+        assert got.data is data  # formed in place
+        assert_same_csr(got, expected)
+        expected = ((Ac + Ac.T) * 0.5).tocsr()
+        assert expected.nnz == Ac.nnz - 2
+        assert_same_csr(symmetrize(Ac.copy()), expected)
 
 
 def test_symmetrized_average_of_a_one_sided_structure_bit_identical_to_sparse_sum():
@@ -1272,8 +1279,44 @@ def test_symmetrized_average_of_a_one_sided_structure_bit_identical_to_sparse_su
     M.sort_indices()
     assert 1 not in M.indices[M.indptr[0]:M.indptr[1]]  # dropped by the product
     assert M[1, 0] >= 1.0
-    expected = ((M + M.T) * 0.5).tocsr()
-    assert_same_csr(hierarchy._symmetrized(M), expected)
+    # and one whose rows store as many entries below the diagonal as their
+    # columns above it, at positions that do not mirror: (0, 1) and (2, 0)
+    crossed = csr_from_triplets([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0), (2, 0, 3.0),
+                                 (2, 2, 1.0)], 3, 3)
+    for product in (M, crossed):
+        expected = ((product + product.T) * 0.5).tocsr()
+        kept = product.copy()
+        assert kernels.symmetrize(product) is None  # the kernel declines it, untouched
+        assert_same_csr(product, kept)
+        assert_same_csr(hierarchy._symmetrized(product), expected)
+
+
+def test_galerkin_product_of_a_one_sided_pattern_takes_the_sparse_sum(monkeypatch):
+    """SpGEMM forms c_01 of P^T A P as round-off and c_10 as an exact
+    zero, which it drops, so the product's pattern is not symmetric.  The
+    compiled symmetrization declines it, both paths average it through
+    _symmetrized, and their bits are equal, with and without a candidate."""
+    A = sparse.csr_matrix(np.array([[-0.3, 3.0, 0.7], [3.0, -0.1, 0.1], [0.7, 0.1, -1.0]]))
+    P = sparse.csc_matrix(np.array([[3.0, 0.3], [-1.0, -0.1], [-0.1, 1.0]]))
+    M = sorted_product(P, A)
+    assert M[0, 1] != 0.0 and list(M.indices[M.indptr[1]:M.indptr[2]]) == [1]
+    calls = []
+
+    def recording(Ac):
+        calls.append(Ac.nnz)
+        return symmetrized(Ac)
+
+    symmetrized = hierarchy._symmetrized
+    monkeypatch.setattr(hierarchy, "_symmetrized", recording)
+    for b in (None, np.array([1.0, 2.0])):
+        got = []
+        for _, path in both_paths():
+            calls.clear()
+            with path:
+                got.append(galerkin_product(P, A, b))
+            assert calls == [3]
+        assert_same_csr(got[0], got[1])
+        assert_same_csr(got[0], two_pass_galerkin(P, A, b))
 
 
 def test_coarsest_factorization_keeps_one_dense_copy():
@@ -1544,7 +1587,8 @@ def test_lumped_levels_stay_positive_definite_at_twice_theta(spec, mode, degree,
     negative couplings are lumped at the second threshold; on aniso it
     holds on none.  At theta = 2e-3 (4 NON_GALERKIN_THETA) for both
     signs, rotated anisotropic n=256, degree 4 stops in setup on an
-    indefinite level 5."""
+    indefinite level 5.  The certificate's verdicts are read on the
+    Python path, and the compiled path builds the same levels."""
     for name in ("NON_GALERKIN_THETA", "NON_GALERKIN_THETA_NEGATIVE"):
         monkeypatch.setattr(hierarchy, name, factor * getattr(hierarchy, name))
     certified = []
@@ -1552,10 +1596,13 @@ def test_lumped_levels_stay_positive_definite_at_twice_theta(spec, mode, degree,
     monkeypatch.setattr(hierarchy, "_b_dominant",
                         lambda *args: certified.append(b_dominant(*args)) or certified[-1])
     A = assemble(spec).matrix
-    H = setup(A, SetupConfig(mode=mode, pattern_degree=degree,
-                             candidates=smoothed_constant(A, 5)))
+    cfg = SetupConfig(mode=mode, pattern_degree=degree, candidates=smoothed_constant(A, 5))
+    with python_path():
+        H = setup(A, cfg)
     assert H.n_levels >= 3
     assert any(certified) == (spec.kind == "oscillatory")
+    for got, lvl in zip(setup(A, cfg).levels, H.levels, strict=True):
+        assert_same_csr(got.A, lvl.A)
     for lvl in H.levels[1:]:
         np.linalg.cholesky(lvl.A.toarray())
     b = np.random.default_rng(3).standard_normal(A.shape[0])
