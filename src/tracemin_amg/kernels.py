@@ -125,7 +125,7 @@ def library():
 
 def backend():
     """"compiled" when library() loads the kernels, else "python": the
-    path cf_split and apply_weighted_operator take in this process."""
+    path setup's compiled passes take in this process."""
     return "python" if library() is None else "compiled"
 
 

@@ -18,8 +18,8 @@ from tracemin_amg.coarsening import SparsityPattern
 @contextlib.contextmanager
 def python_path():
     """The library's Python path inside the block: the kernel loader
-    reports no kernel, so cf_split and apply_weighted_operator run their
-    bit references."""
+    reports no kernel, so every compiled pass of setup runs its bit
+    reference."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernels, "library", lambda: None)
         yield
