@@ -150,32 +150,57 @@ class _RowConstraints:
     row's slots is a segmented reduction from the row's first slot,
     taken in the row blocks of apply_weighted_operator's candidate term,
     so no temporary outgrows a block.  Each block (lo, hi, slots, rows,
-    starts, counts, Gp) holds its bounds of F rows, its slot range, its
+    starts, counts, gram) holds its bounds of F rows, its slot range, its
     nonempty rows, their first slots relative to the range, their slot
-    counts and the pseudo-inverses of their Gram matrices C_i^T C_i,
-    shape (R, n_b, n_b).  With one candidate the Gram matrix is the
-    scalar g = sum c^2 and its pseudo-inverse is 1/g, or 0 where g == 0
-    (pinv's cutoff); only n_b >= 2 needs pinv's batched SVD.  pinv
-    returns the same bits for 1e-138 < g < 1e138; beyond that LAPACK
-    rescales the matrix and its result may miss the correctly rounded
-    1/g by up to two ulps.
+    counts and their range of gram_pinv.
+
+    gram_pinv, shape (R, n_b, n_b), holds the pseudo-inverses of the Gram
+    matrices C_i^T C_i of the R nonempty rows in row order.  With one
+    candidate the Gram matrix is the scalar g = sum c^2 and its
+    pseudo-inverse is 1/g, or 0 where g == 0 (pinv's cutoff); only
+    n_b >= 2 needs pinv's batched SVD.  pinv returns the same bits for
+    1e-138 < g < 1e138; beyond that LAPACK rescales the matrix and its
+    result may miss the correctly rounded 1/g by up to two ulps.
+
+    With one candidate and int32 indices the compiled row loops
+    (kernels.row_gram_inverse, row_project, row_min_norm, and
+    kernels.cg_update through pcg_frobenius) read the same gram_pinv and
+    run where they can; the NumPy passes over the row blocks are their bit
+    reference and the path for n_b >= 2.  A segment's sum in those passes
+    is np.add.reduceat's, its first term plus NumPy's pairwise sum of the
+    rest, which the kernels copy.  Called on slot values, the object
+    projects them (project).
     """
 
     def __init__(self, B_c, pattern):
         self.pattern, self.B_c = pattern, B_c
         indptr, self.blocks = pattern.indptr, []
-        bounds = row_blocks(indptr, PRODUCT_BLOCK_SLOTS)
+        n_b = B_c.shape[1]
+        self.gram_pinv = np.zeros((np.count_nonzero(np.diff(indptr)), n_b, n_b))
+        compiled = (self.operands is not None
+                    and kernels.row_gram_inverse(*self.operands) is not None)
+        bounds, first = row_blocks(indptr, PRODUCT_BLOCK_SLOTS), 0
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
             slots = slice(int(indptr[lo]), int(indptr[hi]))
             starts, counts = indptr[rows] - indptr[lo], indptr[rows + 1] - indptr[rows]
-            C = self.candidate_rows(slots)
-            G = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
-            if B_c.shape[1] == 1:
-                Gp = np.divide(1.0, G, out=np.zeros_like(G), where=G != 0.0)
-            else:
-                Gp = np.linalg.pinv(G)
-            self.blocks.append((lo, hi, slots, rows, starts, counts, Gp))
+            gram, first = slice(first, first + len(rows)), first + len(rows)
+            if not compiled:
+                C = self.candidate_rows(slots)
+                G = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
+                if n_b == 1:
+                    np.divide(1.0, G, out=self.gram_pinv[gram], where=G != 0.0)
+                else:
+                    self.gram_pinv[gram] = np.linalg.pinv(G)
+            self.blocks.append((lo, hi, slots, rows, starts, counts, gram))
+
+    @property
+    def operands(self):
+        """(pattern, b_c, ginv), the one-candidate kernels' view of the
+        constraints, ginv a view of gram_pinv; None for n_b >= 2."""
+        if self.B_c.shape[1] != 1:
+            return None
+        return self.pattern, self.B_c[:, 0], self.gram_pinv.reshape(-1)
 
     def candidate_rows(self, slots):
         """B_c[cols] at a range of slots: one candidate row per slot."""
@@ -184,12 +209,17 @@ class _RowConstraints:
     def project(self, values):
         """Project slot values onto {Z : Z B_c = 0}, row by row, in place;
         returns values."""
-        for _, _, slots, _, starts, counts, Gp in self.blocks:
+        if self.operands is not None and kernels.row_project(*self.operands,
+                                                             values) is not None:
+            return values
+        for _, _, slots, _, starts, counts, gram in self.blocks:
             C, Z = self.candidate_rows(slots), values[slots]
             t = np.add.reduceat(C * Z[:, None], starts, axis=0)  # C_i^T z_i
-            s = np.repeat(np.einsum("rkl,rl->rk", Gp, t), counts, axis=0)
+            s = np.repeat(np.einsum("rkl,rl->rk", self.gram_pinv[gram], t), counts, axis=0)
             Z -= np.einsum("sk,sk->s", C, s)  # C_i s_i at row i's slots
         return values
+
+    __call__ = project
 
     def min_norm_solution(self, B_f):
         """Smallest-Euclidean-norm slot values with W B_c = B_f: a row whose
@@ -198,10 +228,13 @@ class _RowConstraints:
         minimum-norm least-squares value; an empty row whose target
         exceeds 1e-12 relative to max|B_f| (or 1) is an error."""
         values = np.zeros(self.pattern.nnz)
+        if self.operands is None or kernels.row_min_norm(
+                *self.operands, np.ascontiguousarray(B_f[:, 0]), values) is None:
+            for _, _, slots, rows, _, counts, gram in self.blocks:
+                s = np.repeat(np.einsum("rkl,rl->rk", self.gram_pinv[gram], B_f[rows]),
+                              counts, axis=0)
+                values[slots] = np.einsum("sk,sk->s", self.candidate_rows(slots), s)
         scale = np.abs(B_f).max() if B_f.size else 0.0
-        for _, _, slots, rows, _, counts, Gp in self.blocks:
-            s = np.repeat(np.einsum("rkl,rl->rk", Gp, B_f[rows]), counts, axis=0)
-            values[slots] = np.einsum("sk,sk->s", self.candidate_rows(slots), s)
         for i in self.pattern.empty_f_rows:
             if np.abs(B_f[i]).max() > 1e-12 * max(scale, 1.0):
                 raise ValueError(f"pattern row {int(i)} is empty but its "
@@ -336,7 +369,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, project=None, callback=None):
 
     x, r and p are updated in place, p only when a step follows, and
     each step's operator image, once spent, is its work buffer; x0 and b
-    are not modified.  Returns (x, residual_history); history starts
+    are not modified.  A step's updates of r, x and z run in _cg_update,
+    one compiled pass where project is None or the row constraints of one
+    candidate (_minimize passes the system's _RowConstraints).  Returns (x, residual_history); history starts
     with the initial residual norm.  `callback(x)` gets a copy of every
     updated iterate.
     """
@@ -344,6 +379,7 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, project=None, callback=None):
     del x0  # a start passed as a temporary dies here
     r = apply(x)
     np.subtract(b, r, out=r)
+    given = project
     if project is None:
         def project(v):
             return v
@@ -370,13 +406,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, project=None, callback=None):
         if not np.isfinite(pLp) or pLp <= 0.0:
             raise RuntimeError(f"energy-minimization CG breakdown at iteration {k}: "
                                f"curvature {pLp}")
-        alpha = rz / pLp
-        Lp *= alpha
-        r -= Lp
-        work = Lp  # the operator image is spent; its buffer is the work buffer
-        x += np.multiply(alpha, p, out=work)
-        z = project(np.multiply(diag, r, out=work))
-        del Lp, work
+        # the operator image is spent once r is updated: z takes its buffer
+        z = _cg_update(rz / pLp, p, Lp, x, r, diag, given)
+        del Lp
         rz_new = float(r @ z)
         if not np.isfinite(rz_new):
             raise RuntimeError(f"energy-minimization CG breakdown at iteration {k}: "
@@ -385,6 +417,30 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, project=None, callback=None):
         if callback is not None:
             callback(x.copy())
     return x, history
+
+
+def _cg_update(alpha, p, Lp, x, r, diag, project):
+    """pcg_frobenius' updates of one step, in place: r -= alpha Lp, x +=
+    alpha p, then z = project(diag r) in Lp's buffer, which is returned.
+    kernels.cg_update makes them one pass over the slots where no
+    projection is given, or where it is the row constraints of one
+    candidate, each row projected as soon as it is updated; the NumPy
+    passes below are its bit reference, and the path of any other
+    projection."""
+    if project is None:
+        constraints = ()
+    elif isinstance(project, _RowConstraints) and project.operands is not None:
+        constraints = project.operands
+    else:
+        constraints = None
+    if constraints is not None and kernels.cg_update(alpha, p, Lp, x, r, diag,
+                                                     *constraints) is not None:
+        return Lp
+    Lp *= alpha
+    r -= Lp
+    x += np.multiply(alpha, p, out=Lp)
+    np.multiply(diag, r, out=Lp)
+    return Lp if project is None else project(Lp)
 
 
 def initial_guess(split, B, pattern):
@@ -417,7 +473,7 @@ def _minimize(sys, iters, diag, constrained, callback=None):
     box, sys.Bhat = [sys.Bhat], None
     return pcg_frobenius(partial(apply_weighted_operator, sys), box.pop(),
                          sys.rows.min_norm_solution(sys.B_f), diag, iters,
-                         project=sys.rows.project if constrained else None,
+                         project=sys.rows if constrained else None,
                          callback=callback)
 
 

@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 __all__ = ["library", "backend", "strong_couplings", "greedy_split", "distance_k_pattern",
-           "masked_product", "symmetrize", "drop_and_lump"]
+           "masked_product", "row_gram_inverse", "row_project", "row_min_norm", "cg_update",
+           "symmetrize", "drop_and_lump"]
 
 SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -61,6 +62,14 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "masked_product": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES,
                               _INDEX, _INDEX, _VALUES, _INDEX_OUT, ctypes.c_double,
                               _OPTIONAL, _OPTIONAL, _OPTIONAL, _VALUES_OUT]),
+    "row_gram_inverse": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES_OUT]),
+    "row_project": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES,
+                                   _VALUES_OUT]),
+    "row_min_norm": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES, _VALUES,
+                            _VALUES_OUT]),
+    "cg_update": (ctypes.c_int, [ctypes.c_int64, _OPTIONAL, _OPTIONAL, _OPTIONAL, _OPTIONAL,
+                                 ctypes.c_double, _VALUES, _VALUES_OUT, _VALUES_OUT,
+                                 _VALUES_OUT, _VALUES]),
     "symmetrize": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES_OUT, _INDEX_OUT]),
     "drop_and_lump": (ctypes.c_int64, [ctypes.c_int64, _INDEX, _INDEX, _VALUES_OUT,
                                        _VALUES, _VALUES, _OPTIONAL, _OPTIONAL, _OPTIONAL]),
@@ -236,6 +245,94 @@ def masked_product(A, pattern, values, out, tau=1.0, cand_scale=None, b_c=None):
                        np.ascontiguousarray(values, dtype=np.float64),
                        np.full(nc, -1, dtype=np.int32), tau, *addresses, out)
     return out
+
+
+def _float_vectors(*arrays):
+    """Whether every array is a C-contiguous float64 vector."""
+    return all(a.dtype == np.float64 and a.ndim == 1 and a.flags.c_contiguous
+               for a in arrays)
+
+
+def _constraint_operands(pattern, b_c, ginv):
+    """The one-candidate row constraints' (indptr, cols, b_c, ginv) as the
+    kernels read them, or None where they cannot: int64 indices, or
+    arrays of another type or layout.  A b_c or ginv of the wrong length
+    raises."""
+    if not (_int32(pattern.indptr, pattern.cols) and _float_vectors(b_c, ginv)):
+        return None
+    nonempty = int(np.count_nonzero(np.diff(pattern.indptr)))
+    if b_c.shape != (pattern.nc,) or ginv.shape != (nonempty,):
+        raise ValueError(f"row constraints: b_c of shape {b_c.shape} and ginv of shape "
+                         f"{ginv.shape} for a pattern of {pattern.nc} columns and "
+                         f"{nonempty} nonempty rows")
+    return pattern.indptr, pattern.cols, b_c, ginv
+
+
+def row_gram_inverse(pattern, b_c, ginv):
+    """Write 1/g_i, or 0 where g_i = 0, of each nonempty pattern row i to
+    ginv, g_i the sum of b_c[col]^2 over the row's slots, bit for bit
+    energymin._RowConstraints' Gram pseudo-inverse of one candidate;
+    returns ginv, or None with ginv untouched where the kernel cannot
+    run."""
+    lib, operands = library(), _constraint_operands(pattern, b_c, ginv)
+    if lib is None or operands is None:
+        return None
+    indptr, cols, b_c, ginv = operands
+    return ginv if lib.row_gram_inverse(pattern.nf, indptr, cols, b_c, ginv) == 0 else None
+
+
+def row_project(pattern, b_c, ginv, values):
+    """The slot values projected onto {Z : Z b_c = 0} row by row, in
+    place, bit for bit energymin._RowConstraints.project's NumPy pass
+    with one candidate; ginv as row_gram_inverse writes it.  Returns
+    values, or None with values untouched where the kernel cannot run."""
+    lib, operands = library(), _constraint_operands(pattern, b_c, ginv)
+    if lib is None or operands is None or not _float_vectors(values):
+        return None
+    if values.shape != (pattern.nnz,):
+        raise ValueError(f"row_project: {len(values)} values for {pattern.nnz} slots")
+    return values if lib.row_project(pattern.nf, *operands, values) == 0 else None
+
+
+def row_min_norm(pattern, b_c, ginv, b_f, out):
+    """The minimum-norm slot values with W b_c = b_f written to out, bit
+    for bit energymin._RowConstraints.min_norm_solution's NumPy pass
+    with one candidate (b_f one value per pattern row; out's slots in
+    empty rows are not written).  Returns out, or None with out untouched
+    where the kernel cannot run."""
+    lib, operands = library(), _constraint_operands(pattern, b_c, ginv)
+    if lib is None or operands is None or not _float_vectors(b_f, out):
+        return None
+    if b_f.shape != (pattern.nf,) or out.shape != (pattern.nnz,):
+        raise ValueError(f"row_min_norm: b_f of shape {b_f.shape} and out of shape "
+                         f"{out.shape} for {pattern.nf} rows and {pattern.nnz} slots")
+    lib.row_min_norm(pattern.nf, *operands, b_f, out)
+    return out
+
+
+def cg_update(alpha, p, Lp, x, r, diag, pattern=None, b_c=None, ginv=None):
+    """One step's updates of energymin.pcg_frobenius in one pass: r -=
+    alpha Lp, x += alpha p and Lp = diag r, in place, each rounded as
+    the NumPy expressions round it; given the one-candidate row
+    constraints (pattern, b_c, ginv), each row of Lp is then projected as
+    row_project projects it.  Returns Lp, now z, or None with every array
+    untouched where the kernel cannot run."""
+    lib = library()
+    if lib is None or not _float_vectors(p, Lp, x, r, diag):
+        return None
+    if not p.shape == Lp.shape == x.shape == r.shape == diag.shape:
+        raise ValueError("cg_update: the slot vectors differ in length")
+    if pattern is None:
+        return Lp if lib.cg_update(len(p), None, None, None, None, alpha, p, Lp, x, r,
+                                   diag) == 0 else None
+    operands = _constraint_operands(pattern, b_c, ginv)
+    if operands is None:
+        return None
+    if p.shape != (pattern.nnz,):
+        raise ValueError(f"cg_update: {len(p)} slot values for {pattern.nnz} slots")
+    addresses = [a.ctypes.data for a in operands]
+    return Lp if lib.cg_update(pattern.nf, *addresses, alpha, p, Lp, x, r, diag) == 0 \
+        else None
 
 
 def symmetrize(Ac):

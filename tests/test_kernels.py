@@ -89,6 +89,15 @@ def test_int64_indices_leave_the_kernels_to_the_python_path():
         out = np.full(2, 7.0)
         assert kernels.masked_product(A, pattern, np.ones(2), out, 0.5, *candidate) is None
         assert np.array_equal(out, [7.0, 7.0])  # untouched
+    b_c, ginv = np.ones(2), np.full(2, 7.0)
+    assert kernels.row_gram_inverse(pattern, b_c, ginv) is None
+    values, out = np.full(2, 7.0), np.full(2, 7.0)
+    assert kernels.row_project(pattern, b_c, ginv, values) is None
+    assert kernels.row_min_norm(pattern, b_c, ginv, np.ones(3), out) is None
+    slot_vectors = [np.full(2, 7.0) for _ in range(5)]
+    assert kernels.cg_update(0.5, *slot_vectors, pattern, b_c, ginv) is None
+    for v in (ginv, values, out, *slot_vectors):
+        assert np.array_equal(v, [7.0, 7.0])  # untouched
     S = int64_indexed(sparse.csr_matrix(np.ones((2, 2), dtype=bool)))
     state = np.zeros(2, dtype=np.uint8)
     assert kernels.greedy_split(S, state) is None
@@ -140,12 +149,20 @@ def kernel_inputs(request):
     a small problem (the smoothed constant; weighted at the default tau),
     recorded on the path the loader finds: the strength graph's (A, d,
     theta), the pattern's (graph, split, k), each apply's (system, slot
-    values) and each Galerkin product's (P, A, b)."""
+    values), each row constraints' (B_c, pattern, B_f), each CG step's
+    update operands (alpha, p, Lp, x, r, diag, projection), copied before
+    the update, and each Galerkin product's (P, A, b)."""
     kind, mode, degree = request.param
     spec = (ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3) if kind == "aniso"
             else ProblemSpec("oscillatory", 32, K=1e6))
     A = assemble(spec).matrix
-    calls = {"strength": [], "pattern": [], "apply": [], "galerkin": []}
+    calls = {"strength": [], "pattern": [], "apply": [], "constraints": [], "update": [],
+             "galerkin": []}
+
+    class RecordedConstraints(energymin._RowConstraints):
+        def min_norm_solution(self, B_f):
+            calls["constraints"].append((self.B_c, self.pattern, B_f))
+            return super().min_norm_solution(B_f)
 
     def recorded(key, function, copy=lambda *args: args):
         def call(*args):
@@ -161,6 +178,12 @@ def kernel_inputs(request):
         patch.setattr(energymin, "apply_weighted_operator",
                       recorded("apply", energymin.apply_weighted_operator,
                                lambda sys, values: (sys, values.copy())))
+        patch.setattr(energymin, "_RowConstraints", RecordedConstraints)
+        patch.setattr(energymin, "_cg_update",
+                      recorded("update", energymin._cg_update,
+                               lambda alpha, *vectors: (alpha, *(
+                                   v if v is None or isinstance(v, energymin._RowConstraints)
+                                   else v.copy() for v in vectors))))
         patch.setattr(hierarchy, "galerkin_product",
                       recorded("galerkin", hierarchy.galerkin_product))
         H = hierarchy.setup(A, hierarchy.SetupConfig(mode=mode, pattern_degree=degree,
@@ -224,3 +247,187 @@ def test_galerkin_kernels_read_the_numpy_finish_on_every_level(kernel_inputs, mo
             expected = hierarchy.galerkin_product(P, A, b)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+def test_constraint_kernels_read_the_numpy_rows_on_every_level(kernel_inputs):
+    """The one-candidate Gram inverse, projection and minimum-norm start
+    equal the NumPy row-block passes, bit for bit, on every level's row
+    constraints; the projection is checked on every CG step's residual
+    and iterate."""
+    vectors = [v for _, _, _, x, r, _, _ in kernel_inputs["update"] for v in (x, r)]
+    for B_c, pattern, B_f in kernel_inputs["constraints"]:
+        assert B_c.shape[1] == 1
+        rows = energymin._RowConstraints(B_c, pattern)
+        with python_path():
+            expected = energymin._RowConstraints(B_c, pattern)
+        ginv = np.full(len(rows.gram_pinv), np.nan)
+        if not kernel_runs(kernels.row_gram_inverse(pattern, B_c[:, 0], ginv)):
+            continue
+        assert np.array_equal(ginv, expected.gram_pinv.reshape(-1))
+        assert np.array_equal(rows.gram_pinv, expected.gram_pinv)
+        out = np.zeros(pattern.nnz)
+        assert kernels.row_min_norm(*rows.operands, B_f[:, 0].copy(), out) is out
+        with python_path():
+            assert np.array_equal(out, expected.min_norm_solution(B_f))
+        for v in (v for v in vectors if len(v) == pattern.nnz):
+            got = v.copy()
+            assert kernels.row_project(*rows.operands, got) is got
+            with python_path():
+                assert np.array_equal(got, expected.project(v.copy()))
+
+
+def test_fused_cg_update_reads_the_numpy_passes_on_every_level(kernel_inputs):
+    """One pass of r -= alpha Lp, x += alpha p and z = project(diag r)
+    equals the NumPy passes, bit for bit, at every CG step of both
+    routes: unprojected (weighted) and projected row by row
+    (constrained)."""
+    assert kernel_inputs["update"]
+    for alpha, p, Lp, x, r, diag, project in kernel_inputs["update"]:
+        constraints = () if project is None else project.operands
+        got = [v.copy() for v in (Lp, x, r)]
+        if not kernel_runs(kernels.cg_update(alpha, p, *got, diag, *constraints)):
+            continue
+        expected = [v.copy() for v in (Lp, x, r)]
+        with python_path():
+            z = energymin._cg_update(alpha, p, *expected, diag, project)
+        assert z is expected[0]
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b)
+
+
+def numpy_pairwise_sum(terms):
+    """NumPy's pairwise summation of a list of floats, in Python's float64
+    arithmetic: under 8 terms a sum from -0.0, up to 128 eight
+    accumulators of every eighth term, combined pairwise, then the rest
+    in order; above 128 the sum of two halves split at a multiple of 8."""
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for t in terms:
+            total += t
+        return total
+    if n <= 128:
+        acc, i = list(terms[:8]), 8
+        while i < n - n % 8:
+            for k in range(8):
+                acc[k] += terms[i + k]
+            i += 8
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for t in terms[i:]:
+            total += t
+        return total
+    half = n // 2
+    half -= half % 8
+    return numpy_pairwise_sum(terms[:half]) + numpy_pairwise_sum(terms[half:])
+
+
+def test_reduceat_sums_a_segment_as_its_first_term_plus_numpys_pairwise_sum():
+    """The row constraints' kernels copy np.add.reduceat's order of a
+    float64 segment sum: its first term plus NumPy's pairwise sum of the
+    rest.  Pinned here on 1-D, (m, 1) and (m, 1, 1) segments of every
+    length from 1 to 300, terms of mixed sign spanning 16 orders of
+    magnitude with zeros of both signs, so a NumPy release that sums in
+    another order fails this test by name.  The terms are chosen so that
+    the order shows: a plain left-to-right sum misses many segments."""
+    rng = np.random.default_rng(40)
+    lengths = np.arange(1, 301)
+    terms = rng.choice([-1.0, 1.0], lengths.sum()) * 10.0 ** rng.uniform(-8, 8, lengths.sum())
+    terms[rng.random(len(terms)) < 0.02] = 0.0
+    terms[rng.random(len(terms)) < 0.02] = -0.0
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    segments = np.split(terms, starts[1:])
+    expected = np.array([s[0] if len(s) == 1 else s[0] + numpy_pairwise_sum(list(s[1:]))
+                         for s in segments])
+    plain = np.array([sum(s[1:], s[0]) for s in segments])
+    assert np.count_nonzero(plain != expected) > 100
+    for shape in ((-1,), (-1, 1), (-1, 1, 1)):
+        got = np.add.reduceat(terms.reshape(shape), starts, axis=0).reshape(-1)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), shape
+
+
+def synthetic_constraints():
+    """One candidate b_c over a pattern with empty rows, rows whose Gram
+    scalar g is 0 (every b_c at their columns 0) and rows of 1, 8, 9, 129
+    and 300 slots, entries of mixed sign spanning 16 orders of magnitude."""
+    rng = np.random.default_rng(41)
+    nc = 320
+    b_c = rng.choice([-1.0, 1.0], nc) * 10.0 ** rng.uniform(-8, 8, nc)
+    zero_cols = np.arange(10)
+    b_c[zero_cols] = 0.0
+    rows = [[], [300], [], zero_cols[:3], np.arange(12, 20), np.arange(20, 29),
+            np.arange(10, 139), np.arange(20, 320), zero_cols, [5, 50], []]
+    indptr = np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int32)
+    pattern = SparsityPattern(len(rows), nc, indptr,
+                              np.concatenate([np.asarray(r, dtype=np.int32) for r in rows]))
+    B_f = rng.standard_normal((pattern.nf, 1)) * 10.0 ** rng.uniform(-4, 4, (pattern.nf, 1))
+    B_f[pattern.empty_f_rows] = 0.0
+    return b_c[:, None], pattern, B_f, rng
+
+
+def test_constraint_kernels_on_empty_zero_gram_and_long_rows():
+    """On a synthetic pattern with empty rows, rows of Gram scalar 0 and
+    rows of 1, 8, 9, 129 and 300 slots (one more than 8 and 128, where
+    the pairwise sum changes its form), every constraint kernel equals
+    the NumPy pass, bit for bit."""
+    B_c, pattern, B_f, rng = synthetic_constraints()
+    rows = energymin._RowConstraints(B_c, pattern)
+    with python_path():
+        expected = energymin._RowConstraints(B_c, pattern)
+    assert np.count_nonzero(expected.gram_pinv == 0.0) == 2
+    if not kernel_runs(kernels.row_gram_inverse(*rows.operands)):
+        return
+    assert np.array_equal(rows.gram_pinv, expected.gram_pinv)
+    out = np.full(pattern.nnz, np.nan)
+    kernels.row_min_norm(*rows.operands, B_f[:, 0].copy(), out)
+    with python_path():
+        assert np.array_equal(out, expected.min_norm_solution(B_f))
+    scales = 10.0 ** rng.uniform(-6, 6, (5, pattern.nnz))
+    for v in rng.standard_normal((5, pattern.nnz)) * scales:
+        got = v.copy()
+        kernels.row_project(*rows.operands, got)
+        with python_path():
+            assert np.array_equal(got, expected.project(v.copy()))
+        p, Lp, x, r, diag = rng.standard_normal((5, pattern.nnz)) * scales[:5]
+        for project in (None, rows):
+            constraints = () if project is None else project.operands
+            got = [w.copy() for w in (Lp, x, r)]
+            kernels.cg_update(0.37, p, *got, diag, *constraints)
+            want = [w.copy() for w in (Lp, x, r)]
+            with python_path():
+                energymin._cg_update(0.37, p, *want, diag, project)
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
+
+
+PARITY_SETUPS = [(kind, mode, degree) for kind in ("aniso", "osc")
+                 for mode in ("constrained", "weighted") for degree in (2, 4)]
+
+
+@pytest.mark.parametrize("kind, mode, degree", PARITY_SETUPS,
+                         ids=[f"{kind}-{mode}-{degree}" for kind, mode, degree in PARITY_SETUPS])
+def test_whole_setup_hashes_the_same_with_and_without_the_kernels(kind, mode, degree):
+    """Every level's A, P, relaxation weight and minimization history are
+    the same bits on the compiled path as on the Python path (n = 32, the
+    smoothed constant, weighted at tau = 1e-4)."""
+    spec = (ProblemSpec("rotated_anisotropic", 32, epsilon=1e-3) if kind == "aniso"
+            else ProblemSpec("oscillatory", 32, K=1e6))
+    A = assemble(spec).matrix
+    cfg = hierarchy.SetupConfig(mode=mode, tau=1e-4, pattern_degree=degree,
+                                candidates=smoothed_constant(A, 5))
+
+    def digest(H):
+        m = hashlib.sha256()
+        for lvl in H.levels:
+            arrays = [lvl.A.indptr, lvl.A.indices, lvl.A.data]
+            if lvl.P is not None:
+                arrays += [lvl.P.indptr, lvl.P.indices, lvl.P.data,
+                           np.array([lvl.relaxation.omega]), np.array(lvl.emin_residuals)]
+            for a in arrays:
+                m.update(np.ascontiguousarray(a).tobytes())
+        return m.hexdigest()
+
+    compiled = hierarchy.setup(A, cfg)
+    with python_path():
+        reference = hierarchy.setup(A, cfg)
+    assert compiled.n_levels == reference.n_levels >= 3
+    assert digest(compiled) == digest(reference)
