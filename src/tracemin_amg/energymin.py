@@ -371,9 +371,9 @@ def pcg_frobenius(apply, b, x0, diag, max_iters, project=None, callback=None):
     each step's operator image, once spent, is its work buffer; x0 and b
     are not modified.  A step's updates of r, x and z run in _cg_update,
     one compiled pass where project is None or the row constraints of one
-    candidate (_minimize passes the system's _RowConstraints).  Returns (x, residual_history); history starts
-    with the initial residual norm.  `callback(x)` gets a copy of every
-    updated iterate.
+    candidate (_minimize passes the system's _RowConstraints).  Returns
+    (x, residual_history); history starts with the initial residual norm.
+    `callback(x)` gets a copy of every updated iterate.
     """
     x = x0.copy()
     del x0  # a start passed as a temporary dies here

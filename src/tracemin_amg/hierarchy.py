@@ -174,15 +174,16 @@ def galerkin_product(P, A, b=None):
     """The coarse operator of a symmetric A: P^T A P, sparsified.
 
     A must be symmetric; setup checks this once for the fine level, and
-    every coarse level it builds is exactly symmetric.  The product is
-    R (A P), both CSR x CSR; R = P^T is read as CSR, which for a CSC P,
-    as setup stores it, is a view, so no copy of P is held through the
-    product (A @ P reads a temporary CSR copy of a CSC P).  The product
-    is averaged with its transpose to remove round-off skew, so the
-    result is exactly symmetric and comes out in canonical CSR form.
-    Sorting the product first lets the average be formed in the
-    product's own arrays whenever the transpose stores the same
-    positions.
+    every coarse level it builds is exactly symmetric.  Only the upper
+    triangle U = triu(R (A P)), diagonal included, is formed: A P is
+    SciPy's CSR x CSR product, and R = P^T is read as CSR, which for a
+    CSC P, as setup stores it, is a view, so no copy of P is held through
+    the product (A @ P reads a temporary CSR copy of a CSC P).  Each
+    entry of U is the entry SciPy's R @ (A P) stores, summed in R's row
+    order, and an exactly zero sum is not stored.  The result is U
+    mirrored, a_ji = a_ij, so it is exactly symmetric by construction
+    and canonical CSR: for an A skewed at round-off it is P^T A P's
+    upper triangle, not an average of the two triangles.
 
     An off-diagonal entry with |a_ij| < eps sqrt(|a_ii| |a_jj|), eps =
     2^-52 the float64 machine epsilon, is not stored: scaled by the
@@ -212,12 +213,12 @@ def galerkin_product(P, A, b=None):
     semidefinite by Gershgorin, and so is the lumped A_c, congruent to
     it, at any threshold for negative couplings.
 
-    After the two SpGEMMs, which stay SciPy's, the compiled
-    kernels.symmetrize averages the product in place, pairing each entry
-    with its mirror by one cursor per row, and kernels.drop_and_lump
-    checks the certificate and decides every entry in one row loop.
-    Their bit reference, and the path where they cannot run, is
-    _symmetrized and _drop_and_lump: one pass over row blocks of at most
+    After SciPy's A P, the compiled kernels.upper_product forms U in one
+    row loop that skips the columns below the diagonal, kernels.mirror_upper
+    writes A_c from U, and kernels.drop_and_lump checks the certificate
+    and decides every entry in one row loop.  Their bit reference, and
+    the path where they cannot run, is sparse.triu of SciPy's R @ (A P),
+    _mirrored and _drop_and_lump: one pass over row blocks of at most
     GALERKIN_BLOCK_ENTRIES stored entries checks the certificate,
     stopping at the first block with a negative slack; a second pass over
     the same blocks decides every entry: it reads |a_ij| once, applies
@@ -235,10 +236,15 @@ def galerkin_product(P, A, b=None):
                              f"{P.shape[1]}, the column count of P")
         if not np.all(np.isfinite(b)):
             raise ValueError("b has a non-finite entry (NaN or inf)")
-    Ac = P.T.tocsr() @ (A @ P)  # A P dies once the product exists
-    Ac.sort_indices()
-    if kernels.symmetrize(Ac) is None:
-        Ac = _symmetrized(Ac)
+    AP, R = A @ P, P.T.tocsr()
+    U = kernels.upper_product(R, AP)
+    if U is None:
+        U = _upper_product(R, AP)
+    del AP, R
+    Ac = kernels.mirror_upper(U)
+    if Ac is None:
+        Ac = _mirrored(U)
+    del U
     d = Ac.diagonal()
     # t_i t_j is the bound and cannot overflow where a_ii a_jj would; a
     # diagonal entry is never below eps times itself, so it always stays
@@ -256,6 +262,8 @@ def galerkin_product(P, A, b=None):
         dropped = _drop_and_lump(Ac, d, t, b, r, r_neg)
     if dropped:
         Ac.eliminate_zeros()
+        if Ac.data.base is not None:  # SciPy keeps a view when over half stays
+            Ac.indices, Ac.data = Ac.indices.copy(), Ac.data.copy()
     return Ac
 
 
@@ -323,23 +331,43 @@ def _b_dominant(Ac, d, b, blocks):
     return True
 
 
-def _symmetrized(Ac):
-    """((Ac + Ac.T) * 0.5).tocsr() of a sorted CSR Ac, bit for bit.
+def _upper_product(R, AP):
+    """sparse.triu(R @ AP) of the CSR R and AP, canonical, the bit
+    reference of kernels.upper_product: SciPy's product of each row block
+    of R, at most GALERKIN_BLOCK_ENTRIES stored entries, is those rows of
+    the full product, of which only the entries on and above the
+    diagonal are kept, so the full product is never held."""
+    n = R.shape[0]
+    counts, indices, data = [[0]], [np.empty(0, dtype=np.int32)], [np.empty(0)]
+    bounds = row_blocks(R.indptr, GALERKIN_BLOCK_ENTRIES)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        block = R[lo:hi] @ AP
+        rows = np.repeat(np.arange(lo, hi), np.diff(block.indptr))
+        upper = block.indices >= rows
+        counts.append(np.bincount(rows[upper] - lo, minlength=hi - lo))
+        indices.append(block.indices[upper])
+        data.append(block.data[upper])
+    data = np.concatenate(data)  # each list's pieces die with the rebinding
+    indices = np.concatenate(indices)
+    U = sparse.csr_matrix((data, indices, np.cumsum(np.concatenate(counts))), shape=(n, n))
+    U.sort_indices()
+    return U
 
-    When the transpose stores the same positions, which it does unless
-    SpGEMM dropped an exactly-zero sum on one side only, the average is
-    formed in Ac's own arrays; IEEE addition commutes, so the bits agree.
-    Like the sparse sum, it stores no entry that sums to exactly zero.
-    """
-    At = Ac.T.tocsr()
-    if not (np.array_equal(At.indptr, Ac.indptr) and np.array_equal(At.indices, Ac.indices)):
-        del At
-        return ((Ac + Ac.T) * 0.5).tocsr()
-    Ac.data += At.data
-    del At
-    Ac.data *= 0.5
-    if not Ac.data.all():
-        Ac.eliminate_zeros()
+
+def _mirrored(U):
+    """The symmetric canonical CSR whose upper triangle is the canonical
+    CSR U, the bit reference of kernels.mirror_upper: U plus its
+    transpose's strict lower triangle, the transpose less its diagonal,
+    the last entry of its row where stored.  The two share no position,
+    so every entry keeps its bits, and the sum's arrays are sized
+    exactly."""
+    L = sparse.csc_matrix((U.data, U.indices, U.indptr), shape=U.shape).tocsr()
+    rows = np.flatnonzero(np.diff(L.indptr))
+    ends = L.indptr[rows + 1] - 1
+    L.data[ends[L.indices[ends] == rows]] = 0.0
+    L.eliminate_zeros()  # U stores no zero, so only the diagonal goes
+    Ac = U + L
+    Ac.sort_indices()
     return Ac
 
 

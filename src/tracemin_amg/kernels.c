@@ -6,9 +6,12 @@
  * reference: coarsening._strong_couplings' one-sided pass, cf_split's
  * greedy pass and pattern_distance_k's boolean SpGEMMs,
  * energymin.apply_weighted_operator's sampled product and one-candidate
- * term, and hierarchy.galerkin_product's symmetrization, dominance
- * certificate and drop-and-lump loop.  Index arrays are int32, as SciPy
- * stores them below 2^31 entries.
+ * term, energymin._RowConstraints' one-candidate row passes and
+ * _cg_update's vector updates, whose row sums copy np.add.reduceat's
+ * order, and hierarchy.galerkin_product's upper triangle of SciPy's
+ * product R (A P), its mirror, dominance certificate and drop-and-lump
+ * loop.  Index arrays are int32, as SciPy stores them below 2^31
+ * entries.
  */
 
 #include <math.h>
@@ -275,50 +278,6 @@ void masked_product(int64_t n_rows,
     }
 }
 
-/* The symmetric average ((Ac + Ac^T) * 0.5) of the n x n CSR Ac with
- * sorted rows, in place, where Ac^T stores the same positions.  Row j's
- * entries above the diagonal are paired, in column order, with the
- * entries (i, j), i > j, met row by row, through one forward cursor per
- * row (cursor, room for n).  Returns 0, Ac untouched, where the pattern
- * is not symmetric; else 1, or 2 where an average is exactly zero (the
- * caller then drops the zeros, as the sparse sum stores none).
- */
-int symmetrize(int64_t n, const int32_t *indptr, const int32_t *indices, double *data,
-               int32_t *cursor)
-{
-    for (int pass = 0;; pass++) {
-        int zero = 0;
-        for (int64_t j = 0; j < n; j++) {
-            int32_t jj = indptr[j];
-            while (jj < indptr[j + 1] && indices[jj] <= j)
-                jj++;
-            cursor[j] = jj;
-        }
-        for (int64_t i = 0; i < n; i++) {
-            int32_t jj = indptr[i];
-            for (; jj < indptr[i + 1] && indices[jj] < i; jj++) {
-                int32_t j = indices[jj], p = cursor[j]++;
-                if (pass == 0) {
-                    if (p == indptr[j + 1] || indices[p] != i)
-                        return 0;
-                } else {
-                    data[jj] = data[p] = (data[jj] + data[p]) * 0.5;
-                    zero |= data[jj] == 0.0;
-                }
-            }
-            if (pass == 1 && jj < indptr[i + 1] && indices[jj] == i) {
-                data[jj] = (data[jj] + data[jj]) * 0.5;
-                zero |= data[jj] == 0.0;
-            }
-        }
-        if (pass == 1)
-            return 1 + zero;
-        for (int64_t j = 0; j < n; j++)
-            if (cursor[j] != indptr[j + 1])
-                return 0;
-    }
-}
-
 /* NumPy's pairwise sum of a[0:n], the order its float64 add reduction
  * takes: under 8 terms one sum from -0.0, up to 128 terms eight
  * accumulators, each summing every eighth term, combined as
@@ -473,6 +432,112 @@ int cg_update(int64_t n, const int32_t *w_ptr, const int32_t *w_idx, const doubl
     }
     free(terms);
     return 0;
+}
+
+/* The upper triangle U = triu(R AP) of the product of the CSR R (r_ptr,
+ * r_idx, r_val) of n rows and the CSR AP (ap_ptr, ap_idx, ap_val), whose
+ * rows R's columns number and whose columns number n.  Each entry (i, k),
+ * k >= i, sums r_ij ap_jk from 0.0 in R's stored order of j, as SciPy's
+ * csr_matmat sums the product's entry, and an exactly zero sum is not
+ * stored; entries with k < i are not formed.
+ *
+ * Rows row, row + 1, ... are written, their columns sorted, to (u_ptr,
+ * u_idx, u_val), u_ptr[row] set on entry and u_idx and u_val of room
+ * `capacity`, until all n rows are written or a row would not fit;
+ * returns the first row not written.  sums holds 0.0 and mark -1 at
+ * every column on entry and on return; touched has room for n columns.
+ */
+int64_t upper_product_rows(int64_t n, const int32_t *r_ptr, const int32_t *r_idx,
+                           const double *r_val, const int32_t *ap_ptr,
+                           const int32_t *ap_idx, const double *ap_val, int64_t row,
+                           double *sums, int32_t *mark, int32_t *touched,
+                           int32_t *u_ptr, int32_t *u_idx, double *u_val, int64_t capacity)
+{
+    for (; row < n; row++) {
+        int64_t count = 0, pos = u_ptr[row], last = row;
+        for (int32_t jj = r_ptr[row]; jj < r_ptr[row + 1]; jj++) {
+            int32_t j = r_idx[jj];
+            double v = r_val[jj];
+            for (int32_t kk = ap_ptr[j]; kk < ap_ptr[j + 1]; kk++) {
+                int32_t k = ap_idx[kk];
+                if (k < row)
+                    continue;
+                sums[k] += v * ap_val[kk];
+                if (mark[k] < 0) {
+                    mark[k] = 1;
+                    touched[count++] = k;
+                    if (k > last)
+                        last = k;
+                }
+            }
+        }
+        if (pos + count > capacity) {
+            for (int64_t t = 0; t < count; t++) {
+                sums[touched[t]] = 0.0;
+                mark[touched[t]] = -1;
+            }
+            return row;
+        }
+        /* the columns in order: a scan of their range where it is short
+         * against their count, else a sort */
+        if (last - row < 8 * count) {
+            count = 0;
+            for (int64_t k = row; k <= last; k++)
+                if (mark[k] >= 0)
+                    touched[count++] = (int32_t)k;
+        } else {
+            sort_int32(touched, count);
+        }
+        for (int64_t t = 0; t < count; t++) {
+            int32_t k = touched[t];
+            if (sums[k] != 0.0) {
+                u_idx[pos] = k;
+                u_val[pos++] = sums[k];
+            }
+            sums[k] = 0.0;
+            mark[k] = -1;
+        }
+        u_ptr[row + 1] = (int32_t)pos;
+    }
+    return row;
+}
+
+/* The symmetric n x n CSR whose upper triangle, diagonal included, is the
+ * CSR U (u_ptr, u_idx, u_val) with sorted rows and no column below its
+ * row: row i lists the mirrors u_ji, j < i, in order of j, then U's row
+ * i, so its columns are sorted.  out_ptr (n + 1 zeros on entry) gets the
+ * row pointers; given out_idx and out_val (else both NULL), with room for
+ * out_ptr[n] entries, the entries are written too, fill having room for
+ * n row cursors.
+ */
+void mirror_upper(int64_t n, const int32_t *u_ptr, const int32_t *u_idx,
+                  const double *u_val, int32_t *out_ptr, int32_t *fill,
+                  int32_t *out_idx, double *out_val)
+{
+    if (!out_idx) {
+        for (int64_t i = 0; i < n; i++) {
+            out_ptr[i + 1] += u_ptr[i + 1] - u_ptr[i];
+            for (int32_t s = u_ptr[i]; s < u_ptr[i + 1]; s++)
+                if (u_idx[s] != i)
+                    out_ptr[u_idx[s] + 1]++;
+        }
+        for (int64_t i = 0; i < n; i++)
+            out_ptr[i + 1] += out_ptr[i];
+        return;
+    }
+    for (int64_t i = 0; i < n; i++)
+        fill[i] = out_ptr[i];
+    /* row i's mirrors come from rows j < i, all placed before row i's own */
+    for (int64_t i = 0; i < n; i++)
+        for (int32_t s = u_ptr[i]; s < u_ptr[i + 1]; s++) {
+            int32_t k = u_idx[s];
+            out_idx[fill[i]] = k;
+            out_val[fill[i]++] = u_val[s];
+            if (k != i) {
+                out_idx[fill[k]] = (int32_t)i;
+                out_val[fill[k]++] = u_val[s];
+            }
+        }
 }
 
 /* Whether b-scaled diagonal dominance certifies the CSR Ac of diagonal

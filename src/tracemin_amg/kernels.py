@@ -1,11 +1,14 @@
 """The compiled passes of the setup, built on first use.
 
-Six kernels stand in for NumPy/Python passes, in the order setup runs
+The kernels stand in for NumPy/Python passes, in the order setup runs
 them: the one-sided strength graph (coarsening._strong_couplings), the
 greedy CF split (cf_split), the distance-k pattern (pattern_distance_k),
 the weighted operator at the pattern slots with its one-candidate term
-(energymin.apply_weighted_operator), and the Galerkin product's
-symmetrization and drop-and-lump pass (hierarchy.galerkin_product).
+(energymin.apply_weighted_operator), the one-candidate row constraints'
+Gram inverse, minimum-norm start and projection (energymin._RowConstraints)
+and the CG step's fused update (energymin._cg_update), and the Galerkin
+product's upper triangle of R (A P), its mirror and the drop-and-lump
+pass (hierarchy.galerkin_product).
 
 kernels.c ships beside this module.  The first call of library() in a
 process compiles it with the system C compiler (`cc -O2
@@ -35,10 +38,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 __all__ = ["library", "backend", "strong_couplings", "greedy_split", "distance_k_pattern",
            "masked_product", "row_gram_inverse", "row_project", "row_min_norm", "cg_update",
-           "symmetrize", "drop_and_lump"]
+           "upper_product", "mirror_upper", "drop_and_lump"]
 
 SOURCE = Path(__file__).with_name("kernels.c")
 FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
@@ -70,7 +74,12 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "cg_update": (ctypes.c_int, [ctypes.c_int64, _OPTIONAL, _OPTIONAL, _OPTIONAL, _OPTIONAL,
                                  ctypes.c_double, _VALUES, _VALUES_OUT, _VALUES_OUT,
                                  _VALUES_OUT, _VALUES]),
-    "symmetrize": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES_OUT, _INDEX_OUT]),
+    "upper_product_rows": (ctypes.c_int64, [
+        ctypes.c_int64, _INDEX, _INDEX, _VALUES, _INDEX, _INDEX, _VALUES, ctypes.c_int64,
+        _VALUES_OUT, _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, _VALUES_OUT,
+        ctypes.c_int64]),
+    "mirror_upper": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _INDEX_OUT,
+                            _OPTIONAL, _OPTIONAL, _OPTIONAL]),
     "drop_and_lump": (ctypes.c_int64, [ctypes.c_int64, _INDEX, _INDEX, _VALUES_OUT,
                                        _VALUES, _VALUES, _OPTIONAL, _OPTIONAL, _OPTIONAL]),
 }
@@ -151,10 +160,14 @@ def _address(*arrays):
     return [None if a is None else a.ctypes.data for a in arrays], arrays
 
 
+def _float_csr(M):
+    """Whether the CSR M has int32 indices and float64 data."""
+    return _int32(M.indptr, M.indices) and M.data.dtype == np.float64
+
+
 def _square_float_csr(M):
     """Whether the CSR M is square with int32 indices and float64 data."""
-    return (M.shape[0] == M.shape[1] and _int32(M.indptr, M.indices)
-            and M.data.dtype == np.float64)
+    return M.shape[0] == M.shape[1] and _float_csr(M)
 
 
 def strong_couplings(A, d, theta):
@@ -335,23 +348,58 @@ def cg_update(alpha, p, Lp, x, r, diag, pattern=None, b_c=None, ginv=None):
         else None
 
 
-def symmetrize(Ac):
-    """((Ac + Ac.T) * 0.5) of the square CSR Ac, its indices sorted, in
-    place, bit for bit hierarchy._symmetrized's, exactly zero averages
-    dropped; returns Ac, or None with Ac untouched where the kernel cannot
-    run or Ac's pattern is not symmetric."""
+def upper_product(R, AP):
+    """U = triu(R @ AP) of the CSR R (n x m) and the CSR AP (m x n), as a
+    canonical CSR: each entry summed from 0.0 in R's stored order, bit
+    for bit the entry SciPy's product stores, exact-zero sums not stored,
+    and the entries below the diagonal not formed.  None where the kernel
+    cannot run."""
     lib = library()
-    if lib is None or not _square_float_csr(Ac):
+    if lib is None or not (_float_csr(R) and _float_csr(AP)):
         return None
-    if not Ac.has_sorted_indices:
-        raise ValueError("symmetrize: the product's indices are not sorted")
-    status = lib.symmetrize(Ac.shape[0], Ac.indptr, Ac.indices, Ac.data,
-                            np.empty(Ac.shape[0], dtype=np.int32))
-    if status == 0:
+    n = R.shape[0]
+    if R.shape[1] != AP.shape[0] or AP.shape[1] != n:
+        raise ValueError(f"upper_product: shapes {R.shape} and {AP.shape} do not give "
+                         f"a square product")
+    # about half of A P's entries, plus the diagonal; a row that does not
+    # fit is left unwritten: grow the arrays and go on from it
+    capacity = min(max(AP.nnz // 2 + n, 1), _MAX_ENTRIES)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indices, data = np.empty(capacity, dtype=np.int32), np.empty(capacity)
+    sums, mark = np.zeros(n), np.full(n, -1, dtype=np.int32)
+    touched = np.empty(n, dtype=np.int32)
+    row = 0
+    while (row := lib.upper_product_rows(n, R.indptr, R.indices, R.data, AP.indptr,
+                                         AP.indices, AP.data, row, sums, mark, touched,
+                                         indptr, indices, data, len(indices))) < n:
+        if len(indices) == _MAX_ENTRIES:
+            return None
+        size, end = min(2 * len(indices), _MAX_ENTRIES), indptr[row]
+        indices = np.concatenate([indices[:end], np.empty(size - end, dtype=np.int32)])
+        data = np.concatenate([data[:end], np.empty(size - end)])
+    end = indptr[-1]
+    return sparse.csr_matrix((data[:end], indices[:end], indptr), shape=(n, n))
+
+
+def mirror_upper(U):
+    """The symmetric canonical CSR whose upper triangle, diagonal
+    included, is the canonical CSR U, which stores nothing below its
+    diagonal; None where the kernel cannot run."""
+    lib = library()
+    if lib is None or not _square_float_csr(U):
         return None
-    if status == 2:
-        Ac.eliminate_zeros()
-    return Ac
+    n = U.shape[0]
+    if 2 * U.nnz > _MAX_ENTRIES:
+        return None
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    lib.mirror_upper(n, U.indptr, U.indices, U.data, indptr, None, None, None)
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    fill = np.empty(n, dtype=np.int32)
+    lib.mirror_upper(n, U.indptr, U.indices, U.data, indptr, fill.ctypes.data,
+                     indices.ctypes.data, data.ctypes.data)
+    M = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    M.has_canonical_format = True
+    return M
 
 
 def drop_and_lump(Ac, d, t, b, r, r_neg):

@@ -525,14 +525,27 @@ def test_single_level_cycle_complexity_counts_configured_sweeps():
 EPS = np.finfo(np.float64).eps
 
 
+def mirrored_upper(M):
+    """The symmetric canonical CSR whose upper triangle, diagonal
+    included, is the square sparse M's, assembled from COO triplets."""
+    C = sparse.triu(M, format="coo")
+    off = C.row != C.col
+    S = sparse.csr_matrix((np.concatenate([C.data, C.data[off]]),
+                           (np.concatenate([C.row, C.col[off]]),
+                            np.concatenate([C.col, C.row[off]]))), shape=M.shape)
+    S.sort_indices()
+    return S
+
+
 def unfiltered_galerkin(P, A, b=None):
     """P^T A P through CSC, with the skew recomputed on every call and
-    every entry of the product stored; b, setup's coarse candidate, is
-    not read."""
+    every entry of the product stored, its upper triangle mirrored where
+    A is symmetric to round-off; b, setup's coarse candidate, is not
+    read."""
     Ac = (P.T @ (A @ P)).tocsr()
     skew = abs(A - A.T)
     if skew.nnz == 0 or skew.max() <= 1e-14 * abs(A).max():
-        Ac = ((Ac + Ac.T) * 0.5).tocsr()
+        return mirrored_upper(Ac)
     Ac.sort_indices()
     return Ac
 
@@ -695,15 +708,14 @@ def b_scaled_slack(Ac, b):
 
 def two_pass_galerkin(P, A, b=None):
     """The bit reference of galerkin_product's drop and lump rules, in
-    two passes: per row block, the round-off mask, then the candidate
+    two passes over the mirrored upper triangle of SciPy's CSR product
+    R (A P): per row block, the round-off mask, then the candidate
     rule through a masked CSR copy of the block and one SpMV into an
     n_c-long vector of lumped sums, then one CSR assignment of the
     diagonal and one of the dropped entries.  A product whose b-scaled
     slack is >= 0 on every row, with every b_i != 0, lumps its negative
     couplings at NON_GALERKIN_THETA_NEGATIVE."""
-    Ac = P.T.tocsr() @ (A @ P)
-    Ac.sort_indices()
-    Ac = hierarchy._symmetrized(Ac)
+    Ac = mirrored_upper(P.T.tocsr() @ (A @ P))
     d = Ac.diagonal()
     t = np.sqrt(np.abs(d) * EPS)
 
@@ -892,6 +904,37 @@ def test_galerkin_keeps_exactly_the_couplings_above_round_off(case):
     limit = EPS * np.sqrt(np.outer(d, d)) \
         + A.shape[0] * EPS * (abs(Pd).T @ abs(A.toarray()) @ abs(Pd))
     assert np.all(np.abs(Ac.toarray() - Pd.T @ A.toarray() @ Pd) <= limit)
+
+
+@st.composite
+def round_off_skewed_problems(draw):
+    """spd_and_graded_interpolation's A and P, or that A with each entry
+    above the diagonal moved by up to 4 ulp, a skew setup accepts."""
+    A, P = draw(spd_and_graded_interpolation())
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        upper = sparse.triu(A, k=1, format="csr")
+        upper.data *= rng.uniform(-4.0, 4.0, upper.nnz) * EPS
+        A = (A + upper).tocsr()
+    return A, P
+
+
+@settings(max_examples=100, deadline=None)
+@given(round_off_skewed_problems())
+def test_galerkin_is_exactly_symmetric_and_near_the_dense_product(case):
+    """A_c is exactly symmetric, also for an A skewed at round-off, whose
+    P^T A P is not, and lies within round-off of the dense P^T A P: the
+    drop bound eps sqrt(|a_ii a_jj|), plus the product's round-off n eps
+    (|P|^T |A| |P|)_ij, plus, below the diagonal, where A_c mirrors the
+    entry above it, the skew (|P|^T |A - A^T| |P|)_ij."""
+    A, P = case
+    Ac = galerkin_product(P, A)
+    assert (Ac != Ac.T).nnz == 0
+    d = np.abs(Ac.diagonal())
+    Pd, Ad = np.abs(P.toarray()), A.toarray()
+    limit = EPS * np.sqrt(np.outer(d, d)) + A.shape[0] * EPS * (Pd.T @ np.abs(Ad) @ Pd) \
+        + Pd.T @ np.abs(Ad - Ad.T) @ Pd
+    assert np.all(np.abs(Ac.toarray() - P.toarray().T @ Ad @ P.toarray()) <= limit)
 
 
 @st.composite
@@ -1165,7 +1208,11 @@ def csr_bytes(M):
 # 1.69-1.71 (compiled path) and 1.68 (Python path), its peak in the
 # Galerkin lump loop, so it failed about half the time.  Galerkin row
 # blocks of 2^13 entries and a per-slot preconditioner took the peak to
-# 3.48 MB run alone, a ratio of 1.53 (compiled) and 1.51 (Python)
+# 3.48 MB run alone, a ratio of 1.53 (compiled) and 1.51 (Python).  A
+# Galerkin product that forms only the upper triangle of R (A P), on the
+# Python path one row block of R at a time, and coarse operators that no
+# longer keep the product's arrays alive behind the views eliminate_zeros
+# leaves, read 1.30 (compiled, 2.95 MB) and 1.50 (Python, 3.40 MB) alone
 SETUP_FOOTPRINT_RATIO = 1.70
 
 
@@ -1232,91 +1279,35 @@ def test_setup_peak_stays_near_the_hierarchy_footprint():
                     f"MB, was held in {holder.describe()}")
 
 
-def sorted_product(P, A):
-    Ac = P.T.tocsr() @ (A @ P)
-    Ac.sort_indices()
-    return Ac
-
-
-def test_symmetrized_average_in_place_bit_identical_to_sparse_sum():
-    """A product whose transpose stores the same positions is averaged
-    in its own arrays, to the bits of ((Ac + Ac.T) * 0.5).tocsr(); an
-    entry whose average is exactly zero is dropped, as the sum drops it."""
-    A = assemble(ProblemSpec("rotated_anisotropic", 16, epsilon=1e-3)).matrix
-    H = setup(A, SetupConfig(pattern_degree=2, max_levels=2))
-    Ac = sorted_product(H.levels[0].P, A)
-    At = Ac.T.tocsr()
-    assert np.array_equal(At.indptr, Ac.indptr) and np.array_equal(At.indices, Ac.indices)
-    assert (Ac != At).nnz > 0  # round-off skew for the average to remove
-    i = Ac.indices[Ac.indptr[0] + 1]
-    Ac[0, i], Ac[i, 0] = 0.25, -0.25  # a cancelling pair in stored positions
-    compiled = kernels.library() is not None
-    for symmetrize in (hierarchy._symmetrized, kernels.symmetrize):
-        M = sorted_product(H.levels[0].P, A)
-        expected = ((M + M.T) * 0.5).tocsr()
-        data = M.data
-        got = symmetrize(M)
-        if got is None:  # the kernel, where it cannot run
-            assert not compiled
-            continue
-        assert got.data is data  # formed in place
-        assert_same_csr(got, expected)
-        expected = ((Ac + Ac.T) * 0.5).tocsr()
-        assert expected.nnz == Ac.nnz - 2
-        assert_same_csr(symmetrize(Ac.copy()), expected)
-
-
-def test_symmetrized_average_of_a_one_sided_structure_bit_identical_to_sparse_sum():
-    """SpGEMM drops a sum that is exactly zero, so a product may store
-    m_ij but not m_ji; then the sparse sum forms the average."""
-    rng = np.random.default_rng(4)
-    X = sparse.random(30, 30, density=0.2, random_state=rng, format="lil")
-    Y = sparse.random(30, 30, density=0.2, random_state=rng, format="lil")
-    X[0, :], Y[:, 1] = 0.0, 0.0
-    X[0, 2], X[0, 3], Y[2, 1], Y[3, 1] = 1.0, 1.0, 1.0, -1.0  # m_01 = 1 - 1
-    X[1, 2], Y[2, 0] = 1.0, 1.0  # m_10 >= 1: the other entries are >= 0
-    M = X.tocsr() @ Y.tocsr()
-    M.sort_indices()
-    assert 1 not in M.indices[M.indptr[0]:M.indptr[1]]  # dropped by the product
-    assert M[1, 0] >= 1.0
-    # and one whose rows store as many entries below the diagonal as their
-    # columns above it, at positions that do not mirror: (0, 1) and (2, 0)
-    crossed = csr_from_triplets([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 1.0), (2, 0, 3.0),
-                                 (2, 2, 1.0)], 3, 3)
-    for product in (M, crossed):
-        expected = ((product + product.T) * 0.5).tocsr()
-        kept = product.copy()
-        assert kernels.symmetrize(product) is None  # the kernel declines it, untouched
-        assert_same_csr(product, kept)
-        assert_same_csr(hierarchy._symmetrized(product), expected)
-
-
-def test_galerkin_product_of_a_one_sided_pattern_takes_the_sparse_sum(monkeypatch):
-    """SpGEMM forms c_01 of P^T A P as round-off and c_10 as an exact
-    zero, which it drops, so the product's pattern is not symmetric.  The
-    compiled symmetrization declines it, both paths average it through
-    _symmetrized, and their bits are equal, with and without a candidate."""
+def test_galerkin_product_of_a_one_sided_pattern_keeps_its_upper_entry(monkeypatch):
+    """SciPy's product forms c_01 of P^T A P as round-off and c_10 as an
+    exact zero, which it drops, so its pattern is not symmetric.  The
+    operator handed to the drop rule stores the upper entry on both sides,
+    exactly symmetric, on both paths; with P's columns swapped the upper
+    entry is the exact zero, and neither side is stored.  Both paths give
+    the two-pass reference's bits, with and without a candidate."""
     A = sparse.csr_matrix(np.array([[-0.3, 3.0, 0.7], [3.0, -0.1, 0.1], [0.7, 0.1, -1.0]]))
-    P = sparse.csc_matrix(np.array([[3.0, 0.3], [-1.0, -0.1], [-0.1, 1.0]]))
-    M = sorted_product(P, A)
-    assert M[0, 1] != 0.0 and list(M.indices[M.indptr[1]:M.indptr[2]]) == [1]
-    calls = []
-
-    def recording(Ac):
-        calls.append(Ac.nnz)
-        return symmetrized(Ac)
-
-    symmetrized = hierarchy._symmetrized
-    monkeypatch.setattr(hierarchy, "_symmetrized", recording)
-    for b in (None, np.array([1.0, 2.0])):
-        got = []
-        for _, path in both_paths():
-            calls.clear()
-            with path:
-                got.append(galerkin_product(P, A, b))
-            assert calls == [3]
-        assert_same_csr(got[0], got[1])
-        assert_same_csr(got[0], two_pass_galerkin(P, A, b))
+    dense_p = np.array([[3.0, 0.3], [-1.0, -0.1], [-0.1, 1.0]])
+    mirrored = []
+    drop_and_lump = kernels.drop_and_lump
+    monkeypatch.setattr(kernels, "drop_and_lump",
+                        lambda Ac, *args: mirrored.append(Ac.copy()) or drop_and_lump(Ac, *args))
+    for upper_stored, P in ((True, sparse.csc_matrix(dense_p)),
+                            (False, sparse.csc_matrix(dense_p[:, ::-1]))):
+        M = P.T.tocsr() @ (A @ P)
+        assert M.nnz == 3 and (M[0, 1] != 0.0) == upper_stored == (M[1, 0] == 0.0)
+        for b in (None, np.array([1.0, 2.0])):
+            got = []
+            for _, path in both_paths():
+                mirrored.clear()
+                with path:
+                    got.append(galerkin_product(P, A, b))
+                Ac, = mirrored
+                assert (Ac != Ac.T).nnz == 0
+                assert Ac.nnz == (4 if upper_stored else 2)
+                assert Ac[1, 0] == Ac[0, 1] == M[0, 1]
+            assert_same_csr(got[0], got[1])
+            assert_same_csr(got[0], two_pass_galerkin(P, A, b))
 
 
 def test_coarsest_factorization_keeps_one_dense_copy():

@@ -3,6 +3,7 @@ found, falls back quietly where none is or the cache cannot be written,
 and each kernel reads what its Python reference computes, to the bit."""
 
 import hashlib
+import itertools
 import shutil
 import warnings
 
@@ -106,7 +107,10 @@ def test_int64_indices_leave_the_kernels_to_the_python_path():
     A.sort_indices()
     product = A.copy()
     d, b = A.diagonal(), np.ones(3)
-    assert kernels.symmetrize(A) is None
+    A32 = sparse.csr_matrix(A.toarray())
+    for R, AP in ((A, A32), (A32, A)):  # either operand of the product
+        assert kernels.upper_product(R, AP) is None
+    assert kernels.mirror_upper(int64_indexed(sparse.triu(A32, format="csr"))) is None
     assert kernels.drop_and_lump(A, d, np.sqrt(d), b, 1.0 / d, 2.0 / d) is None
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A, name), getattr(product, name))  # untouched
@@ -232,9 +236,73 @@ def test_weighted_apply_kernel_reads_the_sampled_apply_on_every_level(kernel_inp
             assert np.array_equal(out, expected)
 
 
+def test_upper_product_kernels_read_the_mirrored_triu_on_every_level(kernel_inputs):
+    """The upper triangle of R (A P) equals sparse.triu of SciPy's product,
+    on the NumPy path too, where R's row blocks are multiplied one at a
+    time, and its mirror hierarchy._mirrored's, bit for bit and
+    canonical, on every level."""
+    for P, A, _ in kernel_inputs["galerkin"]:
+        R, AP = P.T.tocsr(), A @ P
+        expected = sparse.triu(R @ AP, format="csr")
+        expected.sort_indices()
+        assert_same_csr(hierarchy._upper_product(R, AP), expected)
+        U = kernels.upper_product(R, AP)
+        if not kernel_runs(U):
+            continue
+        assert U.has_canonical_format
+        assert_same_csr(U, expected)
+        M = kernels.mirror_upper(U)
+        assert M.has_canonical_format
+        assert_same_csr(M, hierarchy._mirrored(expected))
+        assert (M != M.T).nnz == 0
+
+
+def assert_same_csr(X, Y):
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(X, name), getattr(Y, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("shape", [(1, 40), (7, 40), (40, 7), (40, 40)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_upper_product_grows_its_output_and_drops_exact_zero_sums(shape):
+    """R (n x m) times AP (m x n), R's rows stored in shuffled order, with
+    empty rows, exact-zero sums and, at m = 1, a rank-one product whose upper
+    triangle, about n^2 / 2 entries, overflows the first estimate of
+    nnz(AP) / 2 + n entries several times.  The result equals the triu of
+    SciPy's product bit for bit, and its mirror the NumPy mirror."""
+    rng = np.random.default_rng(42)
+    m, n = shape
+    cancelled = 0
+    for fill, integral in itertools.product((0.1, 0.5, 1.0), (False, True)):
+        R = sparse.random(n, m, density=fill, random_state=rng, format="csr")
+        AP = sparse.random(m, n, density=fill, random_state=rng, format="csr")
+        for M in (R, AP):  # +-1 and +-2, whose sums cancel, or six decades
+            M.data = rng.choice([-1.0, 1.0], M.nnz) * (
+                rng.choice([1.0, 2.0], M.nnz) if integral else 10.0 ** rng.uniform(-3, 3, M.nnz))
+        rows = np.repeat(np.arange(n), np.diff(R.indptr))
+        order = np.lexsort((rng.random(R.nnz), rows))
+        R = sparse.csr_matrix((R.data[order], R.indices[order], R.indptr), shape=R.shape)
+        expected = sparse.triu(R @ AP, format="csr")
+        expected.sort_indices()
+        assert_same_csr(hierarchy._upper_product(R, AP), expected)
+        U = kernels.upper_product(R, AP)
+        if kernel_runs(U):
+            assert_same_csr(U, expected)
+            assert_same_csr(kernels.mirror_upper(U), hierarchy._mirrored(expected))
+        if m == 1 and fill == 1.0:  # the kernel's output grows twice at least
+            assert expected.nnz > 2 * (AP.nnz // 2 + n)
+        # last: abs(R) sorts R's rows in place
+        cancelled += sparse.triu(abs(R) @ abs(AP)).nnz - expected.nnz
+    assert (cancelled > 0) == (m > 1)  # one term per entry cannot cancel
+    if kernels.library() is not None:
+        with pytest.raises(ValueError, match="do not give a square product"):
+            kernels.upper_product(R, AP[:, 1:])
+
+
 def test_galerkin_kernels_read_the_numpy_finish_on_every_level(kernel_inputs, monkeypatch):
-    """The compiled symmetrization, certificate and drop-and-lump give the
-    NumPy path's coarse operator, bit for bit, on every level."""
+    """The compiled upper product, mirror, certificate and drop-and-lump
+    give the NumPy path's coarse operator, bit for bit, on every level."""
     ran = []
     drop_and_lump = kernels.drop_and_lump
     monkeypatch.setattr(kernels, "drop_and_lump",
