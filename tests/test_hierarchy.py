@@ -1279,13 +1279,15 @@ def test_setup_peak_stays_near_the_hierarchy_footprint():
                     f"MB, was held in {holder.describe()}")
 
 
-def test_galerkin_product_of_a_one_sided_pattern_keeps_its_upper_entry(monkeypatch):
+def test_galerkin_product_of_a_one_sided_pattern_takes_the_sparse_sum(monkeypatch):
     """SciPy's product forms c_01 of P^T A P as round-off and c_10 as an
     exact zero, which it drops, so its pattern is not symmetric.  The
-    operator handed to the drop rule stores the upper entry on both sides,
-    exactly symmetric, on both paths; with P's columns swapped the upper
-    entry is the exact zero, and neither side is stored.  Both paths give
-    the two-pass reference's bits, with and without a candidate."""
+    operator handed to the drop rule is, on both paths, the sparse sum of
+    the product's upper triangle U and the transpose of U's strict upper
+    triangle: it stores the upper entry on both sides, exactly symmetric;
+    with P's columns swapped the upper entry is the exact zero, and
+    neither side is stored.  Both paths give the two-pass reference's
+    bits, with and without a candidate."""
     A = sparse.csr_matrix(np.array([[-0.3, 3.0, 0.7], [3.0, -0.1, 0.1], [0.7, 0.1, -1.0]]))
     dense_p = np.array([[3.0, 0.3], [-1.0, -0.1], [-0.1, 1.0]])
     mirrored = []
@@ -1296,6 +1298,9 @@ def test_galerkin_product_of_a_one_sided_pattern_keeps_its_upper_entry(monkeypat
                             (False, sparse.csc_matrix(dense_p[:, ::-1]))):
         M = P.T.tocsr() @ (A @ P)
         assert M.nnz == 3 and (M[0, 1] != 0.0) == upper_stored == (M[1, 0] == 0.0)
+        U = sparse.triu(M, format="csr")
+        summed = (U + sparse.triu(U, k=1).T).tocsr()
+        summed.sort_indices()
         for b in (None, np.array([1.0, 2.0])):
             got = []
             for _, path in both_paths():
@@ -1306,6 +1311,7 @@ def test_galerkin_product_of_a_one_sided_pattern_keeps_its_upper_entry(monkeypat
                 assert (Ac != Ac.T).nnz == 0
                 assert Ac.nnz == (4 if upper_stored else 2)
                 assert Ac[1, 0] == Ac[0, 1] == M[0, 1]
+                assert_same_csr(Ac, summed)
             assert_same_csr(got[0], got[1])
             assert_same_csr(got[0], two_pass_galerkin(P, A, b))
 
