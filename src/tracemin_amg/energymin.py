@@ -23,7 +23,7 @@ product of their slot values).
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
@@ -139,6 +139,17 @@ def _slot_values(S, slot_rows, cols):
 PRODUCT_BLOCK_SLOTS = 2**14
 
 
+def _row_sums(local, n_rows, terms):
+    """Each of n_rows rows' sum of its slots' terms (one leading index per
+    slot, local the slots' rows), from 0.0 in slot order as np.bincount
+    adds, one component at a time; 0.0 for a row without slots."""
+    flat = terms.reshape(len(terms), np.prod(terms.shape[1:], dtype=int))
+    sums = np.empty((n_rows, flat.shape[1]))
+    for k in range(flat.shape[1]):
+        sums[:, k] = np.bincount(local, weights=flat[:, k], minlength=n_rows)
+    return sums.reshape((n_rows,) + terms.shape[1:])
+
+
 class _RowConstraints:
     """Per-row machinery for the conditions W B_c = B_f, and the one
     blocking of the slot space.
@@ -147,15 +158,15 @@ class _RowConstraints:
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
     row i].  No candidate row per slot is held: candidate_rows gathers
     B_c[cols] for one row block when it is needed.  Every sum over a
-    row's slots is a segmented reduction from the row's first slot,
-    taken in the row blocks of apply_weighted_operator's candidate term,
-    so no temporary outgrows a block.  Each block (lo, hi, slots, rows,
-    starts, counts, gram) holds its bounds of F rows, its slot range, its
-    nonempty rows, their first slots relative to the range, their slot
-    counts and their range of gram_pinv.
+    row's slots runs from 0.0 in slot order, on both paths, taken in the
+    row blocks of apply_weighted_operator's candidate term, so no
+    temporary outgrows a block.  A block is its bounds (lo, hi) of F
+    rows, owning at most the PRODUCT_BLOCK_SLOTS of construction time;
+    blocks forms them on its first read, which the compiled one-candidate
+    path never makes.
 
-    gram_pinv, shape (R, n_b, n_b), holds the pseudo-inverses of the Gram
-    matrices C_i^T C_i of the R nonempty rows in row order.  With one
+    gram_pinv, shape (nf, n_b, n_b), holds the pseudo-inverse of the Gram
+    matrix C_i^T C_i of every F row i, 0 for an empty row.  With one
     candidate the Gram matrix is the scalar g = sum c^2 and its
     pseudo-inverse is 1/g, or 0 where g == 0 (pinv's cutoff); only
     n_b >= 2 needs pinv's batched SVD.  pinv returns the same bits for
@@ -166,33 +177,37 @@ class _RowConstraints:
     (kernels.row_gram_inverse, row_project, row_min_norm, and
     kernels.cg_update through pcg_frobenius) read the same gram_pinv and
     run where they can; the NumPy passes over the row blocks are their bit
-    reference and the path for n_b >= 2.  A segment's sum in those passes
-    is np.add.reduceat's, its first term plus NumPy's pairwise sum of the
-    rest, which the kernels copy.  Called on slot values, the object
-    projects them (project).
+    reference and the path for n_b >= 2.  Called on slot values, the
+    object projects them (project).
     """
 
     def __init__(self, B_c, pattern):
-        self.pattern, self.B_c = pattern, B_c
-        indptr, self.blocks = pattern.indptr, []
+        self.pattern, self.B_c, self.block_limit = pattern, B_c, PRODUCT_BLOCK_SLOTS
         n_b = B_c.shape[1]
-        self.gram_pinv = np.zeros((np.count_nonzero(np.diff(indptr)), n_b, n_b))
-        compiled = (self.operands is not None
-                    and kernels.row_gram_inverse(*self.operands) is not None)
-        bounds, first = row_blocks(indptr, PRODUCT_BLOCK_SLOTS), 0
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
-            slots = slice(int(indptr[lo]), int(indptr[hi]))
-            starts, counts = indptr[rows] - indptr[lo], indptr[rows + 1] - indptr[rows]
-            gram, first = slice(first, first + len(rows)), first + len(rows)
-            if not compiled:
-                C = self.candidate_rows(slots)
-                G = np.add.reduceat(C[:, :, None] * C[:, None, :], starts, axis=0)
-                if n_b == 1:
-                    np.divide(1.0, G, out=self.gram_pinv[gram], where=G != 0.0)
-                else:
-                    self.gram_pinv[gram] = np.linalg.pinv(G)
-            self.blocks.append((lo, hi, slots, rows, starts, counts, gram))
+        self.gram_pinv = np.zeros((pattern.nf, n_b, n_b))
+        if self.operands is not None and kernels.row_gram_inverse(*self.operands) is not None:
+            return
+        for lo, hi in self.blocks:
+            slots, local = self.block_slots(lo, hi)
+            C = self.candidate_rows(slots)
+            G = _row_sums(local, hi - lo, C[:, :, None] * C[:, None, :])
+            if n_b == 1:
+                np.divide(1.0, G, out=self.gram_pinv[lo:hi], where=G != 0.0)
+            else:
+                self.gram_pinv[lo:hi] = np.linalg.pinv(G)
+
+    @cached_property
+    def blocks(self):
+        """The row blocks' bounds (lo, hi), each block owning at most
+        block_limit slots."""
+        bounds = row_blocks(self.pattern.indptr, self.block_limit)
+        return list(zip(bounds[:-1], bounds[1:]))
+
+    def block_slots(self, lo, hi):
+        """(slots, local): the slot range of rows lo..hi - 1, and the row
+        of each of its slots counted from lo."""
+        slots = slice(int(self.pattern.indptr[lo]), int(self.pattern.indptr[hi]))
+        return slots, self.pattern.slot_rows[slots] - lo
 
     @property
     def operands(self):
@@ -212,10 +227,11 @@ class _RowConstraints:
         if self.operands is not None and kernels.row_project(*self.operands,
                                                              values) is not None:
             return values
-        for _, _, slots, _, starts, counts, gram in self.blocks:
+        for lo, hi in self.blocks:
+            slots, local = self.block_slots(lo, hi)
             C, Z = self.candidate_rows(slots), values[slots]
-            t = np.add.reduceat(C * Z[:, None], starts, axis=0)  # C_i^T z_i
-            s = np.repeat(np.einsum("rkl,rl->rk", self.gram_pinv[gram], t), counts, axis=0)
+            t = _row_sums(local, hi - lo, C * Z[:, None])  # C_i^T z_i
+            s = np.einsum("rkl,rl->rk", self.gram_pinv[lo:hi], t)[local]
             Z -= np.einsum("sk,sk->s", C, s)  # C_i s_i at row i's slots
         return values
 
@@ -230,9 +246,9 @@ class _RowConstraints:
         values = np.zeros(self.pattern.nnz)
         if self.operands is None or kernels.row_min_norm(
                 *self.operands, np.ascontiguousarray(B_f[:, 0]), values) is None:
-            for _, _, slots, rows, _, counts, gram in self.blocks:
-                s = np.repeat(np.einsum("rkl,rl->rk", self.gram_pinv[gram], B_f[rows]),
-                              counts, axis=0)
+            for lo, hi in self.blocks:
+                slots, local = self.block_slots(lo, hi)
+                s = np.einsum("rkl,rl->rk", self.gram_pinv[lo:hi], B_f[lo:hi])[local]
                 values[slots] = np.einsum("sk,sk->s", self.candidate_rows(slots), s)
         scale = np.abs(B_f).max() if B_f.size else 0.0
         for i in self.pattern.empty_f_rows:
@@ -334,14 +350,15 @@ def apply_weighted_operator(sys, values):
         return out
     W = pat.to_csr(values)
     V = W @ sys.B_c if tau < 1.0 else None             # (nf, n_b)
-    for lo, hi, slots, *_ in rows.blocks:
+    for lo, hi in rows.blocks:
+        slots, local = rows.block_slots(lo, hi)
         part = out[slots]
         if not compiled and tau > 0.0:
             a, b = A_ff.indptr[lo], A_ff.indptr[hi]
             A_rows = sparse.csr_matrix((A_ff.data[a:b], A_ff.indices[a:b],
                                         A_ff.indptr[lo:hi + 1] - a),
                                        shape=(hi - lo, A_ff.shape[1]))
-            part[:] = _slot_values(A_rows @ W, pat.slot_rows[slots] - lo, pat.cols[slots])
+            part[:] = _slot_values(A_rows @ W, local, pat.cols[slots])
             if tau < 1.0:
                 part *= tau
         if V is not None:

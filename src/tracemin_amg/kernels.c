@@ -7,11 +7,11 @@
  * greedy pass and pattern_distance_k's boolean SpGEMMs,
  * energymin.apply_weighted_operator's sampled product and one-candidate
  * term, energymin._RowConstraints' one-candidate row passes and
- * _cg_update's vector updates, whose row sums copy np.add.reduceat's
- * order, and hierarchy.galerkin_product's upper triangle of SciPy's
- * product R (A P), its mirror, dominance certificate and drop-and-lump
- * loop.  Index arrays are int32, as SciPy stores them below 2^31
- * entries.
+ * _cg_update's vector updates, and hierarchy.galerkin_product's upper
+ * triangle of SciPy's product R (A P), its mirror, dominance certificate
+ * and drop-and-lump loop.  Every sum runs from 0.0 in stored order, as
+ * SciPy's SpGEMM and np.bincount add, and no kernel allocates.  Index
+ * arrays are int32, as SciPy stores them below 2^31 entries.
  */
 
 #include <math.h>
@@ -278,113 +278,45 @@ void masked_product(int64_t n_rows,
     }
 }
 
-/* NumPy's pairwise sum of a[0:n], the order its float64 add reduction
- * takes: under 8 terms one sum from -0.0, up to 128 terms eight
- * accumulators, each summing every eighth term, combined as
- * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the terms
- * past the last multiple of 8 added in order; above 128 terms the sum
- * of two halves split at a multiple of 8.
- */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double sum = -0.0;
-        for (int64_t i = 0; i < n; i++)
-            sum += a[i];
-        return sum;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int k = 0; k < 8; k++)
-            r[k] = a[k];
-        for (i = 8; i < n - n % 8; i += 8)
-            for (int k = 0; k < 8; k++)
-                r[k] += a[i + k];
-        double sum = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; i++)
-            sum += a[i];
-        return sum;
-    }
-    int64_t half = n / 2;
-    half -= half % 8;
-    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
-}
-
-/* A segment's sum as np.add.reduceat forms it: the first of the n >= 1
- * terms, plus the pairwise sum of the rest.
- */
-static double segment_sum(const double *a, int64_t n)
-{
-    return n == 1 ? a[0] : a[0] + pairwise_sum(a + 1, n - 1);
-}
-
-/* Room for one term per slot of the longest of the n_rows rows of
- * w_ptr, or NULL where it cannot be allocated.
- */
-static double *row_terms(int64_t n_rows, const int32_t *w_ptr)
-{
-    int32_t longest = 1;
-    for (int64_t i = 0; i < n_rows; i++)
-        if (w_ptr[i + 1] - w_ptr[i] > longest)
-            longest = w_ptr[i + 1] - w_ptr[i];
-    return malloc((size_t)longest * sizeof(double));
-}
-
 /* The row constraints W b_c = b_f of one candidate b_c over the pattern
  * (w_ptr, w_idx) of n_rows rows, in energymin._RowConstraints' order:
  * the Gram scalar of row i is g_i = sum c^2 over its slots, c =
- * b_c[col], and ginv holds 1/g_i, or 0.0 where g_i == 0, one value per
- * nonempty row in row order.  Each row sum is a segment_sum of its
- * per-slot products, formed in a row_terms buffer; the NumPy path's
- * einsum adds each product to 0.0, turning a -0.0 into +0.0, and so do
- * the 0.0 + below.  Each function returns 0, or -1 where its buffer
- * cannot be allocated, its outputs untouched.
+ * b_c[col], and ginv holds 1/g_i, or 0.0 where g_i == 0 (an empty row
+ * included), one value per row.  Every row sum runs from 0.0 in slot
+ * order, as np.bincount adds; the NumPy path's einsum adds each product
+ * to 0.0, turning a -0.0 into +0.0, and so do the 0.0 + below.
  */
-int row_gram_inverse(int64_t n_rows, const int32_t *w_ptr, const int32_t *w_idx,
-                     const double *b_c, double *ginv)
+void row_gram_inverse(int64_t n_rows, const int32_t *w_ptr, const int32_t *w_idx,
+                      const double *b_c, double *ginv)
 {
-    double *terms = row_terms(n_rows, w_ptr);
-    if (!terms)
-        return -1;
-    for (int64_t i = 0, row = 0; i < n_rows; i++) {
-        int32_t first = w_ptr[i], last = w_ptr[i + 1];
-        if (first == last)
-            continue;
-        for (int32_t s = first; s < last; s++)
-            terms[s - first] = b_c[w_idx[s]] * b_c[w_idx[s]];
-        double g = segment_sum(terms, last - first);
-        ginv[row++] = g != 0.0 ? 1.0 / g : 0.0;
+    for (int64_t i = 0; i < n_rows; i++) {
+        double g = 0.0;
+        for (int32_t s = w_ptr[i]; s < w_ptr[i + 1]; s++)
+            g += b_c[w_idx[s]] * b_c[w_idx[s]];
+        ginv[i] = g != 0.0 ? 1.0 / g : 0.0;
     }
-    free(terms);
-    return 0;
 }
 
 /* z at row i's slots first..last-1 projected onto c^T z = 0:
  * z -= c (0.0 + ginv_i (c^T z)).
  */
 static void project_row(const int32_t *w_idx, const double *b_c, double ginv,
-                        int32_t first, int32_t last, double *terms, double *z)
+                        int32_t first, int32_t last, double *z)
 {
+    double sum = 0.0;
     for (int32_t s = first; s < last; s++)
-        terms[s - first] = b_c[w_idx[s]] * z[s];
-    double scale = 0.0 + ginv * segment_sum(terms, last - first);
+        sum += b_c[w_idx[s]] * z[s];
+    double scale = 0.0 + ginv * sum;
     for (int32_t s = first; s < last; s++)
         z[s] -= 0.0 + b_c[w_idx[s]] * scale;
 }
 
 /* The slot values z projected onto {Z : Z b_c = 0}, row by row, in place. */
-int row_project(int64_t n_rows, const int32_t *w_ptr, const int32_t *w_idx,
-                const double *b_c, const double *ginv, double *z)
+void row_project(int64_t n_rows, const int32_t *w_ptr, const int32_t *w_idx,
+                 const double *b_c, const double *ginv, double *z)
 {
-    double *terms = row_terms(n_rows, w_ptr);
-    if (!terms)
-        return -1;
-    for (int64_t i = 0, row = 0; i < n_rows; i++)
-        if (w_ptr[i] < w_ptr[i + 1])
-            project_row(w_idx, b_c, ginv[row++], w_ptr[i], w_ptr[i + 1], terms, z);
-    free(terms);
-    return 0;
+    for (int64_t i = 0; i < n_rows; i++)
+        project_row(w_idx, b_c, ginv[i], w_ptr[i], w_ptr[i + 1], z);
 }
 
 /* The minimum-norm slot values with W b_c = b_f: c (0.0 + ginv_i b_f[i])
@@ -394,10 +326,8 @@ void row_min_norm(int64_t n_rows, const int32_t *w_ptr, const int32_t *w_idx,
                   const double *b_c, const double *ginv, const double *b_f,
                   double *values)
 {
-    for (int64_t i = 0, row = 0; i < n_rows; i++) {
-        if (w_ptr[i] == w_ptr[i + 1])
-            continue;
-        double scale = 0.0 + ginv[row++] * b_f[i];
+    for (int64_t i = 0; i < n_rows; i++) {
+        double scale = 0.0 + ginv[i] * b_f[i];
         for (int32_t s = w_ptr[i]; s < w_ptr[i + 1]; s++)
             values[s] = 0.0 + b_c[w_idx[s]] * scale;
     }
@@ -409,29 +339,23 @@ void row_min_norm(int64_t n_rows, const int32_t *w_ptr, const int32_t *w_idx,
  * pattern (else w_ptr, w_idx, b_c and ginv are NULL and n counts
  * slots), n counts its rows, and each row of lp is projected as
  * row_project projects it once the row is updated, so lp holds the
- * projected, preconditioned residual z.  Returns 0, or -1 where the
- * buffer cannot be allocated, nothing updated.
+ * projected, preconditioned residual z.
  */
-int cg_update(int64_t n, const int32_t *w_ptr, const int32_t *w_idx, const double *b_c,
-              const double *ginv, double alpha, const double *p, double *lp, double *x,
-              double *r, const double *diag)
+void cg_update(int64_t n, const int32_t *w_ptr, const int32_t *w_idx, const double *b_c,
+               const double *ginv, double alpha, const double *p, double *lp, double *x,
+               double *r, const double *diag)
 {
-    double *terms = w_ptr ? row_terms(n, w_ptr) : NULL;
-    if (w_ptr && !terms)
-        return -1;
     int64_t rows = w_ptr ? n : 1;
-    for (int64_t i = 0, row = 0; i < rows; i++) {
+    for (int64_t i = 0; i < rows; i++) {
         int64_t first = w_ptr ? w_ptr[i] : 0, last = w_ptr ? w_ptr[i + 1] : n;
         for (int64_t s = first; s < last; s++) {
             r[s] -= lp[s] * alpha;
             x[s] += alpha * p[s];
             lp[s] = diag[s] * r[s];
         }
-        if (w_ptr && first < last)
-            project_row(w_idx, b_c, ginv[row++], (int32_t)first, (int32_t)last, terms, lp);
+        if (w_ptr)
+            project_row(w_idx, b_c, ginv[i], (int32_t)first, (int32_t)last, lp);
     }
-    free(terms);
-    return 0;
 }
 
 /* The upper triangle U = triu(R AP) of the product of the CSR R (r_ptr,

@@ -8,7 +8,9 @@ the weighted operator at the pattern slots with its one-candidate term
 Gram inverse, minimum-norm start and projection (energymin._RowConstraints)
 and the CG step's fused update (energymin._cg_update), and the Galerkin
 product's upper triangle of R (A P), its mirror and the drop-and-lump
-pass (hierarchy.galerkin_product).
+pass (hierarchy.galerkin_product).  Every sum in them runs from 0.0 in
+stored order, as SciPy's SpGEMM and np.bincount add, so the NumPy code
+beside each caller is its bit reference; no kernel allocates memory.
 
 kernels.c ships beside this module.  The first call of library() in a
 process compiles it with the system C compiler (`cc -O2
@@ -66,14 +68,13 @@ _SIGNATURES = {  # name: (restype, argtypes)
     "masked_product": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES,
                               _INDEX, _INDEX, _VALUES, _INDEX_OUT, ctypes.c_double,
                               _OPTIONAL, _OPTIONAL, _OPTIONAL, _VALUES_OUT]),
-    "row_gram_inverse": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES_OUT]),
-    "row_project": (ctypes.c_int, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES,
-                                   _VALUES_OUT]),
+    "row_gram_inverse": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES_OUT]),
+    "row_project": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES, _VALUES_OUT]),
     "row_min_norm": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES, _VALUES,
                             _VALUES_OUT]),
-    "cg_update": (ctypes.c_int, [ctypes.c_int64, _OPTIONAL, _OPTIONAL, _OPTIONAL, _OPTIONAL,
-                                 ctypes.c_double, _VALUES, _VALUES_OUT, _VALUES_OUT,
-                                 _VALUES_OUT, _VALUES]),
+    "cg_update": (None, [ctypes.c_int64, _OPTIONAL, _OPTIONAL, _OPTIONAL, _OPTIONAL,
+                         ctypes.c_double, _VALUES, _VALUES_OUT, _VALUES_OUT, _VALUES_OUT,
+                         _VALUES]),
     "upper_product_rows": (ctypes.c_int64, [
         ctypes.c_int64, _INDEX, _INDEX, _VALUES, _INDEX, _INDEX, _VALUES, ctypes.c_int64,
         _VALUES_OUT, _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, _VALUES_OUT,
@@ -273,25 +274,24 @@ def _constraint_operands(pattern, b_c, ginv):
     raises."""
     if not (_int32(pattern.indptr, pattern.cols) and _float_vectors(b_c, ginv)):
         return None
-    nonempty = int(np.count_nonzero(np.diff(pattern.indptr)))
-    if b_c.shape != (pattern.nc,) or ginv.shape != (nonempty,):
+    if b_c.shape != (pattern.nc,) or ginv.shape != (pattern.nf,):
         raise ValueError(f"row constraints: b_c of shape {b_c.shape} and ginv of shape "
                          f"{ginv.shape} for a pattern of {pattern.nc} columns and "
-                         f"{nonempty} nonempty rows")
+                         f"{pattern.nf} rows")
     return pattern.indptr, pattern.cols, b_c, ginv
 
 
 def row_gram_inverse(pattern, b_c, ginv):
-    """Write 1/g_i, or 0 where g_i = 0, of each nonempty pattern row i to
-    ginv, g_i the sum of b_c[col]^2 over the row's slots, bit for bit
-    energymin._RowConstraints' Gram pseudo-inverse of one candidate;
-    returns ginv, or None with ginv untouched where the kernel cannot
-    run."""
+    """Write 1/g_i, or 0 where g_i = 0 (an empty row included), of each
+    pattern row i to ginv, g_i the sum of b_c[col]^2 over the row's slots
+    from 0.0 in slot order, bit for bit energymin._RowConstraints' Gram
+    pseudo-inverse of one candidate; returns ginv, or None with ginv
+    untouched where the kernel cannot run."""
     lib, operands = library(), _constraint_operands(pattern, b_c, ginv)
     if lib is None or operands is None:
         return None
-    indptr, cols, b_c, ginv = operands
-    return ginv if lib.row_gram_inverse(pattern.nf, indptr, cols, b_c, ginv) == 0 else None
+    lib.row_gram_inverse(pattern.nf, *operands)
+    return ginv
 
 
 def row_project(pattern, b_c, ginv, values):
@@ -304,7 +304,8 @@ def row_project(pattern, b_c, ginv, values):
         return None
     if values.shape != (pattern.nnz,):
         raise ValueError(f"row_project: {len(values)} values for {pattern.nnz} slots")
-    return values if lib.row_project(pattern.nf, *operands, values) == 0 else None
+    lib.row_project(pattern.nf, *operands, values)
+    return values
 
 
 def row_min_norm(pattern, b_c, ginv, b_f, out):
@@ -336,16 +337,15 @@ def cg_update(alpha, p, Lp, x, r, diag, pattern=None, b_c=None, ginv=None):
     if not p.shape == Lp.shape == x.shape == r.shape == diag.shape:
         raise ValueError("cg_update: the slot vectors differ in length")
     if pattern is None:
-        return Lp if lib.cg_update(len(p), None, None, None, None, alpha, p, Lp, x, r,
-                                   diag) == 0 else None
+        lib.cg_update(len(p), None, None, None, None, alpha, p, Lp, x, r, diag)
+        return Lp
     operands = _constraint_operands(pattern, b_c, ginv)
     if operands is None:
         return None
     if p.shape != (pattern.nnz,):
         raise ValueError(f"cg_update: {len(p)} slot values for {pattern.nnz} slots")
-    addresses = [a.ctypes.data for a in operands]
-    return Lp if lib.cg_update(pattern.nf, *addresses, alpha, p, Lp, x, r, diag) == 0 \
-        else None
+    lib.cg_update(pattern.nf, *[a.ctypes.data for a in operands], alpha, p, Lp, x, r, diag)
+    return Lp
 
 
 def upper_product(R, AP):

@@ -106,14 +106,17 @@ def check_symmetric(A):
         A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square; got shape {A.shape}")
-    if not np.all(np.isfinite(A.tocsr().data if sparse.issparse(A) else A)):
+    # a sparse A's stored values, read without touching A: abs(A) would
+    # sum duplicates, and so sort indices, in the caller's own arrays
+    stored = A.tocsr().data if sparse.issparse(A) else A
+    if not np.all(np.isfinite(stored)):
         rows, cols, values = sparse.find(A)
         k = np.flatnonzero(~np.isfinite(values))[0]
         raise ValueError(f"matrix has a non-finite entry {values[k]} "
                          f"at ({rows[k]}, {cols[k]})")
     skew = abs(A - A.T).max() if A.shape[0] else 0.0
     if skew > 0.0:
-        scale = abs(A).max()
+        scale = np.abs(stored).max()
         if skew > SYMMETRY_RTOL * scale:
             raise ValueError(f"matrix is not symmetric: max skew {skew:.3e} "
                              f"exceeds {SYMMETRY_RTOL:.1e} * max entry {scale:.3e}")

@@ -1633,3 +1633,55 @@ def test_two_grid_contraction_matches_the_dense_oracle(problem):
     M = np.diag(np.diag(Ad)) / lvl.relaxation.omega
     expected = two_grid_error_norm(Ad, M, lvl.P.toarray())
     assert abs(norm - expected) <= 1e-10 * expected
+
+
+def reversed_rows(M):
+    """The CSR M with each row's entries stored in reverse column order."""
+    M = sparse.csr_matrix(M, copy=True)
+    M.sort_indices()
+    order = np.concatenate([np.arange(M.indptr[i + 1] - 1, M.indptr[i] - 1, -1)
+                            for i in range(M.shape[0])]).astype(np.intp)
+    return sparse.csr_matrix((M.data[order], M.indices[order], M.indptr.copy()),
+                             shape=M.shape)
+
+
+def array_states(*arrays):
+    """Each array's bytes, dtype, shape and flags, to compare before and after."""
+    return [(a.tobytes(), a.dtype, a.shape,
+             {k: a.flags[k] for k in ("C_CONTIGUOUS", "F_CONTIGUOUS", "OWNDATA",
+                                      "WRITEABLE", "ALIGNED", "WRITEBACKIFCOPY")})
+            for a in arrays]
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(12, 20), st.sampled_from([1.0, 1e-3]), st.integers(0, 2**16))
+def test_the_public_calls_leave_their_inputs_as_they_found_them(n, epsilon, seed):
+    """setup, solve, strength_graph, cf_split and galerkin_product leave
+    every input array's bytes and flags as they found them, on both
+    paths, given unsorted CSR rows and an A whose skew is nonzero but
+    within check_symmetric's tolerance."""
+    rng = np.random.default_rng(seed)
+    A = assemble(ProblemSpec("rotated_anisotropic", n, epsilon=epsilon)).matrix
+    upper = np.flatnonzero(A.indices > np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)))
+    A.data[upper[0]] *= 1.0 + 1e-14
+    A = reversed_rows(A)
+    assert 0.0 < abs(A - A.T).max() and not A.has_sorted_indices
+    candidates, b, x0 = rng.standard_normal((3, A.shape[0]))
+    for _, path in both_paths():
+        with path:
+            inputs = [A.indptr, A.indices, A.data, candidates, b, x0]
+            before = array_states(*inputs)
+            H = setup(A, SetupConfig(mode="constrained", candidates=candidates))
+            solve(H, b, max_iters=3, x0=x0)
+            assert array_states(*inputs) == before
+            S = reversed_rows(strength_graph(A, 0.25))
+            P = reversed_rows(H.levels[0].P)
+            coarse = rng.uniform(0.5, 2.0, P.shape[1])
+            inputs = [A.indptr, A.indices, A.data, S.indptr, S.indices, S.data,
+                      P.indptr, P.indices, P.data, coarse]
+            before = array_states(*inputs)
+            strength_graph(A, 0.25)
+            cf_split(S)
+            galerkin_product(P, A)
+            galerkin_product(P, A, coarse)
+            assert array_states(*inputs) == before

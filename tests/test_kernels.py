@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from sparse_helpers import python_path, rand_spd_sparse, random_pattern
+from sparse_helpers import both_paths, python_path, rand_spd_sparse, random_pattern
 from tracemin_amg import coarsening, energymin, hierarchy, kernels
 from tracemin_amg.coarsening import BlockSplit, SparsityPattern
 from tracemin_amg.energymin import _slot_values
@@ -363,54 +363,86 @@ def test_fused_cg_update_reads_the_numpy_passes_on_every_level(kernel_inputs):
             assert np.array_equal(a, b)
 
 
-def numpy_pairwise_sum(terms):
-    """NumPy's pairwise summation of a list of floats, in Python's float64
-    arithmetic: under 8 terms a sum from -0.0, up to 128 eight
-    accumulators of every eighth term, combined pairwise, then the rest
-    in order; above 128 the sum of two halves split at a multiple of 8."""
-    n = len(terms)
-    if n < 8:
-        total = -0.0
-        for t in terms:
-            total += t
-        return total
-    if n <= 128:
-        acc, i = list(terms[:8]), 8
-        while i < n - n % 8:
-            for k in range(8):
-                acc[k] += terms[i + k]
-            i += 8
-        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-        for t in terms[i:]:
-            total += t
-        return total
-    half = n // 2
-    half -= half % 8
-    return numpy_pairwise_sum(terms[:half]) + numpy_pairwise_sum(terms[half:])
+def left_to_right(terms):
+    """The sum of the terms in Python's float64 arithmetic, from 0.0 in order."""
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
 
 
-def test_reduceat_sums_a_segment_as_its_first_term_plus_numpys_pairwise_sum():
-    """The row constraints' kernels copy np.add.reduceat's order of a
-    float64 segment sum: its first term plus NumPy's pairwise sum of the
-    rest.  Pinned here on 1-D, (m, 1) and (m, 1, 1) segments of every
-    length from 1 to 300, terms of mixed sign spanning 16 orders of
-    magnitude with zeros of both signs, so a NumPy release that sums in
-    another order fails this test by name.  The terms are chosen so that
-    the order shows: a plain left-to-right sum misses many segments."""
-    rng = np.random.default_rng(40)
-    lengths = np.arange(1, 301)
-    terms = rng.choice([-1.0, 1.0], lengths.sum()) * 10.0 ** rng.uniform(-8, 8, lengths.sum())
-    terms[rng.random(len(terms)) < 0.02] = 0.0
-    terms[rng.random(len(terms)) < 0.02] = -0.0
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    segments = np.split(terms, starts[1:])
-    expected = np.array([s[0] if len(s) == 1 else s[0] + numpy_pairwise_sum(list(s[1:]))
-                         for s in segments])
-    plain = np.array([sum(s[1:], s[0]) for s in segments])
-    assert np.count_nonzero(plain != expected) > 100
-    for shape in ((-1,), (-1, 1), (-1, 1, 1)):
-        got = np.add.reduceat(terms.reshape(shape), starts, axis=0).reshape(-1)
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), shape
+def sequential_gram_inverse(b_c, pattern, order=left_to_right):
+    """1/g of each pattern row, or 0.0 where g = 0, g the row's sum of
+    b_c[col]^2 taken by `order`."""
+    ginv = []
+    for i in range(pattern.nf):
+        g = order([c * c for c in b_c[pattern.cols[pattern.indptr[i]:pattern.indptr[i + 1]]]
+                   .tolist()])
+        ginv.append(1.0 / g if g != 0.0 else 0.0)
+    return np.array(ginv)
+
+
+def sequential_project(b_c, pattern, ginv, z, order=left_to_right):
+    """The slot values z projected row by row onto c^T z = 0, z -= c (0.0 +
+    ginv_i (c^T z)), the row sum c^T z taken by `order`; z is not changed."""
+    z = z.tolist()
+    for i in range(pattern.nf):
+        slots = range(pattern.indptr[i], pattern.indptr[i + 1])
+        c = b_c[pattern.cols[slots.start:slots.stop]].tolist()
+        scale = 0.0 + ginv[i] * order([cj * z[s] for cj, s in zip(c, slots)])
+        for cj, s in zip(c, slots):
+            z[s] -= 0.0 + cj * scale
+    return np.array(z)
+
+
+def test_constraint_row_sums_run_left_to_right_from_zero_on_both_paths():
+    """Every row sum of the one-candidate row constraints runs from 0.0 in
+    slot order: on rows of 1, 2, 3, 8, 9, 129 and 300 slots, the Gram
+    inverse, the projection and the fused CG update of both paths equal a
+    plain Python left-to-right sum.  Each row's Gram terms are a leading 1
+    and squares of 0.55 to 0.7 ulps of 1, each of which a left-to-right
+    sum rounds up by a whole ulp, and the projected values lie within 1e-2
+    of the candidate, so what is left after the projection holds the
+    rounding of the row's sum: a right-to-left sum gives other bits in
+    every row of 3 slots or more."""
+    rng = np.random.default_rng(42)
+    lengths = [1, 2, 3, 8, 9, 129, 300]
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    nc = int(indptr[-1])
+    pattern = SparsityPattern(len(lengths), nc, indptr, np.arange(nc, dtype=np.int32))
+    b_c = rng.choice([-1.0, 1.0], nc) * np.sqrt(rng.uniform(0.55, 0.7, nc) * 2.0**-52)
+    b_c[indptr[:-1]] = rng.choice([-1.0, 1.0], len(lengths))
+    z = b_c * (1.0 + rng.standard_normal(nc) * 10.0 ** rng.uniform(-6, -2, nc))
+    # the CG step's updated residual diag (r - alpha Lp) is z to round-off
+    alpha, diag = 0.37, np.ones(nc)
+    p, x = rng.standard_normal((2, nc))
+    lp = z * rng.uniform(-1.0, 1.0, nc)
+    r = z + lp * alpha
+
+    def right_to_left(terms):
+        return left_to_right(terms[::-1])
+
+    ginv = sequential_gram_inverse(b_c, pattern)
+    projected = sequential_project(b_c, pattern, ginv, z)
+    updated_r = r - lp * alpha
+    updated = [sequential_project(b_c, pattern, ginv, diag * updated_r), x + alpha * p,
+               updated_r]
+    long_rows = slice(int(indptr[2]), nc)
+    assert np.all(sequential_gram_inverse(b_c, pattern, right_to_left)[2:] != ginv[2:])
+    for values, expected in ((z, projected), (diag * updated_r, updated[0])):
+        other = sequential_project(b_c, pattern, ginv, values, right_to_left)
+        assert np.all(other[long_rows] != expected[long_rows])
+
+    for _, path in both_paths():
+        with path:
+            rows = energymin._RowConstraints(b_c[:, None], pattern)
+            assert rows.gram_pinv.shape == (pattern.nf, 1, 1)
+            assert np.array_equal(rows.gram_pinv.reshape(-1), ginv)
+            assert np.array_equal(rows.project(z.copy()), projected)
+            got = [v.copy() for v in (lp, x, r)]
+            assert energymin._cg_update(alpha, p, *got, diag, rows) is got[0]
+            for a, b in zip(got, updated):
+                assert np.array_equal(a, b)
 
 
 def synthetic_constraints():
@@ -434,14 +466,16 @@ def synthetic_constraints():
 
 def test_constraint_kernels_on_empty_zero_gram_and_long_rows():
     """On a synthetic pattern with empty rows, rows of Gram scalar 0 and
-    rows of 1, 8, 9, 129 and 300 slots (one more than 8 and 128, where
-    the pairwise sum changes its form), every constraint kernel equals
-    the NumPy pass, bit for bit."""
+    rows of 1, 8, 9, 129 and 300 slots, every constraint kernel equals
+    the NumPy pass, bit for bit; the Gram inverse is 0 at the empty rows
+    and at the rows of Gram scalar 0."""
     B_c, pattern, B_f, rng = synthetic_constraints()
     rows = energymin._RowConstraints(B_c, pattern)
     with python_path():
         expected = energymin._RowConstraints(B_c, pattern)
-    assert np.count_nonzero(expected.gram_pinv == 0.0) == 2
+    zero = expected.gram_pinv.reshape(-1) == 0.0
+    assert np.array_equal(np.flatnonzero(zero), [0, 2, 3, 8, 10])
+    assert np.array_equal(pattern.empty_f_rows, [0, 2, 10])
     if not kernel_runs(kernels.row_gram_inverse(*rows.operands)):
         return
     assert np.array_equal(rows.gram_pinv, expected.gram_pinv)
