@@ -344,7 +344,8 @@ def cg_update(alpha, p, Lp, x, r, diag, pattern=None, b_c=None, ginv=None):
         return None
     if p.shape != (pattern.nnz,):
         raise ValueError(f"cg_update: {len(p)} slot values for {pattern.nnz} slots")
-    lib.cg_update(pattern.nf, *[a.ctypes.data for a in operands], alpha, p, Lp, x, r, diag)
+    addresses = [a.ctypes.data for a in operands]
+    lib.cg_update(pattern.nf, *addresses, alpha, p, Lp, x, r, diag)
     return Lp
 
 
