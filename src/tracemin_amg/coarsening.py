@@ -26,7 +26,7 @@ import numpy as np
 from scipy import sparse
 
 from . import kernels
-from .linalg import check_compressed, check_positive_diagonal, real_csr
+from .linalg import check_compressed, check_index_arrays, check_positive_diagonal, real_csr
 from .problems import check_count, check_real
 
 __all__ = [
@@ -42,16 +42,42 @@ __all__ = [
 class BlockSplit:
     """A CF partition of 0..n-1 into the sorted index arrays c_points
     and f_points.  Interpolation reads the F rows of A through f_blocks.
+    Construction refuses by name what assemble_P and the kernels rely on:
+    1-D integer arrays (an empty one of any type), each strictly
+    increasing, that partition 0..n-1, n = n_c + n_f.
     """
 
     c_points: np.ndarray
     f_points: np.ndarray
 
+    def __post_init__(self):
+        n = len(self.c_points) + len(self.f_points)
+        for name in ("c_points", "f_points"):
+            points = np.asarray(getattr(self, name))
+            if points.ndim != 1 or (points.size and points.dtype.kind not in "iu"):
+                raise ValueError(f"{name} must be a 1-D integer array; got {points.dtype} "
+                                 f"of shape {points.shape}")
+            if np.any(points[1:] <= points[:-1]):
+                raise ValueError(f"{name} is not strictly increasing")
+            if points.size and (points[0] < 0 or points[-1] >= n):
+                bad = points[0] if points[0] < 0 else points[-1]
+                raise ValueError(f"{name} holds index {bad} outside [0, {n}), n = n_c + n_f")
+            object.__setattr__(self, name, points.astype(np.int64, copy=False))
+        is_c = np.zeros(n, dtype=bool)
+        is_c[self.c_points] = True
+        if is_c[self.f_points].any():
+            bad = self.f_points[is_c[self.f_points]][0]
+            raise ValueError(f"index {bad} is both a C point and an F point")
+
     @classmethod
     def from_c_points(cls, n, c_points):
+        """The split of 0..n-1 whose C points are c_points, in any order,
+        repeats allowed.  An index outside [0, n) is refused here: the C
+        point n would make a valid split of n + 1 points."""
         c = np.unique(np.asarray(c_points, dtype=np.int64))
-        if len(c) and (c.min() < 0 or c.max() >= n):
-            raise ValueError("C-point index out of range")
+        if len(c) and (c[0] < 0 or c[-1] >= n):
+            bad = c[0] if c[0] < 0 else c[-1]
+            raise ValueError(f"C point {bad} lies outside [0, {n})")
         is_c = np.zeros(n, dtype=bool)
         is_c[c] = True
         return cls(c, np.flatnonzero(~is_c))
@@ -89,7 +115,11 @@ class SparsityPattern:
     into the nf x nc matrix.
 
     empty_f_rows flags F points that reach no C point within the given
-    graph distance; callers decide whether that is an error.
+    graph distance; callers decide whether that is an error.  The kernels
+    read the arrays unchecked, so construction refuses by name an indptr
+    that is not nf + 1 long, does not run from 0 to len(cols) or falls
+    (linalg.check_index_arrays), a column outside [0, nc), and columns
+    that do not rise strictly in a row.
     """
 
     nf: int
@@ -100,9 +130,21 @@ class SparsityPattern:
     empty_f_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        counts = np.diff(self.indptr)
-        object.__setattr__(self, "slot_rows",
-                           np.repeat(np.arange(self.nf, dtype=np.int32), counts))
+        indptr, cols = self.indptr, self.cols
+        if len(indptr) != self.nf + 1:
+            raise ValueError(f"pattern indptr has {len(indptr)} entries; expected "
+                             f"nf + 1 = {self.nf + 1}")
+        if indptr[0] != 0 or indptr[-1] != len(cols):
+            raise ValueError(f"pattern indptr runs from {indptr[0]} to {indptr[-1]}; "
+                             f"expected 0 to len(cols) = {len(cols)}")
+        check_index_arrays(indptr, cols, self.nc, "pattern")
+        counts = np.diff(indptr)
+        slot_rows = np.repeat(np.arange(self.nf, dtype=np.int32), counts)
+        repeated = (cols[1:] <= cols[:-1]) & (slot_rows[1:] == slot_rows[:-1])
+        if repeated.any():
+            raise ValueError(f"pattern columns do not rise strictly in row "
+                             f"{slot_rows[np.argmax(repeated)]}")
+        object.__setattr__(self, "slot_rows", slot_rows)
         object.__setattr__(self, "empty_f_rows", np.flatnonzero(counts == 0))
 
     def to_csr(self, values):
@@ -261,10 +303,13 @@ def pattern_distance_k(S, split, k):
     a boolean SpGEMM, whose sums are logical ORs, so path counts never
     overflow: the pattern is adj[F] @ (adj + I)^(k-1) restricted to the C
     columns, evaluated right to left so each product has only n_c
-    columns.  S is read as cf_split reads it (see _adjacency).
+    columns.  S is read as cf_split reads it (see _adjacency), and a split
+    of another size than the graph is refused by name.
     """
     check_count("k", k, minimum=1)
     adj = _adjacency(S)
+    if split.n != adj.shape[0]:
+        raise ValueError(f"split of {split.n} points for a graph of {adj.shape[0]} vertices")
     arrays = kernels.distance_k_pattern(adj, split, k)
     if arrays is None:
         eye = sparse.identity(adj.shape[0], dtype=bool, format="csr")

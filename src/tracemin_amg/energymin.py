@@ -30,7 +30,7 @@ from scipy import sparse
 
 from . import kernels
 from .coarsening import SparsityPattern
-from .linalg import check_positive_diagonal, row_blocks
+from .linalg import block_entries, check_positive_diagonal, row_blocks
 from .problems import check_real
 from .relaxation import SpectralEquivalence
 
@@ -133,12 +133,6 @@ def _slot_values(S, slot_rows, cols):
     return np.asarray(S[slot_rows, cols]).ravel()
 
 
-# _RowConstraints' row sums, the candidate term of apply_weighted_operator
-# and the Python path's A_ff W are formed in blocks of consecutive rows that
-# own at most this many pattern slots (a longer row is a block alone)
-PRODUCT_BLOCK_SLOTS = 2**14
-
-
 def _row_sums(local, n_rows, terms):
     """Each of n_rows rows' sum of its slots' terms (one leading index per
     slot, local the slots' rows), from 0.0 in slot order as np.bincount
@@ -151,19 +145,18 @@ def _row_sums(local, n_rows, terms):
 
 
 class _RowConstraints:
-    """Per-row machinery for the conditions W B_c = B_f, and the one
-    blocking of the slot space.
+    """Per-row machinery for the conditions W B_c = B_f, and the row
+    blocks of the slot space.
 
     Each F row i couples only the entries of its own pattern row, so the
     constraint decouples: C_i^T w_i = b_i with C_i = B_c[pattern cols of
     row i].  No candidate row per slot is held: candidate_rows gathers
     B_c[cols] for one row block when it is needed.  Every sum over a
     row's slots runs from 0.0 in slot order, on both paths, taken in the
-    row blocks of apply_weighted_operator's candidate term, so no
-    temporary outgrows a block.  A block is its bounds (lo, hi) of F
-    rows, owning at most the PRODUCT_BLOCK_SLOTS of construction time;
-    blocks forms them on its first read, which the compiled one-candidate
-    path never makes.
+    row blocks that apply_weighted_operator's candidate term walks too,
+    so no temporary outgrows a block.  blocks is linalg.row_blocks of the
+    pattern, blocks of at most linalg.ROW_BLOCK_ENTRIES slots, formed on
+    its first read, which the compiled one-candidate path never makes.
 
     gram_pinv, shape (nf, n_b, n_b), holds the pseudo-inverse of the Gram
     matrix C_i^T C_i of every F row i, 0 for an empty row.  With one
@@ -182,13 +175,13 @@ class _RowConstraints:
     """
 
     def __init__(self, B_c, pattern):
-        self.pattern, self.B_c, self.block_limit = pattern, B_c, PRODUCT_BLOCK_SLOTS
+        self.pattern, self.B_c = pattern, B_c
         n_b = B_c.shape[1]
         self.gram_pinv = np.zeros((pattern.nf, n_b, n_b))
         if self.operands is not None and kernels.row_gram_inverse(*self.operands) is not None:
             return
         for lo, hi in self.blocks:
-            slots, local = self.block_slots(lo, hi)
+            slots, local = block_entries(pattern.indptr, lo, hi)
             C = self.candidate_rows(slots)
             G = _row_sums(local, hi - lo, C[:, :, None] * C[:, None, :])
             if n_b == 1:
@@ -198,16 +191,8 @@ class _RowConstraints:
 
     @cached_property
     def blocks(self):
-        """The row blocks' bounds (lo, hi), each block owning at most
-        block_limit slots."""
-        bounds = row_blocks(self.pattern.indptr, self.block_limit)
-        return list(zip(bounds[:-1], bounds[1:]))
-
-    def block_slots(self, lo, hi):
-        """(slots, local): the slot range of rows lo..hi - 1, and the row
-        of each of its slots counted from lo."""
-        slots = slice(int(self.pattern.indptr[lo]), int(self.pattern.indptr[hi]))
-        return slots, self.pattern.slot_rows[slots] - lo
+        """The pattern's row blocks (lo, hi) (linalg.row_blocks)."""
+        return row_blocks(self.pattern.indptr)
 
     @property
     def operands(self):
@@ -228,7 +213,7 @@ class _RowConstraints:
                                                              values) is not None:
             return values
         for lo, hi in self.blocks:
-            slots, local = self.block_slots(lo, hi)
+            slots, local = block_entries(self.pattern.indptr, lo, hi)
             C, Z = self.candidate_rows(slots), values[slots]
             t = _row_sums(local, hi - lo, C * Z[:, None])  # C_i^T z_i
             s = np.einsum("rkl,rl->rk", self.gram_pinv[lo:hi], t)[local]
@@ -247,7 +232,7 @@ class _RowConstraints:
         if self.operands is None or kernels.row_min_norm(
                 *self.operands, np.ascontiguousarray(B_f[:, 0]), values) is None:
             for lo, hi in self.blocks:
-                slots, local = self.block_slots(lo, hi)
+                slots, local = block_entries(self.pattern.indptr, lo, hi)
                 s = np.einsum("rkl,rl->rk", self.gram_pinv[lo:hi], B_f[lo:hi])[local]
                 values[slots] = np.einsum("sk,sk->s", self.candidate_rows(slots), s)
         scale = np.abs(B_f).max() if B_f.size else 0.0
@@ -300,8 +285,16 @@ def build_weighted_system(A, split, B, X, tau, pattern):
         Weight of the column-energy term; 1 - tau weighs candidate
         interpolation accuracy.
     pattern : SparsityPattern
+
+    A split of another size than A, or a pattern whose shape is not
+    (n_f, n_c) of the split, is refused by name.
     """
     check_real("tau", tau, 0.0, 1.0)
+    if split.n != A.shape[0]:
+        raise ValueError(f"split of {split.n} points for an operator of {A.shape[0]} rows")
+    if pattern.shape != (split.n_f, split.n_c):
+        raise ValueError(f"pattern of shape {pattern.shape} for a split of "
+                         f"{split.n_f} F and {split.n_c} C points")
     A_ff, A_fc = split.f_blocks(A)
     B_f, B_c = B.split_rows(split)
     slot_rows, cols = pattern.slot_rows, pattern.cols
@@ -336,11 +329,11 @@ def apply_weighted_operator(sys, values):
     Where the kernel can run, one kernels.masked_product call over all
     slots forms tau A_ff W, summing each slot as SpGEMM does and forming
     no product, and with one candidate the candidate term too.  Otherwise
-    each row block of sys.rows forms and samples A_ff[lo:hi] W at its
-    slots, the kernel's bit reference.  The candidate term of several
-    candidates, and of the Python path, is formed block by block, with
-    V = W B_c (nf x n_b) formed once, so only one block's temporaries are
-    held at a time."""
+    each row block of sys.rows (linalg.row_blocks of the pattern) forms
+    and samples A_ff[lo:hi] W at its slots, the kernel's bit reference.
+    The candidate term of several candidates, and of the Python path, is
+    formed in the same blocks, with V = W B_c (nf x n_b) formed once, so
+    only one block's temporaries are held at a time."""
     pat, rows, tau, A_ff = sys.pattern, sys.rows, sys.tau, sys.A_ff
     out = np.zeros(pat.nnz) if tau == 0.0 else np.empty(pat.nnz)
     one = sys.cand_scale is not None and sys.B_c.shape[1] == 1
@@ -351,7 +344,7 @@ def apply_weighted_operator(sys, values):
     W = pat.to_csr(values)
     V = W @ sys.B_c if tau < 1.0 else None             # (nf, n_b)
     for lo, hi in rows.blocks:
-        slots, local = rows.block_slots(lo, hi)
+        slots, local = block_entries(pat.indptr, lo, hi)
         part = out[slots]
         if not compiled and tau > 0.0:
             a, b = A_ff.indptr[lo], A_ff.indptr[hi]

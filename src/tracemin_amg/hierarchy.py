@@ -28,7 +28,8 @@ from . import kernels
 from .coarsening import cf_split, pattern_distance_k, strength_graph
 from .energymin import (candidate_block, constrained_energymin, prepare_candidates,
                         weighted_energymin)
-from .linalg import check_positive_diagonal, check_symmetric, real_csr, row_blocks
+from .linalg import (block_entries, check_positive_diagonal, check_symmetric, real_csr,
+                     row_blocks)
 from .problems import check_count, check_positive, check_real
 from .relaxation import Relaxation, SpectralEquivalence, auto_jacobi_omega, relax_sweep
 
@@ -60,9 +61,6 @@ CF_WINDOW = 10
 # (1e-2) that costs PCG iterations on the oscillatory problem
 NON_GALERKIN_THETA = 5e-4
 NON_GALERKIN_THETA_NEGATIVE = 2e-3
-# galerkin_product decides the coarse entries in one pass over row blocks
-# of at most this many stored entries, so its temporaries stay small
-GALERKIN_BLOCK_ENTRIES = 2**13
 
 
 @dataclass
@@ -218,10 +216,10 @@ def galerkin_product(P, A, b=None):
     writes A_c from U, and kernels.drop_and_lump checks the certificate
     and decides every entry in one row loop.  Their bit reference, and
     the path where they cannot run, is sparse.triu of SciPy's R @ (A P),
-    _mirrored and _drop_and_lump: one pass over row blocks of at most
-    GALERKIN_BLOCK_ENTRIES stored entries checks the certificate,
-    stopping at the first block with a negative slack; a second pass over
-    the same blocks decides every entry: it reads |a_ij| once, applies
+    _mirrored and _drop_and_lump: one pass over linalg.row_blocks of Ac,
+    at most linalg.ROW_BLOCK_ENTRIES stored entries each, checks the
+    certificate, stopping at the first block with a negative slack; a
+    second pass over the same blocks decides every entry: it reads |a_ij| once, applies
     both rules, sums each row's lumped a_ij b_j, writes a_ii + sum / b_i
     into the stored diagonal of a row whose sum is nonzero and zeroes the
     dropped entries in place.  Besides the product either path holds the
@@ -273,13 +271,12 @@ def _drop_and_lump(Ac, d, t, b, r, r_neg):
     _b_dominant holds), then zero every dropped and lumped entry of Ac in
     place and lump onto the diagonals; returns whether any entry was
     zeroed."""
-    bounds = row_blocks(Ac.indptr, GALERKIN_BLOCK_ENTRIES)
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    if r_neg is not None and not _b_dominant(Ac, d, b, blocks):
+    if r_neg is not None and not _b_dominant(Ac, d, b):
         r_neg = None
     dropped = False
-    for lo, hi in blocks:
-        rows, cols, data = _block(Ac, lo, hi)
+    for lo, hi in row_blocks(Ac.indptr):
+        entries, local = block_entries(Ac.indptr, lo, hi)
+        rows, cols, data = local + lo, Ac.indices[entries], Ac.data[entries]
         size = np.abs(data)
         drop = size < t[rows] * t[cols]
         if b is not None:
@@ -294,37 +291,31 @@ def _drop_and_lump(Ac, d, t, b, r, r_neg):
                 q *= size
                 lump &= (q > 0.0) & (q <= 1.0)
             # bincount adds each row's a_ij b_j sequentially, in entry order
-            moved = np.bincount(rows[lump] - lo, weights=data[lump] * b[cols[lump]],
+            moved = np.bincount(local[lump], weights=data[lump] * b[cols[lump]],
                                 minlength=hi - lo)
             # a row lumps a nonzero sum only with b_i != 0 and a stored a_ii > 0
-            diagonal = (rows == cols) & (moved[rows - lo] != 0.0)
+            diagonal = (rows == cols) & (moved[local] != 0.0)
             i = rows[diagonal]
-            data[diagonal] = d[i] + moved[i - lo] / b[i]
+            data[diagonal] = d[i] + moved[local[diagonal]] / b[i]
             drop |= lump
         data[drop] = 0.0
         dropped = dropped or bool(drop.any())
     return dropped
 
 
-def _block(Ac, lo, hi):
-    """Row indices, and views of the column indices and values, of the
-    stored entries of rows lo to hi - 1 of a CSR Ac."""
-    first, last = Ac.indptr[lo], Ac.indptr[hi]
-    rows = np.repeat(np.arange(lo, hi), np.diff(Ac.indptr[lo:hi + 1]))
-    return rows, Ac.indices[first:last], Ac.data[first:last]
-
-
-def _b_dominant(Ac, d, b, blocks):
+def _b_dominant(Ac, d, b):
     """Whether every b_i != 0 and every row of Ac, of diagonal d, has
-    a_ii |b_i| >= sum_{j != i} |a_ij| |b_j|; stops at the first block
-    that has a row without."""
+    a_ii |b_i| >= sum_{j != i} |a_ij| |b_j|, each row summed from 0.0 in
+    stored order; walks linalg.row_blocks of Ac and stops at the first
+    block that has a row without."""
     if not b.all():
         return False
     size_b = np.abs(b)
-    for lo, hi in blocks:
-        rows, cols, data = _block(Ac, lo, hi)
-        off = rows != cols
-        mass = np.bincount(rows[off] - lo, weights=np.abs(data[off]) * size_b[cols[off]],
+    for lo, hi in row_blocks(Ac.indptr):
+        entries, local = block_entries(Ac.indptr, lo, hi)
+        cols, data = Ac.indices[entries], Ac.data[entries]
+        off = local + lo != cols
+        mass = np.bincount(local[off], weights=np.abs(data[off]) * size_b[cols[off]],
                            minlength=hi - lo)
         if np.any(d[lo:hi] * size_b[lo:hi] < mass):
             return False
@@ -333,18 +324,18 @@ def _b_dominant(Ac, d, b, blocks):
 
 def _upper_product(R, AP):
     """sparse.triu(R @ AP) of the CSR R and AP, canonical, the bit
-    reference of kernels.upper_product: SciPy's product of each row block
-    of R, at most GALERKIN_BLOCK_ENTRIES stored entries, is those rows of
-    the full product, of which only the entries on and above the
-    diagonal are kept, so the full product is never held."""
+    reference of kernels.upper_product: SciPy's product of each of
+    linalg.row_blocks of R, at most linalg.ROW_BLOCK_ENTRIES stored
+    entries, is those rows of the full product, of which only the entries
+    on and above the diagonal are kept, so the full product is never
+    held."""
     n = R.shape[0]
     counts, indices, data = [[0]], [np.empty(0, dtype=np.int32)], [np.empty(0)]
-    bounds = row_blocks(R.indptr, GALERKIN_BLOCK_ENTRIES)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in row_blocks(R.indptr):
         block = R[lo:hi] @ AP
-        rows = np.repeat(np.arange(lo, hi), np.diff(block.indptr))
-        upper = block.indices >= rows
-        counts.append(np.bincount(rows[upper] - lo, minlength=hi - lo))
+        _, local = block_entries(block.indptr, 0, hi - lo)
+        upper = block.indices >= local + lo
+        counts.append(np.bincount(local[upper], minlength=hi - lo))
         indices.append(block.indices[upper])
         data.append(block.data[upper])
     data = np.concatenate(data)  # each list's pieces die with the rebinding

@@ -222,7 +222,7 @@ int64_t distance_k_rows(int64_t k, const int32_t *indptr, const int32_t *indices
  * a_val), its columns W's rows; W is the CSR (w_ptr, w_idx, w_val) with
  * no repeated column in a row.  (A W) is formed only for tau > 0 and
  * multiplied by tau only for 0 < tau < 1; with cand_scale NULL there is
- * no candidate term, and b_c and v are not read.
+ * no candidate term, and b_c is not read.
  *
  * Gustavson's row loop: marker[k] is the slot of column k in the
  * current row, or -1 (marker holds -1 at every column on entry and on
@@ -230,7 +230,8 @@ int64_t distance_k_rows(int64_t k, const int32_t *indptr, const int32_t *indices
  * as SciPy's csr_matmat sums the entry (i, k) of the product, so a slot
  * reads the product's stored entry to the bit, and 0.0 where the
  * product stores none (no term, or terms that sum to zero).  V_i sums
- * w_ik b_c[k] from 0.0 in W's order, as SciPy's W @ b_c does.  The
+ * w_ik b_c[k] from 0.0 in W's order, as SciPy's W @ b_c does, at the
+ * start of row i's candidate term.  The
  * Python path's einsum forms 0.0 + V_i b_c[k], turning a -0.0 into +0.0;
  * here that sign cannot show, since a slot's value before the term is
  * never -0.0 (each sum starts from +0.0), so adding either zero keeps it.
@@ -239,15 +240,8 @@ void masked_product(int64_t n_rows,
                     const int32_t *a_ptr, const int32_t *a_idx, const double *a_val,
                     const int32_t *w_ptr, const int32_t *w_idx, const double *w_val,
                     int32_t *marker, double tau, const double *cand_scale,
-                    const double *b_c, double *v, double *out)
+                    const double *b_c, double *out)
 {
-    if (cand_scale)
-        for (int64_t i = 0; i < n_rows; i++) {
-            double sum = 0.0;
-            for (int32_t s = w_ptr[i]; s < w_ptr[i + 1]; s++)
-                sum += w_val[s] * b_c[w_idx[s]];
-            v[i] = sum;
-        }
     for (int64_t i = 0; i < n_rows; i++) {
         int32_t first = w_ptr[i], last = w_ptr[i + 1];
         if (first == last)
@@ -272,9 +266,13 @@ void masked_product(int64_t n_rows,
                     out[s] *= tau;
             }
         }
-        if (cand_scale)
+        if (cand_scale) {
+            double v = 0.0;
             for (int32_t s = first; s < last; s++)
-                out[s] += cand_scale[s] * (v[i] * b_c[w_idx[s]]);
+                v += w_val[s] * b_c[w_idx[s]];
+            for (int32_t s = first; s < last; s++)
+                out[s] += cand_scale[s] * (v * b_c[w_idx[s]]);
+        }
     }
 }
 

@@ -67,7 +67,7 @@ _SIGNATURES = {  # name: (restype, argtypes)
         _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, _INDEX_OUT, ctypes.c_int64]),
     "masked_product": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES,
                               _INDEX, _INDEX, _VALUES, _INDEX_OUT, ctypes.c_double,
-                              _OPTIONAL, _OPTIONAL, _OPTIONAL, _VALUES_OUT]),
+                              _OPTIONAL, _OPTIONAL, _VALUES_OUT]),
     "row_gram_inverse": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES_OUT]),
     "row_project": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES, _VALUES_OUT]),
     "row_min_norm": (None, [ctypes.c_int64, _INDEX, _INDEX, _VALUES, _VALUES, _VALUES,
@@ -205,14 +205,16 @@ def greedy_split(S, state):
 def distance_k_pattern(adj, split, k):
     """The rows of coarsening.pattern_distance_k over the canonical
     adjacency adj, as int32 (indptr, cols), each row's C-local columns
-    sorted; None where the kernel cannot run, or where a split index lies
-    outside the graph (the SciPy path then raises)."""
+    sorted; None where the kernel cannot run.  A split (a partition of
+    0..split.n - 1) of another size than the graph raises."""
     lib = library()
-    n = adj.shape[0]
-    f, c = split.f_points, split.c_points
-    if (lib is None or not _int32(adj.indptr, adj.indices)
-            or any(len(p) and (p.min() < 0 or p.max() >= n) for p in (f, c))):
+    if lib is None or not _int32(adj.indptr, adj.indices):
         return None
+    n = adj.shape[0]
+    if split.n != n:
+        raise ValueError(f"distance_k_pattern: a split of {split.n} points for a graph "
+                         f"of {n} vertices")
+    f, c = split.f_points, split.c_points
     c_index = np.full(n, -1, dtype=np.int32)
     c_index[c] = np.arange(len(c), dtype=np.int32)
     f = np.ascontiguousarray(f, dtype=np.int64)
@@ -254,7 +256,7 @@ def masked_product(A, pattern, values, out, tau=1.0, cand_scale=None, b_c=None):
             b_c is not None and (cand_scale.shape != out.shape or b_c.shape != (nc,))):
         raise ValueError("masked_product: the candidate term needs cand_scale, one value "
                          "per slot, and b_c, one value per pattern column")
-    addresses, held = _address(cand_scale, b_c, None if b_c is None else np.empty(nf))
+    addresses, held = _address(cand_scale, b_c)
     lib.masked_product(nf, A.indptr, A.indices, A.data, pattern.indptr, pattern.cols,
                        np.ascontiguousarray(values, dtype=np.float64),
                        np.full(nc, -1, dtype=np.int32), tau, *addresses, out)

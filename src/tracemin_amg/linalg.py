@@ -3,7 +3,10 @@
 Matrix Market input and output for the CLI, the perfect-shuffle
 permutation that exchanges row-major and column-major vectorizations,
 a dense symmetric (generalized) eigensolver, the power-iteration
-spectral norm behind the Jacobi damping weight, and the operator checks.
+spectral norm behind the Jacobi damping weight, the operator checks, and
+the row blocks (row_blocks, block_entries) that every NumPy pass of
+energymin and the Galerkin product walks to bound its temporaries; each
+pass decides a row from that row alone, so any blocking gives the same bits.
 """
 
 import numpy as np
@@ -33,6 +36,9 @@ POWER_STEPS = 10
 # Gram eigenvalue is below this fraction of the largest: the moments hold
 # about 20 eps of round-off, which such a direction would amplify
 RITZ_RTOL = 1e-12
+# stored entries a row block of row_blocks owns at most; a row with more is
+# a block alone
+ROW_BLOCK_ENTRIES = 2**13
 
 
 def read_matrix_market(path):
@@ -54,10 +60,15 @@ def check_compressed(M, name):
     minor dimension).  SciPy builds such a matrix without a full format
     check, and its conversions and the compiled kernels would then read
     and write out of bounds; any other format passes."""
-    if M.format not in ("csr", "csc"):
-        return
-    minor, indices = M.shape[0 if M.format == "csc" else 1], M.indices
-    if np.any(np.diff(M.indptr) < 0):
+    if M.format in ("csr", "csc"):
+        check_index_arrays(M.indptr, M.indices, M.shape[0 if M.format == "csc" else 1], name)
+
+
+def check_index_arrays(indptr, indices, minor, name):
+    """Raise a ValueError naming `name` unless the compressed arrays
+    (indptr, indices) have index pointers that never fall and indices in
+    [0, minor)."""
+    if np.any(np.diff(indptr) < 0):
         raise ValueError(f"{name}'s index pointers fall: indptr is not non-decreasing")
     if indices.size and (indices.min() < 0 or indices.max() >= minor):
         bad = indices[(indices < 0) | (indices >= minor)][0]
@@ -123,16 +134,23 @@ def check_symmetric(A):
     return A
 
 
-def row_blocks(indptr, limit):
-    """Bounds of consecutive row blocks of a CSR-like indptr that own at
-    most `limit` entries each, a row with more entries being a block
-    alone."""
-    bounds = [0]
-    while bounds[-1] < len(indptr) - 1:
-        lo = bounds[-1]
-        hi = int(np.searchsorted(indptr, int(indptr[lo]) + limit, side="right")) - 1
-        bounds.append(max(hi, lo + 1))
-    return bounds
+def row_blocks(indptr):
+    """The bounds (lo, hi) of consecutive blocks of rows of a CSR-like
+    indptr, each owning at most ROW_BLOCK_ENTRIES entries, a row with
+    more entries being a block alone."""
+    blocks, lo = [], 0
+    while lo < len(indptr) - 1:
+        hi = int(np.searchsorted(indptr, int(indptr[lo]) + ROW_BLOCK_ENTRIES, side="right"))
+        blocks.append((lo, max(hi - 1, lo + 1)))
+        lo = blocks[-1][1]
+    return blocks
+
+
+def block_entries(indptr, lo, hi):
+    """(entries, local): the slice of the entries of rows lo to hi - 1 of a
+    CSR-like indptr, and the row of each, counted from lo."""
+    entries = slice(int(indptr[lo]), int(indptr[hi]))
+    return entries, np.repeat(np.arange(hi - lo), np.diff(indptr[lo:hi + 1]))
 
 
 def check_positive_diagonal(d):

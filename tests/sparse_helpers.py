@@ -66,6 +66,41 @@ def malformed_graphs():
     }
 
 
+def malformed_patterns(pattern):
+    """SparsityPattern arguments (nf, nc, indptr, cols) made from a valid
+    pattern with at least two slots in row 1 by breaking one of its rules,
+    each with a pattern of the ValueError that refuses it.  Column
+    nc - 1 + 10^8 lies far past every candidate array: unchecked, the
+    compiled Gram pass read there."""
+    nf, nc, indptr, cols = pattern.nf, pattern.nc, pattern.indptr, pattern.cols
+    s = int(indptr[1])  # row 1's first slot, followed by another in row 1
+
+    def column(k, value):
+        broken = cols.copy()
+        broken[k] = value
+        return broken
+
+    falling = indptr.copy()
+    falling[1] = indptr[2] + 1
+    return {
+        "column-far-past-nc": ((nf, nc, indptr, column(s, nc - 1 + 10**8)),
+                               rf"index {nc - 1 + 10**8} outside \[0, {nc}\)"),
+        "column-nc": ((nf, nc, indptr, column(s, nc)), rf"index {nc} outside \[0, {nc}\)"),
+        "negative-column": ((nf, nc, indptr, column(s, -1)), "index -1 outside"),
+        "repeated-column": ((nf, nc, indptr, column(s + 1, cols[s])),
+                            "columns do not rise strictly in row 1"),
+        "falling-columns": ((nf, nc, indptr, column(s, cols[s + 1] + 1)),
+                            "columns do not rise strictly in row 1"),
+        "short-indptr": ((nf, nc, indptr[:-1], cols),
+                         rf"indptr has {nf} entries; expected nf \+ 1"),
+        "indptr-from-1": ((nf, nc, indptr + 1, cols), "indptr runs from 1 to"),
+        "falling-indptr": ((nf, nc, falling, cols), "pattern's index pointers fall"),
+        "indptr-past-cols": ((nf, nc, indptr, cols[:-1]),
+                             rf"indptr runs from 0 to {len(cols)}; expected 0 to "
+                             rf"len\(cols\) = {len(cols) - 1}"),
+    }
+
+
 def csr_from_triplets(triplets, nrows, ncols):
     """Canonical CSR from (row, col, value) triplets: duplicates summed,
     column indices sorted, explicitly stored zeros kept."""

@@ -6,11 +6,13 @@ from numpy.testing import assert_allclose
 from scipy import sparse
 
 from sparse_helpers import (both_paths, csr_from_triplets, lap1d, malformed_graphs,
-                            run_isolated)
+                            malformed_patterns, run_isolated)
 from tracemin_amg import hierarchy, kernels
-from tracemin_amg.coarsening import (BlockSplit, cf_split, pattern_distance_k,
-                                     strength_graph)
+from tracemin_amg.coarsening import (BlockSplit, SparsityPattern, cf_split,
+                                     pattern_distance_k, strength_graph)
+from tracemin_amg.energymin import build_weighted_system, prepare_candidates
 from tracemin_amg.problems import ProblemSpec, assemble
+from tracemin_amg.relaxation import SpectralEquivalence
 
 
 def test_strength_zero_threshold_keeps_all_offdiagonal():
@@ -385,6 +387,114 @@ def test_malformed_graphs_are_refused_by_name_before_they_are_read():
     assert done.stdout.splitlines() == [
         f"{name} {call} ValueError True" for name in sorted(malformed_graphs())
         for call in ("split", "python-split", "pattern")]
+
+
+READ_MALFORMED_PATTERNS = """
+import re
+import numpy as np
+from sparse_helpers import malformed_patterns, python_path
+from tracemin_amg.coarsening import SparsityPattern, cf_split, pattern_distance_k, strength_graph
+from tracemin_amg.energymin import build_weighted_system, prepare_candidates
+from tracemin_amg.problems import ProblemSpec, assemble
+from tracemin_amg.relaxation import SpectralEquivalence
+
+A = assemble(ProblemSpec("rotated_anisotropic", 16)).matrix
+S = strength_graph(A, 0.4)
+split = cf_split(S)
+pattern = pattern_distance_k(S, split, 2)
+assert pattern.indptr[2] - pattern.indptr[1] >= 2
+B = prepare_candidates(A, None)
+
+def build(args):
+    return build_weighted_system(A, split, B, SpectralEquivalence(), 1.0,
+                                 SparsityPattern(*args))
+
+def python_build(args):
+    with python_path():
+        return build(args)
+
+for name, (args, message) in sorted(malformed_patterns(pattern).items()):
+    for call, read in (("build", build), ("python-build", python_build)):
+        try:
+            read(args)
+            print(name, call, "returned", flush=True)
+        except Exception as err:
+            print(name, call, type(err).__name__, bool(re.search(message, str(err))),
+                  flush=True)
+"""
+
+
+def test_malformed_patterns_are_refused_by_name_before_they_are_read():
+    """A pattern checks its own arrays when it is built, so a weighted
+    system is never built on one that points outside itself, on either
+    path.  The calls run in a subprocess: unchecked, column nc - 1 + 10^8
+    faulted (SIGSEGV) in the compiled Gram pass, column nc read one value
+    past b_c there, and the Python path raised a bare IndexError."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 16)).matrix
+    S = strength_graph(A, 0.4)
+    names = sorted(malformed_patterns(pattern_distance_k(S, cf_split(S), 2)))
+    done = run_isolated(READ_MALFORMED_PATTERNS)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == [
+        f"{name} {call} ValueError True" for name in names
+        for call in ("build", "python-build")]
+
+
+@pytest.mark.parametrize("c_points, f_points, message", [
+    ([2, 0], [1, 3, 4], "c_points is not strictly increasing"),
+    ([0, 2], [4, 1, 3], "f_points is not strictly increasing"),
+    ([0, 2, 2], [1, 3], "c_points is not strictly increasing"),
+    ([0, 2], [1, 5], r"f_points holds index 5 outside \[0, 4\)"),
+    ([-1, 2], [0, 1], r"c_points holds index -1 outside \[0, 4\)"),
+    ([0, 1], [1, 2], "index 1 is both a C point and an F point"),
+    ([0.0, 2.0], [1, 3], "c_points must be a 1-D integer array; got float64"),
+    ([[0, 2]], [1, 3], r"c_points must be a 1-D integer array; got int64 of shape \(1, 2\)"),
+])
+def test_a_split_that_is_not_a_partition_is_refused_by_name(c_points, f_points, message):
+    """assemble_P and the kernels read a split as sorted index arrays that
+    partition 0..n-1; the first three splits made assemble_P place W and
+    I at other rows than the split's, without an error."""
+    with pytest.raises(ValueError, match=message):
+        BlockSplit(np.array(c_points), np.array(f_points))
+
+
+def test_from_c_points_refuses_an_index_outside_the_range():
+    """C point 5 of n = 5 would make a valid split of 6 points, so the
+    range is checked before the split is built."""
+    for c_points, bad in (([0, 5], 5), ([-1, 2], -1)):
+        with pytest.raises(ValueError, match=rf"C point {bad} lies outside \[0, 5\)"):
+            BlockSplit.from_c_points(5, c_points)
+    split = BlockSplit.from_c_points(5, [4, 0, 4])
+    assert split.c_points.tolist() == [0, 4] and split.f_points.tolist() == [1, 2, 3]
+
+
+def test_a_split_of_another_size_than_the_graph_is_refused_by_name():
+    """A partition of 3 or 201 points is refused for a graph of 49
+    vertices, on both paths, by the pattern, by the kernel and by the
+    weighted system; so is a pattern of another shape than the split's.
+    Unchecked, the 3-point split gave a 2 x 1 pattern and the one holding
+    index 200 a bare IndexError."""
+    A = assemble(ProblemSpec("rotated_anisotropic", 8)).matrix
+    S = strength_graph(A, 0.4)
+    splits = [BlockSplit.from_c_points(3, [0]), BlockSplit.from_c_points(201, [0, 200])]
+    for _, path in both_paths():
+        with path:
+            for split in splits:
+                with pytest.raises(ValueError, match=rf"split of {split.n} points for a "
+                                                     "graph of 49 vertices"):
+                    pattern_distance_k(S, split, 2)
+    if kernels.library() is not None:
+        with pytest.raises(ValueError, match="distance_k_pattern: a split of 3 points"):
+            kernels.distance_k_pattern(S, splits[0], 2)
+    split = cf_split(S)
+    pattern = pattern_distance_k(S, split, 2)
+    B = prepare_candidates(A, None)
+    with pytest.raises(ValueError, match="split of 3 points for an operator of 49 rows"):
+        build_weighted_system(A, splits[0], B, SpectralEquivalence(), 1.0, pattern)
+    wide = SparsityPattern(pattern.nf, pattern.nc + 1, pattern.indptr, pattern.cols)
+    with pytest.raises(ValueError, match=rf"pattern of shape \({pattern.nf}, "
+                                         rf"{pattern.nc + 1}\) for a split"):
+        build_weighted_system(A, split, B, SpectralEquivalence(), 1.0, wide)
 
 
 def reference_pattern_rows(S, split, k):

@@ -432,10 +432,10 @@ def test_row_sums_match_dense_rows_and_ignore_the_blocking(case, limit):
     got = {}
     for slots in (pattern.nnz + 1, limit):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(energymin, "PRODUCT_BLOCK_SLOTS", slots)
+            mp.setattr(linalg, "ROW_BLOCK_ENTRIES", slots)
             rows = _RowConstraints(B_c, pattern)
+            got[slots] = rows.project(values.copy()), rows.min_norm_solution(B_f)
         assert len(rows.blocks) <= 1 or slots == limit
-        got[slots] = rows.project(values.copy()), rows.min_norm_solution(B_f)
     scale = max(np.abs(values).max(initial=1.0), np.abs(B_f).max(initial=1.0))
     assert_allclose(got[limit][0], projected, rtol=0, atol=1e-9 * scale)
     assert_allclose(got[limit][1], start, rtol=0, atol=1e-9 * scale)
@@ -842,9 +842,15 @@ def test_every_apply_on_every_level_bit_identical_to_sorted_extraction(
 @given(st.lists(st.integers(0, 9), max_size=30), st.integers(1, 12))
 def test_row_blocks_cover_the_rows_within_the_slot_limit(lengths, limit):
     indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
-    bounds = linalg.row_blocks(indptr, limit)
-    assert bounds[0] == 0 and bounds[-1] == len(lengths)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "ROW_BLOCK_ENTRIES", limit)
+        blocks = linalg.row_blocks(indptr)
+    bounds = [0] + [hi for _, hi in blocks]
+    assert blocks == list(zip(bounds[:-1], bounds[1:])) and bounds[-1] == len(lengths)
+    for lo, hi in blocks:
+        entries, local = linalg.block_entries(indptr, lo, hi)
+        assert entries == slice(indptr[lo], indptr[hi])
+        assert np.array_equal(local, np.repeat(np.arange(hi - lo), lengths[lo:hi]))
         assert hi > lo
         assert indptr[hi] - indptr[lo] <= limit or hi == lo + 1
         # greedy: the next row would not have fit
@@ -870,14 +876,14 @@ def test_every_apply_in_small_row_blocks_bit_identical_to_one_block(mode, tau, m
     def checked(sys, values):
         got = apply_weighted_operator(sys, values)
         with monkeypatch.context() as one:
-            one.setattr(energymin, "PRODUCT_BLOCK_SLOTS", sys.pattern.nnz)
+            one.setattr(linalg, "ROW_BLOCK_ENTRIES", sys.pattern.nnz)
             one_block = build_weighted_system(*built[id(sys)])
-        assert one_block.rows.blocks == [(0, sys.pattern.nf)]
-        assert np.array_equal(got, apply_weighted_operator(one_block, values))
+            assert one_block.rows.blocks == [(0, sys.pattern.nf)]
+            assert np.array_equal(got, apply_weighted_operator(one_block, values))
         systems.append(sys)
         return got
 
-    monkeypatch.setattr(energymin, "PRODUCT_BLOCK_SLOTS", 64)
+    monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 64)
     monkeypatch.setattr(energymin, "build_weighted_system", recorded)
     monkeypatch.setattr(energymin, "apply_weighted_operator", checked)
     H = hierarchy.setup(A, cfg)
@@ -904,14 +910,14 @@ APPLY_PEAK_SLOT_VECTORS = 1.5
 def test_apply_holds_no_temporary_beyond_a_row_block(tau, monkeypatch):
     """One apply allocates its output and beyond it only W, V = W B_c
     and block-sized temporaries, on both paths."""
-    monkeypatch.setattr(energymin, "PRODUCT_BLOCK_SLOTS", 256)
+    monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 256)
     A = assemble(ProblemSpec("rotated_anisotropic", 64, epsilon=1e-3)).matrix
     S = strength_graph(A, 0.4)
     split = cf_split(S)
     pattern = pattern_distance_k(S, split, 2)
     B = prepare_candidates(A, np.ones(A.shape[0]))
     sys = build_weighted_system(A, split, B, SpectralEquivalence(), tau, pattern)
-    assert len(linalg.row_blocks(pattern.indptr, 256)) > 50
+    assert len(linalg.row_blocks(pattern.indptr)) > 50
     w = np.random.default_rng(0).standard_normal(pattern.nnz)
     for _, path in both_paths():
         with path:
@@ -936,7 +942,7 @@ def test_level_zero_minimization_sampling_on_both_paths(mode, iters, monkeypatch
     S = strength_graph(A, 0.4)
     split = cf_split(S)
     pattern = pattern_distance_k(S, split, 3)
-    assert linalg.row_blocks(pattern.indptr, energymin.PRODUCT_BLOCK_SLOTS) == [0, split.n_f]
+    assert linalg.row_blocks(pattern.indptr) == [(0, split.n_f)]
     B = prepare_candidates(A, np.ones(A.shape[0]))
     calls = []
 

@@ -14,7 +14,7 @@ from scipy.linalg import cho_solve
 
 from sparse_helpers import (both_paths, csr_from_triplets, invalid_operators, lap1d,
                             python_path, rand_spd_sparse, run_isolated)
-from tracemin_amg import energymin, hierarchy, kernels
+from tracemin_amg import hierarchy, kernels, linalg
 from tracemin_amg.coarsening import cf_split, strength_graph
 from tracemin_amg.energymin import prepare_candidates
 from tracemin_amg.experiments import measure_report, smoothed_constant
@@ -662,7 +662,7 @@ def test_two_candidate_setup_keeps_the_round_off_hierarchy_bit_for_bit(cfg, monk
     assert H.levels[0].P.nnz - nc > 2**14  # level 0's slots span several blocks
     monkeypatch.setattr(hierarchy, "galerkin_product",
                         lambda P, A, b: reference_galerkin(P, A))
-    monkeypatch.setattr(energymin, "PRODUCT_BLOCK_SLOTS", 2**17)
+    monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 2**17)
     reference = setup(A, cfg)
     assert H.level_sizes() == reference.level_sizes()
     for lvl, ref in zip(H.levels, reference.levels):
@@ -729,8 +729,7 @@ def two_pass_galerkin(P, A, b=None):
             r_neg = reciprocal(hierarchy.NON_GALERKIN_THETA_NEGATIVE)
     drop = np.empty(Ac.nnz, dtype=bool)
     moved = None if b is None else np.zeros_like(d)
-    bounds = row_blocks(Ac.indptr, hierarchy.GALERKIN_BLOCK_ENTRIES)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi in row_blocks(Ac.indptr):
         first, last = Ac.indptr[lo], Ac.indptr[hi]
         block = sparse.csr_matrix((Ac.data[first:last], Ac.indices[first:last],
                                    Ac.indptr[lo:hi + 1] - first),
@@ -826,7 +825,7 @@ def test_galerkin_blocks_of_a_few_entries_keep_the_bits(kind, monkeypatch):
         A, P, rng = graded_problem(seed)
         b = graded_candidate(kind, rng, P.shape[1])
         cases.append((P, A, b, galerkin_product(P, A, b)))
-    monkeypatch.setattr(hierarchy, "GALERKIN_BLOCK_ENTRIES", 4)
+    monkeypatch.setattr(linalg, "ROW_BLOCK_ENTRIES", 4)
     for P, A, b, default in cases:
         Ac = galerkin_product(P, A, b)
         assert np.diff(Ac.indptr).max() > 4

@@ -4,6 +4,7 @@ and each kernel reads what its Python reference computes, to the bit."""
 
 import hashlib
 import itertools
+import re
 import shutil
 import warnings
 
@@ -33,6 +34,14 @@ def test_the_kernels_build_where_a_compiler_is_found():
     found = shutil.which("cc") is not None
     assert (kernels.library() is not None) == found
     assert kernels.backend() == ("compiled" if found else "python")
+
+
+def test_no_kernel_allocates_memory():
+    """kernels.c's header, kernels.py's docstring and the README say that
+    no kernel allocates: every buffer a kernel writes is a NumPy array its
+    wrapper passes, so the traced footprint of setup sees all of them."""
+    calls = re.findall(r"\b(?:malloc|calloc|realloc|free)\s*\(", kernels.SOURCE.read_text())
+    assert calls == []
 
 
 def test_first_use_compiles_into_the_cache_named_by_the_source_hash(fresh_loader):
